@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from . import __version__
 from .constructors import (
-    InvariantViolation,
     good_set_audit,
     greedy_packing,
     packing_separation,
@@ -32,9 +31,9 @@ from .families import (
     random_subcubic_tree,
     tprime_dense_set,
 )
-from .graphs import EdgeListError, Graph, endvertices, parse_edge_list, write_edge_list
-from .solvers import InfeasibleError, alpha_e_exact, gamma_e_exact
-from .weights import is_exponentially_dominating, is_exponentially_independent
+from .graphs import Graph, endvertices, parse_edge_list, write_edge_list
+from .solvers import alpha_e_exact, gamma_e_exact
+from .weights import ei_holds, is_exponentially_dominating, is_exponentially_independent
 from .experiments import (
     CorpusError,
     bound_table,
@@ -174,8 +173,7 @@ def _cmd_construct(args) -> int:
         G = _read_graph(args.graph)
         dstar = args.dstar if args.dstar is not None else packing_separation(G.n)
         S = greedy_packing(G, dstar)
-        report = is_exponentially_independent(G, S)
-        if not report.ok:
+        if not ei_holds(G, S):
             raise RuntimeError("packing failed re-verification")
         sys.stdout.write(f"method packing\ndstar {dstar}\nsize {len(S)}\nset " + " ".join(map(str, sorted(S))) + "\n")
     elif args.method == "tree-good":
@@ -200,8 +198,7 @@ def _cmd_construct(args) -> int:
             G = gen_tprime(args.k).graph
         else:
             raise UsageError("family-canonical supports --family tk or tprime")
-        report = is_exponentially_independent(G, S)
-        if not report.ok:
+        if not ei_holds(G, S):
             raise RuntimeError("canonical set failed re-verification")
         sys.stdout.write(f"method family-canonical\nsize {len(S)}\nset " + " ".join(map(str, sorted(S))) + "\n")
     if args.set_out:
@@ -311,7 +308,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (EdgeListError, InfeasibleError, InvariantViolation, OSError, ValueError) as exc:
+    # ValueError covers EdgeListError and InfeasibleError; RuntimeError
+    # covers InvariantViolation, failed re-verifications and RecursionError
+    except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

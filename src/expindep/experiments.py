@@ -51,9 +51,9 @@ from .solvers import (
     gamma_e_exact,
 )
 from .weights import (
+    ed_holds,
     ei_holds,
     is_exponentially_dominating,
-    is_exponentially_independent,
     weight,
 )
 
@@ -192,12 +192,12 @@ def bound_table(corpus: str) -> CsvTable:
         tree = is_tree(G)
         if n <= ALPHA_EXACT_LIMIT:
             res = alpha_e_exact(G)
-            if not is_exponentially_independent(G, res.witness).ok:
+            if not ei_holds(G, res.witness):
                 raise RuntimeError("table witness failed re-verification")
             alpha, alpha_exact = res.optimum, True
         else:
             best = greedy_packing(G, packing_separation(n)) if n >= 4 else frozenset()
-            if not is_exponentially_independent(G, best).ok:
+            if not ei_holds(G, best):
                 raise RuntimeError("packing witness failed re-verification")
             alpha = len(best)
             if subcubic and tree and degree2_vertices(G):
@@ -335,9 +335,9 @@ def conjecture_scan(n_max: int) -> ScanReport:
             label = f"tree:{n}:{idx}"
             a = alpha_e_exact(T)
             g = gamma_e_exact(T)
-            if not is_exponentially_independent(T, a.witness).ok:
+            if not ei_holds(T, a.witness):
                 raise RuntimeError("scan witness failed re-verification")
-            if not is_exponentially_dominating(T, g.witness).ok:
+            if not ed_holds(T, g.witness):
                 raise RuntimeError("scan witness failed re-verification")
             report.rows.append((label, n, g.optimum, a.optimum))
             if g.optimum > a.optimum:
@@ -425,7 +425,7 @@ def forced_endvertex_study(k: int, time_budget: float | None = None) -> ForcingR
                 excluded.append(v)
     report.excluded = sorted(excluded)
     res = alpha_e_exact(G, required=leaves, excluded=excluded, time_budget=time_budget)
-    if not is_exponentially_independent(G, res.witness).ok:
+    if not ei_holds(G, res.witness):
         raise RuntimeError("study witness failed re-verification")
     report.constrained_optimum = res.optimum
     report.constrained_witness = res.witness

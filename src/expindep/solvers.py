@@ -15,13 +15,14 @@ feasibility is not monotone and supersets of dominating sets need not
 dominate. Exhaustive enumeration per size is the correctness strategy at
 desk scale.
 
-Member weights along the branch-and-bound path are maintained
-incrementally: when v joins the set, the only existing members whose
-weight can change are those that still reach v once the new blocking is in
-place; one absorbing sweep from v finds them, everyone else keeps their
-cached weight. The equivalence of this shortcut with full re-verification
-is covered by tests, and every final witness is re-checked by the full
-verifier before it is returned.
+Feasibility along the branch-and-bound path is checked incrementally:
+when v joins the set, the only existing members whose weight can change
+are those that still reach v once the new blocking is in place. One
+absorbing sweep from v decides v's own condition and finds them, and only
+they are re-checked; no weights are cached between nodes. The
+equivalence of this shortcut with full re-verification is covered by
+tests, and every final witness is re-checked by the full verifier before
+it is returned.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .graphs import INF, Graph, absorbing_bfs, connected_components, induced_subgraph
+from .graphs import Graph, connected_components, induced_subgraph
 from .weights import (
-    Dyadic,
-    ONE,
+    _ed_checks,
+    _ei_checks,
+    _influence,
     ed_holds,
     ei_holds,
     is_exponentially_dominating,
     is_exponentially_independent,
-    weight,
 )
 
 
@@ -68,26 +69,22 @@ class SearchResult:
         return "\n".join(lines) + "\n"
 
 
-def try_extend(G: Graph, members: frozenset, weights: dict, v: int) -> dict | None:
-    """Incremental feasibility check for members + {v}: returns the updated
-    weight cache when the extended set stays exponentially independent,
-    None otherwise. ``weights`` maps each member u to its cached weight
-    against the other members."""
-    w_v = weight(G, members, v)
-    if not w_v < ONE:
+def try_extend(G: Graph, members: frozenset, v: int) -> frozenset | None:
+    """Incremental feasibility check for members + {v}, where ``members``
+    is already exponentially independent: returns the extended set when it
+    stays independent, None otherwise. The source of an absorbing sweep is
+    always expanded, so one sweep from v over ``members`` gives v's weight
+    and the members v reaches in the extended set; only those are
+    re-checked."""
+    num, exp, reached = _influence(G, members, v)
+    if num >= 1 << exp:
         return None
     grown = members | {v}
-    dist = absorbing_bfs(G, v, grown)
-    new_weights = {v: w_v}
-    for x in members:
-        if dist[x] == INF:
-            new_weights[x] = weights[x]
-            continue
-        w_x = weight(G, grown - {x}, x)
-        if not w_x < ONE:
+    for x, _ in reached:
+        num, exp, _ = _influence(G, grown - {x}, x)
+        if num >= 1 << exp:
             return None
-        new_weights[x] = w_x
-    return new_weights
+    return grown
 
 
 def alpha_e_exact(
@@ -106,14 +103,9 @@ def alpha_e_exact(
     exc = frozenset(excluded)
     if req & exc:
         raise ValueError("required and excluded sets overlap")
-    base_weights: dict[int, Dyadic] = {}
-    for u in sorted(req):
-        w = weight(G, req - {u}, u)
-        if not w < ONE:
-            raise InfeasibleError(
-                f"required set is not exponentially independent at vertex {u}"
-            )
-        base_weights[u] = w
+    bad = next((u for u, good, *_ in _ei_checks(G, req) if not good), None)
+    if bad is not None:
+        raise InfeasibleError(f"required set is not exponentially independent at vertex {bad}")
 
     order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
     cands = [v for v in order if v not in req and v not in exc]
@@ -124,7 +116,7 @@ def alpha_e_exact(
     nodes = 0
     ncands = len(cands)
 
-    def dfs(i: int, members: frozenset, weights: dict):
+    def dfs(i: int, members: frozenset):
         nonlocal best_size, best_set, nodes
         nodes += 1
         if deadline is not None and (nodes & 255) == 0 and time.monotonic() > deadline:
@@ -138,14 +130,14 @@ def alpha_e_exact(
                 best_size, best_set = size, tup
             return
         v = cands[i]
-        ext = try_extend(G, members, weights, v)
-        if ext is not None:
-            dfs(i + 1, members | {v}, ext)
-        dfs(i + 1, members, weights)
+        grown = try_extend(G, members, v)
+        if grown is not None:
+            dfs(i + 1, grown)
+        dfs(i + 1, members)
 
     status = "optimal"
     try:
-        dfs(0, req, base_weights)
+        dfs(0, req)
     except _Timeout:
         status = "timeout"
 
@@ -179,11 +171,8 @@ def greedy_dominating_set(G: Graph) -> frozenset:
     members: set[int] = set()
 
     def satisfied(mem: frozenset) -> set[int]:
-        out = set(mem)
-        for u in range(G.n):
-            if u not in mem and weight(G, mem, u) >= ONE:
-                out.add(u)
-        return out
+        outside = (u for u in range(G.n) if u not in mem)
+        return set(mem) | {u for u, good, *_ in _ed_checks(G, mem, outside) if good}
 
     covered = satisfied(frozenset())
     while len(covered) < G.n:
@@ -206,10 +195,12 @@ def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
     """Minimum size of an exponentially dominating set, by increasing-size
     exhaustive enumeration per connected component (components cannot
     influence each other, so the optimum is the sum). On timeout the
-    greedy upper bound is returned with status "timeout"."""
+    greedy upper bound is returned with status "timeout"; like the exact
+    optimum, it is re-checked by the full verifier first."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
     nodes = 0
     witness: list[int] = []
+    status = "optimal"
     try:
         for comp in connected_components(G):
             sub, old_ids = induced_subgraph(G, comp)
@@ -226,12 +217,11 @@ def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
                     break
             witness.extend(old_ids[v] for v in found)
     except _Timeout:
-        greedy = greedy_dominating_set(G)
-        return SearchResult(len(greedy), tuple(sorted(greedy)), nodes, "timeout")
+        witness, status = greedy_dominating_set(G), "timeout"
     witness_t = tuple(sorted(witness))
     if not is_exponentially_dominating(G, witness_t).ok:
         raise RuntimeError("internal error: witness failed re-verification")
-    return SearchResult(len(witness_t), witness_t, nodes, "optimal")
+    return SearchResult(len(witness_t), witness_t, nodes, status)
 
 
 def find_maximal_ei_not_ed(G: Graph) -> frozenset | None:

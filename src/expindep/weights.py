@@ -16,16 +16,24 @@ examples (two adjacent vertices give exactly 1, the center of a 3-path
 covers both leaves with exactly 1), so all arithmetic here is exact: every
 term is a dyadic rational p / 2**e and comparisons against 1 reduce to
 integer comparisons. Floating point appears only in display strings.
+
+One kernel, ``_influence``, runs the absorbing sweep behind every weight
+and every verdict here and in the solvers. It sums the influence as an
+integer numerator over a power of two, so each verdict is an integer
+comparison; ``Dyadic`` values are built only for returned weights and
+reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import total_ordering
+from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import INF, Graph, absorbing_bfs
 
 
+@total_ordering
 class Dyadic:
     """Nonnegative rational with a power-of-two denominator, kept in the
     canonical form where the numerator is odd or the exponent is zero
@@ -36,10 +44,11 @@ class Dyadic:
     def __init__(self, num: int = 0, exp: int = 0):
         if num < 0 or exp < 0:
             raise ValueError("dyadic values are nonnegative with nonnegative exponent")
-        while num and num % 2 == 0 and exp > 0:
-            num //= 2
-            exp -= 1
-        if num == 0:
+        if num:
+            shift = min((num & -num).bit_length() - 1, exp)
+            num >>= shift
+            exp -= shift
+        else:
             exp = 0
         self.num = num
         self.exp = exp
@@ -53,36 +62,22 @@ class Dyadic:
             return cls(2, 0)
         return cls(1, distance - 1)
 
-    def _cmp(self, other) -> int:
+    def _scaled(self, other):
+        """Both numerators over the common denominator, or None when
+        ``other`` is neither an int nor a Dyadic."""
         if isinstance(other, int):
-            if other < 0:
-                return 1
-            other = Dyadic(other, 0)
-        elif not isinstance(other, Dyadic):
-            return NotImplemented
-        left = self.num << other.exp
-        right = other.num << self.exp
-        return (left > right) - (left < right)
+            return self.num, other << self.exp
+        if isinstance(other, Dyadic):
+            return self.num << other.exp, other.num << self.exp
+        return None
 
     def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0
+        pair = self._scaled(other)
+        return NotImplemented if pair is None else pair[0] == pair[1]
 
     def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
+        pair = self._scaled(other)
+        return NotImplemented if pair is None else pair[0] < pair[1]
 
     def __hash__(self):
         return hash((self.num, self.exp))
@@ -117,9 +112,6 @@ class Dyadic:
         whole, frac = digits[: -self.exp], digits[-self.exp :]
         frac = frac.rstrip("0") or "0"
         return f"{whole}.{frac}"
-
-
-ONE = Dyadic(1, 0)
 
 
 class Contribution(NamedTuple):
@@ -170,88 +162,94 @@ def blocked_distance(G: Graph, S: Iterable[int], u: int, v: int):
     return absorbing_bfs(G, u, frozenset(S))[v]
 
 
+def _influence(G: Graph, members: frozenset, u: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """The weight kernel: one absorbing sweep from u over ``members``.
+
+    Returns ``(num, exp, reached)``: ``reached`` lists the members u
+    reaches as (source, blocked distance) pairs, u itself at distance 0
+    when it is a member, and num / 2**exp is their exact total influence
+    on u. With D the largest reached distance, num = sum of 2**(D+1-d) and
+    exp = D, so the member test is ``num < 1 << exp`` and the domination
+    test is ``num >= 1 << exp``."""
+    dist = absorbing_bfs(G, u, members)
+    reached = [(v, d) for v in members if (d := dist[v]) != INF]
+    if not reached:
+        return 0, 0, reached
+    top = max(d for _, d in reached)
+    return sum(1 << (top + 1 - d) for _, d in reached), top, reached
+
+
+def _contributions(reached: list[tuple[int, int]]) -> tuple[Contribution, ...]:
+    return tuple(Contribution(v, d, Dyadic.influence(d)) for v, d in sorted(reached))
+
+
 def weight(G: Graph, S: Iterable[int], u: int) -> Dyadic:
     """Total influence that S exerts on u, as an exact dyadic. A member at
     blocked distance d contributes (1/2)**(d-1); unreachable members
     contribute nothing; u itself, when in S, contributes 2."""
     members = S if isinstance(S, (set, frozenset)) else frozenset(S)
-    dist = absorbing_bfs(G, u, members)
-    total = Dyadic()
-    for v in members:
-        d = dist[v]
-        if d != INF:
-            total = total + Dyadic.influence(d)
-    return total
+    num, exp, _ = _influence(G, members, u)
+    return Dyadic(num, exp)
 
 
 def weight_details(G: Graph, S: Iterable[int], u: int) -> tuple[Dyadic, tuple[Contribution, ...]]:
     """Like ``weight`` but also returns the per-source decomposition,
     sorted by source id; only reachable members appear."""
     members = S if isinstance(S, (set, frozenset)) else frozenset(S)
-    dist = absorbing_bfs(G, u, members)
-    total = Dyadic()
-    parts = []
-    for v in sorted(members):
-        d = dist[v]
-        if d != INF:
-            amt = Dyadic.influence(d)
-            total = total + amt
-            parts.append(Contribution(v, d, amt))
-    return total, tuple(parts)
+    num, exp, reached = _influence(G, members, u)
+    return Dyadic(num, exp), _contributions(reached)
+
+
+# Each verifier mode has one per-vertex loop, a generator of
+# (vertex, verdict, num, exp, reached) tuples. The report verifiers consume
+# all of it; the boolean forms stop at the first failing vertex.
+
+
+def _ei_checks(G: Graph, members: frozenset) -> Iterator[tuple]:
+    """Every member u, by id, against the influence of the other members."""
+    for u in sorted(members):
+        num, exp, reached = _influence(G, members - {u}, u)
+        yield u, num < 1 << exp, num, exp, reached
+
+
+def _ed_checks(G: Graph, members: frozenset, vertices: Iterable[int]) -> Iterator[tuple]:
+    """Each of ``vertices`` against the influence of all members."""
+    for u in vertices:
+        num, exp, reached = _influence(G, members, u)
+        yield u, num >= 1 << exp, num, exp, reached
+
+
+def _report(mode: str, checks: Iterator[tuple]) -> WeightReport:
+    rows = tuple(
+        VertexCheck(u, Dyadic(num, exp), _contributions(reached), good)
+        for u, good, num, exp, reached in checks
+    )
+    first_violation = next((c.vertex for c in rows if not c.ok), None)
+    return WeightReport(mode, first_violation is None, rows, first_violation)
 
 
 def is_exponentially_independent(G: Graph, S: Iterable[int]) -> WeightReport:
     """Verdict true iff every member u of S satisfies weight(G, S - {u}, u) < 1
     exactly. Empty and singleton sets pass vacuously. The report carries
     every member's weight and decomposition."""
-    members = frozenset(S)
-    checks = []
-    first_violation = None
-    ok = True
-    for u in sorted(members):
-        w, parts = weight_details(G, members - {u}, u)
-        good = w < ONE
-        if not good and first_violation is None:
-            first_violation = u
-            ok = False
-        checks.append(VertexCheck(u, w, parts, good))
-    return WeightReport("ei", ok, tuple(checks), first_violation)
+    return _report("ei", _ei_checks(G, frozenset(S)))
 
 
 def is_exponentially_dominating(G: Graph, S: Iterable[int]) -> WeightReport:
     """Verdict true iff every vertex of G satisfies weight(G, S, u) >= 1
     exactly; members are automatically satisfied through their self term."""
-    members = frozenset(S)
-    checks = []
-    first_violation = None
-    ok = True
-    for u in range(G.n):
-        w, parts = weight_details(G, members, u)
-        good = w >= ONE
-        if not good and first_violation is None:
-            first_violation = u
-            ok = False
-        checks.append(VertexCheck(u, w, parts, good))
-    return WeightReport("ed", ok, tuple(checks), first_violation)
+    return _report("ed", _ed_checks(G, frozenset(S), range(G.n)))
 
 
 def ei_holds(G: Graph, S: Iterable[int]) -> bool:
-    """Boolean fast path of the independence verifier (early exit, no
-    report); agrees with is_exponentially_independent by construction."""
-    members = frozenset(S)
-    for u in members:
-        if not weight(G, members - {u}, u) < ONE:
-            return False
-    return True
+    """Boolean form of the independence verifier: the same per-member loop,
+    stopped at the first violation, with no report built."""
+    return all(good for _, good, *_ in _ei_checks(G, frozenset(S)))
 
 
 def ed_holds(G: Graph, S: Iterable[int]) -> bool:
-    """Boolean fast path of the domination verifier (early exit, members
-    skipped since their self term is 2)."""
+    """Boolean form of the domination verifier; members are skipped since
+    their self term is 2."""
     members = frozenset(S)
-    for u in range(G.n):
-        if u in members:
-            continue
-        if weight(G, members, u) < ONE:
-            return False
-    return True
+    outside = (u for u in range(G.n) if u not in members)
+    return all(good for _, good, *_ in _ed_checks(G, members, outside))

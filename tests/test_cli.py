@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from expindep import cli
 from expindep.cli import main
 
 
@@ -182,6 +183,16 @@ class TestSolve:
         assert rc == 3
         assert "status timeout" in out
 
+    def test_deep_search_is_a_runtime_error(self, tmp_path):
+        # the branch and bound recurses once per candidate, so a long path
+        # can exhaust the interpreter stack: that must exit 3 like any
+        # other runtime failure, never 1, which means "verdict false"
+        g = tmp_path / "p1500.el"
+        run("gen", "--family", "path", "--n", 1500, "--out", g)
+        rc, out, err = run("solve", "--param", "alpha-e", "--graph", g, "--timeout", 2)
+        assert rc == 3
+        assert err.startswith("error: ") or "status timeout" in out
+
 
 class TestConstruct:
     def test_packing(self, tmp_path):
@@ -217,6 +228,15 @@ class TestConstruct:
                          "--family", "tprime", "--k", 3, "--phase", 1)
         assert rc == 0
         assert "size 13" in out
+
+    def test_failed_reverification_exits_3(self, tmp_path, monkeypatch):
+        g = tmp_path / "p6.el"
+        run("gen", "--family", "path", "--n", 6, "--out", g)
+        monkeypatch.setattr(cli, "greedy_packing", lambda G, dstar: frozenset({0, 1}))
+        rc, out, err = run("construct", "--method", "packing", "--graph", g)
+        assert rc == 3
+        assert out == ""
+        assert err == "error: packing failed re-verification\n"
 
     def test_usage_errors(self):
         rc, _, _ = run("construct", "--method", "packing")

@@ -11,6 +11,7 @@ from expindep.families import (
     random_subcubic_graph,
 )
 from expindep.graphs import Graph, degree2_vertices, is_connected, is_subcubic, is_tree
+from expindep import solvers
 from expindep.solvers import (
     InfeasibleError,
     SearchResult,
@@ -22,12 +23,10 @@ from expindep.solvers import (
     try_extend,
 )
 from expindep.weights import (
-    ONE,
     ed_holds,
     ei_holds,
     is_exponentially_dominating,
     is_exponentially_independent,
-    weight,
 )
 
 
@@ -138,18 +137,15 @@ class TestIncrementalExtension:
         for trial in range(80):
             G = random_subcubic_graph(5 + trial % 10, trial % 3, trial + 1100)
             members = frozenset()
-            weights = {}
             order = list(range(G.n))
             rng.shuffle(order)
             for v in order:
-                ext = try_extend(G, members, weights, v)
+                grown = try_extend(G, members, v)
                 full = ei_holds(G, members | {v})
-                assert (ext is not None) == full, (trial, sorted(members), v)
-                if ext is not None:
-                    members = members | {v}
-                    weights = ext
-                    for u in members:
-                        assert weights[u] == weight(G, members - {u}, u)
+                assert (grown is not None) == full, (trial, sorted(members), v)
+                if grown is not None:
+                    assert grown == members | {v}
+                    members = grown
 
 
 class TestGamma:
@@ -188,6 +184,13 @@ class TestGamma:
         res = gamma_e_exact(G, time_budget=0.0)
         assert res.status == "timeout"
         assert ed_holds(G, res.witness)
+
+    def test_timeout_reverifies_greedy_witness(self, monkeypatch):
+        G = random_subcubic_graph(16, 2, 9)
+        assert not ed_holds(G, {0})
+        monkeypatch.setattr(solvers, "greedy_dominating_set", lambda G: frozenset({0}))
+        with pytest.raises(RuntimeError, match="re-verification"):
+            gamma_e_exact(G, time_budget=0.0)
 
 
 class TestGreedyDominating:

@@ -98,6 +98,35 @@ def naive_weight(G, S, u):
     return total
 
 
+class TestBooleanVerifiersAgainstOracle:
+    """ei_holds and ed_holds against per-pair deletion, on every graph of
+    the pool. Besides random sets, each graph gets sets that sit exactly
+    on the threshold: an adjacent pair (each member receives exactly 1, so
+    not independent), a singleton whose neighbors receive exactly 1, and
+    all vertices but one endvertex (which receives exactly 1)."""
+
+    def test_matches_per_pair_deletion(self, random_graph_pool):
+        rng = random.Random(61)
+        boundary = {"ei": 0, "ed": 0}
+        for G in random_graph_pool:
+            verts = list(range(G.n))
+            sets = [set(rng.sample(verts, rng.randint(1, G.n))) for _ in range(3)]
+            sets.append(set(next(G.edges())))
+            sets.append({rng.randrange(G.n)})
+            leaves = [v for v in verts if G.degree(v) == 1]
+            if leaves:
+                sets.append(set(verts) - {leaves[0]})
+            for S in sets:
+                ei_w = [naive_weight(G, S - {u}, u) for u in S]
+                ed_w = [naive_weight(G, S, u) for u in verts]
+                boundary["ei"] += 1 in ei_w
+                boundary["ed"] += 1 in ed_w
+                assert ei_holds(G, S) == all(w < 1 for w in ei_w), (list(G.edges()), S)
+                assert ed_holds(G, S) == all(w >= 1 for w in ed_w), (list(G.edges()), S)
+        assert boundary["ei"] >= len(random_graph_pool)
+        assert boundary["ed"] >= len(random_graph_pool)
+
+
 class TestBlockedDistance:
     def test_path_block(self):
         assert blocked_distance(gen_path(5), {0, 2, 4}, 0, 4) == INF
