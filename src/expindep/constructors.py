@@ -38,9 +38,11 @@ Reduction rules, applied to the first match:
        swap the newly created endvertex (w4, w3 or w2 respectively) for
        the two deleted endvertices of T.
 
-Every lift is followed by a mandatory verification of the lifted set
-(independent, contains all endvertices, large enough); a failure raises
-InvariantViolation carrying the trace, it is never silently accepted. The
+Every lift is followed by a mandatory verification of the whole lifted
+set (independent, contains all endvertices, large enough); a failure
+raises InvariantViolation carrying the trace, it is never silently
+accepted. The independence verdict comes from the linear-time tree pass
+in ``weights``, so each lift costs O(n) and the whole build O(n^2). The
 same policy covers the structural side conditions the recursion relies on
 (the reduced tree keeps a degree-2 vertex, hanging components are short
 paths): they are asserted at runtime, not assumed.

@@ -217,10 +217,6 @@ def d_neighborhood(G: Graph, u: int, d: int) -> frozenset:
     return frozenset(v for v in range(G.n) if dist[v] == d)
 
 
-def degree(G: Graph, u: int) -> int:
-    return G.degree(u)
-
-
 def max_degree(G: Graph) -> int:
     return max((G.degree(u) for u in range(G.n)), default=0)
 

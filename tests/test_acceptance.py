@@ -126,8 +126,9 @@ def test_criterion_05_good_sets_on_thousand_trees():
             if not degree2_vertices(T):
                 continue
             S, trace = tree_good_set(T)  # raises InvariantViolation on any lift failure
-            ok, why = good_set_audit(T, S)  # independent re-verification
+            ok, why = good_set_audit(T, S)  # shares the tree pass with the lifts
             assert ok, (n, i, why)
+            assert is_exponentially_independent(T, S).ok  # independent: one sweep per member
             assert trace.replay() == S
             audited += 1
         assert audited == 1000

@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from expindep import experiments
 from expindep.experiments import (
     CorpusError,
     CsvTable,
@@ -194,8 +196,27 @@ class TestForcedEndvertexStudy:
     def test_report_text(self):
         text = forced_endvertex_study(2).to_text()
         assert "constrained optimum" in text
+        assert "timeout incumbent" not in text
         assert "# expindep" in text
 
     def test_k_guard(self):
         with pytest.raises(ValueError):
             forced_endvertex_study(1)
+
+    def test_k9_solve_gets_the_remaining_budget(self, monkeypatch):
+        real = experiments.alpha_e_exact
+        budgets = []
+
+        def recording(G, *args, time_budget=None, **kwargs):
+            budgets.append(time_budget)
+            res = real(G, *args, time_budget=time_budget, **kwargs)
+            if len(budgets) == 2:  # report the k = 9 ceiling as a timeout incumbent
+                res = dataclasses.replace(res, status="timeout")
+            return res
+
+        monkeypatch.setattr(experiments, "alpha_e_exact", recording)
+        text = forced_endvertex_study(2, time_budget=30.0).to_text()
+        assert len(budgets) == 2
+        assert budgets[0] == 30.0
+        assert 0.0 <= budgets[1] < 30.0
+        assert "ceiling is 38 (timeout incumbent, a lower bound)" in text

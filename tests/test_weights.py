@@ -1,19 +1,28 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from expindep.constructors import tree_good_set
 from expindep.families import (
+    canonical_set_tk,
+    free_trees,
     gen_cycle,
     gen_path,
     gen_perfect_binary,
+    gen_tk,
     gen_tprime,
     random_subcubic_graph,
+    random_subcubic_tree,
+    tprime_dense_set,
 )
 from expindep.graphs import INF, Graph, bfs_distances, induced_subgraph
 from expindep.weights import (
     Dyadic,
+    _ed_checks,
+    _ei_checks,
     blocked_distance,
     ed_holds,
     ei_holds,
@@ -125,6 +134,78 @@ class TestBooleanVerifiersAgainstOracle:
                 assert ed_holds(G, S) == all(w >= 1 for w in ed_w), (list(G.edges()), S)
         assert boundary["ei"] >= len(random_graph_pool)
         assert boundary["ed"] >= len(random_graph_pool)
+
+
+def bfs_ei(G, S):
+    """The absorbing-sweep verdicts, one sweep per member."""
+    return all(good for _, good, *_ in _ei_checks(G, frozenset(S)))
+
+
+def bfs_ed(G, S):
+    return all(good for _, good, *_ in _ed_checks(G, frozenset(S), range(G.n)))
+
+
+class TestTreePass:
+    """On trees ei_holds and ed_holds take the rerooting pass; the sweep
+    verdicts are the oracle."""
+
+    def test_every_subset_of_small_subcubic_trees(self):
+        checked = 0
+        for n in range(1, 10):
+            for T in free_trees(n, max_degree=3):
+                for mask in range(1 << n):
+                    S = frozenset(v for v in range(n) if mask >> v & 1)
+                    assert ei_holds(T, S) == bfs_ei(T, S), (list(T.edges()), sorted(S))
+                    assert ed_holds(T, S) == bfs_ed(T, S), (list(T.edges()), sorted(S))
+                    checked += 1
+        assert checked > 10_000
+
+    @given(st.integers(1, 80), st.integers(0, 10**6), st.data())
+    def test_random_trees_and_subsets(self, n, seed, data):
+        T = random_subcubic_tree(n, seed)
+        S = data.draw(st.sets(st.integers(0, n - 1)))
+        assert ei_holds(T, S) == bfs_ei(T, S)
+        assert ed_holds(T, S) == bfs_ed(T, S)
+
+    def test_hand_cases_on_one(self):
+        # each member of an adjacent pair receives exactly 1
+        assert not ei_holds(gen_path(2), {0, 1})
+        # the center of P5 receives 1/2 + 1/2 from the two ends, no neighbor in S
+        assert not ei_holds(gen_path(5), {0, 2, 4})
+        # both leaves of P3 receive exactly 1 from the center
+        assert ed_holds(gen_path(3), {1})
+        assert not ed_holds(gen_path(4), {1})
+
+    def test_single_toggles_of_known_sets(self):
+        """Flipping one vertex in or out of a canonical, dense or good set
+        puts some vertex exactly on 1 in each mode; the verdicts must still
+        match the sweeps."""
+        T = random_subcubic_tree(60, seed=3)
+        bases = [(gen_tk(k).graph, canonical_set_tk(k)) for k in (1, 2, 3, 4)]
+        bases += [(gen_tprime(3).graph, tprime_dense_set(3, phase)) for phase in (0, 1, 2)]
+        bases.append((T, tree_good_set(T)[0]))
+        on_one = {"ei": 0, "ed": 0}
+        for G, base in bases:
+            for v in [None, *range(G.n)]:
+                S = base if v is None else base ^ {v}
+                assert ei_holds(G, S) == bfs_ei(G, S), (G, sorted(S))
+                assert ed_holds(G, S) == bfs_ed(G, S), (G, sorted(S))
+                for mode, report in (
+                    ("ei", is_exponentially_independent(G, S)),
+                    ("ed", is_exponentially_dominating(G, S)),
+                ):
+                    on_one[mode] += any(c.weight == 1 for c in report.checks)
+        assert on_one["ei"] >= len(bases) and on_one["ed"] >= len(bases)
+
+    def test_long_path_is_iterative_and_fast(self):
+        n = 20_002  # 3 divides n - 1, so every third vertex includes both ends
+        P = gen_path(n)
+        S = frozenset(range(0, n, 3))
+        assert {0, n - 1} <= S
+        start = time.perf_counter()
+        assert ei_holds(P, S)
+        assert ed_holds(P, S)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBlockedDistance:
