@@ -36,12 +36,12 @@ from .weights import (
     ed_holds,
 )
 from .families import (
+    FAMILIES,
     LabeledGraph,
     gen_tk,
     canonical_set_tk,
     gen_tprime,
     tprime_dense_set,
-    endvertex_set,
     gen_tdelta,
     grandchild_set,
     gen_perfect_binary,
@@ -55,7 +55,6 @@ from .families import (
     tree_code,
 )
 from .constructors import (
-    PackingParams,
     GoodSetTrace,
     TraceStep,
     InvariantViolation,
@@ -79,7 +78,6 @@ from .solvers import (
 from .experiments import (
     CorpusError,
     CsvTable,
-    ExperimentConfig,
     ScanReport,
     ForcingReport,
     parse_corpus,

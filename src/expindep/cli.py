@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (and "verdict true" for verify), 1 verdict false
 (verify only), 2 usage error, 3 runtime error or timeout. Every subcommand
-is deterministic given its flags and seed; --jobs is accepted for
-compatibility with parallel drivers and never changes output.
+is deterministic given its flags and seed. ``gen --family`` and
+``construct --method family-canonical`` take their family names and
+required flags from ``families.FAMILIES``, the table the corpus parser
+reads too.
 """
 
 from __future__ import annotations
@@ -19,18 +21,7 @@ from .constructors import (
     packing_separation,
     tree_good_set,
 )
-from .families import (
-    canonical_set_tk,
-    gen_cycle,
-    gen_path,
-    gen_perfect_binary,
-    gen_tdelta,
-    gen_tk,
-    gen_tprime,
-    random_subcubic_graph,
-    random_subcubic_tree,
-    tprime_dense_set,
-)
+from .families import FAMILIES
 from .graphs import Graph, endvertices, parse_edge_list, write_edge_list
 from .solvers import alpha_e_exact, gamma_e_exact
 from .weights import ei_holds, is_exponentially_dominating, is_exponentially_independent
@@ -78,51 +69,29 @@ def _set_text(S) -> str:
     return "".join(f"{v}\n" for v in sorted(S))
 
 
-def _gen_graph(args) -> tuple[Graph, dict]:
-    fam = args.family
-    need = lambda name, val: val if val is not None else _usage(f"--{name} is required for family {fam}")
-    if fam == "tk":
-        lg = gen_tk(need("k", args.k))
-        return lg.graph, lg.labels
-    if fam == "tprime":
-        lg = gen_tprime(need("k", args.k))
-        return lg.graph, lg.labels
-    if fam == "tdelta":
-        lg = gen_tdelta(need("delta", args.delta), need("depth", args.depth))
-        return lg.graph, lg.labels
-    if fam == "pbt":
-        lg = gen_perfect_binary(need("depth", args.depth))
-        return lg.graph, lg.labels
-    if fam == "path":
-        return gen_path(need("n", args.n)), {}
-    if fam == "cycle":
-        return gen_cycle(need("n", args.n)), {}
-    if fam == "random-tree":
-        return random_subcubic_tree(need("n", args.n), args.seed), {}
-    if fam == "random-graph":
-        return (
-            random_subcubic_graph(need("n", args.n), need("extra-edges", args.extra_edges), args.seed),
-            {},
-        )
-    _usage(f"unknown family {fam!r}")
-
-
-def _usage(msg: str):
-    raise UsageError(msg)
+def _family_params(name: str, args) -> list[int]:
+    """The family's parameters, read in registry order from the flags of
+    the same names; a missing one is a usage error."""
+    values = []
+    for param in FAMILIES[name].params:
+        val = getattr(args, param.replace("-", "_"), None)
+        if val is None:
+            raise UsageError(f"--{param} is required for family {name}")
+        values.append(val)
+    return values
 
 
 def _cmd_gen(args) -> int:
+    params = _family_params(args.family, args)
     try:
-        G, labels = _gen_graph(args)
+        lg = FAMILIES[args.family].build(*params)
     except ValueError as exc:
-        if isinstance(exc, UsageError):
-            raise
         raise UsageError(str(exc)) from exc
-    _write(args.out, write_edge_list(G))
+    _write(args.out, write_edge_list(lg.graph))
     if args.labels_out:
         lines = [f"# expindep {__version__}"]
-        for name in sorted(labels):
-            val = labels[name]
+        for name in sorted(lg.labels):
+            val = lg.labels[name]
             ids = (val,) if isinstance(val, int) else val
             for v in ids:
                 lines.append(f"{name} {v}")
@@ -186,18 +155,12 @@ def _cmd_construct(args) -> int:
             _write(args.trace_out, trace.to_text())
         sys.stdout.write(f"method tree-good\nsize {len(S)}\naudit {why}\nset " + " ".join(map(str, sorted(S))) + "\n")
     else:  # family-canonical
-        if args.family == "tk":
-            if args.k is None:
-                raise UsageError("--k is required")
-            S = canonical_set_tk(args.k)
-            G = gen_tk(args.k).graph
-        elif args.family == "tprime":
-            if args.k is None:
-                raise UsageError("--k is required")
-            S = tprime_dense_set(args.k, args.phase)
-            G = gen_tprime(args.k).graph
-        else:
-            raise UsageError("family-canonical supports --family tk or tprime")
+        if args.family is None:
+            raise UsageError("family-canonical supports --family " + " or ".join(_CANONICAL))
+        fam = FAMILIES[args.family]
+        params = _family_params(args.family, args)
+        S = fam.canonical(*params, phase=args.phase)
+        G = fam.build(*params).graph
         if not ei_holds(G, S):
             raise RuntimeError("canonical set failed re-verification")
         sys.stdout.write(f"method family-canonical\nsize {len(S)}\nset " + " ".join(map(str, sorted(S))) + "\n")
@@ -233,6 +196,9 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+_CANONICAL = [name for name, fam in FAMILIES.items() if fam.canonical is not None]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expindep",
@@ -242,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a family graph as an edge list")
-    g.add_argument("--family", required=True,
-                   choices=["tk", "tprime", "tdelta", "pbt", "path", "cycle", "random-tree", "random-graph"])
+    g.add_argument("--family", required=True, choices=list(FAMILIES))
     g.add_argument("--k", type=int)
     g.add_argument("--n", type=int)
     g.add_argument("--depth", type=int)
@@ -268,14 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--require-set", dest="require_set")
     s.add_argument("--timeout", type=float)
     s.add_argument("--witness-out", dest="witness_out")
-    s.add_argument("--jobs", type=int, default=1)
     s.set_defaults(func=_cmd_solve)
 
     c = sub.add_parser("construct", help="constructive selections")
     c.add_argument("--method", required=True, choices=["packing", "tree-good", "family-canonical"])
     c.add_argument("--graph")
     c.add_argument("--dstar", type=int)
-    c.add_argument("--family", choices=["tk", "tprime"])
+    c.add_argument("--family", choices=_CANONICAL)
     c.add_argument("--k", type=int)
     c.add_argument("--phase", type=int, default=0)
     c.add_argument("--set-out", dest="set_out")
@@ -294,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--k", type=int, default=3)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--timeout", type=float)
-    e.add_argument("--jobs", type=int, default=1)
     e.add_argument("--out")
     e.set_defaults(func=_cmd_experiment)
     return parser

@@ -76,25 +76,6 @@ class InvariantViolation(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class PackingParams:
-    """Separation parameter for far-apart packings."""
-
-    dstar: int
-
-    def __post_init__(self):
-        if self.dstar < 1:
-            raise ValueError("dstar must be at least 1")
-
-    @property
-    def min_pairwise_distance(self) -> int:
-        return 2 * self.dstar + 1
-
-    @classmethod
-    def for_order(cls, n: int) -> "PackingParams":
-        return cls(packing_separation(n))
-
-
 def packing_separation(n: int) -> int:
     """ceil(log2(log2(n))) + 2, decided with exact integer towers: the
     ceiling is the least t with n <= 2**(2**t). No floating point."""

@@ -26,22 +26,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .constructors import greedy_packing, packing_separation, tree_good_set
-from .families import (
-    endvertex_set,
-    free_trees,
-    gen_cycle,
-    gen_path,
-    gen_perfect_binary,
-    gen_tdelta,
-    gen_tk,
-    gen_tprime,
-    random_subcubic_graph,
-    random_subcubic_tree,
-    tprime_dense_set,
-)
+from .families import FAMILIES, free_trees, gen_perfect_binary, gen_tprime, tprime_dense_set
 from .graphs import (
     Graph,
     degree2_vertices,
+    endvertices,
     is_connected,
     is_subcubic,
     is_tree,
@@ -64,19 +53,6 @@ GAMMA_EXACT_LIMIT = 12
 
 class CorpusError(ValueError):
     """Unparseable corpus entry."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    name: str
-    seed: int = 0
-    params: dict[str, str] = field(default_factory=dict)
-    out: str | None = None
-
-    def echo(self) -> str:
-        parts = [f"name={self.name}", f"seed={self.seed}"]
-        parts.extend(f"{k}={self.params[k]}" for k in sorted(self.params))
-        return " ".join(parts)
 
 
 @dataclass
@@ -106,45 +82,32 @@ class CsvTable:
 
 
 def _corpus_instance(token: str) -> list[tuple[str, Graph]]:
-    parts = token.split(":")
-    kind = parts[0]
+    kind, *parts = token.split(":")
     try:
-        args = [int(p) for p in parts[1:]]
+        args = [int(p) for p in parts]
     except ValueError:
         raise CorpusError(f"non-integer parameter in corpus entry {token!r}") from None
+    if kind == "trees" and len(args) == 1:
+        return [
+            (f"tree:{n}:{idx}", T)
+            for n in range(1, args[0] + 1)
+            for idx, T in enumerate(free_trees(n, max_degree=3))
+        ]
+    fam = FAMILIES.get(kind)
+    if fam is None or len(args) != len(fam.params):
+        raise CorpusError(f"unknown corpus entry {token!r}")
     try:
-        if kind == "tk" and len(args) == 1:
-            return [(token, gen_tk(args[0]).graph)]
-        if kind == "tprime" and len(args) == 1:
-            return [(token, gen_tprime(args[0]).graph)]
-        if kind == "tdelta" and len(args) == 2:
-            return [(token, gen_tdelta(args[0], args[1]).graph)]
-        if kind == "pbt" and len(args) == 1:
-            return [(token, gen_perfect_binary(args[0]).graph)]
-        if kind == "path" and len(args) == 1:
-            return [(token, gen_path(args[0]))]
-        if kind == "cycle" and len(args) == 1:
-            return [(token, gen_cycle(args[0]))]
-        if kind == "random-tree" and len(args) == 2:
-            return [(token, random_subcubic_tree(args[0], args[1]))]
-        if kind == "random-graph" and len(args) == 3:
-            return [(token, random_subcubic_graph(args[0], args[1], args[2]))]
-        if kind == "trees" and len(args) == 1:
-            out = []
-            for n in range(1, args[0] + 1):
-                for idx, T in enumerate(free_trees(n, max_degree=3)):
-                    out.append((f"tree:{n}:{idx}", T))
-            return out
+        return [(token, fam.build(*args).graph)]
     except ValueError as exc:
         raise CorpusError(f"bad parameters in corpus entry {token!r}: {exc}") from exc
-    raise CorpusError(f"unknown corpus entry {token!r}")
 
 
 def parse_corpus(text: str) -> list[tuple[str, Graph]]:
     """Corpus entries are comma or newline separated tokens such as
     ``tk:3``, ``tprime:2``, ``pbt:4``, ``path:10``, ``cycle:12``,
-    ``tdelta:4:2``, ``random-tree:50:7``, ``random-graph:30:3:7`` and
-    ``trees:7`` (every subcubic tree shape up to that order)."""
+    ``tdelta:4:2``, ``random-tree:50:7``, ``random-graph:30:3:7`` (a
+    ``FAMILIES`` name and its parameters in registry order) and ``trees:7``
+    (every subcubic tree shape up to that order)."""
     tokens = [t.strip() for chunk in text.split("\n") for t in chunk.split(",")]
     tokens = [t for t in tokens if t]
     if not tokens:
@@ -157,6 +120,26 @@ def parse_corpus(text: str) -> list[tuple[str, Graph]]:
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
+
+
+def _packing_bound_holds(alpha: int, n: int) -> bool:
+    """Whether alpha >= n / (192 * log2(n)**2), decided without floats.
+    With k = 2**j, j squarings of n give lo * 2**e <= n**k <= hi * 2**e,
+    the mantissas cut to 2 * k.bit_length() + 32 bits (lo rounded down, hi
+    up), so k * log2 n lies in [e + lo.bit_length() - 1, e + hi.bit_length()).
+    k doubles until that bracket decides. For a power of two the lower end
+    is exact at k = 1; for any other n, log2 n is irrational, the two sides
+    are never equal and the loop ends."""
+    k, lo, hi, e = 1, n, n, 0
+    while True:
+        f_lo, f_hi = e + lo.bit_length() - 1, e + hi.bit_length()
+        if 192 * alpha * f_lo * f_lo >= n * k * k:
+            return True
+        if n & (n - 1) == 0 or 192 * alpha * f_hi * f_hi <= n * k * k:
+            return False
+        k, lo, hi, e = 2 * k, lo * lo, hi * hi, 2 * e
+        cut = max(0, hi.bit_length() - 2 * k.bit_length() - 32)
+        lo, hi, e = lo >> cut, (hi >> cut) + 1, e + cut
 
 
 def bound_table(corpus: str) -> CsvTable:
@@ -225,7 +208,7 @@ def bound_table(corpus: str) -> CsvTable:
         if subcubic and n >= 4:
             val = n / (3 * 2**6 * math.log2(n) ** 2)
             lb_pack = _fmt(val)
-            lb_pack_ok = str(alpha >= val)
+            lb_pack_ok = str(_packing_bound_holds(alpha, n))
         table.add(
             label, n, G.m, subcubic, tree, alpha, alpha_exact, gamma,
             ub_half, ub_half_ok, lb_13, lb_13_ok, lb_q, lb_q_ok, lb_pack, lb_pack_ok,
@@ -413,7 +396,7 @@ def forced_endvertex_study(k: int, time_budget: float | None = None) -> ForcingR
     deadline = None if time_budget is None else time.monotonic() + time_budget
     lg = gen_tprime(k)
     G = lg.graph
-    leaves = endvertex_set(lg)
+    leaves = endvertices(G)
     report = ForcingReport(k=k, n=G.n)
     excluded = []
     for i in range(2, k):
@@ -445,7 +428,7 @@ def forced_endvertex_study(k: int, time_budget: float | None = None) -> ForcingR
     report.dense_size_k9 = len(tprime_dense_set(9, 0))
     lg9 = gen_tprime(9)
     remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-    res9 = alpha_e_exact(lg9.graph, required=endvertex_set(lg9), time_budget=remaining)
+    res9 = alpha_e_exact(lg9.graph, required=endvertices(lg9.graph), time_budget=remaining)
     report.constrained_k9 = res9.optimum
     report.k9_status = res9.status
     return report

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from .graphs import Graph, degree2_vertices, endvertices
+from .graphs import Graph, endvertices
 from .weights import Dyadic, weight
 
 
@@ -148,10 +148,6 @@ def gen_tprime(k: int) -> LabeledGraph:
                 f"expected {_TPRIME_FINGERPRINT}"
             )
     return lg
-
-
-def endvertex_set(lg: LabeledGraph) -> frozenset:
-    return endvertices(lg.graph)
 
 
 def tprime_dense_set(k: int, phase: int = 0) -> frozenset:
@@ -336,6 +332,34 @@ def random_subcubic_graph(n: int, extra_edges: int, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+class Family(NamedTuple):
+    """A registry entry: the parameter names in call order (each is also
+    the ``gen`` flag of that name), the builder, and, for families with a
+    canonical selection, a function of the same parameters plus ``phase``
+    returning it."""
+
+    params: tuple[str, ...]
+    build: Callable[..., LabeledGraph]
+    canonical: Callable[..., frozenset] | None = None
+
+
+# The one table behind ``gen --family``, corpus tokens ``name:p1:p2...``
+# and ``construct --method family-canonical``.
+FAMILIES: dict[str, Family] = {
+    "tk": Family(("k",), gen_tk, lambda k, phase: canonical_set_tk(k)),
+    "tprime": Family(("k",), gen_tprime, tprime_dense_set),
+    "tdelta": Family(("delta", "depth"), gen_tdelta),
+    "pbt": Family(("depth",), gen_perfect_binary),
+    "path": Family(("n",), lambda n: LabeledGraph(gen_path(n))),
+    "cycle": Family(("n",), lambda n: LabeledGraph(gen_cycle(n))),
+    "random-tree": Family(("n", "seed"), lambda n, seed: LabeledGraph(random_subcubic_tree(n, seed))),
+    "random-graph": Family(
+        ("n", "extra-edges", "seed"),
+        lambda n, extra, seed: LabeledGraph(random_subcubic_graph(n, extra, seed)),
+    ),
+}
+
+
 def _tree_from_code_sequence(n: int, seq: tuple[int, ...]) -> Graph:
     """Labeled tree on 0..n-1 from its length n-2 encoding over vertex ids
     (each internal vertex appears degree-1 times)."""
@@ -364,12 +388,25 @@ def _tree_from_code_sequence(n: int, seq: tuple[int, ...]) -> Graph:
 
 
 def _rooted_code(G: Graph, root: int) -> str:
-    """Canonical rooted-tree string: children codes sorted at every level."""
-    def rec(v: int, parent: int) -> str:
-        kids = sorted(rec(w, v) for w in G.adj[v] if w != parent)
-        return "(" + "".join(kids) + ")"
-
-    return rec(root, -1)
+    """Canonical rooted-tree string: children codes sorted at every level.
+    Built bottom up over a BFS order, so no depth reaches the recursion
+    limit; each child code is dropped once its parent's code is built."""
+    adj = G.adj
+    parent = [-1] * G.n
+    order = [root]
+    for v in order:
+        p = parent[v]
+        for w in adj[v]:
+            if w != p:
+                parent[w] = v
+                order.append(w)
+    kids: list = [[] for _ in range(G.n)]
+    for v in reversed(order):
+        code = "(" + "".join(sorted(kids[v])) + ")"
+        kids[v] = None
+        if v != root:
+            kids[parent[v]].append(code)
+    return code
 
 
 def tree_code(G: Graph) -> str:

@@ -86,8 +86,9 @@ class Graph:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the canonical interchange format: a header line "n m" followed
-    by exactly m lines "u v". Rejects loops, duplicates and out-of-range ids
-    with an error naming the offending line."""
+    by exactly m lines "u v". Loops, duplicates and out-of-range ids are
+    rejected by Graph itself; the error is re-raised naming the offending
+    line."""
     lines = text.splitlines()
     # tolerate trailing blank lines, nothing else
     while lines and not lines[-1].strip():
@@ -105,26 +106,28 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListError(1, "negative counts in header")
     if len(lines) - 1 != m:
         raise EdgeListError(len(lines), f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    seen: set[tuple[int, int]] = set()
-    for idx, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListError(idx, f"malformed edge line {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListError(idx, f"malformed edge line {line!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListError(idx, f"vertex id out of range in edge ({u}, {v})")
-        if u == v:
-            raise EdgeListError(idx, f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise EdgeListError(idx, f"duplicate edge ({key[0]}, {key[1]})")
-        seen.add(key)
-        edges.append((u, v))
-    return Graph(n, edges)
+    line_no = 1
+
+    def pairs():
+        nonlocal line_no
+        for line_no, line in enumerate(lines[1:], start=2):
+            parts = line.split()
+            if len(parts) != 2:
+                raise EdgeListError(line_no, f"malformed edge line {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise EdgeListError(line_no, f"malformed edge line {line!r}") from None
+            yield u, v
+
+    # Graph validates each edge as it is pulled, so line_no still names
+    # the offending line when Graph rejects it
+    try:
+        return Graph(n, pairs())
+    except EdgeListError:
+        raise
+    except ValueError as exc:
+        raise EdgeListError(line_no, str(exc)) from None
 
 
 def write_edge_list(G: Graph) -> str:

@@ -116,30 +116,29 @@ def alpha_e_exact(
     nodes = 0
     ncands = len(cands)
 
-    def dfs(i: int, members: frozenset):
-        nonlocal best_size, best_set, nodes
+    # depth first on an explicit stack, so no candidate count reaches the
+    # recursion limit; pushing the exclude child first explores the
+    # include child first
+    status = "optimal"
+    stack = [(0, req)]
+    while stack:
+        i, members = stack.pop()
         nodes += 1
         if deadline is not None and (nodes & 255) == 0 and time.monotonic() > deadline:
-            raise _Timeout
+            status = "timeout"
+            break
         if len(members) + (ncands - i) < best_size:
-            return
+            continue
         if i == ncands:
             size = len(members)
             tup = tuple(sorted(members))
             if size > best_size or (size == best_size and tup < best_set):
                 best_size, best_set = size, tup
-            return
-        v = cands[i]
-        grown = try_extend(G, members, v)
+            continue
+        grown = try_extend(G, members, cands[i])
+        stack.append((i + 1, members))
         if grown is not None:
-            dfs(i + 1, grown)
-        dfs(i + 1, members)
-
-    status = "optimal"
-    try:
-        dfs(0, req)
-    except _Timeout:
-        status = "timeout"
+            stack.append((i + 1, grown))
 
     if not is_exponentially_independent(G, best_set).ok:
         raise RuntimeError("internal error: witness failed re-verification")

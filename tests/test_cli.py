@@ -1,10 +1,17 @@
 import contextlib
+import importlib
+import importlib.util
 import io
+from pathlib import Path
 
 import pytest
 
-from expindep import cli
+from expindep import cli, families, weights
 from expindep.cli import main
+from expindep.experiments import parse_corpus
+from expindep.families import FAMILIES
+from expindep.graphs import write_edge_list
+from expindep.weights import ei_holds
 
 
 def run(*argv):
@@ -184,14 +191,15 @@ class TestSolve:
         assert "status timeout" in out
 
     def test_deep_search_is_a_runtime_error(self, tmp_path):
-        # the branch and bound recurses once per candidate, so a long path
-        # can exhaust the interpreter stack: that must exit 3 like any
-        # other runtime failure, never 1, which means "verdict false"
+        # the branch and bound goes one level deeper per candidate; on a
+        # long path it must run into its time budget and report the
+        # incumbent, not exhaust the interpreter stack
         g = tmp_path / "p1500.el"
         run("gen", "--family", "path", "--n", 1500, "--out", g)
         rc, out, err = run("solve", "--param", "alpha-e", "--graph", g, "--timeout", 2)
         assert rc == 3
-        assert err.startswith("error: ") or "status timeout" in out
+        assert "status timeout" in out
+        assert err == ""
 
 
 class TestConstruct:
@@ -278,14 +286,6 @@ class TestExperiment:
         assert rc == 0
         assert "constrained optimum (all endvertices required): 10" in out.read_text()
 
-    def test_jobs_flag_does_not_change_output(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out, jobs in ((a, 1), (b, 4)):
-            rc, _, _ = run("experiment", "--name", "random-ei", "--kmin", 3, "--kmax", 3,
-                           "--trials", 40, "--seed", 2, "--jobs", jobs, "--out", out)
-            assert rc == 0
-        assert a.read_text() == b.read_text()
-
 
 class TestParserBasics:
     def test_version(self):
@@ -297,3 +297,60 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
         assert exc.value.code == 2
+
+
+# one value per registry parameter name, valid for every family using it
+PARAM_VALUES = {"k": 3, "n": 12, "depth": 2, "delta": 3, "extra-edges": 2, "seed": 5}
+
+
+class TestRegistry:
+    def test_gen_and_corpus_agree_byte_for_byte(self, tmp_path):
+        for name, fam in FAMILIES.items():
+            values = [PARAM_VALUES[p] for p in fam.params]
+            out = tmp_path / f"{name}.el"
+            flags = [x for p, v in zip(fam.params, values) for x in (f"--{p}", v)]
+            rc, _, _ = run("gen", "--family", name, *flags, "--out", out)
+            assert rc == 0, name
+            token = ":".join([name, *map(str, values)])
+            [(label, G)] = parse_corpus(token)
+            assert label == token
+            assert out.read_text() == write_edge_list(G), name
+
+    def test_missing_flag_names_the_family(self):
+        rc, _, err = run("gen", "--family", "tk")
+        assert (rc, err) == (2, "usage error: --k is required for family tk\n")
+        rc, _, err = run("gen", "--family", "random-graph", "--n", 9)
+        assert (rc, err) == (2, "usage error: --extra-edges is required for family random-graph\n")
+
+    def test_canonical_sets_are_independent(self):
+        canonical = [name for name, fam in FAMILIES.items() if fam.canonical is not None]
+        assert canonical == ["tk", "tprime"]
+        for name in canonical:
+            fam = FAMILIES[name]
+            for k in range(1, 6):
+                for phase in (0, 1, 2):
+                    assert ei_holds(fam.build(k).graph, fam.canonical(k, phase=phase)), (name, k, phase)
+
+
+def _perfbench_layers():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class TestBenchmarkHooks:
+    def test_names_the_benchmark_tracer_wraps_still_exist(self):
+        # the traced benchmark run replaces these by name; a rename would
+        # break it without failing any other test
+        layers = _perfbench_layers()
+        for mod, fn in layers.JOB_SPANS.values():
+            assert callable(getattr(importlib.import_module(f"expindep.{mod}"), fn)), (mod, fn)
+        for fn in layers.FAMILY_GENERATORS:
+            assert callable(getattr(families, fn)), fn
+        for fn in layers.REPORT_VERIFIERS:
+            assert callable(getattr(weights, fn)), fn
+        assert callable(families.free_trees)
+        assert callable(weights.WeightReport.to_text)
+        assert {"__add__", "__radd__"} <= set(vars(weights.Dyadic))

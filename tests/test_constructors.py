@@ -5,7 +5,6 @@ import pytest
 from expindep.constructors import (
     GoodSetTrace,
     InvariantViolation,
-    PackingParams,
     expansion_condition_holds,
     expansion_margin_holds,
     expansion_separation,
@@ -49,12 +48,6 @@ class TestPackingSeparation:
     def test_rejects_small(self):
         with pytest.raises(ValueError):
             packing_separation(3)
-
-    def test_params(self):
-        p = PackingParams.for_order(1000)
-        assert p.dstar == 6 and p.min_pairwise_distance == 13
-        with pytest.raises(ValueError):
-            PackingParams(0)
 
 
 class TestGreedyPacking:

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,6 @@ from expindep import experiments
 from expindep.experiments import (
     CorpusError,
     CsvTable,
-    ExperimentConfig,
     bound_table,
     conjecture_scan,
     forced_endvertex_study,
@@ -31,10 +32,6 @@ class TestCsvTable:
         t = CsvTable(header=("a", "b"))
         with pytest.raises(ValueError):
             t.add(1)
-
-    def test_config_echo_sorted(self):
-        cfg = ExperimentConfig("x", 7, {"b": "2", "a": "1"})
-        assert cfg.echo() == "name=x seed=7 a=1 b=2"
 
 
 class TestCorpus:
@@ -92,6 +89,35 @@ class TestBoundTable:
     def test_byte_identical(self):
         corpus = "tk:2,pbt:3,path:9"
         assert bound_table(corpus).to_text() == bound_table(corpus).to_text()
+
+
+def _log2_squared(n):
+    """log2(n)**2 at 80 significant digits; test oracle."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        log2n = Decimal(n).ln() / Decimal(2).ln()
+        return log2n * log2n
+
+
+class TestPackingBoundExact:
+    # n / (192 * log2(n)**2) lies within 1e-6 of an integer at these orders:
+    # just below 17 and 41, just above 98 and 35
+    NEAR = [(1354226, 17, True), (3754956, 41, True), (10199200, 98, False), (3128640, 35, False)]
+
+    def test_both_sides_of_the_boundary(self):
+        for n, alpha, holds in self.NEAR:
+            val = n / (192 * math.log2(n) ** 2)
+            assert abs(val - alpha) < 1e-6
+            assert experiments._packing_bound_holds(alpha, n) is holds
+            assert (192 * alpha * _log2_squared(n) >= n) is holds
+            assert experiments._packing_bound_holds(alpha - 1, n) is False
+            assert experiments._packing_bound_holds(alpha + 1, n) is True
+
+    def test_powers_of_two_and_small_orders(self):
+        for n in [1 << e for e in range(2, 31)] + list(range(4, 3000)):
+            sq = _log2_squared(n)
+            for alpha in range(0, 60 if n & (n - 1) == 0 else 4):
+                assert experiments._packing_bound_holds(alpha, n) == (192 * alpha * sq >= n), (alpha, n)
 
 
 class TestRandomEiProbability:

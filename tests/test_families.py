@@ -1,9 +1,10 @@
+import random
+
 import pytest
 
 from expindep.families import (
     LabeledGraph,
     canonical_set_tk,
-    endvertex_set,
     enumerate_trees,
     free_trees,
     gen_cycle,
@@ -19,7 +20,7 @@ from expindep.families import (
     tprime_dense_set,
     tree_code,
 )
-from expindep.graphs import Graph, endvertices, is_subcubic, is_tree, max_degree
+from expindep.graphs import Graph, endvertices, is_subcubic, is_tree, longest_path, max_degree
 from expindep.weights import Dyadic, ei_holds, is_exponentially_independent, weight
 
 # shape counts for tree isomorphism classes, orders 1..9
@@ -127,11 +128,6 @@ class TestDenseSet:
     def test_bad_phase(self):
         with pytest.raises(ValueError):
             tprime_dense_set(2, 5)
-
-    def test_endvertex_set(self):
-        lg = gen_tprime(3)
-        assert endvertex_set(lg) == endvertices(lg.graph)
-        assert len(endvertex_set(lg)) == 12
 
 
 class TestTdelta:
@@ -284,6 +280,27 @@ class TestEnumeration:
         b = Graph(6, [(5, 4), (4, 0), (0, 2), (2, 1), (1, 3)])
         assert tree_code(a) == tree_code(b)
         assert tree_code(a) != tree_code(Graph(6, [(0, i) for i in range(1, 6)]))
+
+    def test_tree_code_deep_paths(self):
+        # rooted at its centre(s), a path is two chains; a chain of c
+        # vertices below the root codes as c "(" then c ")"
+        chain = lambda c: "(" * c + ")" * c
+        # two centres, 1499 and 1500: the longer chain sorts first
+        assert tree_code(gen_path(3000)) == "(" + chain(1500) + chain(1499) + ")"
+        assert tree_code(gen_path(3001)) == "(" + chain(1500) * 2 + ")"
+
+    def test_tree_code_relabeling_one_and_two_centres(self):
+        rng = random.Random(5)
+        two_centres = 0
+        for n in range(2, 10):
+            for T in free_trees(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                U = Graph(n, [(perm[u], perm[v]) for u, v in T.edges()])
+                assert tree_code(U) == tree_code(T)
+                # a tree has two centres exactly when its diameter is odd
+                two_centres += len(longest_path(T)) % 2 == 0
+        assert two_centres > 0
 
 
 class TestLabeledGraph:

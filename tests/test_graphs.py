@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from expindep.families import (
     gen_cycle,
@@ -109,6 +110,7 @@ class TestParsing:
             again = parse_edge_list(write_edge_list(G))
             assert G == again
 
+
     def test_write_k1(self):
         assert write_edge_list(Graph(1)) == "1 0\n"
 
@@ -117,6 +119,58 @@ class TestParsing:
         assert "0 [style=filled" in dot
         assert "1;" in dot
         assert "0 -- 1;" in dot
+
+
+@st.composite
+def subcubic_graphs(draw):
+    """Any simple graph of maximum degree 3 on up to 30 vertices, edges in
+    the drawn order (not necessarily connected)."""
+    n = draw(st.integers(0, 30))
+    deg = [0] * n
+    seen = set()
+    edges = []
+    if n >= 2:
+        vertex = st.integers(0, n - 1)
+        for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=50)):
+            key = (min(u, v), max(u, v))
+            if u != v and key not in seen and deg[u] < 3 and deg[v] < 3:
+                seen.add(key)
+                edges.append((u, v))
+                deg[u] += 1
+                deg[v] += 1
+    return Graph(n, edges)
+
+
+class TestEdgeListFuzz:
+    @given(subcubic_graphs())
+    def test_round_trip(self, G):
+        assert parse_edge_list(write_edge_list(G)) == G
+
+    @given(subcubic_graphs(), st.data())
+    def test_bad_edge_names_its_line(self, G, data):
+        edges = list(G.edges())
+        kind = data.draw(st.sampled_from(["loop", "range", "duplicate"] if edges else ["loop", "range"]))
+        lo = 0
+        if kind == "loop":
+            v = data.draw(st.integers(0, max(G.n - 1, 0)))
+            bad = (v, v)
+        elif kind == "range":
+            u = data.draw(st.integers(0, max(G.n - 1, 0)))
+            v = data.draw(st.one_of(st.integers(-3, -1), st.integers(G.n, G.n + 3)))
+            bad = data.draw(st.sampled_from([(u, v), (v, u)]))
+        else:
+            i = data.draw(st.integers(0, len(edges) - 1))
+            bad = data.draw(st.sampled_from([edges[i], edges[i][::-1]]))
+            lo = i + 1
+        pos = data.draw(st.integers(lo, len(edges)))
+        lines = edges[:pos] + [bad] + edges[pos:]
+        with pytest.raises(ValueError) as ref:
+            Graph(G.n, lines[: pos + 1])
+        text = f"{G.n} {len(lines)}\n" + "".join(f"{u} {v}\n" for u, v in lines)
+        with pytest.raises(EdgeListError) as got:
+            parse_edge_list(text)
+        assert got.value.line_no == pos + 2
+        assert str(got.value) == f"line {pos + 2}: {ref.value}"
 
 
 class TestBfs:
