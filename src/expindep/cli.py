@@ -129,6 +129,8 @@ def _cmd_solve(args) -> int:
         if args.require_endvertices or args.require_set:
             raise UsageError("--require-* flags apply to alpha-e only")
         result = gamma_e_exact(G, time_budget=args.timeout)
+        if result.status == "timeout":
+            sys.stderr.write("note: gamma-e timed out; the witness is the whole vertex set, the trivial upper bound\n")
     sys.stdout.write(f"param {args.param}\n" + result.to_text())
     if args.witness_out:
         _write(args.witness_out, _set_text(result.witness))
@@ -159,8 +161,11 @@ def _cmd_construct(args) -> int:
             raise UsageError("family-canonical supports --family " + " or ".join(_CANONICAL))
         fam = FAMILIES[args.family]
         params = _family_params(args.family, args)
-        S = fam.canonical(*params, phase=args.phase)
-        G = fam.build(*params).graph
+        try:
+            S = fam.canonical(*params, phase=args.phase)
+            G = fam.build(*params).graph
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         if not ei_holds(G, S):
             raise RuntimeError("canonical set failed re-verification")
         sys.stdout.write(f"method family-canonical\nsize {len(S)}\nset " + " ".join(map(str, sorted(S))) + "\n")

@@ -103,9 +103,8 @@ def greedy_packing(G: Graph, dstar: int) -> frozenset:
         if excluded[v]:
             continue
         chosen.append(v)
-        dist = bfs_ball(G, v, radius)
-        for w in range(G.n):
-            if dist[w] >= 0:
+        for level in bfs_ball(G, v, radius):
+            for w in level:
                 excluded[w] = 1
     return frozenset(chosen)
 
@@ -117,9 +116,8 @@ def expansion_condition_holds(G: Graph, d: int) -> bool:
         raise ValueError("d must be at least 1")
     cap = 3 * (1 << (d - 1)) - 1
     for u in range(G.n):
-        dist = bfs_ball(G, u, d)
-        count = sum(1 for w in range(G.n) if dist[w] == d)
-        if count > cap:
+        levels = bfs_ball(G, u, d)
+        if d < len(levels) and len(levels[d]) > cap:
             return False
     return True
 

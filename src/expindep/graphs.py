@@ -193,31 +193,34 @@ def absorbing_bfs(G: Graph, u: int, sinks: Iterable[int]) -> list:
     return [d if d >= 0 else INF for d in dist]
 
 
-def bfs_ball(G: Graph, u: int, radius: int) -> list[int]:
-    """Distance-capped BFS; returns dist[v] for v within the radius, -1 outside."""
-    n = G.n
+def bfs_ball(G: Graph, u: int, radius: int) -> list[list[int]]:
+    """Distance-capped BFS from u: ``levels[d]`` lists the vertices at hop
+    distance d, for d up to the radius, and the list ends at the last
+    non-empty level. Only the ball is touched, so a call costs its size."""
     adj = G.adj
-    dist = [-1] * n
-    dist[u] = 0
-    q = deque((u,))
-    while q:
-        v = q.popleft()
-        dv = dist[v]
-        if dv == radius:
-            continue
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                q.append(w)
-    return dist
+    seen = {u}
+    frontier = [u]
+    levels = [frontier]
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        if not nxt:
+            break
+        levels.append(nxt)
+        frontier = nxt
+    return levels
 
 
 def d_neighborhood(G: Graph, u: int, d: int) -> frozenset:
     """Vertices at hop distance exactly d from u."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    dist = bfs_ball(G, u, d)
-    return frozenset(v for v in range(G.n) if dist[v] == d)
+    levels = bfs_ball(G, u, d)
+    return frozenset(levels[d]) if d < len(levels) else frozenset()
 
 
 def max_degree(G: Graph) -> int:

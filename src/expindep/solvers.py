@@ -18,11 +18,12 @@ desk scale.
 Feasibility along the branch-and-bound path is checked incrementally:
 when v joins the set, the only existing members whose weight can change
 are those that still reach v once the new blocking is in place. One
-absorbing sweep from v decides v's own condition and finds them, and only
-they are re-checked; no weights are cached between nodes. The
-equivalence of this shortcut with full re-verification is covered by
-tests, and every final witness is re-checked by the full verifier before
-it is returned.
+kernel sweep from v decides v's own condition and finds them, and only
+they are re-checked, by the same member check the verifier uses (one
+sweep over the extended set, so no set is rebuilt per member); no
+weights are cached between nodes. The equivalence of this shortcut with
+full re-verification is covered by tests, and every final witness is
+re-checked by the full verifier before it is returned.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .weights import (
     _ed_checks,
     _ei_checks,
     _influence,
+    _member_check,
     ed_holds,
     ei_holds,
     is_exponentially_dominating,
@@ -75,14 +77,13 @@ def try_extend(G: Graph, members: frozenset, v: int) -> frozenset | None:
     stays independent, None otherwise. The source of an absorbing sweep is
     always expanded, so one sweep from v over ``members`` gives v's weight
     and the members v reaches in the extended set; only those are
-    re-checked."""
+    re-checked, each by ``_member_check`` over the extended set."""
     num, exp, reached = _influence(G, members, v)
     if num >= 1 << exp:
         return None
     grown = members | {v}
     for x, _ in reached:
-        num, exp, _ = _influence(G, grown - {x}, x)
-        if num >= 1 << exp:
+        if not _member_check(G, grown, x)[0]:
             return None
     return grown
 
@@ -194,8 +195,10 @@ def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
     """Minimum size of an exponentially dominating set, by increasing-size
     exhaustive enumeration per connected component (components cannot
     influence each other, so the optimum is the sum). On timeout the
-    greedy upper bound is returned with status "timeout"; like the exact
-    optimum, it is re-checked by the full verifier first."""
+    witness is the whole vertex set, the trivial upper bound n (every
+    member's self term is 2, so it always dominates), with status
+    "timeout". Like the exact optimum, it is re-checked by the full
+    verifier first."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
     nodes = 0
     witness: list[int] = []
@@ -216,7 +219,7 @@ def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
                     break
             witness.extend(old_ids[v] for v in found)
     except _Timeout:
-        witness, status = greedy_dominating_set(G), "timeout"
+        witness, status = range(G.n), "timeout"
     witness_t = tuple(sorted(witness))
     if not is_exponentially_dominating(G, witness_t).ok:
         raise RuntimeError("internal error: witness failed re-verification")

@@ -18,10 +18,16 @@ term is a dyadic rational p / 2**e and comparisons against 1 reduce to
 integer comparisons. Floating point appears only in display strings.
 
 One kernel, ``_influence``, runs the absorbing sweep behind every weight
-and every verdict here and in the solvers. It sums the influence as an
-integer numerator over a power of two, so each verdict is an integer
-comparison; ``Dyadic`` values are built only for returned weights and
-reports.
+and every verdict here and in the solvers. It walks out from the source
+level by level, records each member it meets without expanding it, and
+sums the influence by Horner as an integer numerator over a power of two,
+so each verdict is an integer comparison and a call costs only the part
+of the graph it reaches. A member's own condition is decided in one
+place, ``_member_check``, from one sweep over the set itself rather than
+over the set without that member. ``Dyadic`` values are built only for
+returned weights and reports. ``graphs.absorbing_bfs`` gives the same distances as
+a dense list; ``blocked_distance`` uses it, and the tests use it as the
+kernel's oracle.
 
 On a tree, ``ei_holds`` and ``ed_holds`` skip the per-vertex sweeps. A
 path in a tree is unique, so a non-member x reaches a member v exactly
@@ -51,7 +57,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import INF, Graph, absorbing_bfs, is_tree
+from .graphs import Graph, absorbing_bfs, is_tree
 
 
 @total_ordering
@@ -187,17 +193,45 @@ def _influence(G: Graph, members: frozenset, u: int) -> tuple[int, int, list[tup
     """The weight kernel: one absorbing sweep from u over ``members``.
 
     Returns ``(num, exp, reached)``: ``reached`` lists the members u
-    reaches as (source, blocked distance) pairs, u itself at distance 0
-    when it is a member, and num / 2**exp is their exact total influence
-    on u. With D the largest reached distance, num = sum of 2**(D+1-d) and
-    exp = D, so the member test is ``num < 1 << exp`` and the domination
-    test is ``num >= 1 << exp``."""
-    dist = absorbing_bfs(G, u, members)
-    reached = [(v, d) for v in members if (d := dist[v]) != INF]
-    if not reached:
-        return 0, 0, reached
-    top = max(d for _, d in reached)
-    return sum(1 << (top + 1 - d) for _, d in reached), top, reached
+    reaches as (source, blocked distance) pairs in BFS order, u itself at
+    distance 0 when it is a member, and num / 2**exp is their exact total
+    influence on u. With D the largest reached distance, num = sum of
+    2**(D+1-d) and exp = D, so the member test is ``num < 1 << exp`` and
+    the domination test is ``num >= 1 << exp``.
+
+    The sweep goes level by level: a member it meets is recorded and never
+    expanded, the source always is, and num is built by Horner as the
+    levels arrive, so a call costs the part of G it reaches plus one
+    ``bytearray`` of visited marks."""
+    adj = G.adj
+    seen = bytearray(G.n)
+    seen[u] = 1
+    if u in members:
+        reached = [(u, 0)]
+        num = 2
+    else:
+        reached = []
+        num = 0
+    top = d = 0
+    frontier = [u]
+    while frontier:
+        d += 1
+        nxt = []
+        hits = 0
+        for x in frontier:
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = 1
+                    if y in members:
+                        reached.append((y, d))
+                        hits += 1
+                    else:
+                        nxt.append(y)
+        if hits:
+            num = (num << (d - top)) + 2 * hits
+            top = d
+        frontier = nxt
+    return num, top, reached
 
 
 def _contributions(reached: list[tuple[int, int]]) -> tuple[Contribution, ...]:
@@ -226,11 +260,21 @@ def weight_details(G: Graph, S: Iterable[int], u: int) -> tuple[Dyadic, tuple[Co
 # all of it; the boolean forms stop at the first failing vertex.
 
 
+def _member_check(G: Graph, members: frozenset, u: int) -> tuple:
+    """The member u against the influence of the other members, from one
+    sweep over ``members`` itself, so no set without u is built. The
+    source is always expanded, so the sweep is the one over the others
+    plus u's own term 2 << exp, and the others' influence stays below 1
+    iff num < 3 << exp. Returns ``(verdict, num, exp, reached)`` for the
+    other members alone."""
+    num, exp, reached = _influence(G, members, u)
+    return num < 3 << exp, num - (2 << exp), exp, reached[1:]
+
+
 def _ei_checks(G: Graph, members: frozenset) -> Iterator[tuple]:
     """Every member u, by id, against the influence of the other members."""
     for u in sorted(members):
-        num, exp, reached = _influence(G, members - {u}, u)
-        yield u, num < 1 << exp, num, exp, reached
+        yield u, *_member_check(G, members, u)
 
 
 def _ed_checks(G: Graph, members: frozenset, vertices: Iterable[int]) -> Iterator[tuple]:

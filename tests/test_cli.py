@@ -186,9 +186,11 @@ class TestSolve:
     def test_timeout_exit_code(self, tmp_path):
         g = tmp_path / "big.el"
         run("gen", "--family", "random-tree", "--n", 16, "--seed", 4, "--out", g)
-        rc, out, _ = run("solve", "--param", "gamma-e", "--graph", g, "--timeout", 0.0)
+        rc, out, err = run("solve", "--param", "gamma-e", "--graph", g, "--timeout", 0.0)
         assert rc == 3
         assert "status timeout" in out
+        assert "witness " + " ".join(map(str, range(16))) in out
+        assert "trivial upper bound" in err
 
     def test_deep_search_is_a_runtime_error(self, tmp_path):
         # the branch and bound goes one level deeper per candidate; on a
@@ -251,6 +253,14 @@ class TestConstruct:
         assert rc == 2
         rc, _, _ = run("construct", "--method", "family-canonical")
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--family", "tprime", "--k", 3, "--phase", 5), "phase must be 0, 1 or 2"),
+        (("--family", "tk", "--k", 0), "k must be at least 1"),
+    ])
+    def test_family_canonical_bad_parameters_are_usage_errors(self, argv, message):
+        rc, out, err = run("construct", "--method", "family-canonical", *argv)
+        assert (rc, out, err) == (2, "", f"usage error: {message}\n")
 
 
 class TestExperiment:

@@ -18,6 +18,7 @@ from expindep.graphs import (
     EdgeListError,
     Graph,
     absorbing_bfs,
+    bfs_ball,
     bfs_distances,
     connected_components,
     d_neighborhood,
@@ -225,6 +226,25 @@ class TestAbsorbingBfs:
         d = absorbing_bfs(lg.graph, lg.vertex("b_1"), lg.vset("L_2"))
         m3, r2, s2, y2 = lg.labels["L_2"]
         assert (d[m3], d[s2], d[y2], d[r2]) == (4, 5, 6, 4)
+
+
+class TestBfsBall:
+    def test_levels_match_bfs_distances(self):
+        """levels[d] holds exactly the vertices at distance d, up to the
+        radius, and the list ends at the last non-empty level."""
+        for seed in range(6):
+            G = random_subcubic_graph(40, 5, seed + 310)
+            for u in range(0, G.n, 5):
+                dist = bfs_distances(G, u)
+                for radius in (0, 1, 2, 5, 40):
+                    levels = bfs_ball(G, u, radius)
+                    want = [sorted(v for v in range(G.n) if dist[v] == d) for d in range(radius + 1)]
+                    while want and not want[-1]:
+                        want.pop()
+                    assert [sorted(level) for level in levels] == want, (seed, u, radius)
+
+    def test_isolated_vertex(self):
+        assert bfs_ball(Graph(3, [(1, 2)]), 0, 4) == [[0]]
 
 
 class TestDNeighborhood:

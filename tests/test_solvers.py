@@ -1,4 +1,6 @@
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +11,7 @@ from expindep.families import (
     gen_perfect_binary,
     gen_tk,
     random_subcubic_graph,
+    random_subcubic_tree,
 )
 from expindep.graphs import Graph, degree2_vertices, is_connected, is_subcubic, is_tree
 from expindep import solvers
@@ -180,17 +183,35 @@ class TestGamma:
         assert not ed_holds(G, {0, 2, 3, 4, 5})  # 0 now shields 6 from the leaves
 
     def test_timeout_returns_greedy_bound(self):
+        # the timeout bound is the trivial one: the whole vertex set
         G = random_subcubic_graph(16, 2, 9)
         res = gamma_e_exact(G, time_budget=0.0)
         assert res.status == "timeout"
+        assert res.witness == tuple(range(G.n))
         assert ed_holds(G, res.witness)
 
     def test_timeout_reverifies_greedy_witness(self, monkeypatch):
+        # the timeout witness goes through the full verifier too
         G = random_subcubic_graph(16, 2, 9)
-        assert not ed_holds(G, {0})
-        monkeypatch.setattr(solvers, "greedy_dominating_set", lambda G: frozenset({0}))
+        checked = []
+
+        def failing_verifier(G, S):
+            checked.append(S)
+            return SimpleNamespace(ok=False)
+
+        monkeypatch.setattr(solvers, "is_exponentially_dominating", failing_verifier)
         with pytest.raises(RuntimeError, match="re-verification"):
             gamma_e_exact(G, time_budget=0.0)
+        assert checked == [tuple(range(G.n))]
+
+    def test_timeout_fallback_keeps_the_budget(self):
+        # an unbudgeted greedy fallback used to take several seconds here
+        T = random_subcubic_tree(120, seed=3)
+        start = time.monotonic()
+        res = gamma_e_exact(T, time_budget=1.0)
+        assert time.monotonic() - start < 2.5
+        assert res.status == "timeout"
+        assert ed_holds(T, res.witness)
 
 
 class TestGreedyDominating:

@@ -3,9 +3,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from expindep.constructors import tree_good_set
+from expindep.solvers import try_extend
 from expindep.families import (
     canonical_set_tk,
     free_trees,
@@ -18,11 +19,13 @@ from expindep.families import (
     random_subcubic_tree,
     tprime_dense_set,
 )
-from expindep.graphs import INF, Graph, bfs_distances, induced_subgraph
+from expindep.graphs import INF, Graph, absorbing_bfs, bfs_distances, induced_subgraph, is_tree
 from expindep.weights import (
     Dyadic,
     _ed_checks,
     _ei_checks,
+    _influence,
+    _member_check,
     blocked_distance,
     ed_holds,
     ei_holds,
@@ -134,6 +137,86 @@ class TestBooleanVerifiersAgainstOracle:
                 assert ed_holds(G, S) == all(w >= 1 for w in ed_w), (list(G.edges()), S)
         assert boundary["ei"] >= len(random_graph_pool)
         assert boundary["ed"] >= len(random_graph_pool)
+
+
+def kernel_reference(G, S, u):
+    """The kernel's (num, exp, reached) rebuilt from ``absorbing_bfs``'s
+    dense distance list, reached sorted by source."""
+    dist = absorbing_bfs(G, u, S)
+    reached = sorted((v, dist[v]) for v in S if dist[v] != INF)
+    if not reached:
+        return 0, 0, []
+    exp = max(d for _, d in reached)
+    return sum(1 << (exp + 1 - d) for _, d in reached), exp, reached
+
+
+@st.composite
+def kernel_graphs(draw):
+    """Cycles, and random subcubic trees with up to four extra edges."""
+    if draw(st.booleans()):
+        return gen_cycle(draw(st.integers(3, 30)))
+    n = draw(st.integers(1, 30))
+    seed = draw(st.integers(0, 10**6))
+    try:
+        return random_subcubic_graph(n, draw(st.integers(0, 4)), seed)
+    except ValueError:
+        return random_subcubic_graph(n, 0, seed)
+
+
+class TestKernel:
+    """``_influence``'s level-by-level sweep against the dense
+    ``absorbing_bfs`` list and, on small graphs, per-pair deletion."""
+
+    @staticmethod
+    def check(G, S, u):
+        num, exp, reached = _influence(G, S, u)
+        assert (num, exp, sorted(reached)) == kernel_reference(G, S, u), (list(G.edges()), sorted(S), u)
+        if G.n <= 12:
+            assert Fraction(num, 2**exp) == naive_weight(G, S, u), (list(G.edges()), sorted(S), u)
+
+    @given(kernel_graphs(), st.data())
+    def test_matches_absorbing_bfs(self, G, data):
+        u = data.draw(st.integers(0, G.n - 1))
+        S = frozenset(data.draw(st.sets(st.integers(0, G.n - 1))))
+        S = S | {u} if data.draw(st.booleans()) else S - {u}
+        self.check(G, S, u)
+
+    def test_every_source_on_the_pool(self, random_graph_pool):
+        """Every u of every pool graph, with S empty, a random S holding u
+        and the same S without u."""
+        rng = random.Random(83)
+        for G in random_graph_pool[::4]:
+            S = frozenset(rng.sample(range(G.n), rng.randint(1, G.n)))
+            for u in range(G.n):
+                for T in (frozenset(), S | {u}, S - {u}):
+                    self.check(G, T, u)
+
+    @given(kernel_graphs(), st.data())
+    def test_member_check_matches_the_sweep_without_u(self, G, data):
+        """One sweep over S from a member u gives the same verdict, weight
+        and decomposition as the sweep over S - {u}."""
+        u = data.draw(st.integers(0, G.n - 1))
+        S = frozenset(data.draw(st.sets(st.integers(0, G.n - 1)))) | {u}
+        ok, num, exp, reached = _member_check(G, S, u)
+        want_num, want_exp, want_reached = kernel_reference(G, S - {u}, u)
+        assert (ok, num, exp, sorted(reached)) == (want_num < 1 << want_exp, want_num, want_exp, want_reached)
+
+    @given(st.integers(4, 24), st.integers(1, 4), st.integers(0, 10**6), st.data())
+    def test_try_extend_matches_ei_holds(self, n, extra, seed, data):
+        """On graphs with a cycle, growing an independent M vertex by
+        vertex: try_extend(G, M, v) is M | {v} exactly when that set is
+        independent, else None."""
+        try:
+            G = random_subcubic_graph(n, extra, seed)
+        except ValueError:
+            assume(False)
+        assert not is_tree(G)
+        M = frozenset()
+        for v in data.draw(st.permutations(range(n))):
+            grown = try_extend(G, M, v)
+            assert grown == (M | {v} if ei_holds(G, M | {v}) else None), (list(G.edges()), sorted(M), v)
+            if grown is not None and data.draw(st.booleans()):
+                M = grown
 
 
 def bfs_ei(G, S):
