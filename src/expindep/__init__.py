@@ -72,7 +72,6 @@ from .solvers import (
     alpha_e_exact,
     alpha_e_bruteforce,
     gamma_e_exact,
-    greedy_dominating_set,
     find_maximal_ei_not_ed,
 )
 from .experiments import (

@@ -38,14 +38,29 @@ Reduction rules, applied to the first match:
        swap the newly created endvertex (w4, w3 or w2 respectively) for
        the two deleted endvertices of T.
 
+The whole reduction and lift run on one mutable tree in the input's
+vertex ids (``_Tree``): a step marks its removed set dead and the lift
+brings it back, so no subgraph is built per step. Degrees, the count of
+degree-2 vertices and the set of vertices with two endvertex neighbours
+(for R1) are updated within distance 2 of each removed set. Whether the
+reduced graph is still a tree is decided in O(|R|) by counting the edges
+that leave the removed set R, the path test reads the degree-2 count, and
+only the exact-search base builds one Graph, of at most 8 vertices.
+``induced_subgraph`` keeps old ids in ascending order, so every min-id and
+sorted-adjacency choice made over the alive vertices is the one the same
+rule made on a rebuilt subgraph: sets and traces are unchanged.
+
 Every lift is followed by a mandatory verification of the whole lifted
-set (independent, contains all endvertices, large enough); a failure
-raises InvariantViolation carrying the trace, it is never silently
-accepted. The independence verdict comes from the linear-time tree pass
-in ``weights``, so each lift costs O(n) and the whole build O(n^2). The
-same policy covers the structural side conditions the recursion relies on
-(the reduced tree keeps a degree-2 vertex, hanging components are short
-paths): they are asserted at runtime, not assumed.
+set on the alive subtree (independent, contains all its endvertices,
+large enough, the three parts of ``good_set_audit``); a failure raises
+InvariantViolation carrying the trace, it is never silently accepted. The
+independence verdict comes from the linear-time tree pass in ``weights``,
+run on the alive vertices only, so each lift costs O(n); with the
+diametral path, one double BFS per step, the whole build stays O(n^2).
+The same policy covers the structural side conditions the recursion
+relies on (the reduced graph is a tree and keeps a degree-2 vertex,
+hanging components are short paths): they are asserted at runtime, not
+assumed.
 """
 
 from __future__ import annotations
@@ -56,15 +71,14 @@ from fractions import Fraction
 from .graphs import (
     Graph,
     bfs_ball,
-    bfs_distances,
     degree2_vertices,
+    diametral_path,
     endvertices,
     induced_subgraph,
     is_subcubic,
     is_tree,
-    longest_path,
 )
-from .weights import ei_holds
+from .weights import _tree_ei_holds, ei_holds
 
 
 class InvariantViolation(RuntimeError):
@@ -237,21 +251,125 @@ def good_set_audit(G: Graph, S: frozenset) -> tuple[bool, str]:
     return True, "ok"
 
 
-def _is_path_graph(G: Graph) -> bool:
-    if G.n == 1:
-        return True
-    degs = sorted(G.degree(v) for v in range(G.n))
-    return (
-        G.m == G.n - 1
-        and degs[0] == 1
-        and degs[1] == 1
-        and (G.n == 2 or degs[-1] == 2)
-    )
+class _Tree:
+    """One subcubic tree under deletion and re-insertion of vertex sets, in
+    the ids of the input tree T, whose adjacency is never copied or changed.
+
+    The alive vertices always span a tree. The state is the ``alive``
+    marks, the degree of every alive vertex in that tree, the alive count
+    ``size``, the number ``deg2`` of alive degree-2 vertices, and ``r1``,
+    the alive vertices with two or more alive endvertex neighbours. A
+    removal touches only what lies within distance 2 of the removed set,
+    and ``restore`` undoes the latest ``remove`` exactly. Because
+    ``induced_subgraph`` keeps old ids in ascending order, every min-id
+    and sorted-adjacency choice made here over the alive vertices is the
+    choice the same rule makes on the induced subgraph."""
+
+    def __init__(self, T: Graph):
+        self.n = T.n
+        self.graph = T
+        self.adj = T.adj
+        self.alive = bytearray(b"\x01" * T.n)
+        self.deg = [len(a) for a in T.adj]
+        self.size = T.n
+        self.deg2 = self.deg.count(2)
+        self.r1: set[int] = set()
+        self._refresh_r1(range(T.n))
+
+    def _refresh_r1(self, vertices) -> None:
+        adj, alive, deg, r1 = self.adj, self.alive, self.deg, self.r1
+        for v in vertices:
+            if alive[v] and sum(1 for w in adj[v] if alive[w] and deg[w] == 1) >= 2:
+                r1.add(v)
+            else:
+                r1.discard(v)
+
+    def _near(self, R) -> set[int]:
+        """R and every vertex within distance 2 of it."""
+        adj = self.adj
+        near = set(R)
+        for v in R:
+            for w in adj[v]:
+                near.add(w)
+                near.update(adj[w])
+        return near
+
+    def _shift_degrees(self, R, step: int) -> None:
+        adj, alive, deg = self.adj, self.alive, self.deg
+        d2 = 0
+        for v in R:
+            for w in adj[v]:
+                if alive[w]:
+                    old = deg[w]
+                    deg[w] = old + step
+                    d2 += (old + step == 2) - (old == 2)
+        self.deg2 += d2
+
+    def remove(self, R) -> None:
+        alive = self.alive
+        for v in R:
+            alive[v] = 0
+        self.deg2 -= sum(1 for v in R if self.deg[v] == 2)
+        self.size -= len(R)
+        self._shift_degrees(R, -1)
+        self._refresh_r1(self._near(R))
+
+    def restore(self, R) -> None:
+        """Undo ``remove(R)``; the degrees of R were kept while it was dead."""
+        self._shift_degrees(R, 1)
+        alive = self.alive
+        for v in R:
+            alive[v] = 1
+        self.deg2 += sum(1 for v in R if self.deg[v] == 2)
+        self.size += len(R)
+        self._refresh_r1(self._near(R))
+
+    def remains_tree_without(self, R) -> bool:
+        """Exact O(|R|) test that the alive tree minus R is a tree. T - R
+        has 1 - |R| + |E(R)| + |dR| components, dR the edges leaving R, so
+        it is a tree iff it is non-empty and |dR| = |R| - |E(R)|."""
+        adj, alive = self.adj, self.alive
+        inside = set(R)
+        internal2 = leaving = 0  # internal edges are met from both ends
+        for v in inside:
+            for w in adj[v]:
+                if w in inside:
+                    internal2 += 1
+                elif alive[w]:
+                    leaving += 1
+        return self.size > len(inside) and leaving == len(inside) - internal2 // 2
+
+    def other_neighbor(self, v: int, skip) -> int:
+        """The smallest alive neighbour of v outside ``skip``."""
+        alive = self.alive
+        return next(w for w in self.adj[v] if alive[w] and w not in skip)
+
+    def is_path(self) -> bool:
+        return self.size <= 2 or self.deg2 == self.size - 2
+
+    def vertices(self) -> list[int]:
+        return [v for v in range(self.n) if self.alive[v]]
+
+    def diametral_path(self) -> list[int]:
+        return diametral_path(self.graph, self.alive)
+
+    def audit(self, S: frozenset) -> tuple[bool, str]:
+        """``good_set_audit`` on the alive subtree, S in input ids, with the
+        same three parts and messages."""
+        if not _tree_ei_holds(self.graph, S, self.alive):
+            return False, "set is not exponentially independent"
+        alive, deg = self.alive, self.deg
+        missing = [v for v in range(self.n) if alive[v] and deg[v] == 1 and v not in S]
+        if missing:
+            return False, f"endvertices missing from the set: {missing}"
+        if 4 * len(S) < self.size + 3:
+            return False, f"set too small: {len(S)} < ({self.size} + 3) / 4"
+        return True, "ok"
 
 
-def _path_schedule(G: Graph) -> frozenset:
+def _path_schedule(tree: _Tree) -> frozenset:
     """R0: both ends plus interior vertices on the gap schedule."""
-    order = longest_path(G)
+    order = tree.diametral_path()
     n = len(order)
     q, r = divmod(n - 1, 3)
     if r == 0:
@@ -266,99 +384,103 @@ def _path_schedule(G: Graph) -> frozenset:
     return frozenset(order[p] for p in picks)
 
 
-def _first_degree3_index(G: Graph, path: list[int]) -> int | None:
+def _first_degree3_index(tree: _Tree, path: list[int]) -> int | None:
     """1-based index of the first degree-3 vertex along the path."""
+    deg = tree.deg
     for i, v in enumerate(path, start=1):
-        if G.degree(v) == 3:
+        if deg[v] == 3:
             return i
     return None
 
 
-def _hanging_component(G: Graph, w4: int, w3p: int) -> list[int]:
-    """Vertices of the component of G - w4 containing w3p, ordered by
-    distance from w3p."""
+def _hanging_levels(tree: _Tree, w4: int, w3p: int) -> list[list[int]]:
+    """BFS levels, from w3p, of the component of the tree minus w4 that
+    holds w3p, cut after four levels: the callers only need to tell
+    components of up to three vertices, or of depth exactly 3 from w4,
+    from the rest."""
+    adj, alive = tree.adj, tree.alive
     seen = {w4, w3p}
-    order = [w3p]
-    frontier = [w3p]
-    while frontier:
+    levels = [[w3p]]
+    while len(levels) < 4:
         nxt = []
-        for v in frontier:
-            for w in G.adj[v]:
-                if w not in seen:
+        for v in levels[-1]:
+            for w in adj[v]:
+                if alive[w] and w not in seen:
                     seen.add(w)
-                    order.append(w)
                     nxt.append(w)
-        frontier = nxt
-    return order
+        if not nxt:
+            break
+        levels.append(nxt)
+    return levels
 
 
-def _reduction_r3(G: Graph, path: list[int]) -> tuple:
+def _reduction_r3(tree: _Tree, path: list[int]) -> tuple:
     w1, w2, w3, w4 = path[0], path[1], path[2], path[3]
-    w2p = next(v for v in G.adj[w3] if v not in (w2, w4))
-    if G.degree(w2p) > 2:
+    deg = tree.deg
+    w2p = tree.other_neighbor(w3, (w2, w4))
+    if deg[w2p] > 2:
         raise InvariantViolation(
             f"third neighbor {w2p} of the first branch vertex has degree > 2"
         )
-    if G.degree(w2p) == 1:
+    if deg[w2p] == 1:
         return ("R3", (w1, w2, w2p), w3, (w1, w2p))
-    w1p = next(v for v in G.adj[w2p] if v != w3)
-    if G.degree(w1p) != 1:
+    w1p = tree.other_neighbor(w2p, (w3,))
+    if deg[w1p] != 1:
         raise InvariantViolation(
-            f"expected an endvertex beyond {w2p}, found degree {G.degree(w1p)}"
+            f"expected an endvertex beyond {w2p}, found degree {deg[w1p]}"
         )
     return ("R3", (w1, w1p, w2p), w2, (w1, w1p))
 
 
-def _reduction_r4(G: Graph, path: list[int]) -> tuple | None:
+def _reduction_r4(tree: _Tree, path: list[int]) -> tuple | None:
     """R4 when the hanging component at w4 is a path of order <= 3 attached
     through w3'; None otherwise (the caller then reroutes the path)."""
     w1, w2, w3, w4 = path[0], path[1], path[2], path[3]
-    w3p = next(v for v in G.adj[w4] if v not in (w3, path[4]))
-    comp = _hanging_component(G, w4, w3p)
+    deg = tree.deg
+    w3p = tree.other_neighbor(w4, (w3, path[4]))
+    comp = [v for level in _hanging_levels(tree, w4, w3p) for v in level]
     if len(comp) > 3:
         return None
     if len(comp) == 1:
         return ("R4", (w1, w2, w3, w3p), w4, (w1, w3p))
     if len(comp) == 2:
         w2p = comp[1]
-        if G.degree(w2p) != 1:
+        if deg[w2p] != 1:
             return None
         return ("R4", (w1, w2, w2p, w3p), w3, (w1, w2p))
     w2p, w1p = comp[1], comp[2]
-    if not (G.degree(w2p) == 2 and G.degree(w1p) == 1 and G.has_edge(w2p, w1p)):
+    if not (deg[w2p] == 2 and deg[w1p] == 1 and w1p in tree.adj[w2p]):
         return None
     return ("R4", (w1, w1p, w2p, w3p), w2, (w1, w1p))
 
 
-def _reroute_through_branch(G: Graph, path: list[int]) -> list[int] | None:
+def _reroute_through_branch(tree: _Tree, path: list[int]) -> list[int] | None:
     """When both orientations sit in the k = 4 case but the hanging
     component is branched, an equally long diametral path enters through
     that component and meets its first degree-3 vertex at index 3."""
     w3, w4 = path[2], path[3]
-    w3p = next(v for v in G.adj[w4] if v not in (w3, path[4]))
-    comp = set(_hanging_component(G, w4, w3p))
-    dist = bfs_distances(G, w4)
-    deepest = max(dist[v] for v in comp)
-    if deepest != 3:
+    w3p = tree.other_neighbor(w4, (w3, path[4]))
+    levels = _hanging_levels(tree, w4, w3p)
+    if len(levels) != 3:  # level i lies at distance i + 1 from w4
         return None
-    z1 = min(v for v in comp if dist[v] == 3)
-    z2 = min(w for w in G.adj[z1] if w in comp and dist[w] == 2)
+    z1 = min(levels[2])
+    z2 = min(w for w in tree.adj[z1] if w in levels[1])
     return [z1, z2, w3p] + path[3:]
 
 
-def _choose_reduction(G: Graph) -> tuple:
+def _choose_reduction(tree: _Tree) -> tuple:
     """Pick the applicable reduction; raises InvariantViolation when none
     of the cases the analysis guarantees actually matches."""
     # R1: a vertex with two endvertex neighbors
-    for v in range(G.n):
-        leaf_nbrs = [w for w in G.adj[v] if G.degree(w) == 1]
-        if len(leaf_nbrs) >= 2:
-            u1, u2 = sorted(leaf_nbrs)[:2]
-            return ("R1", (u1, u2), v, (u1, u2))
-    base_path = longest_path(G)
+    if tree.r1:
+        v = min(tree.r1)
+        alive, deg = tree.alive, tree.deg
+        u1, u2 = [w for w in tree.adj[v] if alive[w] and deg[w] == 1][:2]
+        return ("R1", (u1, u2), v, (u1, u2))
+    base_path = tree.diametral_path()
     orientations = [base_path, list(reversed(base_path))]
     for path in orientations:
-        k = _first_degree3_index(G, path)
+        k = _first_degree3_index(tree, path)
         if k is None or k < 3:
             raise InvariantViolation(
                 f"diametral path has first branch index {k}, expected >= 3"
@@ -367,32 +489,39 @@ def _choose_reduction(G: Graph) -> tuple:
             w1, w2, w3, w4 = path[0], path[1], path[2], path[3]
             return ("R2", (w1, w2, w3), w4, (w1, w3))
         if k == 3:
-            return _reduction_r3(G, path)
+            return _reduction_r3(tree, path)
     for path in orientations:
-        red = _reduction_r4(G, path)
+        red = _reduction_r4(tree, path)
         if red is not None:
             return red
     for path in orientations:
-        alt = _reroute_through_branch(G, path)
-        if alt is not None and _first_degree3_index(G, alt) == 3:
-            return _reduction_r3(G, alt)
+        alt = _reroute_through_branch(tree, path)
+        if alt is not None and _first_degree3_index(tree, alt) == 3:
+            return _reduction_r3(tree, alt)
     raise InvariantViolation("no reduction applies; structural analysis violated")
 
 
-def _verify_good(G: Graph, S: frozenset, trace: GoodSetTrace | None, where: str):
-    ok, why = good_set_audit(G, S)
+def _verify_good(tree: _Tree, S: frozenset, trace: GoodSetTrace, where: str):
+    ok, why = tree.audit(S)
     if not ok:
         raise InvariantViolation(f"{where}: {why}", trace)
 
 
-def _base_exact(G: Graph) -> frozenset:
+def _base_exact(tree: _Tree) -> frozenset:
+    """Exact search on the alive tree (at most 8 vertices), rebuilt as one
+    small Graph; the witness comes back in input ids."""
     from .solvers import InfeasibleError, alpha_e_exact
 
+    G, old_ids = induced_subgraph(tree.graph, tree.vertices())
     try:
         result = alpha_e_exact(G, required=endvertices(G))
     except InfeasibleError as exc:
         raise InvariantViolation(f"base case infeasible: {exc}") from exc
-    return frozenset(result.witness)
+    return frozenset(old_ids[v] for v in result.witness)
+
+
+def _unfinished(steps: list[TraceStep]) -> GoodSetTrace:
+    return GoodSetTrace(tuple(steps), "unfinished", ())
 
 
 def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
@@ -419,52 +548,34 @@ def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
         return S, trace
 
     steps: list[TraceStep] = []
-    lifts: list[tuple[Graph, int, tuple[int, ...], list[int]]] = []
-    to_orig = list(range(T.n))
-    cur = T
+    tree = _Tree(T)
     while True:
-        if _is_path_graph(cur) and cur.n >= 8:
+        if tree.is_path() and tree.size >= 8:
             base_rule = "path-schedule"
-            base = _path_schedule(cur)
+            S = _path_schedule(tree)
             break
-        if cur.n <= 8:
+        if tree.size <= 8:
             base_rule = "exact-search"
-            base = _base_exact(cur)
+            S = _base_exact(tree)
             break
-        rule, removed, swapped, added = _choose_reduction(cur)
-        steps.append(
-            TraceStep(
-                rule,
-                tuple(sorted(to_orig[v] for v in removed)),
-                to_orig[swapped],
-                tuple(sorted(to_orig[v] for v in added)),
-            )
-        )
-        child, old_ids = induced_subgraph(cur, set(range(cur.n)) - set(removed))
-        partial = GoodSetTrace(tuple(steps), "unfinished", ())
-        if not is_tree(child):
-            raise InvariantViolation("reduced graph is not a tree", partial)
-        if not degree2_vertices(child):
+        rule, removed, swapped, added = _choose_reduction(tree)
+        steps.append(TraceStep(rule, tuple(sorted(removed)), swapped, tuple(sorted(added))))
+        if not tree.remains_tree_without(removed):
+            raise InvariantViolation("reduced graph is not a tree", _unfinished(steps))
+        tree.remove(removed)
+        if not tree.deg2:
             raise InvariantViolation(
-                "reduced tree lost its last degree-2 vertex", partial
+                "reduced tree lost its last degree-2 vertex", _unfinished(steps)
             )
-        lifts.append((cur, swapped, tuple(added), old_ids))
-        to_orig = [to_orig[o] for o in old_ids]
-        cur = child
 
-    trace = GoodSetTrace(
-        tuple(steps), base_rule, tuple(sorted(to_orig[v] for v in base))
-    )
-    S = frozenset(base)
-    _verify_good(cur, S, trace, f"base ({base_rule})")
-    for parent, swapped, added, old_ids in reversed(lifts):
-        S_parent = {old_ids[v] for v in S}
-        if swapped not in S_parent:
+    trace = GoodSetTrace(tuple(steps), base_rule, tuple(sorted(S)))
+    _verify_good(tree, S, trace, f"base ({base_rule})")
+    for step in reversed(steps):
+        tree.restore(step.removed)
+        if step.swapped not in S:
             raise InvariantViolation(
-                f"lift expected vertex {swapped} in the reduced solution", trace
+                f"lift expected vertex {step.swapped} in the reduced solution", trace
             )
-        S_parent.discard(swapped)
-        S_parent.update(added)
-        S = frozenset(S_parent)
-        _verify_good(parent, S, trace, "lift")
+        S = (S - {step.swapped}) | set(step.added)
+        _verify_good(tree, S, trace, "lift")
     return S, trace

@@ -228,9 +228,23 @@ def max_degree(G: Graph) -> int:
 
 
 def is_connected(G: Graph) -> bool:
-    if G.n <= 1:
+    """One search from vertex 0 that counts what it reaches; no distance
+    list is built."""
+    n = G.n
+    if n <= 1:
         return True
-    return INF not in bfs_distances(G, 0)
+    adj = G.adj
+    seen = bytearray(n)
+    seen[0] = 1
+    reached = 1
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = 1
+                reached += 1
+                stack.append(w)
+    return reached == n
 
 
 def is_tree(G: Graph) -> bool:
@@ -249,35 +263,65 @@ def degree2_vertices(G: Graph) -> frozenset:
     return frozenset(v for v in range(G.n) if G.degree(v) == 2)
 
 
-def longest_path(T: Graph) -> list[int]:
-    """A diametral path of a tree found by double BFS.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def dead_marks(alive) -> bytearray:
+    """A fresh bytearray with 1 exactly where ``alive`` has 0: the visited
+    marks a search over the alive vertices starts from."""
+    return bytearray(alive.translate(_FLIP))
+
+
+def _bfs_tree(adj, src: int, alive) -> tuple[list[int], list[int]]:
+    """Level-synchronous BFS from src over the alive vertices: returns the
+    last (farthest) level and the BFS parent of every vertex reached."""
+    seen = dead_marks(alive)
+    seen[src] = 1
+    parent = [0] * len(alive)
+    frontier = [src]
+    while True:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = 1
+                    parent[y] = x
+                    nxt.append(y)
+        if not nxt:
+            return frontier, parent
+        frontier = nxt
+
+
+def diametral_path(G: Graph, alive) -> list[int]:
+    """A diametral path of the tree that G induces on the vertices v with
+    ``alive[v]`` set (a non-empty connected subtree), found by double BFS.
 
     Ties break to the smallest vertex id at every choice: the first sweep
-    starts at vertex 0, each sweep picks the smallest farthest vertex, and
-    the walk back always steps to the smallest eligible neighbor. The
-    returned path starts at its smaller endpoint.
-    """
-    if not is_tree(T):
-        raise ValueError("longest_path requires a connected tree")
-    if T.n == 1:
-        return [0]
-    d0 = bfs_distances(T, 0)
-    far = max(d0)
-    a = min(v for v in range(T.n) if d0[v] == far)
-    da = bfs_distances(T, a)
-    far = max(da)
-    b = min(v for v in range(T.n) if da[v] == far)
-    path = [b]
-    cur = b
-    d = da[b]
-    while d > 0:
-        cur = min(w for w in T.adj[cur] if da[w] == d - 1)
+    starts at the smallest alive vertex and each sweep picks the smallest
+    farthest vertex. The walk back follows BFS parents, which in a tree are
+    the only neighbours one step closer. The returned path starts at its
+    smaller endpoint. The sweeps visit only alive vertices."""
+    adj = G.adj
+    a = min(_bfs_tree(adj, alive.index(1), alive)[0])
+    last, parent = _bfs_tree(adj, a, alive)
+    cur = min(last)
+    path = [cur]
+    while cur != a:
+        cur = parent[cur]
         path.append(cur)
-        d -= 1
-    # path runs b -> a; orient the smaller endpoint first
+    # path runs from the second sweep's far end to a; orient the smaller
+    # endpoint first
     if path[0] > path[-1]:
         path.reverse()
     return path
+
+
+def longest_path(T: Graph) -> list[int]:
+    """A diametral path of a tree: ``diametral_path`` with every vertex
+    alive, so the first sweep starts at vertex 0."""
+    if not is_tree(T):
+        raise ValueError("longest_path requires a connected tree")
+    return diametral_path(T, b"\x01" * T.n)
 
 
 def induced_subgraph(G: Graph, keep: Iterable[int]) -> tuple[Graph, list[int]]:

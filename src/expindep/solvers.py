@@ -35,7 +35,6 @@ from typing import Iterable
 
 from .graphs import Graph, connected_components, induced_subgraph
 from .weights import (
-    _ed_checks,
     _ei_checks,
     _influence,
     _member_check,
@@ -161,34 +160,6 @@ def alpha_e_bruteforce(G: Graph) -> SearchResult:
                     raise RuntimeError("internal error: witness failed re-verification")
                 return SearchResult(s, combo, nodes, "optimal")
     return SearchResult(0, (), nodes, "optimal")
-
-
-def greedy_dominating_set(G: Graph) -> frozenset:
-    """Deterministic greedy upper bound for the domination search: grow by
-    the vertex satisfying the most currently unsatisfied vertices
-    (smallest id on ties); falls back to adding the smallest unsatisfied
-    vertex so termination is guaranteed (the whole vertex set dominates)."""
-    members: set[int] = set()
-
-    def satisfied(mem: frozenset) -> set[int]:
-        outside = (u for u in range(G.n) if u not in mem)
-        return set(mem) | {u for u, good, *_ in _ed_checks(G, mem, outside) if good}
-
-    covered = satisfied(frozenset())
-    while len(covered) < G.n:
-        best_v, best_cov = None, None
-        for v in range(G.n):
-            if v in members:
-                continue
-            cov = satisfied(frozenset(members | {v}))
-            if best_cov is None or len(cov) > len(best_cov):
-                best_v, best_cov = v, cov
-        if best_v is None or len(best_cov) <= len(covered):
-            best_v = min(u for u in range(G.n) if u not in covered)
-            best_cov = satisfied(frozenset(members | {best_v}))
-        members.add(best_v)
-        covered = best_cov
-    return frozenset(members)
 
 
 def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:

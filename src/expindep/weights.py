@@ -46,7 +46,9 @@ top down) gives F everywhere. It stays exact because F is kept as an
 integer over 2 ** (2h + 1), h the BFS height of C: every distance inside
 C is at most 2h, so every term, and every sum the reroot halves, is an
 even integer. Both verdicts then cost O(n) integer operations in place
-of one O(n) sweep per member, and the pass uses no recursion. The
+of one O(n) sweep per member, and the pass uses no recursion. Given
+alive marks, the pass and the independence test run on the subtree of
+the alive vertices, as the good-set builder's audit needs. The
 report verifiers, ``weight`` and ``weight_details`` stay on the sweeps,
 which the tests use as the oracle for the tree pass.
 """
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from typing import Iterable, Iterator, NamedTuple
 
-from .graphs import Graph, absorbing_bfs, is_tree
+from .graphs import Graph, absorbing_bfs, dead_marks, is_tree
 
 
 @total_ordering
@@ -306,12 +308,16 @@ def is_exponentially_dominating(G: Graph, S: Iterable[int]) -> WeightReport:
     return _report("ed", _ed_checks(G, frozenset(S), range(G.n)))
 
 
-def _tree_influence(T: Graph, members: frozenset) -> tuple[list[int], list[int]]:
+def _tree_influence(
+    T: Graph, members: frozenset, alive: bytearray | None = None
+) -> tuple[list[int], list[int]]:
     """The tree pass of the module docstring.
 
     Returns ``(F, K)`` with F[x] / 2**K[x] = F(x), the exact weight of the
     non-member x, and K[x] = 2h + 1 for the component of x; members keep
-    F = K = 0."""
+    F = K = 0. With an ``alive`` mask the pass runs on the subtree of the
+    vertices v with ``alive[v]`` set: dead vertices start out seen, so
+    they are never roots and never reached, and keep F = K = 0."""
     n = T.n
     adj = T.adj
     F = [0] * n
@@ -319,7 +325,7 @@ def _tree_influence(T: Graph, members: frozenset) -> tuple[list[int], list[int]]
     boundary = [0] * n
     parent = [0] * n
     depth = [0] * n
-    seen = bytearray(n)
+    seen = bytearray(n) if alive is None else dead_marks(alive)
     for v in members:
         seen[v] = 1
     for root in range(n):
@@ -359,13 +365,22 @@ def ei_holds(G: Graph, S: Iterable[int]) -> bool:
     members = frozenset(S)
     if not is_tree(G):
         return all(good for _, good, *_ in _ei_checks(G, members))
-    adj = G.adj
+    return _tree_ei_holds(G, members)
+
+
+def _tree_ei_holds(T: Graph, members: frozenset, alive: bytearray | None = None) -> bool:
+    """The tree branch of ``ei_holds``, on T or, with an ``alive`` mask, on
+    the subtree of the alive vertices (members must be alive); dead
+    neighbours of a member are skipped."""
+    adj = T.adj
     if not all(members.isdisjoint(adj[u]) for u in members):
         return False
-    F, K = _tree_influence(G, members)
+    F, K = _tree_influence(T, members, alive)
     for u in members:
         excess = top = 0  # sum of F(a) - 1 over u's neighbors, times 2**top
         for a in adj[u]:
+            if alive is not None and not alive[a]:
+                continue
             k = K[a]
             if k > top:
                 excess <<= k - top

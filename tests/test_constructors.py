@@ -1,7 +1,11 @@
+import hashlib
 import math
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+import expindep.constructors as cons
 from expindep.constructors import (
     GoodSetTrace,
     InvariantViolation,
@@ -14,6 +18,7 @@ from expindep.constructors import (
     tree_good_set,
 )
 from expindep.families import (
+    free_trees,
     gen_cycle,
     gen_path,
     gen_perfect_binary,
@@ -27,7 +32,10 @@ from expindep.graphs import (
     bfs_distances,
     degree2_vertices,
     endvertices,
+    induced_subgraph,
     is_subcubic,
+    is_tree,
+    longest_path,
 )
 from expindep.weights import ei_holds, is_exponentially_independent
 
@@ -318,3 +326,140 @@ class TestQuarterVsThirteenths:
         # on every order, in particular beyond n = 7
         for n in range(1, 400):
             assert 13 * (n + 3) > 4 * (2 * n + 8)
+
+
+def good_set_digest(trees) -> str:
+    """sha256 over the sorted good set and the trace text of every tree."""
+    h = hashlib.sha256()
+    for T in trees:
+        S, trace = tree_good_set(T)
+        h.update(",".join(map(str, sorted(S))).encode() + b"\n" + trace.to_text().encode())
+    return h.hexdigest()
+
+
+class TestGoodSetByteIdentity:
+    """The builder runs on one mutable tree in input ids; its sets and
+    traces must stay those of the builder that rebuilt an induced subgraph
+    per step. Both constants were recorded with that earlier builder."""
+
+    def test_small_shapes(self):
+        shapes = [T for n in range(2, 12) for T in free_trees(n, max_degree=3) if degree2_vertices(T)]
+        assert len(shapes) == 142
+        assert good_set_digest(shapes) == (
+            "a58d63a131361d2d6b9806d3807b82ab2907edbf090d49433beea5928acc8856"
+        )
+
+    def test_random_trees(self):
+        trees = [random_subcubic_tree(2 + (149 * i) % 299, seed=9100 + i) for i in range(200)]
+        assert good_set_digest(trees) == (
+            "8d4e48b47c679a800d129327f9f2061fe836479acd4a0190f0fd3be95ba4c3f8"
+        )
+
+
+def peel_leaves(tree, count: int, rng: random.Random) -> None:
+    """Remove ``count`` random endvertices one at a time; the alive vertices
+    keep spanning a tree. At least one vertex stays."""
+    for _ in range(min(count, tree.size - 1)):
+        leaves = [v for v in tree.vertices() if tree.deg[v] == 1]
+        tree.remove((rng.choice(leaves),))
+
+
+def alive_subgraph(tree):
+    return induced_subgraph(tree.graph, tree.vertices())
+
+
+def assert_state_fresh(tree):
+    """The maintained degrees, counts and R1 set equal a recomputation on
+    the induced subgraph of the alive vertices."""
+    sub, old_ids = alive_subgraph(tree)
+    assert tree.size == sub.n
+    assert [tree.deg[v] for v in old_ids] == [sub.degree(i) for i in range(sub.n)]
+    assert tree.deg2 == len(degree2_vertices(sub))
+    leaves = endvertices(sub)
+    r1 = {old_ids[i] for i in range(sub.n) if len(leaves.intersection(sub.adj[i])) >= 2}
+    assert tree.r1 == r1
+
+
+class TestMutableTree:
+    """Each piece of the builder's mutable tree against the induced
+    subgraph it replaces."""
+
+    @given(st.integers(1, 60), st.integers(0, 10**6), st.integers(0, 59), st.data())
+    def test_tree_test_and_state_match_induced_subgraph(self, n, seed, peel, data):
+        T = random_subcubic_tree(n, seed)
+        tree = cons._Tree(T)
+        peel_leaves(tree, peel, random.Random(seed))
+        assert_state_fresh(tree)
+        alive = tree.vertices()
+        R = data.draw(st.sets(st.sampled_from(alive), min_size=1, max_size=6))
+        sub, _ = induced_subgraph(T, set(alive) - R)
+        verdict = tree.remains_tree_without(R)
+        assert verdict == is_tree(sub)
+        if verdict:
+            before = (bytes(tree.alive), list(tree.deg), tree.size, tree.deg2, set(tree.r1))
+            tree.remove(R)
+            assert_state_fresh(tree)
+            tree.restore(R)
+            assert (bytes(tree.alive), tree.deg, tree.size, tree.deg2, tree.r1) == before
+
+    def test_diametral_path_matches_longest_path(self):
+        rng = random.Random(11)
+        for i in range(60):
+            T = random_subcubic_tree(5 + 3 * i, seed=9400 + i)
+            tree = cons._Tree(T)
+            for _ in range(4):
+                sub, old_ids = alive_subgraph(tree)
+                assert tree.diametral_path() == [old_ids[v] for v in longest_path(sub)]
+                peel_leaves(tree, rng.randrange(1, 2 + tree.size // 3), rng)
+
+    def test_audit_matches_good_set_audit(self):
+        """Good sets of random alive subtrees, every single-vertex toggle of
+        them and the bare endvertex set, so both passing and failing audits
+        of every kind occur."""
+        rng = random.Random(12)
+        seen = set()
+        trees = [random_subcubic_tree(10 + 2 * i, seed=9500 + i) for i in range(40)]
+        trees += [gen_path(n) for n in (9, 14, 21)]  # few endvertices: too small
+        for i, T in enumerate(trees):
+            tree = cons._Tree(T)
+            peel_leaves(tree, rng.randrange(T.n // 2), rng)
+            sub, old_ids = alive_subgraph(tree)
+            if sub.n < 2:
+                continue
+            good = {old_ids[v] for v in tree_good_set(sub)[0]}
+            index = {v: i for i, v in enumerate(old_ids)}
+            leaves = frozenset(old_ids[v] for v in endvertices(sub))
+            candidates = [leaves, good] + [good ^ {v} for v in old_ids]
+            for S in map(frozenset, candidates):
+                S_sub = frozenset(index[v] for v in S)
+                ok, why = good_set_audit(sub, S_sub)
+                if why.startswith("endvertices missing"):
+                    why = f"endvertices missing from the set: {sorted(old_ids[v] for v in endvertices(sub) - S_sub)}"
+                assert tree.audit(S) == (ok, why), (i, sorted(S))
+                seen.add(why.split(":")[0])
+        assert seen == {
+            "ok",
+            "set is not exponentially independent",
+            "endvertices missing from the set",
+            "set too small",
+        }
+
+    def test_lift_audit_raises(self, monkeypatch):
+        # one step's lift also keeps the swapped vertex, which is adjacent
+        # to a vertex it adds: the lifted set is not independent
+        orig = cons._choose_reduction
+        calls = []
+
+        def bad_lift(tree):
+            rule, removed, swapped, added = orig(tree)
+            calls.append(rule)
+            if len(calls) == 2:
+                added = added + (swapped,)
+            return rule, removed, swapped, added
+
+        monkeypatch.setattr(cons, "_choose_reduction", bad_lift)
+        T = random_subcubic_tree(80, seed=3)
+        with pytest.raises(InvariantViolation, match="lift: set is not exponentially independent") as exc:
+            tree_good_set(T)
+        assert len(calls) >= 2
+        assert len(exc.value.trace.steps) == len(calls)

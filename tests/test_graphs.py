@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from expindep.families import (
+    free_trees,
     gen_cycle,
     gen_path,
     gen_perfect_binary,
@@ -23,6 +24,7 @@ from expindep.graphs import (
     connected_components,
     d_neighborhood,
     degree2_vertices,
+    diametral_path,
     endvertices,
     induced_subgraph,
     is_connected,
@@ -318,6 +320,59 @@ class TestLongestPath:
     def test_rejects_non_tree(self):
         with pytest.raises(ValueError):
             longest_path(gen_cycle(5))
+
+
+def double_bfs_reference(T):
+    """The double-BFS diametral path on dense distance lists: sweep from
+    vertex 0, take the smallest farthest vertex twice, walk back to the
+    smallest neighbour one step closer, smaller endpoint first."""
+    d0 = bfs_distances(T, 0)
+    a = min(v for v in range(T.n) if d0[v] == max(d0))
+    da = bfs_distances(T, a)
+    path = [min(v for v in range(T.n) if da[v] == max(da))]
+    while da[path[-1]] > 0:
+        d = da[path[-1]]
+        path.append(min(w for w in T.adj[path[-1]] if da[w] == d - 1))
+    return path if path[0] < path[-1] else path[::-1]
+
+
+class TestDiametralPath:
+    def test_every_vertex_alive_matches_reference(self):
+        checked = 0
+        for n in range(1, 12):
+            for T in free_trees(n):
+                expect = double_bfs_reference(T)
+                assert diametral_path(T, b"\x01" * n) == expect, list(T.edges())
+                assert longest_path(T) == expect
+                checked += 1
+        assert checked == 436
+
+    def test_alive_subtree(self):
+        # a path 0..5 with a pendant 6 at vertex 2; dropping 0 and 1 leaves
+        # the subtree on 2..6, whose first sweep starts at vertex 2
+        T = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6)])
+        alive = bytearray(b"\x00\x00\x01\x01\x01\x01\x01")
+        assert diametral_path(T, alive) == [5, 4, 3, 2, 6]
+
+
+class TestIsConnected:
+    def test_matches_bfs_distances(self):
+        rng = random.Random(8)
+        seen = set()
+        for i in range(300):
+            n = rng.randrange(1, 14)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            G = Graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+            expect = INF not in bfs_distances(G, 0)
+            assert is_connected(G) == expect, (n, list(G.edges()))
+            seen.add(expect)
+        for seed in range(20):
+            G = random_subcubic_graph(30, seed % 4, seed)
+            assert is_connected(G) and INF not in bfs_distances(G, 0)
+        assert seen == {True, False}
+
+    def test_empty_graph(self):
+        assert is_connected(Graph(0))
 
 
 class TestStructuralQueries:

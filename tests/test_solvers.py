@@ -22,7 +22,6 @@ from expindep.solvers import (
     alpha_e_exact,
     find_maximal_ei_not_ed,
     gamma_e_exact,
-    greedy_dominating_set,
     try_extend,
 )
 from expindep.weights import (
@@ -212,18 +211,6 @@ class TestGamma:
         assert time.monotonic() - start < 2.5
         assert res.status == "timeout"
         assert ed_holds(T, res.witness)
-
-
-class TestGreedyDominating:
-    def test_always_dominates(self):
-        for seed in range(8):
-            G = random_subcubic_graph(5 + seed, seed % 2, seed + 1200)
-            S = greedy_dominating_set(G)
-            assert ed_holds(G, S)
-
-    def test_deterministic(self):
-        G = random_subcubic_graph(12, 2, 33)
-        assert greedy_dominating_set(G) == greedy_dominating_set(G)
 
 
 class TestMaximalNotDominating:

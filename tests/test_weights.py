@@ -26,6 +26,8 @@ from expindep.weights import (
     _ei_checks,
     _influence,
     _member_check,
+    _tree_ei_holds,
+    _tree_influence,
     blocked_distance,
     ed_holds,
     ei_holds,
@@ -289,6 +291,52 @@ class TestTreePass:
         assert ei_holds(P, S)
         assert ed_holds(P, S)
         assert time.perf_counter() - start < 1.0
+
+
+def random_alive_subtree(T, peel: int, rng) -> bytearray:
+    """Alive marks of T after ``peel`` random endvertices were removed one
+    at a time, so the alive vertices still span a tree (at least one)."""
+    alive = bytearray(b"\x01" * T.n)
+    deg = [T.degree(v) for v in range(T.n)]
+    for _ in range(min(peel, T.n - 1)):
+        v = rng.choice([v for v in range(T.n) if alive[v] and deg[v] == 1])
+        alive[v] = 0
+        for w in T.adj[v]:
+            deg[w] -= 1
+    return alive
+
+
+class TestTreePassOnAliveSubtree:
+    """With an alive mask the tree pass and the EI helper must give what
+    they give on the induced subgraph of the alive vertices."""
+
+    @given(st.integers(1, 60), st.integers(0, 10**6), st.integers(0, 59), st.data())
+    def test_matches_induced_subgraph(self, n, seed, peel, data):
+        T = random_subcubic_tree(n, seed)
+        alive = random_alive_subtree(T, peel, random.Random(seed))
+        sub, old_ids = induced_subgraph(T, [v for v in range(n) if alive[v]])
+        S_sub = frozenset(data.draw(st.sets(st.integers(0, sub.n - 1))))
+        S = frozenset(old_ids[v] for v in S_sub)
+        F, K = _tree_influence(T, S, alive)
+        F_sub, K_sub = _tree_influence(sub, S_sub)
+        assert [F[v] for v in old_ids] == F_sub and [K[v] for v in old_ids] == K_sub
+        assert not any(F[v] or K[v] for v in range(n) if not alive[v])
+        assert _tree_ei_holds(T, S, alive) == ei_holds(sub, S_sub) == bfs_ei(sub, S_sub)
+
+    def test_good_sets_and_toggles(self):
+        rng = random.Random(5)
+        verdicts = set()
+        for i in range(30):
+            T = random_subcubic_tree(20 + 3 * i, seed=9600 + i)
+            alive = random_alive_subtree(T, rng.randrange(T.n // 2), rng)
+            sub, old_ids = induced_subgraph(T, [v for v in range(T.n) if alive[v]])
+            good = tree_good_set(sub)[0]
+            for S_sub in [good] + [good ^ {v} for v in range(sub.n)]:
+                S = frozenset(old_ids[v] for v in S_sub)
+                verdict = _tree_ei_holds(T, S, alive)
+                assert verdict == bfs_ei(sub, S_sub), (i, sorted(S))
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestBlockedDistance:
