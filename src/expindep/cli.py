@@ -65,6 +65,12 @@ def _read_set(path: str) -> frozenset:
     return frozenset(out)
 
 
+def _check_ids(G, S, what: str) -> None:
+    bad = sorted(v for v in S if not 0 <= v < G.n)
+    if bad:
+        raise UsageError(f"{what} contains ids outside the graph: {bad}")
+
+
 def _set_text(S) -> str:
     return "".join(f"{v}\n" for v in sorted(S))
 
@@ -102,9 +108,7 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     G = _read_graph(args.graph)
     S = _read_set(args.set)
-    bad = [v for v in S if not 0 <= v < G.n]
-    if bad:
-        raise UsageError(f"set contains ids outside the graph: {sorted(bad)}")
+    _check_ids(G, S, "set")
     if args.mode == "ei":
         report = is_exponentially_independent(G, S)
     else:
@@ -124,6 +128,7 @@ def _cmd_solve(args) -> int:
             required |= endvertices(G)
         if args.require_set:
             required |= _read_set(args.require_set)
+        _check_ids(G, required, "required set")
         result = alpha_e_exact(G, required=required, time_budget=args.timeout)
     else:
         if args.require_endvertices or args.require_set:

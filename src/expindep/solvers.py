@@ -9,21 +9,38 @@ a feasible set is feasible. The counting prune discards a subtree only
 when it cannot reach the incumbent size, so ties stay alive and the
 reported witness is the lexicographically smallest optimum.
 
-The minimum-domination solver enumerates subsets by increasing size with
-no pruning at all: adding a vertex can sever influence routes, so
-feasibility is not monotone and supersets of dominating sets need not
-dominate. Exhaustive enumeration per size is the correctness strategy at
-desk scale.
+The minimum-domination solver enumerates subsets by increasing size;
+adding a vertex can sever influence routes, so feasibility is not
+monotone and supersets of dominating sets need not dominate. Each
+combination is tried in the same order as a plain enumeration, so the
+witness is the first dominating combination of the least size, but most
+are rejected by a relaxation before the verifier runs (below).
 
-Feasibility along the branch-and-bound path is checked incrementally:
-when v joins the set, the only existing members whose weight can change
-are those that still reach v once the new blocking is in place. One
-kernel sweep from v decides v's own condition and finds them, and only
-they are re-checked, by the same member check the verifier uses (one
-sweep over the extended set, so no set is rebuilt per member); no
-weights are cached between nodes. The equivalence of this shortcut with
-full re-verification is covered by tests, and every final witness is
-re-checked by the full verifier before it is returned.
+Both solvers use one fact about blocked distances: deleting vertices only
+lengthens paths, so the plain distance dist_G(x, v) never exceeds the
+blocked one, 2 ** (1 - dist_G(x, v)) bounds v's term on x from above, and
+a set that grows by v can only lower the influence between its other
+members.
+
+Feasibility along the branch-and-bound path is checked incrementally.
+Every stack entry carries, beside its member set, an upper bound on each
+member's weight, an integer over 2 ** G.n. When v joins, v is rejected
+with no sweep if it has a member neighbour; otherwise one kernel sweep
+from v decides v's own condition and finds the members v reaches with
+their blocked distances d. A reached member whose bound plus 2 ** (1 - d)
+stays below 1 is accepted with no sweep; only the others are re-checked,
+by the same member check the verifier uses, and their bounds become
+their exact weights. A member v does not reach keeps its bound: a
+shortest path through v would reach v. The verdicts, and so the search
+order and node count, are those of re-checking every reached member; the
+equivalence with full re-verification is covered by tests, and every
+final witness is re-checked by the full verifier before it is returned.
+
+The domination search keeps a table of plain distances per component,
+one row per vertex, built on its first use. A combination under which
+some vertex x gets a plain-distance sum below 1 cannot dominate x and is
+rejected before ``ed_holds`` runs; members never trip this test, since
+their own term is 2.
 """
 
 from __future__ import annotations
@@ -33,7 +50,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .graphs import Graph, connected_components, induced_subgraph
+from .graphs import Graph, bfs_distances, connected_components, induced_subgraph
 from .weights import (
     _ei_checks,
     _influence,
@@ -70,21 +87,41 @@ class SearchResult:
         return "\n".join(lines) + "\n"
 
 
-def try_extend(G: Graph, members: frozenset, v: int) -> frozenset | None:
+def try_extend(
+    G: Graph, members: frozenset, bounds: dict[int, int], v: int
+) -> tuple[frozenset, dict[int, int]] | None:
     """Incremental feasibility check for members + {v}, where ``members``
-    is already exponentially independent: returns the extended set when it
-    stays independent, None otherwise. The source of an absorbing sweep is
-    always expanded, so one sweep from v over ``members`` gives v's weight
-    and the members v reaches in the extended set; only those are
-    re-checked, each by ``_member_check`` over the extended set."""
+    is already exponentially independent and ``bounds`` holds an upper
+    bound on each member's weight over 2 ** G.n. Returns the extended set
+    with its bounds when it stays independent, None otherwise.
+
+    A member neighbour rejects v with no sweep. Otherwise one sweep from v
+    over ``members`` gives v's exact weight and each member x that v
+    reaches, at blocked distance d. Blocking v only lengthens the paths
+    between the old members, so bound + 2 ** (1 - d) bounds x's weight in
+    the extended set. Only a member whose bound reaches 1 is re-checked,
+    by ``_member_check`` over the extended set, and its bound becomes its
+    exact weight; a member v does not reach keeps its bound."""
+    if not members.isdisjoint(G.adj[v]):
+        return None
     num, exp, reached = _influence(G, members, v)
     if num >= 1 << exp:
         return None
+    n = G.n
+    one = 1 << n
     grown = members | {v}
-    for x, _ in reached:
-        if not _member_check(G, grown, x)[0]:
+    grown_bounds = dict(bounds)
+    grown_bounds[v] = num << (n - exp)
+    for x, d in reached:
+        bound = bounds[x] + (one >> (d - 1))
+        if bound < one:
+            grown_bounds[x] = bound
+            continue
+        good, num, exp, _ = _member_check(G, grown, x)
+        if not good:
             return None
-    return grown
+        grown_bounds[x] = num << (n - exp)
+    return grown, grown_bounds
 
 
 def alpha_e_exact(
@@ -98,14 +135,20 @@ def alpha_e_exact(
     never touching ``excluded``. Deterministic: branching order is
     descending degree with id tie-break, and the witness is the
     lexicographically smallest among the optima. On timeout the best
-    incumbent is returned with status "timeout"."""
+    incumbent is returned with status "timeout". Ids outside
+    ``range(G.n)`` raise ValueError."""
     req = frozenset(required)
     exc = frozenset(excluded)
+    outside = sorted(u for u in req | exc if not 0 <= u < G.n)
+    if outside:
+        raise ValueError(f"vertex ids outside the graph: {outside}")
     if req & exc:
         raise ValueError("required and excluded sets overlap")
-    bad = next((u for u, good, *_ in _ei_checks(G, req) if not good), None)
-    if bad is not None:
-        raise InfeasibleError(f"required set is not exponentially independent at vertex {bad}")
+    bounds = {}  # each required member's exact weight, over 2 ** G.n
+    for u, good, num, exp, _ in _ei_checks(G, req):
+        if not good:
+            raise InfeasibleError(f"required set is not exponentially independent at vertex {u}")
+        bounds[u] = num << (G.n - exp)
 
     order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
     cands = [v for v in order if v not in req and v not in exc]
@@ -120,9 +163,9 @@ def alpha_e_exact(
     # recursion limit; pushing the exclude child first explores the
     # include child first
     status = "optimal"
-    stack = [(0, req)]
+    stack = [(0, req, bounds)]
     while stack:
-        i, members = stack.pop()
+        i, members, bounds = stack.pop()
         nodes += 1
         if deadline is not None and (nodes & 255) == 0 and time.monotonic() > deadline:
             status = "timeout"
@@ -135,10 +178,10 @@ def alpha_e_exact(
             if size > best_size or (size == best_size and tup < best_set):
                 best_size, best_set = size, tup
             continue
-        grown = try_extend(G, members, cands[i])
-        stack.append((i + 1, members))
+        grown = try_extend(G, members, bounds, cands[i])
+        stack.append((i + 1, members, bounds))
         if grown is not None:
-            stack.append((i + 1, grown))
+            stack.append((i + 1, *grown))
 
     if not is_exponentially_independent(G, best_set).ok:
         raise RuntimeError("internal error: witness failed re-verification")
@@ -162,14 +205,44 @@ def alpha_e_bruteforce(G: Graph) -> SearchResult:
     return SearchResult(0, (), nodes, "optimal")
 
 
+class _PlainDistances(dict):
+    """Plain BFS distances in one connected graph: ``self[v][x]`` is
+    dist(v, x), and v's row is built on its first lookup."""
+
+    def __init__(self, G: Graph):
+        super().__init__()
+        self.G = G
+
+    def __missing__(self, v: int) -> list:
+        row = self[v] = bfs_distances(self.G, v)
+        return row
+
+
+def _uncovered(rows: list[list], xs: Iterable[int], one: int) -> int | None:
+    """The first x in ``xs`` whose plain-distance sum from the combination
+    with distance rows ``rows`` stays below 1, or None. ``one`` is 2 ** n
+    for a graph on n vertices, so each term 2 ** (1 - d) is ``one >> d``
+    over 2 ** (n - 1) and the test is exact."""
+    half = one >> 1
+    for x in xs:
+        if sum(one >> r[x] for r in rows) < half:
+            return x
+    return None
+
+
 def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
     """Minimum size of an exponentially dominating set, by increasing-size
     exhaustive enumeration per connected component (components cannot
-    influence each other, so the optimum is the sum). On timeout the
-    witness is the whole vertex set, the trivial upper bound n (every
-    member's self term is 2, so it always dominates), with status
-    "timeout". Like the exact optimum, it is re-checked by the full
-    verifier first."""
+    influence each other, so the optimum is the sum). A combination under
+    which some vertex gets a plain-distance sum below 1 is rejected before
+    ``ed_holds`` runs; the vertex that rejected the last combination is
+    tried first. The relaxation is sound (blocked distances are never
+    shorter), so the combinations tried, their count and the witness are
+    those of the plain enumeration. Distance rows are built on first use,
+    under the deadline check. On timeout the witness is the whole vertex
+    set, the trivial upper bound n (every member's self term is 2, so it
+    always dominates), with status "timeout". Like the exact optimum, it
+    is re-checked by the full verifier first."""
     deadline = None if time_budget is None else time.monotonic() + time_budget
     nodes = 0
     witness: list[int] = []
@@ -177,12 +250,23 @@ def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
     try:
         for comp in connected_components(G):
             sub, old_ids = induced_subgraph(G, comp)
+            table = _PlainDistances(sub)
+            one = 1 << sub.n
+            xs = range(sub.n)
+            last = 0  # the vertex that rejected the last combination
             found = None
             for s in range(1, sub.n + 1):
-                for combo in combinations(range(sub.n), s):
+                for combo in combinations(xs, s):
                     nodes += 1
                     if deadline is not None and (nodes & 63) == 0 and time.monotonic() > deadline:
                         raise _Timeout
+                    rows = [table[v] for v in combo]
+                    if _uncovered(rows, (last,), one) is not None:
+                        continue
+                    miss = _uncovered(rows, xs, one)
+                    if miss is not None:
+                        last = miss
+                        continue
                     if ed_holds(sub, combo):
                         found = combo
                         break

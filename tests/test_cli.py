@@ -183,6 +183,20 @@ class TestSolve:
         witness = out.splitlines()[-1].split()[1:]
         assert "3" in witness
 
+    @pytest.mark.parametrize("bad", ["-1", "3", "9"])
+    def test_require_set_outside_the_graph(self, tmp_path, bad):
+        # -1 used to wrap an index and print a witness holding -1 with
+        # exit 0; an id >= n crashed with a traceback
+        g = tmp_path / "p3.el"
+        run("gen", "--family", "path", "--n", 3, "--out", g)
+        req = tmp_path / "req.txt"
+        req.write_text(f"0\n{bad}\n")
+        rc, out, err = run("solve", "--param", "alpha-e", "--graph", g,
+                           "--require-set", req)
+        assert rc == 2
+        assert out == ""
+        assert f"ids outside the graph: [{bad}]" in err
+
     def test_timeout_exit_code(self, tmp_path):
         g = tmp_path / "big.el"
         run("gen", "--family", "random-tree", "--n", 16, "--seed", 4, "--out", g)

@@ -1,11 +1,14 @@
+import hashlib
 import random
 import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from expindep.constructors import tree_good_set
 from expindep.families import (
+    free_trees,
     gen_cycle,
     gen_path,
     gen_perfect_binary,
@@ -13,7 +16,14 @@ from expindep.families import (
     random_subcubic_graph,
     random_subcubic_tree,
 )
-from expindep.graphs import Graph, degree2_vertices, is_connected, is_subcubic, is_tree
+from expindep.graphs import (
+    Graph,
+    bfs_distances,
+    degree2_vertices,
+    is_connected,
+    is_subcubic,
+    is_tree,
+)
 from expindep import solvers
 from expindep.solvers import (
     InfeasibleError,
@@ -25,6 +35,8 @@ from expindep.solvers import (
     try_extend,
 )
 from expindep.weights import (
+    _influence,
+    _member_check,
     ed_holds,
     ei_holds,
     is_exponentially_dominating,
@@ -72,6 +84,14 @@ class TestAlphaExamples:
     def test_excluded_respected(self):
         res = alpha_e_exact(gen_path(5), excluded={0, 2})
         assert not ({0, 2} & set(res.witness))
+
+    @pytest.mark.parametrize("kind", ["required", "excluded"])
+    @pytest.mark.parametrize("bad", [-1, 3, 7])
+    def test_ids_outside_the_graph_rejected(self, kind, bad):
+        # -1 used to wrap the visited-marks index and return a witness
+        # holding -1; ids >= n raised IndexError
+        with pytest.raises(ValueError, match="outside the graph"):
+            alpha_e_exact(gen_path(3), **{kind: {bad}})
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -138,16 +158,103 @@ class TestIncrementalExtension:
         rng = random.Random(71)
         for trial in range(80):
             G = random_subcubic_graph(5 + trial % 10, trial % 3, trial + 1100)
-            members = frozenset()
+            members, bounds = frozenset(), {}
             order = list(range(G.n))
             rng.shuffle(order)
             for v in order:
-                grown = try_extend(G, members, v)
+                step = try_extend(G, members, bounds, v)
                 full = ei_holds(G, members | {v})
-                assert (grown is not None) == full, (trial, sorted(members), v)
-                if grown is not None:
-                    assert grown == members | {v}
-                    members = grown
+                assert (step is not None) == full, (trial, sorted(members), v)
+                if step is not None:
+                    assert step[0] == members | {v}
+                    members, bounds = step
+
+
+@st.composite
+def cyclic_graphs(draw):
+    """Random subcubic graphs with at least one cycle, on 4..24 vertices."""
+    n = draw(st.integers(4, 24))
+    try:
+        G = random_subcubic_graph(n, draw(st.integers(1, 4)), draw(st.integers(0, 10**6)))
+    except ValueError:
+        assume(False)
+    assert not is_tree(G)
+    return G
+
+
+def exact_weight(G, members, x):
+    """The member x's exact weight from the other members, over 2 ** G.n."""
+    _, num, exp, _ = _member_check(G, members, x)
+    return num << (G.n - exp)
+
+
+class TestInfluenceBounds:
+    """The bounds the branch and bound carries, and the facts about blocked
+    distances they rest on, on graphs that are not trees."""
+
+    @given(cyclic_graphs(), st.data())
+    def test_carried_bounds_dominate_exact_weights(self, G, data):
+        members, bounds = frozenset(), {}
+        for v in data.draw(st.permutations(range(G.n))):
+            step = try_extend(G, members, bounds, v)
+            assert (step is not None) == ei_holds(G, members | {v}), (list(G.edges()), sorted(members), v)
+            if step is None or not data.draw(st.booleans()):
+                continue
+            members, bounds = step
+            assert set(bounds) == members
+            assert bounds[v] == exact_weight(G, members, v)
+            for x in members:
+                assert bounds[x] >= exact_weight(G, members, x), (list(G.edges()), sorted(members), x)
+                assert bounds[x] < 1 << G.n
+
+    @given(cyclic_graphs(), st.data())
+    def test_every_subset_of_an_independent_set_is_independent(self, G, data):
+        S = set()
+        for v in data.draw(st.permutations(range(G.n))):
+            if ei_holds(G, S | {v}):
+                S.add(v)
+        sub = data.draw(st.sets(st.sampled_from(sorted(S))))
+        assert ei_holds(G, sub), (list(G.edges()), sorted(S), sorted(sub))
+        for v in S:
+            assert ei_holds(G, S - {v})
+
+    @given(cyclic_graphs(), st.data())
+    def test_kernel_is_at_most_the_plain_distance_sum(self, G, data):
+        u = data.draw(st.integers(0, G.n - 1))
+        S = frozenset(data.draw(st.sets(st.integers(0, G.n - 1))))
+        num, exp, _ = _influence(G, S, u)
+        plain = sum(1 << (G.n + 1 - d) for v, d in enumerate(bfs_distances(G, u)) if v in S and d < G.n)
+        assert num << (G.n - exp) <= plain
+
+    @given(cyclic_graphs(), st.data())
+    def test_relaxation_reject_is_sound(self, G, data):
+        """A combination the plain-distance test rejects at x leaves x
+        undominated; the test never names a member."""
+        combo = sorted(data.draw(st.sets(st.integers(0, G.n - 1), min_size=1)))
+        table = solvers._PlainDistances(G)
+        x = solvers._uncovered([table[v] for v in combo], range(G.n), 1 << G.n)
+        if x is not None:
+            assert x not in combo
+            num, exp, _ = _influence(G, frozenset(combo), x)
+            assert num < 1 << exp
+            assert not ed_holds(G, combo)
+
+
+class TestSolverByteIdentity:
+    """The carried bounds and the relaxation reject make each node cheaper
+    without changing which nodes are visited: optima, node counts and
+    witnesses must stay those of the solvers without them. The constant was
+    recorded with the solvers that re-checked every reached member and ran
+    ``ed_holds`` on every combination."""
+
+    def test_trees_and_random_graphs(self):
+        graphs = [T for n in range(1, 11) for T in free_trees(n, max_degree=3)]
+        graphs += [random_subcubic_graph(12 + i % 9, (12 + i % 9) // 8, 7300 + i) for i in range(40)]
+        h = hashlib.sha256()
+        for G in graphs:
+            h.update(alpha_e_exact(G).to_text().encode())
+            h.update(gamma_e_exact(G).to_text().encode())
+        assert h.hexdigest() == "c0d479a609bfc6dafdf0de0515fedaafc1912e67cb61a577dd3976c3b70a49cc"
 
 
 class TestGamma:
@@ -211,6 +318,13 @@ class TestGamma:
         assert time.monotonic() - start < 2.5
         assert res.status == "timeout"
         assert ed_holds(T, res.witness)
+
+    def test_long_path_keeps_the_budget(self):
+        # the distance rows are built on first use, under the deadline check
+        start = time.monotonic()
+        res = gamma_e_exact(gen_path(3000), time_budget=0.5)
+        assert time.monotonic() - start < 1.5
+        assert res.status == "timeout"
 
 
 class TestMaximalNotDominating:

@@ -206,19 +206,20 @@ class TestKernel:
     @given(st.integers(4, 24), st.integers(1, 4), st.integers(0, 10**6), st.data())
     def test_try_extend_matches_ei_holds(self, n, extra, seed, data):
         """On graphs with a cycle, growing an independent M vertex by
-        vertex: try_extend(G, M, v) is M | {v} exactly when that set is
-        independent, else None."""
+        vertex with its carried bounds: try_extend gives M | {v} exactly
+        when that set is independent, else None."""
         try:
             G = random_subcubic_graph(n, extra, seed)
         except ValueError:
             assume(False)
         assert not is_tree(G)
-        M = frozenset()
+        M, bounds = frozenset(), {}
         for v in data.draw(st.permutations(range(n))):
-            grown = try_extend(G, M, v)
+            step = try_extend(G, M, bounds, v)
+            grown = None if step is None else step[0]
             assert grown == (M | {v} if ei_holds(G, M | {v}) else None), (list(G.edges()), sorted(M), v)
-            if grown is not None and data.draw(st.booleans()):
-                M = grown
+            if step is not None and data.draw(st.booleans()):
+                M, bounds = step
 
 
 def bfs_ei(G, S):
