@@ -1,11 +1,12 @@
 """Command line entry point.
 
 Exit codes: 0 success (and "verdict true" for verify), 1 verdict false
-(verify only), 2 usage error, 3 runtime error or timeout. Every subcommand
-is deterministic given its flags and seed. ``gen --family`` and
-``construct --method family-canonical`` take their family names and
-required flags from ``families.FAMILIES``, the table the corpus parser
-reads too.
+(verify only), 2 usage error (a missing flag, or a flag value a library
+function rejects with ``ParameterError`` before any work), 3 runtime error
+or timeout. Every subcommand is deterministic given its flags and seed.
+``gen --family`` and ``construct --method family-canonical`` take their
+family names and required flags from ``families.FAMILIES``, the table the
+corpus parser reads too.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from .constructors import (
     tree_good_set,
 )
 from .families import FAMILIES
-from .graphs import Graph, endvertices, parse_edge_list, write_edge_list
+from .graphs import Graph, ParameterError, endvertices, parse_edge_list, write_edge_list
 from .solvers import alpha_e_exact, gamma_e_exact
 from .weights import ei_holds, is_exponentially_dominating, is_exponentially_independent
 from .experiments import (
-    CorpusError,
     bound_table,
     conjecture_scan,
     forced_endvertex_study,
@@ -183,11 +183,7 @@ def _cmd_experiment(args) -> int:
     if args.name == "bound-table":
         if not args.corpus:
             raise UsageError("--corpus is required for bound-table")
-        try:
-            table = bound_table(args.corpus)
-        except CorpusError as exc:
-            raise UsageError(str(exc)) from exc
-        _write(args.out, table.to_text())
+        _write(args.out, bound_table(args.corpus).to_text())
     elif args.name == "random-ei":
         try:
             p = Fraction(args.p)
@@ -278,7 +274,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    # a ParameterError is raised before any work, so it names a bad flag
+    # value, CorpusError included
+    except (UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     # ValueError covers EdgeListError and InfeasibleError; RuntimeError

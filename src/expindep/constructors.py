@@ -65,12 +65,16 @@ assumed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
     Graph,
+    ParameterError,
     bfs_ball,
+    bfs_levels,
+    dead_marks,
     degree2_vertices,
     diametral_path,
     endvertices,
@@ -109,7 +113,7 @@ def greedy_packing(G: Graph, dstar: int) -> frozenset:
     if G.n == 0:
         raise ValueError("graph is empty")
     if dstar < 1:
-        raise ValueError("dstar must be at least 1")
+        raise ParameterError("dstar must be at least 1")
     radius = 2 * dstar
     excluded = bytearray(G.n)
     chosen = []
@@ -239,16 +243,12 @@ class GoodSetTrace:
 
 
 def good_set_audit(G: Graph, S: frozenset) -> tuple[bool, str]:
-    """Three-part goodness check: independent, all endvertices present,
-    at least (n + 3) / 4 elements."""
-    if not ei_holds(G, S):
-        return False, "set is not exponentially independent"
-    missing = endvertices(G) - S
-    if missing:
-        return False, f"endvertices missing from the set: {sorted(missing)}"
-    if 4 * len(S) < G.n + 3:
-        return False, f"set too small: {len(S)} < ({G.n} + 3) / 4"
-    return True, "ok"
+    """Three-part goodness check of S on the tree G: independent, all
+    endvertices present, at least (n + 3) / 4 elements. Raises ValueError
+    when G is not a tree."""
+    if not is_tree(G):
+        raise ValueError("input is not a connected tree")
+    return _Tree(G).audit(frozenset(S))
 
 
 class _Tree:
@@ -273,8 +273,8 @@ class _Tree:
         self.deg = [len(a) for a in T.adj]
         self.size = T.n
         self.deg2 = self.deg.count(2)
-        self.r1: set[int] = set()
-        self._refresh_r1(range(T.n))
+        leaf_parents = Counter(a[0] for a in T.adj if len(a) == 1)
+        self.r1 = {v for v, c in leaf_parents.items() if c >= 2}
 
     def _refresh_r1(self, vertices) -> None:
         adj, alive, deg, r1 = self.adj, self.alive, self.deg, self.r1
@@ -354,8 +354,8 @@ class _Tree:
         return diametral_path(self.graph, self.alive)
 
     def audit(self, S: frozenset) -> tuple[bool, str]:
-        """``good_set_audit`` on the alive subtree, S in input ids, with the
-        same three parts and messages."""
+        """The three-part check of ``good_set_audit`` on the alive subtree,
+        S in input ids."""
         if not _tree_ei_holds(self.graph, S, self.alive):
             return False, "set is not exponentially independent"
         alive, deg = self.alive, self.deg
@@ -398,20 +398,9 @@ def _hanging_levels(tree: _Tree, w4: int, w3p: int) -> list[list[int]]:
     holds w3p, cut after four levels: the callers only need to tell
     components of up to three vertices, or of depth exactly 3 from w4,
     from the rest."""
-    adj, alive = tree.adj, tree.alive
-    seen = {w4, w3p}
-    levels = [[w3p]]
-    while len(levels) < 4:
-        nxt = []
-        for v in levels[-1]:
-            for w in adj[v]:
-                if alive[w] and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        levels.append(nxt)
-    return levels
+    seen = dead_marks(tree.alive)
+    seen[w4] = 1
+    return bfs_levels(tree.adj, w3p, seen, 3)
 
 
 def _reduction_r3(tree: _Tree, path: list[int]) -> tuple:

@@ -29,6 +29,7 @@ from .constructors import greedy_packing, packing_separation, tree_good_set
 from .families import FAMILIES, free_trees, gen_perfect_binary, gen_tprime, tprime_dense_set
 from .graphs import (
     Graph,
+    ParameterError,
     degree2_vertices,
     endvertices,
     is_connected,
@@ -51,7 +52,7 @@ ALPHA_EXACT_LIMIT = 20
 GAMMA_EXACT_LIMIT = 12
 
 
-class CorpusError(ValueError):
+class CorpusError(ParameterError):
     """Unparseable corpus entry."""
 
 
@@ -239,12 +240,12 @@ def random_ei_probability(
     verifier decides."""
     depths = sorted(set(k_range))
     if not depths:
-        raise ValueError("empty depth range")
+        raise ParameterError("empty depth range")
     if trials <= 0:
-        raise ValueError("trials must be positive")
+        raise ParameterError("trials must be positive")
     p = Fraction(p)
     if not (0 < p <= 1):
-        raise ValueError("p must lie in (0, 1]")
+        raise ParameterError("p must lie in (0, 1]")
     p_float = float(p)
     table = CsvTable(
         header=("depth", "n", "trials", "successes", "p_hat", "ci95_half"),
@@ -312,7 +313,7 @@ def conjecture_scan(n_max: int) -> ScanReport:
     Also hunts for a maximal independent set that fails to dominate over
     the shapes up to order 8."""
     if not (1 <= n_max <= 10):
-        raise ValueError("n_max must be between 1 and 10")
+        raise ParameterError("n_max must be between 1 and 10")
     report = ScanReport(n_max)
     for n in range(1, n_max + 1):
         for idx, T in enumerate(free_trees(n)):
@@ -392,7 +393,7 @@ def forced_endvertex_study(k: int, time_budget: float | None = None) -> ForcingR
     quadruple in every interior block. ``time_budget`` covers both exact
     solves: the k = 9 ceiling gets what the first solve left over."""
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise ParameterError("k must be at least 2")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     lg = gen_tprime(k)
     G = lg.graph

@@ -432,24 +432,31 @@ def tree_code(G: Graph) -> str:
 
 
 def _bounded_sequences(n: int, max_count: int) -> Iterator[tuple[int, ...]]:
-    """All length n-2 sequences over 0..n-1 in lexicographic order with no
-    symbol repeated more than max_count times."""
-    seq = [0] * (n - 2)
+    """All length n-2 sequences over 0..n-1 (n >= 3) in lexicographic
+    order with no symbol repeated more than max_count times. An odometer:
+    each position advances to its next allowed symbol, -1 meaning none
+    chosen yet, so no depth reaches the recursion limit."""
+    last = n - 3
+    seq = [-1] * (n - 2)
     counts = [0] * n
-
-    def rec(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == n - 2:
-            yield tuple(seq)
-            return
-        for v in range(n):
-            if counts[v] == max_count:
-                continue
-            counts[v] += 1
-            seq[pos] = v
-            yield from rec(pos + 1)
+    pos = 0
+    while pos >= 0:
+        v = seq[pos]
+        if v >= 0:
             counts[v] -= 1
-
-    yield from rec(0)
+        v += 1
+        while v < n and counts[v] == max_count:
+            v += 1
+        if v == n:
+            seq[pos] = -1
+            pos -= 1
+            continue
+        counts[v] += 1
+        seq[pos] = v
+        if pos == last:
+            yield tuple(seq)
+        else:
+            pos += 1
 
 
 def enumerate_trees(n: int, max_degree: int | None = None, dedupe: bool = False) -> Iterator[Graph]:

@@ -6,6 +6,15 @@ immutable after construction and all queries are read-only. Distances are
 hop counts, with ``math.inf`` standing in for "unreachable" so ordinary
 comparisons order every finite distance below infinity.
 
+``bfs_levels`` is the one search: level-synchronous, over the vertices not
+marked in a caller's bytearray, optionally cut at a radius. Balls,
+connectivity, components, diametral paths and the good-set builder's
+hanging components all run on it, and each restricts it only through the
+marks. ``bfs_distances`` and ``absorbing_bfs`` keep their own loops: they
+are the independent references the tests compare the other searches
+against, and ``bfs_distances`` also fills the solvers' plain-distance
+table (``_PlainDistances``).
+
 ``absorbing_bfs`` is the single-pass realization of distances in a
 vertex-deleted graph: sink vertices may terminate a walk but are never
 expanded. One call from a source u therefore yields, for every target v at
@@ -29,6 +38,11 @@ class EdgeListError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class ParameterError(ValueError):
+    """A caller's parameter lies outside its range; raised before any work
+    is done, so the command line reports it as a usage error."""
 
 
 class Graph:
@@ -193,26 +207,35 @@ def absorbing_bfs(G: Graph, u: int, sinks: Iterable[int]) -> list:
     return [d if d >= 0 else INF for d in dist]
 
 
-def bfs_ball(G: Graph, u: int, radius: int) -> list[list[int]]:
-    """Distance-capped BFS from u: ``levels[d]`` lists the vertices at hop
-    distance d, for d up to the radius, and the list ends at the last
-    non-empty level. Only the ball is touched, so a call costs its size."""
-    adj = G.adj
-    seen = {u}
-    frontier = [u]
+def bfs_levels(adj, src: int, seen: bytearray, radius: int | None = None) -> list[list[int]]:
+    """The one level-synchronous search: ``levels[d]`` lists, in the order
+    reached, the vertices at hop distance d from src over the vertices not
+    marked in ``seen``, and the list ends at the last non-empty level. It
+    marks src and everything it visits, so a caller restricts a search by
+    marking vertices beforehand and can share one array across searches.
+    With a radius, it stops after that many levels beyond src."""
+    seen[src] = 1
+    frontier = [src]
     levels = [frontier]
-    for _ in range(radius):
+    for _ in range(len(adj) if radius is None else radius):
         nxt = []
         for x in frontier:
             for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
+                if not seen[y]:
+                    seen[y] = 1
                     nxt.append(y)
         if not nxt:
             break
         levels.append(nxt)
         frontier = nxt
     return levels
+
+
+def bfs_ball(G: Graph, u: int, radius: int) -> list[list[int]]:
+    """Distance-capped BFS from u: ``levels[d]`` lists the vertices at hop
+    distance d, for d up to the radius, and the list ends at the last
+    non-empty level."""
+    return bfs_levels(G.adj, u, bytearray(G.n), radius)
 
 
 def d_neighborhood(G: Graph, u: int, d: int) -> frozenset:
@@ -228,23 +251,10 @@ def max_degree(G: Graph) -> int:
 
 
 def is_connected(G: Graph) -> bool:
-    """One search from vertex 0 that counts what it reaches; no distance
-    list is built."""
-    n = G.n
-    if n <= 1:
+    """One search from vertex 0 that counts what it reaches."""
+    if G.n <= 1:
         return True
-    adj = G.adj
-    seen = bytearray(n)
-    seen[0] = 1
-    reached = 1
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if not seen[w]:
-                seen[w] = 1
-                reached += 1
-                stack.append(w)
-    return reached == n
+    return sum(map(len, bfs_levels(G.adj, 0, bytearray(G.n)))) == G.n
 
 
 def is_tree(G: Graph) -> bool:
@@ -272,42 +282,27 @@ def dead_marks(alive) -> bytearray:
     return bytearray(alive.translate(_FLIP))
 
 
-def _bfs_tree(adj, src: int, alive) -> tuple[list[int], list[int]]:
-    """Level-synchronous BFS from src over the alive vertices: returns the
-    last (farthest) level and the BFS parent of every vertex reached."""
-    seen = dead_marks(alive)
-    seen[src] = 1
-    parent = [0] * len(alive)
-    frontier = [src]
-    while True:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    parent[y] = x
-                    nxt.append(y)
-        if not nxt:
-            return frontier, parent
-        frontier = nxt
-
-
 def diametral_path(G: Graph, alive) -> list[int]:
     """A diametral path of the tree that G induces on the vertices v with
     ``alive[v]`` set (a non-empty connected subtree), found by double BFS.
 
     Ties break to the smallest vertex id at every choice: the first sweep
     starts at the smallest alive vertex and each sweep picks the smallest
-    farthest vertex. The walk back follows BFS parents, which in a tree are
-    the only neighbours one step closer. The returned path starts at its
-    smaller endpoint. The sweeps visit only alive vertices."""
+    farthest vertex. The walk back takes, level by level, the neighbour in
+    the level before, which in a tree is the only one. The returned path
+    starts at its smaller endpoint. The sweeps visit only alive vertices."""
     adj = G.adj
-    a = min(_bfs_tree(adj, alive.index(1), alive)[0])
-    last, parent = _bfs_tree(adj, a, alive)
-    cur = min(last)
+    a = min(bfs_levels(adj, alive.index(1), dead_marks(alive))[-1])
+    levels = bfs_levels(adj, a, dead_marks(alive))
+    cur = min(levels[-1])
     path = [cur]
-    while cur != a:
-        cur = parent[cur]
+    # the level lists are scanned in place, with a plain loop: a set built
+    # per level, or a generator per step, made the good-set builder
+    # measurably slower
+    for level in reversed(levels[:-1]):
+        for cur in adj[cur]:
+            if cur in level:
+                break
         path.append(cur)
     # path runs from the second sweep's far end to a; orient the smaller
     # endpoint first
@@ -339,20 +334,9 @@ def induced_subgraph(G: Graph, keep: Iterable[int]) -> tuple[Graph, list[int]]:
 
 def connected_components(G: Graph) -> list[list[int]]:
     """Vertex lists of the components, each sorted, ordered by smallest member."""
-    seen = [False] * G.n
-    comps = []
-    for s in range(G.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        q = deque((s,))
-        while q:
-            v = q.popleft()
-            for w in G.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    q.append(w)
-        comps.append(sorted(comp))
-    return comps
+    seen = bytearray(G.n)
+    return [
+        sorted(v for level in bfs_levels(G.adj, s, seen) for v in level)
+        for s in range(G.n)
+        if not seen[s]
+    ]

@@ -311,6 +311,22 @@ class TestExperiment:
         assert "constrained optimum (all endvertices required): 10" in out.read_text()
 
 
+class TestFlagValues:
+    @pytest.mark.parametrize("argv, message", [
+        (("experiment", "--name", "conjecture-scan", "--nmax", 11), "n_max must be between 1 and 10"),
+        (("experiment", "--name", "random-ei", "--trials", 0), "trials must be positive"),
+        (("experiment", "--name", "random-ei", "--kmin", 5, "--kmax", 3), "empty depth range"),
+        (("experiment", "--name", "random-ei", "--p", 2), "p must lie in (0, 1]"),
+        (("experiment", "--name", "forced-endvertices", "--k", 1), "k must be at least 2"),
+        (("construct", "--method", "packing", "--graph", "GRAPH", "--dstar", 0), "dstar must be at least 1"),
+    ])
+    def test_bad_value_is_a_usage_error(self, tmp_path, argv, message):
+        g = tmp_path / "p6.el"
+        g.write_text(write_edge_list(families.gen_path(6)))
+        rc, out, err = run(*(g if a == "GRAPH" else a for a in argv))
+        assert (rc, out, err) == (2, "", f"usage error: {message}\n")
+
+
 class TestParserBasics:
     def test_version(self):
         with pytest.raises(SystemExit) as exc:

@@ -207,6 +207,11 @@ class TestGoodSetSmall:
             bad = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
             tree_good_set(bad)
 
+    @pytest.mark.parametrize("G", [gen_cycle(5), Graph(4, [(0, 1), (2, 3)]), Graph(0)])
+    def test_audit_rejects_non_trees(self, G):
+        with pytest.raises(ValueError, match="input is not a connected tree"):
+            good_set_audit(G, frozenset())
+
 
 class TestGoodSetPaths:
     def test_schedule_sizes(self):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -258,6 +260,18 @@ class TestEnumeration:
         for T in enumerate_trees(6, max_degree=3):
             assert is_tree(T)
             assert max_degree(T) <= 3
+
+    def test_labeled_order_pinned(self):
+        """sha256 over the edge lists of two labeled streams, recorded
+        with the recursive sequence generator: the order is unchanged."""
+        h = hashlib.sha256()
+        for T in itertools.chain(enumerate_trees(6), enumerate_trees(7, max_degree=3)):
+            h.update((";".join(f"{u}-{v}" for u, v in T.edges()) + "\n").encode())
+        assert h.hexdigest() == "17614b8a745cbe7a7bcf48b9b3d382a7225dc24c16ddf3db296e2b32bea01034"
+
+    def test_large_order_has_no_recursion_limit(self):
+        T = next(enumerate_trees(1200, max_degree=3))
+        assert T.n == 1200 and is_tree(T) and max_degree(T) <= 3
 
     def test_free_trees_counts(self):
         for n, count in enumerate(FREE_TREE_COUNTS, start=1):

@@ -21,6 +21,7 @@ from expindep.graphs import (
     absorbing_bfs,
     bfs_ball,
     bfs_distances,
+    bfs_levels,
     connected_components,
     d_neighborhood,
     degree2_vertices,
@@ -248,6 +249,36 @@ class TestBfsBall:
     def test_isolated_vertex(self):
         assert bfs_ball(Graph(3, [(1, 2)]), 0, 4) == [[0]]
 
+    def test_nonpositive_radius_is_the_source_alone(self):
+        # a negative radius is not an "unbounded" sentinel
+        G = gen_path(5)
+        assert bfs_ball(G, 2, 0) == [[2]]
+        assert bfs_ball(G, 2, -1) == [[2]]
+
+
+class TestBfsLevels:
+    def test_marked_vertices_are_skipped(self):
+        """From each source, the levels over the unmarked vertices are the
+        distance classes of the subgraph they induce, and exactly what the
+        search reached gets marked."""
+        rng = random.Random(14)
+        for seed in range(20):
+            G = random_subcubic_graph(30, seed % 4, 320 + seed)
+            marked = set(rng.sample(range(G.n), rng.randrange(G.n // 2)))
+            keep = [v for v in range(G.n) if v not in marked]
+            sub, old_ids = induced_subgraph(G, keep)
+            for i, src in enumerate(old_ids):
+                seen = bytearray(G.n)
+                for v in marked:
+                    seen[v] = 1
+                levels = bfs_levels(G.adj, src, seen)
+                dist = bfs_distances(sub, i)
+                want = [sorted(old_ids[j] for j in range(sub.n) if dist[j] == d) for d in range(len(levels))]
+                assert [sorted(level) for level in levels] == want, (seed, src)
+                assert max(d for d in dist if d != INF) == len(levels) - 1
+                reached = {v for level in levels for v in level}
+                assert [v for v in range(G.n) if seen[v]] == sorted(marked | reached)
+
 
 class TestDNeighborhood:
     def test_cycle(self):
@@ -402,6 +433,23 @@ class TestStructuralQueries:
         assert connected_components(G) == [[0, 3], [1, 2], [4]]
         assert not is_connected(G)
         assert is_connected(gen_cycle(4))
+
+    def test_connected_components_match_bfs_distances(self):
+        rng = random.Random(15)
+        isolated = 0
+        for i in range(200):
+            n = rng.randrange(1, 16)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            G = Graph(n, rng.sample(pairs, rng.randrange(min(n, len(pairs)) + 1)))
+            want = []
+            for s in range(n):
+                if not any(s in comp for comp in want):
+                    dist = bfs_distances(G, s)
+                    want.append([v for v in range(n) if dist[v] != INF])
+            assert connected_components(G) == want, (n, list(G.edges()))
+            isolated += sum(len(comp) == 1 for comp in want)
+        assert isolated > 0
+        assert connected_components(Graph(0)) == []
 
 
 class TestInducedSubgraph:
