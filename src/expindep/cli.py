@@ -97,10 +97,7 @@ def _cmd_gen(args) -> int:
     if args.labels_out:
         lines = [f"# expindep {__version__}"]
         for name in sorted(lg.labels):
-            val = lg.labels[name]
-            ids = (val,) if isinstance(val, int) else val
-            for v in ids:
-                lines.append(f"{name} {v}")
+            lines.extend(f"{name} {v}" for v in sorted(lg.vset(name)))
         _write(args.labels_out, "\n".join(lines) + "\n")
     return 0
 

@@ -87,11 +87,7 @@ def gen_tk(k: int) -> LabeledGraph:
 
 def canonical_set_tk(k: int) -> frozenset:
     """All k + 2 endvertices of gen_tk(k)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return frozenset(
-        [3 * (i - 1) + 2 for i in range(1, k + 1)] + [3 * k + 1, 3 * k + 3]
-    )
+    return endvertices(gen_tk(k).graph)
 
 
 _TPRIME_FINGERPRINT = Dyadic(11, 5)
@@ -169,20 +165,19 @@ def tprime_dense_set(k: int, phase: int = 0) -> frozenset:
     return frozenset(out)
 
 
-def gen_tdelta(delta: int, depth: int) -> LabeledGraph:
-    """Rooted tree in which every non-leaf has degree ``delta`` and every
-    leaf sits at depth ``depth``: the root gets delta children, every other
-    internal vertex delta - 1. Ids are level order, so parents precede
-    children. depth 0 is the single vertex."""
-    if delta < 3:
-        raise ValueError("delta must be at least 3")
+def _leveled_tree(depth: int, root_kids: int, kids: int) -> LabeledGraph:
+    """Rooted tree with every leaf at ``depth``: the root gets
+    ``root_kids`` children and every other internal vertex ``kids``. Ids
+    are level order, so parents precede children and siblings are
+    consecutive; labeled ``root`` and ``depth_j`` for each level j. depth
+    0 is the single vertex."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     edges = []
     levels: list[list[int]] = [[0]]
     next_id = 1
     for lev in range(depth):
-        kids_per = delta if lev == 0 else delta - 1
+        kids_per = root_kids if lev == 0 else kids
         nxt = []
         for v in levels[-1]:
             for _ in range(kids_per):
@@ -194,6 +189,15 @@ def gen_tdelta(delta: int, depth: int) -> LabeledGraph:
     for j, lev in enumerate(levels):
         labels[f"depth_{j}"] = tuple(lev)
     return LabeledGraph(Graph(next_id, edges), labels)
+
+
+def gen_tdelta(delta: int, depth: int) -> LabeledGraph:
+    """Rooted tree in which every non-leaf has degree ``delta`` and every
+    leaf sits at depth ``depth``: the root gets delta children, every other
+    internal vertex delta - 1."""
+    if delta < 3:
+        raise ValueError("delta must be at least 3")
+    return _leveled_tree(depth, delta, delta - 1)
 
 
 def grandchild_set(d: int) -> frozenset:
@@ -213,24 +217,8 @@ def grandchild_set(d: int) -> frozenset:
 def gen_perfect_binary(depth: int) -> LabeledGraph:
     """Perfect binary tree: root with two children, every internal vertex
     with two children, all leaves at ``depth``. Order 2**(depth+1) - 1."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    edges = []
-    levels: list[list[int]] = [[0]]
-    next_id = 1
-    for _ in range(depth):
-        nxt = []
-        for v in levels[-1]:
-            for _ in range(2):
-                edges.append((v, next_id))
-                nxt.append(next_id)
-                next_id += 1
-        levels.append(nxt)
-    labels: dict[str, int | tuple[int, ...]] = {"root": 0}
-    for j, lev in enumerate(levels):
-        labels[f"depth_{j}"] = tuple(lev)
-    labels["leaves"] = tuple(levels[-1])
-    return LabeledGraph(Graph(next_id, edges), labels)
+    lg = _leveled_tree(depth, 2, 2)
+    return LabeledGraph(lg.graph, {**lg.labels, "leaves": lg.labels[f"depth_{depth}"]})
 
 
 def leaf_set(lg: LabeledGraph) -> frozenset:

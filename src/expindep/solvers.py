@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .graphs import Graph, bfs_distances, connected_components, induced_subgraph
+from .graphs import Graph, ParameterError, bfs_distances, connected_components, induced_subgraph
 from .weights import (
     _ei_checks,
     _influence,
@@ -68,6 +68,18 @@ class InfeasibleError(ValueError):
 
 class _Timeout(Exception):
     pass
+
+
+def _deadline(time_budget: float | None) -> float | None:
+    """The ``time.monotonic()`` reading at which a budget runs out, None
+    for no budget. A NaN deadline would make every comparison false and
+    switch the budget off, so a NaN or negative budget raises
+    ParameterError before any work; 0 and inf are allowed."""
+    if time_budget is None:
+        return None
+    if not time_budget >= 0:
+        raise ParameterError(f"time budget must be a nonnegative number, not {time_budget}")
+    return time.monotonic() + time_budget
 
 
 @dataclass(frozen=True)
@@ -135,8 +147,9 @@ def alpha_e_exact(
     never touching ``excluded``. Deterministic: branching order is
     descending degree with id tie-break, and the witness is the
     lexicographically smallest among the optima. On timeout the best
-    incumbent is returned with status "timeout". Ids outside
-    ``range(G.n)`` raise ValueError."""
+    incumbent is returned with status "timeout"; a NaN or negative budget
+    raises ParameterError. Ids outside ``range(G.n)`` raise ValueError."""
+    deadline = _deadline(time_budget)
     req = frozenset(required)
     exc = frozenset(excluded)
     outside = sorted(u for u in req | exc if not 0 <= u < G.n)
@@ -152,7 +165,6 @@ def alpha_e_exact(
 
     order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
     cands = [v for v in order if v not in req and v not in exc]
-    deadline = None if time_budget is None else time.monotonic() + time_budget
 
     best_size = len(req)
     best_set = tuple(sorted(req))
@@ -242,8 +254,9 @@ def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
     under the deadline check. On timeout the witness is the whole vertex
     set, the trivial upper bound n (every member's self term is 2, so it
     always dominates), with status "timeout". Like the exact optimum, it
-    is re-checked by the full verifier first."""
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    is re-checked by the full verifier first. A NaN or negative budget
+    raises ParameterError."""
+    deadline = _deadline(time_budget)
     nodes = 0
     witness: list[int] = []
     status = "optimal"

@@ -84,12 +84,11 @@ class Dyadic:
 
     @classmethod
     def influence(cls, distance: int) -> "Dyadic":
-        """The term (1/2) ** (distance - 1); distance 0 gives 2."""
+        """The term (1/2) ** (distance - 1), that is 2 / 2**distance;
+        distance 0 gives 2."""
         if distance < 0:
             raise ValueError("distance must be nonnegative")
-        if distance == 0:
-            return cls(2, 0)
-        return cls(1, distance - 1)
+        return cls(2, distance)
 
     def _scaled(self, other):
         """Both numerators over the common denominator, or None when
@@ -109,7 +108,8 @@ class Dyadic:
         return NotImplemented if pair is None else pair[0] < pair[1]
 
     def __hash__(self):
-        return hash((self.num, self.exp))
+        # an integral value equals its int, so it hashes like one
+        return hash(self.num) if self.exp == 0 else hash((self.num, self.exp))
 
     def __add__(self, other):
         if isinstance(other, int):
@@ -357,12 +357,22 @@ def _tree_influence(
     return F, K
 
 
+def _has_adjacent_members(adj, members: frozenset) -> bool:
+    """Whether two members are adjacent. Each of them then receives exactly
+    1 from the other, so no set with an adjacent pair is independent."""
+    return not all(members.isdisjoint(adj[u]) for u in members)
+
+
 def ei_holds(G: Graph, S: Iterable[int]) -> bool:
-    """Boolean form of the independence verifier: the same per-member loop,
-    stopped at the first violation, with no report built. A tree takes the
-    tree pass instead: it needs no two members adjacent and, for every
-    member u, the sum of (F(a) - 1) / 2 over u's neighbors a below 1."""
+    """Boolean form of the independence verifier. Two adjacent members
+    reject S first, on every graph, before the tree test. Otherwise a tree
+    takes the tree pass: every member u needs the sum of (F(a) - 1) / 2
+    over its neighbors a below 1. Any other graph runs the verifier's
+    per-member loop, stopped at the first violation, with no report
+    built."""
     members = frozenset(S)
+    if _has_adjacent_members(G.adj, members):
+        return False
     if not is_tree(G):
         return all(good for _, good, *_ in _ei_checks(G, members))
     return _tree_ei_holds(G, members)
@@ -373,7 +383,7 @@ def _tree_ei_holds(T: Graph, members: frozenset, alive: bytearray | None = None)
     the subtree of the alive vertices (members must be alive); dead
     neighbours of a member are skipped."""
     adj = T.adj
-    if not all(members.isdisjoint(adj[u]) for u in members):
+    if _has_adjacent_members(adj, members):
         return False
     F, K = _tree_influence(T, members, alive)
     for u in members:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -9,7 +10,7 @@ import pytest
 from expindep import cli, families, weights
 from expindep.cli import main
 from expindep.experiments import parse_corpus
-from expindep.families import FAMILIES
+from expindep.families import FAMILIES, canonical_set_tk, tprime_dense_set
 from expindep.graphs import write_edge_list
 from expindep.weights import ei_holds
 
@@ -206,6 +207,18 @@ class TestSolve:
         assert "witness " + " ".join(map(str, range(16))) in out
         assert "trivial upper bound" in err
 
+    @pytest.mark.parametrize("param", ["alpha-e", "gamma-e"])
+    @pytest.mark.parametrize("budget, shown", [("nan", "nan"), ("-1", "-1.0")])
+    def test_nan_or_negative_timeout_is_a_usage_error(self, tmp_path, param, budget, shown):
+        # a NaN deadline compares false with every clock reading, so the
+        # search used to run with no budget at all
+        g = tmp_path / "p3.el"
+        run("gen", "--family", "path", "--n", 3, "--out", g)
+        rc, out, err = run("solve", "--param", param, "--graph", g, "--timeout", budget)
+        assert (rc, out, err) == (
+            2, "", f"usage error: time budget must be a nonnegative number, not {shown}\n"
+        )
+
     def test_deep_search_is_a_runtime_error(self, tmp_path):
         # the branch and bound goes one level deeper per candidate; on a
         # long path it must run into its time budget and report the
@@ -319,6 +332,9 @@ class TestFlagValues:
         (("experiment", "--name", "random-ei", "--p", 2), "p must lie in (0, 1]"),
         (("experiment", "--name", "forced-endvertices", "--k", 1), "k must be at least 2"),
         (("construct", "--method", "packing", "--graph", "GRAPH", "--dstar", 0), "dstar must be at least 1"),
+        (("experiment", "--name", "random-ei", "--kmin", -1, "--kmax", 0), "depth must be nonnegative"),
+        (("experiment", "--name", "forced-endvertices", "--k", 2, "--timeout", "nan"),
+         "time budget must be a nonnegative number, not nan"),
     ])
     def test_bad_value_is_a_usage_error(self, tmp_path, argv, message):
         g = tmp_path / "p6.el"
@@ -370,6 +386,45 @@ class TestRegistry:
             for k in range(1, 6):
                 for phase in (0, 1, 2):
                     assert ei_holds(fam.build(k).graph, fam.canonical(k, phase=phase)), (name, k, phase)
+
+
+# a grid of parameters per family: tdelta covers delta 3..5 at depth 0..3
+# and pbt depth 0..4, the two families built by the leveled-tree builder
+FAMILY_GRID = {
+    "tk": [(k,) for k in range(1, 7)],
+    "tprime": [(k,) for k in range(1, 6)],
+    "tdelta": [(d, h) for d in range(3, 6) for h in range(4)],
+    "pbt": [(h,) for h in range(5)],
+    "path": [(n,) for n in range(1, 9)],
+    "cycle": [(n,) for n in range(3, 9)],
+    "random-tree": [(n, s) for n in (1, 5, 20) for s in range(3)],
+    "random-graph": [(n, e, s) for n in (6, 15) for e in range(3) for s in range(2)],
+}
+
+
+class TestFamilyByteIdentity:
+    def test_gen_outputs_and_canonical_sets_pinned(self, tmp_path):
+        """sha256 over ``gen`` stdout and ``--labels-out`` for every family
+        on FAMILY_GRID, then canonical_set_tk(1..29) and
+        tprime_dense_set(1..11, 0..2); recorded with a level loop in each
+        of gen_tdelta and gen_perfect_binary and hand-computed ids in
+        canonical_set_tk."""
+        assert set(FAMILY_GRID) == set(FAMILIES)
+        h = hashlib.sha256()
+        labels = tmp_path / "labels"
+        for name, fam in FAMILIES.items():
+            for values in FAMILY_GRID[name]:
+                flags = [x for p, v in zip(fam.params, values) for x in (f"--{p}", v)]
+                rc, out, err = run("gen", "--family", name, *flags, "--labels-out", labels)
+                assert (rc, err) == (0, ""), (name, values)
+                h.update(out.encode())
+                h.update(labels.read_bytes())
+        for k in range(1, 30):
+            h.update((" ".join(map(str, sorted(canonical_set_tk(k)))) + "\n").encode())
+        for k in range(1, 12):
+            for phase in range(3):
+                h.update((" ".join(map(str, sorted(tprime_dense_set(k, phase)))) + "\n").encode())
+        assert h.hexdigest() == "10271746cd4ab400d833db6677f21379db6ee3c0ee988b3eedbdf72a15b14f70"
 
 
 def _perfbench_layers():

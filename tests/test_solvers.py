@@ -18,6 +18,7 @@ from expindep.families import (
 )
 from expindep.graphs import (
     Graph,
+    ParameterError,
     bfs_distances,
     degree2_vertices,
     is_connected,
@@ -325,6 +326,20 @@ class TestGamma:
         res = gamma_e_exact(gen_path(3000), time_budget=0.5)
         assert time.monotonic() - start < 1.5
         assert res.status == "timeout"
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0, -0.001])
+    def test_nan_or_negative_budget_is_rejected_before_any_work(self, budget):
+        # a NaN deadline never compares true, so gamma_e_exact on
+        # gen_path(3000) used to run on with no budget
+        for solve in (gamma_e_exact, alpha_e_exact):
+            with pytest.raises(ParameterError, match="time budget must be a nonnegative number"):
+                solve(gen_path(8), time_budget=budget)
+
+    def test_zero_and_infinite_budgets_are_allowed(self):
+        G = gen_path(5)
+        for budget in (0.0, float("inf")):
+            assert alpha_e_exact(G, time_budget=budget).optimum == 2
+        assert gamma_e_exact(G, time_budget=float("inf")).status == "optimal"
 
 
 class TestMaximalNotDominating:

@@ -20,6 +20,7 @@ from expindep.families import (
     tprime_dense_set,
 )
 from expindep.graphs import INF, Graph, absorbing_bfs, bfs_distances, induced_subgraph, is_tree
+from expindep import weights
 from expindep.weights import (
     Dyadic,
     _ed_checks,
@@ -61,6 +62,13 @@ class TestDyadic:
         assert Dyadic.influence(0) == Dyadic(2, 0)
         assert Dyadic.influence(1) == Dyadic(1, 0)
         assert Dyadic.influence(4) == Dyadic(1, 3)
+
+    def test_integral_values_hash_like_their_int(self):
+        assert Dyadic(2, 0) == 2
+        assert 2 in {Dyadic(2, 0)}
+        assert hash(Dyadic(4, 1)) == hash(2)
+        assert Dyadic(4, 1) in {2: "two"}
+        assert hash(Dyadic(0, 5)) == hash(0)
 
     def test_str_and_decimal(self):
         assert str(Dyadic(11, 5)) == "11/2^5"
@@ -139,6 +147,17 @@ class TestBooleanVerifiersAgainstOracle:
                 assert ed_holds(G, S) == all(w >= 1 for w in ed_w), (list(G.edges()), S)
         assert boundary["ei"] >= len(random_graph_pool)
         assert boundary["ed"] >= len(random_graph_pool)
+
+    def test_adjacent_members_are_rejected_before_any_other_test(self, monkeypatch):
+        # an adjacent pair decides ei_holds on every graph, before the
+        # tree test and before any sweep
+        def fail(*args):
+            raise AssertionError("ran after an adjacent pair was present")
+
+        monkeypatch.setattr(weights, "is_tree", fail)
+        monkeypatch.setattr(weights, "_influence", fail)
+        assert not ei_holds(gen_cycle(5), {0, 1})
+        assert not ei_holds(gen_path(4), {1, 2})
 
 
 def kernel_reference(G, S, u):
