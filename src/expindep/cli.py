@@ -34,10 +34,6 @@ from .experiments import (
 )
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _write(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -61,14 +57,14 @@ def _read_set(path: str) -> frozenset:
             try:
                 out.add(int(line))
             except ValueError:
-                raise UsageError(f"set file line {line_no}: expected a vertex id, got {line!r}") from None
+                raise ParameterError(f"set file line {line_no}: expected a vertex id, got {line!r}") from None
     return frozenset(out)
 
 
 def _check_ids(G, S, what: str) -> None:
     bad = sorted(v for v in S if not 0 <= v < G.n)
     if bad:
-        raise UsageError(f"{what} contains ids outside the graph: {bad}")
+        raise ParameterError(f"{what} contains ids outside the graph: {bad}")
 
 
 def _set_text(S) -> str:
@@ -82,7 +78,7 @@ def _family_params(name: str, args) -> list[int]:
     for param in FAMILIES[name].params:
         val = getattr(args, param.replace("-", "_"), None)
         if val is None:
-            raise UsageError(f"--{param} is required for family {name}")
+            raise ParameterError(f"--{param} is required for family {name}")
         values.append(val)
     return values
 
@@ -92,7 +88,7 @@ def _cmd_gen(args) -> int:
     try:
         lg = FAMILIES[args.family].build(*params)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ParameterError(str(exc)) from exc
     _write(args.out, write_edge_list(lg.graph))
     if args.labels_out:
         lines = [f"# expindep {__version__}"]
@@ -129,7 +125,7 @@ def _cmd_solve(args) -> int:
         result = alpha_e_exact(G, required=required, time_budget=args.timeout)
     else:
         if args.require_endvertices or args.require_set:
-            raise UsageError("--require-* flags apply to alpha-e only")
+            raise ParameterError("--require-* flags apply to alpha-e only")
         result = gamma_e_exact(G, time_budget=args.timeout)
         if result.status == "timeout":
             sys.stderr.write("note: gamma-e timed out; the witness is the whole vertex set, the trivial upper bound\n")
@@ -142,7 +138,7 @@ def _cmd_solve(args) -> int:
 def _cmd_construct(args) -> int:
     if args.method == "packing":
         if not args.graph:
-            raise UsageError("--graph is required for packing")
+            raise ParameterError("--graph is required for packing")
         G = _read_graph(args.graph)
         dstar = args.dstar if args.dstar is not None else packing_separation(G.n)
         S = greedy_packing(G, dstar)
@@ -151,7 +147,7 @@ def _cmd_construct(args) -> int:
         sys.stdout.write(f"method packing\ndstar {dstar}\nsize {len(S)}\nset " + " ".join(map(str, sorted(S))) + "\n")
     elif args.method == "tree-good":
         if not args.graph:
-            raise UsageError("--graph is required for tree-good")
+            raise ParameterError("--graph is required for tree-good")
         G = _read_graph(args.graph)
         S, trace = tree_good_set(G)
         ok, why = good_set_audit(G, S)
@@ -160,14 +156,14 @@ def _cmd_construct(args) -> int:
         sys.stdout.write(f"method tree-good\nsize {len(S)}\naudit {why}\nset " + " ".join(map(str, sorted(S))) + "\n")
     else:  # family-canonical
         if args.family is None:
-            raise UsageError("family-canonical supports --family " + " or ".join(_CANONICAL))
+            raise ParameterError("family-canonical supports --family " + " or ".join(_CANONICAL))
         fam = FAMILIES[args.family]
         params = _family_params(args.family, args)
         try:
             S = fam.canonical(*params, phase=args.phase)
             G = fam.build(*params).graph
         except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+            raise ParameterError(str(exc)) from exc
         if not ei_holds(G, S):
             raise RuntimeError("canonical set failed re-verification")
         sys.stdout.write(f"method family-canonical\nsize {len(S)}\nset " + " ".join(map(str, sorted(S))) + "\n")
@@ -179,13 +175,13 @@ def _cmd_construct(args) -> int:
 def _cmd_experiment(args) -> int:
     if args.name == "bound-table":
         if not args.corpus:
-            raise UsageError("--corpus is required for bound-table")
+            raise ParameterError("--corpus is required for bound-table")
         _write(args.out, bound_table(args.corpus).to_text())
     elif args.name == "random-ei":
         try:
             p = Fraction(args.p)
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"cannot parse probability {args.p!r}") from None
+            raise ParameterError(f"cannot parse probability {args.p!r}") from None
         table = random_ei_probability(
             range(args.kmin, args.kmax + 1), p, args.trials, args.seed
         )
@@ -196,6 +192,8 @@ def _cmd_experiment(args) -> int:
     else:  # forced-endvertices
         report = forced_endvertex_study(args.k, time_budget=args.timeout)
         _write(args.out, report.to_text())
+        if "timeout" in (report.constrained_status, report.k9_status):
+            return 3
     return 0
 
 
@@ -271,9 +269,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # a ParameterError is raised before any work, so it names a bad flag
-    # value, CorpusError included
-    except (UsageError, ParameterError) as exc:
+    # a ParameterError is raised before any work, so it names a missing
+    # flag or a bad flag value, CorpusError included
+    except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     # ValueError covers EdgeListError and InfeasibleError; RuntimeError

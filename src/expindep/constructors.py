@@ -82,6 +82,7 @@ from .graphs import (
     is_subcubic,
     is_tree,
 )
+from .solvers import InfeasibleError, alpha_e_exact
 from .weights import _tree_ei_holds, ei_holds
 
 
@@ -499,8 +500,6 @@ def _verify_good(tree: _Tree, S: frozenset, trace: GoodSetTrace, where: str):
 def _base_exact(tree: _Tree) -> frozenset:
     """Exact search on the alive tree (at most 8 vertices), rebuilt as one
     small Graph; the witness comes back in input ids."""
-    from .solvers import InfeasibleError, alpha_e_exact
-
     G, old_ids = induced_subgraph(tree.graph, tree.vertices())
     try:
         result = alpha_e_exact(G, required=endvertices(G))

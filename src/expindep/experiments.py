@@ -322,6 +322,11 @@ def conjecture_scan(n_max: int) -> ScanReport:
     return report
 
 
+def _lower_bound_note(status: str) -> str:
+    """The note after an optimum that a timed-out solve only bounds below."""
+    return " (timeout incumbent, a lower bound)" if status == "timeout" else ""
+
+
 @dataclass
 class ForcingReport:
     """Outcome of the endvertex-forcing study on the 13k-vertex family."""
@@ -335,19 +340,20 @@ class ForcingReport:
     interior_forced: bool = False
     dense_size: int = 0
     dense_size_k9: int = 0
+    constrained_status: str = "optimal"
     constrained_k9: int = 0
     k9_status: str = "optimal"
 
     def to_text(self) -> str:
         from . import __version__
 
-        k9_note = " (timeout incumbent, a lower bound)" if self.k9_status == "timeout" else ""
+        note, k9_note = _lower_bound_note(self.constrained_status), _lower_bound_note(self.k9_status)
         lines = [f"endvertex-forcing study on the 13k family, k={self.k} (n={self.n})"]
         lines.append("exclusion chains (exact; a value above 1 forbids the vertex once all leaves are required):")
         for name, value, verdict in self.chains:
             lines.append(f"  {name}: {value} > 1 is {verdict}")
         lines.append(f"pre-excluded interior vertices: {','.join(map(str, self.excluded)) or 'none'}")
-        lines.append(f"constrained optimum (all endvertices required): {self.constrained_optimum}")
+        lines.append(f"constrained optimum (all endvertices required): {self.constrained_optimum}{note}")
         lines.append("witness " + " ".join(map(str, self.constrained_witness)))
         lines.append(f"interior blocks forced to their leaf sets: {self.interior_forced}")
         lines.append(
@@ -370,7 +376,8 @@ def forced_endvertex_study(k: int, time_budget: float | None = None) -> ForcingR
     quadruples) is re-derived above 1 at runtime, so the reduction
     certifies itself; the witness is audited to use exactly the leaf
     quadruple in every interior block. ``time_budget`` covers both exact
-    solves: the k = 9 ceiling gets what the first solve left over."""
+    solves: the k = 9 ceiling gets what the first solve left over. A solve
+    that times out records it in ``constrained_status`` or ``k9_status``."""
     if k < 2:
         raise ParameterError("k must be at least 2")
     deadline = _deadline(time_budget)
@@ -395,6 +402,7 @@ def forced_endvertex_study(k: int, time_budget: float | None = None) -> ForcingR
     res = alpha_e_exact(G, required=leaves, excluded=excluded, time_budget=time_budget)
     report.constrained_optimum = res.optimum
     report.constrained_witness = res.witness
+    report.constrained_status = res.status
     witness = set(res.witness)
     forced = True
     for i in range(2, k):

@@ -24,13 +24,14 @@ members.
 
 Feasibility along the branch-and-bound path is checked incrementally.
 Every stack entry carries, beside its member set, an upper bound on each
-member's weight, an integer over 2 ** G.n. When v joins, v is rejected
-with no sweep if it has a member neighbour; otherwise one kernel sweep
-from v decides v's own condition and finds the members v reaches with
-their blocked distances d. A reached member whose bound plus 2 ** (1 - d)
-stays below 1 is accepted with no sweep; only the others are re-checked,
-by the same member check the verifier uses, and their bounds become
-their exact weights. A member v does not reach keeps its bound: a
+member's weight, an integer over 2 ** G.n, the weight kernel's scale, so
+an exact weight is stored as the kernel returns it. When v joins, v is
+rejected with no sweep if it has a member neighbour; otherwise one kernel
+sweep from v decides v's own condition and finds the members v reaches
+with their blocked distances d. A reached member whose bound plus
+2 ** (1 - d) stays below 1 is accepted with no sweep; only the others are
+re-checked, by the same member check the verifier uses, and their bounds
+become their exact weights. A member v does not reach keeps its bound: a
 shortest path through v would reach v. The verdicts, and so the search
 order and node count, are those of re-checking every reached member; the
 equivalence with full re-verification is covered by tests, and every
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 from .graphs import Graph, ParameterError, bfs_distances, connected_components, induced_subgraph
@@ -116,23 +117,22 @@ def try_extend(
     exact weight; a member v does not reach keeps its bound."""
     if not members.isdisjoint(G.adj[v]):
         return None
-    num, exp, reached = _influence(G, members, v)
-    if num >= 1 << exp:
+    num, reached = _influence(G, members, v)
+    one = 1 << G.n
+    if num >= one:
         return None
-    n = G.n
-    one = 1 << n
     grown = members | {v}
     grown_bounds = dict(bounds)
-    grown_bounds[v] = num << (n - exp)
+    grown_bounds[v] = num
     for x, d in reached:
         bound = bounds[x] + (one >> (d - 1))
         if bound < one:
             grown_bounds[x] = bound
             continue
-        good, num, exp, _ = _member_check(G, grown, x)
+        good, num, _ = _member_check(G, grown, x)
         if not good:
             return None
-        grown_bounds[x] = num << (n - exp)
+        grown_bounds[x] = num
     return grown, grown_bounds
 
 
@@ -158,10 +158,10 @@ def alpha_e_exact(
     if req & exc:
         raise ValueError("required and excluded sets overlap")
     bounds = {}  # each required member's exact weight, over 2 ** G.n
-    for u, good, num, exp, _ in _ei_checks(G, req):
+    for u, good, num, _ in _ei_checks(G, req):
         if not good:
             raise InfeasibleError(f"required set is not exponentially independent at vertex {u}")
-        bounds[u] = num << (G.n - exp)
+        bounds[u] = num
 
     order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
     cands = [v for v in order if v not in req and v not in exc]
@@ -233,11 +233,11 @@ class _PlainDistances(dict):
 def _uncovered(rows: list[list], xs: Iterable[int], one: int) -> int | None:
     """The first x in ``xs`` whose plain-distance sum from the combination
     with distance rows ``rows`` stays below 1, or None. ``one`` is 2 ** n
-    for a graph on n vertices, so each term 2 ** (1 - d) is ``one >> d``
-    over 2 ** (n - 1) and the test is exact."""
-    half = one >> 1
+    for a graph on n vertices, so each term 2 ** (1 - d) is ``two >> d``
+    over 2 ** n, the kernel's scale, and the test is exact."""
+    two = 2 * one
     for x in xs:
-        if sum(one >> r[x] for r in rows) < half:
+        if sum(two >> r[x] for r in rows) < one:
             return x
     return None
 
@@ -273,10 +273,7 @@ def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
                     nodes += 1
                     if deadline is not None and (nodes & 63) == 0 and time.monotonic() > deadline:
                         raise _Timeout
-                    rows = [table[v] for v in combo]
-                    if _uncovered(rows, (last,), one) is not None:
-                        continue
-                    miss = _uncovered(rows, xs, one)
+                    miss = _uncovered([table[v] for v in combo], chain((last,), xs), one)
                     if miss is not None:
                         last = miss
                         continue

@@ -20,11 +20,12 @@ integer comparisons. Floating point appears only in display strings.
 One kernel, ``_influence``, runs the absorbing sweep behind every weight
 and every verdict here and in the solvers. It walks out from the source
 level by level, records each member it meets without expanding it, and
-sums the influence by Horner as an integer numerator over a power of two,
-so each verdict is an integer comparison and a call costs only the part
-of the graph it reaches. A member's own condition is decided in one
-place, ``_member_check``, from one sweep over the set itself rather than
-over the set without that member. ``Dyadic`` values are built only for
+costs only the part of the graph it reaches. On n vertices every reached
+distance is below n, so every weight is an integer over 2**n: the kernel
+returns it, the solvers store it as is, and each verdict compares it with
+1 << n. A member's own condition is decided in one place,
+``_member_check``, from one sweep over the set itself rather than over
+the set without that member. ``Dyadic`` values are built only for
 returned weights and reports. ``graphs.absorbing_bfs`` gives the same distances as
 a dense list; ``blocked_distance`` uses it, and the tests use it as the
 kernel's oracle.
@@ -191,30 +192,26 @@ def blocked_distance(G: Graph, S: Iterable[int], u: int, v: int):
     return absorbing_bfs(G, u, frozenset(S))[v]
 
 
-def _influence(G: Graph, members: frozenset, u: int) -> tuple[int, int, list[tuple[int, int]]]:
+def _influence(G: Graph, members: frozenset, u: int) -> tuple[int, list[tuple[int, int]]]:
     """The weight kernel: one absorbing sweep from u over ``members``.
 
-    Returns ``(num, exp, reached)``: ``reached`` lists the members u
-    reaches as (source, blocked distance) pairs in BFS order, u itself at
-    distance 0 when it is a member, and num / 2**exp is their exact total
-    influence on u. With D the largest reached distance, num = sum of
-    2**(D+1-d) and exp = D, so the member test is ``num < 1 << exp`` and
-    the domination test is ``num >= 1 << exp``.
+    Returns ``(num, reached)``: ``reached`` lists the members u reaches as
+    (source, blocked distance) pairs in BFS order, u itself at distance 0
+    when it is a member, and num / 2**G.n is their exact total influence
+    on u, a member at distance d adding 2**(G.n + 1 - d). So the member
+    test is ``num < 1 << G.n`` and the domination test is
+    ``num >= 1 << G.n``.
 
     The sweep goes level by level: a member it meets is recorded and never
-    expanded, the source always is, and num is built by Horner as the
-    levels arrive, so a call costs the part of G it reaches plus one
-    ``bytearray`` of visited marks."""
+    expanded, the source always is, so a call costs the part of G it
+    reaches, one ``bytearray`` of visited marks and one n-bit addition per
+    level that holds a member."""
     adj = G.adj
     seen = bytearray(G.n)
     seen[u] = 1
-    if u in members:
-        reached = [(u, 0)]
-        num = 2
-    else:
-        reached = []
-        num = 0
-    top = d = 0
+    reached = [(u, 0)] if u in members else []
+    num = 2 << G.n if reached else 0
+    d = 0
     frontier = [u]
     while frontier:
         d += 1
@@ -230,10 +227,9 @@ def _influence(G: Graph, members: frozenset, u: int) -> tuple[int, int, list[tup
                     else:
                         nxt.append(y)
         if hits:
-            num = (num << (d - top)) + 2 * hits
-            top = d
+            num += hits << (G.n + 1 - d)
         frontier = nxt
-    return num, top, reached
+    return num, reached
 
 
 def _contributions(reached: list[tuple[int, int]]) -> tuple[Contribution, ...]:
@@ -245,32 +241,31 @@ def weight(G: Graph, S: Iterable[int], u: int) -> Dyadic:
     blocked distance d contributes (1/2)**(d-1); unreachable members
     contribute nothing; u itself, when in S, contributes 2."""
     members = S if isinstance(S, (set, frozenset)) else frozenset(S)
-    num, exp, _ = _influence(G, members, u)
-    return Dyadic(num, exp)
+    return Dyadic(_influence(G, members, u)[0], G.n)
 
 
 def weight_details(G: Graph, S: Iterable[int], u: int) -> tuple[Dyadic, tuple[Contribution, ...]]:
     """Like ``weight`` but also returns the per-source decomposition,
     sorted by source id; only reachable members appear."""
     members = S if isinstance(S, (set, frozenset)) else frozenset(S)
-    num, exp, reached = _influence(G, members, u)
-    return Dyadic(num, exp), _contributions(reached)
+    num, reached = _influence(G, members, u)
+    return Dyadic(num, G.n), _contributions(reached)
 
 
-# Each verifier mode has one per-vertex loop, a generator of
-# (vertex, verdict, num, exp, reached) tuples. The report verifiers consume
-# all of it; the boolean forms stop at the first failing vertex.
+# Each verifier mode has one per-vertex loop, a generator of (vertex,
+# verdict, num, reached) tuples. The report verifiers consume all of it;
+# the boolean forms stop at the first failing vertex.
 
 
 def _member_check(G: Graph, members: frozenset, u: int) -> tuple:
     """The member u against the influence of the other members, from one
     sweep over ``members`` itself, so no set without u is built. The
     source is always expanded, so the sweep is the one over the others
-    plus u's own term 2 << exp, and the others' influence stays below 1
-    iff num < 3 << exp. Returns ``(verdict, num, exp, reached)`` for the
-    other members alone."""
-    num, exp, reached = _influence(G, members, u)
-    return num < 3 << exp, num - (2 << exp), exp, reached[1:]
+    plus u's own term 2, and the others' influence stays below 1 iff the
+    sweep's total stays below 3. Returns ``(verdict, num, reached)`` for
+    the other members alone, num over 2**G.n."""
+    num, reached = _influence(G, members, u)
+    return num < 3 << G.n, num - (2 << G.n), reached[1:]
 
 
 def _ei_checks(G: Graph, members: frozenset) -> Iterator[tuple]:
@@ -282,14 +277,14 @@ def _ei_checks(G: Graph, members: frozenset) -> Iterator[tuple]:
 def _ed_checks(G: Graph, members: frozenset, vertices: Iterable[int]) -> Iterator[tuple]:
     """Each of ``vertices`` against the influence of all members."""
     for u in vertices:
-        num, exp, reached = _influence(G, members, u)
-        yield u, num >= 1 << exp, num, exp, reached
+        num, reached = _influence(G, members, u)
+        yield u, num >= 1 << G.n, num, reached
 
 
-def _report(mode: str, checks: Iterator[tuple]) -> WeightReport:
+def _report(mode: str, n: int, checks: Iterator[tuple]) -> WeightReport:
     rows = tuple(
-        VertexCheck(u, Dyadic(num, exp), _contributions(reached), good)
-        for u, good, num, exp, reached in checks
+        VertexCheck(u, Dyadic(num, n), _contributions(reached), good)
+        for u, good, num, reached in checks
     )
     first_violation = next((c.vertex for c in rows if not c.ok), None)
     return WeightReport(mode, first_violation is None, rows, first_violation)
@@ -299,13 +294,13 @@ def is_exponentially_independent(G: Graph, S: Iterable[int]) -> WeightReport:
     """Verdict true iff every member u of S satisfies weight(G, S - {u}, u) < 1
     exactly. Empty and singleton sets pass vacuously. The report carries
     every member's weight and decomposition."""
-    return _report("ei", _ei_checks(G, frozenset(S)))
+    return _report("ei", G.n, _ei_checks(G, frozenset(S)))
 
 
 def is_exponentially_dominating(G: Graph, S: Iterable[int]) -> WeightReport:
     """Verdict true iff every vertex of G satisfies weight(G, S, u) >= 1
     exactly; members are automatically satisfied through their self term."""
-    return _report("ed", _ed_checks(G, frozenset(S), range(G.n)))
+    return _report("ed", G.n, _ed_checks(G, frozenset(S), range(G.n)))
 
 
 def _tree_influence(

@@ -229,6 +229,15 @@ class TestForcedEndvertexStudy:
         with pytest.raises(ValueError):
             forced_endvertex_study(1)
 
+    def test_timed_out_constrained_solve_is_a_lower_bound(self):
+        # with no budget the k = 20 constrained solve stops at its first
+        # deadline check, node 256 of 322; the k = 9 ceiling takes 203
+        report = forced_endvertex_study(20, time_budget=0)
+        assert (report.constrained_status, report.k9_status) == ("timeout", "optimal")
+        text = report.to_text()
+        assert "constrained optimum (all endvertices required): 82 (timeout incumbent, a lower bound)\n" in text
+        assert "ceiling is 38: keeping" in text
+
     def test_k9_solve_gets_the_remaining_budget(self, monkeypatch):
         real = experiments.alpha_e_exact
         budgets = []

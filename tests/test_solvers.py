@@ -185,8 +185,7 @@ def cyclic_graphs(draw):
 
 def exact_weight(G, members, x):
     """The member x's exact weight from the other members, over 2 ** G.n."""
-    _, num, exp, _ = _member_check(G, members, x)
-    return num << (G.n - exp)
+    return _member_check(G, members, x)[1]
 
 
 class TestInfluenceBounds:
@@ -223,9 +222,9 @@ class TestInfluenceBounds:
     def test_kernel_is_at_most_the_plain_distance_sum(self, G, data):
         u = data.draw(st.integers(0, G.n - 1))
         S = frozenset(data.draw(st.sets(st.integers(0, G.n - 1))))
-        num, exp, _ = _influence(G, S, u)
+        num, _ = _influence(G, S, u)
         plain = sum(1 << (G.n + 1 - d) for v, d in enumerate(bfs_distances(G, u)) if v in S and d < G.n)
-        assert num << (G.n - exp) <= plain
+        assert num <= plain
 
     @given(cyclic_graphs(), st.data())
     def test_relaxation_reject_is_sound(self, G, data):
@@ -236,8 +235,8 @@ class TestInfluenceBounds:
         x = solvers._uncovered([table[v] for v in combo], range(G.n), 1 << G.n)
         if x is not None:
             assert x not in combo
-            num, exp, _ = _influence(G, frozenset(combo), x)
-            assert num < 1 << exp
+            num, _ = _influence(G, frozenset(combo), x)
+            assert num < 1 << G.n
             assert not ed_holds(G, combo)
 
 

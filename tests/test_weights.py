@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -161,14 +162,11 @@ class TestBooleanVerifiersAgainstOracle:
 
 
 def kernel_reference(G, S, u):
-    """The kernel's (num, exp, reached) rebuilt from ``absorbing_bfs``'s
-    dense distance list, reached sorted by source."""
+    """The kernel's (num, reached) rebuilt from ``absorbing_bfs``'s dense
+    distance list, num over 2 ** G.n and reached sorted by source."""
     dist = absorbing_bfs(G, u, S)
     reached = sorted((v, dist[v]) for v in S if dist[v] != INF)
-    if not reached:
-        return 0, 0, []
-    exp = max(d for _, d in reached)
-    return sum(1 << (exp + 1 - d) for _, d in reached), exp, reached
+    return sum(1 << (G.n + 1 - d) for _, d in reached), reached
 
 
 @st.composite
@@ -190,10 +188,10 @@ class TestKernel:
 
     @staticmethod
     def check(G, S, u):
-        num, exp, reached = _influence(G, S, u)
-        assert (num, exp, sorted(reached)) == kernel_reference(G, S, u), (list(G.edges()), sorted(S), u)
+        num, reached = _influence(G, S, u)
+        assert (num, sorted(reached)) == kernel_reference(G, S, u), (list(G.edges()), sorted(S), u)
         if G.n <= 12:
-            assert Fraction(num, 2**exp) == naive_weight(G, S, u), (list(G.edges()), sorted(S), u)
+            assert Fraction(num, 2**G.n) == naive_weight(G, S, u), (list(G.edges()), sorted(S), u)
 
     @given(kernel_graphs(), st.data())
     def test_matches_absorbing_bfs(self, G, data):
@@ -218,9 +216,9 @@ class TestKernel:
         and decomposition as the sweep over S - {u}."""
         u = data.draw(st.integers(0, G.n - 1))
         S = frozenset(data.draw(st.sets(st.integers(0, G.n - 1)))) | {u}
-        ok, num, exp, reached = _member_check(G, S, u)
-        want_num, want_exp, want_reached = kernel_reference(G, S - {u}, u)
-        assert (ok, num, exp, sorted(reached)) == (want_num < 1 << want_exp, want_num, want_exp, want_reached)
+        ok, num, reached = _member_check(G, S, u)
+        want_num, want_reached = kernel_reference(G, S - {u}, u)
+        assert (ok, num, sorted(reached)) == (want_num < 1 << G.n, want_num, want_reached)
 
     @given(st.integers(4, 24), st.integers(1, 4), st.integers(0, 10**6), st.data())
     def test_try_extend_matches_ei_holds(self, n, extra, seed, data):
@@ -504,3 +502,39 @@ class TestReportFormat:
         a = is_exponentially_dominating(G, {0, 3, 6}).to_text()
         b = is_exponentially_dominating(G, {0, 3, 6}).to_text()
         assert a == b
+
+
+def report_pool():
+    """(graph, set) pairs for the report pin: disconnected graphs, members
+    no vertex of another component reaches, empty sets, members shielded by
+    other members, and sets whose farthest member lies far below n."""
+    rng = random.Random(97)
+    pool = [(Graph(0), set()), (Graph(1), set()), (Graph(1), {0}), (Graph(5), {1, 3})]
+    for n in (2, 7, 40):
+        pool += [(gen_path(n), set()), (gen_path(n), {0}), (gen_path(n), {0, n - 1})]
+    pool += [(gen_path(40), {0, 2}), (gen_path(40), {19, 21, 23}), (gen_cycle(33), {0, 2, 5})]
+    two_paths = Graph(9, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)])
+    pool += [(two_paths, {1}), (two_paths, {0, 4}), (two_paths, {2, 3, 7}), (two_paths, {8})]
+    for i in range(24):
+        A = random_subcubic_graph(5 + i % 7, i % 3, 4100 + i)
+        B = random_subcubic_tree(3 + i % 11, 4200 + i)
+        G = Graph(A.n + B.n + i % 2, list(A.edges()) + [(a + A.n, b + A.n) for a, b in B.edges()])
+        k = rng.randint(0, 4)
+        pool.append((G, set(rng.sample(range(G.n), k))))
+        pool.append((G, set(rng.sample(range(A.n), min(k, A.n)))))
+    return pool
+
+
+class TestReportByteIdentity:
+    """Both report verifiers and every ``weight`` string on ``report_pool``.
+    The constant was recorded with the kernel that returned its influence
+    over 2 ** (farthest reached distance)."""
+
+    def test_reports_and_weights_pinned(self):
+        h = hashlib.sha256()
+        for G, S in report_pool():
+            h.update(is_exponentially_independent(G, S).to_text().encode())
+            h.update(is_exponentially_dominating(G, S).to_text().encode())
+            for u in range(G.n):
+                h.update(f"{u} {weight(G, S, u)}\n".encode())
+        assert h.hexdigest() == "c132bd728f74f1c6f4bd94576019f59f566a76939b75779a44720152b2e776e6"
