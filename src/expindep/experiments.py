@@ -84,6 +84,8 @@ def _corpus_instance(token: str) -> list[tuple[str, Graph]]:
     except ValueError:
         raise CorpusError(f"non-integer parameter in corpus entry {token!r}") from None
     if kind == "trees" and len(args) == 1:
+        if args[0] < 1:
+            raise CorpusError(f"bad parameters in corpus entry {token!r}: n must be at least 1")
         return [
             (f"tree:{n}:{idx}", T)
             for n in range(1, args[0] + 1)
@@ -327,6 +329,12 @@ def _lower_bound_note(status: str) -> str:
     return " (timeout incumbent, a lower bound)" if status == "timeout" else ""
 
 
+def _incumbent_note(status: str) -> str:
+    """The note after a claim read off a timed-out solve's incumbent, which
+    an optimal witness need not share."""
+    return " (read off the timeout incumbent, not established)" if status == "timeout" else ""
+
+
 @dataclass
 class ForcingReport:
     """Outcome of the endvertex-forcing study on the 13k-vertex family."""
@@ -348,6 +356,7 @@ class ForcingReport:
         from . import __version__
 
         note, k9_note = _lower_bound_note(self.constrained_status), _lower_bound_note(self.k9_status)
+        claim_note = _incumbent_note(self.constrained_status)
         lines = [f"endvertex-forcing study on the 13k family, k={self.k} (n={self.n})"]
         lines.append("exclusion chains (exact; a value above 1 forbids the vertex once all leaves are required):")
         for name, value, verdict in self.chains:
@@ -355,10 +364,11 @@ class ForcingReport:
         lines.append(f"pre-excluded interior vertices: {','.join(map(str, self.excluded)) or 'none'}")
         lines.append(f"constrained optimum (all endvertices required): {self.constrained_optimum}{note}")
         lines.append("witness " + " ".join(map(str, self.constrained_witness)))
-        lines.append(f"interior blocks forced to their leaf sets: {self.interior_forced}")
+        lines.append(f"interior blocks forced to their leaf sets: {self.interior_forced}{claim_note}")
         lines.append(
             f"unconstrained dense construction at k={self.k}: {self.dense_size} "
             f"(rate {self.dense_size / self.n:.4f} vs constrained {self.constrained_optimum / self.n:.4f})"
+            f"{claim_note}"
         )
         lines.append(
             f"at k=9 the dense construction gives {self.dense_size_k9} while the "

@@ -447,11 +447,11 @@ def _bounded_sequences(n: int, max_count: int) -> Iterator[tuple[int, ...]]:
             pos += 1
 
 
-def enumerate_trees(n: int, max_degree: int | None = None, dedupe: bool = False) -> Iterator[Graph]:
+def enumerate_trees(n: int, max_degree: int | None = None) -> Iterator[Graph]:
     """Stream of labeled trees on n vertices via their sequence encoding
     (lexicographic order), filtered to the degree bound before any tree is
-    built; with dedupe, one representative per isomorphism class. Without
-    a bound and without dedupe the stream has n**(n-2) trees."""
+    built. Without a bound the stream has n**(n-2) trees; ``free_trees``
+    gives one per isomorphism class."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
@@ -463,15 +463,8 @@ def enumerate_trees(n: int, max_degree: int | None = None, dedupe: bool = False)
     max_count = n if max_degree is None else max_degree - 1
     if max_count < 1:
         return
-    seen: set[str] = set()
     for seq in _bounded_sequences(n, max_count):
-        T = _tree_from_code_sequence(n, seq)
-        if dedupe:
-            code = tree_code(T)
-            if code in seen:
-                continue
-            seen.add(code)
-        yield T
+        yield _tree_from_code_sequence(n, seq)
 
 
 def free_trees(n: int, max_degree: int | None = None) -> list[Graph]:

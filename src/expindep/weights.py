@@ -42,16 +42,20 @@ and x is dominated iff F(x) >= 1. A member u with a member neighbor
 receives at least 1; otherwise u meets each component C next to it by
 exactly one edge (u, a), and receives (F(a) - 1) / 2 through it, because
 every other boundary edge of C is one step farther from u than from a.
-One pass per component (BFS order, subtree sums bottom up, then a reroot
-top down) gives F everywhere. It stays exact because F is kept as an
-integer over 2 ** (2h + 1), h the BFS height of C: every distance inside
-C is at most 2h, so every term, and every sum the reroot halves, is an
-even integer. Both verdicts then cost O(n) integer operations in place
-of one O(n) sweep per member, and the pass uses no recursion. Given
-alive marks, the pass and the independence test run on the subtree of
-the alive vertices, as the good-set builder's audit needs. The
-report verifiers, ``weight`` and ``weight_details`` stay on the sweeps,
-which the tests use as the oracle for the tree pass.
+One pass (per component: BFS order, subtree sums bottom up, then a
+reroot top down) gives F everywhere, and then every member's weight from
+its neighbors' F. The pass keeps every weight as an integer over one
+scale per call, 2 ** (2H + 1), H the largest BFS height of a component:
+every distance inside a component is at most 2H, so every term, and
+every sum the reroot or a member halves, is an even integer. Each
+verdict is then one comparison with that scale, as with the sweeps; the
+price is that one tall component sets the width for every vertex. Both
+verdicts cost O(n) integer operations in place of one O(n) sweep per
+member, and the pass uses no recursion. Given alive marks, the pass and
+the independence test run on the subtree of the alive vertices, as the
+good-set builder's audit needs. The report verifiers, ``weight`` and
+``weight_details`` stay on the sweeps, which the tests use as the oracle
+for the tree pass.
 """
 
 from __future__ import annotations
@@ -305,24 +309,27 @@ def is_exponentially_dominating(G: Graph, S: Iterable[int]) -> WeightReport:
 
 def _tree_influence(
     T: Graph, members: frozenset, alive: bytearray | None = None
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], int]:
     """The tree pass of the module docstring.
 
-    Returns ``(F, K)`` with F[x] / 2**K[x] = F(x), the exact weight of the
-    non-member x, and K[x] = 2h + 1 for the component of x; members keep
-    F = K = 0. With an ``alive`` mask the pass runs on the subtree of the
-    vertices v with ``alive[v]`` set: dead vertices start out seen, so
-    they are never roots and never reached, and keep F = K = 0."""
+    Returns ``(W, one)`` with W[x] / one the exact weight of every vertex
+    the pass reaches: F(x) for a non-member x, and for a member u the sum
+    of (F(a) - 1) / 2 over its non-member neighbors a. ``one`` is
+    2**(2H + 1), H the largest BFS height of a component of T - S. With an
+    ``alive`` mask the pass runs on the subtree of the vertices v with
+    ``alive[v]`` set: dead vertices start out seen, so they are never
+    roots and never reached, and keep W = 0."""
     n = T.n
     adj = T.adj
-    F = [0] * n
-    K = [0] * n
-    boundary = [0] * n
+    W = [0] * n
     parent = [0] * n
     depth = [0] * n
     seen = bytearray(n) if alive is None else dead_marks(alive)
     for v in members:
         seen[v] = 1
+    orders = []
+    edges = []  # (x, y): a non-member x next to a member y
+    height = 0
     for root in range(n):
         if seen[root]:
             continue
@@ -337,19 +344,21 @@ def _tree_influence(
                     depth[y] = dx
                     order.append(y)
                 elif y in members:
-                    boundary[x] += 1
-        k = 2 * depth[order[-1]] + 1
-        one = 1 << k
-        for x in reversed(order):  # F[x] is the sum over x's subtree
-            down = F[x] + boundary[x] * one
-            F[x] = down
-            K[x] = k
-            if x != root:
-                F[parent[x]] += down >> 1
-        for x in order[1:]:  # the parent's F is final: add what lies above x
-            down = F[x]
-            F[x] = down + ((F[parent[x]] - (down >> 1)) >> 1)
-    return F, K
+                    edges.append((x, y))
+        orders.append(order)
+        height = max(height, depth[order[-1]])
+    one = 2 << 2 * height
+    for x, _ in edges:
+        W[x] += one
+    for order in orders:
+        for x in reversed(order[1:]):  # W[x] is the sum over x's subtree
+            W[parent[x]] += W[x] >> 1
+        for x in order[1:]:  # the parent's W is final: add what lies above x
+            down = W[x]
+            W[x] = down + ((W[parent[x]] - (down >> 1)) >> 1)
+    for x, y in edges:
+        W[y] += (W[x] - one) >> 1
+    return W, one
 
 
 def _has_adjacent_members(adj, members: frozenset) -> bool:
@@ -375,25 +384,11 @@ def ei_holds(G: Graph, S: Iterable[int]) -> bool:
 
 def _tree_ei_holds(T: Graph, members: frozenset, alive: bytearray | None = None) -> bool:
     """The tree branch of ``ei_holds``, on T or, with an ``alive`` mask, on
-    the subtree of the alive vertices (members must be alive); dead
-    neighbours of a member are skipped."""
-    adj = T.adj
-    if _has_adjacent_members(adj, members):
+    the subtree of the alive vertices (members must be alive)."""
+    if _has_adjacent_members(T.adj, members):
         return False
-    F, K = _tree_influence(T, members, alive)
-    for u in members:
-        excess = top = 0  # sum of F(a) - 1 over u's neighbors, times 2**top
-        for a in adj[u]:
-            if alive is not None and not alive[a]:
-                continue
-            k = K[a]
-            if k > top:
-                excess <<= k - top
-                top = k
-            excess += (F[a] - (1 << k)) << (top - k)
-        if excess >= 2 << top:
-            return False
-    return True
+    W, one = _tree_influence(T, members, alive)
+    return all(W[u] < one for u in members)
 
 
 def ed_holds(G: Graph, S: Iterable[int]) -> bool:
@@ -404,5 +399,5 @@ def ed_holds(G: Graph, S: Iterable[int]) -> bool:
     if not is_tree(G):
         outside = (u for u in range(G.n) if u not in members)
         return all(good for _, good, *_ in _ed_checks(G, members, outside))
-    F, K = _tree_influence(G, members)
-    return all(F[x] >= 1 << K[x] for x in range(G.n) if x not in members)
+    W, one = _tree_influence(G, members)
+    return all(W[x] >= one for x in range(G.n) if x not in members)

@@ -310,6 +310,14 @@ class TestExperiment:
         rc, _, _ = run("experiment", "--name", "bound-table", "--corpus", "zzz:1")
         assert rc == 2
 
+    @pytest.mark.parametrize("corpus", ["trees:0", "trees:-2"])
+    def test_bound_table_empty_trees_entry_is_a_usage_error(self, tmp_path, corpus):
+        out = tmp_path / "t.csv"
+        rc, _, err = run("experiment", "--name", "bound-table", "--corpus", corpus, "--out", out)
+        assert rc == 2
+        assert f"bad parameters in corpus entry '{corpus}'" in err
+        assert not out.exists()
+
     def test_random_ei(self, tmp_path):
         out = tmp_path / "mc.csv"
         rc, _, _ = run("experiment", "--name", "random-ei", "--kmin", 3, "--kmax", 4,

@@ -55,6 +55,11 @@ class TestCorpus:
         with pytest.raises(CorpusError):
             parse_corpus("tk:0")
 
+    @pytest.mark.parametrize("token", ["trees:0", "trees:-2"])
+    def test_trees_order_must_be_positive(self, token):
+        with pytest.raises(CorpusError, match="n must be at least 1"):
+            parse_corpus(token)
+
 
 class TestBoundTable:
     def test_tk_rows_exact(self):
@@ -237,6 +242,15 @@ class TestForcedEndvertexStudy:
         text = report.to_text()
         assert "constrained optimum (all endvertices required): 82 (timeout incumbent, a lower bound)\n" in text
         assert "ceiling is 38: keeping" in text
+
+    def test_claims_from_a_timeout_incumbent_are_flagged(self):
+        note = " (read off the timeout incumbent, not established)\n"
+        timed_out = forced_endvertex_study(20, time_budget=0).to_text()
+        assert "interior blocks forced to their leaf sets: True" + note in timed_out
+        assert "(rate 0.3308 vs constrained 0.3154)" + note in timed_out
+        optimal = forced_endvertex_study(3).to_text()
+        assert "interior blocks forced to their leaf sets: True\n" in optimal
+        assert "not established" not in optimal
 
     def test_k9_solve_gets_the_remaining_budget(self, monkeypatch):
         real = experiments.alpha_e_exact

@@ -303,12 +303,17 @@ class TestTreePass:
     def test_long_path_is_iterative_and_fast(self):
         n = 20_002  # 3 divides n - 1, so every third vertex includes both ends
         P = gen_path(n)
-        S = frozenset(range(0, n, 3))
-        assert {0, n - 1} <= S
-        start = time.perf_counter()
-        assert ei_holds(P, S)
-        assert ed_holds(P, S)
-        assert time.perf_counter() - start < 1.0
+        every_third = frozenset(range(0, n, 3))
+        assert {0, n - 1} <= every_third
+        # one component 10 000 vertices tall sets the scale of the whole
+        # pass, so every weight, even on the 2-vertex components, is an
+        # integer over 2**20001
+        mixed = frozenset(range(0, 10_000, 3)) | {n - 1}
+        for S, dominating in ((every_third, True), (mixed, False)):
+            start = time.perf_counter()
+            assert ei_holds(P, S)
+            assert ed_holds(P, S) == dominating
+            assert time.perf_counter() - start < 1.0
 
 
 def random_alive_subtree(T, peel: int, rng) -> bytearray:
@@ -335,10 +340,10 @@ class TestTreePassOnAliveSubtree:
         sub, old_ids = induced_subgraph(T, [v for v in range(n) if alive[v]])
         S_sub = frozenset(data.draw(st.sets(st.integers(0, sub.n - 1))))
         S = frozenset(old_ids[v] for v in S_sub)
-        F, K = _tree_influence(T, S, alive)
-        F_sub, K_sub = _tree_influence(sub, S_sub)
-        assert [F[v] for v in old_ids] == F_sub and [K[v] for v in old_ids] == K_sub
-        assert not any(F[v] or K[v] for v in range(n) if not alive[v])
+        W, one = _tree_influence(T, S, alive)
+        W_sub, one_sub = _tree_influence(sub, S_sub)
+        assert [W[v] for v in old_ids] == W_sub and one == one_sub
+        assert not any(W[v] for v in range(n) if not alive[v])
         assert _tree_ei_holds(T, S, alive) == ei_holds(sub, S_sub) == bfs_ei(sub, S_sub)
 
     def test_good_sets_and_toggles(self):
@@ -355,6 +360,43 @@ class TestTreePassOnAliveSubtree:
                 assert verdict == bfs_ei(sub, S_sub), (i, sorted(S))
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+def tree_pass_weights(T, S, alive=None) -> dict:
+    """Each weight the tree pass reports exactly, as a Dyadic: every alive
+    non-member, and every member without a member neighbor."""
+    W, one = _tree_influence(T, S, alive)
+    exp = one.bit_length() - 1
+    assert one == 1 << exp
+    return {
+        v: Dyadic(W[v], exp)
+        for v in range(T.n)
+        if (alive is None or alive[v]) and (v not in S or S.isdisjoint(T.adj[v]))
+    }
+
+
+class TestTreePassWeights:
+    """W[x] / one is the weight itself, not only its side of 1: the
+    sweeps' ``weight`` is the oracle, over S for a non-member and over
+    S - {u} for a member u."""
+
+    @given(st.integers(1, 80), st.integers(0, 10**6), st.data())
+    def test_random_trees(self, n, seed, data):
+        T = random_subcubic_tree(n, seed)
+        S = frozenset(data.draw(st.sets(st.integers(0, n - 1))))
+        for v, w in tree_pass_weights(T, S).items():
+            assert w == weight(T, S - {v}, v), (list(T.edges()), sorted(S), v)
+
+    @given(st.integers(1, 60), st.integers(0, 10**6), st.integers(0, 59), st.data())
+    def test_alive_subtrees(self, n, seed, peel, data):
+        T = random_subcubic_tree(n, seed)
+        alive = random_alive_subtree(T, peel, random.Random(seed))
+        sub, old_ids = induced_subgraph(T, [v for v in range(n) if alive[v]])
+        S_sub = frozenset(data.draw(st.sets(st.integers(0, sub.n - 1))))
+        got = tree_pass_weights(T, frozenset(old_ids[v] for v in S_sub), alive)
+        for v_sub, v in enumerate(old_ids):
+            if v in got:
+                assert got[v] == weight(sub, S_sub - {v_sub}, v_sub), (list(T.edges()), sorted(S_sub), v)
 
 
 class TestBlockedDistance:
