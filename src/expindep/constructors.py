@@ -83,7 +83,7 @@ from .graphs import (
     is_tree,
 )
 from .solvers import InfeasibleError, alpha_e_exact
-from .weights import _tree_ei_holds, ei_holds
+from .weights import _member_set, _tree_ei_holds, ei_holds
 
 
 class InvariantViolation(RuntimeError):
@@ -245,11 +245,13 @@ class GoodSetTrace:
 
 def good_set_audit(G: Graph, S: frozenset) -> tuple[bool, str]:
     """Three-part goodness check of S on the tree G: independent, all
-    endvertices present, at least (n + 3) / 4 elements. Raises ValueError
-    when G is not a tree."""
+    endvertices present, at least (n + 3) / 4 elements. Raises
+    ParameterError for an id outside the graph, and ValueError when G is
+    not a tree."""
+    members = _member_set(G, S)
     if not is_tree(G):
         raise ValueError("input is not a connected tree")
-    return _Tree(G).audit(frozenset(S))
+    return _Tree(G).audit(members)
 
 
 class _Tree:

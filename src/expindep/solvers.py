@@ -23,9 +23,10 @@ a set that grows by v can only lower the influence between its other
 members.
 
 Feasibility along the branch-and-bound path is checked incrementally.
-Every stack entry carries, beside its member set, an upper bound on each
-member's weight, an integer over 2 ** G.n, the weight kernel's scale, so
-an exact weight is stored as the kernel returns it. When v joins, v is
+Every stack entry carries one map, whose keys are the members, from each
+member to an upper bound on its weight, an integer over 2 ** G.n, the
+weight kernel's scale, so an exact weight is stored as the kernel returns
+it. When v joins, v is
 rejected with no sweep if it has a member neighbour; otherwise one kernel
 sweep from v decides v's own condition and finds the members v reaches
 with their blocked distances d. A reached member whose bound plus
@@ -56,6 +57,7 @@ from .weights import (
     _ei_checks,
     _influence,
     _member_check,
+    _member_set,
     ed_holds,
     ei_holds,
     is_exponentially_dominating,
@@ -100,40 +102,38 @@ class SearchResult:
         return "\n".join(lines) + "\n"
 
 
-def try_extend(
-    G: Graph, members: frozenset, bounds: dict[int, int], v: int
-) -> tuple[frozenset, dict[int, int]] | None:
-    """Incremental feasibility check for members + {v}, where ``members``
-    is already exponentially independent and ``bounds`` holds an upper
-    bound on each member's weight over 2 ** G.n. Returns the extended set
-    with its bounds when it stays independent, None otherwise.
+def try_extend(G: Graph, bounds: dict[int, int], v: int) -> dict[int, int] | None:
+    """Incremental feasibility check for the keys of ``bounds`` plus v,
+    where the keys are an exponentially independent set and each maps to
+    an upper bound on its weight over 2 ** G.n. Returns the grown map when
+    the set stays independent, None otherwise. Ids are not checked here;
+    ``alpha_e_exact`` raises ParameterError for one outside the graph.
 
     A member neighbour rejects v with no sweep. Otherwise one sweep from v
-    over ``members`` gives v's exact weight and each member x that v
+    over the members gives v's exact weight and each member x that v
     reaches, at blocked distance d. Blocking v only lengthens the paths
     between the old members, so bound + 2 ** (1 - d) bounds x's weight in
     the extended set. Only a member whose bound reaches 1 is re-checked,
-    by ``_member_check`` over the extended set, and its bound becomes its
+    by ``_member_check`` over the grown map, and its bound becomes its
     exact weight; a member v does not reach keeps its bound."""
-    if not members.isdisjoint(G.adj[v]):
+    if not bounds.keys().isdisjoint(G.adj[v]):
         return None
-    num, reached = _influence(G, members, v)
+    num, reached = _influence(G, bounds, v)
     one = 1 << G.n
     if num >= one:
         return None
-    grown = members | {v}
-    grown_bounds = dict(bounds)
-    grown_bounds[v] = num
+    grown = dict(bounds)
+    grown[v] = num
     for x, d in reached:
         bound = bounds[x] + (one >> (d - 1))
         if bound < one:
-            grown_bounds[x] = bound
+            grown[x] = bound
             continue
         good, num, _ = _member_check(G, grown, x)
         if not good:
             return None
-        grown_bounds[x] = num
-    return grown, grown_bounds
+        grown[x] = num
+    return grown
 
 
 def alpha_e_exact(
@@ -147,14 +147,11 @@ def alpha_e_exact(
     never touching ``excluded``. Deterministic: branching order is
     descending degree with id tie-break, and the witness is the
     lexicographically smallest among the optima. On timeout the best
-    incumbent is returned with status "timeout"; a NaN or negative budget
-    raises ParameterError. Ids outside ``range(G.n)`` raise ValueError."""
+    incumbent is returned with status "timeout"; a NaN or negative budget,
+    or an id outside ``range(G.n)`` in either set, raises ParameterError."""
     deadline = _deadline(time_budget)
-    req = frozenset(required)
-    exc = frozenset(excluded)
-    outside = sorted(u for u in req | exc if not 0 <= u < G.n)
-    if outside:
-        raise ValueError(f"vertex ids outside the graph: {outside}")
+    req = _member_set(G, required)
+    exc = _member_set(G, excluded)
     if req & exc:
         raise ValueError("required and excluded sets overlap")
     bounds = {}  # each required member's exact weight, over 2 ** G.n
@@ -175,25 +172,25 @@ def alpha_e_exact(
     # recursion limit; pushing the exclude child first explores the
     # include child first
     status = "optimal"
-    stack = [(0, req, bounds)]
+    stack = [(0, bounds)]
     while stack:
-        i, members, bounds = stack.pop()
+        i, bounds = stack.pop()
         nodes += 1
         if deadline is not None and (nodes & 255) == 0 and time.monotonic() > deadline:
             status = "timeout"
             break
-        if len(members) + (ncands - i) < best_size:
+        if len(bounds) + (ncands - i) < best_size:
             continue
         if i == ncands:
-            size = len(members)
-            tup = tuple(sorted(members))
+            size = len(bounds)
+            tup = tuple(sorted(bounds))
             if size > best_size or (size == best_size and tup < best_set):
                 best_size, best_set = size, tup
             continue
-        grown = try_extend(G, members, bounds, cands[i])
-        stack.append((i + 1, members, bounds))
+        grown = try_extend(G, bounds, cands[i])
+        stack.append((i + 1, bounds))
         if grown is not None:
-            stack.append((i + 1, *grown))
+            stack.append((i + 1, grown))
 
     if not is_exponentially_independent(G, best_set).ok:
         raise RuntimeError("internal error: witness failed re-verification")
@@ -267,22 +264,18 @@ def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
             one = 1 << sub.n
             xs = range(sub.n)
             last = 0  # the vertex that rejected the last combination
-            found = None
-            for s in range(1, sub.n + 1):
-                for combo in combinations(xs, s):
-                    nodes += 1
-                    if deadline is not None and (nodes & 63) == 0 and time.monotonic() > deadline:
-                        raise _Timeout
-                    miss = _uncovered([table[v] for v in combo], chain((last,), xs), one)
-                    if miss is not None:
-                        last = miss
-                        continue
-                    if ed_holds(sub, combo):
-                        found = combo
-                        break
-                if found is not None:
+            # the whole vertex set dominates, so the stream ends in a break
+            for combo in chain.from_iterable(combinations(xs, s) for s in range(1, sub.n + 1)):
+                nodes += 1
+                if deadline is not None and (nodes & 63) == 0 and time.monotonic() > deadline:
+                    raise _Timeout
+                miss = _uncovered([table[v] for v in combo], chain((last,), xs), one)
+                if miss is not None:
+                    last = miss
+                    continue
+                if ed_holds(sub, combo):
                     break
-            witness.extend(old_ids[v] for v in found)
+            witness.extend(old_ids[v] for v in combo)
     except _Timeout:
         witness, status = range(G.n), "timeout"
     witness_t = tuple(sorted(witness))

@@ -110,10 +110,14 @@ class TestVerify:
         assert rep.read_text().startswith("mode=ei verdict=true")
 
     def test_out_of_range_set(self, p5, tmp_path):
+        # -1 would index the kernel's arrays from the end as vertex 4
         s = tmp_path / "s.txt"
-        s.write_text("9\n")
-        rc, _, err = run("verify", "--graph", p5, "--set", s, "--mode", "ei")
-        assert rc == 2
+        for bad in (-1, 9):
+            s.write_text(f"0\n{bad}\n")
+            rc, out, err = run("verify", "--graph", p5, "--set", s, "--mode", "ei")
+            assert rc == 2
+            assert out == ""
+            assert f"ids outside the graph: [{bad}]" in err
 
     def test_missing_graph_file(self, tmp_path):
         s = tmp_path / "s.txt"

@@ -163,12 +163,12 @@ class TestIncrementalExtension:
             order = list(range(G.n))
             rng.shuffle(order)
             for v in order:
-                step = try_extend(G, members, bounds, v)
+                step = try_extend(G, bounds, v)
                 full = ei_holds(G, members | {v})
                 assert (step is not None) == full, (trial, sorted(members), v)
                 if step is not None:
-                    assert step[0] == members | {v}
-                    members, bounds = step
+                    assert step.keys() == members | {v}
+                    members, bounds = frozenset(step), step
 
 
 @st.composite
@@ -196,12 +196,12 @@ class TestInfluenceBounds:
     def test_carried_bounds_dominate_exact_weights(self, G, data):
         members, bounds = frozenset(), {}
         for v in data.draw(st.permutations(range(G.n))):
-            step = try_extend(G, members, bounds, v)
+            step = try_extend(G, bounds, v)
             assert (step is not None) == ei_holds(G, members | {v}), (list(G.edges()), sorted(members), v)
             if step is None or not data.draw(st.booleans()):
                 continue
-            members, bounds = step
-            assert set(bounds) == members
+            assert step.keys() == members | {v}
+            members, bounds = frozenset(step), step
             assert bounds[v] == exact_weight(G, members, v)
             for x in members:
                 assert bounds[x] >= exact_weight(G, members, x), (list(G.edges()), sorted(members), x)

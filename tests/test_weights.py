@@ -1,13 +1,14 @@
 import hashlib
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from expindep.constructors import tree_good_set
-from expindep.solvers import try_extend
+from expindep.constructors import good_set_audit, tree_good_set
+from expindep.solvers import alpha_e_exact, try_extend
 from expindep.families import (
     canonical_set_tk,
     free_trees,
@@ -20,7 +21,15 @@ from expindep.families import (
     random_subcubic_tree,
     tprime_dense_set,
 )
-from expindep.graphs import INF, Graph, absorbing_bfs, bfs_distances, induced_subgraph, is_tree
+from expindep.graphs import (
+    INF,
+    Graph,
+    ParameterError,
+    absorbing_bfs,
+    bfs_distances,
+    induced_subgraph,
+    is_tree,
+)
 from expindep import weights
 from expindep.weights import (
     Dyadic,
@@ -232,11 +241,11 @@ class TestKernel:
         assert not is_tree(G)
         M, bounds = frozenset(), {}
         for v in data.draw(st.permutations(range(n))):
-            step = try_extend(G, M, bounds, v)
-            grown = None if step is None else step[0]
+            step = try_extend(G, bounds, v)
+            grown = None if step is None else step.keys()
             assert grown == (M | {v} if ei_holds(G, M | {v}) else None), (list(G.edges()), sorted(M), v)
             if step is not None and data.draw(st.booleans()):
-                M, bounds = step
+                M, bounds = frozenset(step), step
 
 
 def bfs_ei(G, S):
@@ -397,6 +406,41 @@ class TestTreePassWeights:
         for v_sub, v in enumerate(old_ids):
             if v in got:
                 assert got[v] == weight(sub, S_sub - {v_sub}, v_sub), (list(T.edges()), sorted(S_sub), v)
+
+
+# every public entry point that takes a vertex set or vertex, called with
+# one bad id in the argument the key names
+INTAKE_CALLS = {
+    "weight-set": lambda G, bad: weight(G, {0, bad}, 1),
+    "weight-u": lambda G, bad: weight(G, {0}, bad),
+    "weight_details-set": lambda G, bad: weight_details(G, {0, bad}, 1),
+    "weight_details-u": lambda G, bad: weight_details(G, {0}, bad),
+    "blocked_distance-set": lambda G, bad: blocked_distance(G, {2, bad}, 0, 1),
+    "blocked_distance-u": lambda G, bad: blocked_distance(G, {2}, bad, 1),
+    "blocked_distance-v": lambda G, bad: blocked_distance(G, {2}, 0, bad),
+    "is_exponentially_independent": lambda G, bad: is_exponentially_independent(G, {0, bad}),
+    "is_exponentially_dominating": lambda G, bad: is_exponentially_dominating(G, {0, bad}),
+    "ei_holds": lambda G, bad: ei_holds(G, {0, bad}),
+    "ed_holds": lambda G, bad: ed_holds(G, {0, bad}),
+    "good_set_audit": lambda G, bad: good_set_audit(G, {0, bad}),
+    "alpha_e_exact-required": lambda G, bad: alpha_e_exact(G, required={0, bad}),
+    "alpha_e_exact-excluded": lambda G, bad: alpha_e_exact(G, excluded={0, bad}),
+}
+
+
+class TestMemberSetIntake:
+    """Ids outside ``range(G.n)`` are a ParameterError at every entry
+    point, on a tree (the tree pass) and on a cycle (the sweeps). Before
+    the one intake, -1 indexed the kernel's arrays from the end and n
+    raised IndexError or went unchecked."""
+
+    @pytest.mark.parametrize("call", list(INTAKE_CALLS), ids=list(INTAKE_CALLS))
+    @pytest.mark.parametrize("G", [gen_path(5), gen_cycle(6)], ids=["path5", "cycle6"])
+    @pytest.mark.parametrize("id_", [-1, "n"])
+    def test_ids_outside_the_graph_are_rejected(self, call, G, id_):
+        bad = G.n if id_ == "n" else id_
+        with pytest.raises(ParameterError, match=re.escape(f"vertex ids outside the graph: [{bad}]")):
+            INTAKE_CALLS[call](G, bad)
 
 
 class TestBlockedDistance:
