@@ -10,10 +10,8 @@ from .graphs import (
     EdgeListError,
     parse_edge_list,
     write_edge_list,
-    to_dot,
     bfs_distances,
     absorbing_bfs,
-    d_neighborhood,
     longest_path,
     is_connected,
     is_tree,

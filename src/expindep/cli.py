@@ -165,6 +165,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.timeout is not None and args.name != "forced-endvertices":
+        raise ParameterError("--timeout applies to forced-endvertices only")
     if args.name == "bound-table":
         if not args.corpus:
             raise ParameterError("--corpus is required for bound-table")

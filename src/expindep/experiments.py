@@ -179,7 +179,7 @@ def bound_table(corpus: str) -> CsvTable:
             if not ei_holds(G, best):
                 raise RuntimeError("packing witness failed re-verification")
             alpha = len(best)
-            if subcubic and tree and degree2_vertices(G):
+            if subcubic and tree:
                 S, _ = tree_good_set(G)
                 alpha = max(alpha, len(S))
             alpha_exact = False

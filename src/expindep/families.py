@@ -157,8 +157,7 @@ def tprime_dense_set(k: int, phase: int = 0) -> frozenset:
     lg = gen_tprime(k)
     out: set[int] = set()
     for i in range(1, k + 1):
-        base = 13 * (i - 1)
-        m3, r2, s2, y2 = lg.labels[f"L_{i}"]
+        _, r2, s2, y2 = lg.labels[f"L_{i}"]
         out.update((r2, s2, y2, lg.vertex(f"x_{i}")))
         if i % 3 == phase:
             out.add(lg.vertex(f"c_{i}"))
@@ -471,7 +470,8 @@ def free_trees(n: int, max_degree: int | None = None) -> list[Graph]:
     """One representative per isomorphism class of trees on n vertices,
     grown by leaf augmentation with canonical-code dedupe. Much cheaper
     than deduping the labeled stream for n around 8 or 9; the two agree on
-    small n (tested)."""
+    small n (tested). With ``max_degree``, a leaf is never attached to a
+    vertex already at the bound, so no tree exceeds it."""
     if n < 1:
         raise ValueError("n must be at least 1")
     reps = [Graph(1, [])]
@@ -488,6 +488,4 @@ def free_trees(n: int, max_degree: int | None = None) -> list[Graph]:
                     seen.add(code)
                     nxt.append(grown)
         reps = nxt
-    if max_degree is not None:
-        reps = [T for T in reps if all(T.degree(v) <= max_degree for v in range(T.n))]
     return reps

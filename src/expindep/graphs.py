@@ -81,9 +81,6 @@ class Graph:
                 if v > u:
                     yield (u, v)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -149,21 +146,6 @@ def write_edge_list(G: Graph) -> str:
     out = [f"{G.n} {G.m}"]
     out.extend(f"{u} {v}" for u, v in G.edges())
     return "\n".join(out) + "\n"
-
-
-def to_dot(G: Graph, highlight: Iterable[int] = ()) -> str:
-    """DOT export; highlighted vertices are filled. Export only, never parsed."""
-    marked = set(highlight)
-    lines = ["graph G {"]
-    for v in range(G.n):
-        if v in marked:
-            lines.append(f'  {v} [style=filled, fillcolor=gray];')
-        else:
-            lines.append(f"  {v};")
-    for u, v in G.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def bfs_distances(G: Graph, u: int) -> list:
@@ -236,14 +218,6 @@ def bfs_ball(G: Graph, u: int, radius: int) -> list[list[int]]:
     distance d, for d up to the radius, and the list ends at the last
     non-empty level."""
     return bfs_levels(G.adj, u, bytearray(G.n), radius)
-
-
-def d_neighborhood(G: Graph, u: int, d: int) -> frozenset:
-    """Vertices at hop distance exactly d from u."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    levels = bfs_ball(G, u, d)
-    return frozenset(levels[d]) if d < len(levels) else frozenset()
 
 
 def max_degree(G: Graph) -> int:

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Container, Iterable, Iterator, NamedTuple
+from typing import Container, Iterable, Iterator
 
 from .graphs import Graph, ParameterError, absorbing_bfs, dead_marks, is_tree
 
@@ -129,9 +129,6 @@ class Dyadic:
 
     __radd__ = __add__
 
-    def __float__(self) -> float:
-        return self.num / (1 << self.exp)
-
     def __str__(self) -> str:
         return f"{self.num}/2^{self.exp}"
 
@@ -148,25 +145,24 @@ class Dyadic:
         return f"{whole}.{frac}"
 
 
-class Contribution(NamedTuple):
-    source: int
-    distance: int
-    amount: Dyadic
-
-
 @dataclass(frozen=True)
 class VertexCheck:
+    """One examined vertex: its exact weight, the kernel's (source,
+    blocked distance) pair for each member it reaches, sorted by source,
+    and its verdict. A pair (v, d) contributes ``Dyadic.influence(d)``."""
+
     vertex: int
     weight: Dyadic
-    contributions: tuple[Contribution, ...]
+    contributions: tuple[tuple[int, int], ...]
     ok: bool
 
 
 @dataclass(frozen=True)
 class WeightReport:
     """Full diagnostic output of a verifier run: one check per examined
-    vertex (sorted by id), each carrying the exact weight and its
-    decomposition into per-source contributions."""
+    vertex (sorted by id), each carrying the exact weight and the (source,
+    distance) pairs it sums. ``to_text`` derives each printed term from
+    its distance."""
 
     mode: str  # "ei" or "ed"
     ok: bool
@@ -184,8 +180,9 @@ class WeightReport:
         for c in self.checks:
             mark = "ok" if c.ok else "VIOLATION"
             lines.append(f"{c.vertex} w={c.weight} ({c.weight.decimal_str()}) {mark}")
-            for s in c.contributions:
-                lines.append(f"  v={s.source} d={s.distance} c={s.amount} ({s.amount.decimal_str()})")
+            for v, d in c.contributions:
+                amount = Dyadic.influence(d)
+                lines.append(f"  v={v} d={d} c={amount} ({amount.decimal_str()})")
         lines.append(f"# expindep {__version__}")
         return "\n".join(lines) + "\n"
 
@@ -250,10 +247,6 @@ def _influence(G: Graph, members: Container[int], u: int) -> tuple[int, list[tup
     return num, reached
 
 
-def _contributions(reached: list[tuple[int, int]]) -> tuple[Contribution, ...]:
-    return tuple(Contribution(v, d, Dyadic.influence(d)) for v, d in sorted(reached))
-
-
 def weight(G: Graph, S: Iterable[int], u: int) -> Dyadic:
     """Total influence that S exerts on u, as an exact dyadic. A member at
     blocked distance d contributes (1/2)**(d-1); unreachable members
@@ -261,11 +254,12 @@ def weight(G: Graph, S: Iterable[int], u: int) -> Dyadic:
     return Dyadic(_influence(G, _member_set(G, S, u), u)[0], G.n)
 
 
-def weight_details(G: Graph, S: Iterable[int], u: int) -> tuple[Dyadic, tuple[Contribution, ...]]:
-    """Like ``weight`` but also returns the per-source decomposition,
-    sorted by source id; only reachable members appear."""
+def weight_details(G: Graph, S: Iterable[int], u: int) -> tuple[Dyadic, tuple[tuple[int, int], ...]]:
+    """Like ``weight`` but also returns the decomposition: one (source,
+    blocked distance) pair per reachable member, sorted by source id; a
+    pair (v, d) contributes ``Dyadic.influence(d)``."""
     num, reached = _influence(G, _member_set(G, S, u), u)
-    return Dyadic(num, G.n), _contributions(reached)
+    return Dyadic(num, G.n), tuple(sorted(reached))
 
 
 # Each verifier mode has one per-vertex loop, a generator of (vertex,
@@ -299,7 +293,7 @@ def _ed_checks(G: Graph, members: frozenset, vertices: Iterable[int]) -> Iterato
 
 def _report(mode: str, n: int, checks: Iterator[tuple]) -> WeightReport:
     rows = tuple(
-        VertexCheck(u, Dyadic(num, n), _contributions(reached), good)
+        VertexCheck(u, Dyadic(num, n), tuple(sorted(reached)), good)
         for u, good, num, reached in checks
     )
     first_violation = next((c.vertex for c in rows if not c.ok), None)

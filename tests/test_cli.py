@@ -344,6 +344,17 @@ class TestExperiment:
         assert "required): 82 (timeout incumbent, a lower bound)\n" in out.read_text()
 
 
+    @pytest.mark.parametrize("name", ["bound-table", "random-ei", "conjecture-scan"])
+    def test_timeout_outside_forced_endvertices_is_a_usage_error(self, tmp_path, name):
+        # these experiments take no time budget; the flag used to be
+        # accepted and ignored, even as nan
+        out = tmp_path / "out.txt"
+        rc, stdout, err = run("experiment", "--name", name, "--corpus", "path:3",
+                              "--timeout", "nan", "--out", out)
+        assert (rc, stdout, err) == (2, "", "usage error: --timeout applies to forced-endvertices only\n")
+        assert not out.exists()
+
+
 class TestFlagValues:
     @pytest.mark.parametrize("argv, message", [
         (("experiment", "--name", "conjecture-scan", "--nmax", 11), "n_max must be between 1 and 10"),

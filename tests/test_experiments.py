@@ -91,6 +91,14 @@ class TestBoundTable:
             assert row[col["gamma_e"]] == ""
             assert row[col["lb_packing_ok"]] == "True"
 
+    def test_large_trees_without_degree2_vertices_use_the_good_set(self):
+        # every inner vertex of T(3, d) has degree 3; the constructive
+        # branch used to skip tree_good_set there and keep the packing's 1
+        table = bound_table("tdelta:3:4,tdelta:3:5")
+        col = {name: i for i, name in enumerate(table.header)}
+        got = [(row[col["n"]], row[col["alpha_e"]], row[col["lb_13th_ok"]]) for row in table.rows]
+        assert got == [("46", "23", "True"), ("94", "47", "True")]
+
     def test_byte_identical(self):
         corpus = "tk:2,pbt:3,path:9"
         assert bound_table(corpus).to_text() == bound_table(corpus).to_text()

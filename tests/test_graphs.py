@@ -23,7 +23,6 @@ from expindep.graphs import (
     bfs_distances,
     bfs_levels,
     connected_components,
-    d_neighborhood,
     degree2_vertices,
     diametral_path,
     endvertices,
@@ -34,7 +33,6 @@ from expindep.graphs import (
     longest_path,
     max_degree,
     parse_edge_list,
-    to_dot,
     write_edge_list,
 )
 
@@ -117,12 +115,6 @@ class TestParsing:
 
     def test_write_k1(self):
         assert write_edge_list(Graph(1)) == "1 0\n"
-
-    def test_dot_marks_highlight(self):
-        dot = to_dot(gen_path(3), {0})
-        assert "0 [style=filled" in dot
-        assert "1;" in dot
-        assert "0 -- 1;" in dot
 
 
 @st.composite
@@ -255,6 +247,21 @@ class TestBfsBall:
         assert bfs_ball(G, 2, 0) == [[2]]
         assert bfs_ball(G, 2, -1) == [[2]]
 
+    def test_pbt_depth2_from_root(self):
+        lg = gen_perfect_binary(3)
+        level2 = bfs_ball(lg.graph, 0, 2)[2]
+        assert sorted(level2) == sorted(lg.labels["depth_2"])
+        assert len(level2) == 4
+
+    def test_subcubic_ceiling(self):
+        # at most 3 * 2**(d - 1) vertices lie at distance d in a subcubic graph
+        for seed in range(6):
+            G = random_subcubic_graph(40, 5, seed + 300)
+            for u in range(0, G.n, 7):
+                levels = bfs_ball(G, u, 4)
+                for d in range(1, len(levels)):
+                    assert len(levels[d]) <= 3 * 2 ** (d - 1)
+
 
 class TestBfsLevels:
     def test_marked_vertices_are_skipped(self):
@@ -278,31 +285,6 @@ class TestBfsLevels:
                 assert max(d for d in dist if d != INF) == len(levels) - 1
                 reached = {v for level in levels for v in level}
                 assert [v for v in range(G.n) if seen[v]] == sorted(marked | reached)
-
-
-class TestDNeighborhood:
-    def test_cycle(self):
-        assert d_neighborhood(gen_cycle(8), 0, 2) == frozenset({2, 6})
-
-    def test_k1(self):
-        assert d_neighborhood(Graph(1), 0, 3) == frozenset()
-
-    def test_pbt_depth2_from_root(self):
-        lg = gen_perfect_binary(3)
-        level2 = set(lg.labels["depth_2"])
-        got = d_neighborhood(lg.graph, 0, 2)
-        assert got == frozenset(level2)
-        assert len(got) == 4
-        # cross-check with the untruncated sweep
-        dist = bfs_distances(lg.graph, 0)
-        assert got == frozenset(v for v in range(lg.graph.n) if dist[v] == 2)
-
-    def test_subcubic_ceiling(self):
-        for seed in range(6):
-            G = random_subcubic_graph(40, 5, seed + 300)
-            for d in (1, 2, 3, 4):
-                for u in range(0, G.n, 7):
-                    assert len(d_neighborhood(G, u, d)) <= 3 * 2 ** (d - 1)
 
 
 def all_simple_paths_longest(T):
@@ -338,7 +320,7 @@ class TestLongestPath:
             path = longest_path(T)
             assert len(set(path)) == len(path)
             for a, b in itertools.pairwise(path):
-                assert T.has_edge(a, b)
+                assert b in T.adj[a]
 
     def test_diameter_oracle(self):
         for seed in range(10):

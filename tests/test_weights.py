@@ -498,8 +498,21 @@ class TestWeight:
     def test_details_sum_to_total(self):
         lg = gen_tprime(2)
         total, parts = weight_details(lg.graph, lg.vset("L_2"), lg.vertex("b_1"))
-        assert sum((p.amount for p in parts), Dyadic()) == total
-        assert [p.source for p in parts] == sorted(p.source for p in parts)
+        assert sum((Dyadic.influence(d) for _, d in parts), Dyadic()) == total
+        assert [v for v, _ in parts] == sorted(v for v, _ in parts)
+
+    def test_details_are_blocked_distances_by_source(self):
+        """The decomposition is one (source, blocked distance) pair per
+        reachable member, sorted by source, checked against the absorbing
+        BFS oracle."""
+        rng = random.Random(23)
+        for seed in range(20):
+            G = random_subcubic_graph(8 + seed * 2, seed % 3, seed + 720)
+            S = set(rng.sample(range(G.n), min(G.n, 2 + seed % 6)))
+            for u in range(G.n):
+                dist = absorbing_bfs(G, u, S)
+                want = tuple((v, dist[v]) for v in sorted(S) if dist[v] != INF)
+                assert weight_details(G, S, u)[1] == want, (seed, u)
 
 
 class TestIndependenceVerifier:
