@@ -149,6 +149,10 @@ def _cmd_construct(args) -> int:
     else:  # family-canonical
         if args.family is None:
             raise ParameterError("family-canonical supports --family " + " or ".join(_CANONICAL))
+        # tk has one canonical set and ignores the phase, so it is checked
+        # here for every family
+        if args.phase not in (0, 1, 2):
+            raise ParameterError("phase must be 0, 1 or 2")
         fam = FAMILIES[args.family]
         params = _family_params(args.family, args)
         try:
@@ -186,7 +190,7 @@ def _cmd_experiment(args) -> int:
     else:  # forced-endvertices
         report = forced_endvertex_study(args.k, time_budget=args.timeout)
         _write(args.out, report.to_text())
-        if "timeout" in (report.constrained_status, report.k9_status):
+        if "timeout" in (report.constrained.status, report.k9.status):
             return 3
     return 0
 

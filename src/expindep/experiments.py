@@ -40,7 +40,7 @@ from .graphs import (
     is_subcubic,
     is_tree,
 )
-from .solvers import _deadline, alpha_e_exact, find_maximal_ei_not_ed, gamma_e_exact
+from .solvers import SearchResult, _deadline, alpha_e_exact, find_maximal_ei_not_ed, gamma_e_exact
 from .weights import ei_holds, is_exponentially_dominating, weight
 
 ALPHA_EXACT_LIMIT = 20
@@ -337,42 +337,41 @@ def _incumbent_note(status: str) -> str:
 
 @dataclass
 class ForcingReport:
-    """Outcome of the endvertex-forcing study on the 13k-vertex family."""
+    """Outcome of the endvertex-forcing study on the 13k-vertex family:
+    the two solves it runs, kept whole, and what it derives from them."""
 
     k: int
     n: int
-    chains: list[tuple[str, str, bool]] = field(default_factory=list)
-    excluded: list[int] = field(default_factory=list)
-    constrained_optimum: int = 0
-    constrained_witness: tuple[int, ...] = ()
-    interior_forced: bool = False
-    dense_size: int = 0
-    dense_size_k9: int = 0
-    constrained_status: str = "optimal"
-    constrained_k9: int = 0
-    k9_status: str = "optimal"
+    chains: list[tuple[str, str, bool]]
+    excluded: list[int]
+    constrained: SearchResult
+    interior_forced: bool
+    dense_size: int
+    dense_size_k9: int
+    k9: SearchResult
 
     def to_text(self) -> str:
         from . import __version__
 
-        note, k9_note = _lower_bound_note(self.constrained_status), _lower_bound_note(self.k9_status)
-        claim_note = _incumbent_note(self.constrained_status)
+        res, res9 = self.constrained, self.k9
+        note, k9_note = _lower_bound_note(res.status), _lower_bound_note(res9.status)
+        claim_note = _incumbent_note(res.status)
         lines = [f"endvertex-forcing study on the 13k family, k={self.k} (n={self.n})"]
         lines.append("exclusion chains (exact; a value above 1 forbids the vertex once all leaves are required):")
         for name, value, verdict in self.chains:
             lines.append(f"  {name}: {value} > 1 is {verdict}")
         lines.append(f"pre-excluded interior vertices: {','.join(map(str, self.excluded)) or 'none'}")
-        lines.append(f"constrained optimum (all endvertices required): {self.constrained_optimum}{note}")
-        lines.append("witness " + " ".join(map(str, self.constrained_witness)))
+        lines.append(f"constrained optimum (all endvertices required): {res.optimum}{note}")
+        lines.append("witness " + " ".join(map(str, res.witness)))
         lines.append(f"interior blocks forced to their leaf sets: {self.interior_forced}{claim_note}")
         lines.append(
             f"unconstrained dense construction at k={self.k}: {self.dense_size} "
-            f"(rate {self.dense_size / self.n:.4f} vs constrained {self.constrained_optimum / self.n:.4f})"
+            f"(rate {self.dense_size / self.n:.4f} vs constrained {res.optimum / self.n:.4f})"
             f"{claim_note}"
         )
         lines.append(
             f"at k=9 the dense construction gives {self.dense_size_k9} while the "
-            f"all-endvertices ceiling is {self.constrained_k9}{k9_note}: keeping a leaf out "
+            f"all-endvertices ceiling is {res9.optimum}{k9_note}: keeping a leaf out "
             f"lets its neighbor shield an arm, which is why non-endvertices can be preferable"
         )
         lines.append(f"# expindep {__version__}")
@@ -386,15 +385,15 @@ def forced_endvertex_study(k: int, time_budget: float | None = None) -> ForcingR
     quadruples) is re-derived above 1 at runtime, so the reduction
     certifies itself; the witness is audited to use exactly the leaf
     quadruple in every interior block. ``time_budget`` covers both exact
-    solves: the k = 9 ceiling gets what the first solve left over. A solve
-    that times out records it in ``constrained_status`` or ``k9_status``."""
+    solves: the k = 9 ceiling gets what the first solve left over. The
+    report keeps both solves' results, so a timeout shows in
+    ``constrained.status`` or ``k9.status``."""
     if k < 2:
         raise ParameterError("k must be at least 2")
     deadline = _deadline(time_budget)
     lg = gen_tprime(k)
     G = lg.graph
-    leaves = endvertices(G)
-    report = ForcingReport(k=k, n=G.n)
+    chains = []
     excluded = []
     for i in range(2, k):
         for c in "abc":
@@ -405,26 +404,23 @@ def forced_endvertex_study(k: int, time_budget: float | None = None) -> ForcingR
                 + weight(G, lg.vset(f"L_{i + 1}"), v)
             )
             above = total > 1
-            report.chains.append((f"{c}_{i}", str(total), above))
+            chains.append((f"{c}_{i}", str(total), above))
             if above:
                 excluded.append(v)
-    report.excluded = sorted(excluded)
-    res = alpha_e_exact(G, required=leaves, excluded=excluded, time_budget=time_budget)
-    report.constrained_optimum = res.optimum
-    report.constrained_witness = res.witness
-    report.constrained_status = res.status
+    res = alpha_e_exact(G, required=endvertices(G), excluded=excluded, time_budget=time_budget)
     witness = set(res.witness)
-    forced = True
-    for i in range(2, k):
-        block = set(range(13 * (i - 1), 13 * i))
-        if witness & block != lg.vset(f"L_{i}"):
-            forced = False
-    report.interior_forced = forced
-    report.dense_size = len(tprime_dense_set(k, 0))
-    report.dense_size_k9 = len(tprime_dense_set(9, 0))
+    forced = all(witness & set(range(13 * (i - 1), 13 * i)) == lg.vset(f"L_{i}") for i in range(2, k))
     lg9 = gen_tprime(9)
     remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
     res9 = alpha_e_exact(lg9.graph, required=endvertices(lg9.graph), time_budget=remaining)
-    report.constrained_k9 = res9.optimum
-    report.k9_status = res9.status
-    return report
+    return ForcingReport(
+        k=k,
+        n=G.n,
+        chains=chains,
+        excluded=sorted(excluded),
+        constrained=res,
+        interior_forced=forced,
+        dense_size=len(tprime_dense_set(k, 0)),
+        dense_size_k9=len(tprime_dense_set(9, 0)),
+        k9=res9,
+    )

@@ -221,14 +221,9 @@ def gen_perfect_binary(depth: int) -> LabeledGraph:
 
 
 def leaf_set(lg: LabeledGraph) -> frozenset:
-    """Deepest level of a leveled tree (falls back to degree-1 vertices)."""
-    if "leaves" in lg.labels:
-        return lg.vset("leaves")
-    depth_labels = [name for name in lg.labels if name.startswith("depth_")]
-    if depth_labels:
-        deepest = max(depth_labels, key=lambda s: int(s.split("_")[1]))
-        return lg.vset(deepest)
-    return endvertices(lg.graph)
+    """The leaves of a ``gen_perfect_binary`` tree, its deepest level, read
+    off the ``leaves`` label; KeyError for a graph without one."""
+    return lg.vset("leaves")
 
 
 def gen_path(n: int) -> Graph:

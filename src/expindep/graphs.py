@@ -12,8 +12,8 @@ connectivity, components, diametral paths and the good-set builder's
 hanging components all run on it, and each restricts it only through the
 marks. ``bfs_distances`` and ``absorbing_bfs`` keep their own loops: they
 are the independent references the tests compare the other searches
-against, and ``bfs_distances`` also fills the solvers' plain-distance
-table (``_PlainDistances``).
+against, and ``bfs_distances`` also fills the domination search's
+plain-distance rows.
 
 ``absorbing_bfs`` is the single-pass realization of distances in a
 vertex-deleted graph: sink vertices may terminate a walk but are never

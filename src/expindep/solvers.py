@@ -35,20 +35,26 @@ re-checked, by the same member check the verifier uses, and their bounds
 become their exact weights. A member v does not reach keeps its bound: a
 shortest path through v would reach v. The verdicts, and so the search
 order and node count, are those of re-checking every reached member; the
-equivalence with full re-verification is covered by tests, and every
-final witness is re-checked by the full verifier before it is returned.
+equivalence with full re-verification is covered by tests.
 
-The domination search keeps a table of plain distances per component,
-one row per vertex, built on its first use. A combination under which
-some vertex x gets a plain-distance sum below 1 cannot dominate x and is
-rejected before ``ed_holds`` runs; members never trip this test, since
-their own term is 2.
+Every search, both exact solvers and the brute-force oracle, returns
+through one exit, ``_certified``: it sorts the witness, re-checks it with
+the full report verifier, timeout witnesses included, and builds the
+``SearchResult``, whose optimum is the witness's size.
+
+The domination search keeps plain-distance rows per component, one row
+per vertex, each built on its first use (``functools.cache`` over
+``bfs_distances``). A combination under which some vertex x gets a
+plain-distance sum below 1 cannot dominate x and is rejected before
+``ed_holds`` runs; members never trip this test, since their own term
+is 2.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain, combinations
 from typing import Iterable
 
@@ -67,10 +73,6 @@ from .weights import (
 
 class InfeasibleError(ValueError):
     """The required set is not exponentially independent."""
-
-
-class _Timeout(Exception):
-    pass
 
 
 def _deadline(time_budget: float | None) -> float | None:
@@ -100,6 +102,17 @@ class SearchResult:
             "witness " + " ".join(str(v) for v in self.witness),
         ]
         return "\n".join(lines) + "\n"
+
+
+def _certified(G: Graph, witness: Iterable[int], nodes: int, status: str, verifier) -> SearchResult:
+    """The one exit of every search: the witness sorted and re-checked by
+    ``verifier``, a full report verifier the caller names at call time, as
+    a SearchResult whose optimum is the witness's size. A witness the
+    verifier rejects raises RuntimeError."""
+    witness = tuple(sorted(witness))
+    if not verifier(G, witness).ok:
+        raise RuntimeError("internal error: witness failed re-verification")
+    return SearchResult(len(witness), witness, nodes, status)
 
 
 def try_extend(G: Graph, bounds: dict[int, int], v: int) -> dict[int, int] | None:
@@ -192,9 +205,7 @@ def alpha_e_exact(
         if grown is not None:
             stack.append((i + 1, grown))
 
-    if not is_exponentially_independent(G, best_set).ok:
-        raise RuntimeError("internal error: witness failed re-verification")
-    return SearchResult(best_size, best_set, nodes, status)
+    return _certified(G, best_set, nodes, status, is_exponentially_independent)
 
 
 def alpha_e_bruteforce(G: Graph) -> SearchResult:
@@ -208,23 +219,8 @@ def alpha_e_bruteforce(G: Graph) -> SearchResult:
         for combo in combinations(range(G.n), s):
             nodes += 1
             if ei_holds(G, combo):
-                if not is_exponentially_independent(G, combo).ok:
-                    raise RuntimeError("internal error: witness failed re-verification")
-                return SearchResult(s, combo, nodes, "optimal")
-    return SearchResult(0, (), nodes, "optimal")
-
-
-class _PlainDistances(dict):
-    """Plain BFS distances in one connected graph: ``self[v][x]`` is
-    dist(v, x), and v's row is built on its first lookup."""
-
-    def __init__(self, G: Graph):
-        super().__init__()
-        self.G = G
-
-    def __missing__(self, v: int) -> list:
-        row = self[v] = bfs_distances(self.G, v)
-        return row
+                return _certified(G, combo, nodes, "optimal", is_exponentially_independent)
+    return _certified(G, (), nodes, "optimal", is_exponentially_independent)
 
 
 def _uncovered(rows: list[list], xs: Iterable[int], one: int) -> int | None:
@@ -256,32 +252,25 @@ def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
     deadline = _deadline(time_budget)
     nodes = 0
     witness: list[int] = []
-    status = "optimal"
-    try:
-        for comp in connected_components(G):
-            sub, old_ids = induced_subgraph(G, comp)
-            table = _PlainDistances(sub)
-            one = 1 << sub.n
-            xs = range(sub.n)
-            last = 0  # the vertex that rejected the last combination
-            # the whole vertex set dominates, so the stream ends in a break
-            for combo in chain.from_iterable(combinations(xs, s) for s in range(1, sub.n + 1)):
-                nodes += 1
-                if deadline is not None and (nodes & 63) == 0 and time.monotonic() > deadline:
-                    raise _Timeout
-                miss = _uncovered([table[v] for v in combo], chain((last,), xs), one)
-                if miss is not None:
-                    last = miss
-                    continue
-                if ed_holds(sub, combo):
-                    break
-            witness.extend(old_ids[v] for v in combo)
-    except _Timeout:
-        witness, status = range(G.n), "timeout"
-    witness_t = tuple(sorted(witness))
-    if not is_exponentially_dominating(G, witness_t).ok:
-        raise RuntimeError("internal error: witness failed re-verification")
-    return SearchResult(len(witness_t), witness_t, nodes, status)
+    for comp in connected_components(G):
+        sub, old_ids = induced_subgraph(G, comp)
+        row = cache(partial(bfs_distances, sub))
+        one = 1 << sub.n
+        xs = range(sub.n)
+        last = 0  # the vertex that rejected the last combination
+        # the whole vertex set dominates, so the stream ends in a break
+        for combo in chain.from_iterable(combinations(xs, s) for s in range(1, sub.n + 1)):
+            nodes += 1
+            if deadline is not None and (nodes & 63) == 0 and time.monotonic() > deadline:
+                return _certified(G, range(G.n), nodes, "timeout", is_exponentially_dominating)
+            miss = _uncovered([row(v) for v in combo], chain((last,), xs), one)
+            if miss is not None:
+                last = miss
+                continue
+            if ed_holds(sub, combo):
+                break
+        witness.extend(old_ids[v] for v in combo)
+    return _certified(G, witness, nodes, "optimal", is_exponentially_dominating)
 
 
 def find_maximal_ei_not_ed(G: Graph) -> frozenset | None:

@@ -287,6 +287,7 @@ class TestConstruct:
 
     @pytest.mark.parametrize("argv, message", [
         (("--family", "tprime", "--k", 3, "--phase", 5), "phase must be 0, 1 or 2"),
+        (("--family", "tk", "--k", 3, "--phase", 5), "phase must be 0, 1 or 2"),
         (("--family", "tk", "--k", 0), "k must be at least 1"),
     ])
     def test_family_canonical_bad_parameters_are_usage_errors(self, argv, message):

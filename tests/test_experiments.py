@@ -211,26 +211,26 @@ class TestForcedEndvertexStudy:
 
     def test_k3_optimum_and_forcing(self):
         report = forced_endvertex_study(3)
-        assert report.constrained_optimum == 14 <= 4 * 3 + 6
+        assert report.constrained.optimum == 14 <= 4 * 3 + 6
         assert report.interior_forced
         assert len(report.excluded) == 3
 
     def test_k2_no_interior(self):
         report = forced_endvertex_study(2)
         assert report.excluded == []
-        assert report.constrained_optimum == 10
+        assert report.constrained.optimum == 10
 
     def test_k4(self):
         report = forced_endvertex_study(4)
-        assert report.constrained_optimum == 18
+        assert report.constrained.optimum == 18
         assert report.interior_forced
         assert len(report.excluded) == 6
 
     def test_dense_beats_ceiling_at_k9(self):
         report = forced_endvertex_study(3)
         assert report.dense_size_k9 == 39
-        assert report.constrained_k9 == 38
-        assert report.dense_size_k9 > report.constrained_k9
+        assert report.k9.optimum == 38
+        assert report.dense_size_k9 > report.k9.optimum
 
     def test_report_text(self):
         text = forced_endvertex_study(2).to_text()
@@ -246,7 +246,7 @@ class TestForcedEndvertexStudy:
         # with no budget the k = 20 constrained solve stops at its first
         # deadline check, node 256 of 322; the k = 9 ceiling takes 203
         report = forced_endvertex_study(20, time_budget=0)
-        assert (report.constrained_status, report.k9_status) == ("timeout", "optimal")
+        assert (report.constrained.status, report.k9.status) == ("timeout", "optimal")
         text = report.to_text()
         assert "constrained optimum (all endvertices required): 82 (timeout incumbent, a lower bound)\n" in text
         assert "ceiling is 38: keeping" in text

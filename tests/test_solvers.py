@@ -231,8 +231,7 @@ class TestInfluenceBounds:
         """A combination the plain-distance test rejects at x leaves x
         undominated; the test never names a member."""
         combo = sorted(data.draw(st.sets(st.integers(0, G.n - 1), min_size=1)))
-        table = solvers._PlainDistances(G)
-        x = solvers._uncovered([table[v] for v in combo], range(G.n), 1 << G.n)
+        x = solvers._uncovered([bfs_distances(G, v) for v in combo], range(G.n), 1 << G.n)
         if x is not None:
             assert x not in combo
             num, _ = _influence(G, frozenset(combo), x)
