@@ -36,7 +36,9 @@ Reduction rules, applied to the first match:
        w3' of order 1, 2 or 3: remove {w1, w2, w3, w3'},
        {w1, w2, w2', w3'} or {w1, w1', w2', w3'} respectively, solve, and
        swap the newly created endvertex (w4, w3 or w2 respectively) for
-       the two deleted endvertices of T.
+       the two deleted endvertices of T. When neither orientation has
+       such a K, the first one's component reaches depth 3 from w4, and
+       R3 applies to the diametral path z1 z2 w3' w4 ... through it.
 
 The whole reduction and lift run on one mutable tree in the input's
 vertex ids (``_Tree``): a step marks its removed set dead and the lift
@@ -83,7 +85,7 @@ from .graphs import (
     is_tree,
 )
 from .solvers import InfeasibleError, alpha_e_exact
-from .weights import _member_set, _tree_ei_holds, ei_holds
+from .weights import _member_set, _tree_influence, ei_holds
 
 
 class InvariantViolation(RuntimeError):
@@ -359,7 +361,8 @@ class _Tree:
     def audit(self, S: frozenset) -> tuple[bool, str]:
         """The three-part check of ``good_set_audit`` on the alive subtree,
         S in input ids."""
-        if not _tree_ei_holds(self.graph, S, self.alive):
+        W, one = _tree_influence(self.graph, S, self.alive)
+        if not all(W[u] < one for u in S):
             return False, "set is not exponentially independent"
         alive, deg = self.alive, self.deg
         missing = [v for v in range(self.n) if alive[v] and deg[v] == 1 and v not in S]
@@ -398,7 +401,7 @@ def _first_degree3_index(tree: _Tree, path: list[int]) -> int | None:
 
 def _hanging_levels(tree: _Tree, w4: int, w3p: int) -> list[list[int]]:
     """BFS levels, from w3p, of the component of the tree minus w4 that
-    holds w3p, cut after four levels: the callers only need to tell
+    holds w3p, cut after four levels: the caller only needs to tell
     components of up to three vertices, or of depth exactly 3 from w4,
     from the rest."""
     seen = dead_marks(tree.alive)
@@ -424,45 +427,26 @@ def _reduction_r3(tree: _Tree, path: list[int]) -> tuple:
     return ("R3", (w1, w1p, w2p), w2, (w1, w1p))
 
 
-def _reduction_r4(tree: _Tree, path: list[int]) -> tuple | None:
-    """R4 when the hanging component at w4 is a path of order <= 3 attached
-    through w3'; None otherwise (the caller then reroutes the path)."""
+def _reduction_r4(tree: _Tree, path: list[int], comp: list[int]) -> tuple:
+    """R4 by the size of the hanging component ``comp``, listed from w3'
+    in BFS order: of two vertices the second is an endvertex, as T is a
+    tree, and of three a star would mean that R1 missed w3'."""
     w1, w2, w3, w4 = path[0], path[1], path[2], path[3]
-    deg = tree.deg
-    w3p = tree.other_neighbor(w4, (w3, path[4]))
-    comp = [v for level in _hanging_levels(tree, w4, w3p) for v in level]
-    if len(comp) > 3:
-        return None
     if len(comp) == 1:
-        return ("R4", (w1, w2, w3, w3p), w4, (w1, w3p))
+        return ("R4", (w1, w2, w3, comp[0]), w4, (w1, comp[0]))
     if len(comp) == 2:
-        w2p = comp[1]
-        if deg[w2p] != 1:
-            return None
+        w3p, w2p = comp
         return ("R4", (w1, w2, w2p, w3p), w3, (w1, w2p))
-    w2p, w1p = comp[1], comp[2]
-    if not (deg[w2p] == 2 and deg[w1p] == 1 and w1p in tree.adj[w2p]):
-        return None
+    w3p, w2p, w1p = comp
+    if not (tree.deg[w2p] == 2 and tree.deg[w1p] == 1 and w1p in tree.adj[w2p]):
+        raise InvariantViolation(f"three-vertex hanging component at {w4} is not a path")
     return ("R4", (w1, w1p, w2p, w3p), w2, (w1, w1p))
 
 
-def _reroute_through_branch(tree: _Tree, path: list[int]) -> list[int] | None:
-    """When both orientations sit in the k = 4 case but the hanging
-    component is branched, an equally long diametral path enters through
-    that component and meets its first degree-3 vertex at index 3."""
-    w3, w4 = path[2], path[3]
-    w3p = tree.other_neighbor(w4, (w3, path[4]))
-    levels = _hanging_levels(tree, w4, w3p)
-    if len(levels) != 3:  # level i lies at distance i + 1 from w4
-        return None
-    z1 = min(levels[2])
-    z2 = min(w for w in tree.adj[z1] if w in levels[1])
-    return [z1, z2, w3p] + path[3:]
-
-
 def _choose_reduction(tree: _Tree) -> tuple:
-    """Pick the applicable reduction; raises InvariantViolation when none
-    of the cases the analysis guarantees actually matches."""
+    """Pick the reduction of the module docstring; raises
+    InvariantViolation when the tree breaks a structural condition the
+    analysis guarantees."""
     # R1: a vertex with two endvertex neighbors
     if tree.r1:
         v = min(tree.r1)
@@ -482,15 +466,22 @@ def _choose_reduction(tree: _Tree) -> tuple:
             return ("R2", (w1, w2, w3), w4, (w1, w3))
         if k == 3:
             return _reduction_r3(tree, path)
+    # k = 4 both ways: one search of each hanging component
+    hangs = []
     for path in orientations:
-        red = _reduction_r4(tree, path)
-        if red is not None:
-            return red
-    for path in orientations:
-        alt = _reroute_through_branch(tree, path)
-        if alt is not None and _first_degree3_index(tree, alt) == 3:
-            return _reduction_r3(tree, alt)
-    raise InvariantViolation("no reduction applies; structural analysis violated")
+        w4 = path[3]
+        levels = _hanging_levels(tree, w4, tree.other_neighbor(w4, (path[2], path[4])))
+        comp = [v for level in levels for v in level]
+        if len(comp) <= 3:
+            return _reduction_r4(tree, path, comp)
+        hangs.append(levels)
+    # both are branched: reroute through the first one's deepest level
+    levels = hangs[0]
+    if len(levels) != 3:  # level i lies at distance i + 1 from w4
+        raise InvariantViolation(f"hanging component has {len(levels)} levels, expected 3")
+    z1 = min(levels[2])
+    z2 = min(w for w in tree.adj[z1] if w in levels[1])
+    return _reduction_r3(tree, [z1, z2, levels[0][0]] + base_path[3:])
 
 
 def _verify_good(tree: _Tree, S: frozenset, trace: GoodSetTrace, where: str):

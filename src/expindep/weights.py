@@ -38,29 +38,31 @@ weight of x is therefore
 
     F(x) = sum over boundary edges (a, v) of C of 2 ** -dist_C(x, a),
 
-and x is dominated iff F(x) >= 1. A member u with a member neighbor
-receives at least 1; otherwise u meets each component C next to it by
-exactly one edge (u, a), and receives (F(a) - 1) / 2 through it, because
-every other boundary edge of C is one step farther from u than from a.
-One pass (per component: BFS order, subtree sums bottom up, then a
-reroot top down) gives F everywhere, and then every member's weight from
-its neighbors' F. The pass keeps every weight as an integer over one
-scale per call, 2 ** (2H + 1), H the largest BFS height of a component:
-every distance inside a component is at most 2H, so every term, and
-every sum the reroot or a member halves, is an even integer. Each
-verdict is then one comparison with that scale, as with the sweeps; the
-price is that one tall component sets the width for every vertex. Both
-verdicts cost O(n) integer operations in place of one O(n) sweep per
-member, and the pass uses no recursion. Given alive marks, the pass and
-the independence test run on the subtree of the alive vertices, as the
-good-set builder's audit needs. The report verifiers, ``weight`` and
-``weight_details`` stay on the sweeps, which the tests use as the oracle
-for the tree pass.
+and x is dominated iff F(x) >= 1. A member u meets each component C next
+to it by exactly one edge (u, a), and receives (F(a) - 1) / 2 through
+it, because every other boundary edge of C is one step farther from u
+than from a; each member neighbor adds exactly 1 and shields what lies
+behind it. One pass (per component: BFS order, subtree sums bottom up,
+then a reroot top down) gives F everywhere, and then every member's
+weight from its neighbors: the exact weight of every vertex. The pass
+keeps every weight as an integer over one scale per call, 2 ** (2H + 1),
+H the largest BFS height of a component: every distance inside a
+component is at most 2H, so every term, and every sum the reroot or a
+member halves, is an even integer. Each verdict is then one comparison
+with that scale, as with the sweeps; the price is that one tall
+component sets the width for every vertex. Both verdicts cost O(n)
+integer operations in place of one O(n) sweep per member, and the pass
+uses no recursion. Two adjacent members stay ``ei_holds``' early exit,
+as it costs less than the tree test. Given alive marks, the pass runs on
+the subtree of the alive vertices, as the good-set builder's audit
+needs. The report verifiers, ``weight`` and ``weight_details`` stay on
+the sweeps, which the tests use as the oracle for the tree pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import total_ordering
 from typing import Container, Iterable, Iterator
 
@@ -129,17 +131,30 @@ class Dyadic:
 
     __radd__ = __add__
 
+    # str() of an int raises ValueError past Python's int-to-str cap (4300
+    # digits by default); Decimal converts exactly with no cap, and leaves
+    # the process-wide cap alone. Trying str() first keeps the common case
+    # free of any extra call.
+
     def __str__(self) -> str:
-        return f"{self.num}/2^{self.exp}"
+        try:
+            return f"{self.num}/2^{self.exp}"
+        except ValueError:
+            return f"{Decimal(self.num)}/2^{self.exp}"
 
     def __repr__(self) -> str:
-        return f"Dyadic({self.num}, {self.exp})"
+        return f"Dyadic({Decimal(self.num)}, {self.exp})"
 
     def decimal_str(self) -> str:
         """Exact decimal rendering, for display only."""
+        scaled = self.num * 5 ** self.exp
+        try:
+            digits = str(scaled)
+        except ValueError:
+            digits = str(Decimal(scaled))
         if self.exp == 0:
-            return str(self.num)
-        digits = str(self.num * 5 ** self.exp).rjust(self.exp + 1, "0")
+            return digits
+        digits = digits.rjust(self.exp + 1, "0")
         whole, frac = digits[: -self.exp], digits[-self.exp :]
         frac = frac.rstrip("0") or "0"
         return f"{whole}.{frac}"
@@ -320,11 +335,12 @@ def _tree_influence(
 
     Returns ``(W, one)`` with W[x] / one the exact weight of every vertex
     the pass reaches: F(x) for a non-member x, and for a member u the sum
-    of (F(a) - 1) / 2 over its non-member neighbors a. ``one`` is
-    2**(2H + 1), H the largest BFS height of a component of T - S. With an
-    ``alive`` mask the pass runs on the subtree of the vertices v with
-    ``alive[v]`` set: dead vertices start out seen, so they are never
-    roots and never reached, and keep W = 0."""
+    of (F(a) - 1) / 2 over its non-member neighbors a plus 1 for each
+    member neighbor. ``one`` is 2**(2H + 1), H the largest BFS height of a
+    component of T - S. With an ``alive`` mask the pass runs on the
+    subtree of the vertices v with ``alive[v]`` set, members among them:
+    dead vertices start out seen, so they are never roots and never
+    reached, and keep W = 0."""
     n = T.n
     adj = T.adj
     W = [0] * n
@@ -364,36 +380,27 @@ def _tree_influence(
             W[x] = down + ((W[parent[x]] - (down >> 1)) >> 1)
     for x, y in edges:
         W[y] += (W[x] - one) >> 1
+    for u in members:  # a member neighbor sits at blocked distance 1
+        for y in adj[u]:
+            if y in members:
+                W[u] += one
     return W, one
-
-
-def _has_adjacent_members(adj, members: frozenset) -> bool:
-    """Whether two members are adjacent. Each of them then receives exactly
-    1 from the other, so no set with an adjacent pair is independent."""
-    return not all(members.isdisjoint(adj[u]) for u in members)
 
 
 def ei_holds(G: Graph, S: Iterable[int]) -> bool:
     """Boolean form of the independence verifier. Two adjacent members
-    reject S first, on every graph, before the tree test. Otherwise a tree
-    takes the tree pass: every member u needs the sum of (F(a) - 1) / 2
-    over its neighbors a below 1. Any other graph runs the verifier's
-    per-member loop, stopped at the first violation, with no report
-    built."""
+    reject S first, on every graph: each receives exactly 1 from the
+    other, and the test is cheaper than ``is_tree``. Otherwise a tree takes
+    the tree pass, every member u needing W[u] below one. Any other graph
+    runs the verifier's per-member loop, stopped at the first violation,
+    with no report built."""
     members = _member_set(G, S)
-    if _has_adjacent_members(G.adj, members):
+    adj = G.adj
+    if not all(members.isdisjoint(adj[u]) for u in members):
         return False
     if not is_tree(G):
         return all(good for _, good, *_ in _ei_checks(G, members))
-    return _tree_ei_holds(G, members)
-
-
-def _tree_ei_holds(T: Graph, members: frozenset, alive: bytearray | None = None) -> bool:
-    """The tree branch of ``ei_holds``, on T or, with an ``alive`` mask, on
-    the subtree of the alive vertices (members must be alive)."""
-    if _has_adjacent_members(T.adj, members):
-        return False
-    W, one = _tree_influence(T, members, alive)
+    W, one = _tree_influence(G, members)
     return all(W[u] < one for u in members)
 
 

@@ -3,6 +3,9 @@ import hashlib
 import importlib
 import importlib.util
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +111,25 @@ class TestVerify:
         assert rc == 0
         assert out.strip() == "verdict true"
         assert rep.read_text().startswith("mode=ei verdict=true")
+
+    def test_report_past_the_int_to_str_cap(self, tmp_path):
+        # each end of an 8000-path receives 1/2^7998 from the other, whose
+        # decimal has 7998 digits, past the 4300-digit cap of str() on an int
+        g = tmp_path / "p8000.el"
+        run("gen", "--family", "path", "--n", 8000, "--out", g)
+        s = tmp_path / "s.txt"
+        s.write_text("0\n7999\n")
+        rep = tmp_path / "rep.txt"
+        rc, out, err = run("verify", "--graph", g, "--set", s, "--mode", "ei", "--report", rep)
+        assert (rc, out, err) == (0, "verdict true\n", "")
+        lines = rep.read_text().splitlines()
+        w = weights.Dyadic(1, 7998)
+        assert lines[:3] == [
+            "mode=ei verdict=true first_violation=none",
+            f"0 w={w} ({w.decimal_str()}) ok",
+            f"  v=7999 d=7999 c={w} ({w.decimal_str()})",
+        ]
+        assert 32_000 < rep.stat().st_size < 33_000
 
     def test_out_of_range_set(self, p5, tmp_path):
         # -1 would index the kernel's arrays from the end as vertex 4
@@ -385,6 +407,25 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
         assert exc.value.code == 2
+
+
+class TestStandardLibraryOnly:
+    def test_import_adds_only_standard_library_modules(self):
+        # a fresh interpreter, since this one has the test dependencies
+        # loaded; site hooks may load third-party modules at start-up, so
+        # only what the import adds counts
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import expindep, expindep.cli\n"
+            "added = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "print(*sorted(added - set(sys.stdlib_module_names)))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.split() == ["expindep"]
 
 
 # one value per registry parameter name, valid for every family using it

@@ -278,16 +278,18 @@ class TestGoodSetRandom:
         # by instrumented search)
         import expindep.constructors as cons
 
-        orig = cons._reroute_through_branch
+        orig = cons._reduction_r3
         fired = []
 
-        def spy(G, path):
-            r = orig(G, path)
-            if r is not None:
-                fired.append(G.n)
-            return r
+        def spy(tree, path):
+            # a rerouted path starts inside the hanging component, at
+            # neither end of the tree's diametral path
+            diametral = tree.diametral_path()
+            if path[0] not in (diametral[0], diametral[-1]):
+                fired.append(path[0])
+            return orig(tree, path)
 
-        monkeypatch.setattr(cons, "_reroute_through_branch", spy)
+        monkeypatch.setattr(cons, "_reduction_r3", spy)
         for n, seed in [(84, 900312), (46, 900354), (42, 900670)]:
             T = random_subcubic_tree(n, seed)
             S, _ = tree_good_set(T)
@@ -312,6 +314,28 @@ class TestGoodSetRandom:
         S, _ = tree_good_set(T)
         ok, why = good_set_audit(T, S)
         assert ok, why
+
+    def test_three_vertex_star_hang_raises(self):
+        # a star hanging at w4 gives w3' two endvertex neighbors, which R1
+        # takes first; with R1 bypassed the R4 path test must object
+        edges = [(i, i + 1) for i in range(7)]  # path 0..7
+        edges += [(3, 8), (8, 9), (8, 10), (4, 11), (11, 12), (11, 13)]
+        tree = cons._Tree(Graph(14, edges))
+        assert tree.r1 == {8, 11}
+        tree.r1.clear()
+        with pytest.raises(InvariantViolation, match="is not a path"):
+            cons._choose_reduction(tree)
+
+    def test_reroute_checks_depth_of_branched_hang(self, monkeypatch):
+        # the branched component at 3 reaches depth 4 from it, so 0..7 is
+        # not diametral; fed as one, the reroute must object
+        edges = [(i, i + 1) for i in range(7)]  # path 0..7
+        edges += [(3, 8), (8, 9), (8, 10), (9, 11), (11, 12)]
+        edges += [(4, 13), (13, 14), (13, 15), (14, 16), (15, 17)]
+        tree = cons._Tree(Graph(18, edges))
+        monkeypatch.setattr(tree, "diametral_path", lambda: list(range(8)))
+        with pytest.raises(InvariantViolation, match="has 4 levels, expected 3"):
+            cons._choose_reduction(tree)
 
     def test_all_rules_exercised(self):
         seen = set()

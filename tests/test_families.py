@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -229,6 +230,24 @@ class TestRandomGeneration:
     def test_graph_extra_edges(self):
         G = random_subcubic_graph(30, 5, seed=3)
         assert G.m == 34 and is_subcubic(G)
+
+    def test_graph_full_scan_fallback(self, monkeypatch):
+        # 6 extra edges make this 10-vertex tree cubic; 200 random draws
+        # miss the last free pair, so the full scan places it
+        import expindep.families as fam
+
+        scans = []
+
+        class Recording(random.Random):
+            def choice(self, seq):  # only the full scan draws by choice
+                scans.append(len(seq))
+                return super().choice(seq)
+
+        monkeypatch.setattr(fam, "random", SimpleNamespace(Random=Recording))
+        G = random_subcubic_graph(10, 6, seed=9)
+        assert scans == [1]  # one scan, which finds one free pair
+        assert G.m == 15 and all(G.degree(v) == 3 for v in range(G.n))
+        assert random_subcubic_graph(10, 6, seed=9) == G
 
     def test_graph_infeasible_extra(self):
         with pytest.raises(ValueError):

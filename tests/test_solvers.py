@@ -170,6 +170,36 @@ class TestIncrementalExtension:
                     assert step.keys() == members | {v}
                     members, bounds = frozenset(step), step
 
+    def test_passing_recheck_stores_the_exact_weight(self, monkeypatch):
+        # the one re-check of this search that passes: member 9, whose
+        # bound reached 1 when the set grew to {0, 4, 5, 9, 12, 13}, reads
+        # 31744 / 2^15 and keeps that exact weight as its bound
+        G = random_subcubic_graph(15, 1, 11)
+        passed, grown_maps = [], []
+
+        def check(G, members, x):
+            result = _member_check(G, members, x)
+            if result[0]:
+                passed.append((x, frozenset(members), result[1]))
+            return result
+
+        def extend(G, bounds, v):
+            grown = try_extend(G, bounds, v)
+            if grown is not None:
+                grown_maps.append(grown)
+            return grown
+
+        monkeypatch.setattr(solvers, "_member_check", check)
+        monkeypatch.setattr(solvers, "try_extend", extend)
+        result = alpha_e_exact(G)
+        members = frozenset({0, 4, 5, 9, 12, 13})
+        assert passed == [(9, members, 31744)]
+        assert exact_weight(G, members, 9) == 31744
+        assert [grown[9] for grown in grown_maps if grown.keys() == members] == [31744]
+        oracle = alpha_e_bruteforce(G)
+        assert (result.optimum, result.witness) == (oracle.optimum, oracle.witness)
+        assert result.optimum == 6
+
 
 @st.composite
 def cyclic_graphs(draw):

@@ -37,7 +37,6 @@ from expindep.weights import (
     _ei_checks,
     _influence,
     _member_check,
-    _tree_ei_holds,
     _tree_influence,
     blocked_distance,
     ed_holds,
@@ -47,6 +46,17 @@ from expindep.weights import (
     weight,
     weight_details,
 )
+
+
+def chunked_digits(x: int) -> str:
+    """Decimal digits of x >= 0, converted 1000 at a time, so no single
+    conversion reaches the int-to-str cap."""
+    chunks = []
+    while x >= 10**1000:
+        x, r = divmod(x, 10**1000)
+        chunks.append(f"{r:01000d}")
+    return str(x) + "".join(reversed(chunks))
+
 
 dyadics = st.builds(
     Dyadic,
@@ -86,6 +96,21 @@ class TestDyadic:
         assert Dyadic(1, 1).decimal_str() == "0.5"
         assert Dyadic(2, 0).decimal_str() == "2"
         assert Dyadic(0, 0).decimal_str() == "0"
+
+    def test_str_and_decimal_past_the_int_to_str_cap(self):
+        # 6021 digits in the numerator and 20000 after the point, both
+        # past the 4300-digit cap of str() on an int
+        d = Dyadic((1 << 20000) - 1, 20000)
+        assert str(d) == chunked_digits((1 << 20000) - 1) + "/2^20000"
+        assert repr(d) == f"Dyadic({chunked_digits((1 << 20000) - 1)}, 20000)"
+        assert d.decimal_str() == "0." + chunked_digits(10**20000 - 5**20000)
+        assert Dyadic(1, 7998).decimal_str() == "0." + chunked_digits(5**7998).rjust(7998, "0")
+
+    @given(st.integers(0, 1 << 60), st.integers(0, 60))
+    def test_decimal_matches_fractions(self, num, exp):
+        whole, _, frac = Dyadic(num, exp).decimal_str().partition(".")
+        frac = frac or "0"
+        assert Fraction(int(whole + frac), 10 ** len(frac)) == Fraction(num, 2**exp)
 
     @given(dyadics, dyadics)
     def test_addition_matches_fractions(self, a, b):
@@ -339,8 +364,8 @@ def random_alive_subtree(T, peel: int, rng) -> bytearray:
 
 
 class TestTreePassOnAliveSubtree:
-    """With an alive mask the tree pass and the EI helper must give what
-    they give on the induced subgraph of the alive vertices."""
+    """With an alive mask the tree pass and its member verdict must give
+    what they give on the induced subgraph of the alive vertices."""
 
     @given(st.integers(1, 60), st.integers(0, 10**6), st.integers(0, 59), st.data())
     def test_matches_induced_subgraph(self, n, seed, peel, data):
@@ -353,7 +378,7 @@ class TestTreePassOnAliveSubtree:
         W_sub, one_sub = _tree_influence(sub, S_sub)
         assert [W[v] for v in old_ids] == W_sub and one == one_sub
         assert not any(W[v] for v in range(n) if not alive[v])
-        assert _tree_ei_holds(T, S, alive) == ei_holds(sub, S_sub) == bfs_ei(sub, S_sub)
+        assert all(W[u] < one for u in S) == ei_holds(sub, S_sub) == bfs_ei(sub, S_sub)
 
     def test_good_sets_and_toggles(self):
         rng = random.Random(5)
@@ -365,23 +390,19 @@ class TestTreePassOnAliveSubtree:
             good = tree_good_set(sub)[0]
             for S_sub in [good] + [good ^ {v} for v in range(sub.n)]:
                 S = frozenset(old_ids[v] for v in S_sub)
-                verdict = _tree_ei_holds(T, S, alive)
+                W, one = _tree_influence(T, S, alive)
+                verdict = all(W[u] < one for u in S)
                 assert verdict == bfs_ei(sub, S_sub), (i, sorted(S))
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
 
 def tree_pass_weights(T, S, alive=None) -> dict:
-    """Each weight the tree pass reports exactly, as a Dyadic: every alive
-    non-member, and every member without a member neighbor."""
+    """Every alive vertex's weight from the tree pass, as a Dyadic."""
     W, one = _tree_influence(T, S, alive)
     exp = one.bit_length() - 1
     assert one == 1 << exp
-    return {
-        v: Dyadic(W[v], exp)
-        for v in range(T.n)
-        if (alive is None or alive[v]) and (v not in S or S.isdisjoint(T.adj[v]))
-    }
+    return {v: Dyadic(W[v], exp) for v in range(T.n) if alive is None or alive[v]}
 
 
 class TestTreePassWeights:
@@ -404,8 +425,21 @@ class TestTreePassWeights:
         S_sub = frozenset(data.draw(st.sets(st.integers(0, sub.n - 1))))
         got = tree_pass_weights(T, frozenset(old_ids[v] for v in S_sub), alive)
         for v_sub, v in enumerate(old_ids):
-            if v in got:
-                assert got[v] == weight(sub, S_sub - {v_sub}, v_sub), (list(T.edges()), sorted(S_sub), v)
+            assert got[v] == weight(sub, S_sub - {v_sub}, v_sub), (list(T.edges()), sorted(S_sub), v)
+
+    def test_adjacent_members(self):
+        # each of two adjacent members receives exactly 1 from the other,
+        # and the member behind a member neighbor is shielded
+        assert tree_pass_weights(gen_path(4), frozenset({0, 1})) == {0: 1, 1: 1, 2: 1, 3: Dyadic(1, 1)}
+        assert tree_pass_weights(gen_path(3), frozenset({0, 1, 2})) == {0: 1, 1: 2, 2: 1}
+
+    def test_every_subset_of_small_subcubic_trees(self):
+        for n in range(1, 8):
+            for T in free_trees(n, max_degree=3):
+                for mask in range(1 << n):
+                    S = frozenset(v for v in range(n) if mask >> v & 1)
+                    for v, w in tree_pass_weights(T, S).items():
+                        assert w == weight(T, S - {v}, v), (list(T.edges()), sorted(S), v)
 
 
 # every public entry point that takes a vertex set or vertex, called with
