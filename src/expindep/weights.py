@@ -23,12 +23,22 @@ level by level, records each member it meets without expanding it, and
 costs only the part of the graph it reaches. On n vertices every reached
 distance is below n, so every weight is an integer over 2**n: the kernel
 returns it, the solvers store it as is, and each verdict compares it with
-1 << n. A member's own condition is decided in one place,
-``_member_check``, from one sweep over the set itself rather than over
-the set without that member. ``Dyadic`` values are built only for
-returned weights and reports. ``graphs.absorbing_bfs`` gives the same distances as
-a dense list; ``blocked_distance`` uses it, and the tests use it as the
-kernel's oracle.
+1 << n. While it sweeps, the kernel keeps the sum on a local scale, an
+integer over 2**(d - 1) for the last level d that held a member, so a
+level costs d-bit operations at most and the one shift onto 2**n comes
+at the end. Given a cut, it also stops as soon as the verdict is
+decided: the weight so far has reached the cut, or it stays below the
+cut even if every member not yet met sits one level further out. Both
+are exact integer comparisons, so every verdict is unchanged. The
+boolean verifiers use the cut on graphs with a cycle, where a packing's
+sweeps would otherwise each cover most of the graph; every caller that
+needs the full weight or every reached pair passes none. A member's own
+condition is decided in one place, ``_member_check``, from one sweep
+over the set itself rather than over the set without that member.
+``Dyadic`` values are built only for returned weights and reports.
+``graphs.absorbing_bfs`` gives the same distances as a dense list;
+``blocked_distance`` uses it, and the tests use it as the kernel's
+oracle.
 
 On a tree, ``ei_holds`` and ``ed_holds`` skip the per-vertex sweeps. A
 path in a tree is unique, so a non-member x reaches a member v exactly
@@ -64,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import total_ordering
-from typing import Container, Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .graphs import Graph, ParameterError, absorbing_bfs, dead_marks, is_tree
 
@@ -221,9 +231,11 @@ def blocked_distance(G: Graph, S: Iterable[int], u: int, v: int):
     return absorbing_bfs(G, u, _member_set(G, S, u, v))[v]
 
 
-def _influence(G: Graph, members: Container[int], u: int) -> tuple[int, list[tuple[int, int]]]:
+def _influence(
+    G: Graph, members: Collection[int], u: int, cut: int = 0
+) -> tuple[int, list[tuple[int, int]]]:
     """The weight kernel: one absorbing sweep from u over ``members``, any
-    container that answers ``in`` (the solvers pass their bound map).
+    collection that answers ``in`` (the solvers pass their bound map).
 
     Returns ``(num, reached)``: ``reached`` lists the members u reaches as
     (source, blocked distance) pairs in BFS order, u itself at distance 0
@@ -234,14 +246,28 @@ def _influence(G: Graph, members: Container[int], u: int) -> tuple[int, list[tup
 
     The sweep goes level by level: a member it meets is recorded and never
     expanded, the source always is, so a call costs the part of G it
-    reaches, one ``bytearray`` of visited marks and one n-bit addition per
-    level that holds a member."""
+    reaches and one ``bytearray`` of visited marks. The sum is kept on the
+    local scale of the last level that held a member: ``acc`` /
+    2**(last - 1) is the weight so far, such a level shifts it by the
+    levels since and adds its members, and the one shift onto 2**G.n
+    happens on return.
+
+    A nonzero ``cut``, a whole weight, stops the sweep as soon as the
+    verdict ``num >= cut << G.n`` is decided: once the weight so far
+    reaches ``cut``, or once it stays below ``cut`` even if each of the
+    members not yet reached sits at the next distance, d + 1, and adds its
+    most, 2**-d. Both tests compare d-bit integers. num and ``reached`` are
+    then the sum and pairs of the levels swept, a prefix of the full
+    sweep, and the verdict is exact. ``ei_holds`` and ``ed_holds`` pass a
+    cut; every caller that needs the full weight or every pair (reports,
+    ``weight``, ``weight_details``, ``_member_check`` and ``try_extend``)
+    passes none."""
     adj = G.adj
     seen = bytearray(G.n)
     seen[u] = 1
     reached = [(u, 0)] if u in members else []
-    num = 2 << G.n if reached else 0
-    d = 0
+    acc = len(reached)
+    last = d = 0
     frontier = [u]
     while frontier:
         d += 1
@@ -257,9 +283,15 @@ def _influence(G: Graph, members: Container[int], u: int) -> tuple[int, list[tup
                     else:
                         nxt.append(y)
         if hits:
-            num += hits << (G.n + 1 - d)
+            acc = (acc << (d - last)) + hits
+            last = d
+        if cut:
+            top = cut << d
+            twice = acc << (d + 1 - last)
+            if twice >= top or twice + len(members) - len(reached) < top:
+                break
         frontier = nxt
-    return num, reached
+    return acc << (G.n + 1 - last), reached
 
 
 def weight(G: Graph, S: Iterable[int], u: int) -> Dyadic:
@@ -277,12 +309,12 @@ def weight_details(G: Graph, S: Iterable[int], u: int) -> tuple[Dyadic, tuple[tu
     return Dyadic(num, G.n), tuple(sorted(reached))
 
 
-# Each verifier mode has one per-vertex loop, a generator of (vertex,
-# verdict, num, reached) tuples. The report verifiers consume all of it;
-# the boolean forms stop at the first failing vertex.
+# Each verifier mode has one per-vertex loop of full sweeps, a generator
+# of (vertex, verdict, num, reached) tuples, which the report verifiers
+# consume and the tests use as the oracle for the boolean forms' cut sweeps.
 
 
-def _member_check(G: Graph, members: Container[int], u: int) -> tuple:
+def _member_check(G: Graph, members: Collection[int], u: int) -> tuple:
     """The member u against the influence of the other members, from one
     sweep over ``members`` itself, so no set without u is built. The
     source is always expanded, so the sweep is the one over the others
@@ -299,9 +331,9 @@ def _ei_checks(G: Graph, members: frozenset) -> Iterator[tuple]:
         yield u, *_member_check(G, members, u)
 
 
-def _ed_checks(G: Graph, members: frozenset, vertices: Iterable[int]) -> Iterator[tuple]:
-    """Each of ``vertices`` against the influence of all members."""
-    for u in vertices:
+def _ed_checks(G: Graph, members: frozenset) -> Iterator[tuple]:
+    """Every vertex, by id, against the influence of all members."""
+    for u in range(G.n):
         num, reached = _influence(G, members, u)
         yield u, num >= 1 << G.n, num, reached
 
@@ -325,7 +357,7 @@ def is_exponentially_independent(G: Graph, S: Iterable[int]) -> WeightReport:
 def is_exponentially_dominating(G: Graph, S: Iterable[int]) -> WeightReport:
     """Verdict true iff every vertex of G satisfies weight(G, S, u) >= 1
     exactly; members are automatically satisfied through their self term."""
-    return _report("ed", G.n, _ed_checks(G, _member_set(G, S), range(G.n)))
+    return _report("ed", G.n, _ed_checks(G, _member_set(G, S)))
 
 
 def _tree_influence(
@@ -392,14 +424,18 @@ def ei_holds(G: Graph, S: Iterable[int]) -> bool:
     reject S first, on every graph: each receives exactly 1 from the
     other, and the test is cheaper than ``is_tree``. Otherwise a tree takes
     the tree pass, every member u needing W[u] below one. Any other graph
-    runs the verifier's per-member loop, stopped at the first violation,
-    with no report built."""
+    sweeps from each member with the kernel's cut at 3 (u's own term 2
+    plus the others' 1), stopped at the first violation, with no report
+    built. On a packing each sweep then stops once the members it can no
+    longer have met are too far to matter, after about log2 |S| levels,
+    rather than covering most of G."""
     members = _member_set(G, S)
     adj = G.adj
     if not all(members.isdisjoint(adj[u]) for u in members):
         return False
     if not is_tree(G):
-        return all(good for _, good, *_ in _ei_checks(G, members))
+        three = 3 << G.n
+        return all(_influence(G, members, u, 3)[0] < three for u in members)
     W, one = _tree_influence(G, members)
     return all(W[u] < one for u in members)
 
@@ -407,10 +443,12 @@ def ei_holds(G: Graph, S: Iterable[int]) -> bool:
 def ed_holds(G: Graph, S: Iterable[int]) -> bool:
     """Boolean form of the domination verifier; members are skipped since
     their self term is 2. On a tree, every non-member x needs F(x) >= 1
-    from the tree pass."""
+    from the tree pass. On any other graph each non-member's sweep runs
+    with the kernel's cut at 1, so it stops once x is dominated, or once
+    the members it has not met can no longer lift it to 1."""
     members = _member_set(G, S)
     if not is_tree(G):
-        outside = (u for u in range(G.n) if u not in members)
-        return all(good for _, good, *_ in _ed_checks(G, members, outside))
+        one = 1 << G.n
+        return all(_influence(G, members, u, 1)[0] >= one for u in range(G.n) if u not in members)
     W, one = _tree_influence(G, members)
     return all(W[x] >= one for x in range(G.n) if x not in members)

@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from expindep.constructors import good_set_audit, tree_good_set
+from expindep.constructors import (
+    good_set_audit,
+    greedy_packing,
+    packing_separation,
+    tree_good_set,
+)
 from expindep.solvers import alpha_e_exact, try_extend
 from expindep.families import (
     canonical_set_tk,
@@ -279,7 +284,73 @@ def bfs_ei(G, S):
 
 
 def bfs_ed(G, S):
-    return all(good for _, good, *_ in _ed_checks(G, frozenset(S), range(G.n)))
+    return all(good for _, good, *_ in _ed_checks(G, frozenset(S)))
+
+
+@st.composite
+def graphs_with_sets(draw):
+    """A random subcubic graph with a cycle and a set on it: a dense
+    random set, or a greedy packing at a small separation. Both put
+    vertices on exactly 1 in each mode often enough to test the exits'
+    boundaries."""
+    n = draw(st.integers(4, 25))
+    try:
+        G = random_subcubic_graph(n, draw(st.integers(1, 5)), draw(st.integers(0, 10**6)))
+    except ValueError:
+        assume(False)
+    if draw(st.booleans()):
+        S = frozenset(draw(st.sets(st.integers(0, n - 1), min_size=n // 3)))
+    else:
+        S = greedy_packing(G, draw(st.integers(1, 4)))
+    return G, S
+
+
+class TestKernelCut:
+    """The kernel's early exit against its full sweep, on graphs with a
+    cycle, where ``ei_holds`` and ``ed_holds`` use it."""
+
+    @given(graphs_with_sets())
+    def test_exits_match_the_full_sweeps(self, case):
+        """Each vertex's verdict with a cut equals the full sweep's (the
+        verifiers' per-vertex loops), and the cut sweep's pairs are a
+        prefix of the full sweep's."""
+        G, S = case
+        assert not is_tree(G)
+        for u in range(G.n):
+            full, full_reached = _influence(G, S, u)
+            cut = 3 if u in S else 1
+            num, reached = _influence(G, S, u, cut)
+            assert (num >= cut << G.n) == (full >= cut << G.n), (list(G.edges()), sorted(S), u)
+            assert reached == full_reached[: len(reached)]
+        assert ei_holds(G, S) == bfs_ei(G, S), (list(G.edges()), sorted(S))
+        assert ed_holds(G, S) == bfs_ed(G, S), (list(G.edges()), sorted(S))
+
+    def test_exits_on_exactly_one(self):
+        """On the 8-cycle, vertex 2 receives exactly 1 from {0, 4}, and the
+        member 0 receives exactly 1 from 2 and 6 in {0, 2, 6}: in both, the
+        members not yet met after level 1 could just reach the cut, so the
+        sweep must go on to level 2. On the 6-cycle, vertex 0 reaches 1 at
+        level 1 from its neighbor 1, and the sweep stops there, before the
+        member 4 at distance 2."""
+        assert _influence(gen_cycle(6), {1, 4}, 0, 1) == (1 << 6, [(1, 1)])
+        C8 = gen_cycle(8)
+        assert ed_holds(C8, {0, 4}) and bfs_ed(C8, {0, 4})
+        assert _influence(C8, {0, 4}, 2, 1)[0] == 1 << 8
+        assert not ei_holds(C8, {0, 2, 6}) and not bfs_ei(C8, {0, 2, 6})
+        assert _influence(C8, {0, 2, 6}, 0, 3)[0] == 3 << 8
+
+    def test_paper_scale_packing_sweeps_stop_early(self):
+        """On the greedy packing of a 20 000-vertex graph, every member's
+        cut sweep stops before it meets another member: the others lie
+        beyond 2 * dstar = 12, and with |S| = 235 the others' bound falls
+        below 1 at level 8, the first d with 2**d > |S| - 1."""
+        G = random_subcubic_graph(20000, 2500, 1)
+        dstar = packing_separation(G.n)
+        S = greedy_packing(G, dstar)
+        assert ei_holds(G, S)
+        assert (dstar, len(S)) == (6, 235)
+        for u in S:
+            assert _influence(G, S, u, 3) == (2 << G.n, [(u, 0)])
 
 
 class TestTreePass:
