@@ -99,9 +99,10 @@ class InvariantViolation(RuntimeError):
 
 def packing_separation(n: int) -> int:
     """ceil(log2(log2(n))) + 2, decided with exact integer towers: the
-    ceiling is the least t with n <= 2**(2**t). No floating point."""
+    ceiling is the least t with n <= 2**(2**t). No floating point. An n
+    below 4 raises ParameterError."""
     if n < 4:
-        raise ValueError("n must be at least 4")
+        raise ParameterError("n must be at least 4")
     t = 0
     while (1 << (1 << t)) < n:
         t += 1
@@ -112,21 +113,45 @@ def greedy_packing(G: Graph, dstar: int) -> frozenset:
     """Maximal set with pairwise distance exceeding 2 * dstar, built
     greedily in ascending vertex id. Maximality comes from the exclusion
     marking: a vertex is skipped only when within 2 * dstar of an earlier
-    pick, so nothing outside the result can be added."""
+    pick, so nothing outside the result can be added. An empty graph or a
+    dstar below 1 raises ParameterError.
+
+    The marking is one list: ``left[y]`` is the most radius any earlier
+    ball still has at y, -1 outside every ball. A pick v sets
+    ``left[v] = 2 * dstar`` and sweeps level by level with r = 2 * dstar - 1
+    down to 0, entering a vertex y only while ``left[y] < r``, so it never
+    re-walks ground that an earlier ball covers with at least as much
+    radius left. After each sweep ``left[y] >= left[x] - 1`` for adjacent
+    x, y: a vertex the sweep does not enter already has the radius it
+    would get, and so does everything behind it. Hence ``left[y]`` is the
+    largest 2 * dstar - d(p, y) over the picks p, floored at -1, so
+    ``left[y] >= 0`` exactly on the union of the balls, a vertex is
+    skipped iff ``left[v] >= 0``, and the chosen set is the one that
+    marking each whole ball gives."""
     if G.n == 0:
-        raise ValueError("graph is empty")
+        raise ParameterError("graph is empty")
     if dstar < 1:
         raise ParameterError("dstar must be at least 1")
+    adj = G.adj
     radius = 2 * dstar
-    excluded = bytearray(G.n)
+    left = [-1] * G.n
     chosen = []
     for v in range(G.n):
-        if excluded[v]:
+        if left[v] >= 0:
             continue
         chosen.append(v)
-        for level in bfs_ball(G, v, radius):
-            for w in level:
-                excluded[w] = 1
+        left[v] = radius
+        frontier = [v]
+        for r in range(radius - 1, -1, -1):
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if left[y] < r:
+                        left[y] = r
+                        nxt.append(y)
+            if not nxt:
+                break
+            frontier = nxt
     return frozenset(chosen)
 
 

@@ -10,7 +10,11 @@ comparisons order every finite distance below infinity.
 marked in a caller's bytearray, optionally cut at a radius. Balls,
 connectivity, components, diametral paths and the good-set builder's
 hanging components all run on it, and each restricts it only through the
-marks. ``bfs_distances`` and ``absorbing_bfs`` keep their own loops: they
+marks. The exception outside this module is ``greedy_packing``'s sweep:
+its marks are the radius an earlier ball still has at a vertex, not a
+yes/no, so a pick stops where an earlier ball reaches at least as far
+rather than re-walking it, which one bytearray cannot express.
+``bfs_distances`` and ``absorbing_bfs`` keep their own loops: they
 are the independent references the tests compare the other searches
 against, and ``bfs_distances`` also fills the domination search's
 plain-distance rows.

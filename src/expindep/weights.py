@@ -35,7 +35,8 @@ sweeps would otherwise each cover most of the graph; every caller that
 needs the full weight or every reached pair passes none. A member's own
 condition is decided in one place, ``_member_check``, from one sweep
 over the set itself rather than over the set without that member.
-``Dyadic`` values are built only for returned weights and reports.
+``Dyadic`` values are built only for returned weights and reports, and a
+report builds each term's value and decimal once per distinct distance.
 ``graphs.absorbing_bfs`` gives the same distances as a dense list;
 ``blocked_distance`` uses it, and the tests use it as the kernel's
 oracle.
@@ -187,7 +188,8 @@ class WeightReport:
     """Full diagnostic output of a verifier run: one check per examined
     vertex (sorted by id), each carrying the exact weight and the (source,
     distance) pairs it sums. ``to_text`` derives each printed term from
-    its distance."""
+    its distance, once per distinct distance in the call: a report holds
+    at most n distinct distances but can hold n * |S| lines."""
 
     mode: str  # "ei" or "ed"
     ok: bool
@@ -202,12 +204,16 @@ class WeightReport:
             f"first_violation={self.first_violation if self.first_violation is not None else 'none'}"
         )
         lines = [head]
+        terms = {}  # d -> the rendered term of distance d, for this call only
         for c in self.checks:
             mark = "ok" if c.ok else "VIOLATION"
             lines.append(f"{c.vertex} w={c.weight} ({c.weight.decimal_str()}) {mark}")
             for v, d in c.contributions:
-                amount = Dyadic.influence(d)
-                lines.append(f"  v={v} d={d} c={amount} ({amount.decimal_str()})")
+                term = terms.get(d)
+                if term is None:
+                    amount = Dyadic.influence(d)
+                    term = terms[d] = f" d={d} c={amount} ({amount.decimal_str()})"
+                lines.append(f"  v={v}{term}")
         lines.append(f"# expindep {__version__}")
         return "\n".join(lines) + "\n"
 

@@ -307,6 +307,17 @@ class TestConstruct:
         rc, _, _ = run("construct", "--method", "family-canonical")
         assert rc == 2
 
+    @pytest.mark.parametrize("text, argv, message", [
+        ("3 2\n0 1\n1 2\n", (), "n must be at least 4"),
+        ("0 0\n", (), "n must be at least 4"),
+        ("0 0\n", ("--dstar", 1), "graph is empty"),
+    ])
+    def test_packing_bad_input_is_usage_error(self, tmp_path, text, argv, message):
+        g = tmp_path / "g.el"
+        g.write_text(text)
+        rc, out, err = run("construct", "--method", "packing", "--graph", g, *argv)
+        assert (rc, out, err) == (2, "", f"usage error: {message}\n")
+
     @pytest.mark.parametrize("argv, message", [
         (("--family", "tprime", "--k", 3, "--phase", 5), "phase must be 0, 1 or 2"),
         (("--family", "tk", "--k", 3, "--phase", 5), "phase must be 0, 1 or 2"),

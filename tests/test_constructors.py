@@ -29,6 +29,7 @@ from expindep.families import (
 )
 from expindep.graphs import (
     Graph,
+    bfs_ball,
     bfs_distances,
     degree2_vertices,
     endvertices,
@@ -100,6 +101,69 @@ class TestGreedyPacking:
             dstar = packing_separation(n)
             S = greedy_packing(G, dstar)
             assert len(S) >= math.ceil(n / (3 * 2 ** (2 * dstar) - 2))
+
+
+def packing_by_balls(G, dstar):
+    """Reference greedy packing: marks the whole ball of radius 2 * dstar
+    around every pick, one ``bfs_ball`` each."""
+    excluded = bytearray(G.n)
+    chosen = []
+    for v in range(G.n):
+        if excluded[v]:
+            continue
+        chosen.append(v)
+        for level in bfs_ball(G, v, 2 * dstar):
+            for w in level:
+                excluded[w] = 1
+    return frozenset(chosen)
+
+
+def random_graph(n, extra, seed):
+    try:
+        return random_subcubic_graph(n, extra, seed)
+    except ValueError:
+        return random_subcubic_graph(n, 0, seed)
+
+
+class TestGreedyPackingOracle:
+    """``greedy_packing``'s radius-left sweep against one whole ball per
+    pick."""
+
+    @given(st.integers(1, 90), st.integers(0, 8), st.integers(0, 10**6), st.integers(1, 5))
+    def test_random_graphs(self, n, extra, seed, dstar):
+        G = random_graph(n, extra, seed)
+        assert greedy_packing(G, dstar) == packing_by_balls(G, dstar)
+
+    @given(st.integers(1, 90), st.integers(0, 10**6), st.integers(1, 5))
+    def test_random_trees(self, n, seed, dstar):
+        T = random_subcubic_tree(n, seed)
+        assert greedy_packing(T, dstar) == packing_by_balls(T, dstar)
+
+    @given(st.integers(3, 60), st.integers(1, 5))
+    def test_cycles(self, n, dstar):
+        G = gen_cycle(n)
+        assert greedy_packing(G, dstar) == packing_by_balls(G, dstar)
+
+    @given(st.lists(st.tuples(st.integers(1, 30), st.integers(0, 4), st.integers(0, 10**6)),
+                    min_size=2, max_size=4),
+           st.integers(0, 3), st.randoms(use_true_random=False), st.integers(1, 5))
+    def test_disconnected_unions(self, parts, isolated, rng, dstar):
+        edges = []
+        n = 0
+        for size, extra, seed in parts:
+            part = random_graph(size, extra, seed)
+            edges += [(a + n, b + n) for a, b in part.edges()]
+            n += size
+        n += isolated
+        ids = list(range(n))
+        rng.shuffle(ids)
+        G = Graph(n, [(ids[a], ids[b]) for a, b in edges])
+        assert greedy_packing(G, dstar) == packing_by_balls(G, dstar)
+
+    @given(st.integers(1, 60), st.integers(0, 6), st.integers(0, 10**6))
+    def test_dstar_above_diameter(self, n, extra, seed):
+        G = random_graph(n, extra, seed)
+        assert greedy_packing(G, n) == packing_by_balls(G, n) == {0}
 
 
 class TestExpansionCondition:

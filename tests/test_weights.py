@@ -38,6 +38,8 @@ from expindep.graphs import (
 from expindep import weights
 from expindep.weights import (
     Dyadic,
+    VertexCheck,
+    WeightReport,
     _ed_checks,
     _ei_checks,
     _influence,
@@ -706,6 +708,34 @@ class TestReportFormat:
         a = is_exponentially_dominating(G, {0, 3, 6}).to_text()
         b = is_exponentially_dominating(G, {0, 3, 6}).to_text()
         assert a == b
+
+    @staticmethod
+    def per_line(report):
+        """The contribution lines of ``report`` rendered one at a time, each
+        from a fresh ``Dyadic.influence(d)``."""
+        lines = []
+        for c in report.checks:
+            for v, d in c.contributions:
+                amount = Dyadic.influence(d)
+                lines.append(f"  v={v} d={d} c={amount} ({amount.decimal_str()})")
+        return lines
+
+    def test_terms_match_per_line_rendering(self):
+        member_lines = 0
+        for G, S in report_pool():
+            for rep in (is_exponentially_independent(G, S), is_exponentially_dominating(G, S)):
+                text = [line for line in rep.to_text().splitlines() if line.startswith("  v=")]
+                assert text == self.per_line(rep), (G, sorted(S), rep.mode)
+                if rep.mode == "ed":
+                    member_lines += sum(" d=0 " in line for line in text)
+        assert member_lines > 0
+
+    def test_term_past_int_to_str_cap(self):
+        rep = WeightReport("ed", True, (VertexCheck(0, Dyadic.influence(7000), ((1, 7000),), True),), None)
+        line = rep.to_text().splitlines()[2]
+        assert line == self.per_line(rep)[0]
+        # 2 / 2**7000 has 6999 decimal places, 4892 significant digits
+        assert line.endswith(")") and len(line.rsplit("(0.", 1)[1]) == 6999 + 1
 
 
 def report_pool():
