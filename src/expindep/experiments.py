@@ -220,9 +220,12 @@ def random_ei_probability(
     """Monte Carlo estimate, per depth k, of the probability that the root
     of the perfect binary tree together with a Bernoulli(p) sample of the
     other vertices is exponentially independent. Each trial draws from a
-    generator keyed by (seed, k, trial) and is decided by ``ei_holds``,
-    which settles a trial with two adjacent picks (their mutual influence
-    is exactly 1) before any other test."""
+    generator keyed by (seed, k, trial), one draw per vertex in ascending
+    id. Two adjacent picks give each other exactly 1, so the trial fails at
+    the first pick with an earlier-picked neighbor and draws no further:
+    its own generator feeds no other trial, and every draw before the stop
+    is the one the full sample makes. A trial with no adjacent picks is
+    decided by ``ei_holds``."""
     depths = sorted(set(k_range))
     if not depths:
         raise ParameterError("empty depth range")
@@ -241,12 +244,22 @@ def random_ei_probability(
     for k in depths:
         lg = gen_perfect_binary(k)
         G = lg.graph
+        adj = G.adj
         successes = 0
         for t in range(trials):
             rng = random.Random(f"{seed}:{k}:{t}")
-            members = [0] + [v for v in range(1, G.n) if rng.random() < p_float]
-            if ei_holds(G, members):
-                successes += 1
+            picked = bytearray(G.n)
+            picked[0] = 1
+            members = [0]
+            for v in range(1, G.n):
+                if rng.random() < p_float:
+                    if any(picked[w] for w in adj[v]):
+                        break
+                    picked[v] = 1
+                    members.append(v)
+            else:
+                if ei_holds(G, members):
+                    successes += 1
         p_hat = successes / trials
         ci = 1.96 * math.sqrt(p_hat * (1 - p_hat) / trials)
         table.add(k, G.n, trials, successes, f"{p_hat:.6f}", f"{ci:.6f}")

@@ -35,6 +35,11 @@ sweeps would otherwise each cover most of the graph; every caller that
 needs the full weight or every reached pair passes none. A member's own
 condition is decided in one place, ``_member_check``, from one sweep
 over the set itself rather than over the set without that member.
+The domination report is the one exception. Its rows, the (member,
+distance) pairs of every vertex, are the transpose of one absorbing
+sweep per member, as the blocked distance is symmetric; ``_ed_checks``
+runs those |S| sweeps itself rather than n kernel calls, and each row's
+sum is the integer the kernel would return.
 ``Dyadic`` values are built only for returned weights and reports, and a
 report builds each term's value and decimal once per distinct distance.
 ``graphs.absorbing_bfs`` gives the same distances as a dense list;
@@ -67,7 +72,8 @@ uses no recursion. Two adjacent members stay ``ei_holds``' early exit,
 as it costs less than the tree test. Given alive marks, the pass runs on
 the subtree of the alive vertices, as the good-set builder's audit
 needs. The report verifiers, ``weight`` and ``weight_details`` stay on
-the sweeps, which the tests use as the oracle for the tree pass.
+the sweeps (member sweeps for the domination report, per-vertex kernel
+sweeps otherwise), which the tests use as the oracle for the tree pass.
 """
 
 from __future__ import annotations
@@ -315,9 +321,10 @@ def weight_details(G: Graph, S: Iterable[int], u: int) -> tuple[Dyadic, tuple[tu
     return Dyadic(num, G.n), tuple(sorted(reached))
 
 
-# Each verifier mode has one per-vertex loop of full sweeps, a generator
-# of (vertex, verdict, num, reached) tuples, which the report verifiers
-# consume and the tests use as the oracle for the boolean forms' cut sweeps.
+# Each verifier mode has one loop of full sweeps, a generator of (vertex,
+# verdict, num, pairs) tuples with the pairs sorted by source, which the
+# report verifiers consume and the tests use as the oracle for the boolean
+# forms' cut sweeps.
 
 
 def _member_check(G: Graph, members: Collection[int], u: int) -> tuple:
@@ -334,21 +341,55 @@ def _member_check(G: Graph, members: Collection[int], u: int) -> tuple:
 def _ei_checks(G: Graph, members: frozenset) -> Iterator[tuple]:
     """Every member u, by id, against the influence of the other members."""
     for u in sorted(members):
-        yield u, *_member_check(G, members, u)
+        good, num, reached = _member_check(G, members, u)
+        yield u, good, num, sorted(reached)
 
 
 def _ed_checks(G: Graph, members: frozenset) -> Iterator[tuple]:
-    """Every vertex, by id, against the influence of all members."""
-    for u in range(G.n):
-        num, reached = _influence(G, members, u)
-        yield u, num >= 1 << G.n, num, reached
+    """Every vertex, by id, against the influence of all members.
+
+    The blocked distance is symmetric, so the row of pairs the kernel
+    would return from a vertex y is the set of (v, d) with y reached at
+    distance d by the absorbing sweep from the member v. One such sweep per
+    member, in ascending id, fills every row already sorted by source: it
+    expands the source, appends its pair (shared by the whole level) to
+    every vertex it reaches, and expands only non-members. A row's num is
+    the sum of 2**(G.n + 1 - d) over its pairs, the kernel's integer; it is
+    summed on the scale of the row's farthest pair and shifted once. Each
+    row is released once yielded."""
+    n = G.n
+    adj = G.adj
+    rows = [[] for _ in range(n)]
+    for v in sorted(members):
+        seen = bytearray(n)
+        seen[v] = 1
+        rows[v].append((v, 0))
+        frontier = [v]
+        d = 0
+        while frontier:
+            d += 1
+            pair = (v, d)
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if not seen[y]:
+                        seen[y] = 1
+                        rows[y].append(pair)
+                        if y not in members:
+                            nxt.append(y)
+            frontier = nxt
+    one = 1 << n
+    for u in range(n):
+        row, rows[u] = rows[u], None
+        num = 0
+        if row:
+            top = max(d for _, d in row)
+            num = sum(1 << (top - d) for _, d in row) << (n + 1 - top)
+        yield u, num >= one, num, row
 
 
 def _report(mode: str, n: int, checks: Iterator[tuple]) -> WeightReport:
-    rows = tuple(
-        VertexCheck(u, Dyadic(num, n), tuple(sorted(reached)), good)
-        for u, good, num, reached in checks
-    )
+    rows = tuple(VertexCheck(u, Dyadic(num, n), tuple(pairs), good) for u, good, num, pairs in checks)
     first_violation = next((c.vertex for c in rows if not c.ok), None)
     return WeightReport(mode, first_violation is None, rows, first_violation)
 

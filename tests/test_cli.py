@@ -12,6 +12,7 @@ import pytest
 
 from expindep import cli, families, weights
 from expindep.cli import main
+from expindep.constructors import packing_separation
 from expindep.experiments import parse_corpus
 from expindep.families import FAMILIES, canonical_set_tk, tprime_dense_set
 from expindep.graphs import write_edge_list
@@ -418,6 +419,20 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             run("frobnicate")
         assert exc.value.code == 2
+
+    def test_flags_do_not_carry_between_calls(self, tmp_path):
+        """main parses every call with one parser per process; a flag given
+        to one call must not reach the next."""
+        g = tmp_path / "c30.el"
+        run("gen", "--family", "cycle", "--n", 30, "--out", g)
+        assert packing_separation(30) != 3
+        parser = cli._parser
+        rc, out, _ = run("construct", "--method", "packing", "--graph", g, "--dstar", 3)
+        assert rc == 0 and "dstar 3\n" in out
+        rc, out, _ = run("construct", "--method", "packing", "--graph", g)
+        assert rc == 0 and f"dstar {packing_separation(30)}\n" in out
+        assert cli._parser is parser is not None
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestStandardLibraryOnly:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from expindep.experiments import (
     parse_corpus,
     random_ei_probability,
 )
-from expindep.weights import Dyadic
+from expindep.families import gen_perfect_binary
+from expindep.weights import Dyadic, ei_holds
 
 
 class TestCsvTable:
@@ -133,7 +135,33 @@ class TestPackingBoundExact:
                 assert experiments._packing_bound_holds(alpha, n) == (192 * alpha * sq >= n), (alpha, n)
 
 
+def full_draw_successes(k, p, trials, seed):
+    """The trial loop that draws every vertex before deciding: each
+    sample in full, then ``ei_holds``."""
+    G = gen_perfect_binary(k).graph
+    p_float = float(p)
+    successes = 0
+    for t in range(trials):
+        rng = random.Random(f"{seed}:{k}:{t}")
+        members = [0] + [v for v in range(1, G.n) if rng.random() < p_float]
+        if ei_holds(G, members):
+            successes += 1
+    return successes
+
+
 class TestRandomEiProbability:
+    @pytest.mark.parametrize("p", [Fraction(1, 16), Fraction(1, 2), Fraction(1)])
+    def test_matches_the_full_draw_trials(self, p):
+        """A trial stopped at its first adjacent pick counts as the full
+        sample does, for every depth 2..6 and seed."""
+        depths = range(2, 7)
+        for seed in (0, 3, 11):
+            table = random_ei_probability(depths, p, 60, seed)
+            got = [int(row[3]) for row in table.rows]
+            assert got == [full_draw_successes(k, p, 60, seed) for k in depths], (p, seed)
+            if p == Fraction(1, 16):
+                assert 0 < got[-1] < got[0] < 60, got
+
     def test_p_one_collapses(self):
         table = random_ei_probability([2, 3], Fraction(1), trials=50, seed=1)
         assert all(row[3] == "0" for row in table.rows)

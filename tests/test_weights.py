@@ -307,6 +307,58 @@ def graphs_with_sets(draw):
     return G, S
 
 
+@st.composite
+def report_cases(draw):
+    """A graph with a cycle, a tree, or a disconnected graph (two trees and
+    an isolated vertex), with a set on it: empty, every vertex, a dense
+    random set or a greedy packing."""
+    n = draw(st.integers(1, 25))
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(["cycle", "tree", "disconnected"]))
+    if kind == "cycle":
+        try:
+            G = random_subcubic_graph(n, draw(st.integers(1, 5)), seed)
+        except ValueError:
+            assume(False)
+    elif kind == "tree":
+        G = random_subcubic_tree(n, seed)
+    else:
+        A, B = random_subcubic_tree(n, seed), random_subcubic_tree(draw(st.integers(1, 10)), seed + 1)
+        G = Graph(A.n + B.n + 1, list(A.edges()) + [(a + A.n, b + A.n) for a, b in B.edges()])
+    which = draw(st.sampled_from(["empty", "all", "dense", "packing"]))
+    if which == "empty":
+        S = frozenset()
+    elif which == "all":
+        S = frozenset(range(G.n))
+    elif which == "dense":
+        S = frozenset(draw(st.sets(st.integers(0, G.n - 1), min_size=G.n // 2)))
+    else:
+        S = greedy_packing(G, draw(st.integers(1, 4)))
+    return G, S
+
+
+class TestDominationRows:
+    """``_ed_checks`` fills every vertex's row from one sweep per member;
+    the oracle is the kernel's own sweep from that vertex."""
+
+    @given(report_cases())
+    def test_rows_match_the_per_vertex_sweeps(self, case):
+        G, S = case
+        rows = list(_ed_checks(G, S))
+        assert [u for u, *_ in rows] == list(range(G.n))
+        for u, good, num, pairs in rows:
+            want_num, want_reached = _influence(G, S, u)
+            want = (want_num >= 1 << G.n, want_num, sorted(want_reached))
+            assert (good, num, pairs) == want, (list(G.edges()), sorted(S), u)
+
+    def test_unreached_vertex_has_an_empty_row(self):
+        G = Graph(6, [(0, 1), (1, 2), (3, 4)])
+        rows = {u: (good, num, pairs) for u, good, num, pairs in _ed_checks(G, frozenset({1, 4}))}
+        assert rows[5] == (False, 0, [])
+        assert rows[0] == (True, 1 << 6, [(1, 1)])
+        assert rows[1] == (True, 2 << 6, [(1, 0)])
+
+
 class TestKernelCut:
     """The kernel's early exit against its full sweep, on graphs with a
     cycle, where ``ei_holds`` and ``ed_holds`` use it."""
