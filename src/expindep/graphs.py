@@ -14,10 +14,12 @@ marks. The exception outside this module is ``greedy_packing``'s sweep:
 its marks are the radius an earlier ball still has at a vertex, not a
 yes/no, so a pick stops where an earlier ball reaches at least as far
 rather than re-walking it, which one bytearray cannot express.
-``bfs_distances`` and ``absorbing_bfs`` keep their own loops: they
-are the independent references the tests compare the other searches
-against, and ``bfs_distances`` also fills the domination search's
-plain-distance rows.
+``plain_row``, the exact solvers' plain-distance rows, keeps its own
+loop for a like reason: its marks are the capped distances themselves,
+one byte per vertex with 255 for unvisited, so the row is filled in the
+same pass that visits it. ``bfs_distances`` and ``absorbing_bfs`` keep
+their own loops: they are the independent references the tests compare
+the other searches against.
 
 ``absorbing_bfs`` is the single-pass realization of distances in a
 vertex-deleted graph: sink vertices may terminate a walk but are never
@@ -222,6 +224,29 @@ def bfs_ball(G: Graph, u: int, radius: int) -> list[list[int]]:
     distance d, for d up to the radius, and the list ends at the last
     non-empty level."""
     return bfs_levels(G.adj, u, bytearray(G.n), radius)
+
+
+def plain_row(G: Graph, u: int) -> bytes:
+    """Hop distances from u, one byte per vertex: each distance capped at
+    255, and 255 for an unreachable vertex. A stored value is never above
+    the true distance, so a term 2 ** (1 - d) read off the row is never
+    below the true one (an unreachable vertex's true term is 0). The row
+    being filled is the search's visited marks: 255 is unvisited."""
+    adj = G.adj
+    row = bytearray(b"\xff") * G.n
+    row[u] = 0
+    frontier = [u]
+    for d in range(1, 255):
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if row[y] == 255:
+                    row[y] = d
+                    nxt.append(y)
+        if not nxt:
+            break
+        frontier = nxt
+    return bytes(row)
 
 
 def max_degree(G: Graph) -> int:

@@ -26,28 +26,43 @@ Feasibility along the branch-and-bound path is checked incrementally.
 Every stack entry carries one map, whose keys are the members, from each
 member to an upper bound on its weight, an integer over 2 ** G.n, the
 weight kernel's scale, so an exact weight is stored as the kernel returns
-it. When v joins, v is
-rejected with no sweep if it has a member neighbour; otherwise one kernel
-sweep from v decides v's own condition and finds the members v reaches
-with their blocked distances d. A reached member whose bound plus
-2 ** (1 - d) stays below 1 is accepted with no sweep; only the others are
-re-checked, by the same member check the verifier uses, and their bounds
-become their exact weights. A member v does not reach keeps its bound: a
-shortest path through v would reach v. The verdicts, and so the search
-order and node count, are those of re-checking every reached member; the
-equivalence with full re-verification is covered by tests.
+it. When v joins, v is rejected with no sweep if it has a member
+neighbour. Otherwise v's plain-distance row (below) gives the plain sum,
+the total of 2 ** (1 - dist_G(x, v)) over the members x, an upper bound
+on v's weight and on what v can add to each member. Usually that sum
+stays below 1: v is accepted with it as its bound, every member's
+bound grows by its plain term, and no sweep runs. Only when the sum
+reaches 1 does one kernel sweep from v decide v's own condition and find
+the members v reaches with their blocked distances d; a reached member's
+bound grows by 2 ** (1 - d), and a member v does not reach keeps its
+bound, as a shortest path through v would reach v. Either way, only a
+member whose bound reaches 1 is re-checked. The re-check is a kernel
+sweep with ``ei_holds``' cut, which rejects v as soon as the member's
+weight reaches 1; a member that passes is swept again in full by the
+member check the verifier uses, and its bound becomes its exact weight.
+Every stored value is an upper bound and every reject comes from an
+exact check, so the verdicts, and so the search order and node count,
+are those of re-checking every member; the equivalence with full
+re-verification is covered by tests.
 
 Every search, both exact solvers and the brute-force oracle, returns
 through one exit, ``_certified``: it sorts the witness, re-checks it with
 the full report verifier, timeout witnesses included, and builds the
 ``SearchResult``, whose optimum is the witness's size.
 
-The domination search keeps plain-distance rows per component, one row
-per vertex, each built on its first use (``functools.cache`` over
-``bfs_distances``). A combination under which some vertex x gets a
+Both searches read plain distances off rows built by
+``graphs.plain_row``, one ``bytes`` row per vertex on its first use
+(``functools.cache``), each distance capped at 255 and 255 for an
+unreachable vertex. A capped distance only raises its term, so every sum
+read off the rows is still an upper bound. The domination search keeps
+rows per component: a combination under which some vertex x gets a
 plain-distance sum below 1 cannot dominate x and is rejected before
 ``ed_holds`` runs; members never trip this test, since their own term
 is 2.
+
+With a time budget, both searches read the clock once per node or
+combination, so a budget is overrun by at most one node's cost; with no
+budget they never read it.
 """
 
 from __future__ import annotations
@@ -56,9 +71,10 @@ import time
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, combinations
-from typing import Iterable
+from operator import add
+from typing import Callable, Iterable
 
-from .graphs import Graph, ParameterError, bfs_distances, connected_components, induced_subgraph
+from .graphs import Graph, ParameterError, connected_components, induced_subgraph, plain_row
 from .weights import (
     _ei_checks,
     _influence,
@@ -79,7 +95,9 @@ def _deadline(time_budget: float | None) -> float | None:
     """The ``time.monotonic()`` reading at which a budget runs out, None
     for no budget. A NaN deadline would make every comparison false and
     switch the budget off, so a NaN or negative budget raises
-    ParameterError before any work; 0 and inf are allowed."""
+    ParameterError before any work; 0 and inf are allowed. A search stops
+    at the first node whose clock reading reaches the deadline, so a zero
+    budget stops at the first node."""
     if time_budget is None:
         return None
     if not time_budget >= 0:
@@ -115,37 +133,56 @@ def _certified(G: Graph, witness: Iterable[int], nodes: int, status: str, verifi
     return SearchResult(len(witness), witness, nodes, status)
 
 
-def try_extend(G: Graph, bounds: dict[int, int], v: int) -> dict[int, int] | None:
+def try_extend(
+    G: Graph, bounds: dict[int, int], v: int, rows: Callable[[int], bytes]
+) -> dict[int, int] | None:
     """Incremental feasibility check for the keys of ``bounds`` plus v,
     where the keys are an exponentially independent set and each maps to
-    an upper bound on its weight over 2 ** G.n. Returns the grown map when
-    the set stays independent, None otherwise. Ids are not checked here;
+    an upper bound on its weight over 2 ** G.n. ``rows`` maps a vertex to
+    its ``plain_row``. Returns the grown map when the set stays
+    independent, None otherwise. Ids are not checked here;
     ``alpha_e_exact`` raises ParameterError for one outside the graph.
 
-    A member neighbour rejects v with no sweep. Otherwise one sweep from v
-    over the members gives v's exact weight and each member x that v
-    reaches, at blocked distance d. Blocking v only lengthens the paths
-    between the old members, so bound + 2 ** (1 - d) bounds x's weight in
-    the extended set. Only a member whose bound reaches 1 is re-checked,
-    by ``_member_check`` over the grown map, and its bound becomes its
-    exact weight; a member v does not reach keeps its bound."""
+    A member neighbour rejects v with no sweep. Otherwise v's row gives
+    each member x its plain term 2 ** (1 - dist_G(x, v)), at least v's
+    term on x in the extended set, and their sum, at least v's weight.
+    When the sum stays below 1, v's bound is the sum and each member's
+    bound grows by its plain term, with no sweep. Otherwise one sweep from
+    v over the members gives v's exact weight and each member x that v
+    reaches, at blocked distance d, whose bound grows by 2 ** (1 - d); a
+    member v does not reach keeps its bound. Blocking v only lengthens the
+    paths between the old members, so each grown value bounds x's weight
+    in the extended set. Only a member whose bound reaches 1 is re-checked
+    over the grown map: a cut sweep, as in ``ei_holds``, stops once its
+    weight reaches 1 and rejects v; a member that passes gets its exact
+    weight from ``_member_check`` as its bound."""
     if not bounds.keys().isdisjoint(G.adj[v]):
         return None
-    num, reached = _influence(G, bounds, v)
     one = 1 << G.n
-    if num >= one:
-        return None
-    grown = dict(bounds)
-    grown[v] = num
-    for x, d in reached:
-        bound = bounds[x] + (one >> (d - 1))
-        if bound < one:
-            grown[x] = bound
-            continue
-        good, num, _ = _member_check(G, grown, x)
-        if not good:
+    two = one << 1
+    row = rows(v)
+    terms = [two >> row[x] for x in bounds]
+    plain = sum(terms)
+    if plain < one:
+        grown = dict(zip(bounds, map(add, bounds.values(), terms)))
+        grown[v] = plain
+        over = [x for x in bounds if grown[x] >= one]
+    else:
+        num, reached = _influence(G, bounds, v)
+        if num >= one:
             return None
-        grown[x] = num
+        grown = dict(bounds)
+        grown[v] = num
+        over = []
+        for x, d in reached:
+            grown[x] = bound = bounds[x] + (one >> (d - 1))
+            if bound >= one:
+                over.append(x)
+    three = 3 << G.n
+    for x in over:
+        if _influence(G, grown, x, 3)[0] >= three:
+            return None
+        grown[x] = _member_check(G, grown, x)[1]
     return grown
 
 
@@ -174,6 +211,7 @@ def alpha_e_exact(
         bounds[u] = num
 
     order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
+    rows = cache(partial(plain_row, G))
     cands = [v for v in order if v not in req and v not in exc]
 
     best_size = len(req)
@@ -189,7 +227,7 @@ def alpha_e_exact(
     while stack:
         i, bounds = stack.pop()
         nodes += 1
-        if deadline is not None and (nodes & 255) == 0 and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() >= deadline:
             status = "timeout"
             break
         if len(bounds) + (ncands - i) < best_size:
@@ -200,7 +238,7 @@ def alpha_e_exact(
             if size > best_size or (size == best_size and tup < best_set):
                 best_size, best_set = size, tup
             continue
-        grown = try_extend(G, bounds, cands[i])
+        grown = try_extend(G, bounds, cands[i], rows)
         stack.append((i + 1, bounds))
         if grown is not None:
             stack.append((i + 1, grown))
@@ -223,7 +261,7 @@ def alpha_e_bruteforce(G: Graph) -> SearchResult:
     return _certified(G, (), nodes, "optimal", is_exponentially_independent)
 
 
-def _uncovered(rows: list[list], xs: Iterable[int], one: int) -> int | None:
+def _uncovered(rows: list[bytes], xs: Iterable[int], one: int) -> int | None:
     """The first x in ``xs`` whose plain-distance sum from the combination
     with distance rows ``rows`` stays below 1, or None. ``one`` is 2 ** n
     for a graph on n vertices, so each term 2 ** (1 - d) is ``two >> d``
@@ -254,14 +292,14 @@ def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
     witness: list[int] = []
     for comp in connected_components(G):
         sub, old_ids = induced_subgraph(G, comp)
-        row = cache(partial(bfs_distances, sub))
+        row = cache(partial(plain_row, sub))
         one = 1 << sub.n
         xs = range(sub.n)
         last = 0  # the vertex that rejected the last combination
         # the whole vertex set dominates, so the stream ends in a break
         for combo in chain.from_iterable(combinations(xs, s) for s in range(1, sub.n + 1)):
             nodes += 1
-            if deadline is not None and (nodes & 63) == 0 and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 return _certified(G, range(G.n), nodes, "timeout", is_exponentially_dominating)
             miss = _uncovered([row(v) for v in combo], chain((last,), xs), one)
             if miss is not None:

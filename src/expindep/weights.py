@@ -31,10 +31,13 @@ decided: the weight so far has reached the cut, or it stays below the
 cut even if every member not yet met sits one level further out. Both
 are exact integer comparisons, so every verdict is unchanged. The
 boolean verifiers use the cut on graphs with a cycle, where a packing's
-sweeps would otherwise each cover most of the graph; every caller that
-needs the full weight or every reached pair passes none. A member's own
-condition is decided in one place, ``_member_check``, from one sweep
-over the set itself rather than over the set without that member.
+sweeps would otherwise each cover most of the graph, and so do the
+branch and bound's member re-checks; every caller that needs the full
+weight or every reached pair passes none. Most branch-and-bound nodes
+run no sweep at all: a plain-distance sum decides them (``solvers``).
+A member's own condition is decided in one place, ``_member_check``,
+from one sweep over the set itself rather than over the set without
+that member.
 The domination report is the one exception. Its rows, the (member,
 distance) pairs of every vertex, are the transpose of one absorbing
 sweep per member, as the blocked distance is symmetric; ``_ed_checks``
@@ -270,10 +273,11 @@ def _influence(
     members not yet reached sits at the next distance, d + 1, and adds its
     most, 2**-d. Both tests compare d-bit integers. num and ``reached`` are
     then the sum and pairs of the levels swept, a prefix of the full
-    sweep, and the verdict is exact. ``ei_holds`` and ``ed_holds`` pass a
-    cut; every caller that needs the full weight or every pair (reports,
-    ``weight``, ``weight_details``, ``_member_check`` and ``try_extend``)
-    passes none."""
+    sweep, and the verdict is exact. ``ei_holds``, ``ed_holds`` and the
+    re-checks in ``solvers.try_extend`` pass a cut; every caller that needs
+    the full weight or every pair (reports, ``weight``, ``weight_details``,
+    ``_member_check``, and ``try_extend``'s sweep from the new member when
+    its plain-distance sum reaches 1) passes none."""
     adj = G.adj
     seen = bytearray(G.n)
     seen[u] = 1

@@ -372,11 +372,11 @@ class TestExperiment:
 
     def test_forced_endvertices_timeout_writes_the_report_then_exits_3(self, tmp_path):
         # with no budget the k = 20 constrained solve stops at its first
-        # deadline check, node 256 of 322
+        # node, with the 80 required endvertices as its incumbent
         out = tmp_path / "study.txt"
         rc, _, _ = run("experiment", "--name", "forced-endvertices", "--k", 20, "--timeout", 0, "--out", out)
         assert rc == 3
-        assert "required): 82 (timeout incumbent, a lower bound)\n" in out.read_text()
+        assert "required): 80 (timeout incumbent, a lower bound)\n" in out.read_text()
 
 
     @pytest.mark.parametrize("name", ["bound-table", "random-ei", "conjecture-scan"])

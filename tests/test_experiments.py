@@ -271,19 +271,20 @@ class TestForcedEndvertexStudy:
             forced_endvertex_study(1)
 
     def test_timed_out_constrained_solve_is_a_lower_bound(self):
-        # with no budget the k = 20 constrained solve stops at its first
-        # deadline check, node 256 of 322; the k = 9 ceiling takes 203
+        # with no budget both solves stop at their first node, so each
+        # incumbent is its required set, the endvertices
         report = forced_endvertex_study(20, time_budget=0)
-        assert (report.constrained.status, report.k9.status) == ("timeout", "optimal")
+        assert (report.constrained.status, report.k9.status) == ("timeout", "timeout")
+        assert (report.constrained.nodes_explored, report.k9.nodes_explored) == (1, 1)
         text = report.to_text()
-        assert "constrained optimum (all endvertices required): 82 (timeout incumbent, a lower bound)\n" in text
-        assert "ceiling is 38: keeping" in text
+        assert "constrained optimum (all endvertices required): 80 (timeout incumbent, a lower bound)\n" in text
+        assert "ceiling is 36 (timeout incumbent, a lower bound): keeping" in text
 
     def test_claims_from_a_timeout_incumbent_are_flagged(self):
         note = " (read off the timeout incumbent, not established)\n"
         timed_out = forced_endvertex_study(20, time_budget=0).to_text()
         assert "interior blocks forced to their leaf sets: True" + note in timed_out
-        assert "(rate 0.3308 vs constrained 0.3154)" + note in timed_out
+        assert "(rate 0.3308 vs constrained 0.3077)" + note in timed_out
         optimal = forced_endvertex_study(3).to_text()
         assert "interior blocks forced to their leaf sets: True\n" in optimal
         assert "not established" not in optimal

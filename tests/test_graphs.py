@@ -33,6 +33,7 @@ from expindep.graphs import (
     longest_path,
     max_degree,
     parse_edge_list,
+    plain_row,
     write_edge_list,
 )
 
@@ -186,6 +187,18 @@ class TestBfs:
             G = random_subcubic_graph(25, 3, seed)
             for u, v in [(0, 24), (3, 17), (9, 9)]:
                 assert bfs_distances(G, u)[v] == bfs_distances(G, v)[u]
+
+
+class TestPlainRow:
+    def test_matches_capped_bfs_distances(self):
+        # a graph with cycles, two trees and an isolated vertex, and a
+        # path long enough to cap: unreachable and capped both read 255
+        graphs = [random_subcubic_graph(40, 5, 3), Graph(6, [(0, 1), (1, 2), (3, 4)]), gen_path(300)]
+        for G in graphs:
+            for u in range(0, G.n, 7):
+                row = plain_row(G, u)
+                assert isinstance(row, bytes)
+                assert list(row) == [min(d, 255) for d in bfs_distances(G, u)]
 
 
 class TestAbsorbingBfs:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from functools import cache, partial
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +25,7 @@ from expindep.graphs import (
     is_connected,
     is_subcubic,
     is_tree,
+    plain_row,
 )
 from expindep import solvers
 from expindep.solvers import (
@@ -154,16 +156,22 @@ class TestBounds:
                 assert opt >= len(S)
 
 
+def row_map(G):
+    """The plain-distance rows ``alpha_e_exact`` passes to try_extend."""
+    return cache(partial(plain_row, G))
+
+
 class TestIncrementalExtension:
     def test_matches_full_verifier(self):
         rng = random.Random(71)
         for trial in range(80):
             G = random_subcubic_graph(5 + trial % 10, trial % 3, trial + 1100)
+            rows = row_map(G)
             members, bounds = frozenset(), {}
             order = list(range(G.n))
             rng.shuffle(order)
             for v in order:
-                step = try_extend(G, bounds, v)
+                step = try_extend(G, bounds, v, rows)
                 full = ei_holds(G, members | {v})
                 assert (step is not None) == full, (trial, sorted(members), v)
                 if step is not None:
@@ -171,9 +179,10 @@ class TestIncrementalExtension:
                     members, bounds = frozenset(step), step
 
     def test_passing_recheck_stores_the_exact_weight(self, monkeypatch):
-        # the one re-check of this search that passes: member 9, whose
-        # bound reached 1 when the set grew to {0, 4, 5, 9, 12, 13}, reads
-        # 31744 / 2^15 and keeps that exact weight as its bound
+        # the two re-checks of this search that pass: when 13 joins
+        # {0, 4, 5, 9, 12}, the plain terms lift the bounds of members 9
+        # and 12 to 1 or more; each reads 31744 / 2^15 and keeps that
+        # exact weight as its bound
         G = random_subcubic_graph(15, 1, 11)
         passed, grown_maps = [], []
 
@@ -183,8 +192,8 @@ class TestIncrementalExtension:
                 passed.append((x, frozenset(members), result[1]))
             return result
 
-        def extend(G, bounds, v):
-            grown = try_extend(G, bounds, v)
+        def extend(G, bounds, v, rows):
+            grown = try_extend(G, bounds, v, rows)
             if grown is not None:
                 grown_maps.append(grown)
             return grown
@@ -193,9 +202,10 @@ class TestIncrementalExtension:
         monkeypatch.setattr(solvers, "try_extend", extend)
         result = alpha_e_exact(G)
         members = frozenset({0, 4, 5, 9, 12, 13})
-        assert passed == [(9, members, 31744)]
-        assert exact_weight(G, members, 9) == 31744
-        assert [grown[9] for grown in grown_maps if grown.keys() == members] == [31744]
+        assert passed == [(9, members, 31744), (12, members, 31744)]
+        for x in (9, 12):
+            assert exact_weight(G, members, x) == 31744
+            assert [grown[x] for grown in grown_maps if grown.keys() == members] == [31744]
         oracle = alpha_e_bruteforce(G)
         assert (result.optimum, result.witness) == (oracle.optimum, oracle.witness)
         assert result.optimum == 6
@@ -218,21 +228,29 @@ def exact_weight(G, members, x):
     return _member_check(G, members, x)[1]
 
 
+def plain_sum(G, row, members):
+    """The plain-distance terms read off ``row`` summed over ``members``,
+    over 2 ** G.n."""
+    return sum((2 << G.n) >> row[x] for x in members)
+
+
 class TestInfluenceBounds:
     """The bounds the branch and bound carries, and the facts about blocked
     distances they rest on, on graphs that are not trees."""
 
     @given(cyclic_graphs(), st.data())
     def test_carried_bounds_dominate_exact_weights(self, G, data):
+        rows = row_map(G)
         members, bounds = frozenset(), {}
         for v in data.draw(st.permutations(range(G.n))):
-            step = try_extend(G, bounds, v)
+            step = try_extend(G, bounds, v, rows)
             assert (step is not None) == ei_holds(G, members | {v}), (list(G.edges()), sorted(members), v)
             if step is None or not data.draw(st.booleans()):
                 continue
             assert step.keys() == members | {v}
+            plain = plain_sum(G, rows(v), members)
             members, bounds = frozenset(step), step
-            assert bounds[v] == exact_weight(G, members, v)
+            assert bounds[v] == (plain if plain < 1 << G.n else exact_weight(G, members, v))
             for x in members:
                 assert bounds[x] >= exact_weight(G, members, x), (list(G.edges()), sorted(members), x)
                 assert bounds[x] < 1 << G.n
@@ -261,12 +279,81 @@ class TestInfluenceBounds:
         """A combination the plain-distance test rejects at x leaves x
         undominated; the test never names a member."""
         combo = sorted(data.draw(st.sets(st.integers(0, G.n - 1), min_size=1)))
-        x = solvers._uncovered([bfs_distances(G, v) for v in combo], range(G.n), 1 << G.n)
+        x = solvers._uncovered([plain_row(G, v) for v in combo], range(G.n), 1 << G.n)
         if x is not None:
             assert x not in combo
             num, _ = _influence(G, frozenset(combo), x)
             assert num < 1 << G.n
             assert not ed_holds(G, combo)
+
+
+@st.composite
+def extension_graphs(draw):
+    """A graph with a cycle, a tree, or a disconnected graph (two trees
+    and an isolated vertex), on at most 29 vertices."""
+    n = draw(st.integers(1, 20))
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(["cycle", "tree", "disconnected"]))
+    if kind == "cycle":
+        try:
+            return random_subcubic_graph(max(n, 4), draw(st.integers(1, 4)), seed)
+        except ValueError:
+            assume(False)
+    if kind == "tree":
+        return random_subcubic_tree(n, seed)
+    A, B = random_subcubic_tree(n, seed), random_subcubic_tree(draw(st.integers(1, 8)), seed + 1)
+    return Graph(A.n + B.n + 1, list(A.edges()) + [(a + A.n, b + A.n) for a, b in B.edges()])
+
+
+class TestPlainRowExtension:
+    """try_extend with plain-distance rows: the pre-check accepts with the
+    plain sum as v's bound, and the sweep runs only when that sum reaches 1."""
+
+    @given(extension_graphs(), st.data())
+    def test_row_based_extension_matches_ei_holds(self, G, data):
+        rows = row_map(G)
+        one, two = 1 << G.n, 2 << G.n
+        members, bounds = frozenset(), {}
+        for v in data.draw(st.permutations(range(G.n))):
+            step = try_extend(G, bounds, v, rows)
+            where = (list(G.edges()), sorted(members), v)
+            assert (step is not None) == ei_holds(G, members | {v}), where
+            if step is None:
+                continue
+            grown = members | {v}
+            assert step.keys() == grown
+            for x in grown:
+                assert exact_weight(G, grown, x) <= step[x] < one, where + (x,)
+            row = rows(v)
+            plain = plain_sum(G, row, members)
+            if plain < one:
+                assert step[v] == plain
+                for x in members:
+                    carried = bounds[x] + (two >> row[x])
+                    assert step[x] == (carried if carried < one else exact_weight(G, grown, x)), where + (x,)
+            else:
+                assert step[v] == exact_weight(G, grown, v)
+            for x in members:
+                if row[x] == 255:
+                    # unreachable from v: its term is 0 on these graphs,
+                    # and the sweep never reaches it
+                    assert step[x] == bounds[x], where + (x,)
+            if data.draw(st.booleans()):
+                members, bounds = grown, step
+
+    def test_capped_term_still_bounds_the_weight(self):
+        # on a 300-vertex path the far end's distance 299 is stored as 255,
+        # so it adds 2 ** (1 - 255), not its exact 2 ** (1 - 299)
+        G = gen_path(300)
+        two = 2 << G.n
+        rows = row_map(G)
+        assert rows(299)[0] == 255
+        for x, d in enumerate(bfs_distances(G, 0)):
+            assert two >> rows(0)[x] >= two >> d
+        bounds = try_extend(G, {}, 0, rows)
+        grown = try_extend(G, bounds, 299, rows)
+        assert grown == {0: two >> 255, 299: two >> 255}
+        assert exact_weight(G, grown.keys(), 0) == two >> 299 < grown[0]
 
 
 class TestSolverByteIdentity:
@@ -364,10 +451,39 @@ class TestGamma:
                 solve(gen_path(8), time_budget=budget)
 
     def test_zero_and_infinite_budgets_are_allowed(self):
+        # a zero budget stops at the first node, with the empty incumbent
         G = gen_path(5)
-        for budget in (0.0, float("inf")):
-            assert alpha_e_exact(G, time_budget=budget).optimum == 2
+        assert alpha_e_exact(G, time_budget=0.0) == SearchResult(0, (), 1, "timeout")
+        assert alpha_e_exact(G, time_budget=float("inf")).optimum == 2
         assert gamma_e_exact(G, time_budget=float("inf")).status == "optimal"
+
+
+class TestBudgetChecks:
+    """Both searches read the clock once for the deadline and then once per
+    node or combination, and never without a budget."""
+
+    @pytest.mark.parametrize("solve", [alpha_e_exact, gamma_e_exact])
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_clock_is_read_on_every_node(self, monkeypatch, solve, k):
+        # the clock jumps past the deadline on its (k + 1)-th read, the
+        # one at node k
+        reads = []
+
+        def clock():
+            reads.append(len(reads))
+            return 0.0 if len(reads) <= k else 10.0
+
+        monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=clock))
+        res = solve(gen_path(30), time_budget=1.0)
+        assert (res.status, res.nodes_explored, len(reads)) == ("timeout", k, k + 1)
+
+    @pytest.mark.parametrize("solve", [alpha_e_exact, gamma_e_exact])
+    def test_no_budget_never_reads_the_clock(self, monkeypatch, solve):
+        def clock():
+            raise AssertionError("clock read with no budget")
+
+        monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=clock))
+        assert solve(random_subcubic_graph(12, 2, 5)).status == "optimal"
 
 
 class TestMaximalNotDominating:

@@ -3,6 +3,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -34,6 +35,7 @@ from expindep.graphs import (
     bfs_distances,
     induced_subgraph,
     is_tree,
+    plain_row,
 )
 from expindep import weights
 from expindep.weights import (
@@ -271,9 +273,10 @@ class TestKernel:
         except ValueError:
             assume(False)
         assert not is_tree(G)
+        rows = cache(partial(plain_row, G))
         M, bounds = frozenset(), {}
         for v in data.draw(st.permutations(range(n))):
-            step = try_extend(G, bounds, v)
+            step = try_extend(G, bounds, v, rows)
             grown = None if step is None else step.keys()
             assert grown == (M | {v} if ei_holds(G, M | {v}) else None), (list(G.edges()), sorted(M), v)
             if step is not None and data.draw(st.booleans()):
