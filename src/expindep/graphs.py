@@ -21,6 +21,15 @@ same pass that visits it. ``bfs_distances`` and ``absorbing_bfs`` keep
 their own loops: they are the independent references the tests compare
 the other searches against.
 
+``parse_edge_list`` reads a file in a few passes over all its lines at
+once: one split for the tokens, one ``int`` map per column, then range,
+loops, repeats and order checked on the id lists, and the adjacency built
+from them with no per-edge tuple or key set. A file in the order
+``write_edge_list`` writes already gives sorted lists with no repeats,
+which one pass over the edge keys confirms. The line-by-line loop runs
+only when a pass finds a fault, and only it raises, so the error names the
+first faulty line in file order whatever the kind of fault.
+
 ``absorbing_bfs`` is the single-pass realization of distances in a
 vertex-deleted graph: sink vertices may terminate a walk but are never
 expanded. One call from a source u therefore yields, for every target v at
@@ -33,6 +42,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import repeat
+from operator import add, eq, floordiv, lt, mod, mul
 from typing import Iterable, Iterator
 
 INF = math.inf
@@ -103,9 +114,13 @@ class Graph:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the canonical interchange format: a header line "n m" followed
-    by exactly m lines "u v". Loops, duplicates and out-of-range ids are
-    rejected by Graph itself; the error is re-raised naming the offending
-    line."""
+    by exactly m lines "u v". Malformed lines, loops, duplicates and
+    out-of-range ids are rejected with an ``EdgeListError`` naming the first
+    offending line.
+
+    A well-formed file is read in bulk passes over all its lines at once;
+    only when one of them finds a fault does the line-by-line loop run, and
+    it alone raises, so the error is the same whatever the kind of fault."""
     lines = text.splitlines()
     # tolerate trailing blank lines, nothing else
     while lines and not lines[-1].strip():
@@ -123,6 +138,60 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListError(1, "negative counts in header")
     if len(lines) - 1 != m:
         raise EdgeListError(len(lines), f"expected {m} edge lines, found {len(lines) - 1}")
+    adj = _bulk_adjacency(n, m, lines[1:])
+    if adj is None:
+        return _parse_lines(n, lines)
+    # the passes have done every check Graph makes, so skip its edge loop
+    G = object.__new__(Graph)
+    G.n, G.m, G.adj = n, m, adj
+    return G
+
+
+def _bulk_adjacency(n: int, m: int, body: list[str]) -> tuple | None:
+    """The sorted adjacency tuples of the m edge lines in ``body``, or None
+    when any line is faulty. Each check is one C-level pass over the file;
+    the Python loop left runs once per edge of a well-formed file."""
+    if not m:
+        return ((),) * n
+    # joined with a token no id parses as, the lines give one token list in
+    # which every third token is that separator exactly when every line
+    # holds two tokens and the other tokens all parse
+    tokens = " ; ".join(body).split()
+    if len(tokens) != 3 * m - 1 or tokens[2::3].count(";") != m - 1:
+        return None
+    try:
+        us = list(map(int, tokens[0::3]))
+        vs = list(map(int, tokens[1::3]))
+    except ValueError:
+        return None
+    if not all(map(lt, us, vs)):
+        if any(map(eq, us, vs)):
+            return None
+        us, vs = list(map(min, us, vs)), list(map(max, us, vs))
+    # every pair now has u < v, so these two bound every id
+    if min(us) < 0 or max(vs) >= n:
+        return None
+    # with every id in range, u * n + v is one key per pair, ordered as
+    # the pairs (u, v) are
+    keys = list(map(add, map(mul, us, repeat(n)), vs))
+    if not all(map(lt, keys, keys[1:])):
+        keys.sort()
+        if not all(map(lt, keys, keys[1:])):
+            return None
+        us = list(map(floordiv, keys, repeat(n)))
+        vs = list(map(mod, keys, repeat(n)))
+    # in this order, the order write_edge_list writes, each vertex meets its
+    # smaller neighbours first and each side in increasing order, so every
+    # list comes out sorted
+    adj: list[list[int]] = [[] for _ in repeat(None, n)]
+    for u, v in zip(us, vs):
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(map(tuple, adj))
+
+
+def _parse_lines(n: int, lines: list[str]) -> Graph:
+    """The line-by-line reading, which names the first faulty line."""
     line_no = 1
 
     def pairs():

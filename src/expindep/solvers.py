@@ -196,9 +196,11 @@ def alpha_e_exact(
     ``required`` (which must itself be independent, else InfeasibleError),
     never touching ``excluded``. Deterministic: branching order is
     descending degree with id tie-break, and the witness is the
-    lexicographically smallest among the optima. On timeout the best
-    incumbent is returned with status "timeout"; a NaN or negative budget,
-    or an id outside ``range(G.n)`` in either set, raises ParameterError."""
+    lexicographically smallest among the optima. On timeout the larger of
+    the best incumbent and the member set of the node the deadline stopped
+    (the incumbent on a tie) is returned with status "timeout"; a NaN or
+    negative budget, or an id outside ``range(G.n)`` in either set, raises
+    ParameterError."""
     deadline = _deadline(time_budget)
     req = _member_set(G, required)
     exc = _member_set(G, excluded)
@@ -229,6 +231,11 @@ def alpha_e_exact(
         nodes += 1
         if deadline is not None and time.monotonic() >= deadline:
             status = "timeout"
+            # the stopped node's members are exponentially independent too;
+            # the incumbent changes only at a leaf, which a search on a
+            # large graph may never reach within its budget
+            if len(bounds) > best_size:
+                best_set = tuple(sorted(bounds))
             break
         if len(bounds) + (ncands - i) < best_size:
             continue

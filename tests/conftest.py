@@ -1,6 +1,20 @@
+import warnings
+
 import pytest
 
 from expindep.families import free_trees, random_subcubic_graph
+
+# When a property test fails, the hypothesis plugin imports this module to
+# suggest a patch; through libcst it warns that mypy_extensions.TypedDict is
+# deprecated, and under -W error that warning replaces the failure report
+# and its falsifying example. Importing it once here, with only that
+# warning class ignored, leaves the module cached for the plugin.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

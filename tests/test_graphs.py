@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from expindep.families import (
     free_trees,
@@ -168,6 +168,124 @@ class TestEdgeListFuzz:
             parse_edge_list(text)
         assert got.value.line_no == pos + 2
         assert str(got.value) == f"line {pos + 2}: {ref.value}"
+
+
+def reference_parse_edge_list(text):
+    """The line-by-line parser the bulk reading replaced, kept verbatim as
+    the oracle: every text must give the same Graph, or the same error on
+    the same line."""
+    lines = text.splitlines()
+    # tolerate trailing blank lines, nothing else
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise EdgeListError(1, "missing header line")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise EdgeListError(1, f"malformed header {lines[0]!r}, expected 'n m'")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise EdgeListError(1, f"malformed header {lines[0]!r}, expected integers") from None
+    if n < 0 or m < 0:
+        raise EdgeListError(1, "negative counts in header")
+    if len(lines) - 1 != m:
+        raise EdgeListError(len(lines), f"expected {m} edge lines, found {len(lines) - 1}")
+    line_no = 1
+
+    def pairs():
+        nonlocal line_no
+        for line_no, line in enumerate(lines[1:], start=2):
+            parts = line.split()
+            if len(parts) != 2:
+                raise EdgeListError(line_no, f"malformed edge line {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise EdgeListError(line_no, f"malformed edge line {line!r}") from None
+            yield u, v
+
+    # Graph validates each edge as it is pulled, so line_no still names
+    # the offending line when Graph rejects it
+    try:
+        return Graph(n, pairs())
+    except EdgeListError:
+        raise
+    except ValueError as exc:
+        raise EdgeListError(line_no, str(exc)) from None
+
+
+FAULTS = ("one-token", "three-tokens", "non-integer", "negative", "out-of-range",
+          "loop", "repeat", "count")
+
+
+@st.composite
+def edge_list_texts(draw):
+    """An edge-list text for a drawn graph: canonical, or with its pairs
+    shuffled and some or all reversed, in a drawn spacing and line ending,
+    with up to two faults of any kinds spliced in."""
+    G = draw(subcubic_graphs())
+    n = G.n
+    pairs = list(G.edges())
+    if draw(st.booleans()):
+        pairs = draw(st.permutations(pairs))
+    flip = draw(st.sampled_from(["none", "all", "some"]))
+    if flip == "all":
+        pairs = [(v, u) for u, v in pairs]
+    elif flip == "some":
+        pairs = [(v, u) if draw(st.booleans()) else (u, v) for u, v in pairs]
+    lines = [[str(u), str(v)] for u, v in pairs]
+    vertex = st.integers(0, max(n - 1, 0))
+    delta = 0
+    for kind in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        u, v = draw(vertex), draw(vertex)
+        if kind == "one-token":
+            bad = [str(u)]
+        elif kind == "three-tokens":
+            bad = [str(u), str(v), str(draw(vertex))]
+        elif kind == "non-integer":
+            bad = [str(u), draw(st.sampled_from(["x", "1.5", ";", "0x1", "--1"]))]
+        elif kind == "negative":
+            bad = [str(u), str(draw(st.integers(-3, -1)))]
+        elif kind == "out-of-range":
+            bad = [str(u), str(draw(st.integers(n, n + 3)))]
+        elif kind == "loop":
+            bad = [str(v), str(v)]
+        elif kind == "repeat":
+            if not lines:
+                continue
+            bad = list(draw(st.sampled_from(lines)))
+        else:
+            delta = draw(st.sampled_from([-1, 1]))
+            continue
+        if draw(st.booleans()):
+            bad.reverse()
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    seps = draw(st.lists(st.sampled_from([" ", "\t", "  ", " \t "]), min_size=1, max_size=3))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    body = [pad + seps[i % len(seps)].join(tokens) + pad for i, tokens in enumerate(lines)]
+    tail = draw(st.sampled_from(["", newline, newline + "  " + newline]))
+    return newline.join([f"{n} {len(lines) + delta}", *body]) + tail
+
+
+def parse_outcome(parse, text):
+    try:
+        G = parse(text)
+    except EdgeListError as exc:
+        return "error", str(exc), exc.line_no
+    return "graph", G.n, G.m, G.adj
+
+
+class TestEdgeListOracle:
+    @settings(max_examples=300)
+    @given(edge_list_texts())
+    def test_same_graph_or_same_error(self, text):
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse_edge_list, text)
+
+    @pytest.mark.parametrize("text", ["0 0", "0 0\n\n", "4 0\n", "3 1\r\n2\t0\r\n"])
+    def test_edge_cases(self, text):
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse_edge_list, text)
 
 
 class TestBfs:

@@ -477,6 +477,23 @@ class TestBudgetChecks:
         res = solve(gen_path(30), time_budget=1.0)
         assert (res.status, res.nodes_explored, len(reads)) == ("timeout", k, k + 1)
 
+    @pytest.mark.parametrize("k", [2, 5, 20])
+    def test_timeout_witness_is_the_stopped_nodes_members(self, monkeypatch, k):
+        # include-first, the search reaches no leaf of the 30-path before
+        # node 31, so a stop at node k returns the members of that node
+        reads = []
+
+        def clock():
+            reads.append(len(reads))
+            return 0.0 if len(reads) <= k else 10.0
+
+        monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=clock))
+        G = gen_path(30)
+        res = alpha_e_exact(G, time_budget=1.0)
+        assert (res.status, res.nodes_explored) == ("timeout", k)
+        assert res.optimum == len(res.witness) > 0
+        assert ei_holds(G, res.witness)
+
     @pytest.mark.parametrize("solve", [alpha_e_exact, gamma_e_exact])
     def test_no_budget_never_reads_the_clock(self, monkeypatch, solve):
         def clock():
