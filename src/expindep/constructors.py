@@ -52,17 +52,24 @@ only the exact-search base builds one Graph, of at most 8 vertices.
 sorted-adjacency choice made over the alive vertices is the one the same
 rule made on a rebuilt subgraph: sets and traces are unchanged.
 
-Every lift is followed by a mandatory verification of the whole lifted
-set on the alive subtree (independent, contains all its endvertices,
-large enough, the three parts of ``good_set_audit``); a failure raises
-InvariantViolation carrying the trace, it is never silently accepted. The
-independence verdict comes from the linear-time tree pass in ``weights``,
-run on the alive vertices only, so each lift costs O(n); with the
-diametral path, one double BFS per step, the whole build stays O(n^2).
-The same policy covers the structural side conditions the recursion
-relies on (the reduced graph is a tree and keeps a degree-2 vertex,
-hanging components are short paths): they are asserted at runtime, not
-assumed.
+Every lifted set is proved good on the alive subtree (independent,
+contains all its endvertices, large enough, the three parts of
+``good_set_audit``); a failure raises InvariantViolation carrying the
+trace, it is never silently accepted. The full audit, the linear-time
+tree pass of ``weights`` on the alive vertices, runs on the base set and
+on the final set, and it resets an exact upper bound on each member's
+weight. A lift is first checked on its restored pendant alone, the few
+vertices between the restored set and the swapped vertex, which must
+meet the rest of the tree in one edge (``_lift_holds``): the influence
+the pendant sends across that edge must not grow, and the stored bounds
+give each member of the pendant an exact upper bound below 1. A lift
+this check cannot decide falls back to the full audit, with its message,
+so every verdict is the full audit's. A lift then costs O(1) steps, on
+integers of about 2n bits, instead of a pass over the tree; the diametral
+path, one double BFS per step, keeps the build O(n^2). The same policy
+covers the structural side conditions the recursion relies on (the
+reduced graph is a tree and keeps a degree-2 vertex, hanging components
+are short paths): they are asserted at runtime, not assumed.
 """
 
 from __future__ import annotations
@@ -305,6 +312,10 @@ class _Tree:
         self.deg2 = self.deg.count(2)
         leaf_parents = Counter(a[0] for a in T.adj if len(a) == 1)
         self.r1 = {v for v, c in leaf_parents.items() if c >= 2}
+        # weight bounds are integers over 2**scale: the tree pass's unit
+        # 2**(2H + 1), H < n, divides it, and so does 2**(1 - d) for every
+        # distance d in the tree
+        self.scale = 2 * T.n + 1
 
     def _refresh_r1(self, vertices) -> None:
         adj, alive, deg, r1 = self.adj, self.alive, self.deg, self.r1
@@ -383,10 +394,15 @@ class _Tree:
     def diametral_path(self) -> list[int]:
         return diametral_path(self.graph, self.alive)
 
-    def audit(self, S: frozenset) -> tuple[bool, str]:
+    def audit(self, S: set | frozenset, bound: dict | None = None) -> tuple[bool, str]:
         """The three-part check of ``good_set_audit`` on the alive subtree,
-        S in input ids."""
+        S in input ids. A ``bound`` dict is reset to the exact weight of
+        every member, as an integer over 2**scale."""
         W, one = _tree_influence(self.graph, S, self.alive)
+        if bound is not None:
+            shift = self.scale + 1 - one.bit_length()
+            bound.clear()
+            bound.update({u: W[u] << shift for u in S})
         if not all(W[u] < one for u in S):
             return False, "set is not exponentially independent"
         alive, deg = self.alive, self.deg
@@ -509,10 +525,136 @@ def _choose_reduction(tree: _Tree) -> tuple:
     return _reduction_r3(tree, [z1, z2, levels[0][0]] + base_path[3:])
 
 
-def _verify_good(tree: _Tree, S: frozenset, trace: GoodSetTrace, where: str):
-    ok, why = tree.audit(S)
+def _verify_good(
+    tree: _Tree, S: set | frozenset, trace: GoodSetTrace, where: str, bound: dict | None = None
+):
+    ok, why = tree.audit(S, bound)
     if not ok:
         raise InvariantViolation(f"{where}: {why}", trace)
+
+
+def _pendant(tree: _Tree, s: int, targets: set) -> set[int] | None:
+    """The vertices of the smallest alive subtree holding s and
+    ``targets``: a BFS from s that stops once every target is found, then
+    the walk back to s from each target. None when some target is not
+    alive."""
+    adj, alive = tree.adj, tree.alive
+    parent = {s: s}
+    todo = targets - {s}
+    frontier = [s]
+    while todo and frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if alive[y] and y not in parent:
+                    parent[y] = x
+                    nxt.append(y)
+        todo.difference_update(nxt)
+        frontier = nxt
+    if todo:
+        return None
+    P = {s}
+    for v in targets:
+        while v not in P:
+            P.add(v)
+            v = parent[v]
+    return P
+
+
+def _sweep(adj, region: set, members, src: int, top: int) -> tuple[int, dict[int, int]]:
+    """Absorbing BFS from src through ``region``, which src need not lie
+    in: the members it reaches at distances d >= 1, as ``{member: d}``,
+    and their influence on src, the sum of 2**(top - d)."""
+    seen = {src}
+    reached = {}
+    total = d = 0
+    frontier = [src]
+    while frontier:
+        d += 1
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if y in region and y not in seen:
+                    seen.add(y)
+                    if y in members:
+                        reached[y] = d
+                        total += 1 << (top - d)
+                    else:
+                        nxt.append(y)
+        frontier = nxt
+    return total, reached
+
+
+def _lift_holds(tree: _Tree, bound: dict, S: set, step: TraceStep) -> bool:
+    """True only if the lift of S by ``step``, S_new = S - {s} plus the
+    added vertices, is good on the alive tree, decided from the restored
+    pendant alone; False when that cannot be decided, and the caller then
+    runs the full audit. S itself is left as it is.
+
+    The state before the lift: S is good on the tree without
+    ``step.removed`` (R), and ``bound`` maps each member of S to an upper
+    bound on its weight, over 2**scale. P is the smallest subtree holding
+    R, the added vertices and s = ``step.swapped``; S_new differs from S
+    only inside P. The check needs exactly one alive edge (h, h') leaving
+    P, so every path from P to the rest runs through h and then h', and
+    the old tree holds P - R, which contains h.
+
+    A member y outside P gains 2**-d(y, h') * (I_new - I_old), or nothing
+    when its path to h' is blocked, where I is the influence that P sends
+    to h'. So I_new <= I_old keeps every outside verdict and bound. A
+    member u of P gets its weight inside P plus 2**-d(u, h') * J when its
+    path to h' is open, J the influence that the rest sends to h', which
+    the lift does not change: 2 when h' is a member, else at most
+    (bound(t) - inside_old(t)) * 2**d(t, h') for every old member t of P
+    whose path to h' is open. Those sums, rounded up, must stay below 1,
+    and become the new bounds of P. Only P changes degree, so only P can
+    hold a new endvertex outside the set."""
+    s = step.swapped
+    removed = set(step.removed)
+    P = _pendant(tree, s, removed.union(step.added))
+    if P is None:
+        return False
+    adj, alive = tree.adj, tree.alive
+    exits = [w for v in P for w in adj[v] if alive[w] and w not in P]
+    if len(exits) != 1:
+        return False
+    hp = exits[0]
+    top = tree.scale + 1  # a member at distance d adds 2**(1 - d)
+    old_P = P - removed
+    old = P.intersection(S)  # the members of P before and after the lift
+    new = old - {s}
+    new.update(step.added)
+    I_new, open_new = _sweep(adj, P, new, hp, top)
+    I_old, open_old = _sweep(adj, old_P, old, hp, top)
+    if I_new > I_old:
+        return False
+    if hp in S:
+        J = 1 << top
+    elif open_old:
+        J = min(
+            (bound[t] - _sweep(adj, old_P, old, t, top)[0]) << d
+            for t, d in open_old.items()
+        )
+    else:
+        return False
+    one = 1 << tree.scale
+    lifted = {}
+    for u in new:
+        b = _sweep(adj, P, new, u, top)[0]
+        if u in open_new:
+            b += -(-J >> open_new[u])  # rounded up
+        if b >= one:
+            return False
+        lifted[u] = b
+    deg = tree.deg
+    if any(deg[v] == 1 and v not in new for v in P):
+        return False
+    if 4 * (len(S) - len(old) + len(new)) < tree.size + 3:
+        return False
+    for v in P:
+        bound.pop(v, None)
+    bound.update(lifted)
+    return True
 
 
 def _base_exact(tree: _Tree) -> frozenset:
@@ -535,7 +677,8 @@ def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
     the module docstring); trees without one get all but one endvertex
     instead. Raises ValueError for non-trees, non-subcubic input or fewer
     than 2 vertices, and InvariantViolation when a lift or side condition
-    fails."""
+    fails. The full audit runs on the base set, on every lift the pendant
+    check cannot decide, and on the returned set."""
     if not is_tree(T):
         raise ValueError("input is not a connected tree")
     if not is_subcubic(T):
@@ -575,13 +718,21 @@ def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
             )
 
     trace = GoodSetTrace(tuple(steps), base_rule, tuple(sorted(S)))
-    _verify_good(tree, S, trace, f"base ({base_rule})")
+    bound: dict[int, int] = {}
+    _verify_good(tree, S, trace, f"base ({base_rule})", bound)
+    S = set(S)  # lifted in place: a lift touches O(1) members
+    accepted = False
     for step in reversed(steps):
         tree.restore(step.removed)
         if step.swapped not in S:
             raise InvariantViolation(
                 f"lift expected vertex {step.swapped} in the reduced solution", trace
             )
-        S = (S - {step.swapped}) | set(step.added)
+        accepted = _lift_holds(tree, bound, S, step)
+        S.discard(step.swapped)
+        S.update(step.added)
+        if not accepted:
+            _verify_good(tree, S, trace, "lift", bound)
+    if accepted:
         _verify_good(tree, S, trace, "lift")
-    return S, trace
+    return frozenset(S), trace

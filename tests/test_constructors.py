@@ -1,9 +1,10 @@
 import hashlib
 import math
 import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import expindep.constructors as cons
 from expindep.constructors import (
@@ -556,3 +557,138 @@ class TestMutableTree:
             tree_good_set(T)
         assert len(calls) >= 2
         assert len(exc.value.trace.steps) == len(calls)
+
+
+def corrupt_lifts(choose, seed: int, rate: float):
+    """``_choose_reduction`` with about ``rate`` of its lifts corrupted, the
+    same ones on every build of the same tree: keep the swapped vertex,
+    drop an added vertex, or add a removed vertex the lift leaves out."""
+    rng = random.Random(seed)
+
+    def corrupted(tree):
+        rule, removed, swapped, added = choose(tree)
+        if rng.random() < rate:
+            spare = [v for v in removed if v not in added]
+            kind = rng.choice(("keep", "drop", "add") if spare else ("keep", "drop"))
+            if kind == "keep":
+                added = added + (swapped,)
+            elif kind == "drop":
+                gone = rng.choice(added)
+                added = tuple(v for v in added if v != gone)
+            else:
+                added = added + (rng.choice(spare),)
+        return rule, removed, swapped, added
+
+    return corrupted
+
+
+def build_outcome(T, choose, full_audit_every_lift: bool):
+    """The set and trace text of one build, or its InvariantViolation text.
+    With ``full_audit_every_lift`` the local check never accepts, so every
+    lift gets the full audit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cons, "_choose_reduction", choose)
+        if full_audit_every_lift:
+            mp.setattr(cons, "_lift_holds", lambda *args: False)
+        try:
+            S, trace = tree_good_set(T)
+        except InvariantViolation as exc:
+            return "error", str(exc), exc.trace.to_text()
+        return "ok", sorted(S), trace.to_text()
+
+
+class TestLocalLiftCheck:
+    """The check of a lift on its restored pendant against the full audit
+    that every lift used to get."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(9, 300), st.integers(0, 10**6), st.booleans())
+    def test_accepts_only_what_the_audit_accepts(self, n, seed, corrupt):
+        T = random_subcubic_tree(n, seed)
+        if not degree2_vertices(T):
+            return
+        orig = cons._lift_holds
+        verdicts = []
+
+        def oracle(tree, bound, S, step):
+            S_new = (S - {step.swapped}) | set(step.added)
+            accepted = orig(tree, bound, S, step)
+            if accepted:  # the stored bounds stay upper bounds, too
+                exact = {}
+                assert tree.audit(S_new, exact) == (True, "ok"), step
+                assert bound.keys() == exact.keys()
+                assert all(bound[u] >= w for u, w in exact.items()), step
+            verdicts.append(accepted)
+            return accepted
+
+        choose = corrupt_lifts(cons._choose_reduction, seed, 0.15 if corrupt else 0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cons, "_lift_holds", oracle)
+            outcome = build_outcome(T, choose, False)
+        choose = corrupt_lifts(cons._choose_reduction, seed, 0.15 if corrupt else 0.0)
+        assert outcome == build_outcome(T, choose, True)
+        if not corrupt:  # honest lifts never need the fallback
+            assert outcome[0] == "ok" and all(verdicts)
+
+    def test_missing_endvertex_message(self):
+        # one lift drops the first of the two endvertices it should add
+        orig = cons._choose_reduction
+        calls = []
+
+        def drop_first(tree):
+            rule, removed, swapped, added = orig(tree)
+            calls.append(rule)
+            if len(calls) == 3:
+                added = added[1:]
+            return rule, removed, swapped, added
+
+        T = random_subcubic_tree(80, seed=3)
+        outcome = build_outcome(T, drop_first, False)
+        calls.clear()
+        assert outcome == build_outcome(T, drop_first, True)
+        assert outcome[0] == "error"
+        assert re.fullmatch(r"lift: endvertices missing from the set: \[\d+\]", outcome[1])
+
+    def test_too_small_message(self):
+        # every lift leaves out the added vertex that is not an endvertex:
+        # the set stays independent and keeps its endvertices, but on a
+        # spider with three legs of 20 it soon falls below a quarter
+        orig = cons._choose_reduction
+
+        def drop_inner(tree):
+            rule, removed, swapped, added = orig(tree)
+            return rule, removed, swapped, tuple(v for v in added if tree.deg[v] == 1)
+
+        legs = [[0] + list(range(1 + 20 * i, 21 + 20 * i)) for i in range(3)]
+        T = Graph(61, [(a, b) for leg in legs for a, b in zip(leg, leg[1:])])
+        outcome = build_outcome(T, drop_inner, False)
+        assert outcome == build_outcome(T, drop_inner, True)
+        assert outcome[0] == "error"
+        assert re.fullmatch(r"lift: set too small: \d+ < \(\d+ \+ 3\) / 4", outcome[1])
+
+    def test_fallback_decides_with_a_loose_bound(self, monkeypatch):
+        # the stored bound of the swapped vertex just below 1 leaves no
+        # room for the outside's influence unless another old member of
+        # the pendant bounds it: those lifts fall back to the full audit,
+        # and the build is unchanged
+        T = random_subcubic_tree(150, seed=8)
+        want = tree_good_set(T)
+        orig_check, orig_audit = cons._lift_holds, cons._Tree.audit
+        verdicts, audits = [], []
+
+        def loose(tree, bound, S, step):
+            bound[step.swapped] = (1 << tree.scale) - 1
+            verdicts.append(orig_check(tree, bound, S, step))
+            return verdicts[-1]
+
+        def counted(tree, S, bound=None):
+            audits.append(S)
+            return orig_audit(tree, S, bound)
+
+        monkeypatch.setattr(cons, "_lift_holds", loose)
+        monkeypatch.setattr(cons._Tree, "audit", counted)
+        S, trace = tree_good_set(T)
+        assert (S, trace.to_text()) == (want[0], want[1].to_text())
+        assert len(verdicts) == len(trace.steps) and verdicts.count(False) > len(verdicts) // 2
+        # the base, every fallback, and the final set after an accepted lift
+        assert len(audits) == 1 + verdicts.count(False) + verdicts[-1]
