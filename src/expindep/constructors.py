@@ -43,14 +43,18 @@ Reduction rules, applied to the first match:
 The whole reduction and lift run on one mutable tree in the input's
 vertex ids (``_Tree``): a step marks its removed set dead and the lift
 brings it back, so no subgraph is built per step. Degrees, the count of
-degree-2 vertices and the set of vertices with two endvertex neighbours
-(for R1) are updated within distance 2 of each removed set. Whether the
-reduced graph is still a tree is decided in O(|R|) by counting the edges
-that leave the removed set R, the path test reads the degree-2 count, and
-only the exact-search base builds one Graph, of at most 8 vertices.
-``induced_subgraph`` keeps old ids in ascending order, so every min-id and
-sorted-adjacency choice made over the alive vertices is the one the same
-rule made on a rebuilt subgraph: sets and traces are unchanged.
+degree-2 vertices and each vertex's count of endvertex neighbours (for
+R1) change by delta next to the removed set. Whether the reduced graph is
+still a tree is decided in O(|R|) by counting the edges that leave the
+removed set R, the path test reads the degree-2 count, and only the
+exact-search base builds one Graph, of at most 8 vertices. The diametral
+path comes from an index of the alive tree rooted at its centre, which
+holds the deepest vertex of every subtree: a step updates it on the
+ancestors of what it removed, and a path costs two walks up to the root
+instead of a double BFS over the tree. ``induced_subgraph`` keeps old ids
+in ascending order, so every min-id and sorted-adjacency choice made over
+the alive vertices is the one the same rule made on a rebuilt subgraph:
+sets and traces are unchanged.
 
 Every lifted set is proved good on the alive subtree (independent,
 contains all its endvertices, large enough, the three parts of
@@ -65,16 +69,18 @@ the pendant sends across that edge must not grow, and the stored bounds
 give each member of the pendant an exact upper bound below 1. A lift
 this check cannot decide falls back to the full audit, with its message,
 so every verdict is the full audit's. A lift then costs O(1) steps, on
-integers of about 2n bits, instead of a pass over the tree; the diametral
-path, one double BFS per step, keeps the build O(n^2). The same policy
-covers the structural side conditions the recursion relies on (the
-reduced graph is a tree and keeps a degree-2 vertex, hanging components
-are short paths): they are asserted at runtime, not assumed.
+integers of about 2n bits, instead of a pass over the tree, and a
+reduction step O(depth + |R|), the depth of the rooted alive tree, which
+grows like log n on the trees ``random_subcubic_tree`` grows (diameter 70
+at n = 10**5) and like n only on long thin trees such as caterpillars.
+The same policy covers the structural side conditions the recursion
+relies on (the reduced graph is a tree and keeps a degree-2 vertex,
+hanging components are short paths): they are asserted at runtime, not
+assumed.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -292,78 +298,172 @@ class _Tree:
     """One subcubic tree under deletion and re-insertion of vertex sets, in
     the ids of the input tree T, whose adjacency is never copied or changed.
 
-    The alive vertices always span a tree. The state is the ``alive``
-    marks, the degree of every alive vertex in that tree, the alive count
-    ``size``, the number ``deg2`` of alive degree-2 vertices, and ``r1``,
-    the alive vertices with two or more alive endvertex neighbours. A
-    removal touches only what lies within distance 2 of the removed set,
-    and ``restore`` undoes the latest ``remove`` exactly. Because
-    ``induced_subgraph`` keeps old ids in ascending order, every min-id
-    and sorted-adjacency choice made here over the alive vertices is the
-    choice the same rule makes on the induced subgraph."""
+    The alive vertices always span a tree: ``remove`` runs only after
+    ``remains_tree_without`` holds, and ``restore`` undoes the latest
+    ``remove`` exactly. The state is the ``alive`` marks, the degree of
+    every alive vertex in that tree, the alive count ``size``, the number
+    ``deg2`` of alive degree-2 vertices, ``leaves[v]``, the number of alive
+    endvertex neighbours of an alive v, and ``r1``, the alive v with
+    ``leaves[v] >= 2``. A step changes a degree only next to the set it
+    removes or restores, and a count only next to a vertex that starts or
+    stops being an alive endvertex; the entries of a dead vertex keep their
+    values until it is restored.
+
+    ``diametral_path`` reads a rooted index of the alive tree: ``root``, the
+    middle vertex of one double BFS, and for every alive v its ``parent``
+    and ``depth`` and ``best[v]``, the deepest vertex x of v's subtree,
+    smallest id first, held as the key x - depth[x] * n. Removing a set
+    whose alive tree stays a tree cuts whole subtrees off and changes no
+    distance between alive vertices, so only ``best`` on the ancestors of
+    each cut changes. The index is rebuilt on the next path asked for after
+    its root dies or after a ``restore``; ``root`` is -1 until then.
+
+    Because ``induced_subgraph`` keeps old ids in ascending order, every
+    min-id and sorted-adjacency choice made here over the alive vertices is
+    the choice the same rule makes on the induced subgraph."""
 
     def __init__(self, T: Graph):
-        self.n = T.n
+        n = self.n = T.n
         self.graph = T
-        self.adj = T.adj
-        self.alive = bytearray(b"\x01" * T.n)
-        self.deg = [len(a) for a in T.adj]
-        self.size = T.n
-        self.deg2 = self.deg.count(2)
-        leaf_parents = Counter(a[0] for a in T.adj if len(a) == 1)
-        self.r1 = {v for v, c in leaf_parents.items() if c >= 2}
+        adj = self.adj = T.adj
+        self.alive = bytearray(b"\x01" * n)
+        deg = self.deg = [len(a) for a in adj]
+        self.size = n
+        self.deg2 = deg.count(2)
+        self.leaves = [sum(1 for w in a if deg[w] == 1) for a in adj]
+        self.r1 = {v for v, c in enumerate(self.leaves) if c >= 2}
         # weight bounds are integers over 2**scale: the tree pass's unit
         # 2**(2H + 1), H < n, divides it, and so does 2**(1 - d) for every
         # distance d in the tree
-        self.scale = 2 * T.n + 1
+        self.scale = 2 * n + 1
+        self.root = -1
+        self.parent = [-1] * n
+        self.depth = [0] * n
+        self.best = [0] * n
 
-    def _refresh_r1(self, vertices) -> None:
-        adj, alive, deg, r1 = self.adj, self.alive, self.deg, self.r1
-        for v in vertices:
-            if alive[v] and sum(1 for w in adj[v] if alive[w] and deg[w] == 1) >= 2:
-                r1.add(v)
-            else:
-                r1.discard(v)
-
-    def _near(self, R) -> set[int]:
-        """R and every vertex within distance 2 of it."""
-        adj = self.adj
-        near = set(R)
-        for v in R:
-            for w in adj[v]:
-                near.add(w)
-                near.update(adj[w])
-        return near
-
-    def _shift_degrees(self, R, step: int) -> None:
-        adj, alive, deg = self.adj, self.alive, self.deg
+    def _shift(self, R, step: int) -> None:
+        """With R dead: the alive neighbours of R change degree by step,
+        and the endvertices of R stop (step -1) or start (+1) counting as
+        endvertex neighbours of them. A neighbour whose degree leaves or
+        reaches 1 changes the count of each of its own alive neighbours."""
+        adj, alive, deg, leaves, r1 = self.adj, self.alive, self.deg, self.leaves, self.r1
+        touched = []
         d2 = 0
         for v in R:
+            end = deg[v] == 1  # the degree R had when it was removed
             for w in adj[v]:
                 if alive[w]:
+                    if end:
+                        leaves[w] += step
+                        touched.append(w)
                     old = deg[w]
-                    deg[w] = old + step
-                    d2 += (old + step == 2) - (old == 2)
+                    new = deg[w] = old + step
+                    d2 += (new == 2) - (old == 2)
+                    if old == 1 or new == 1:
+                        flip = 1 if new == 1 else -1
+                        for x in adj[w]:
+                            if alive[x]:
+                                leaves[x] += flip
+                                touched.append(x)
         self.deg2 += d2
+        for w in touched:
+            if leaves[w] >= 2:
+                r1.add(w)
+            else:
+                r1.discard(w)
 
     def remove(self, R) -> None:
-        alive = self.alive
+        alive, deg, r1 = self.alive, self.deg, self.r1
         for v in R:
             alive[v] = 0
-        self.deg2 -= sum(1 for v in R if self.deg[v] == 2)
+            r1.discard(v)
+        self.deg2 -= sum(1 for v in R if deg[v] == 2)
         self.size -= len(R)
-        self._shift_degrees(R, -1)
-        self._refresh_r1(self._near(R))
+        self._shift(R, -1)
+        if self.root < 0:
+            return
+        if not alive[self.root]:
+            self.root = -1
+            return
+        parent = self.parent
+        for v in R:  # each removed subtree hangs below one alive vertex
+            if alive[parent[v]]:
+                self._settle(parent[v])
 
     def restore(self, R) -> None:
-        """Undo ``remove(R)``; the degrees of R were kept while it was dead."""
-        self._shift_degrees(R, 1)
-        alive = self.alive
+        """Undo ``remove(R)``; the degrees and counts of R were kept while
+        it was dead."""
+        self._shift(R, 1)
+        alive, leaves, r1 = self.alive, self.leaves, self.r1
         for v in R:
             alive[v] = 1
+            if leaves[v] >= 2:
+                r1.add(v)
         self.deg2 += sum(1 for v in R if self.deg[v] == 2)
         self.size += len(R)
-        self._refresh_r1(self._near(R))
+        self.root = -1
+
+    def _root_index(self) -> None:
+        """Root the alive tree at the middle of its diametral path and fill
+        ``parent``, ``depth`` and ``best`` for every alive vertex."""
+        path = diametral_path(self.graph, self.alive)
+        root = path[len(path) // 2]
+        adj, alive, parent, depth, best = self.adj, self.alive, self.parent, self.depth, self.best
+        n = self.n
+        parent[root] = -1
+        depth[root] = 0
+        order = [root]
+        for u in order:  # BFS: the list grows while it is read
+            pu, du = parent[u], depth[u] + 1
+            for c in adj[u]:
+                if c != pu and alive[c]:
+                    parent[c] = u
+                    depth[c] = du
+                    order.append(c)
+        for u in order:
+            best[u] = u - depth[u] * n
+        for u in reversed(order):
+            p = parent[u]
+            if p >= 0 and best[u] < best[p]:
+                best[p] = best[u]
+        self.root = root
+
+    def _settle(self, u: int) -> None:
+        """Recompute ``best`` from u up towards the root after a subtree
+        below u died, stopping at the first value that stays."""
+        adj, alive, parent, depth, best = self.adj, self.alive, self.parent, self.depth, self.best
+        n = self.n
+        while u >= 0:
+            pu = parent[u]
+            b = u - depth[u] * n
+            for c in adj[u]:
+                if c != pu and alive[c] and best[c] < b:
+                    b = best[c]
+            if b == best[u]:
+                return
+            best[u] = b
+            u = pu
+
+    def _farthest(self, m: int) -> int:
+        """The smallest alive vertex farthest from m: the least
+        x - d(m, x) * n, over m's subtree and then, at each ancestor u of
+        m, over u and its subtrees off m's side."""
+        adj, alive, parent, depth, best = self.adj, self.alive, self.parent, self.depth, self.best
+        n = self.n
+        dm = depth[m]
+        top = best[m] + dm * n
+        child, u = m, parent[m]
+        while u >= 0:
+            pu, du = parent[u], depth[u]
+            key = u - (dm - du) * n
+            if key < top:
+                top = key
+            shift = (2 * du - dm) * n  # d(m, x) = dm + depth[x] - 2 du below u
+            for c in adj[u]:
+                if c != child and c != pu and alive[c] and best[c] + shift < top:
+                    top = best[c] + shift
+            child, u = u, pu
+        return top % n
 
     def remains_tree_without(self, R) -> bool:
         """Exact O(|R|) test that the alive tree minus R is a tree. T - R
@@ -392,7 +492,31 @@ class _Tree:
         return [v for v in range(self.n) if self.alive[v]]
 
     def diametral_path(self) -> list[int]:
-        return diametral_path(self.graph, self.alive)
+        """The path ``graphs.diametral_path`` returns on the alive tree:
+        a farthest from the smallest alive vertex, b farthest from a, ties
+        to the smallest id, joined through their meeting vertex and listed
+        from the smaller end."""
+        if self.root < 0:
+            self._root_index()
+        a = self._farthest(self.alive.index(1))
+        b = self._farthest(a)
+        parent, depth = self.parent, self.depth
+        up_a, up_b = [a], [b]
+        while depth[a] > depth[b]:
+            a = parent[a]
+            up_a.append(a)
+        while depth[b] > depth[a]:
+            b = parent[b]
+            up_b.append(b)
+        while a != b:
+            a, b = parent[a], parent[b]
+            up_a.append(a)
+            up_b.append(b)
+        up_b.pop()  # the meeting vertex, already last in up_a
+        path = up_a + up_b[::-1]
+        if path[0] > path[-1]:
+            path.reverse()
+        return path
 
     def audit(self, S: set | frozenset, bound: dict | None = None) -> tuple[bool, str]:
         """The three-part check of ``good_set_audit`` on the alive subtree,

@@ -32,7 +32,10 @@ from expindep.graphs import (
     Graph,
     bfs_ball,
     bfs_distances,
+    bfs_levels,
+    dead_marks,
     degree2_vertices,
+    diametral_path,
     endvertices,
     induced_subgraph,
     is_subcubic,
@@ -422,6 +425,21 @@ class TestQuarterVsThirteenths:
             assert 13 * (n + 3) > 4 * (2 * n + 8)
 
 
+def caterpillar(spine: int, reverse: bool = False) -> Graph:
+    """A path 0..spine-1 with a pendant path of i % 3 vertices at spine
+    vertex i, new ids in order; ``reverse`` maps every id v to n - 1 - v."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i in range(spine):
+        prev = i
+        for _ in range(i % 3):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    if reverse:
+        edges = [(n - 1 - u, n - 1 - v) for u, v in edges]
+    return Graph(n, edges)
+
+
 def good_set_digest(trees) -> str:
     """sha256 over the sorted good set and the trace text of every tree."""
     h = hashlib.sha256()
@@ -449,6 +467,37 @@ class TestGoodSetByteIdentity:
             "8d4e48b47c679a800d129327f9f2061fe836479acd4a0190f0fd3be95ba4c3f8"
         )
 
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            pytest.param(
+                lambda: random_subcubic_tree(4000, 1),
+                "9e9f1648a9bb734a5bd9e08d7bec0f0e4ca45b7fff17600f204303a787a5f05f",
+                id="random-4000",
+            ),
+            pytest.param(
+                lambda: caterpillar(1000),
+                "1fbf804de01c07803cd57cb33196260e80ba84edde69ec917e7f5abac12aa095",
+                id="caterpillar",
+            ),
+            pytest.param(
+                lambda: caterpillar(1000, reverse=True),
+                "84aeb6e4ea6380597978b915ee677c08b4d665c20e5259474512753e65ed8ad7",
+                id="caterpillar-reversed",
+            ),
+            pytest.param(
+                lambda: gen_tk(300).graph,
+                "589941ddde8b58355cdd65288d411c8aebf5fc87698aa94b0edda162ecf476ea",
+                id="tk-300",
+            ),
+        ],
+    )
+    def test_large_trees(self, make, digest):
+        """Long diametral paths and deep rooted trees, beyond the n <= 300
+        of the shapes above; recorded with the builder that ran one double
+        BFS per reduction step."""
+        assert good_set_digest([make()]) == digest
+
 
 def peel_leaves(tree, count: int, rng: random.Random) -> None:
     """Remove ``count`` random endvertices one at a time; the alive vertices
@@ -470,8 +519,35 @@ def assert_state_fresh(tree):
     assert [tree.deg[v] for v in old_ids] == [sub.degree(i) for i in range(sub.n)]
     assert tree.deg2 == len(degree2_vertices(sub))
     leaves = endvertices(sub)
-    r1 = {old_ids[i] for i in range(sub.n) if len(leaves.intersection(sub.adj[i])) >= 2}
-    assert tree.r1 == r1
+    counts = [len(leaves.intersection(sub.adj[i])) for i in range(sub.n)]
+    assert [tree.leaves[v] for v in old_ids] == counts
+    assert tree.r1 == {old_ids[i] for i in range(sub.n) if counts[i] >= 2}
+
+
+def removable_near_root(tree, data) -> tuple:
+    """One to four alive vertices whose removal leaves a tree. Half of the
+    draws try the path index's root, or a neighbour of it, together with
+    every branch at it but the largest; the rest, and the tries that need
+    more than four vertices, peel endvertices one at a time."""
+    adj, alive = tree.adj, tree.alive
+    if tree.root >= 0 and data.draw(st.booleans()):
+        t = data.draw(st.sampled_from([tree.root] + [w for w in adj[tree.root] if alive[w]]))
+        seen = dead_marks(alive)
+        seen[t] = 1
+        branches = sorted(
+            ([v for level in bfs_levels(adj, w, seen) for v in level]
+             for w in adj[t] if alive[w]),
+            key=len,
+        )
+        R = [t] + [v for b in branches[:-1] for v in b]
+        if len(R) <= 4 and len(R) < tree.size:
+            return tuple(R)
+    R = []
+    for _ in range(min(data.draw(st.integers(1, 4)), tree.size - 1)):
+        ends = [v for v in tree.vertices() if v not in R
+                and sum(1 for w in adj[v] if alive[w] and w not in R) <= 1]
+        R.append(data.draw(st.sampled_from(ends)))
+    return tuple(R)
 
 
 class TestMutableTree:
@@ -490,11 +566,39 @@ class TestMutableTree:
         verdict = tree.remains_tree_without(R)
         assert verdict == is_tree(sub)
         if verdict:
-            before = (bytes(tree.alive), list(tree.deg), tree.size, tree.deg2, set(tree.r1))
+            def state():
+                return (bytes(tree.alive), list(tree.deg), tree.size, tree.deg2,
+                        list(tree.leaves), set(tree.r1))
+
+            before = state()
             tree.remove(R)
             assert_state_fresh(tree)
             tree.restore(R)
-            assert (bytes(tree.alive), tree.deg, tree.size, tree.deg2, tree.r1) == before
+            assert state() == before
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 80), st.integers(0, 10**6), st.data())
+    def test_path_index_matches_double_bfs(self, n, seed, data):
+        """Removals of up to four vertices, the index's root among them
+        where that keeps a tree, restores, and removals after a restore:
+        after each, the indexed path is the double BFS's path."""
+        T = random_subcubic_tree(n, seed)
+        tree = cons._Tree(T)
+        done = []
+        for _ in range(data.draw(st.integers(1, 25))):
+            assert tree.diametral_path() == diametral_path(T, tree.alive)
+            assert_state_fresh(tree)
+            if done and data.draw(st.integers(0, 3)) == 0:
+                tree.restore(done.pop())
+                continue
+            if tree.size == 1:
+                break
+            R = removable_near_root(tree, data)
+            assert tree.remains_tree_without(R)
+            tree.remove(R)
+            done.append(R)
+        assert tree.diametral_path() == diametral_path(T, tree.alive)
+        assert_state_fresh(tree)
 
     def test_diametral_path_matches_longest_path(self):
         rng = random.Random(11)
