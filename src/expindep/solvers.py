@@ -40,6 +40,17 @@ member whose bound reaches 1 is re-checked. The re-check is a kernel
 sweep with ``ei_holds``' cut, which rejects v as soon as the member's
 weight reaches 1; a member that passes is swept again in full by the
 member check the verifier uses, and its bound becomes its exact weight.
+
+Most of those sweeps would reject, and two facts let the rows decide them
+first. The blocked distance equals the plain one d when d <= 3, since
+every inner vertex of such a path is next to an end, and a set with an
+adjacent pair is never independent; and it does when no other member z
+lies on a shortest path between the two, rx[z] + ry[z] == d on their
+rows. Summing the plain terms of such members gives an exact floor on a
+weight (``_weight_floor``), read only at the members' entries of the
+rows. Before the sweep from v, and before each member's re-check, a floor
+that reaches 1 rejects v with no sweep; otherwise the sweep runs as
+above.
 Every stored value is an upper bound and every reject comes from an
 exact check, so the verdicts, and so the search order and node count,
 are those of re-checking every member; the equivalence with full
@@ -72,7 +83,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, combinations
 from operator import add
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from .graphs import Graph, ParameterError, connected_components, induced_subgraph, plain_row
 from .weights import (
@@ -133,6 +144,54 @@ def _certified(G: Graph, witness: Iterable[int], nodes: int, status: str, verifi
     return SearchResult(len(witness), witness, nodes, status)
 
 
+def _weight_floor(
+    G: Graph, members: Collection[int], x: int, rows: Callable[[int], bytes], cut: int = 0
+) -> int:
+    """A lower bound on x's weight from the members other than x, over
+    2 ** G.n, read off the plain rows of x and of the members alone.
+    ``rows`` maps a vertex to its ``plain_row``. The members and x (which
+    may be one of them) must hold no adjacent pair, as in ``try_extend``.
+    A member y at plain distance d adds its plain term 2 ** (1 - d) when
+    its blocked distance is d too: when d <= 3, as every inner vertex of
+    such a path is next to x or y, so no member; or when no other member z
+    lies on a shortest x-y path, ``rx[z] + ry[z] == d``. Any other member
+    adds 0. A member at the capped distance 255 adds 0 and is never on a
+    path.
+
+    Near members are summed first, then the far ones by ascending d. A
+    nonzero ``cut``, a whole weight as in ``_influence``, stops the scan
+    once the bound reaches ``cut`` or once the far terms not yet read
+    cannot lift it there, so the verdict ``floor >= cut << G.n`` is exact;
+    with none, every member is read."""
+    two = 2 << G.n
+    top = cut << G.n
+    rx = rows(x)
+    floor = 0
+    far = []
+    for y in members:
+        d = rx[y]
+        if d > 3:
+            if d < 255:
+                far.append((d, y))
+        elif d:
+            floor += two >> d
+    if cut and floor >= top:
+        return floor
+    rest = sum(two >> d for d, _ in far)
+    far.sort()
+    for d, y in far:
+        if cut and floor + rest < top:
+            break
+        term = two >> d
+        rest -= term
+        ry = rows(y)
+        if all(rx[z] + ry[z] != d for z in members if 0 < rx[z] < d):
+            floor += term
+            if cut and floor >= top:
+                break
+    return floor
+
+
 def try_extend(
     G: Graph, bounds: dict[int, int], v: int, rows: Callable[[int], bytes]
 ) -> dict[int, int] | None:
@@ -155,7 +214,15 @@ def try_extend(
     in the extended set. Only a member whose bound reaches 1 is re-checked
     over the grown map: a cut sweep, as in ``ei_holds``, stops once its
     weight reaches 1 and rejects v; a member that passes gets its exact
-    weight from ``_member_check`` as its bound."""
+    weight from ``_member_check`` as its bound.
+
+    Before the sweep from v and before each re-check, ``_weight_floor``
+    reads an exact lower bound on that vertex's weight off the rows: a
+    member's plain term counts when the plain distance is at most 3, or
+    when no other member lies on a shortest path between the two, for then
+    the blocked distance is the plain one. A floor that reaches 1 rejects
+    v with no sweep; otherwise the sweep runs as above. Most re-checks
+    reject, and most are decided this way."""
     if not bounds.keys().isdisjoint(G.adj[v]):
         return None
     one = 1 << G.n
@@ -168,6 +235,8 @@ def try_extend(
         grown[v] = plain
         over = [x for x in bounds if grown[x] >= one]
     else:
+        if _weight_floor(G, bounds, v, rows, 1) >= one:
+            return None
         num, reached = _influence(G, bounds, v)
         if num >= one:
             return None
@@ -180,7 +249,7 @@ def try_extend(
                 over.append(x)
     three = 3 << G.n
     for x in over:
-        if _influence(G, grown, x, 3)[0] >= three:
+        if _weight_floor(G, grown, x, rows, 1) >= one or _influence(G, grown, x, 3)[0] >= three:
             return None
         grown[x] = _member_check(G, grown, x)[1]
     return grown

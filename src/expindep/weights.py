@@ -34,7 +34,9 @@ boolean verifiers use the cut on graphs with a cycle, where a packing's
 sweeps would otherwise each cover most of the graph, and so do the
 branch and bound's member re-checks; every caller that needs the full
 weight or every reached pair passes none. Most branch-and-bound nodes
-run no sweep at all: a plain-distance sum decides them (``solvers``).
+run no sweep at all: a plain-distance sum accepts most candidates, and an
+exact floor read off the same distance rows rejects most of the rest
+(``solvers``).
 A member's own condition is decided in one place, ``_member_check``,
 from one sweep over the set itself rather than over the set without
 that member.

@@ -18,6 +18,7 @@ from expindep.families import (
     random_subcubic_tree,
 )
 from expindep.graphs import (
+    INF,
     Graph,
     ParameterError,
     bfs_distances,
@@ -40,6 +41,7 @@ from expindep.solvers import (
 from expindep.weights import (
     _influence,
     _member_check,
+    blocked_distance,
     ed_holds,
     ei_holds,
     is_exponentially_dominating,
@@ -210,6 +212,42 @@ class TestIncrementalExtension:
         assert (result.optimum, result.witness) == (oracle.optimum, oracle.witness)
         assert result.optimum == 6
 
+    # On the path 0..6, 2 between the members 0 and 4 has plain sum 1, the
+    # case that sweeps from v, and both terms are near; 4 joining {0, 2}
+    # lifts member 2's bound to 1, the case that re-checks 2, and 2's
+    # floor reads 0 and 4 at distance 2. On the spider with centre 0 and
+    # legs 0-1, 0-2-{3, 7}, 0-4-{5, 6}, 3 reads 7 at 2, 1 at 3, and 5 and 6
+    # at 4 through 2, 0 and 4, none a member: its floor is
+    # 1/2 + 1/4 + 1/8 + 1/8 = 1 only with both far terms.
+    @pytest.mark.parametrize(
+        "G, members, v",
+        [
+            (gen_path(7), (0, 4), 2),
+            (gen_path(7), (0, 2), 4),
+            (Graph(8, [(0, 1), (0, 2), (0, 4), (2, 3), (2, 7), (4, 5), (4, 6)]), (6, 1, 5, 7), 3),
+        ],
+        ids=["sweep-from-v", "member-recheck", "far-clean-terms"],
+    )
+    def test_floor_decided_reject_runs_no_sweep(self, monkeypatch, G, members, v):
+        rows = row_map(G)
+        bounds = {}
+        for u in members:
+            bounds = try_extend(G, bounds, u, rows)
+        sweeps = []
+
+        def influence(G, members, u, cut=0):
+            sweeps.append(u)
+            return _influence(G, members, u, cut)
+
+        monkeypatch.setattr(solvers, "_influence", influence)
+        assert try_extend(G, bounds, v, rows) is None
+        assert sweeps == []
+        assert not ei_holds(G, set(members) | {v})
+        # with a floor of 0 the same reject takes a kernel sweep
+        monkeypatch.setattr(solvers, "_weight_floor", lambda *args: 0)
+        assert try_extend(G, bounds, v, rows) is None
+        assert sweeps
+
 
 @st.composite
 def cyclic_graphs(draw):
@@ -232,6 +270,36 @@ def plain_sum(G, row, members):
     """The plain-distance terms read off ``row`` summed over ``members``,
     over 2 ** G.n."""
     return sum((2 << G.n) >> row[x] for x in members)
+
+
+@st.composite
+def graphs_with_a_spread_set(draw):
+    """A random subcubic graph on 4..24 vertices with 1..n/2 extra edges,
+    and a random set with no adjacent pair, the precondition of
+    ``solvers._weight_floor``."""
+    n = draw(st.integers(4, 24))
+    try:
+        G = random_subcubic_graph(n, draw(st.integers(1, n // 2)), draw(st.integers(0, 10**6)))
+    except ValueError:
+        assume(False)
+    S = set()
+    for v in draw(st.permutations(range(n))):
+        if S.isdisjoint(G.adj[v]) and draw(st.booleans()):
+            S.add(v)
+    return G, frozenset(S)
+
+
+def blocked_weight(G, S, x):
+    """x's weight from the members of S other than x, over 2 ** G.n, from
+    ``blocked_distance`` alone, not from the kernel."""
+    dists = (blocked_distance(G, S, x, y) for y in S if y != x)
+    return sum((2 << G.n) >> d for d in dists if d != INF)
+
+
+def spread_points(G, S):
+    """The vertices with no member neighbour: the members, and every
+    candidate ``try_extend`` reads a floor for."""
+    return [x for x in range(G.n) if S.isdisjoint(G.adj[x])]
 
 
 class TestInfluenceBounds:
@@ -273,6 +341,47 @@ class TestInfluenceBounds:
         num, _ = _influence(G, S, u)
         plain = sum(1 << (G.n + 1 - d) for v, d in enumerate(bfs_distances(G, u)) if v in S and d < G.n)
         assert num <= plain
+
+    @given(graphs_with_a_spread_set())
+    def test_near_members_are_at_their_plain_distance(self, case):
+        """A member at plain distance 3 or less from x is at the same
+        blocked distance: every inner vertex of such a path is next to x or
+        the member, so none is a member."""
+        G, S = case
+        for x in spread_points(G, S):
+            row = plain_row(G, x)
+            for y in S:
+                if 0 < row[y] <= 3:
+                    assert blocked_distance(G, S, x, y) == row[y], (list(G.edges()), sorted(S), x, y)
+
+    @given(graphs_with_a_spread_set())
+    def test_weight_floor_never_exceeds_the_weight(self, case):
+        G, S = case
+        rows = row_map(G)
+        one = 1 << G.n
+        for x in spread_points(G, S):
+            floor = solvers._weight_floor(G, S, x, rows)
+            assert floor <= blocked_weight(G, S, x), (list(G.edges()), sorted(S), x)
+            # the cut decides the same verdict as the full floor
+            assert (solvers._weight_floor(G, S, x, rows, 1) >= one) == (floor >= one)
+
+    @given(graphs_with_a_spread_set())
+    def test_weight_floor_is_exact_when_no_far_member_is_blocked(self, case):
+        """When no other member lies on a shortest path from x to any
+        member beyond distance 3, the floor is x's exact weight."""
+        G, S = case
+        rows = row_map(G)
+        for x in spread_points(G, S):
+            dx = bfs_distances(G, x)
+            clean = True
+            for y in S:
+                if 3 < dx[y] != INF:
+                    dy = bfs_distances(G, y)
+                    clean &= all(dx[z] + dy[z] != dx[y] for z in S - {x, y})
+            if clean:
+                assert solvers._weight_floor(G, S, x, rows) == blocked_weight(G, S, x), (
+                    list(G.edges()), sorted(S), x
+                )
 
     @given(cyclic_graphs(), st.data())
     def test_relaxation_reject_is_sound(self, G, data):
@@ -371,6 +480,16 @@ class TestSolverByteIdentity:
             h.update(alpha_e_exact(G).to_text().encode())
             h.update(gamma_e_exact(G).to_text().encode())
         assert h.hexdigest() == "c0d479a609bfc6dafdf0de0515fedaafc1912e67cb61a577dd3976c3b70a49cc"
+
+    def test_random_graphs_with_many_cycles(self):
+        """n // 2 extra edges, many more cycles than the graphs above.
+        Recorded with the solvers that swept before every reject."""
+        graphs = [random_subcubic_graph(12 + i % 9, (12 + i % 9) // 2, 9100 + i) for i in range(40)]
+        h = hashlib.sha256()
+        for G in graphs:
+            h.update(alpha_e_exact(G).to_text().encode())
+            h.update(gamma_e_exact(G).to_text().encode())
+        assert h.hexdigest() == "8ca66a99c3027a07e4e8230ac0fab57e41cc5a7bfa608156bc13446e777b1172"
 
 
 class TestGamma:
