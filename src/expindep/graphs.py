@@ -6,20 +6,37 @@ immutable after construction and all queries are read-only. Distances are
 hop counts, with ``math.inf`` standing in for "unreachable" so ordinary
 comparisons order every finite distance below infinity.
 
-``bfs_levels`` is the one search: level-synchronous, over the vertices not
-marked in a caller's bytearray, optionally cut at a radius. Balls,
-connectivity, components, diametral paths and the good-set builder's
-hanging components all run on it, and each restricts it only through the
-marks. The exception outside this module is ``greedy_packing``'s sweep:
-its marks are the radius an earlier ball still has at a vertex, not a
-yes/no, so a pick stops where an earlier ball reaches at least as far
-rather than re-walking it, which one bytearray cannot express.
-``plain_row``, the exact solvers' plain-distance rows, keeps its own
-loop for a like reason: its marks are the capped distances themselves,
-one byte per vertex with 255 for unvisited, so the row is filled in the
-same pass that visits it. ``bfs_distances`` and ``absorbing_bfs`` keep
-their own loops: they are the independent references the tests compare
-the other searches against.
+``bfs_levels`` is the shared search: level-synchronous, over the
+vertices not marked in a caller's bytearray, optionally cut at a radius.
+Balls, connectivity, components, diametral paths and the good-set
+builder's hanging components all run on it, and each restricts it only
+through the marks. A walk that needs more than a yes/no mark per vertex,
+or that must cost less than n, keeps its own loop:
+
+- ``plain_row``, the exact solvers' plain-distance rows: its marks are the
+  capped distances themselves, one byte per vertex with 255 for
+  unvisited, so the row is filled in the same pass that visits it.
+- ``bfs_distances`` and ``absorbing_bfs``: the independent references the
+  tests compare the other searches against.
+- ``constructors.greedy_packing``'s sweep: its marks are the radius an
+  earlier ball still has at a vertex, so a pick stops where an earlier
+  ball reaches at least as far rather than re-walking it.
+- ``constructors._pendant`` and ``constructors._sweep``, a good-set
+  lift's walks over its restored pendant: they mark with a dict or a set,
+  not a bytearray of n, so a lift costs its pendant and not n.
+- ``constructors._Tree._root_index``, ``_settle`` and ``_farthest``, the
+  rooted index of the alive tree: the index's BFS records each vertex's
+  parent and depth as it goes, and the other two walk up parent links
+  rather than out by levels, so a step costs the tree's depth and not n.
+- ``weights._influence``, the weight kernel: it records each member it
+  meets without expanding it, sums a level's members on a local scale
+  and stops at a cut, all in the one pass.
+- ``weights._ed_checks``, the domination report's rows: one absorbing
+  sweep per member appends its (member, distance) pair to every vertex it
+  reaches, so the rows are filled in the pass that visits them.
+- ``weights._tree_influence``, the tree pass: BFS order with parent and
+  depth per component of T - S, then subtree sums bottom up and a reroot
+  top down over that order.
 
 ``parse_edge_list`` reads a file in a few passes over all its lines at
 once: one split for the tokens, one ``int`` map per column, then range,

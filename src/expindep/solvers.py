@@ -35,11 +35,11 @@ bound grows by its plain term, and no sweep runs. Only when the sum
 reaches 1 does one kernel sweep from v decide v's own condition and find
 the members v reaches with their blocked distances d; a reached member's
 bound grows by 2 ** (1 - d), and a member v does not reach keeps its
-bound, as a shortest path through v would reach v. Either way, only a
-member whose bound reaches 1 is re-checked. The re-check is a kernel
-sweep with ``ei_holds``' cut, which rejects v as soon as the member's
-weight reaches 1; a member that passes is swept again in full by the
-member check the verifier uses, and its bound becomes its exact weight.
+bound, as a shortest path through v would reach v. Either way the grown
+map is built in one place, and only a member whose bound reaches 1 is
+re-checked, by one full sweep of the member check the verifier uses
+(``_member_check``): it rejects v, or it gives the member's exact weight,
+which becomes its bound.
 
 Most of those sweeps would reject, and two facts let the rows decide them
 first. The blocked distance equals the plain one d when d <= 3, since
@@ -87,7 +87,6 @@ from typing import Callable, Collection, Iterable
 
 from .graphs import Graph, ParameterError, connected_components, induced_subgraph, plain_row
 from .weights import (
-    _ei_checks,
     _influence,
     _member_check,
     _member_set,
@@ -202,56 +201,52 @@ def try_extend(
     independent, None otherwise. Ids are not checked here;
     ``alpha_e_exact`` raises ParameterError for one outside the graph.
 
-    A member neighbour rejects v with no sweep. Otherwise v's row gives
-    each member x its plain term 2 ** (1 - dist_G(x, v)), at least v's
-    term on x in the extended set, and their sum, at least v's weight.
-    When the sum stays below 1, v's bound is the sum and each member's
-    bound grows by its plain term, with no sweep. Otherwise one sweep from
-    v over the members gives v's exact weight and each member x that v
-    reaches, at blocked distance d, whose bound grows by 2 ** (1 - d); a
-    member v does not reach keeps its bound. Blocking v only lengthens the
-    paths between the old members, so each grown value bounds x's weight
-    in the extended set. Only a member whose bound reaches 1 is re-checked
-    over the grown map: a cut sweep, as in ``ei_holds``, stops once its
-    weight reaches 1 and rejects v; a member that passes gets its exact
-    weight from ``_member_check`` as its bound.
+    One flow decides every call:
 
-    Before the sweep from v and before each re-check, ``_weight_floor``
-    reads an exact lower bound on that vertex's weight off the rows: a
-    member's plain term counts when the plain distance is at most 3, or
-    when no other member lies on a shortest path between the two, for then
-    the blocked distance is the plain one. A floor that reaches 1 rejects
-    v with no sweep; otherwise the sweep runs as above. Most re-checks
-    reject, and most are decided this way."""
+    1. A member neighbour rejects v with no sweep.
+    2. v's row gives each member x its plain term 2 ** (1 - dist_G(x, v)),
+       at least v's term on x in the extended set, and their sum, at least
+       v's weight. When the sum reaches 1, a floor on v can reject;
+       otherwise one full sweep from v over the members gives v's exact
+       weight, and the terms become 2 ** (1 - d) for each member x the
+       sweep reaches at blocked distance d and 0 for the rest.
+    3. The grown map is ``bounds`` plus the terms, with v mapped to their
+       sum, v's exact weight after a sweep. Blocking v only lengthens the
+       paths between the old members, so each grown value bounds x's
+       weight in the extended set.
+    4. Each member whose bound reaches 1 is decided by a floor and then one
+       ``_member_check`` over the grown map, which rejects v or stores the
+       member's exact weight as its bound.
+
+    A floor is ``_weight_floor``, an exact lower bound on a weight read off
+    the rows: a member's plain term counts when the plain distance is at
+    most 3, or when no other member lies on a shortest path between the
+    two, for then the blocked distance is the plain one. A floor that
+    reaches 1 rejects v with no sweep. Most re-checks reject, and most are
+    decided this way."""
     if not bounds.keys().isdisjoint(G.adj[v]):
         return None
     one = 1 << G.n
     two = one << 1
     row = rows(v)
     terms = [two >> row[x] for x in bounds]
-    plain = sum(terms)
-    if plain < one:
-        grown = dict(zip(bounds, map(add, bounds.values(), terms)))
-        grown[v] = plain
-        over = [x for x in bounds if grown[x] >= one]
-    else:
+    num = sum(terms)
+    if num >= one:
         if _weight_floor(G, bounds, v, rows, 1) >= one:
             return None
         num, reached = _influence(G, bounds, v)
         if num >= one:
             return None
-        grown = dict(bounds)
-        grown[v] = num
-        over = []
-        for x, d in reached:
-            grown[x] = bound = bounds[x] + (one >> (d - 1))
-            if bound >= one:
-                over.append(x)
-    three = 3 << G.n
-    for x in over:
-        if _weight_floor(G, grown, x, rows, 1) >= one or _influence(G, grown, x, 3)[0] >= three:
+        dist = dict(reached)
+        terms = [two >> dist[x] if x in dist else 0 for x in bounds]
+    grown = dict(zip(bounds, map(add, bounds.values(), terms)))
+    grown[v] = num
+    for x in [x for x, bound in grown.items() if bound >= one]:
+        if _weight_floor(G, grown, x, rows, 1) >= one:
             return None
-        grown[x] = _member_check(G, grown, x)[1]
+        good, grown[x], _ = _member_check(G, grown, x)
+        if not good:
+            return None
     return grown
 
 
@@ -276,7 +271,8 @@ def alpha_e_exact(
     if req & exc:
         raise ValueError("required and excluded sets overlap")
     bounds = {}  # each required member's exact weight, over 2 ** G.n
-    for u, good, num, _ in _ei_checks(G, req):
+    for u in sorted(req):
+        good, num, _ = _member_check(G, req, u)
         if not good:
             raise InfeasibleError(f"required set is not exponentially independent at vertex {u}")
         bounds[u] = num

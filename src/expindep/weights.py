@@ -31,12 +31,13 @@ decided: the weight so far has reached the cut, or it stays below the
 cut even if every member not yet met sits one level further out. Both
 are exact integer comparisons, so every verdict is unchanged. The
 boolean verifiers use the cut on graphs with a cycle, where a packing's
-sweeps would otherwise each cover most of the graph, and so do the
-branch and bound's member re-checks; every caller that needs the full
-weight or every reached pair passes none. Most branch-and-bound nodes
-run no sweep at all: a plain-distance sum accepts most candidates, and an
-exact floor read off the same distance rows rejects most of the rest
-(``solvers``).
+sweeps would otherwise each cover most of the graph; every caller that
+needs the full weight or every reached pair passes none. The branch
+and bound's member re-checks pass none either: each is one
+``_member_check``, as a member that passes keeps its exact weight. Most
+branch-and-bound nodes run no sweep at all: a plain-distance sum accepts
+most candidates, and an exact floor read off the same distance rows
+rejects most of the rest (``solvers``).
 A member's own condition is decided in one place, ``_member_check``,
 from one sweep over the set itself rather than over the set without
 that member.
@@ -275,11 +276,13 @@ def _influence(
     members not yet reached sits at the next distance, d + 1, and adds its
     most, 2**-d. Both tests compare d-bit integers. num and ``reached`` are
     then the sum and pairs of the levels swept, a prefix of the full
-    sweep, and the verdict is exact. ``ei_holds``, ``ed_holds`` and the
-    re-checks in ``solvers.try_extend`` pass a cut; every caller that needs
-    the full weight or every pair (reports, ``weight``, ``weight_details``,
-    ``_member_check``, and ``try_extend``'s sweep from the new member when
-    its plain-distance sum reaches 1) passes none."""
+    sweep, and the verdict is exact. ``ei_holds`` (cut 3) and ``ed_holds``
+    (cut 1) pass a cut; every caller that needs the full weight or every
+    pair passes none: reports, ``weight``, ``weight_details``,
+    ``_member_check`` (and so the member re-checks in
+    ``solvers.try_extend``, where a member that passes keeps its exact
+    weight), and ``try_extend``'s sweep from the new member when its
+    plain-distance sum reaches 1."""
     adj = G.adj
     seen = bytearray(G.n)
     seen[u] = 1

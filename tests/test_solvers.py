@@ -239,7 +239,14 @@ class TestIncrementalExtension:
             sweeps.append(u)
             return _influence(G, members, u, cut)
 
+        def check(G, members, x):
+            sweeps.append(x)
+            return _member_check(G, members, x)
+
+        # the sweep from v goes through the kernel, a member's re-check
+        # through the member check
         monkeypatch.setattr(solvers, "_influence", influence)
+        monkeypatch.setattr(solvers, "_member_check", check)
         assert try_extend(G, bounds, v, rows) is None
         assert sweeps == []
         assert not ei_holds(G, set(members) | {v})
@@ -394,6 +401,30 @@ class TestInfluenceBounds:
             num, _ = _influence(G, frozenset(combo), x)
             assert num < 1 << G.n
             assert not ed_holds(G, combo)
+
+
+class TestFloorOnlySkipsSweeps:
+    @given(cyclic_graphs(), st.data())
+    def test_floor_of_zero_gives_the_same_maps(self, G, data):
+        """With ``_weight_floor`` patched to 0 every decision takes a kernel
+        sweep, and every try_extend call returns what the real floor gives:
+        None, or an equal map with the same keys, values and key order.
+        Each accepted vertex joins, so the set grows to a maximal one and
+        the later calls meet the floors of a large set."""
+        rows = row_map(G)
+        bounds = {}
+        for v in data.draw(st.permutations(range(G.n))):
+            step = try_extend(G, bounds, v, rows)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solvers, "_weight_floor", lambda *args: 0)
+                swept = try_extend(G, bounds, v, rows)
+            where = (list(G.edges()), list(bounds), v)
+            if step is None:
+                assert swept is None, where
+            else:
+                assert swept is not None, where
+                assert list(swept.items()) == list(step.items()), where
+                bounds = step
 
 
 @st.composite
