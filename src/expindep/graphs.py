@@ -31,9 +31,10 @@ or that must cost less than n, keeps its own loop:
 - ``weights._influence``, the weight kernel: it records each member it
   meets without expanding it, sums a level's members on a local scale
   and stops at a cut, all in the one pass.
-- ``weights._ed_checks``, the domination report's rows: one absorbing
-  sweep per member appends its (member, distance) pair to every vertex it
-  reaches, so the rows are filled in the pass that visits them.
+- ``weights._sweep_rows``, the rows of both reports: one absorbing sweep
+  per member renders each level's line once and appends it to every
+  vertex (or, for independence, every member) the level reaches, so the
+  rows are filled in the pass that visits them.
 - ``weights._tree_influence``, the tree pass: BFS order with parent and
   depth per component of T - S, then subtree sums bottom up and a reroot
   top down over that order.

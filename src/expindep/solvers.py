@@ -37,7 +37,7 @@ the members v reaches with their blocked distances d; a reached member's
 bound grows by 2 ** (1 - d), and a member v does not reach keeps its
 bound, as a shortest path through v would reach v. Either way the grown
 map is built in one place, and only a member whose bound reaches 1 is
-re-checked, by one full sweep of the member check the verifier uses
+re-checked, by one full sweep of the kernel's member check
 (``_member_check``): it rejects v, or it gives the member's exact weight,
 which becomes its bound.
 
@@ -48,9 +48,10 @@ adjacent pair is never independent; and it does when no other member z
 lies on a shortest path between the two, rx[z] + ry[z] == d on their
 rows. Summing the plain terms of such members gives an exact floor on a
 weight (``_weight_floor``), read only at the members' entries of the
-rows. Before the sweep from v, and before each member's re-check, a floor
-that reaches 1 rejects v with no sweep; otherwise the sweep runs as
-above.
+rows. Before the sweep from v a floor that reaches 1 rejects v with no
+sweep; the members due for a re-check take their floors first, all of
+them, on the member keys and v, so a floor that rejects v costs neither
+a sweep nor the grown map. Otherwise the sweeps run as above.
 Every stored value is an upper bound and every reject comes from an
 exact check, so the verdicts, and so the search order and node count,
 are those of re-checking every member; the equivalence with full
@@ -210,13 +211,16 @@ def try_extend(
        otherwise one full sweep from v over the members gives v's exact
        weight, and the terms become 2 ** (1 - d) for each member x the
        sweep reaches at blocked distance d and 0 for the rest.
-    3. The grown map is ``bounds`` plus the terms, with v mapped to their
-       sum, v's exact weight after a sweep. Blocking v only lengthens the
-       paths between the old members, so each grown value bounds x's
+    3. Each member's grown value is its bound plus its term. Blocking v
+       only lengthens the paths between the old members, so it bounds x's
        weight in the extended set.
-    4. Each member whose bound reaches 1 is decided by a floor and then one
-       ``_member_check`` over the grown map, which rejects v or stores the
-       member's exact weight as its bound.
+    4. The members whose grown value reaches 1 take a floor each, on the
+       member keys and v, and any floor that reaches 1 rejects v before
+       the grown map is built.
+    5. The grown map holds the grown values, with v mapped to the terms'
+       sum, v's exact weight after a sweep. Each member of step 4 is then
+       decided by one ``_member_check`` over it, which rejects v or stores
+       the member's exact weight as its bound.
 
     A floor is ``_weight_floor``, an exact lower bound on a weight read off
     the rows: a member's plain term counts when the plain distance is at
@@ -239,11 +243,16 @@ def try_extend(
             return None
         dist = dict(reached)
         terms = [two >> dist[x] if x in dist else 0 for x in bounds]
-    grown = dict(zip(bounds, map(add, bounds.values(), terms)))
+    values = list(map(add, bounds.values(), terms))
+    hot = [x for x, value in zip(bounds, values) if value >= one]
+    if hot:
+        keys = [*bounds, v]
+        for x in hot:
+            if _weight_floor(G, keys, x, rows, 1) >= one:
+                return None
+    grown = dict(zip(bounds, values))
     grown[v] = num
-    for x in [x for x, bound in grown.items() if bound >= one]:
-        if _weight_floor(G, grown, x, rows, 1) >= one:
-            return None
+    for x in hot:
         good, grown[x], _ = _member_check(G, grown, x)
         if not good:
             return None

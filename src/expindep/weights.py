@@ -41,13 +41,18 @@ rejects most of the rest (``solvers``).
 A member's own condition is decided in one place, ``_member_check``,
 from one sweep over the set itself rather than over the set without
 that member.
-The domination report is the one exception. Its rows, the (member,
-distance) pairs of every vertex, are the transpose of one absorbing
-sweep per member, as the blocked distance is symmetric; ``_ed_checks``
-runs those |S| sweeps itself rather than n kernel calls, and each row's
-sum is the integer the kernel would return.
-``Dyadic`` values are built only for returned weights and reports, and a
-report builds each term's value and decimal once per distinct distance.
+The two report verifiers are the one exception. A report's rows, the
+(member, distance) pairs of each vertex it examines, are the transpose
+of one absorbing sweep per member, as the blocked distance is symmetric;
+``_sweep_rows`` runs those |S| sweeps itself, for both modes, rather than
+one kernel call per examined vertex, and the independence rows are the
+domination rows of the members, less each one's own pair. A sweep level
+renders its line once and hands that one string to every vertex it
+reaches, adding its term to each one's weight, the integer the kernel
+would return; a report holds the lines, not the pairs.
+``Dyadic`` values are built only for returned weights and each report
+vertex's head line, and a report renders each term's value and decimal
+once per distinct distance.
 ``graphs.absorbing_bfs`` gives the same distances as a dense list;
 ``blocked_distance`` uses it, and the tests use it as the kernel's
 oracle.
@@ -77,17 +82,17 @@ integer operations in place of one O(n) sweep per member, and the pass
 uses no recursion. Two adjacent members stay ``ei_holds``' early exit,
 as it costs less than the tree test. Given alive marks, the pass runs on
 the subtree of the alive vertices, as the good-set builder's audit
-needs. The report verifiers, ``weight`` and ``weight_details`` stay on
-the sweeps (member sweeps for the domination report, per-vertex kernel
-sweeps otherwise), which the tests use as the oracle for the tree pass.
+needs. The report verifiers (member sweeps), ``weight`` and
+``weight_details`` (kernel sweeps) stay on the sweeps, which the tests
+use as the oracle for the tree pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import total_ordering
-from typing import Collection, Iterable, Iterator
+from functools import cached_property, total_ordering
+from typing import Collection, Iterable, Sequence
 
 from .graphs import Graph, ParameterError, absorbing_bfs, dead_marks, is_tree
 
@@ -195,18 +200,39 @@ class VertexCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
 class WeightReport:
-    """Full diagnostic output of a verifier run: one check per examined
-    vertex (sorted by id), each carrying the exact weight and the (source,
-    distance) pairs it sums. ``to_text`` derives each printed term from
-    its distance, once per distinct distance in the call: a report holds
-    at most n distinct distances but can hold n * |S| lines."""
+    """Full diagnostic output of a verifier run, over the examined vertices
+    in ascending id: the members in mode "ei", every vertex in mode "ed".
+    Each one holds its exact weight, an integer over 2**n, and its rows,
+    the rendered line of each (source, blocked distance) pair it sums,
+    sorted by source. A line is rendered once per sweep level and shared by
+    every vertex the level reaches (``_sweep_rows``), so ``to_text`` joins
+    the rows as they are and formats only each vertex's head line.
+    ``checks`` reads the pairs back from the lines, on first access only."""
 
-    mode: str  # "ei" or "ed"
-    ok: bool
-    checks: tuple[VertexCheck, ...]
-    first_violation: int | None
+    def __init__(self, mode: str, n: int, vertices: Sequence[int], nums: list[int], rows: list):
+        self.mode = mode  # "ei" or "ed"
+        self._n = n
+        self._one = 1 << n
+        self._vertices = vertices
+        self._nums = nums
+        self._rows = rows
+        self.first_violation = next((u for u in vertices if not self._good(nums[u])), None)
+        self.ok = self.first_violation is None
+
+    def _good(self, num: int) -> bool:
+        # the others' influence on a member stays below 1; a vertex is
+        # dominated from 1 on
+        return num < self._one if self.mode == "ei" else num >= self._one
+
+    @cached_property
+    def checks(self) -> tuple[VertexCheck, ...]:
+        """One check per examined vertex, sorted by id."""
+        checks = []
+        for u in self._vertices:
+            num = self._nums[u]
+            checks.append(VertexCheck(u, Dyadic(num, self._n), tuple(map(_pair, self._rows[u])), self._good(num)))
+        return tuple(checks)
 
     def to_text(self) -> str:
         from . import __version__
@@ -216,18 +242,19 @@ class WeightReport:
             f"first_violation={self.first_violation if self.first_violation is not None else 'none'}"
         )
         lines = [head]
-        terms = {}  # d -> the rendered term of distance d, for this call only
-        for c in self.checks:
-            mark = "ok" if c.ok else "VIOLATION"
-            lines.append(f"{c.vertex} w={c.weight} ({c.weight.decimal_str()}) {mark}")
-            for v, d in c.contributions:
-                term = terms.get(d)
-                if term is None:
-                    amount = Dyadic.influence(d)
-                    term = terms[d] = f" d={d} c={amount} ({amount.decimal_str()})"
-                lines.append(f"  v={v}{term}")
+        for u in self._vertices:
+            num = self._nums[u]
+            w = Dyadic(num, self._n)
+            lines.append(f"{u} w={w} ({w.decimal_str()}) {'ok' if self._good(num) else 'VIOLATION'}")
+            lines += self._rows[u]
         lines.append(f"# expindep {__version__}")
         return "\n".join(lines) + "\n"
+
+
+def _pair(line: str) -> tuple[int, int]:
+    """The (source, distance) pair of a row line ``  v={v} d={d} c=...``."""
+    v, d = line[: line.index(" c=")].split()
+    return int(v[2:]), int(d[2:])
 
 
 def _member_set(G: Graph, S: Iterable[int], *vertices: int) -> frozenset:
@@ -278,7 +305,7 @@ def _influence(
     then the sum and pairs of the levels swept, a prefix of the full
     sweep, and the verdict is exact. ``ei_holds`` (cut 3) and ``ed_holds``
     (cut 1) pass a cut; every caller that needs the full weight or every
-    pair passes none: reports, ``weight``, ``weight_details``,
+    pair passes none: ``weight``, ``weight_details``,
     ``_member_check`` (and so the member re-checks in
     ``solvers.try_extend``, where a member that passes keeps its exact
     weight), and ``try_extend``'s sweep from the new member when its
@@ -330,12 +357,6 @@ def weight_details(G: Graph, S: Iterable[int], u: int) -> tuple[Dyadic, tuple[tu
     return Dyadic(num, G.n), tuple(sorted(reached))
 
 
-# Each verifier mode has one loop of full sweeps, a generator of (vertex,
-# verdict, num, pairs) tuples with the pairs sorted by source, which the
-# report verifiers consume and the tests use as the oracle for the boolean
-# forms' cut sweeps.
-
-
 def _member_check(G: Graph, members: Collection[int], u: int) -> tuple:
     """The member u against the influence of the other members, from one
     sweep over ``members`` itself, so no set without u is built. The
@@ -347,73 +368,79 @@ def _member_check(G: Graph, members: Collection[int], u: int) -> tuple:
     return num < 3 << G.n, num - (2 << G.n), reached[1:]
 
 
-def _ei_checks(G: Graph, members: frozenset) -> Iterator[tuple]:
-    """Every member u, by id, against the influence of the other members."""
-    for u in sorted(members):
-        good, num, reached = _member_check(G, members, u)
-        yield u, good, num, sorted(reached)
+def _sweep_rows(G: Graph, members: frozenset, ed: bool) -> tuple[list[int], list]:
+    """The weights and rows of a report, in both modes from one absorbing
+    sweep per member v, in ascending id.
 
+    The blocked distance is symmetric, so the pairs the kernel would
+    return from a vertex y are the (v, d) with y reached at distance d by
+    the sweep from the member v. Each sweep expands v and the non-members
+    only, and records the vertices a level reaches: every one of them for
+    "ed", v itself at distance 0 included, and only the members for "ei",
+    whose rows are the others' pairs. So the rows come out sorted by
+    source. A level that reaches any renders its line once, the term text
+    once per distance, appends that one ``str`` to the row of each vertex
+    it reaches, and adds its term 2**(G.n + 1 - d) to each one's weight,
+    an integer over 2**G.n as the kernel returns it.
 
-def _ed_checks(G: Graph, members: frozenset) -> Iterator[tuple]:
-    """Every vertex, by id, against the influence of all members.
-
-    The blocked distance is symmetric, so the row of pairs the kernel
-    would return from a vertex y is the set of (v, d) with y reached at
-    distance d by the absorbing sweep from the member v. One such sweep per
-    member, in ascending id, fills every row already sorted by source: it
-    expands the source, appends its pair (shared by the whole level) to
-    every vertex it reaches, and expands only non-members. A row's num is
-    the sum of 2**(G.n + 1 - d) over its pairs, the kernel's integer; it is
-    summed on the scale of the row's farthest pair and shifted once. Each
-    row is released once yielded."""
+    Returns ``(nums, rows)``, both indexed by vertex; ``rows`` holds a
+    list only for the vertices the mode examines."""
     n = G.n
     adj = G.adj
-    rows = [[] for _ in range(n)]
+    nums = [0] * n
+    rows = [None] * n
+    for u in range(n) if ed else members:
+        rows[u] = []
+    two = 2 << n
+    terms = {}  # d -> the rendered term of distance d
     for v in sorted(members):
         seen = bytearray(n)
         seen[v] = 1
-        rows[v].append((v, 0))
         frontier = [v]
+        reached = frontier if ed else []  # what level d reaches, from v itself at 0
         d = 0
-        while frontier:
+        while True:
+            if reached:
+                term = terms.get(d)
+                if term is None:
+                    amount = Dyadic.influence(d)
+                    term = terms[d] = f" d={d} c={amount} ({amount.decimal_str()})"
+                line = f"  v={v}{term}"
+                add = two >> d
+                for y in reached:
+                    rows[y].append(line)
+                    nums[y] += add
+            if not frontier:
+                break
             d += 1
-            pair = (v, d)
+            reached = []
             nxt = []
             for x in frontier:
                 for y in adj[x]:
                     if not seen[y]:
                         seen[y] = 1
-                        rows[y].append(pair)
-                        if y not in members:
+                        if y in members:
+                            reached.append(y)
+                        else:
                             nxt.append(y)
+            if ed:
+                reached += nxt
             frontier = nxt
-    one = 1 << n
-    for u in range(n):
-        row, rows[u] = rows[u], None
-        num = 0
-        if row:
-            top = max(d for _, d in row)
-            num = sum(1 << (top - d) for _, d in row) << (n + 1 - top)
-        yield u, num >= one, num, row
-
-
-def _report(mode: str, n: int, checks: Iterator[tuple]) -> WeightReport:
-    rows = tuple(VertexCheck(u, Dyadic(num, n), tuple(pairs), good) for u, good, num, pairs in checks)
-    first_violation = next((c.vertex for c in rows if not c.ok), None)
-    return WeightReport(mode, first_violation is None, rows, first_violation)
+    return nums, rows
 
 
 def is_exponentially_independent(G: Graph, S: Iterable[int]) -> WeightReport:
     """Verdict true iff every member u of S satisfies weight(G, S - {u}, u) < 1
     exactly. Empty and singleton sets pass vacuously. The report carries
     every member's weight and decomposition."""
-    return _report("ei", G.n, _ei_checks(G, _member_set(G, S)))
+    members = _member_set(G, S)
+    return WeightReport("ei", G.n, sorted(members), *_sweep_rows(G, members, False))
 
 
 def is_exponentially_dominating(G: Graph, S: Iterable[int]) -> WeightReport:
     """Verdict true iff every vertex of G satisfies weight(G, S, u) >= 1
     exactly; members are automatically satisfied through their self term."""
-    return _report("ed", G.n, _ed_checks(G, _member_set(G, S)))
+    return WeightReport("ed", G.n, range(G.n), *_sweep_rows(G, _member_set(G, S), True))
 
 
 def _tree_influence(

@@ -41,11 +41,9 @@ from expindep import weights
 from expindep.weights import (
     Dyadic,
     VertexCheck,
-    WeightReport,
-    _ed_checks,
-    _ei_checks,
     _influence,
     _member_check,
+    _sweep_rows,
     _tree_influence,
     blocked_distance,
     ed_holds,
@@ -284,12 +282,15 @@ class TestKernel:
 
 
 def bfs_ei(G, S):
-    """The absorbing-sweep verdicts, one sweep per member."""
-    return all(good for _, good, *_ in _ei_checks(G, frozenset(S)))
+    """The report sweeps' verdicts, one full absorbing sweep per member."""
+    S = frozenset(S)
+    nums, _ = _sweep_rows(G, S, False)
+    return all(nums[u] < 1 << G.n for u in S)
 
 
 def bfs_ed(G, S):
-    return all(good for _, good, *_ in _ed_checks(G, frozenset(S)))
+    nums, _ = _sweep_rows(G, frozenset(S), True)
+    return all(num >= 1 << G.n for num in nums)
 
 
 @st.composite
@@ -341,25 +342,38 @@ def report_cases(draw):
 
 
 class TestDominationRows:
-    """``_ed_checks`` fills every vertex's row from one sweep per member;
-    the oracle is the kernel's own sweep from that vertex."""
+    """Both reports fill their rows from one sweep per member
+    (``_sweep_rows``); the oracles are the kernel's own sweep from each
+    vertex, and ``_member_check`` from each member."""
 
     @given(report_cases())
     def test_rows_match_the_per_vertex_sweeps(self, case):
         G, S = case
-        rows = list(_ed_checks(G, S))
-        assert [u for u, *_ in rows] == list(range(G.n))
-        for u, good, num, pairs in rows:
-            want_num, want_reached = _influence(G, S, u)
-            want = (want_num >= 1 << G.n, want_num, sorted(want_reached))
-            assert (good, num, pairs) == want, (list(G.edges()), sorted(S), u)
+        checks = is_exponentially_dominating(G, S).checks
+        assert [c.vertex for c in checks] == list(range(G.n))
+        for c in checks:
+            want_num, want_reached = _influence(G, S, c.vertex)
+            want = (Dyadic(want_num, G.n), tuple(sorted(want_reached)), want_num >= 1 << G.n)
+            assert (c.weight, c.contributions, c.ok) == want, (list(G.edges()), sorted(S), c.vertex)
+
+    @given(report_cases())
+    def test_independence_rows_match_the_member_checks(self, case):
+        G, S = case
+        rep = is_exponentially_independent(G, S)
+        assert [c.vertex for c in rep.checks] == sorted(S)
+        for c in rep.checks:
+            good, num, reached = _member_check(G, S, c.vertex)
+            want = (Dyadic(num, G.n), tuple(sorted(reached)), good)
+            assert (c.weight, c.contributions, c.ok) == want, (list(G.edges()), sorted(S), c.vertex)
+        assert rep.first_violation == next((c.vertex for c in rep.checks if not c.ok), None)
+        assert rep.ok == (rep.first_violation is None)
 
     def test_unreached_vertex_has_an_empty_row(self):
         G = Graph(6, [(0, 1), (1, 2), (3, 4)])
-        rows = {u: (good, num, pairs) for u, good, num, pairs in _ed_checks(G, frozenset({1, 4}))}
-        assert rows[5] == (False, 0, [])
-        assert rows[0] == (True, 1 << 6, [(1, 1)])
-        assert rows[1] == (True, 2 << 6, [(1, 0)])
+        checks = is_exponentially_dominating(G, {1, 4}).checks
+        assert checks[5] == VertexCheck(5, Dyadic(0), (), False)
+        assert checks[0] == VertexCheck(0, Dyadic(1), ((1, 1),), True)
+        assert checks[1] == VertexCheck(1, Dyadic(2), ((1, 0),), True)
 
 
 class TestKernelCut:
@@ -786,11 +800,24 @@ class TestReportFormat:
         assert member_lines > 0
 
     def test_term_past_int_to_str_cap(self):
-        rep = WeightReport("ed", True, (VertexCheck(0, Dyadic.influence(7000), ((1, 7000),), True),), None)
+        rep = is_exponentially_independent(gen_path(7001), {0, 7000})
         line = rep.to_text().splitlines()[2]
         assert line == self.per_line(rep)[0]
         # 2 / 2**7000 has 6999 decimal places, 4892 significant digits
         assert line.endswith(")") and len(line.rsplit("(0.", 1)[1]) == 6999 + 1
+
+    @given(report_cases())
+    def test_checks_do_not_change_the_text(self, case):
+        """``to_text`` gives the same text whether or not ``checks`` was
+        read first, and ``checks`` is the same either way."""
+        G, S = case
+        for verify in (is_exponentially_independent, is_exponentially_dominating):
+            text_first = verify(G, S)
+            text = text_first.to_text()
+            checks_first = verify(G, S)
+            checks = checks_first.checks
+            assert checks_first.to_text() == text
+            assert text_first.checks == checks
 
 
 def report_pool():
