@@ -70,7 +70,12 @@ read off the rows is still an upper bound. The domination search keeps
 rows per component: a combination under which some vertex x gets a
 plain-distance sum below 1 cannot dominate x and is rejected before
 ``ed_holds`` runs; members never trip this test, since their own term
-is 2.
+is 2. It walks each size's combinations depth first and holds the plain
+sums of each prefix of picks, one list per depth, integers over one
+table scale, 2 ** min(n, 256): a row's capped distances keep every term
+on it exact. A combination is first tested in O(1), at the vertex that
+rejected the last one, and then at every vertex by one C-level pass over
+its prefix's sums; every combination is still counted.
 
 With a time budget, both searches read the clock once per node or
 combination, so a budget is overrun by at most one node's cost; with no
@@ -82,7 +87,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain, combinations
+from itertools import combinations
 from operator import add
 from typing import Callable, Collection, Iterable
 
@@ -342,52 +347,102 @@ def alpha_e_bruteforce(G: Graph) -> SearchResult:
     return _certified(G, (), nodes, "optimal", is_exponentially_independent)
 
 
-def _uncovered(rows: list[bytes], xs: Iterable[int], one: int) -> int | None:
-    """The first x in ``xs`` whose plain-distance sum from the combination
-    with distance rows ``rows`` stays below 1, or None. ``one`` is 2 ** n
-    for a graph on n vertices, so each term 2 ** (1 - d) is ``two >> d``
-    over 2 ** n, the kernel's scale, and the test is exact."""
-    two = 2 * one
-    for x in xs:
-        if sum(two >> r[x] for r in rows) < one:
-            return x
-    return None
+def _plain_scale(n: int) -> tuple[int, list[int]]:
+    """The domination relaxation's scale for a graph on n vertices:
+    ``(one, table)`` with one = 2 ** min(n, 256) and ``table[d]`` the plain
+    term 2 ** (1 - d) over it, for every distance d a ``plain_row`` holds.
+    A row caps its distances at 255, and in a connected graph every
+    distance is below n, so each term a row of one component reads off the
+    table is an exact integer, and a sum compares with ``one`` as the
+    rational sum compares with 1."""
+    scale = min(n, 256)
+    two = 2 << scale
+    return 1 << scale, [two >> d for d in range(256)]
+
+
+def _least_dominating(G: Graph, deadline: float | None) -> tuple[tuple[int, ...] | None, int]:
+    """The first exponentially dominating combination of the connected
+    graph G, by size and then in lexicographic order, and the number of
+    combinations tried, counting the one it stops at; None in place of the
+    combination when the deadline stops the stream. The whole vertex set
+    dominates, so the stream always ends in a return.
+
+    Each size's combinations are walked depth first, as a prefix of picks
+    and a last pick ``a``. ``sums[j]`` holds the plain sums of the first j
+    picks on every vertex, rebuilt with one C-level pass per depth only
+    when the prefix changes. A combination is rejected in O(1) when
+    ``last``, the vertex that rejected the last combination, gets a sum
+    below ``one`` from the prefix and ``a``. Otherwise one C-level pass
+    gives every vertex's sum; a minimum below ``one`` rejects the
+    combination and names the next ``last``, and only a combination it
+    keeps runs ``ed_holds``."""
+    n = G.n
+    one, table = _plain_scale(n)
+    term = table.__getitem__
+    row = cache(partial(plain_row, G))
+    tried = 0
+    last = 0
+    for size in range(1, n + 1):
+        picks = list(range(size - 1))  # every pick but the last
+        sums = [[0] * n]
+        for v in picks:
+            sums.append(list(map(add, sums[-1], map(term, row(v)))))
+        while True:
+            prefix = sums[-1]
+            for a in range(picks[-1] + 1 if picks else 0, n):
+                tried += 1
+                if deadline is not None and time.monotonic() >= deadline:
+                    return None, tried
+                r = row(a)
+                if prefix[last] + table[r[last]] < one:
+                    continue
+                total = list(map(add, prefix, map(term, r)))
+                low = min(total)
+                if low < one:
+                    last = total.index(low)
+                elif ed_holds(G, (*picks, a)):
+                    return (*picks, a), tried
+            # the next prefix: advance the rightmost pick with room after it
+            j = size - 2
+            while j >= 0 and picks[j] == n - size + j:
+                j -= 1
+            if j < 0:
+                break
+            del sums[j + 1 :]
+            picks[j:] = range(picks[j] + 1, picks[j] + size - j)
+            for v in picks[j:]:
+                sums.append(list(map(add, sums[-1], map(term, row(v)))))
+    raise AssertionError("unreachable: the whole vertex set dominates")
 
 
 def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
     """Minimum size of an exponentially dominating set, by increasing-size
     exhaustive enumeration per connected component (components cannot
-    influence each other, so the optimum is the sum). A combination under
-    which some vertex gets a plain-distance sum below 1 is rejected before
-    ``ed_holds`` runs; the vertex that rejected the last combination is
-    tried first. The relaxation is sound (blocked distances are never
-    shorter), so the combinations tried, their count and the witness are
-    those of the plain enumeration. Distance rows are built on first use,
-    under the deadline check. On timeout the witness is the whole vertex
-    set, the trivial upper bound n (every member's self term is 2, so it
-    always dominates), with status "timeout". Like the exact optimum, it
-    is re-checked by the full verifier first. A NaN or negative budget
-    raises ParameterError."""
+    influence each other, so the optimum is the sum). A graph with one
+    component is searched as it is, with no copy; any other component is
+    searched on its induced subgraph.
+
+    Within a component (``_least_dominating``) the combinations come in
+    the order of a plain enumeration, by size and then lexicographically,
+    and each one is counted. A combination under which some vertex gets a
+    plain sum below 1, read off the prefix sums the walk holds, is
+    rejected before ``ed_holds`` runs. The relaxation is sound (blocked
+    distances are never shorter), so the combinations tried, their count
+    and the witness are those of the plain enumeration. Distance rows are built on first use, under the deadline
+    check. On timeout the witness is the whole vertex set, the trivial
+    upper bound n (every member's self term is 2, so it always dominates),
+    with status "timeout". Like the exact optimum, it is re-checked by the
+    full verifier first. A NaN or negative budget raises ParameterError."""
     deadline = _deadline(time_budget)
     nodes = 0
     witness: list[int] = []
-    for comp in connected_components(G):
-        sub, old_ids = induced_subgraph(G, comp)
-        row = cache(partial(plain_row, sub))
-        one = 1 << sub.n
-        xs = range(sub.n)
-        last = 0  # the vertex that rejected the last combination
-        # the whole vertex set dominates, so the stream ends in a break
-        for combo in chain.from_iterable(combinations(xs, s) for s in range(1, sub.n + 1)):
-            nodes += 1
-            if deadline is not None and time.monotonic() >= deadline:
-                return _certified(G, range(G.n), nodes, "timeout", is_exponentially_dominating)
-            miss = _uncovered([row(v) for v in combo], chain((last,), xs), one)
-            if miss is not None:
-                last = miss
-                continue
-            if ed_holds(sub, combo):
-                break
+    comps = connected_components(G)
+    for comp in comps:
+        sub, old_ids = (G, comp) if len(comps) == 1 else induced_subgraph(G, comp)
+        combo, tried = _least_dominating(sub, deadline)
+        nodes += tried
+        if combo is None:
+            return _certified(G, range(G.n), nodes, "timeout", is_exponentially_dominating)
         witness.extend(old_ids[v] for v in combo)
     return _certified(G, witness, nodes, "optimal", is_exponentially_dominating)
 

@@ -48,8 +48,12 @@ of one absorbing sweep per member, as the blocked distance is symmetric;
 one kernel call per examined vertex, and the independence rows are the
 domination rows of the members, less each one's own pair. A sweep level
 renders its line once and hands that one string to every vertex it
-reaches, adding its term to each one's weight, the integer the kernel
-would return; a report holds the lines, not the pairs.
+reaches, adding its term to each one's weight; a report holds the lines,
+not the pairs. A report's weights are not over 2**n but on its own
+scale, 2**s: s starts at 64 and doubles whenever a sweep level goes past
+it, shifting every held weight once, so a weight costs bits in the depth
+of the sweeps rather than in n, and ``Dyadic`` brings each one to the
+same canonical value.
 ``Dyadic`` values are built only for returned weights and each report
 vertex's head line, and a report renders each term's value and decimal
 once per distinct distance.
@@ -203,17 +207,18 @@ class VertexCheck:
 class WeightReport:
     """Full diagnostic output of a verifier run, over the examined vertices
     in ascending id: the members in mode "ei", every vertex in mode "ed".
-    Each one holds its exact weight, an integer over 2**n, and its rows,
-    the rendered line of each (source, blocked distance) pair it sums,
-    sorted by source. A line is rendered once per sweep level and shared by
-    every vertex the level reaches (``_sweep_rows``), so ``to_text`` joins
-    the rows as they are and formats only each vertex's head line.
+    Each one holds its exact weight, an integer over 2**scale for the
+    report scale ``_sweep_rows`` returns, and its rows, the rendered line
+    of each (source, blocked distance) pair it sums, sorted by source. A
+    line is rendered once per sweep level and shared by every vertex the
+    level reaches (``_sweep_rows``), so ``to_text`` joins the rows as they
+    are and formats only each vertex's head line.
     ``checks`` reads the pairs back from the lines, on first access only."""
 
-    def __init__(self, mode: str, n: int, vertices: Sequence[int], nums: list[int], rows: list):
+    def __init__(self, mode: str, vertices: Sequence[int], scale: int, nums: list[int], rows: list):
         self.mode = mode  # "ei" or "ed"
-        self._n = n
-        self._one = 1 << n
+        self._scale = scale
+        self._one = 1 << scale
         self._vertices = vertices
         self._nums = nums
         self._rows = rows
@@ -231,7 +236,7 @@ class WeightReport:
         checks = []
         for u in self._vertices:
             num = self._nums[u]
-            checks.append(VertexCheck(u, Dyadic(num, self._n), tuple(map(_pair, self._rows[u])), self._good(num)))
+            checks.append(VertexCheck(u, Dyadic(num, self._scale), tuple(map(_pair, self._rows[u])), self._good(num)))
         return tuple(checks)
 
     def to_text(self) -> str:
@@ -244,7 +249,7 @@ class WeightReport:
         lines = [head]
         for u in self._vertices:
             num = self._nums[u]
-            w = Dyadic(num, self._n)
+            w = Dyadic(num, self._scale)
             lines.append(f"{u} w={w} ({w.decimal_str()}) {'ok' if self._good(num) else 'VIOLATION'}")
             lines += self._rows[u]
         lines.append(f"# expindep {__version__}")
@@ -368,9 +373,9 @@ def _member_check(G: Graph, members: Collection[int], u: int) -> tuple:
     return num < 3 << G.n, num - (2 << G.n), reached[1:]
 
 
-def _sweep_rows(G: Graph, members: frozenset, ed: bool) -> tuple[list[int], list]:
-    """The weights and rows of a report, in both modes from one absorbing
-    sweep per member v, in ascending id.
+def _sweep_rows(G: Graph, members: frozenset, ed: bool) -> tuple[int, list[int], list]:
+    """The scale, weights and rows of a report, in both modes from one
+    absorbing sweep per member v, in ascending id.
 
     The blocked distance is symmetric, so the pairs the kernel would
     return from a vertex y are the (v, d) with y reached at distance d by
@@ -380,18 +385,24 @@ def _sweep_rows(G: Graph, members: frozenset, ed: bool) -> tuple[list[int], list
     whose rows are the others' pairs. So the rows come out sorted by
     source. A level that reaches any renders its line once, the term text
     once per distance, appends that one ``str`` to the row of each vertex
-    it reaches, and adds its term 2**(G.n + 1 - d) to each one's weight,
-    an integer over 2**G.n as the kernel returns it.
+    it reaches, and adds its term 2**(s + 1 - d) to each one's weight.
 
-    Returns ``(nums, rows)``, both indexed by vertex; ``rows`` holds a
-    list only for the vertices the mode examines."""
+    The weights are held on the report scale 2**s, not on 2**G.n: s starts
+    at 64 and doubles when a level goes past it, which shifts every held
+    weight once, so s stays below twice the deepest level reached (or
+    64) and a weight costs s bits, not n. Every term stays an exact
+    integer.
+
+    Returns ``(s, nums, rows)``, the last two indexed by vertex; ``rows``
+    holds a list only for the vertices the mode examines."""
     n = G.n
     adj = G.adj
     nums = [0] * n
     rows = [None] * n
     for u in range(n) if ed else members:
         rows[u] = []
-    two = 2 << n
+    scale = 64
+    two = 2 << scale
     terms = {}  # d -> the rendered term of distance d
     for v in sorted(members):
         seen = bytearray(n)
@@ -405,6 +416,11 @@ def _sweep_rows(G: Graph, members: frozenset, ed: bool) -> tuple[list[int], list
                 if term is None:
                     amount = Dyadic.influence(d)
                     term = terms[d] = f" d={d} c={amount} ({amount.decimal_str()})"
+                    # s only grows, so a distance met before already fits
+                    while d > scale:
+                        nums = [num << scale for num in nums]
+                        scale <<= 1
+                        two = 2 << scale
                 line = f"  v={v}{term}"
                 add = two >> d
                 for y in reached:
@@ -426,7 +442,7 @@ def _sweep_rows(G: Graph, members: frozenset, ed: bool) -> tuple[list[int], list
             if ed:
                 reached += nxt
             frontier = nxt
-    return nums, rows
+    return scale, nums, rows
 
 
 def is_exponentially_independent(G: Graph, S: Iterable[int]) -> WeightReport:
@@ -434,13 +450,13 @@ def is_exponentially_independent(G: Graph, S: Iterable[int]) -> WeightReport:
     exactly. Empty and singleton sets pass vacuously. The report carries
     every member's weight and decomposition."""
     members = _member_set(G, S)
-    return WeightReport("ei", G.n, sorted(members), *_sweep_rows(G, members, False))
+    return WeightReport("ei", sorted(members), *_sweep_rows(G, members, False))
 
 
 def is_exponentially_dominating(G: Graph, S: Iterable[int]) -> WeightReport:
     """Verdict true iff every vertex of G satisfies weight(G, S, u) >= 1
     exactly; members are automatically satisfied through their self term."""
-    return WeightReport("ed", G.n, range(G.n), *_sweep_rows(G, _member_set(G, S), True))
+    return WeightReport("ed", range(G.n), *_sweep_rows(G, _member_set(G, S), True))
 
 
 def _tree_influence(

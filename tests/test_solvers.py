@@ -1,7 +1,10 @@
 import hashlib
 import random
 import time
+from fractions import Fraction
 from functools import cache, partial
+from itertools import chain, combinations
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -22,7 +25,9 @@ from expindep.graphs import (
     Graph,
     ParameterError,
     bfs_distances,
+    connected_components,
     degree2_vertices,
+    induced_subgraph,
     is_connected,
     is_subcubic,
     is_tree,
@@ -309,6 +314,17 @@ def spread_points(G, S):
     return [x for x in range(G.n) if S.isdisjoint(G.adj[x])]
 
 
+def relaxation_sums(G, combo):
+    """Every vertex's plain sum from ``combo``, over the domination
+    relaxation's scale, built as ``gamma_e_exact`` builds a prefix's sums:
+    one pass per pick over the term table and the pick's row."""
+    _, table = solvers._plain_scale(G.n)
+    total = [0] * G.n
+    for v in combo:
+        total = list(map(add, total, map(table.__getitem__, plain_row(G, v))))
+    return total
+
+
 class TestInfluenceBounds:
     """The bounds the branch and bound carries, and the facts about blocked
     distances they rest on, on graphs that are not trees."""
@@ -395,12 +411,28 @@ class TestInfluenceBounds:
         """A combination the plain-distance test rejects at x leaves x
         undominated; the test never names a member."""
         combo = sorted(data.draw(st.sets(st.integers(0, G.n - 1), min_size=1)))
-        x = solvers._uncovered([plain_row(G, v) for v in combo], range(G.n), 1 << G.n)
-        if x is not None:
+        one, _ = solvers._plain_scale(G.n)
+        total = relaxation_sums(G, combo)
+        low = min(total)
+        if low < one:
+            x = total.index(low)
             assert x not in combo
             num, _ = _influence(G, frozenset(combo), x)
             assert num < 1 << G.n
             assert not ed_holds(G, combo)
+
+    def test_capped_scale_sums_are_exact(self):
+        # past 256 vertices the scale is 2 ** 256, and every row distance
+        # is capped at 255, so each term is still an exact integer
+        G = gen_path(300)
+        one, table = solvers._plain_scale(G.n)
+        assert one == 1 << 256 and len(table) == 256
+        combo = [0, 40, 150, 299]
+        dists = [bfs_distances(G, v) for v in combo]
+        total = relaxation_sums(G, combo)
+        for x in range(G.n):
+            want = sum(Fraction(2) ** (1 - min(d[x], 255)) for d in dists)
+            assert Fraction(total[x], one) == want, x
 
 
 class TestFloorOnlySkipsSweeps:
@@ -523,6 +555,46 @@ class TestSolverByteIdentity:
         assert h.hexdigest() == "8ca66a99c3027a07e4e8230ac0fab57e41cc5a7bfa608156bc13446e777b1172"
 
 
+def reference_gamma(G):
+    """``(optimum, witness, nodes)`` of the plain enumeration: per
+    component, every combination by size and then lexicographically, each
+    counted and checked with ``ed_holds`` until one dominates."""
+    nodes = 0
+    witness = []
+    for comp in connected_components(G):
+        sub, old_ids = induced_subgraph(G, comp)
+        for combo in chain.from_iterable(combinations(range(sub.n), s) for s in range(1, sub.n + 1)):
+            nodes += 1
+            if ed_holds(sub, combo):
+                break
+        witness += [old_ids[v] for v in combo]
+    return len(witness), tuple(sorted(witness)), nodes
+
+
+@st.composite
+def gamma_cases(draw):
+    """A random subcubic graph on at most 12 vertices, in up to three
+    parts, each a tree (an isolated vertex at size 1) or a graph with a
+    cycle, with the vertex ids shuffled so that a component's ids need not
+    be contiguous."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        if n == 12:
+            break
+        size, seed = draw(st.integers(1, 12 - n)), draw(st.integers(0, 10**6))
+        if size >= 4 and draw(st.booleans()):
+            try:
+                part = random_subcubic_graph(size, draw(st.integers(1, 3)), seed)
+            except ValueError:
+                assume(False)
+        else:
+            part = random_subcubic_tree(size, seed)
+        edges += [(a + n, b + n) for a, b in part.edges()]
+        n += size
+    order = draw(st.permutations(range(n)))
+    return Graph(n, [(order[a], order[b]) for a, b in edges])
+
+
 class TestGamma:
     def test_k1(self):
         res = gamma_e_exact(Graph(1))
@@ -553,6 +625,22 @@ class TestGamma:
         G = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 6)])
         assert ed_holds(G, {2, 3, 4, 5})  # vertex 6 receives exactly 4 * 1/4
         assert not ed_holds(G, {0, 2, 3, 4, 5})  # 0 now shields 6 from the leaves
+
+    @given(gamma_cases())
+    def test_matches_the_reference_enumeration(self, G):
+        res = gamma_e_exact(G)
+        assert (res.optimum, res.witness, res.nodes_explored) == reference_gamma(G), list(G.edges())
+
+    def test_connected_graph_is_not_copied(self, monkeypatch):
+        # one component covering every vertex is searched on G itself
+        def no_copy(*args):
+            raise AssertionError("induced_subgraph called on a connected graph")
+
+        monkeypatch.setattr(solvers, "induced_subgraph", no_copy)
+        G = random_subcubic_graph(14, 2, 3)
+        assert is_connected(G)
+        res = gamma_e_exact(G)
+        assert (res.optimum, res.witness, res.nodes_explored) == reference_gamma(G)
 
     def test_timeout_returns_greedy_bound(self):
         # the timeout bound is the trivial one: the whole vertex set

@@ -284,13 +284,13 @@ class TestKernel:
 def bfs_ei(G, S):
     """The report sweeps' verdicts, one full absorbing sweep per member."""
     S = frozenset(S)
-    nums, _ = _sweep_rows(G, S, False)
-    return all(nums[u] < 1 << G.n for u in S)
+    scale, nums, _ = _sweep_rows(G, S, False)
+    return all(nums[u] < 1 << scale for u in S)
 
 
 def bfs_ed(G, S):
-    nums, _ = _sweep_rows(G, frozenset(S), True)
-    return all(num >= 1 << G.n for num in nums)
+    scale, nums, _ = _sweep_rows(G, frozenset(S), True)
+    return all(num >= 1 << scale for num in nums)
 
 
 @st.composite
@@ -374,6 +374,32 @@ class TestDominationRows:
         assert checks[5] == VertexCheck(5, Dyadic(0), (), False)
         assert checks[0] == VertexCheck(0, Dyadic(1), ((1, 1),), True)
         assert checks[1] == VertexCheck(1, Dyadic(2), ((1, 0),), True)
+
+
+class TestReportScale:
+    """A report holds its weights on its own scale 2**s, which starts at 64
+    and doubles as the sweeps go deeper, not on 2**n."""
+
+    @pytest.mark.parametrize("ed", [False, True])
+    def test_scale_doubles_past_64_and_128(self, ed):
+        # the sweep from 0 reaches 299 at distance 299, past 64, 128 and 256
+        G, S = gen_path(300), frozenset({0, 299})
+        assert _sweep_rows(G, S, ed)[0] == 512
+        rep = (is_exponentially_dominating if ed else is_exponentially_independent)(G, S)
+        assert [c.vertex for c in rep.checks] == (list(range(G.n)) if ed else sorted(S))
+        for c in rep.checks:
+            num, reached = _influence(G, S, c.vertex)
+            if not ed:
+                num -= 2 << G.n
+                reached = reached[1:]
+            assert (c.weight, c.contributions) == (Dyadic(num, G.n), tuple(sorted(reached))), c.vertex
+
+    def test_near_sweeps_keep_the_first_scale(self):
+        # every vertex a member: each sweep stops at distance 1
+        G = gen_path(1000)
+        scale, nums, _ = _sweep_rows(G, frozenset(range(G.n)), True)
+        assert scale == 64
+        assert nums[0] == 3 << 64 and nums[1] == 4 << 64
 
 
 class TestKernelCut:
