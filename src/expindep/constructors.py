@@ -61,18 +61,19 @@ contains all its endvertices, large enough, the three parts of
 ``good_set_audit``); a failure raises InvariantViolation carrying the
 trace, it is never silently accepted. The full audit, the linear-time
 tree pass of ``weights`` on the alive vertices, runs on the base set and
-on the final set, and it resets an exact upper bound on each member's
-weight. A lift is first checked on its restored pendant alone, the few
-vertices between the restored set and the swapped vertex, which must
-meet the rest of the tree in one edge (``_lift_holds``): the influence
-the pendant sends across that edge must not grow, and the stored bounds
-give each member of the pendant an exact upper bound below 1. A lift
-this check cannot decide falls back to the full audit, with its message,
-so every verdict is the full audit's. A lift then costs O(1) steps, on
-integers of about 2n bits, instead of a pass over the tree, and a
-reduction step O(depth + |R|), the depth of the rooted alive tree, which
-grows like log n on the trees ``random_subcubic_tree`` grows (diameter 70
-at n = 10**5) and like n only on long thin trees such as caterpillars.
+on the final set, and it resets an upper bound on each member's weight,
+held over the fixed 2**64 and rounded up. A lift is first checked on its
+restored pendant alone, the few vertices between the restored set and
+the swapped vertex, which must meet the rest of the tree in one edge
+(``_lift_holds``): the influence the pendant sends across that edge must
+not grow, and the stored bounds give each member of the pendant an upper
+bound below 1. A lift this check cannot decide falls back to the full
+audit, with its message, so every verdict is the full audit's. A lift
+then costs O(1) steps, on integers of about 64 bits, instead of a pass
+over the tree, and a reduction step O(depth + |R|), the depth of the
+rooted alive tree, which grows like log n on the trees
+``random_subcubic_tree`` grows (diameter 70 at n = 10**5) and like n only
+on long thin trees such as caterpillars.
 The same policy covers the structural side conditions the recursion
 relies on (the reduced graph is a tree and keeps a degree-2 vertex,
 hanging components are short paths): they are asserted at runtime, not
@@ -87,7 +88,6 @@ from fractions import Fraction
 from .graphs import (
     Graph,
     ParameterError,
-    bfs_ball,
     bfs_levels,
     dead_marks,
     degree2_vertices,
@@ -99,6 +99,9 @@ from .graphs import (
 )
 from .solvers import InfeasibleError, alpha_e_exact
 from .weights import _member_set, _tree_influence, ei_holds
+
+# stored weight bounds are integers over 2**_BOUND_BITS
+_BOUND_BITS = 64
 
 
 class InvariantViolation(RuntimeError):
@@ -174,10 +177,14 @@ def expansion_condition_holds(G: Graph, d: int) -> bool:
     if d < 1:
         raise ValueError("d must be at least 1")
     cap = 3 * (1 << (d - 1)) - 1
+    seen = bytearray(G.n)  # shared by every ball, cleared over each one
     for u in range(G.n):
-        levels = bfs_ball(G, u, d)
+        levels = bfs_levels(G.adj, u, seen, d)
         if d < len(levels) and len(levels[d]) > cap:
             return False
+        for level in levels:
+            for v in level:
+                seen[v] = 0
     return True
 
 
@@ -318,6 +325,11 @@ class _Tree:
     each cut changes. The index is rebuilt on the next path asked for after
     its root dies or after a ``restore``; ``root`` is -1 until then.
 
+    ``bound`` maps each member of the set last proved good to an upper
+    bound on its weight, an integer over the fixed 2**_BOUND_BITS: every
+    ``audit`` resets it, and an accepted lift (``_lift_holds``) updates it
+    on the pendant it checked.
+
     Because ``induced_subgraph`` keeps old ids in ascending order, every
     min-id and sorted-adjacency choice made here over the alive vertices is
     the choice the same rule makes on the induced subgraph."""
@@ -332,10 +344,7 @@ class _Tree:
         self.deg2 = deg.count(2)
         self.leaves = [sum(1 for w in a if deg[w] == 1) for a in adj]
         self.r1 = {v for v, c in enumerate(self.leaves) if c >= 2}
-        # weight bounds are integers over 2**scale: the tree pass's unit
-        # 2**(2H + 1), H < n, divides it, and so does 2**(1 - d) for every
-        # distance d in the tree
-        self.scale = 2 * n + 1
+        self.bound: dict[int, int] = {}
         self.root = -1
         self.parent = [-1] * n
         self.depth = [0] * n
@@ -518,15 +527,14 @@ class _Tree:
             path.reverse()
         return path
 
-    def audit(self, S: set | frozenset, bound: dict | None = None) -> tuple[bool, str]:
+    def audit(self, S: set | frozenset) -> tuple[bool, str]:
         """The three-part check of ``good_set_audit`` on the alive subtree,
-        S in input ids. A ``bound`` dict is reset to the exact weight of
-        every member, as an integer over 2**scale."""
+        S in input ids. It resets ``bound`` to the weight of every member
+        over 2**_BOUND_BITS, rounded up: exact while the tree pass's unit
+        2**k, k = 2H + 1, is at most 2**_BOUND_BITS."""
         W, one = _tree_influence(self.graph, S, self.alive)
-        if bound is not None:
-            shift = self.scale + 1 - one.bit_length()
-            bound.clear()
-            bound.update({u: W[u] << shift for u in S})
+        k = one.bit_length() - 1
+        self.bound = {u: -(-W[u] << _BOUND_BITS >> k) for u in S}
         if not all(W[u] < one for u in S):
             return False, "set is not exponentially independent"
         alive, deg = self.alive, self.deg
@@ -649,10 +657,8 @@ def _choose_reduction(tree: _Tree) -> tuple:
     return _reduction_r3(tree, [z1, z2, levels[0][0]] + base_path[3:])
 
 
-def _verify_good(
-    tree: _Tree, S: set | frozenset, trace: GoodSetTrace, where: str, bound: dict | None = None
-):
-    ok, why = tree.audit(S, bound)
+def _verify_good(tree: _Tree, S: set | frozenset, trace: GoodSetTrace, where: str):
+    ok, why = tree.audit(S)
     if not ok:
         raise InvariantViolation(f"{where}: {why}", trace)
 
@@ -685,10 +691,12 @@ def _pendant(tree: _Tree, s: int, targets: set) -> set[int] | None:
     return P
 
 
-def _sweep(adj, region: set, members, src: int, top: int) -> tuple[int, dict[int, int]]:
+def _sweep(adj, region: set, members, src: int) -> tuple[int, dict[int, int]]:
     """Absorbing BFS from src through ``region``, which src need not lie
     in: the members it reaches at distances d >= 1, as ``{member: d}``,
-    and their influence on src, the sum of 2**(top - d)."""
+    and their influence on src over 2**_BOUND_BITS, the sum of
+    2**(_BOUND_BITS + 1 - d). A distance beyond _BOUND_BITS + 1 raises on
+    the negative shift; it is never rounded."""
     seen = {src}
     reached = {}
     total = d = 0
@@ -702,24 +710,24 @@ def _sweep(adj, region: set, members, src: int, top: int) -> tuple[int, dict[int
                     seen.add(y)
                     if y in members:
                         reached[y] = d
-                        total += 1 << (top - d)
+                        total += 1 << (_BOUND_BITS + 1 - d)
                     else:
                         nxt.append(y)
         frontier = nxt
     return total, reached
 
 
-def _lift_holds(tree: _Tree, bound: dict, S: set, step: TraceStep) -> bool:
+def _lift_holds(tree: _Tree, S: set, step: TraceStep) -> bool:
     """True only if the lift of S by ``step``, S_new = S - {s} plus the
     added vertices, is good on the alive tree, decided from the restored
     pendant alone; False when that cannot be decided, and the caller then
     runs the full audit. S itself is left as it is.
 
     The state before the lift: S is good on the tree without
-    ``step.removed`` (R), and ``bound`` maps each member of S to an upper
-    bound on its weight, over 2**scale. P is the smallest subtree holding
-    R, the added vertices and s = ``step.swapped``; S_new differs from S
-    only inside P. The check needs exactly one alive edge (h, h') leaving
+    ``step.removed`` (R), and ``tree.bound`` maps each member of S to an
+    upper bound on its weight, over 2**_BOUND_BITS. P is the smallest
+    subtree holding R, the added vertices and s = ``step.swapped``; S_new
+    differs from S only inside P. The check needs exactly one alive edge (h, h') leaving
     P, so every path from P to the rest runs through h and then h', and
     the old tree holds P - R, which contains h.
 
@@ -732,7 +740,12 @@ def _lift_holds(tree: _Tree, bound: dict, S: set, step: TraceStep) -> bool:
     (bound(t) - inside_old(t)) * 2**d(t, h') for every old member t of P
     whose path to h' is open. Those sums, rounded up, must stay below 1,
     and become the new bounds of P. Only P changes degree, so only P can
-    hold a new endvertex outside the set."""
+    hold a new endvertex outside the set.
+
+    P holds at most 7 vertices, so every distance swept is at most 8 and
+    every term above is an exact integer over 2**_BOUND_BITS. Only a
+    stored bound can be rounded, and only upwards: that can turn an accept
+    into a fallback to the full audit, never cause a wrong accept."""
     s = step.swapped
     removed = set(step.removed)
     P = _pendant(tree, s, removed.union(step.added))
@@ -743,28 +756,28 @@ def _lift_holds(tree: _Tree, bound: dict, S: set, step: TraceStep) -> bool:
     if len(exits) != 1:
         return False
     hp = exits[0]
-    top = tree.scale + 1  # a member at distance d adds 2**(1 - d)
     old_P = P - removed
     old = P.intersection(S)  # the members of P before and after the lift
     new = old - {s}
     new.update(step.added)
-    I_new, open_new = _sweep(adj, P, new, hp, top)
-    I_old, open_old = _sweep(adj, old_P, old, hp, top)
+    I_new, open_new = _sweep(adj, P, new, hp)
+    I_old, open_old = _sweep(adj, old_P, old, hp)
     if I_new > I_old:
         return False
+    bound = tree.bound
     if hp in S:
-        J = 1 << top
+        J = 2 << _BOUND_BITS
     elif open_old:
         J = min(
-            (bound[t] - _sweep(adj, old_P, old, t, top)[0]) << d
+            (bound[t] - _sweep(adj, old_P, old, t)[0]) << d
             for t, d in open_old.items()
         )
     else:
         return False
-    one = 1 << tree.scale
+    one = 1 << _BOUND_BITS
     lifted = {}
     for u in new:
-        b = _sweep(adj, P, new, u, top)[0]
+        b = _sweep(adj, P, new, u)[0]
         if u in open_new:
             b += -(-J >> open_new[u])  # rounded up
         if b >= one:
@@ -823,15 +836,19 @@ def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
     steps: list[TraceStep] = []
     tree = _Tree(T)
     while True:
-        if tree.is_path() and tree.size >= 8:
-            base_rule = "path-schedule"
-            S = _path_schedule(tree)
-            break
-        if tree.size <= 8:
-            base_rule = "exact-search"
-            S = _base_exact(tree)
-            break
-        rule, removed, swapped, added = _choose_reduction(tree)
+        try:
+            if tree.is_path() and tree.size >= 8:
+                base_rule = "path-schedule"
+                S = _path_schedule(tree)
+                break
+            if tree.size <= 8:
+                base_rule = "exact-search"
+                S = _base_exact(tree)
+                break
+            rule, removed, swapped, added = _choose_reduction(tree)
+        except InvariantViolation as exc:  # raised without the steps taken so far
+            exc.trace = _unfinished(steps)
+            raise
         steps.append(TraceStep(rule, tuple(sorted(removed)), swapped, tuple(sorted(added))))
         if not tree.remains_tree_without(removed):
             raise InvariantViolation("reduced graph is not a tree", _unfinished(steps))
@@ -842,8 +859,7 @@ def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
             )
 
     trace = GoodSetTrace(tuple(steps), base_rule, tuple(sorted(S)))
-    bound: dict[int, int] = {}
-    _verify_good(tree, S, trace, f"base ({base_rule})", bound)
+    _verify_good(tree, S, trace, f"base ({base_rule})")
     S = set(S)  # lifted in place: a lift touches O(1) members
     accepted = False
     for step in reversed(steps):
@@ -852,11 +868,11 @@ def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
             raise InvariantViolation(
                 f"lift expected vertex {step.swapped} in the reduced solution", trace
             )
-        accepted = _lift_holds(tree, bound, S, step)
+        accepted = _lift_holds(tree, S, step)
         S.discard(step.swapped)
         S.update(step.added)
         if not accepted:
-            _verify_good(tree, S, trace, "lift", bound)
+            _verify_good(tree, S, trace, "lift")
     if accepted:
         _verify_good(tree, S, trace, "lift")
     return frozenset(S), trace

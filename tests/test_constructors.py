@@ -42,7 +42,14 @@ from expindep.graphs import (
     is_tree,
     longest_path,
 )
-from expindep.weights import ei_holds, is_exponentially_independent
+from expindep.solvers import InfeasibleError
+from expindep.weights import (
+    Dyadic,
+    _tree_influence,
+    ei_holds,
+    is_exponentially_independent,
+    weight,
+)
 
 
 class TestPackingSeparation:
@@ -187,6 +194,16 @@ class TestExpansionCondition:
     def test_path(self):
         assert expansion_condition_holds(gen_path(40), 1)
         assert expansion_condition_holds(gen_path(40), 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 40), st.integers(0, 10**6), st.integers(1, 4))
+    def test_matches_one_ball_per_vertex(self, n, extra, seed, d):
+        # one marks array shared by every ball, against a fresh ball each
+        G = random_graph(n, extra, seed)
+        cap = 3 * (1 << (d - 1)) - 1
+        balls = (bfs_ball(G, u, d) for u in range(G.n))
+        want = all(d >= len(levels) or len(levels[d]) <= cap for levels in balls)
+        assert expansion_condition_holds(G, d) == want
 
 
 class TestExpansionSeparation:
@@ -393,6 +410,34 @@ class TestGoodSetRandom:
         tree.r1.clear()
         with pytest.raises(InvariantViolation, match="is not a path"):
             cons._choose_reduction(tree)
+
+    def test_structural_fault_carries_the_partial_trace(self, monkeypatch):
+        # a first branch index of 2 breaks the analysis: the build stops at
+        # its first diametral path, and the error holds the steps taken
+        # until then, the R1 steps an honest build starts with
+        T = random_subcubic_tree(80, seed=3)
+        _, honest = tree_good_set(T)
+        monkeypatch.setattr(cons, "_first_degree3_index", lambda tree, path: 2)
+        with pytest.raises(InvariantViolation) as exc:
+            tree_good_set(T)
+        assert str(exc.value) == "diametral path has first branch index 2, expected >= 3"
+        trace = exc.value.trace
+        assert trace.base_rule == "unfinished" and trace.base_set == ()
+        assert trace.steps and trace.steps == honest.steps[: len(trace.steps)]
+        assert {step.rule for step in trace.steps} == {"R1"}
+
+    def test_infeasible_base_carries_the_whole_reduction(self, monkeypatch):
+        T = random_subcubic_tree(40, seed=5)
+        _, honest = tree_good_set(T)
+        assert honest.base_rule == "exact-search"
+
+        def infeasible(*args, **kwargs):
+            raise InfeasibleError("no selection")
+
+        monkeypatch.setattr(cons, "alpha_e_exact", infeasible)
+        with pytest.raises(InvariantViolation, match="^base case infeasible: no selection$") as exc:
+            tree_good_set(T)
+        assert exc.value.trace == GoodSetTrace(honest.steps, "unfinished", ())
 
     def test_reroute_checks_depth_of_branched_hang(self, monkeypatch):
         # the branched component at 3 reaches depth 4 from it, so 0..7 is
@@ -714,12 +759,14 @@ class TestLocalLiftCheck:
         orig = cons._lift_holds
         verdicts = []
 
-        def oracle(tree, bound, S, step):
+        def oracle(tree, S, step):
             S_new = (S - {step.swapped}) | set(step.added)
-            accepted = orig(tree, bound, S, step)
+            accepted = orig(tree, S, step)
             if accepted:  # the stored bounds stay upper bounds, too
-                exact = {}
-                assert tree.audit(S_new, exact) == (True, "ok"), step
+                bound = tree.bound
+                assert tree.audit(S_new) == (True, "ok"), step
+                # the audit resets the bounds: later lifts keep the chained ones
+                exact, tree.bound = tree.bound, bound
                 assert bound.keys() == exact.keys()
                 assert all(bound[u] >= w for u, w in exact.items()), step
             verdicts.append(accepted)
@@ -780,14 +827,14 @@ class TestLocalLiftCheck:
         orig_check, orig_audit = cons._lift_holds, cons._Tree.audit
         verdicts, audits = [], []
 
-        def loose(tree, bound, S, step):
-            bound[step.swapped] = (1 << tree.scale) - 1
-            verdicts.append(orig_check(tree, bound, S, step))
+        def loose(tree, S, step):
+            tree.bound[step.swapped] = (1 << 64) - 1
+            verdicts.append(orig_check(tree, S, step))
             return verdicts[-1]
 
-        def counted(tree, S, bound=None):
+        def counted(tree, S):
             audits.append(S)
-            return orig_audit(tree, S, bound)
+            return orig_audit(tree, S)
 
         monkeypatch.setattr(cons, "_lift_holds", loose)
         monkeypatch.setattr(cons._Tree, "audit", counted)
@@ -796,3 +843,17 @@ class TestLocalLiftCheck:
         assert len(verdicts) == len(trace.steps) and verdicts.count(False) > len(verdicts) // 2
         # the base, every fallback, and the final set after an accepted lift
         assert len(audits) == 1 + verdicts.count(False) + verdicts[-1]
+
+    @pytest.mark.parametrize("S", [{0, 199}, {0, 60, 199}])
+    def test_audit_bounds_round_up_past_the_fixed_scale(self, S):
+        # T - S holds a path of up to 198 vertices, so the tree pass's unit
+        # is far finer than 2**-64: each stored bound is the member's
+        # weight rounded up to the next multiple of 2**-64
+        T = gen_path(200)
+        assert _tree_influence(T, frozenset(S))[1] > 1 << 64
+        tree = cons._Tree(T)
+        tree.audit(S)
+        assert tree.bound.keys() == S
+        for u, b in tree.bound.items():
+            w = weight(T, S - {u}, u)
+            assert w <= Dyadic(b, 64) < w + Dyadic(1, 64), u
