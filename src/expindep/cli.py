@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import __version__
 from .constructors import (
@@ -34,12 +35,15 @@ from .experiments import (
 )
 
 
-def _write(path: str | None, text: str):
+def _write(path: str | None, text: str | Iterable[str]):
+    """Write ``text``, one string or an iterable of pieces, to the file at
+    ``path``, or to stdout for None or "-"."""
+    pieces = (text,) if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _read_graph(path: str) -> Graph:
@@ -99,8 +103,7 @@ def _cmd_verify(args) -> int:
         report = is_exponentially_independent(G, S)
     else:
         report = is_exponentially_dominating(G, S)
-    text = report.to_text()
-    _write(args.report, text)
+    _write(args.report, report.chunks())
     if args.report not in (None, "-"):
         sys.stdout.write(f"verdict {'true' if report.ok else 'false'}\n")
     return 0 if report.ok else 1

@@ -57,6 +57,23 @@ exact check, so the verdicts, and so the search order and node count,
 are those of re-checking every member; the equivalence with full
 re-verification is covered by tests.
 
+Many rejects need no call at all, as they hold in every descendant. The
+search carries a dead mask over the candidate positions with each stack
+entry (``_dead_marks``), beside a vector of near floors: each vertex's
+plain terms from the members at distance 3 or less, counted in quarters,
+which are exact blocked terms while no two members are adjacent. A
+candidate is dead when it neighbours a member or its own floor reaches 1,
+or when it lies at distance 2 of a member whose floor is at least 1/2, or
+at distance 3 of one whose floor is at least 3/4: that member's weight
+would reach 1. Near floors never shrink as members join, and every
+subset of an exponentially independent set is independent, so a dead
+candidate is a reject in the node's whole subtree. A join adds the new
+member's quarter row to the vector and ORs in the rings of the members
+whose floor passed a threshold. A node whose candidate is dead counts as
+a reject node: it reads the clock and takes the count prune and the leaf
+test, and pushes its exclude child alone, with no ``try_extend``. So the
+nodes, and the witness, are those of calling it there.
+
 Every search, both exact solvers and the brute-force oracle, returns
 through one exit, ``_certified``: it sorts the witness, re-checks it with
 the full report verifier, timeout witnesses included, and builds the
@@ -88,7 +105,7 @@ import time
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Collection, Iterable
 
 from .graphs import Graph, ParameterError, connected_components, induced_subgraph, plain_row
@@ -232,7 +249,13 @@ def try_extend(
     most 3, or when no other member lies on a shortest path between the
     two, for then the blocked distance is the plain one. A floor that
     reaches 1 rejects v with no sweep. Most re-checks reject, and most are
-    decided this way."""
+    decided this way.
+
+    ``alpha_e_exact`` calls this only for a candidate its dead mask
+    leaves live (``_dead_marks``); a dead one is a reject this flow would
+    also return, so the mask saves calls and changes no verdict. The hot
+    members of step 4 are sought only when the largest grown value
+    reaches 1."""
     if not bounds.keys().isdisjoint(G.adj[v]):
         return None
     one = 1 << G.n
@@ -249,8 +272,9 @@ def try_extend(
         dist = dict(reached)
         terms = [two >> dist[x] if x in dist else 0 for x in bounds]
     values = list(map(add, bounds.values(), terms))
-    hot = [x for x, value in zip(bounds, values) if value >= one]
-    if hot:
+    hot = []
+    if values and max(values) >= one:
+        hot = [x for x, value in zip(bounds, values) if value >= one]
         keys = [*bounds, v]
         for x in hot:
             if _weight_floor(G, keys, x, rows, 1) >= one:
@@ -262,6 +286,99 @@ def try_extend(
         if not good:
             return None
     return grown
+
+
+# A plain term 2 ** (1 - d) in quarters, by a row's distance byte d: 4, 2
+# and 1 at d = 1, 2 and 3, and none past 3; and a mark at distance 2 or 3,
+# as translate tables over a plain row
+_QUARTERS = bytes((0, 4, 2, 1)).ljust(256, b"\0")
+_RING2 = bytes((0, 0, 1)).ljust(256, b"\0")
+_RING3 = bytes((0, 0, 0, 1)).ljust(256, b"\0")
+
+
+def _dead_marks(
+    G: Graph, cands: list[int], others: Iterable[int], rows: Callable[[int], bytes]
+) -> tuple[int, Callable[[int, Iterable[int], int, int], tuple[int, int]]]:
+    """The include step of ``alpha_e_exact``'s dead mask over the candidate
+    positions, for the candidates ``cands`` in branching order and the
+    other vertices ``others``; ``rows`` maps a vertex to its ``plain_row``.
+
+    The state is a pair of ints ``(q, dead)`` in lanes of w bits, one lane
+    per vertex, candidate position p at bit w * p and ``others`` above
+    them. A lane of ``q`` holds the vertex's near floor, its plain terms
+    from the members at distance 3 or less counted in quarters, and a
+    nonzero lane of ``dead`` marks its candidate as dead. Returns
+    ``(w, join)``: the empty set's state is ``(0, 0)``, and ``join(v,
+    members, q, dead)`` gives the state once v joins ``members``, an
+    exponentially independent set that v keeps independent. A candidate u
+    is dead when
+
+    - its own floor reaches 4 quarters, which a member neighbour does, or
+    - some member x at distance 2 has a floor of at least 2 quarters, or
+      one at distance 3 a floor of 3: x would have no room left for u.
+
+    A plain term at distance 3 or less is the exact blocked term while no
+    member neighbours another, and floors only grow as members join, so a
+    dead candidate breaks independence in the set and in every superset
+    the search reaches from it. A join changes the floors within distance
+    3 of v only: it adds v's quarter row to ``q``, marks every lane that
+    reaches 4 by one carry into its top bit, and ORs in the rings of v and
+    of each member near v whose floor passed 2 or 3. The lanes are wide
+    enough that no sum carries out of its lane: with degree at most D a
+    floor is at most 4D + 2D(D - 1) + D(D - 1) ** 2 quarters (36 on a
+    subcubic graph). Each vertex's quarter row and ring masks are built on
+    its first join only, by C-level passes over its plain row."""
+    n = G.n
+    top = max(map(len, G.adj)) if n else 0
+    most = 4 * top + 2 * top * (top - 1) + top * (top - 1) ** 2
+    width = 1  # bytes per lane: a floor plus the carry bias stays below 2 ** w
+    while most >= (1 << 8 * width - 1) + 4:
+        width += 1
+    w = 8 * width
+    lane = (1 << w) - 1
+    ones = int.from_bytes((bytes(width - 1) + b"\1") * n, "big")  # 1 in every lane
+    bias = ((1 << w - 1) - 4) * ones  # a floor of 4 carries into the top bit
+    tops = ones << w - 1
+    # the vertices in the byte order of the lane ints; a lane's upper bytes,
+    # and one leading byte that keeps the pick a tuple, read index n, past
+    # the end of a row, where the row is padded with 0
+    order = [*others, *reversed(cands)]
+    pick = itemgetter(n, *(order if width == 1 else [y for x in order for y in (*[n] * (width - 1), x)]))
+    memo = {}
+
+    def near(x: int) -> tuple[int, int, int, int]:
+        # the bit offset of x's lane, and x's quarter row and its rings at
+        # distance 2 and 3 as lane ints; every member has been v once
+        r = bytes(pick(rows(x) + b"\0"))
+        got = memo[x] = (
+            w * (n - 1 - order.index(x)),
+            int.from_bytes(r.translate(_QUARTERS), "big"),
+            int.from_bytes(r.translate(_RING2), "big"),
+            int.from_bytes(r.translate(_RING3), "big"),
+        )
+        return got
+
+    def join(v: int, members: Iterable[int], q: int, dead: int) -> tuple[int, int]:
+        k, quarters, ring2, ring3 = memo.get(v) or near(v)
+        grown = q + quarters
+        dead |= (grown + bias) & tops
+        floor = q >> k & lane
+        if floor:  # some member at distance 2 or 3
+            if floor >= 2:
+                dead |= ring2 if floor == 2 else ring2 | ring3
+            rv = rows(v)
+            for x in members:
+                if rv[x] < 4:  # x's floor rose, below 4
+                    k, _, ring2, ring3 = memo[x]
+                    floor = grown >> k & lane
+                    if floor >= 2:
+                        if q >> k & lane < 2:
+                            dead |= ring2
+                        if floor == 3:
+                            dead |= ring3
+        return grown, dead
+
+    return w, join
 
 
 def alpha_e_exact(
@@ -278,22 +395,34 @@ def alpha_e_exact(
     the best incumbent and the member set of the node the deadline stopped
     (the incumbent on a tie) is returned with status "timeout"; a NaN or
     negative budget, or an id outside ``range(G.n)`` in either set, raises
-    ParameterError."""
+    ParameterError.
+
+    Each stack entry carries the members' weight bounds, the near-floor
+    vector and the dead mask of ``_dead_marks``, all shared by the exclude
+    child; only an include builds new ones. The required members join
+    the mask first. A node whose candidate is dead is a reject node with
+    no ``try_extend`` call: it is counted, reads the clock, takes the count
+    prune and the leaf test, and pushes its exclude child. The mask holds
+    in every descendant, so the nodes, optimum and witness are those of
+    calling ``try_extend`` at every node."""
     deadline = _deadline(time_budget)
     req = _member_set(G, required)
     exc = _member_set(G, excluded)
     if req & exc:
         raise ValueError("required and excluded sets overlap")
+    order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
+    rows = cache(partial(plain_row, G))
+    cands = [v for v in order if v not in req and v not in exc]
+    w, join = _dead_marks(G, cands, [*req, *exc], rows)
+    lane = (1 << w) - 1
+    q = dead = 0
     bounds = {}  # each required member's exact weight, over 2 ** G.n
     for u in sorted(req):
         good, num, _ = _member_check(G, req, u)
         if not good:
             raise InfeasibleError(f"required set is not exponentially independent at vertex {u}")
+        q, dead = join(u, bounds, q, dead)
         bounds[u] = num
-
-    order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
-    rows = cache(partial(plain_row, G))
-    cands = [v for v in order if v not in req and v not in exc]
 
     best_size = len(req)
     best_set = tuple(sorted(req))
@@ -302,11 +431,12 @@ def alpha_e_exact(
 
     # depth first on an explicit stack, so no candidate count reaches the
     # recursion limit; pushing the exclude child first explores the
-    # include child first
+    # include child first. A dead candidate is a reject read off the
+    # mask: its node pushes the exclude child alone, with no try_extend
     status = "optimal"
-    stack = [(0, bounds)]
+    stack = [(0, bounds, q, dead)]
     while stack:
-        i, bounds = stack.pop()
+        i, bounds, q, dead = stack.pop()
         nodes += 1
         if deadline is not None and time.monotonic() >= deadline:
             status = "timeout"
@@ -324,10 +454,14 @@ def alpha_e_exact(
             if size > best_size or (size == best_size and tup < best_set):
                 best_size, best_set = size, tup
             continue
-        grown = try_extend(G, bounds, cands[i], rows)
-        stack.append((i + 1, bounds))
+        stack.append((i + 1, bounds, q, dead))
+        if dead >> w * i & lane:
+            continue
+        v = cands[i]
+        grown = try_extend(G, bounds, v, rows)
         if grown is not None:
-            stack.append((i + 1, grown))
+            q, dead = join(v, bounds, q, dead)
+            stack.append((i + 1, grown, q, dead))
 
     return _certified(G, best_set, nodes, status, is_exponentially_independent)
 

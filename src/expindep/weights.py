@@ -96,7 +96,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cached_property, total_ordering
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .graphs import Graph, ParameterError, absorbing_bfs, dead_marks, is_tree
 
@@ -204,6 +204,9 @@ class VertexCheck:
     ok: bool
 
 
+_CHUNK_CHARS = 1 << 22  # row characters per piece of a streamed report
+
+
 class WeightReport:
     """Full diagnostic output of a verifier run, over the examined vertices
     in ascending id: the members in mode "ei", every vertex in mode "ed".
@@ -212,7 +215,8 @@ class WeightReport:
     of each (source, blocked distance) pair it sums, sorted by source. A
     line is rendered once per sweep level and shared by every vertex the
     level reaches (``_sweep_rows``), so ``to_text`` joins the rows as they
-    are and formats only each vertex's head line.
+    are and formats only each vertex's head line. ``chunks`` yields that
+    text in pieces, and ``to_text`` is their join.
     ``checks`` reads the pairs back from the lines, on first access only."""
 
     def __init__(self, mode: str, vertices: Sequence[int], scale: int, nums: list[int], rows: list):
@@ -239,7 +243,12 @@ class WeightReport:
             checks.append(VertexCheck(u, Dyadic(num, self._scale), tuple(map(_pair, self._rows[u])), self._good(num)))
         return tuple(checks)
 
-    def to_text(self) -> str:
+    def chunks(self) -> Iterator[str]:
+        """The report's text in pieces of about ``_CHUNK_CHARS`` characters
+        or more, each ending in a newline and each holding whole vertices:
+        their head lines and rows, after the report's head line and before
+        its version line. ``to_text`` joins them, and ``verify --report``
+        writes them as they come, so the whole text is never held at once."""
         from . import __version__
 
         head = (
@@ -247,13 +256,28 @@ class WeightReport:
             f"first_violation={self.first_violation if self.first_violation is not None else 'none'}"
         )
         lines = [head]
+        size = 0
         for u in self._vertices:
             num = self._nums[u]
             w = Dyadic(num, self._scale)
+            rows = self._rows[u]
             lines.append(f"{u} w={w} ({w.decimal_str()}) {'ok' if self._good(num) else 'VIOLATION'}")
-            lines += self._rows[u]
-        lines.append(f"# expindep {__version__}")
-        return "\n".join(lines) + "\n"
+            lines += rows
+            size += sum(map(len, rows))
+            if size >= _CHUNK_CHARS:
+                # each piece ends in the newline of a last empty line, and
+                # the lines are dropped before it is handed out
+                lines.append("")
+                piece = "\n".join(lines)
+                lines, size = [], 0
+                yield piece
+        lines += (f"# expindep {__version__}", "")
+        piece = "\n".join(lines)
+        del lines
+        yield piece
+
+    def to_text(self) -> str:
+        return "".join(self.chunks())
 
 
 def _pair(line: str) -> tuple[int, int]:
@@ -386,6 +410,9 @@ def _sweep_rows(G: Graph, members: frozenset, ed: bool) -> tuple[int, list[int],
     source. A level that reaches any renders its line once, the term text
     once per distance, appends that one ``str`` to the row of each vertex
     it reaches, and adds its term 2**(s + 1 - d) to each one's weight.
+    All sweeps share one list of visited marks, each vertex's the source
+    of the last sweep to reach it, so no sweep clears or allocates marks
+    over the whole graph.
 
     The weights are held on the report scale 2**s, not on 2**G.n: s starts
     at 64 and doubles when a level goes past it, which shifts every held
@@ -404,9 +431,9 @@ def _sweep_rows(G: Graph, members: frozenset, ed: bool) -> tuple[int, list[int],
     scale = 64
     two = 2 << scale
     terms = {}  # d -> the rendered term of distance d
+    mark = [-1] * n  # the source of the last sweep to reach each vertex
     for v in sorted(members):
-        seen = bytearray(n)
-        seen[v] = 1
+        mark[v] = v
         frontier = [v]
         reached = frontier if ed else []  # what level d reaches, from v itself at 0
         d = 0
@@ -433,8 +460,8 @@ def _sweep_rows(G: Graph, members: frozenset, ed: bool) -> tuple[int, list[int],
             nxt = []
             for x in frontier:
                 for y in adj[x]:
-                    if not seen[y]:
-                        seen[y] = 1
+                    if mark[y] != v:
+                        mark[y] = v
                         if y in members:
                             reached.append(y)
                         else:

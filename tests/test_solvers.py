@@ -528,6 +528,108 @@ class TestPlainRowExtension:
         assert exact_weight(G, grown.keys(), 0) == two >> 299 < grown[0]
 
 
+def rule_marks(G, cands, S):
+    """The candidate positions the dead mask's three rules mark for the
+    set S, from BFS distances alone: a candidate u outside S whose near
+    floor reaches 1, or which lies at distance 2 or 3 of a member whose
+    near floor leaves no room for u's term. A near floor is the plain
+    terms from the members at distance 3 or less, in quarters."""
+    dist = {x: bfs_distances(G, x) for x in S}
+    quarter = {1: 4, 2: 2, 3: 1}
+
+    def floor(u):
+        return sum(quarter.get(dist[x][u], 0) for x in S if x != u)
+
+    return {
+        p
+        for p, u in enumerate(cands)
+        if u not in S
+        and (floor(u) >= 4 or any(dist[x][u] in (2, 3) and quarter[dist[x][u]] + floor(x) >= 4 for x in S))
+    }
+
+
+@st.composite
+def dense_graphs(draw):
+    """A random graph on at most 12 vertices with no degree cap, so that a
+    vertex's near floor can pass what one byte lane holds."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+
+
+class TestDeadMask:
+    """``alpha_e_exact`` carries a mask of dead candidates, each a reject
+    that holds in every superset, and runs no ``try_extend`` for them."""
+
+    @given(st.one_of(extension_graphs(), dense_graphs()), st.data())
+    def test_marked_candidates_are_rejects(self, G, data):
+        """After each join the marked candidates are those of the rules,
+        from BFS distances; each one is rejected by ``try_extend`` and
+        fails ``ei_holds``, and a mark is never lifted. A few vertices
+        stand outside the candidates, as required or excluded ones do, and
+        may join as well."""
+        rows = row_map(G)
+        perm = data.draw(st.permutations(range(G.n)))
+        split = data.draw(st.integers(0, min(3, G.n)))
+        cands, others = perm[split:], perm[:split]
+        w, join = solvers._dead_marks(G, cands, others, rows)
+        lane = (1 << w) - 1
+        q = dead = 0
+        bounds, marked = {}, set()
+        for v in data.draw(st.permutations(range(G.n))):
+            step = try_extend(G, bounds, v, rows)
+            if step is None or not data.draw(st.booleans()):
+                continue
+            q, dead = join(v, bounds, q, dead)
+            bounds = step
+            S = frozenset(bounds)
+            now = {p for p in range(len(cands)) if dead >> w * p & lane and cands[p] not in S}
+            where = (list(G.edges()), sorted(S), cands)
+            assert now == rule_marks(G, cands, S), where
+            assert marked - now <= {p for p, u in enumerate(cands) if u in S}, where
+            for p in now:
+                assert try_extend(G, bounds, cands[p], rows) is None, where + (cands[p],)
+                assert not ei_holds(G, S | {cands[p]}), where + (cands[p],)
+            marked = now
+
+    def test_member_neighbours_take_no_try_extend(self, monkeypatch):
+        """On the path of 30 no call tests a member's neighbour, and the
+        search with nothing marked, which calls ``try_extend`` at every
+        inner node, gives the same optimum, witness and node count. On a
+        path small enough for the oracle the search matches
+        ``alpha_e_bruteforce``."""
+        calls = [0]
+
+        def extend(G, bounds, v, rows):
+            assert bounds.keys().isdisjoint(G.adj[v]), (sorted(bounds), v)
+            calls[0] += 1
+            return try_extend(G, bounds, v, rows)
+
+        monkeypatch.setattr(solvers, "try_extend", extend)
+        G = gen_path(30)
+        marked = alpha_e_exact(G)
+        skipping = calls[0]
+        small = alpha_e_exact(gen_path(12))
+        oracle = alpha_e_bruteforce(gen_path(12))
+        assert (small.optimum, small.witness) == (oracle.optimum, oracle.witness)
+        monkeypatch.setattr(solvers, "try_extend", try_extend)
+        monkeypatch.setattr(solvers, "_dead_marks", lambda *args: (8, lambda *state: (0, 0)))
+        assert alpha_e_exact(G) == marked
+        assert marked.optimum == 12 and marked.status == "optimal"
+        assert 0 < skipping < marked.nodes_explored // 2
+
+    def test_wide_lanes_on_a_dense_graph(self):
+        """Degree 11 needs two bytes a lane: near floors of up to 1030
+        quarters must not carry into the next lane."""
+        G = Graph(12, [(a, b) for a in range(12) for b in range(a + 1, 12) if (a * b + a + b) % 5])
+        w, _ = solvers._dead_marks(G, list(range(12)), [], row_map(G))
+        assert w == 16
+        oracle = alpha_e_bruteforce(G)
+        res = alpha_e_exact(G)
+        assert (res.optimum, res.witness) == (oracle.optimum, oracle.witness)
+
+
 class TestSolverByteIdentity:
     """The carried bounds and the relaxation reject make each node cheaper
     without changing which nodes are visited: optima, node counts and

@@ -376,6 +376,57 @@ class TestDominationRows:
         assert checks[1] == VertexCheck(1, Dyadic(2), ((1, 0),), True)
 
 
+class TestSharedSweepMarks:
+    """All of a report's sweeps share one list of visited marks, each
+    vertex's the source of the last sweep to reach it; the oracles are the
+    kernel's own sweeps, each with fresh marks."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_vertex_a_member(self, seed):
+        G = random_subcubic_graph(60, 12, seed)
+        assert not is_tree(G)
+        S = frozenset(range(G.n))
+        for ed in (False, True):
+            scale, nums, rows = _sweep_rows(G, S, ed)
+            for u in range(G.n):
+                num, reached = _influence(G, S, u)
+                if not ed:
+                    num -= 2 << G.n
+                    reached = reached[1:]
+                pairs = tuple(weights._pair(line) for line in rows[u])
+                assert (Fraction(nums[u], 1 << scale), pairs) == (Fraction(num, 1 << G.n), tuple(sorted(reached))), u
+        assert bfs_ei(G, S) is ei_holds(G, S) is False
+        assert bfs_ed(G, S) is ed_holds(G, S) is True
+
+
+class TestStreamedReport:
+    """A report's text comes in pieces: ``to_text`` joins them, and
+    ``verify --report`` writes them, to the bytes of the text in one
+    piece."""
+
+    @pytest.mark.parametrize("mode", ["ei", "ed"])
+    def test_pieces_join_to_the_whole_text_and_the_file(self, monkeypatch, tmp_path, mode):
+        from expindep.cli import main
+        from expindep.graphs import write_edge_list
+
+        G = random_subcubic_graph(200, 30, 5)
+        S = greedy_packing(G, 2)
+        verify = is_exponentially_independent if mode == "ei" else is_exponentially_dominating
+        rep = verify(G, S)
+        assert len(list(rep.chunks())) == 1
+        whole = rep.to_text()
+        monkeypatch.setattr(weights, "_CHUNK_CHARS", 100)
+        pieces = list(rep.chunks())
+        assert len(pieces) > 2 and all(piece.endswith("\n") for piece in pieces)
+        assert "".join(pieces) == rep.to_text() == whole
+        gpath, spath, rpath = tmp_path / "g.txt", tmp_path / "s.txt", tmp_path / "r.txt"
+        gpath.write_text(write_edge_list(G))
+        spath.write_text("".join(f"{v}\n" for v in sorted(S)))
+        rc = main(["verify", "--graph", str(gpath), "--set", str(spath), "--mode", mode, "--report", str(rpath)])
+        assert rc == (0 if rep.ok else 1)
+        assert rpath.read_bytes() == whole.encode()
+
+
 class TestReportScale:
     """A report holds its weights on its own scale 2**s, which starts at 64
     and doubles as the sweeps go deeper, not on 2**n."""
