@@ -39,14 +39,15 @@ or that must cost less than n, keeps its own loop:
   depth per component of T - S, then subtree sums bottom up and a reroot
   top down over that order.
 
-``parse_edge_list`` reads a file in a few passes over all its lines at
-once: one split for the tokens, one ``int`` map per column, then range,
-loops, repeats and order checked on the id lists, and the adjacency built
-from them with no per-edge tuple or key set. A file in the order
-``write_edge_list`` writes already gives sorted lists with no repeats,
-which one pass over the edge keys confirms. The line-by-line loop runs
-only when a pass finds a fault, and only it raises, so the error names the
-first faulty line in file order whatever the kind of fault.
+``parse_edge_list`` reads a file in the order ``write_edge_list`` writes
+in a few passes over all its lines at once: one split for the tokens, one
+``int`` map per column, then orientation, range and order checked on the
+id lists, and the adjacency built from them with no per-edge tuple or key
+set. In that order, u < v on every line and the edge keys strictly
+increasing, the lists come out sorted with no loop or repeat. Any other
+file, a faulty one or one in another order, is read by the line-by-line
+loop, and only it raises, so the error names the first faulty line in
+file order whatever the kind of fault.
 
 ``absorbing_bfs`` is the single-pass realization of distances in a
 vertex-deleted graph: sink vertices may terminate a walk but are never
@@ -61,7 +62,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import repeat
-from operator import add, eq, floordiv, lt, mod, mul
+from operator import add, lt, mul
 from typing import Iterable, Iterator
 
 INF = math.inf
@@ -136,9 +137,11 @@ def parse_edge_list(text: str) -> Graph:
     out-of-range ids are rejected with an ``EdgeListError`` naming the first
     offending line.
 
-    A well-formed file is read in bulk passes over all its lines at once;
-    only when one of them finds a fault does the line-by-line loop run, and
-    it alone raises, so the error is the same whatever the kind of fault."""
+    Any edge order and orientation is accepted. A file in the order
+    ``write_edge_list`` writes is read in bulk passes over all its lines at
+    once; any other file, faulty or not, is read by the line-by-line loop,
+    which alone raises, so the error is the same whatever the kind of
+    fault."""
     lines = text.splitlines()
     # tolerate trailing blank lines, nothing else
     while lines and not lines[-1].strip():
@@ -167,8 +170,10 @@ def parse_edge_list(text: str) -> Graph:
 
 def _bulk_adjacency(n: int, m: int, body: list[str]) -> tuple | None:
     """The sorted adjacency tuples of the m edge lines in ``body``, or None
-    when any line is faulty. Each check is one C-level pass over the file;
-    the Python loop left runs once per edge of a well-formed file."""
+    unless every line is well formed and the lines come in the order
+    ``write_edge_list`` writes: u < v on each, and the pairs strictly
+    increasing. Each check is one C-level pass over the file; the Python
+    loop left runs once per edge of such a file."""
     if not m:
         return ((),) * n
     # joined with a token no id parses as, the lines give one token list in
@@ -183,21 +188,15 @@ def _bulk_adjacency(n: int, m: int, body: list[str]) -> tuple | None:
     except ValueError:
         return None
     if not all(map(lt, us, vs)):
-        if any(map(eq, us, vs)):
-            return None
-        us, vs = list(map(min, us, vs)), list(map(max, us, vs))
-    # every pair now has u < v, so these two bound every id
+        return None
+    # every pair has u < v, so these two bound every id
     if min(us) < 0 or max(vs) >= n:
         return None
     # with every id in range, u * n + v is one key per pair, ordered as
-    # the pairs (u, v) are
+    # the pairs (u, v) are, so strictly increasing keys rule out repeats
     keys = list(map(add, map(mul, us, repeat(n)), vs))
     if not all(map(lt, keys, keys[1:])):
-        keys.sort()
-        if not all(map(lt, keys, keys[1:])):
-            return None
-        us = list(map(floordiv, keys, repeat(n)))
-        vs = list(map(mod, keys, repeat(n)))
+        return None
     # in this order, the order write_edge_list writes, each vertex meets its
     # smaller neighbours first and each side in increasing order, so every
     # list comes out sorted

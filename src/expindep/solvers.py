@@ -26,8 +26,7 @@ Feasibility along the branch-and-bound path is checked incrementally.
 Every stack entry carries one map, whose keys are the members, from each
 member to an upper bound on its weight, an integer over 2 ** G.n, the
 weight kernel's scale, so an exact weight is stored as the kernel returns
-it. When v joins, v is rejected with no sweep if it has a member
-neighbour. Otherwise v's plain-distance row (below) gives the plain sum,
+it. When v joins, v's plain-distance row (below) gives the plain sum,
 the total of 2 ** (1 - dist_G(x, v)) over the members x, an upper bound
 on v's weight and on what v can add to each member. Usually that sum
 stays below 1: v is accepted with it as its bound, every member's
@@ -49,9 +48,10 @@ lies on a shortest path between the two, rx[z] + ry[z] == d on their
 rows. Summing the plain terms of such members gives an exact floor on a
 weight (``_weight_floor``), read only at the members' entries of the
 rows. Before the sweep from v a floor that reaches 1 rejects v with no
-sweep; the members due for a re-check take their floors first, all of
-them, on the member keys and v, so a floor that rejects v costs neither
-a sweep nor the grown map. Otherwise the sweeps run as above.
+sweep: a member neighbour of v adds its exact term 1 to v's floor, so
+such a v is rejected on its near terms alone. The members due for a
+re-check take their floors first, all of them, on the member keys and v,
+so a floor that rejects v costs neither a sweep nor the grown map. Otherwise the sweeps run as above.
 Every stored value is an upper bound and every reject comes from an
 exact check, so the verdicts, and so the search order and node count,
 are those of re-checking every member; the equivalence with full
@@ -171,14 +171,16 @@ def _weight_floor(
 ) -> int:
     """A lower bound on x's weight from the members other than x, over
     2 ** G.n, read off the plain rows of x and of the members alone.
-    ``rows`` maps a vertex to its ``plain_row``. The members and x (which
-    may be one of them) must hold no adjacent pair, as in ``try_extend``.
-    A member y at plain distance d adds its plain term 2 ** (1 - d) when
-    its blocked distance is d too: when d <= 3, as every inner vertex of
-    such a path is next to x or y, so no member; or when no other member z
-    lies on a shortest x-y path, ``rx[z] + ry[z] == d``. Any other member
-    adds 0. A member at the capped distance 255 adds 0 and is never on a
-    path.
+    ``rows`` maps a vertex to its ``plain_row``. The members must hold no
+    adjacent pair, as in ``try_extend``, and x may be one of them. A member
+    y at plain distance d adds its plain term 2 ** (1 - d) when its
+    blocked distance is d too: when d <= 3, as every inner vertex of such
+    a path is next to x or y, so no member while x has no member
+    neighbour; or when no other member z lies on a shortest x-y path,
+    ``rx[z] + ry[z] == d``. Any other member adds 0. A member at the capped
+    distance 255 adds 0 and is never on a path. An x with a member
+    neighbour gets that neighbour's exact term 1 among the near ones, so
+    with a cut of 1 the verdict is still exact: x's weight reaches 1.
 
     Near members are summed first, then the far ones by ascending d. A
     nonzero ``cut``, a whole weight as in ``_influence``, stops the scan
@@ -226,21 +228,21 @@ def try_extend(
 
     One flow decides every call:
 
-    1. A member neighbour rejects v with no sweep.
-    2. v's row gives each member x its plain term 2 ** (1 - dist_G(x, v)),
+    1. v's row gives each member x its plain term 2 ** (1 - dist_G(x, v)),
        at least v's term on x in the extended set, and their sum, at least
-       v's weight. When the sum reaches 1, a floor on v can reject;
-       otherwise one full sweep from v over the members gives v's exact
-       weight, and the terms become 2 ** (1 - d) for each member x the
-       sweep reaches at blocked distance d and 0 for the rest.
-    3. Each member's grown value is its bound plus its term. Blocking v
+       v's weight. When the sum reaches 1, a floor on v can reject, as it
+       always does a v with a member neighbour; otherwise one full sweep
+       from v over the members gives v's exact weight, and the terms
+       become 2 ** (1 - d) for each member x the sweep reaches at blocked
+       distance d and 0 for the rest.
+    2. Each member's grown value is its bound plus its term. Blocking v
        only lengthens the paths between the old members, so it bounds x's
        weight in the extended set.
-    4. The members whose grown value reaches 1 take a floor each, on the
+    3. The members whose grown value reaches 1 take a floor each, on the
        member keys and v, and any floor that reaches 1 rejects v before
        the grown map is built.
-    5. The grown map holds the grown values, with v mapped to the terms'
-       sum, v's exact weight after a sweep. Each member of step 4 is then
+    4. The grown map holds the grown values, with v mapped to the terms'
+       sum, v's exact weight after a sweep. Each member of step 3 is then
        decided by one ``_member_check`` over it, which rejects v or stores
        the member's exact weight as its bound.
 
@@ -254,10 +256,8 @@ def try_extend(
     ``alpha_e_exact`` calls this only for a candidate its dead mask
     leaves live (``_dead_marks``); a dead one is a reject this flow would
     also return, so the mask saves calls and changes no verdict. The hot
-    members of step 4 are sought only when the largest grown value
+    members of step 3 are sought only when the largest grown value
     reaches 1."""
-    if not bounds.keys().isdisjoint(G.adj[v]):
-        return None
     one = 1 << G.n
     two = one << 1
     row = rows(v)

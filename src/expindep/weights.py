@@ -29,9 +29,10 @@ level costs d-bit operations at most and the one shift onto 2**n comes
 at the end. Given a cut, it also stops as soon as the verdict is
 decided: the weight so far has reached the cut, or it stays below the
 cut even if every member not yet met sits one level further out. Both
-are exact integer comparisons, so every verdict is unchanged. The
-boolean verifiers use the cut on graphs with a cycle, where a packing's
-sweeps would otherwise each cover most of the graph; every caller that
+are exact integer comparisons, so every verdict is unchanged.
+``ed_holds`` uses the cut on every graph and ``ei_holds`` on graphs with
+a cycle, where a packing's sweeps would otherwise each cover most of the
+graph; every caller that
 needs the full weight or every reached pair passes none. The branch
 and bound's member re-checks pass none either: each is one
 ``_member_check``, as a member that passes keeps its exact weight. Most
@@ -61,34 +62,38 @@ once per distinct distance.
 ``blocked_distance`` uses it, and the tests use it as the kernel's
 oracle.
 
-On a tree, ``ei_holds`` and ``ed_holds`` skip the per-vertex sweeps. A
+On a tree, ``ei_holds`` skips the per-member sweeps, and the good-set
+builder's audit (``constructors._Tree.audit``) reads the same pass. A
 path in a tree is unique, so a non-member x reaches a member v exactly
 when the path from x to v leaves the component C of T - S holding x
 through a boundary edge (a, v), and then d(x, v) = dist_C(x, a) + 1. The
 weight of x is therefore
 
-    F(x) = sum over boundary edges (a, v) of C of 2 ** -dist_C(x, a),
+    F(x) = sum over boundary edges (a, v) of C of 2 ** -dist_C(x, a).
 
-and x is dominated iff F(x) >= 1. A member u meets each component C next
-to it by exactly one edge (u, a), and receives (F(a) - 1) / 2 through
-it, because every other boundary edge of C is one step farther from u
-than from a; each member neighbor adds exactly 1 and shields what lies
-behind it. One pass (per component: BFS order, subtree sums bottom up,
-then a reroot top down) gives F everywhere, and then every member's
-weight from its neighbors: the exact weight of every vertex. The pass
-keeps every weight as an integer over one scale per call, 2 ** (2H + 1),
-H the largest BFS height of a component: every distance inside a
-component is at most 2H, so every term, and every sum the reroot or a
-member halves, is an even integer. Each verdict is then one comparison
-with that scale, as with the sweeps; the price is that one tall
-component sets the width for every vertex. Both verdicts cost O(n)
-integer operations in place of one O(n) sweep per member, and the pass
-uses no recursion. Two adjacent members stay ``ei_holds``' early exit,
-as it costs less than the tree test. Given alive marks, the pass runs on
-the subtree of the alive vertices, as the good-set builder's audit
-needs. The report verifiers (member sweeps), ``weight`` and
-``weight_details`` (kernel sweeps) stay on the sweeps, which the tests
-use as the oracle for the tree pass.
+A member u meets each component C next to it by exactly one edge (u, a),
+and receives (F(a) - 1) / 2 through it, because every other boundary
+edge of C is one step farther from u than from a; each member neighbor
+adds exactly 1 and shields what lies behind it. One pass (per component:
+BFS order, subtree sums bottom up, then a reroot top down) gives F
+everywhere, and then every member's weight from its neighbors: the exact
+weight of every vertex. The pass keeps every weight as an integer over
+one scale per call, 2 ** (2H + 1), H the largest BFS height of a
+component: every distance inside a component is at most 2H, so every
+term, and every sum the reroot or a member halves, is an even integer.
+Each member verdict is then one comparison with that scale, as with the
+sweeps; the price is that one tall component sets the width for every
+vertex.
+The member verdict costs O(n) integer operations in place of one O(n)
+sweep per member, and the pass uses no recursion. Two adjacent members
+stay ``ei_holds``' early exit, as it costs less than the tree test.
+Given alive marks, the pass runs on the subtree of the alive vertices,
+as the audit needs. ``ed_holds`` decides with the kernel's cut on every
+graph, trees included: a non-member's sweep stops as soon as its
+verdict is decided, where the pass would weigh every vertex at the width
+of the tallest component. The report verifiers (member sweeps),
+``weight`` and ``weight_details`` (kernel sweeps) stay on the sweeps,
+which the tests use as the oracle for the tree pass.
 """
 
 from __future__ import annotations
@@ -332,8 +337,9 @@ def _influence(
     members not yet reached sits at the next distance, d + 1, and adds its
     most, 2**-d. Both tests compare d-bit integers. num and ``reached`` are
     then the sum and pairs of the levels swept, a prefix of the full
-    sweep, and the verdict is exact. ``ei_holds`` (cut 3) and ``ed_holds``
-    (cut 1) pass a cut; every caller that needs the full weight or every
+    sweep, and the verdict is exact. ``ei_holds`` (cut 3, on a graph with
+    a cycle) and ``ed_holds`` (cut 1, on every graph) pass a cut; every
+    caller that needs the full weight or every
     pair passes none: ``weight``, ``weight_details``,
     ``_member_check`` (and so the member re-checks in
     ``solvers.try_extend``, where a member that passes keeps its exact
@@ -548,13 +554,15 @@ def _tree_influence(
 def ei_holds(G: Graph, S: Iterable[int]) -> bool:
     """Boolean form of the independence verifier. Two adjacent members
     reject S first, on every graph: each receives exactly 1 from the
-    other, and the test is cheaper than ``is_tree``. Otherwise a tree takes
-    the tree pass, every member u needing W[u] below one. Any other graph
-    sweeps from each member with the kernel's cut at 3 (u's own term 2
-    plus the others' 1), stopped at the first violation, with no report
-    built. On a packing each sweep then stops once the members it can no
-    longer have met are too far to matter, after about log2 |S| levels,
-    rather than covering most of G."""
+    other, and the scan costs less than ``is_tree``. The exhaustive
+    subset scans (``alpha_e_bruteforce``, ``find_maximal_ei_not_ed``) pass
+    such sets; random-ei trials never do, as each stops at its first
+    adjacent pick. Otherwise a tree takes the tree pass, every member u
+    needing W[u] below one. Any other graph sweeps from each member with
+    the kernel's cut at 3 (u's own term 2 plus the others' 1), stopped at
+    the first violation, with no report built. On a packing each sweep
+    then stops once the members it can no longer have met are too far to
+    matter, after about log2 |S| levels, rather than covering most of G."""
     members = _member_set(G, S)
     adj = G.adj
     if not all(members.isdisjoint(adj[u]) for u in members):
@@ -568,13 +576,9 @@ def ei_holds(G: Graph, S: Iterable[int]) -> bool:
 
 def ed_holds(G: Graph, S: Iterable[int]) -> bool:
     """Boolean form of the domination verifier; members are skipped since
-    their self term is 2. On a tree, every non-member x needs F(x) >= 1
-    from the tree pass. On any other graph each non-member's sweep runs
+    their self term is 2. On every graph, each non-member's sweep runs
     with the kernel's cut at 1, so it stops once x is dominated, or once
     the members it has not met can no longer lift it to 1."""
     members = _member_set(G, S)
-    if not is_tree(G):
-        one = 1 << G.n
-        return all(_influence(G, members, u, 1)[0] >= one for u in range(G.n) if u not in members)
-    W, one = _tree_influence(G, members)
-    return all(W[x] >= one for x in range(G.n) if x not in members)
+    one = 1 << G.n
+    return all(_influence(G, members, u, 1)[0] >= one for u in range(G.n) if u not in members)

@@ -18,6 +18,7 @@ from expindep.graphs import (
     INF,
     EdgeListError,
     Graph,
+    _bulk_adjacency,
     absorbing_bfs,
     bfs_ball,
     bfs_distances,
@@ -108,10 +109,21 @@ class TestParsing:
         assert set(G.edges()) == set(again.edges()) and G.n == again.n
 
     def test_round_trip_random(self):
+        """The order write_edge_list writes takes the bulk reading; a
+        shuffled file, or one with reversed pairs, is read line by line
+        into the same Graph."""
         for seed in range(5):
             G = random_subcubic_graph(30, 4, seed)
-            again = parse_edge_list(write_edge_list(G))
-            assert G == again
+            text = write_edge_list(G)
+            head, *body = text.splitlines()
+            assert _bulk_adjacency(G.n, G.m, body) == G.adj
+            assert parse_edge_list(text) == G
+            shuffled = body[:]
+            random.Random(seed).shuffle(shuffled)
+            reversed_pairs = [" ".join(line.split()[::-1]) for line in body]
+            for other in (shuffled, reversed_pairs):
+                assert _bulk_adjacency(G.n, G.m, other) is None
+                assert parse_edge_list("\n".join([head, *other])) == G
 
 
     def test_write_k1(self):

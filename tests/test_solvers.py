@@ -223,15 +223,18 @@ class TestIncrementalExtension:
     # floor reads 0 and 4 at distance 2. On the spider with centre 0 and
     # legs 0-1, 0-2-{3, 7}, 0-4-{5, 6}, 3 reads 7 at 2, 1 at 3, and 5 and 6
     # at 4 through 2, 0 and 4, none a member: its floor is
-    # 1/2 + 1/4 + 1/8 + 1/8 = 1 only with both far terms.
+    # 1/2 + 1/4 + 1/8 + 1/8 = 1 only with both far terms. On the path, 3
+    # next to the member 4 reads it at distance 1, an exact term of 1 that
+    # rejects 3 on the floor's near sum.
     @pytest.mark.parametrize(
         "G, members, v",
         [
             (gen_path(7), (0, 4), 2),
             (gen_path(7), (0, 2), 4),
             (Graph(8, [(0, 1), (0, 2), (0, 4), (2, 3), (2, 7), (4, 5), (4, 6)]), (6, 1, 5, 7), 3),
+            (gen_path(7), (0, 4), 3),
         ],
-        ids=["sweep-from-v", "member-recheck", "far-clean-terms"],
+        ids=["sweep-from-v", "member-recheck", "far-clean-terms", "member-neighbour"],
     )
     def test_floor_decided_reject_runs_no_sweep(self, monkeypatch, G, members, v):
         rows = row_map(G)

@@ -23,6 +23,7 @@ from expindep.families import (
     gen_perfect_binary,
     gen_tk,
     gen_tprime,
+    leaf_set,
     random_subcubic_graph,
     random_subcubic_tree,
     tprime_dense_set,
@@ -455,7 +456,8 @@ class TestReportScale:
 
 class TestKernelCut:
     """The kernel's early exit against its full sweep, on graphs with a
-    cycle, where ``ei_holds`` and ``ed_holds`` use it."""
+    cycle, where both boolean verifiers use it (``ed_holds`` uses it on
+    trees too, ``TestDominationOnTrees``)."""
 
     @given(graphs_with_sets())
     def test_exits_match_the_full_sweeps(self, case):
@@ -502,8 +504,8 @@ class TestKernelCut:
 
 
 class TestTreePass:
-    """On trees ei_holds and ed_holds take the rerooting pass; the sweep
-    verdicts are the oracle."""
+    """On trees ei_holds takes the rerooting pass and ed_holds the kernel's
+    cut sweeps; the report sweeps' verdicts are the oracle for both."""
 
     def test_every_subset_of_small_subcubic_trees(self):
         checked = 0
@@ -559,14 +561,55 @@ class TestTreePass:
         every_third = frozenset(range(0, n, 3))
         assert {0, n - 1} <= every_third
         # one component 10 000 vertices tall sets the scale of the whole
-        # pass, so every weight, even on the 2-vertex components, is an
-        # integer over 2**20001
+        # pass, so every member weight, even next to the 2-vertex
+        # components, is an integer over 2**20001
         mixed = frozenset(range(0, 10_000, 3)) | {n - 1}
-        for S, dominating in ((every_third, True), (mixed, False)):
+        # one component 20 000 vertices tall, the widest pass on this path
+        ends = frozenset({0, n - 1})
+        for S, dominating in ((every_third, True), (mixed, False), (ends, False)):
             start = time.perf_counter()
             assert ei_holds(P, S)
             assert ed_holds(P, S) == dominating
             assert time.perf_counter() - start < 1.0
+
+
+class TestDominationOnTrees:
+    """ed_holds decides a tree with the kernel's cut sweeps, as any other
+    graph, and never runs the tree pass."""
+
+    def test_never_runs_the_tree_pass(self, monkeypatch):
+        T = random_subcubic_tree(200, seed=5)
+        good = tree_good_set(T)[0]
+        lg = gen_perfect_binary(8)
+        n = 20_002
+        P = gen_path(n)
+        long_sets = [
+            frozenset(range(0, n, 3)),
+            frozenset(range(0, 10_000, 3)) | {n - 1},
+            frozenset({0, n - 1}),
+        ]
+        # bfs_ed renders every term of its sweeps, to distance 2 * 10**4 on
+        # the last two long sets (seconds each), so there the tree pass's
+        # own domination verdict is the oracle, read before it is patched
+        oracle = []
+        for S in long_sets:
+            W, one = _tree_influence(P, S)
+            oracle.append(all(W[x] >= one for x in range(n) if x not in S))
+        assert oracle == [True, False, False]
+
+        def tree_pass(*args):
+            raise AssertionError("ed_holds ran the tree pass")
+
+        monkeypatch.setattr(weights, "_tree_influence", tree_pass)
+        cases = [(T, good ^ {v}) for v in range(T.n)] + [(T, good), (lg.graph, leaf_set(lg))]
+        verdicts = set()
+        for G, S in cases:
+            verdict = ed_holds(G, S)
+            assert verdict == bfs_ed(G, S), (G, sorted(S))
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+        assert [ed_holds(P, S) for S in long_sets] == oracle
+        assert ed_holds(P, long_sets[0]) == bfs_ed(P, long_sets[0])
 
 
 def random_alive_subtree(T, peel: int, rng) -> bytearray:
@@ -683,7 +726,8 @@ INTAKE_CALLS = {
 
 class TestMemberSetIntake:
     """Ids outside ``range(G.n)`` are a ParameterError at every entry
-    point, on a tree (the tree pass) and on a cycle (the sweeps). Before
+    point, on a tree (where ``ei_holds`` takes the tree pass) and on a
+    cycle (the sweeps everywhere). Before
     the one intake, -1 indexed the kernel's arrays from the end and n
     raised IndexError or went unchecked."""
 
