@@ -24,7 +24,7 @@ from .constructors import (
     tree_good_set,
 )
 from .families import FAMILIES
-from .graphs import Graph, ParameterError, endvertices, parse_edge_list, write_edge_list
+from .graphs import Graph, ParameterError, _decimal, endvertices, parse_edge_list, write_edge_list
 from .solvers import alpha_e_exact, gamma_e_exact
 from .weights import ei_holds, is_exponentially_dominating, is_exponentially_independent
 from .experiments import (
@@ -59,7 +59,7 @@ def _read_set(path: str) -> frozenset:
             if not line:
                 continue
             try:
-                out.add(int(line))
+                out.add(_decimal(line))
             except ValueError:
                 raise ParameterError(f"set file line {line_no}: expected a vertex id, got {line!r}") from None
     return frozenset(out)
@@ -135,7 +135,11 @@ def _cmd_construct(args) -> int:
         if not args.graph:
             raise ParameterError("--graph is required for packing")
         G = _read_graph(args.graph)
-        dstar = args.dstar if args.dstar is not None else packing_separation(G.n)
+        dstar = args.dstar
+        if dstar is None:
+            if G.n < 4:
+                raise ParameterError(f"graph has order {G.n}; a packing below order 4 needs --dstar")
+            dstar = packing_separation(G.n)
         S = greedy_packing(G, dstar)
         if not ei_holds(G, S):
             raise RuntimeError("packing failed re-verification")

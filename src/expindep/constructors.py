@@ -42,9 +42,11 @@ Reduction rules, applied to the first match:
 
 The whole reduction and lift run on one mutable tree in the input's
 vertex ids (``_Tree``): a step marks its removed set dead and the lift
-brings it back, so no subgraph is built per step. Degrees, the count of
-degree-2 vertices and each vertex's count of endvertex neighbours (for
-R1) change by delta next to the removed set. Whether the reduced graph is
+brings it back, so no subgraph is built per step. Degrees and the count
+of degree-2 vertices change by delta next to the removed set, and R1's
+vertex is read off the degrees: a min-heap holds every vertex with two
+endvertex neighbours, pushed when it could start to have them, and a
+stale top is dropped when R1 is asked for. Whether the reduced graph is
 still a tree is decided in O(|R|) by counting the edges that leave the
 removed set R, the path test reads the degree-2 count, and only the
 exact-search base builds one Graph, of at most 8 vertices. The diametral
@@ -84,6 +86,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 from .graphs import (
     Graph,
@@ -309,12 +312,15 @@ class _Tree:
     ``remains_tree_without`` holds, and ``restore`` undoes the latest
     ``remove`` exactly. The state is the ``alive`` marks, the degree of
     every alive vertex in that tree, the alive count ``size``, the number
-    ``deg2`` of alive degree-2 vertices, ``leaves[v]``, the number of alive
-    endvertex neighbours of an alive v, and ``r1``, the alive v with
-    ``leaves[v] >= 2``. A step changes a degree only next to the set it
-    removes or restores, and a count only next to a vertex that starts or
-    stops being an alive endvertex; the entries of a dead vertex keep their
-    values until it is restored.
+    ``deg2`` of alive degree-2 vertices, and ``r1``, a min-heap of vertex
+    ids that holds every alive vertex with two alive endvertex neighbours
+    (R1's candidates), and stale ids besides. A step changes a degree only
+    next to the set it removes or restores; the degree of a dead vertex
+    keeps its value until it is restored. A vertex starts to be an R1
+    candidate only when it is restored, when a neighbour is restored as an
+    endvertex, or when a neighbour's degree drops to 1, and only then is
+    it pushed; ``r1_vertex`` drops stale tops, so the top it returns is the
+    smallest candidate.
 
     ``diametral_path`` reads a rooted index of the alive tree: ``root``, the
     middle vertex of one double BFS, and for every alive v its ``parent``
@@ -342,8 +348,8 @@ class _Tree:
         deg = self.deg = [len(a) for a in adj]
         self.size = n
         self.deg2 = deg.count(2)
-        self.leaves = [sum(1 for w in a if deg[w] == 1) for a in adj]
-        self.r1 = {v for v, c in enumerate(self.leaves) if c >= 2}
+        # ascending, hence already a heap
+        self.r1 = [v for v, a in enumerate(adj) if sum(1 for w in a if deg[w] == 1) >= 2]
         self.bound: dict[int, int] = {}
         self.root = -1
         self.parent = [-1] * n
@@ -351,41 +357,27 @@ class _Tree:
         self.best = [0] * n
 
     def _shift(self, R, step: int) -> None:
-        """With R dead: the alive neighbours of R change degree by step,
-        and the endvertices of R stop (step -1) or start (+1) counting as
-        endvertex neighbours of them. A neighbour whose degree leaves or
-        reaches 1 changes the count of each of its own alive neighbours."""
-        adj, alive, deg, leaves, r1 = self.adj, self.alive, self.deg, self.leaves, self.r1
-        touched = []
+        """With R dead: the alive neighbours of R change degree by step. A
+        neighbour whose degree reaches 1 may give each of its own alive
+        neighbours a second endvertex neighbour, so they go on the heap."""
+        adj, alive, deg, r1 = self.adj, self.alive, self.deg, self.r1
         d2 = 0
         for v in R:
-            end = deg[v] == 1  # the degree R had when it was removed
             for w in adj[v]:
                 if alive[w]:
-                    if end:
-                        leaves[w] += step
-                        touched.append(w)
                     old = deg[w]
                     new = deg[w] = old + step
                     d2 += (new == 2) - (old == 2)
-                    if old == 1 or new == 1:
-                        flip = 1 if new == 1 else -1
+                    if new == 1:
                         for x in adj[w]:
                             if alive[x]:
-                                leaves[x] += flip
-                                touched.append(x)
+                                heappush(r1, x)
         self.deg2 += d2
-        for w in touched:
-            if leaves[w] >= 2:
-                r1.add(w)
-            else:
-                r1.discard(w)
 
     def remove(self, R) -> None:
-        alive, deg, r1 = self.alive, self.deg, self.r1
+        alive, deg = self.alive, self.deg
         for v in R:
             alive[v] = 0
-            r1.discard(v)
         self.deg2 -= sum(1 for v in R if deg[v] == 2)
         self.size -= len(R)
         self._shift(R, -1)
@@ -400,17 +392,34 @@ class _Tree:
                 self._settle(parent[v])
 
     def restore(self, R) -> None:
-        """Undo ``remove(R)``; the degrees and counts of R were kept while
-        it was dead."""
+        """Undo ``remove(R)``; the degrees of R were kept while it was
+        dead. R and the alive neighbours of its endvertices go on the
+        heap: only they can have gained a second endvertex neighbour."""
         self._shift(R, 1)
-        alive, leaves, r1 = self.alive, self.leaves, self.r1
-        for v in R:
+        adj, alive, deg, r1 = self.adj, self.alive, self.deg, self.r1
+        for v in R:  # a neighbour in R not yet alive goes on by itself
             alive[v] = 1
-            if leaves[v] >= 2:
-                r1.add(v)
-        self.deg2 += sum(1 for v in R if self.deg[v] == 2)
+            heappush(r1, v)
+            if deg[v] == 1:
+                for w in adj[v]:
+                    if alive[w]:
+                        heappush(r1, w)
+        self.deg2 += sum(1 for v in R if deg[v] == 2)
         self.size += len(R)
         self.root = -1
+
+    def r1_vertex(self) -> int | None:
+        """R1's vertex: the smallest alive vertex with two alive endvertex
+        neighbours, None when there is none. The heap holds every such
+        vertex, pushed when it could start to qualify, so heap tops that do
+        not qualify are stale and dropped."""
+        r1, adj, alive, deg = self.r1, self.adj, self.alive, self.deg
+        while r1:
+            v = r1[0]
+            if alive[v] and sum(1 for w in adj[v] if alive[w] and deg[w] == 1) >= 2:
+                return v
+            heappop(r1)
+        return None
 
     def _root_index(self) -> None:
         """Root the alive tree at the middle of its diametral path and fill
@@ -621,8 +630,8 @@ def _choose_reduction(tree: _Tree) -> tuple:
     InvariantViolation when the tree breaks a structural condition the
     analysis guarantees."""
     # R1: a vertex with two endvertex neighbors
-    if tree.r1:
-        v = min(tree.r1)
+    v = tree.r1_vertex()
+    if v is not None:
         alive, deg = tree.alive, tree.deg
         u1, u2 = [w for w in tree.adj[v] if alive[w] and deg[w] == 1][:2]
         return ("R1", (u1, u2), v, (u1, u2))

@@ -133,9 +133,10 @@ class Graph:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the canonical interchange format: a header line "n m" followed
-    by exactly m lines "u v". Malformed lines, loops, duplicates and
-    out-of-range ids are rejected with an ``EdgeListError`` naming the first
-    offending line.
+    by exactly m lines "u v", every number in ASCII decimal digits
+    (``_decimal``). Malformed lines, loops, duplicates and out-of-range ids
+    are rejected with an ``EdgeListError`` naming the first offending
+    line.
 
     Any edge order and orientation is accepted. A file in the order
     ``write_edge_list`` writes is read in bulk passes over all its lines at
@@ -152,7 +153,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise EdgeListError(1, f"malformed header {lines[0]!r}, expected 'n m'")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = _decimal(head[0]), _decimal(head[1])
     except ValueError:
         raise EdgeListError(1, f"malformed header {lines[0]!r}, expected integers") from None
     if n < 0 or m < 0:
@@ -176,10 +177,16 @@ def _bulk_adjacency(n: int, m: int, body: list[str]) -> tuple | None:
     loop left runs once per edge of such a file."""
     if not m:
         return ((),) * n
+    # in ASCII, int() reads only digits, signs, underscores and spaces, so
+    # in a text without "+-_" it reads exactly what _decimal reads, and no
+    # id is negative; anything else goes to the line loop
+    text = " ; ".join(body)
+    if not text.isascii() or any(c in text for c in "+-_"):
+        return None
     # joined with a token no id parses as, the lines give one token list in
     # which every third token is that separator exactly when every line
     # holds two tokens and the other tokens all parse
-    tokens = " ; ".join(body).split()
+    tokens = text.split()
     if len(tokens) != 3 * m - 1 or tokens[2::3].count(";") != m - 1:
         return None
     try:
@@ -189,8 +196,8 @@ def _bulk_adjacency(n: int, m: int, body: list[str]) -> tuple | None:
         return None
     if not all(map(lt, us, vs)):
         return None
-    # every pair has u < v, so these two bound every id
-    if min(us) < 0 or max(vs) >= n:
+    # every pair has u < v, so this bounds every id
+    if max(vs) >= n:
         return None
     # with every id in range, u * n + v is one key per pair, ordered as
     # the pairs (u, v) are, so strictly increasing keys rule out repeats
@@ -207,6 +214,18 @@ def _bulk_adjacency(n: int, m: int, body: list[str]) -> tuple | None:
     return tuple(map(tuple, adj))
 
 
+def _decimal(token: str) -> int:
+    """The integer a token spells in ASCII decimal digits, with an optional
+    minus sign so that a negative id or count is reported as one; the
+    syntax of every id and count in edge-list and set files. ValueError for
+    anything else, such as "+1", "1_0" or non-ASCII digits, which ``int``
+    would read."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal: {token!r}")
+    return int(token)
+
+
 def _parse_lines(n: int, lines: list[str]) -> Graph:
     """The line-by-line reading, which names the first faulty line."""
     line_no = 1
@@ -218,7 +237,7 @@ def _parse_lines(n: int, lines: list[str]) -> Graph:
             if len(parts) != 2:
                 raise EdgeListError(line_no, f"malformed edge line {line!r}")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                u, v = _decimal(parts[0]), _decimal(parts[1])
             except ValueError:
                 raise EdgeListError(line_no, f"malformed edge line {line!r}") from None
             yield u, v

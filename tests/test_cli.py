@@ -142,6 +142,14 @@ class TestVerify:
             assert out == ""
             assert f"ids outside the graph: [{bad}]" in err
 
+    @pytest.mark.parametrize("bad", ["+3", "1_0", "\u0663", "3.0", "x"])
+    def test_set_line_not_a_vertex_id(self, p5, tmp_path, bad):
+        # int() reads the first three as 3, 10 and 3
+        s = tmp_path / "s.txt"
+        s.write_text(f"0\n\n{bad}\n", encoding="utf-8")
+        rc, out, err = run("verify", "--graph", p5, "--set", s, "--mode", "ei")
+        assert (rc, out, err) == (2, "", f"usage error: set file line 3: expected a vertex id, got {bad!r}\n")
+
     def test_missing_graph_file(self, tmp_path):
         s = tmp_path / "s.txt"
         s.write_text("0\n")
@@ -156,6 +164,16 @@ class TestVerify:
         rc, _, err = run("verify", "--graph", g, "--set", s, "--mode", "ei")
         assert rc == 3
         assert "line 2" in err
+
+    @pytest.mark.parametrize("bad", ["1_0", "+2", "\u0662"])
+    def test_graph_line_not_a_vertex_id(self, tmp_path, bad):
+        # int() would read "0 1_0" as the edge (0, 10)
+        g = tmp_path / "bad.el"
+        g.write_text(f"11 2\n0 {bad}\n1 2\n", encoding="utf-8")
+        s = tmp_path / "s.txt"
+        s.write_text("0\n")
+        rc, out, err = run("verify", "--graph", g, "--set", s, "--mode", "ei")
+        assert (rc, out, err) == (3, "", f"error: line 2: malformed edge line {'0 ' + bad!r}\n")
 
 
 class TestSolve:
@@ -309,8 +327,9 @@ class TestConstruct:
         assert rc == 2
 
     @pytest.mark.parametrize("text, argv, message", [
-        ("3 2\n0 1\n1 2\n", (), "n must be at least 4"),
-        ("0 0\n", (), "n must be at least 4"),
+        ("3 2\n0 1\n1 2\n", (), "graph has order 3; a packing below order 4 needs --dstar"),
+        ("1 0\n", (), "graph has order 1; a packing below order 4 needs --dstar"),
+        ("0 0\n", (), "graph has order 0; a packing below order 4 needs --dstar"),
         ("0 0\n", ("--dstar", 1), "graph is empty"),
     ])
     def test_packing_bad_input_is_usage_error(self, tmp_path, text, argv, message):

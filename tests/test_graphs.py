@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,9 +184,16 @@ class TestEdgeListFuzz:
 
 
 def reference_parse_edge_list(text):
-    """The line-by-line parser the bulk reading replaced, kept verbatim as
-    the oracle: every text must give the same Graph, or the same error on
-    the same line."""
+    """The line-by-line parser the bulk reading replaced, kept as the
+    oracle: every text must give the same Graph, or the same error on the
+    same line. An id is ASCII decimal digits with an optional minus sign;
+    ``int`` alone would also read "+1", "1_0" and non-ASCII digits."""
+
+    def vertex_id(token):
+        if not re.fullmatch(r"-?[0-9]+", token):
+            raise ValueError(token)
+        return int(token)
+
     lines = text.splitlines()
     # tolerate trailing blank lines, nothing else
     while lines and not lines[-1].strip():
@@ -196,7 +204,7 @@ def reference_parse_edge_list(text):
     if len(head) != 2:
         raise EdgeListError(1, f"malformed header {lines[0]!r}, expected 'n m'")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = vertex_id(head[0]), vertex_id(head[1])
     except ValueError:
         raise EdgeListError(1, f"malformed header {lines[0]!r}, expected integers") from None
     if n < 0 or m < 0:
@@ -212,7 +220,7 @@ def reference_parse_edge_list(text):
             if len(parts) != 2:
                 raise EdgeListError(line_no, f"malformed edge line {line!r}")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                u, v = vertex_id(parts[0]), vertex_id(parts[1])
             except ValueError:
                 raise EdgeListError(line_no, f"malformed edge line {line!r}") from None
             yield u, v
@@ -256,7 +264,7 @@ def edge_list_texts(draw):
         elif kind == "three-tokens":
             bad = [str(u), str(v), str(draw(vertex))]
         elif kind == "non-integer":
-            bad = [str(u), draw(st.sampled_from(["x", "1.5", ";", "0x1", "--1"]))]
+            bad = [str(u), draw(st.sampled_from(["x", "1.5", ";", "0x1", "--1", "1_0", "+1", "\u0661", "\uff11"]))]
         elif kind == "negative":
             bad = [str(u), str(draw(st.integers(-3, -1)))]
         elif kind == "out-of-range":
@@ -295,7 +303,8 @@ class TestEdgeListOracle:
     def test_same_graph_or_same_error(self, text):
         assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse_edge_list, text)
 
-    @pytest.mark.parametrize("text", ["0 0", "0 0\n\n", "4 0\n", "3 1\r\n2\t0\r\n"])
+    @pytest.mark.parametrize("text", ["0 0", "0 0\n\n", "4 0\n", "3 1\r\n2\t0\r\n",
+                                      "11 2\n0 1_0\n1 2\n", "+3 1\n0 1\n", "3 1\n0 +1\n"])
     def test_edge_cases(self, text):
         assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse_edge_list, text)
 
