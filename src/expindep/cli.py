@@ -215,12 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a family graph as an edge list")
     g.add_argument("--family", required=True, choices=list(FAMILIES))
-    g.add_argument("--k", type=int)
-    g.add_argument("--n", type=int)
-    g.add_argument("--depth", type=int)
-    g.add_argument("--delta", type=int)
-    g.add_argument("--extra-edges", type=int, dest="extra_edges")
-    g.add_argument("--seed", type=int, default=0)
+    for param in dict.fromkeys(p for fam in FAMILIES.values() for p in fam.params):
+        g.add_argument(f"--{param}", type=int, default=0 if param == "seed" else None)
     g.add_argument("--out")
     g.add_argument("--labels-out", dest="labels_out")
     g.set_defaults(func=_cmd_gen)

@@ -92,7 +92,6 @@ from .graphs import (
     Graph,
     ParameterError,
     bfs_levels,
-    dead_marks,
     degree2_vertices,
     diametral_path,
     endvertices,
@@ -585,10 +584,16 @@ def _hanging_levels(tree: _Tree, w4: int, w3p: int) -> list[list[int]]:
     """BFS levels, from w3p, of the component of the tree minus w4 that
     holds w3p, cut after four levels: the caller only needs to tell
     components of up to three vertices, or of depth exactly 3 from w4,
-    from the rest."""
-    seen = dead_marks(tree.alive)
-    seen[w4] = 1
-    return bfs_levels(tree.adj, w3p, seen, 3)
+    from the rest. In a tree a vertex is reached only from its neighbour
+    on the level before, which the walk lists beside it, so a step skips
+    that neighbour alone and needs no visited marks: the levels are those
+    of ``bfs_levels`` over the alive vertices but w4, at the cost of the
+    levels read rather than a copy of the n alive marks."""
+    adj, alive = tree.adj, tree.alive
+    levels = [[(w3p, w4)]]  # each vertex with the one it was reached from
+    while len(levels) < 4 and levels[-1]:
+        levels.append([(y, x) for x, back in levels[-1] for y in adj[x] if alive[y] and y != back])
+    return [[y for y, _ in level] for level in levels if level]
 
 
 def _reduction_r3(tree: _Tree, path: list[int]) -> tuple:

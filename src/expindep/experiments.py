@@ -145,7 +145,14 @@ def bound_table(corpus: str) -> CsvTable:
     independence value, the domination value when exhaustive search is
     feasible, the known bounds evaluated, and whether each holds. For
     instances too large for the exact solver the independence column is a
-    verified constructive lower bound and upper-bound columns stay blank."""
+    verified constructive lower bound and upper-bound columns stay blank:
+    the good set on a subcubic tree, a greedy packing on any other graph.
+
+    A packing would never beat the good set on a tree. Its members lie
+    more than 2d* apart, so their balls of radius d* are disjoint, and with
+    d* >= 3 and n > 20 each ball in a connected graph holds at least 4
+    vertices: a packing has at most n/4 members, below the good set's
+    (n + 3)/4."""
     instances = parse_corpus(corpus)
     table = CsvTable(
         header=(
@@ -172,17 +179,16 @@ def bound_table(corpus: str) -> CsvTable:
         n = G.n
         subcubic = is_subcubic(G)
         tree = is_tree(G)
-        if n <= ALPHA_EXACT_LIMIT:
-            alpha, alpha_exact = alpha_e_exact(G).optimum, True
+        alpha_exact = n <= ALPHA_EXACT_LIMIT
+        if alpha_exact:
+            alpha = alpha_e_exact(G).optimum
+        elif subcubic and tree:
+            alpha = len(tree_good_set(G)[0])
         else:
             best = greedy_packing(G, packing_separation(n))
             if not ei_holds(G, best):
                 raise RuntimeError("packing witness failed re-verification")
             alpha = len(best)
-            if subcubic and tree:
-                S, _ = tree_good_set(G)
-                alpha = max(alpha, len(S))
-            alpha_exact = False
         gamma = ""
         if n <= GAMMA_EXACT_LIMIT:
             gres = gamma_e_exact(G)

@@ -8,22 +8,27 @@ comparisons order every finite distance below infinity.
 
 ``bfs_levels`` is the shared search: level-synchronous, over the
 vertices not marked in a caller's bytearray, optionally cut at a radius.
-Balls, connectivity, components, diametral paths and the good-set
-builder's hanging components all run on it, and each restricts it only
-through the marks. A walk that needs more than a yes/no mark per vertex,
-or that must cost less than n, keeps its own loop:
+Balls, connectivity, components and diametral paths all run on it, and
+each restricts it only through the marks. A walk that needs more than a
+yes/no mark per vertex, or that must cost less than n, keeps its own
+loop:
 
 - ``plain_row``, the exact solvers' plain-distance rows: its marks are the
   capped distances themselves, one byte per vertex with 255 for
   unvisited, so the row is filled in the same pass that visits it.
-- ``bfs_distances`` and ``absorbing_bfs``: the independent references the
-  tests compare the other searches against.
+- ``absorbing_bfs``: it records each vertex's distance, and its sinks are
+  entered but never expanded. It is the independent reference the tests
+  compare the other searches against, and ``bfs_distances`` is it with no
+  sinks.
 - ``constructors.greedy_packing``'s sweep: its marks are the radius an
   earlier ball still has at a vertex, so a pick stops where an earlier
   ball reaches at least as far rather than re-walking it.
 - ``constructors._pendant`` and ``constructors._sweep``, a good-set
   lift's walks over its restored pendant: they mark with a dict or a set,
   not a bytearray of n, so a lift costs its pendant and not n.
+- ``constructors._hanging_levels``, the good-set builder's hanging
+  components: in a tree each step skips only the vertex it came from, so
+  it needs no marks and costs the at most four levels it reads, not n.
 - ``constructors._Tree._root_index``, ``_settle`` and ``_farthest``, the
   rooted index of the alive tree: the index's BFS records each vertex's
   parent and depth as it goes, and the other two walk up parent links
@@ -260,20 +265,9 @@ def write_edge_list(G: Graph) -> str:
 
 
 def bfs_distances(G: Graph, u: int) -> list:
-    """Hop distances from u; INF for unreachable vertices."""
-    n = G.n
-    adj = G.adj
-    dist = [-1] * n
-    dist[u] = 0
-    q = deque((u,))
-    while q:
-        v = q.popleft()
-        dv1 = dist[v] + 1
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dv1
-                q.append(w)
-    return [d if d >= 0 else INF for d in dist]
+    """Hop distances from u; INF for unreachable vertices:
+    ``absorbing_bfs`` with no sinks."""
+    return absorbing_bfs(G, u, ())
 
 
 def absorbing_bfs(G: Graph, u: int, sinks: Iterable[int]) -> list:

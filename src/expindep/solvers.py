@@ -40,18 +40,18 @@ re-checked, by one full sweep of the kernel's member check
 (``_member_check``): it rejects v, or it gives the member's exact weight,
 which becomes its bound.
 
-Most of those sweeps would reject, and two facts let the rows decide them
-first. The blocked distance equals the plain one d when d <= 3, since
-every inner vertex of such a path is next to an end, and a set with an
-adjacent pair is never independent; and it does when no other member z
-lies on a shortest path between the two, rx[z] + ry[z] == d on their
+Most of those re-checks would reject, and two facts let the rows decide
+them first. The blocked distance equals the plain one d when d <= 3,
+since every inner vertex of such a path is next to an end, and a set with
+an adjacent pair is never independent; and it does when no other member
+z lies on a shortest path between the two, rx[z] + ry[z] == d on their
 rows. Summing the plain terms of such members gives an exact floor on a
 weight (``_weight_floor``), read only at the members' entries of the
-rows. Before the sweep from v a floor that reaches 1 rejects v with no
-sweep: a member neighbour of v adds its exact term 1 to v's floor, so
-such a v is rejected on its near terms alone. The members due for a
-re-check take their floors first, all of them, on the member keys and v,
-so a floor that rejects v costs neither a sweep nor the grown map. Otherwise the sweeps run as above.
+rows. The members due for a re-check take their floors first, all of
+them, on the member keys and v, so a floor that rejects v costs neither
+a sweep nor the grown map; otherwise the sweeps run as above. v itself
+takes no floor: its plain sum seldom reaches 1, and then its one sweep
+decides it.
 Every stored value is an upper bound and every reject comes from an
 exact check, so the verdicts, and so the search order and node count,
 are those of re-checking every member; the equivalence with full
@@ -178,9 +178,7 @@ def _weight_floor(
     a path is next to x or y, so no member while x has no member
     neighbour; or when no other member z lies on a shortest x-y path,
     ``rx[z] + ry[z] == d``. Any other member adds 0. A member at the capped
-    distance 255 adds 0 and is never on a path. An x with a member
-    neighbour gets that neighbour's exact term 1 among the near ones, so
-    with a cut of 1 the verdict is still exact: x's weight reaches 1.
+    distance 255 adds 0 and is never on a path.
 
     Near members are summed first, then the far ones by ascending d. A
     nonzero ``cut``, a whole weight as in ``_influence``, stops the scan
@@ -230,11 +228,12 @@ def try_extend(
 
     1. v's row gives each member x its plain term 2 ** (1 - dist_G(x, v)),
        at least v's term on x in the extended set, and their sum, at least
-       v's weight. When the sum reaches 1, a floor on v can reject, as it
-       always does a v with a member neighbour; otherwise one full sweep
-       from v over the members gives v's exact weight, and the terms
-       become 2 ** (1 - d) for each member x the sweep reaches at blocked
-       distance d and 0 for the rest.
+       v's weight. When the sum reaches 1, one full sweep from v over the
+       members decides v: it rejects v when v's exact weight reaches 1,
+       and otherwise the terms become 2 ** (1 - d) for each member x the
+       sweep reaches at blocked distance d and 0 for the rest. A member
+       neighbour of v adds exactly 1 to both sums, so such a v is
+       rejected here, and the keys of step 3 hold no adjacent pair.
     2. Each member's grown value is its bound plus its term. Blocking v
        only lengthens the paths between the old members, so it bounds x's
        weight in the extended set.
@@ -250,8 +249,8 @@ def try_extend(
     the rows: a member's plain term counts when the plain distance is at
     most 3, or when no other member lies on a shortest path between the
     two, for then the blocked distance is the plain one. A floor that
-    reaches 1 rejects v with no sweep. Most re-checks reject, and most are
-    decided this way.
+    reaches 1 rejects v with no ``_member_check``. Most re-checks reject,
+    and most are decided this way.
 
     ``alpha_e_exact`` calls this only for a candidate its dead mask
     leaves live (``_dead_marks``); a dead one is a reject this flow would
@@ -264,8 +263,6 @@ def try_extend(
     terms = [two >> row[x] for x in bounds]
     num = sum(terms)
     if num >= one:
-        if _weight_floor(G, bounds, v, rows, 1) >= one:
-            return None
         num, reached = _influence(G, bounds, v)
         if num >= one:
             return None
@@ -343,7 +340,7 @@ def _dead_marks(
     # and one leading byte that keeps the pick a tuple, read index n, past
     # the end of a row, where the row is padded with 0
     order = [*others, *reversed(cands)]
-    pick = itemgetter(n, *(order if width == 1 else [y for x in order for y in (*[n] * (width - 1), x)]))
+    pick = itemgetter(n, *[y for x in order for y in (*[n] * (width - 1), x)])
     memo = {}
 
     def near(x: int) -> tuple[int, int, int, int]:

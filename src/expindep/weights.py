@@ -37,11 +37,14 @@ needs the full weight or every reached pair passes none. The branch
 and bound's member re-checks pass none either: each is one
 ``_member_check``, as a member that passes keeps its exact weight. Most
 branch-and-bound nodes run no sweep at all: a plain-distance sum accepts
-most candidates, and an exact floor read off the same distance rows
-rejects most of the rest (``solvers``).
-A member's own condition is decided in one place, ``_member_check``,
-from one sweep over the set itself rather than over the set without
-that member.
+most candidates, a dead mask rejects most of the rest with no call, and
+an exact floor read off the same distance rows decides most member
+re-checks (``solvers``).
+A member's own condition is decided from one sweep over the set itself
+rather than over the set without that member, in two places:
+``_member_check``, with no cut, and ``ei_holds``' branch for graphs with
+a cycle, with the kernel's cut of 3 (the member's own term 2 plus the
+others' 1).
 The two report verifiers are the one exception. A report's rows, the
 (member, distance) pairs of each vertex it examines, are the transpose
 of one absorbing sweep per member, as the blocked distance is symmetric;

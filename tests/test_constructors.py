@@ -23,6 +23,7 @@ from expindep.families import (
     gen_cycle,
     gen_path,
     gen_perfect_binary,
+    gen_tdelta,
     gen_tk,
     gen_tprime,
     random_subcubic_graph,
@@ -450,6 +451,28 @@ class TestGoodSetRandom:
         with pytest.raises(InvariantViolation, match="has 4 levels, expected 3"):
             cons._choose_reduction(tree)
 
+    def test_hanging_levels_match_bfs_levels(self, monkeypatch):
+        # the walk from w3' reads no visited marks; its levels must be those
+        # of bfs_levels over the alive vertices with w4 marked
+        walk = cons._hanging_levels
+        calls = []
+
+        def checked(tree, w4, w3p):
+            seen = dead_marks(tree.alive)
+            seen[w4] = 1
+            levels = walk(tree, w4, w3p)
+            assert levels == bfs_levels(tree.adj, w3p, seen, 3), (w4, w3p)
+            calls.append(len(levels))
+            return levels
+
+        monkeypatch.setattr(cons, "_hanging_levels", checked)
+        for i in range(120):
+            tree_good_set(random_subcubic_tree(12 + (11 * i) % 150, seed=7000 + i))
+        for n, seed in [(84, 900312), (46, 900354), (42, 900670)]:
+            tree_good_set(random_subcubic_tree(n, seed))
+        # components of one, two and three levels all occur
+        assert set(calls) == {1, 2, 3}, sorted(set(calls))
+
     def test_all_rules_exercised(self):
         seen = set()
         for i in range(250):
@@ -460,6 +483,27 @@ class TestGoodSetRandom:
             seen.update(step.rule for step in trace.steps)
             seen.add(trace.base_rule)
         assert {"R1", "R2", "R3", "R4"} <= seen, seen
+
+
+def packing_trees():
+    """Subcubic trees past the bound table's exact limit of 20 vertices."""
+    yield from (random_subcubic_tree(n, seed) for n in range(21, 201) for seed in (n, n + 1000))
+    yield from (gen_tdelta(3, 4).graph, gen_tdelta(3, 5).graph)
+    yield from (gen_path(n) for n in (21, 22, 23, 24, 60, 257, 1000))
+    yield from (caterpillar(spine) for spine in (10, 100, 1000))
+
+
+class TestPackingBelowGoodSet:
+    def test_packing_holds_at_most_a_quarter(self):
+        """Packing members lie more than 2d* apart, so their balls of
+        radius d* >= 3 are disjoint and each holds 4 vertices or more: the
+        packing has at most n/4 members, fewer than the good set."""
+        for T in packing_trees():
+            n = T.n
+            packing = greedy_packing(T, packing_separation(n))
+            good, _ = tree_good_set(T)
+            assert 4 * len(packing) <= n, (n, len(packing))
+            assert len(packing) < len(good), (n, len(packing), len(good))
 
 
 class TestQuarterVsThirteenths:

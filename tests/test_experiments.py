@@ -101,6 +101,22 @@ class TestBoundTable:
         got = [(row[col["n"]], row[col["alpha_e"]], row[col["lb_13th_ok"]]) for row in table.rows]
         assert got == [("46", "23", "True"), ("94", "47", "True")]
 
+    def test_large_subcubic_trees_take_the_good_set_alone(self, monkeypatch):
+        # a packing on such a tree has at most n/4 members, below the good
+        # set, so the table never builds one; the rows are those of the
+        # table that also built the packing and kept the larger set
+        def packing(*args):
+            raise AssertionError("greedy_packing called on a subcubic tree")
+
+        monkeypatch.setattr(experiments, "greedy_packing", packing)
+        corpus = "random-tree:80:3,tdelta:3:4,tdelta:3:5,path:60"
+        assert bound_table(corpus).to_text().splitlines()[1:5] == [
+            "random-tree:80:3,80,79,True,True,31,False,,40.5000,,12.9231,True,20.7500,True,0.0104,True",
+            "tdelta:3:4,46,45,True,True,23,False,,23.5000,,7.6923,True,,,0.0079,True",
+            "tdelta:3:5,94,93,True,True,47,False,,47.5000,,15.0769,True,,,0.0114,True",
+            "path:60,60,59,True,True,21,False,,30.5000,,9.8462,True,15.7500,True,0.0090,True",
+        ]
+
     def test_byte_identical(self):
         corpus = "tk:2,pbt:3,path:9"
         assert bound_table(corpus).to_text() == bound_table(corpus).to_text()

@@ -217,24 +217,12 @@ class TestIncrementalExtension:
         assert (result.optimum, result.witness) == (oracle.optimum, oracle.witness)
         assert result.optimum == 6
 
-    # On the path 0..6, 2 between the members 0 and 4 has plain sum 1, the
-    # case that sweeps from v, and both terms are near; 4 joining {0, 2}
-    # lifts member 2's bound to 1, the case that re-checks 2, and 2's
-    # floor reads 0 and 4 at distance 2. On the spider with centre 0 and
-    # legs 0-1, 0-2-{3, 7}, 0-4-{5, 6}, 3 reads 7 at 2, 1 at 3, and 5 and 6
-    # at 4 through 2, 0 and 4, none a member: its floor is
-    # 1/2 + 1/4 + 1/8 + 1/8 = 1 only with both far terms. On the path, 3
-    # next to the member 4 reads it at distance 1, an exact term of 1 that
-    # rejects 3 on the floor's near sum.
+    # On the path 0..6, 4 joining {0, 2} lifts member 2's bound to 1, the
+    # case that re-checks 2, and 2's floor reads 0 and 4 at distance 2.
     @pytest.mark.parametrize(
         "G, members, v",
-        [
-            (gen_path(7), (0, 4), 2),
-            (gen_path(7), (0, 2), 4),
-            (Graph(8, [(0, 1), (0, 2), (0, 4), (2, 3), (2, 7), (4, 5), (4, 6)]), (6, 1, 5, 7), 3),
-            (gen_path(7), (0, 4), 3),
-        ],
-        ids=["sweep-from-v", "member-recheck", "far-clean-terms", "member-neighbour"],
+        [(gen_path(7), (0, 2), 4)],
+        ids=["member-recheck"],
     )
     def test_floor_decided_reject_runs_no_sweep(self, monkeypatch, G, members, v):
         rows = row_map(G)
@@ -262,6 +250,49 @@ class TestIncrementalExtension:
         monkeypatch.setattr(solvers, "_weight_floor", lambda *args: 0)
         assert try_extend(G, bounds, v, rows) is None
         assert sweeps
+
+    # v's plain sum reaches 1 in each case. On the path 0..6, 2 lies between
+    # the members 0 and 4, both at distance 2, and 3 next to the member 4.
+    # On the spider with centre 0 and legs 0-1, 0-2-{3, 7}, 0-4-{5, 6}, 3
+    # reads 7 at 2, 1 at 3, and 5 and 6 at 4, an exact weight of 1. On the
+    # 22-vertex graph v's plain sum is exactly 1, but each shortest path to
+    # one member at distance 5 passes another member: the sweep reaches it
+    # at 9, v's weight is 241/256, and v joins.
+    @pytest.mark.parametrize(
+        "G, members, v",
+        [
+            (gen_path(7), (0, 4), 2),
+            (gen_path(7), (0, 4), 3),
+            (Graph(8, [(0, 1), (0, 2), (0, 4), (2, 3), (2, 7), (4, 5), (4, 6)]), (6, 1, 5, 7), 3),
+            (random_subcubic_graph(22, 2, 1500745915), (2, 14, 0, 9, 15), 19),
+        ],
+        ids=["between-members", "member-neighbour", "far-clean-terms", "blocked-far-terms"],
+    )
+    def test_plain_sum_of_one_takes_one_sweep_from_v(self, monkeypatch, G, members, v):
+        """v is decided by exactly one kernel sweep from v, which agrees
+        with ``ei_holds``; no floor is read for v."""
+        rows = row_map(G)
+        bounds = {}
+        for u in members:
+            bounds = try_extend(G, bounds, u, rows)
+        assert sum((2 << G.n) >> rows(v)[x] for x in members) >= 1 << G.n
+        sweeps, floors = [], []
+        weight_floor = solvers._weight_floor
+
+        def influence(G, members, u, cut=0):
+            sweeps.append(u)
+            return _influence(G, members, u, cut)
+
+        def floor(G, members, x, rows, cut=0):
+            floors.append(x)
+            return weight_floor(G, members, x, rows, cut)
+
+        monkeypatch.setattr(solvers, "_influence", influence)
+        monkeypatch.setattr(solvers, "_weight_floor", floor)
+        grown = try_extend(G, bounds, v, rows)
+        assert sweeps == [v]
+        assert v not in floors
+        assert (grown is not None) == ei_holds(G, set(members) | {v})
 
 
 @st.composite
