@@ -23,22 +23,25 @@ a set that grows by v can only lower the influence between its other
 members.
 
 Feasibility along the branch-and-bound path is checked incrementally.
-Every stack entry carries one map, whose keys are the members, from each
-member to an upper bound on its weight, an integer over 2 ** G.n, the
-weight kernel's scale, so an exact weight is stored as the kernel returns
-it. When v joins, v's plain-distance row (below) gives the plain sum,
-the total of 2 ** (1 - dist_G(x, v)) over the members x, an upper bound
-on v's weight and on what v can add to each member. Usually that sum
-stays below 1: v is accepted with it as its bound, every member's
-bound grows by its plain term, and no sweep runs. Only when the sum
-reaches 1 does one kernel sweep from v decide v's own condition and find
-the members v reaches with their blocked distances d; a reached member's
-bound grows by 2 ** (1 - d), and a member v does not reach keeps its
-bound, as a shortest path through v would reach v. Either way the grown
-map is built in one place, and only a member whose bound reaches 1 is
-re-checked, by one full sweep of the kernel's member check
-(``_member_check``): it rejects v, or it gives the member's exact weight,
-which becomes its bound.
+Every stack entry carries its members, one int of fixed-width lanes, one
+lane per vertex in id order, all on the fixed scale 2 ** _LANE_BITS
+(``_Lanes``), and an int of the member lanes' top bits. A member's lane
+holds an upper bound on its weight, and any other vertex's its plain
+sum, the total of 2 ** (1 - dist_G(x, v)) over the members x, an upper
+bound on its weight were it to join and on what it would add to each
+member. Every term is rounded up onto the scale, so a lane stays an
+upper bound. When v joins, its own bound is one lane read, and usually
+it stays below 1: v is accepted with it as its bound, and the join adds
+v's term row, its plain terms to every lane, built once per solve from
+v's plain-distance row (below); no sweep runs. Only when
+v's lane reaches 1 does one kernel sweep from v decide v's own condition
+and find the members v reaches with their blocked distances d; a reached
+member's lane grows by 2 ** (1 - d), and a member v does not reach keeps
+its bound, as a shortest path through v would reach v. The members whose
+grown lane reaches 1 are read off at once, from the lanes' top bits after
+a bias add, and only they are re-checked, by one full sweep of the
+kernel's member check (``_member_check``): it rejects v, or it gives the
+member's exact weight, which, rounded up, becomes its bound.
 
 Most of those re-checks would reject, and two facts let the rows decide
 them first. The blocked distance equals the plain one d when d <= 3,
@@ -47,15 +50,17 @@ an adjacent pair is never independent; and it does when no other member
 z lies on a shortest path between the two, rx[z] + ry[z] == d on their
 rows. Summing the plain terms of such members gives an exact floor on a
 weight (``_weight_floor``), read only at the members' entries of the
-rows. The members due for a re-check take their floors first, all of
-them, on the member keys and v, so a floor that rejects v costs neither
-a sweep nor the grown map; otherwise the sweeps run as above. v itself
-takes no floor: its plain sum seldom reaches 1, and then its one sweep
-decides it.
+rows, each term rounded down onto the lane scale. The members due for a
+re-check take their floors first, all of them, on the members and v, so
+a floor that rejects v costs no sweep; otherwise the sweeps run as
+above. v itself takes no floor: its plain sum seldom reaches 1, and then
+its one sweep decides it.
 Every stored value is an upper bound and every reject comes from an
 exact check, so the verdicts, and so the search order and node count,
-are those of re-checking every member; the equivalence with full
-re-verification is covered by tests.
+are those of re-checking every member with exact weights; rounding can
+only add a sweep or a re-check. The equivalence with full
+re-verification is covered by tests, on the default scale and on one of
+a few bits.
 
 Many rejects need no call at all, as they hold in every descendant. The
 search carries a dead mask over the candidate positions with each stack
@@ -106,7 +111,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations
 from operator import add, itemgetter
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, NamedTuple
 
 from .graphs import Graph, ParameterError, connected_components, induced_subgraph, plain_row
 from .weights import (
@@ -166,27 +171,108 @@ def _certified(G: Graph, witness: Iterable[int], nodes: int, status: str, verifi
     return SearchResult(len(witness), witness, nodes, status)
 
 
-def _weight_floor(
-    G: Graph, members: Collection[int], x: int, rows: Callable[[int], bytes], cut: int = 0
-) -> int:
-    """A lower bound on x's weight from the members other than x, over
-    2 ** G.n, read off the plain rows of x and of the members alone.
-    ``rows`` maps a vertex to its ``plain_row``. The members must hold no
-    adjacent pair, as in ``try_extend``, and x may be one of them. A member
-    y at plain distance d adds its plain term 2 ** (1 - d) when its
-    blocked distance is d too: when d <= 3, as every inner vertex of such
-    a path is next to x or y, so no member while x has no member
-    neighbour; or when no other member z lies on a shortest x-y path,
-    ``rx[z] + ry[z] == d``. Any other member adds 0. A member at the capped
-    distance 255 adds 0 and is never on a path.
+# the α_e branch and bound keeps its weight bounds over 2 ** _LANE_BITS: an
+# upper bound is rounded up onto it and a floor's terms are rounded down
+_LANE_BITS = 20
 
-    Near members are summed first, then the far ones by ascending d. A
-    nonzero ``cut``, a whole weight as in ``_influence``, stops the scan
-    once the bound reaches ``cut`` or once the far terms not yet read
-    cannot lift it there, so the verdict ``floor >= cut << G.n`` is exact;
-    with none, every member is read."""
-    two = 2 << G.n
-    top = cut << G.n
+
+def _ceil(num: int, n: int) -> int:
+    """num / 2 ** n rounded up onto the lane scale."""
+    shift = n - _LANE_BITS
+    return -(-num >> shift) if shift > 0 else num << -shift
+
+
+@cache
+def _term_table(width: int, bits: int, capped: bool) -> tuple[list[bytes], list[bytes]]:
+    """By a row's distance byte d, the plain term 2 ** (1 - d) over 2 **
+    bits rounded up, as one little-endian lane of ``width`` bytes; 0 at
+    d = 0, so a vertex's own lane in its term row stays empty. A row's 255
+    is a distance of at least 255 when ``capped``, and otherwise an
+    unreachable vertex, whose term is 0. Returned with the same lanes cut
+    into ``width`` translate tables, byte i of every lane in table i."""
+    two = 2 << bits
+    terms = [max(two >> d, 1) for d in range(1, 255)] + [int(capped)]
+    table = [bytes(width)] + [t.to_bytes(width, "little") for t in terms]
+    return table, [bytes(lane[i] for lane in table) for i in range(width)]
+
+
+class _Lanes(NamedTuple):
+    """The lane layout of one solve: ``w``-bit lanes, one per vertex, the
+    lane of x at bit ``w * x``; ``one``, 1 on the scale; ``bias``, which
+    lifts a lane of at least ``one`` into its top bit, in every lane;
+    ``terms``, a vertex's term row, built on first use; and ``table``,
+    the term lanes by distance (``_term_table``)."""
+
+    w: int
+    one: int
+    bias: int
+    terms: Callable[[int], int]
+    table: list[bytes]
+
+
+def _root_state(G: Graph, req: frozenset, rows: Callable[[int], bytes]) -> tuple:
+    """The search state of the required set ``req`` on G, whose ``rows``
+    map a vertex to its ``plain_row``: a tuple ``(lanes, members, bounds,
+    tops)`` of the solve's ``_Lanes``, the members as a frozenset, one int
+    of lanes, a member's holding an upper bound on its weight and any
+    other vertex's its plain sum from the members, and the top bit of
+    every member's lane. A required member's lane holds its exact weight
+    rounded up. Raises InfeasibleError when ``req`` is not exponentially
+    independent.
+
+    A lane holds a sum of at most n terms of at most 1, so
+    ``_LANE_BITS + 2 + n.bit_length()`` bits, rounded up to whole bytes,
+    hold it and the bias without a carry into the next lane. A row's 255
+    can be a real distance only when n > 255. A term row is built by
+    C-level passes over the plain row, one translate per byte of a lane:
+    at n = 2 * 10 ** 4 that takes a third of the time of one join of the
+    table's lanes, and a row is built for every candidate tried."""
+    n = G.n
+    width = (_LANE_BITS + 9 + n.bit_length()) // 8
+    w = 8 * width
+    one = 1 << _LANE_BITS
+    table, planes = _term_table(width, _LANE_BITS, n > 255)
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * n, "little")
+
+    @cache
+    def terms(v: int) -> int:
+        row = rows(v)
+        lanes = bytearray(width * n)
+        for i, plane in enumerate(planes):
+            lanes[i::width] = row.translate(plane)
+        return int.from_bytes(lanes, "little")
+
+    lane = (1 << w) - 1
+    bounds = sum(map(terms, req))
+    for u in sorted(req):
+        good, num, _ = _member_check(G, req, u)
+        if not good:
+            raise InfeasibleError(f"required set is not exponentially independent at vertex {u}")
+        k = w * u
+        bounds += (_ceil(num, n) - (bounds >> k & lane)) << k
+    lanes = _Lanes(w, one, ((1 << w - 1) - one) * ones, terms, table)
+    return lanes, req, bounds, sum(1 << w * u + w - 1 for u in req)
+
+
+def _weight_floor(members: Collection[int], x: int, rows: Callable[[int], bytes]) -> int:
+    """A lower bound on x's weight from the members other than x, over
+    2 ** _LANE_BITS with every term rounded down, read off the plain rows
+    of x and of the members alone. ``rows`` maps a vertex to its
+    ``plain_row``. The members must hold no adjacent pair, as in
+    ``try_extend``, and x may be one of them. A member y at plain distance
+    d adds its plain term 2 ** (1 - d) when its blocked distance is d too:
+    when d <= 3, as every inner vertex of such a path is next to x or y,
+    so no member while x has no member neighbour; or when no other member
+    z lies on a shortest x-y path, ``rx[z] + ry[z] == d``. Any other member
+    adds 0. A member at the capped distance 255 adds 0 and is never on a
+    path.
+
+    Near members are summed first, then the far ones by ascending d. The
+    scan stops once the bound reaches 1 or once the far terms not yet read
+    cannot lift it there, so the verdict ``floor >= 1 << _LANE_BITS`` is
+    that of every member read."""
+    one = 1 << _LANE_BITS
+    two = one << 1
     rx = rows(x)
     floor = 0
     far = []
@@ -197,92 +283,107 @@ def _weight_floor(
                 far.append((d, y))
         elif d:
             floor += two >> d
-    if cut and floor >= top:
+    if floor >= one:
         return floor
     rest = sum(two >> d for d, _ in far)
     far.sort()
     for d, y in far:
-        if cut and floor + rest < top:
+        if floor + rest < one:
             break
         term = two >> d
         rest -= term
         ry = rows(y)
         if all(rx[z] + ry[z] != d for z in members if 0 < rx[z] < d):
             floor += term
-            if cut and floor >= top:
+            if floor >= one:
                 break
     return floor
 
 
-def try_extend(
-    G: Graph, bounds: dict[int, int], v: int, rows: Callable[[int], bytes]
-) -> dict[int, int] | None:
-    """Incremental feasibility check for the keys of ``bounds`` plus v,
-    where the keys are an exponentially independent set and each maps to
-    an upper bound on its weight over 2 ** G.n. ``rows`` maps a vertex to
-    its ``plain_row``. Returns the grown map when the set stays
+def try_extend(G: Graph, state: tuple, v: int, rows: Callable[[int], bytes]) -> tuple | None:
+    """Incremental feasibility check for the members of ``state``, an
+    exponentially independent set, plus v. ``state`` is a tuple ``(lanes,
+    members, bounds, tops)`` as ``_root_state`` builds it: ``bounds`` holds
+    one lane per vertex over 2 ** _LANE_BITS, a member's an upper bound on
+    its weight and a non-member's its plain sum from the members, and
+    ``tops`` the top bit of each member's lane. ``rows`` maps a vertex to
+    its ``plain_row``. Returns the state of the grown set when it stays
     independent, None otherwise. Ids are not checked here;
     ``alpha_e_exact`` raises ParameterError for one outside the graph.
 
     One flow decides every call:
 
-    1. v's row gives each member x its plain term 2 ** (1 - dist_G(x, v)),
-       at least v's term on x in the extended set, and their sum, at least
-       v's weight. When the sum reaches 1, one full sweep from v over the
-       members decides v: it rejects v when v's exact weight reaches 1,
-       and otherwise the terms become 2 ** (1 - d) for each member x the
-       sweep reaches at blocked distance d and 0 for the rest. A member
-       neighbour of v adds exactly 1 to both sums, so such a v is
-       rejected here, and the keys of step 3 hold no adjacent pair.
-    2. Each member's grown value is its bound plus its term. Blocking v
-       only lengthens the paths between the old members, so it bounds x's
-       weight in the extended set.
-    3. The members whose grown value reaches 1 take a floor each, on the
-       member keys and v, and any floor that reaches 1 rejects v before
-       the grown map is built.
-    4. The grown map holds the grown values, with v mapped to the terms'
-       sum, v's exact weight after a sweep. Each member of step 3 is then
-       decided by one ``_member_check`` over it, which rejects v or stores
-       the member's exact weight as its bound.
+    1. v's lane is its plain sum, the total of 2 ** (1 - dist_G(x, v))
+       over the members x, each rounded up, at least v's weight. When it
+       reaches 1, one full sweep from v over the members decides v: it
+       rejects v when v's exact weight reaches 1, and otherwise v's lane
+       takes that weight rounded up, and each member x's term becomes
+       2 ** (1 - d) for the blocked distance d the sweep reaches it at,
+       and 0 when it does not. A member neighbour of v adds exactly 1 to
+       both sums, so such a v is rejected here, and the members of step 3
+       hold no adjacent pair.
+    2. The grown lanes are ``bounds`` plus v's term row (``_Lanes.terms``):
+       each lane grows by its plain term from v, or a member's by its term
+       of step 1 after a sweep. Blocking v only lengthens the paths
+       between the old members, so a member's grown lane bounds its weight
+       in the extended set.
+    3. The hot members, those whose grown lane reaches 1, are the member
+       lanes whose top bit fires once ``bias`` is added, read off ``tops``.
+       Each takes a floor, on the members and v, and any floor that
+       reaches 1 rejects v.
+    4. Each hot member is then decided by one ``_member_check``, which
+       rejects v or stores the member's exact weight rounded up in its
+       lane.
 
     A floor is ``_weight_floor``, an exact lower bound on a weight read off
     the rows: a member's plain term counts when the plain distance is at
     most 3, or when no other member lies on a shortest path between the
     two, for then the blocked distance is the plain one. A floor that
     reaches 1 rejects v with no ``_member_check``. Most re-checks reject,
-    and most are decided this way.
+    and most are decided this way. Every reject comes from an exact
+    check, and a lane only ever rounds up, so the verdict is that of
+    exact weights; rounding can only add a sweep or a re-check.
 
     ``alpha_e_exact`` calls this only for a candidate its dead mask
     leaves live (``_dead_marks``); a dead one is a reject this flow would
-    also return, so the mask saves calls and changes no verdict. The hot
-    members of step 3 are sought only when the largest grown value
-    reaches 1."""
-    one = 1 << G.n
-    two = one << 1
-    row = rows(v)
-    terms = [two >> row[x] for x in bounds]
-    num = sum(terms)
-    if num >= one:
-        num, reached = _influence(G, bounds, v)
-        if num >= one:
+    also return, so the mask saves calls and changes no verdict."""
+    lanes, members, bounds, tops = state
+    w, one, bias, terms, table = lanes
+    lane = (1 << w) - 1
+    k = w * v
+    row = terms(v)
+    own = bounds >> k & lane
+    if own >= one:
+        num, reached = _influence(G, members, v)
+        if num >= 1 << G.n:
             return None
-        dist = dict(reached)
-        terms = [two >> dist[x] if x in dist else 0 for x in bounds]
-    values = list(map(add, bounds.values(), terms))
-    hot = []
-    if values and max(values) >= one:
-        hot = [x for x, value in zip(bounds, values) if value >= one]
-        keys = [*bounds, v]
-        for x in hot:
-            if _weight_floor(G, keys, x, rows, 1) >= one:
+        # the member lanes take the sweep's blocked terms in place of the
+        # plain ones, and v's lane its exact weight
+        width = w >> 3
+        blocked = bytearray(width * G.n)
+        for x, d in reached:
+            blocked[width * x : width * x + width] = table[d]
+        member_lanes = (tops << 1) - (tops >> w - 1)
+        row += int.from_bytes(blocked, "little") - (row & member_lanes) + ((_ceil(num, G.n) - own) << k)
+    grown = bounds + row
+    hot = (grown + bias) & tops
+    members = members | {v}
+    if hot:
+        found = []
+        while hot:
+            low = hot & -hot
+            found.append(low.bit_length() // w - 1)
+            hot ^= low
+        for x in found:
+            if _weight_floor(members, x, rows) >= one:
                 return None
-    grown = dict(zip(bounds, values))
-    grown[v] = num
-    for x in hot:
-        good, grown[x], _ = _member_check(G, grown, x)
-        if not good:
-            return None
-    return grown
+        for x in found:
+            good, num, _ = _member_check(G, members, x)
+            if not good:
+                return None
+            k = w * x
+            grown += (_ceil(num, G.n) - (grown >> k & lane)) << k
+    return lanes, members, grown, tops | 1 << w * v + w - 1
 
 
 # A plain term 2 ** (1 - d) in quarters, by a row's distance byte d: 4, 2
@@ -394,11 +495,12 @@ def alpha_e_exact(
     negative budget, or an id outside ``range(G.n)`` in either set, raises
     ParameterError.
 
-    Each stack entry carries the members' weight bounds, the near-floor
-    vector and the dead mask of ``_dead_marks``, all shared by the exclude
-    child; only an include builds new ones. The required members join
-    the mask first. A node whose candidate is dead is a reject node with
-    no ``try_extend`` call: it is counted, reads the clock, takes the count
+    Each stack entry carries the ``try_extend`` state of its members, the
+    near-floor vector and the dead mask of ``_dead_marks``, all shared by
+    the exclude child; only an include builds new ones. The required
+    members join first, each with its exact weight rounded up as its
+    bound. A node whose candidate is dead is a reject node with no
+    ``try_extend`` call: it is counted, reads the clock, takes the count
     prune and the leaf test, and pushes its exclude child. The mask holds
     in every descendant, so the nodes, optimum and witness are those of
     calling ``try_extend`` at every node."""
@@ -412,14 +514,12 @@ def alpha_e_exact(
     cands = [v for v in order if v not in req and v not in exc]
     w, join = _dead_marks(G, cands, [*req, *exc], rows)
     lane = (1 << w) - 1
+    state = _root_state(G, req, rows)
     q = dead = 0
-    bounds = {}  # each required member's exact weight, over 2 ** G.n
+    joined = []
     for u in sorted(req):
-        good, num, _ = _member_check(G, req, u)
-        if not good:
-            raise InfeasibleError(f"required set is not exponentially independent at vertex {u}")
-        q, dead = join(u, bounds, q, dead)
-        bounds[u] = num
+        q, dead = join(u, joined, q, dead)
+        joined.append(u)
 
     best_size = len(req)
     best_set = tuple(sorted(req))
@@ -431,33 +531,34 @@ def alpha_e_exact(
     # include child first. A dead candidate is a reject read off the
     # mask: its node pushes the exclude child alone, with no try_extend
     status = "optimal"
-    stack = [(0, bounds, q, dead)]
+    stack = [(0, state, q, dead)]
     while stack:
-        i, bounds, q, dead = stack.pop()
+        i, state, q, dead = stack.pop()
+        members = state[1]
         nodes += 1
         if deadline is not None and time.monotonic() >= deadline:
             status = "timeout"
             # the stopped node's members are exponentially independent too;
             # the incumbent changes only at a leaf, which a search on a
             # large graph may never reach within its budget
-            if len(bounds) > best_size:
-                best_set = tuple(sorted(bounds))
+            if len(members) > best_size:
+                best_set = tuple(sorted(members))
             break
-        if len(bounds) + (ncands - i) < best_size:
+        if len(members) + (ncands - i) < best_size:
             continue
         if i == ncands:
-            size = len(bounds)
-            tup = tuple(sorted(bounds))
+            size = len(members)
+            tup = tuple(sorted(members))
             if size > best_size or (size == best_size and tup < best_set):
                 best_size, best_set = size, tup
             continue
-        stack.append((i + 1, bounds, q, dead))
+        stack.append((i + 1, state, q, dead))
         if dead >> w * i & lane:
             continue
         v = cands[i]
-        grown = try_extend(G, bounds, v, rows)
+        grown = try_extend(G, state, v, rows)
         if grown is not None:
-            q, dead = join(v, bounds, q, dead)
+            q, dead = join(v, members, q, dead)
             stack.append((i + 1, grown, q, dead))
 
     return _certified(G, best_set, nodes, status, is_exponentially_independent)

@@ -317,7 +317,7 @@ def _influence(
     G: Graph, members: Collection[int], u: int, cut: int = 0
 ) -> tuple[int, list[tuple[int, int]]]:
     """The weight kernel: one absorbing sweep from u over ``members``, any
-    collection that answers ``in`` (the solvers pass their bound map).
+    collection that answers ``in`` (the solvers pass a frozenset).
 
     Returns ``(num, reached)``: ``reached`` lists the members u reaches as
     (source, blocked distance) pairs in BFS order, u itself at distance 0
@@ -342,12 +342,12 @@ def _influence(
     then the sum and pairs of the levels swept, a prefix of the full
     sweep, and the verdict is exact. ``ei_holds`` (cut 3, on a graph with
     a cycle) and ``ed_holds`` (cut 1, on every graph) pass a cut; every
-    caller that needs the full weight or every
-    pair passes none: ``weight``, ``weight_details``,
-    ``_member_check`` (and so the member re-checks in
-    ``solvers.try_extend``, where a member that passes keeps its exact
-    weight), and ``try_extend``'s sweep from the new member when its
-    plain-distance sum reaches 1."""
+    caller that needs the full weight or every pair passes none:
+    ``weight``, ``weight_details``, ``_member_check`` (and so the member
+    re-checks in ``solvers.try_extend``, where a member that passes keeps
+    its exact weight, rounded up onto the solver's lane scale), and
+    ``try_extend``'s sweep from the new member when its plain sum reaches
+    1."""
     adj = G.adj
     seen = bytearray(G.n)
     seen[u] = 1

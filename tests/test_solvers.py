@@ -168,29 +168,51 @@ def row_map(G):
     return cache(partial(plain_row, G))
 
 
+def start(G, rows):
+    """The empty set's try_extend state on G, as ``alpha_e_exact`` builds
+    it, and a reader of a state's lanes: ``lanes(state)`` maps each member
+    of a state to its lane, and ``lanes(state, x)`` is x's lane."""
+    state = solvers._root_state(G, frozenset(), rows)
+    w = state[0].w
+
+    def lanes(state, x=None):
+        if x is not None:
+            return state[2] >> w * x & (1 << w) - 1
+        return {y: lanes(state, y) for y in sorted(state[1])}
+
+    return state, lanes
+
+
+def on_lanes(num, n):
+    """num / 2 ** n rounded up onto the lane scale, from the definition."""
+    return -(-(num << solvers._LANE_BITS) >> n)
+
+
 class TestIncrementalExtension:
     def test_matches_full_verifier(self):
         rng = random.Random(71)
         for trial in range(80):
             G = random_subcubic_graph(5 + trial % 10, trial % 3, trial + 1100)
             rows = row_map(G)
-            members, bounds = frozenset(), {}
+            state, _ = start(G, rows)
+            members = frozenset()
             order = list(range(G.n))
             rng.shuffle(order)
             for v in order:
-                step = try_extend(G, bounds, v, rows)
+                step = try_extend(G, state, v, rows)
                 full = ei_holds(G, members | {v})
                 assert (step is not None) == full, (trial, sorted(members), v)
                 if step is not None:
-                    assert step.keys() == members | {v}
-                    members, bounds = frozenset(step), step
+                    assert step[1] == members | {v}
+                    members, state = step[1], step
 
     def test_passing_recheck_stores_the_exact_weight(self, monkeypatch):
         # the two re-checks of this search that pass: when 13 joins
         # {0, 4, 5, 9, 12}, the plain terms lift the bounds of members 9
         # and 12 to 1 or more; each reads 31744 / 2^15 and keeps that
-        # exact weight as its bound
+        # exact weight, rounded up onto the lane scale, as its bound
         G = random_subcubic_graph(15, 1, 11)
+        _, lanes = start(G, row_map(G))
         passed, grown_maps = [], []
 
         def check(G, members, x):
@@ -199,10 +221,10 @@ class TestIncrementalExtension:
                 passed.append((x, frozenset(members), result[1]))
             return result
 
-        def extend(G, bounds, v, rows):
-            grown = try_extend(G, bounds, v, rows)
+        def extend(G, state, v, rows):
+            grown = try_extend(G, state, v, rows)
             if grown is not None:
-                grown_maps.append(grown)
+                grown_maps.append(lanes(grown))
             return grown
 
         monkeypatch.setattr(solvers, "_member_check", check)
@@ -212,7 +234,7 @@ class TestIncrementalExtension:
         assert passed == [(9, members, 31744), (12, members, 31744)]
         for x in (9, 12):
             assert exact_weight(G, members, x) == 31744
-            assert [grown[x] for grown in grown_maps if grown.keys() == members] == [31744]
+            assert [grown[x] for grown in grown_maps if grown.keys() == members] == [on_lanes(31744, G.n)]
         oracle = alpha_e_bruteforce(G)
         assert (result.optimum, result.witness) == (oracle.optimum, oracle.witness)
         assert result.optimum == 6
@@ -226,9 +248,9 @@ class TestIncrementalExtension:
     )
     def test_floor_decided_reject_runs_no_sweep(self, monkeypatch, G, members, v):
         rows = row_map(G)
-        bounds = {}
+        state, _ = start(G, rows)
         for u in members:
-            bounds = try_extend(G, bounds, u, rows)
+            state = try_extend(G, state, u, rows)
         sweeps = []
 
         def influence(G, members, u, cut=0):
@@ -243,12 +265,12 @@ class TestIncrementalExtension:
         # through the member check
         monkeypatch.setattr(solvers, "_influence", influence)
         monkeypatch.setattr(solvers, "_member_check", check)
-        assert try_extend(G, bounds, v, rows) is None
+        assert try_extend(G, state, v, rows) is None
         assert sweeps == []
         assert not ei_holds(G, set(members) | {v})
         # with a floor of 0 the same reject takes a kernel sweep
         monkeypatch.setattr(solvers, "_weight_floor", lambda *args: 0)
-        assert try_extend(G, bounds, v, rows) is None
+        assert try_extend(G, state, v, rows) is None
         assert sweeps
 
     # v's plain sum reaches 1 in each case. On the path 0..6, 2 lies between
@@ -272,9 +294,9 @@ class TestIncrementalExtension:
         """v is decided by exactly one kernel sweep from v, which agrees
         with ``ei_holds``; no floor is read for v."""
         rows = row_map(G)
-        bounds = {}
+        state, _ = start(G, rows)
         for u in members:
-            bounds = try_extend(G, bounds, u, rows)
+            state = try_extend(G, state, u, rows)
         assert sum((2 << G.n) >> rows(v)[x] for x in members) >= 1 << G.n
         sweeps, floors = [], []
         weight_floor = solvers._weight_floor
@@ -283,13 +305,13 @@ class TestIncrementalExtension:
             sweeps.append(u)
             return _influence(G, members, u, cut)
 
-        def floor(G, members, x, rows, cut=0):
+        def floor(members, x, rows):
             floors.append(x)
-            return weight_floor(G, members, x, rows, cut)
+            return weight_floor(members, x, rows)
 
         monkeypatch.setattr(solvers, "_influence", influence)
         monkeypatch.setattr(solvers, "_weight_floor", floor)
-        grown = try_extend(G, bounds, v, rows)
+        grown = try_extend(G, state, v, rows)
         assert sweeps == [v]
         assert v not in floors
         assert (grown is not None) == ei_holds(G, set(members) | {v})
@@ -312,10 +334,17 @@ def exact_weight(G, members, x):
     return _member_check(G, members, x)[1]
 
 
+def plain_term(G, d):
+    """The plain term 2 ** (1 - d) of a row's distance byte d, rounded up
+    onto the lane scale: 0 for the 255 of an unreachable vertex on fewer
+    than 254 vertices."""
+    return on_lanes((2 << G.n) >> d, G.n)
+
+
 def plain_sum(G, row, members):
     """The plain-distance terms read off ``row`` summed over ``members``,
-    over 2 ** G.n."""
-    return sum((2 << G.n) >> row[x] for x in members)
+    each rounded up onto the lane scale."""
+    return sum(plain_term(G, row[x]) for x in members)
 
 
 @st.composite
@@ -342,6 +371,21 @@ def blocked_weight(G, S, x):
     return sum((2 << G.n) >> d for d in dists if d != INF)
 
 
+def clean_distances(G, S, x):
+    """The plain distances from x of the members of S whose terms the
+    floor counts, from BFS distances: each member other than x in reach
+    at distance 3 or less, or with no other member on a shortest path."""
+    dx = bfs_distances(G, x)
+    clean = []
+    for y in S - {x}:
+        d = dx[y]
+        if d != INF:
+            dy = bfs_distances(G, y)
+            if d <= 3 or all(dx[z] + dy[z] != d for z in S - {x, y}):
+                clean.append(d)
+    return clean
+
+
 def spread_points(G, S):
     """The vertices with no member neighbour: the members, and every
     candidate ``try_extend`` reads a floor for."""
@@ -366,19 +410,24 @@ class TestInfluenceBounds:
     @given(cyclic_graphs(), st.data())
     def test_carried_bounds_dominate_exact_weights(self, G, data):
         rows = row_map(G)
-        members, bounds = frozenset(), {}
+        one = 1 << solvers._LANE_BITS
+        state, lanes = start(G, rows)
+        members = frozenset()
         for v in data.draw(st.permutations(range(G.n))):
-            step = try_extend(G, bounds, v, rows)
+            step = try_extend(G, state, v, rows)
             assert (step is not None) == ei_holds(G, members | {v}), (list(G.edges()), sorted(members), v)
             if step is None or not data.draw(st.booleans()):
                 continue
-            assert step.keys() == members | {v}
+            assert step[1] == members | {v}
             plain = plain_sum(G, rows(v), members)
-            members, bounds = frozenset(step), step
-            assert bounds[v] == (plain if plain < 1 << G.n else exact_weight(G, members, v))
+            members, state = step[1], step
+            bounds = lanes(state)
+            assert bounds[v] == (plain if plain < one else on_lanes(exact_weight(G, members, v), G.n))
             for x in members:
-                assert bounds[x] >= exact_weight(G, members, x), (list(G.edges()), sorted(members), x)
-                assert bounds[x] < 1 << G.n
+                exact = on_lanes(exact_weight(G, members, x), G.n)
+                assert bounds[x] >= exact, (list(G.edges()), sorted(members), x)
+                # below 1, or an exact weight below 1 rounded up to 1
+                assert bounds[x] < one or bounds[x] == exact
 
     @given(cyclic_graphs(), st.data())
     def test_every_subset_of_an_independent_set_is_independent(self, G, data):
@@ -415,28 +464,27 @@ class TestInfluenceBounds:
     def test_weight_floor_never_exceeds_the_weight(self, case):
         G, S = case
         rows = row_map(G)
-        one = 1 << G.n
+        bits = solvers._LANE_BITS
         for x in spread_points(G, S):
-            floor = solvers._weight_floor(G, S, x, rows)
-            assert floor <= blocked_weight(G, S, x), (list(G.edges()), sorted(S), x)
-            # the cut decides the same verdict as the full floor
-            assert (solvers._weight_floor(G, S, x, rows, 1) >= one) == (floor >= one)
+            floor = solvers._weight_floor(S, x, rows)
+            assert floor << G.n <= blocked_weight(G, S, x) << bits, (list(G.edges()), sorted(S), x)
+            # the early stop decides the verdict of every clean term read,
+            # each rounded down onto the lane scale
+            full = sum((2 << bits) >> d for d in clean_distances(G, S, x))
+            assert (floor >= 1 << bits) == (full >= 1 << bits), (list(G.edges()), sorted(S), x)
 
     @given(graphs_with_a_spread_set())
     def test_weight_floor_is_exact_when_no_far_member_is_blocked(self, case):
         """When no other member lies on a shortest path from x to any
-        member beyond distance 3, the floor is x's exact weight."""
+        member beyond distance 3, the clean terms the floor reads sum to
+        x's exact weight."""
         G, S = case
-        rows = row_map(G)
         for x in spread_points(G, S):
             dx = bfs_distances(G, x)
-            clean = True
-            for y in S:
-                if 3 < dx[y] != INF:
-                    dy = bfs_distances(G, y)
-                    clean &= all(dx[z] + dy[z] != dx[y] for z in S - {x, y})
-            if clean:
-                assert solvers._weight_floor(G, S, x, rows) == blocked_weight(G, S, x), (
+            reached = sum(dx[y] != INF for y in S - {x})
+            clean = clean_distances(G, S, x)
+            if len(clean) == reached:
+                assert sum((2 << G.n) >> d for d in clean) == blocked_weight(G, S, x), (
                     list(G.edges()), sorted(S), x
                 )
 
@@ -474,23 +522,23 @@ class TestFloorOnlySkipsSweeps:
     def test_floor_of_zero_gives_the_same_maps(self, G, data):
         """With ``_weight_floor`` patched to 0 every decision takes a kernel
         sweep, and every try_extend call returns what the real floor gives:
-        None, or an equal map with the same keys, values and key order.
+        None, or an equal state with the same members, lanes and top bits.
         Each accepted vertex joins, so the set grows to a maximal one and
         the later calls meet the floors of a large set."""
         rows = row_map(G)
-        bounds = {}
+        state, _ = start(G, rows)
         for v in data.draw(st.permutations(range(G.n))):
-            step = try_extend(G, bounds, v, rows)
+            step = try_extend(G, state, v, rows)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(solvers, "_weight_floor", lambda *args: 0)
-                swept = try_extend(G, bounds, v, rows)
-            where = (list(G.edges()), list(bounds), v)
+                swept = try_extend(G, state, v, rows)
+            where = (list(G.edges()), sorted(state[1]), v)
             if step is None:
                 assert swept is None, where
             else:
                 assert swept is not None, where
-                assert list(swept.items()) == list(step.items()), where
-                bounds = step
+                assert swept == step, where
+                state = step
 
 
 @st.composite
@@ -518,34 +566,39 @@ class TestPlainRowExtension:
     @given(extension_graphs(), st.data())
     def test_row_based_extension_matches_ei_holds(self, G, data):
         rows = row_map(G)
-        one, two = 1 << G.n, 2 << G.n
-        members, bounds = frozenset(), {}
+        one = 1 << solvers._LANE_BITS
+        state, lanes = start(G, rows)
+        members = frozenset()
         for v in data.draw(st.permutations(range(G.n))):
-            step = try_extend(G, bounds, v, rows)
+            step = try_extend(G, state, v, rows)
             where = (list(G.edges()), sorted(members), v)
             assert (step is not None) == ei_holds(G, members | {v}), where
             if step is None:
                 continue
             grown = members | {v}
-            assert step.keys() == grown
+            assert step[1] == grown
+            bounds, lanes_now = lanes(state), lanes(step)
             for x in grown:
-                assert exact_weight(G, grown, x) <= step[x] < one, where + (x,)
+                exact = on_lanes(exact_weight(G, grown, x), G.n)
+                # below 1, or an exact weight below 1 rounded up to 1
+                assert exact <= lanes_now[x] and (lanes_now[x] < one or lanes_now[x] == exact), where + (x,)
             row = rows(v)
             plain = plain_sum(G, row, members)
             if plain < one:
-                assert step[v] == plain
+                assert lanes_now[v] == plain
                 for x in members:
-                    carried = bounds[x] + (two >> row[x])
-                    assert step[x] == (carried if carried < one else exact_weight(G, grown, x)), where + (x,)
+                    carried = bounds[x] + plain_term(G, row[x])
+                    want = carried if carried < one else on_lanes(exact_weight(G, grown, x), G.n)
+                    assert lanes_now[x] == want, where + (x,)
             else:
-                assert step[v] == exact_weight(G, grown, v)
+                assert lanes_now[v] == on_lanes(exact_weight(G, grown, v), G.n)
             for x in members:
                 if row[x] == 255:
                     # unreachable from v: its term is 0 on these graphs,
                     # and the sweep never reaches it
-                    assert step[x] == bounds[x], where + (x,)
+                    assert lanes_now[x] == bounds[x], where + (x,)
             if data.draw(st.booleans()):
-                members, bounds = grown, step
+                members, state = grown, step
 
     def test_capped_term_still_bounds_the_weight(self):
         # on a 300-vertex path the far end's distance 299 is stored as 255,
@@ -556,10 +609,12 @@ class TestPlainRowExtension:
         assert rows(299)[0] == 255
         for x, d in enumerate(bfs_distances(G, 0)):
             assert two >> rows(0)[x] >= two >> d
-        bounds = try_extend(G, {}, 0, rows)
-        grown = try_extend(G, bounds, 299, rows)
-        assert grown == {0: two >> 255, 299: two >> 255}
-        assert exact_weight(G, grown.keys(), 0) == two >> 299 < grown[0]
+        state, lanes = start(G, rows)
+        grown = try_extend(G, try_extend(G, state, 0, rows), 299, rows)
+        # 2 ** (1 - 255) rounded up onto the lane scale
+        assert lanes(grown) == {0: plain_term(G, 255), 299: plain_term(G, 255)} == {0: 1, 299: 1}
+        assert exact_weight(G, grown[1], 0) == two >> 299
+        assert (two >> 299) << solvers._LANE_BITS < lanes(grown, 0) << G.n
 
 
 def rule_marks(G, cands, S):
@@ -610,20 +665,21 @@ class TestDeadMask:
         w, join = solvers._dead_marks(G, cands, others, rows)
         lane = (1 << w) - 1
         q = dead = 0
-        bounds, marked = {}, set()
+        state, _ = start(G, rows)
+        marked = set()
         for v in data.draw(st.permutations(range(G.n))):
-            step = try_extend(G, bounds, v, rows)
+            step = try_extend(G, state, v, rows)
             if step is None or not data.draw(st.booleans()):
                 continue
-            q, dead = join(v, bounds, q, dead)
-            bounds = step
-            S = frozenset(bounds)
+            q, dead = join(v, state[1], q, dead)
+            state = step
+            S = state[1]
             now = {p for p in range(len(cands)) if dead >> w * p & lane and cands[p] not in S}
             where = (list(G.edges()), sorted(S), cands)
             assert now == rule_marks(G, cands, S), where
             assert marked - now <= {p for p, u in enumerate(cands) if u in S}, where
             for p in now:
-                assert try_extend(G, bounds, cands[p], rows) is None, where + (cands[p],)
+                assert try_extend(G, state, cands[p], rows) is None, where + (cands[p],)
                 assert not ei_holds(G, S | {cands[p]}), where + (cands[p],)
             marked = now
 
@@ -635,10 +691,10 @@ class TestDeadMask:
         ``alpha_e_bruteforce``."""
         calls = [0]
 
-        def extend(G, bounds, v, rows):
-            assert bounds.keys().isdisjoint(G.adj[v]), (sorted(bounds), v)
+        def extend(G, state, v, rows):
+            assert state[1].isdisjoint(G.adj[v]), (sorted(state[1]), v)
             calls[0] += 1
-            return try_extend(G, bounds, v, rows)
+            return try_extend(G, state, v, rows)
 
         monkeypatch.setattr(solvers, "try_extend", extend)
         G = gen_path(30)
@@ -664,6 +720,64 @@ class TestDeadMask:
         assert (res.optimum, res.witness) == (oracle.optimum, oracle.witness)
 
 
+def identity_graphs():
+    """The graphs of ``TestSolverByteIdentity``: every subcubic tree shape
+    up to order 10 and 40 random graphs, then 40 with many cycles."""
+    graphs = [T for n in range(1, 11) for T in free_trees(n, max_degree=3)]
+    graphs += [random_subcubic_graph(12 + i % 9, (12 + i % 9) // 8, 7300 + i) for i in range(40)]
+    return graphs, [random_subcubic_graph(12 + i % 9, (12 + i % 9) // 2, 9100 + i) for i in range(40)]
+
+
+class TestLaneScale:
+    """The search's bounds sit on the fixed scale 2 ** _LANE_BITS, each
+    rounded up. A scale of a few bits rounds almost every term and every
+    weight, and must change no verdict, only add sweeps and re-checks."""
+
+    @pytest.mark.parametrize("bits", [2, 3])
+    def test_coarse_scale_keeps_optima_witnesses_and_nodes(self, monkeypatch, bits):
+        graphs, cyclic = identity_graphs()
+        graphs += cyclic
+        # a required pair from each optimum joins at the root
+        cases = [(G, ()) for G in graphs]
+        cases += [(G, alpha_e_exact(G).witness[:2]) for G in cyclic]
+        want = [alpha_e_exact(G, required).to_text() for G, required in cases]
+        monkeypatch.setattr(solvers, "_LANE_BITS", bits)
+        for (G, required), text in zip(cases, want):
+            assert alpha_e_exact(G, required).to_text() == text, (list(G.edges()), required)
+        for G in graphs:
+            if G.n <= 12:
+                res, oracle = alpha_e_exact(G), alpha_e_bruteforce(G)
+                assert (res.optimum, res.witness) == (oracle.optimum, oracle.witness), list(G.edges())
+
+    @given(extension_graphs(), st.sampled_from([None, 2, 3]), st.data())
+    def test_lanes_bound_exact_weights_and_plain_sums(self, G, bits, data):
+        """After each join, and at the root of a required set, every
+        member's lane is at least its exact weight and every other
+        vertex's at least its exact plain sum from the members, on the
+        default scale and on coarse ones."""
+        with pytest.MonkeyPatch.context() as patch:
+            if bits is not None:
+                patch.setattr(solvers, "_LANE_BITS", bits)
+            rows = row_map(G)
+            state, lanes = start(G, rows)
+
+            def assert_bounds(state):
+                S = state[1]
+                for x in range(G.n):
+                    if x in S:
+                        want = exact_weight(G, S, x)
+                    else:
+                        want = sum((2 << G.n) >> d for y, d in enumerate(bfs_distances(G, x)) if y in S and d != INF)
+                    assert lanes(state, x) << G.n >= want << solvers._LANE_BITS, (list(G.edges()), sorted(S), x)
+
+            for v in data.draw(st.permutations(range(G.n))):
+                step = try_extend(G, state, v, rows)
+                if step is not None and data.draw(st.booleans()):
+                    state = step
+                    assert_bounds(state)
+            assert_bounds(solvers._root_state(G, state[1], rows))
+
+
 class TestSolverByteIdentity:
     """The carried bounds and the relaxation reject make each node cheaper
     without changing which nodes are visited: optima, node counts and
@@ -672,8 +786,7 @@ class TestSolverByteIdentity:
     ``ed_holds`` on every combination."""
 
     def test_trees_and_random_graphs(self):
-        graphs = [T for n in range(1, 11) for T in free_trees(n, max_degree=3)]
-        graphs += [random_subcubic_graph(12 + i % 9, (12 + i % 9) // 8, 7300 + i) for i in range(40)]
+        graphs, _ = identity_graphs()
         h = hashlib.sha256()
         for G in graphs:
             h.update(alpha_e_exact(G).to_text().encode())
@@ -683,7 +796,7 @@ class TestSolverByteIdentity:
     def test_random_graphs_with_many_cycles(self):
         """n // 2 extra edges, many more cycles than the graphs above.
         Recorded with the solvers that swept before every reject."""
-        graphs = [random_subcubic_graph(12 + i % 9, (12 + i % 9) // 2, 9100 + i) for i in range(40)]
+        _, graphs = identity_graphs()
         h = hashlib.sha256()
         for G in graphs:
             h.update(alpha_e_exact(G).to_text().encode())

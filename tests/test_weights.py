@@ -14,7 +14,7 @@ from expindep.constructors import (
     packing_separation,
     tree_good_set,
 )
-from expindep.solvers import alpha_e_exact, try_extend
+from expindep.solvers import _root_state, alpha_e_exact, try_extend
 from expindep.families import (
     canonical_set_tk,
     free_trees,
@@ -273,13 +273,13 @@ class TestKernel:
             assume(False)
         assert not is_tree(G)
         rows = cache(partial(plain_row, G))
-        M, bounds = frozenset(), {}
+        M, state = frozenset(), _root_state(G, frozenset(), rows)
         for v in data.draw(st.permutations(range(n))):
-            step = try_extend(G, bounds, v, rows)
-            grown = None if step is None else step.keys()
+            step = try_extend(G, state, v, rows)
+            grown = None if step is None else step[1]
             assert grown == (M | {v} if ei_holds(G, M | {v}) else None), (list(G.edges()), sorted(M), v)
             if step is not None and data.draw(st.booleans()):
-                M, bounds = frozenset(step), step
+                M, state = step[1], step
 
 
 def bfs_ei(G, S):
