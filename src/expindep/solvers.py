@@ -23,17 +23,17 @@ a set that grows by v can only lower the influence between its other
 members.
 
 Feasibility along the branch-and-bound path is checked incrementally.
-Every stack entry carries its members, one int of fixed-width lanes, one
-lane per vertex in id order, all on the fixed scale 2 ** _LANE_BITS
-(``_Lanes``), and an int of the member lanes' top bits. A member's lane
-holds an upper bound on its weight, and any other vertex's its plain
-sum, the total of 2 ** (1 - dist_G(x, v)) over the members x, an upper
-bound on its weight were it to join and on what it would add to each
-member. Every term is rounded up onto the scale, so a lane stays an
+Every stack entry carries a state of its members, one int of
+fixed-width lanes, one lane per vertex in id order, all on the fixed
+scale 2 ** _LANE_BITS in the solve's layout (``_Lanes``), and an int of
+the member lanes' top bits. A member's lane holds an upper bound on its
+weight, and any other vertex's its plain sum, the total of
+2 ** (1 - dist_G(x, v)) over the members x, an upper bound on its
+weight were it to join and on what it would add to each member. Every term is rounded up onto the scale, so a lane stays an
 upper bound. When v joins, its own bound is one lane read, and usually
 it stays below 1: v is accepted with it as its bound, and the join adds
-v's term row, its plain terms to every lane, built once per solve from
-v's plain-distance row (below); no sweep runs. Only when
+v's term row, its plain terms to every lane, built from v's
+plain-distance row (below); no sweep runs. Only when
 v's lane reaches 1 does one kernel sweep from v decide v's own condition
 and find the members v reaches with their blocked distances d; a reached
 member's lane grows by 2 ** (1 - d), and a member v does not reach keeps
@@ -108,7 +108,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import combinations
 from operator import add, itemgetter
 from typing import Callable, Collection, Iterable, NamedTuple
@@ -175,6 +175,10 @@ def _certified(G: Graph, witness: Iterable[int], nodes: int, status: str, verifi
 # upper bound is rounded up onto it and a floor's terms are rounded down
 _LANE_BITS = 20
 
+# the bytes of term rows one solve keeps; past them only the rows used last
+# are kept, and any other is rebuilt when it is read again
+_TERM_ROW_BYTES = 1 << 24
+
 
 def _ceil(num: int, n: int) -> int:
     """num / 2 ** n rounded up onto the lane scale."""
@@ -183,75 +187,90 @@ def _ceil(num: int, n: int) -> int:
 
 
 @cache
-def _term_table(width: int, bits: int, capped: bool) -> tuple[list[bytes], list[bytes]]:
-    """By a row's distance byte d, the plain term 2 ** (1 - d) over 2 **
-    bits rounded up, as one little-endian lane of ``width`` bytes; 0 at
-    d = 0, so a vertex's own lane in its term row stays empty. A row's 255
-    is a distance of at least 255 when ``capped``, and otherwise an
-    unreachable vertex, whose term is 0. Returned with the same lanes cut
-    into ``width`` translate tables, byte i of every lane in table i."""
+def _term_planes(width: int, bits: int, capped: bool) -> list[bytes]:
+    """The translate tables that take a row of distance bytes to its lanes
+    of plain terms. By a distance byte d, the term 2 ** (1 - d) over 2 **
+    bits, rounded up, is one little-endian lane of ``width`` bytes, and
+    table i holds byte i of every lane. A byte of 0 gives an empty lane,
+    so a vertex's own lane in its term row stays empty. A byte of 255 is a
+    distance of at least 255 when ``capped``, and otherwise an unreachable
+    vertex, whose term is 0."""
     two = 2 << bits
-    terms = [max(two >> d, 1) for d in range(1, 255)] + [int(capped)]
-    table = [bytes(width)] + [t.to_bytes(width, "little") for t in terms]
-    return table, [bytes(lane[i] for lane in table) for i in range(width)]
+    terms = [0] + [max(two >> d, 1) for d in range(1, 256)]
+    if not capped:
+        terms[255] = 0
+    lanes = [t.to_bytes(width, "little") for t in terms]
+    return [bytes(lane[i] for lane in lanes) for i in range(width)]
 
 
 class _Lanes(NamedTuple):
-    """The lane layout of one solve: ``w``-bit lanes, one per vertex, the
-    lane of x at bit ``w * x``; ``one``, 1 on the scale; ``bias``, which
-    lifts a lane of at least ``one`` into its top bit, in every lane;
-    ``terms``, a vertex's term row, built on first use; and ``table``,
-    the term lanes by distance (``_term_table``)."""
+    """The lane layout of one α_e solve, built by ``_lanes``: ``w``-bit
+    lanes, one per vertex, the lane of x at bit ``w * x``; ``one``, 1 on
+    the scale; ``bias``, which lifts a lane of at least ``one`` into its
+    top bit, in every lane; ``rows``, a vertex's ``plain_row``; ``spread``,
+    the lanes of a row of distance bytes, each byte's plain term
+    (``_term_planes``); and ``terms``, a vertex's term row, the spread of
+    its plain row."""
 
     w: int
     one: int
     bias: int
+    rows: Callable[[int], bytes]
+    spread: Callable[[bytes], int]
     terms: Callable[[int], int]
-    table: list[bytes]
 
 
-def _root_state(G: Graph, req: frozenset, rows: Callable[[int], bytes]) -> tuple:
-    """The search state of the required set ``req`` on G, whose ``rows``
-    map a vertex to its ``plain_row``: a tuple ``(lanes, members, bounds,
-    tops)`` of the solve's ``_Lanes``, the members as a frozenset, one int
-    of lanes, a member's holding an upper bound on its weight and any
-    other vertex's its plain sum from the members, and the top bit of
-    every member's lane. A required member's lane holds its exact weight
-    rounded up. Raises InfeasibleError when ``req`` is not exponentially
-    independent.
+def _lanes(G: Graph) -> _Lanes:
+    """The lane layout of one α_e solve on G.
 
     A lane holds a sum of at most n terms of at most 1, so
     ``_LANE_BITS + 2 + n.bit_length()`` bits, rounded up to whole bytes,
     hold it and the bias without a carry into the next lane. A row's 255
-    can be a real distance only when n > 255. A term row is built by
-    C-level passes over the plain row, one translate per byte of a lane:
-    at n = 2 * 10 ** 4 that takes a third of the time of one join of the
-    table's lanes, and a row is built for every candidate tried."""
+    can be a real distance only when n > 255. A spread is one C-level
+    translate per byte of a lane: at n = 2 * 10 ** 4 it takes a third of
+    the time of one join of its lanes. Plain rows are kept for the whole
+    solve, and term rows, ``width`` times larger, while they fit in
+    ``_TERM_ROW_BYTES``; past that only the rows used last are kept, as a
+    large solve that seldom backtracks seldom reads a term row twice."""
     n = G.n
     width = (_LANE_BITS + 9 + n.bit_length()) // 8
     w = 8 * width
     one = 1 << _LANE_BITS
-    table, planes = _term_table(width, _LANE_BITS, n > 255)
+    planes = _term_planes(width, _LANE_BITS, n > 255)
     ones = int.from_bytes((b"\1" + bytes(width - 1)) * n, "little")
+    rows = cache(partial(plain_row, G))
 
-    @cache
-    def terms(v: int) -> int:
-        row = rows(v)
+    def spread(dist: bytes) -> int:
         lanes = bytearray(width * n)
         for i, plane in enumerate(planes):
-            lanes[i::width] = row.translate(plane)
+            lanes[i::width] = dist.translate(plane)
         return int.from_bytes(lanes, "little")
 
+    kept = _TERM_ROW_BYTES // (width * n or 1)
+    terms = lru_cache(None if kept >= n else kept)(lambda v: spread(rows(v)))
+    return _Lanes(w, one, ((1 << w - 1) - one) * ones, rows, spread, terms)
+
+
+def _root_state(G: Graph, req: frozenset, layout: _Lanes) -> tuple[frozenset, int, int]:
+    """The search state of the required set ``req`` on G in the lane
+    layout ``layout``: a triple ``(members, bounds, tops)`` of the members,
+    one int of lanes over 2 ** _LANE_BITS, a member's lane holding an upper
+    bound on its weight and any other vertex's its plain sum from the
+    members, and the top bit of every member's lane. A plain tuple, as
+    every accept builds one: a NamedTuple made the α_e search on the
+    benchmark's random graphs about 8 % slower. A required member's lane
+    holds its exact weight rounded up. Raises InfeasibleError when ``req``
+    is not exponentially independent."""
+    w = layout.w
     lane = (1 << w) - 1
-    bounds = sum(map(terms, req))
+    bounds = sum(map(layout.terms, req))
     for u in sorted(req):
         good, num, _ = _member_check(G, req, u)
         if not good:
             raise InfeasibleError(f"required set is not exponentially independent at vertex {u}")
         k = w * u
-        bounds += (_ceil(num, n) - (bounds >> k & lane)) << k
-    lanes = _Lanes(w, one, ((1 << w - 1) - one) * ones, terms, table)
-    return lanes, req, bounds, sum(1 << w * u + w - 1 for u in req)
+        bounds += (_ceil(num, G.n) - (bounds >> k & lane)) << k
+    return req, bounds, sum(1 << w * u + w - 1 for u in req)
 
 
 def _weight_floor(members: Collection[int], x: int, rows: Callable[[int], bytes]) -> int:
@@ -300,15 +319,15 @@ def _weight_floor(members: Collection[int], x: int, rows: Callable[[int], bytes]
     return floor
 
 
-def try_extend(G: Graph, state: tuple, v: int, rows: Callable[[int], bytes]) -> tuple | None:
+def try_extend(G: Graph, state: tuple, v: int, layout: _Lanes) -> tuple | None:
     """Incremental feasibility check for the members of ``state``, an
-    exponentially independent set, plus v. ``state`` is a tuple ``(lanes,
-    members, bounds, tops)`` as ``_root_state`` builds it: ``bounds`` holds
-    one lane per vertex over 2 ** _LANE_BITS, a member's an upper bound on
-    its weight and a non-member's its plain sum from the members, and
-    ``tops`` the top bit of each member's lane. ``rows`` maps a vertex to
-    its ``plain_row``. Returns the state of the grown set when it stays
-    independent, None otherwise. Ids are not checked here;
+    exponentially independent set, plus v. ``state`` is a triple
+    ``(members, bounds, tops)`` in the solve's lane layout ``layout``, as
+    ``_root_state`` builds it: ``bounds`` holds one lane per vertex over
+    2 ** _LANE_BITS, a member's an upper bound on its weight and a
+    non-member's its plain sum from the members, and ``tops`` the top bit
+    of each member's lane. Returns the state of the grown set when it
+    stays independent, None otherwise. Ids are not checked here;
     ``alpha_e_exact`` raises ParameterError for one outside the graph.
 
     One flow decides every call:
@@ -324,9 +343,10 @@ def try_extend(G: Graph, state: tuple, v: int, rows: Callable[[int], bytes]) -> 
        hold no adjacent pair.
     2. The grown lanes are ``bounds`` plus v's term row (``_Lanes.terms``):
        each lane grows by its plain term from v, or a member's by its term
-       of step 1 after a sweep. Blocking v only lengthens the paths
-       between the old members, so a member's grown lane bounds its weight
-       in the extended set.
+       of step 1 after a sweep, rounded up as a plain term is; a blocked
+       distance past 255 takes the term of 255, one unit on the scale.
+       Blocking v only lengthens the paths between the old members, so a
+       member's grown lane bounds its weight in the extended set.
     3. The hot members, those whose grown lane reaches 1, are the member
        lanes whose top bit fires once ``bias`` is added, read off ``tops``.
        Each takes a floor, on the members and v, and any floor that
@@ -347,8 +367,8 @@ def try_extend(G: Graph, state: tuple, v: int, rows: Callable[[int], bytes]) -> 
     ``alpha_e_exact`` calls this only for a candidate its dead mask
     leaves live (``_dead_marks``); a dead one is a reject this flow would
     also return, so the mask saves calls and changes no verdict."""
-    lanes, members, bounds, tops = state
-    w, one, bias, terms, table = lanes
+    members, bounds, tops = state
+    w, one, bias, rows, spread, terms = layout
     lane = (1 << w) - 1
     k = w * v
     row = terms(v)
@@ -359,12 +379,11 @@ def try_extend(G: Graph, state: tuple, v: int, rows: Callable[[int], bytes]) -> 
             return None
         # the member lanes take the sweep's blocked terms in place of the
         # plain ones, and v's lane its exact weight
-        width = w >> 3
-        blocked = bytearray(width * G.n)
+        dist = bytearray(G.n)
         for x, d in reached:
-            blocked[width * x : width * x + width] = table[d]
+            dist[x] = min(d, 255)
         member_lanes = (tops << 1) - (tops >> w - 1)
-        row += int.from_bytes(blocked, "little") - (row & member_lanes) + ((_ceil(num, G.n) - own) << k)
+        row += spread(dist) - (row & member_lanes) + ((_ceil(num, G.n) - own) << k)
     grown = bounds + row
     hot = (grown + bias) & tops
     members = members | {v}
@@ -383,7 +402,7 @@ def try_extend(G: Graph, state: tuple, v: int, rows: Callable[[int], bytes]) -> 
                 return None
             k = w * x
             grown += (_ceil(num, G.n) - (grown >> k & lane)) << k
-    return lanes, members, grown, tops | 1 << w * v + w - 1
+    return members, grown, tops | 1 << w * v + w - 1
 
 
 # A plain term 2 ** (1 - d) in quarters, by a row's distance byte d: 4, 2
@@ -510,11 +529,11 @@ def alpha_e_exact(
     if req & exc:
         raise ValueError("required and excluded sets overlap")
     order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
-    rows = cache(partial(plain_row, G))
+    layout = _lanes(G)
     cands = [v for v in order if v not in req and v not in exc]
-    w, join = _dead_marks(G, cands, [*req, *exc], rows)
+    w, join = _dead_marks(G, cands, [*req, *exc], layout.rows)
     lane = (1 << w) - 1
-    state = _root_state(G, req, rows)
+    state = _root_state(G, req, layout)
     q = dead = 0
     joined = []
     for u in sorted(req):
@@ -534,7 +553,7 @@ def alpha_e_exact(
     stack = [(0, state, q, dead)]
     while stack:
         i, state, q, dead = stack.pop()
-        members = state[1]
+        members = state[0]
         nodes += 1
         if deadline is not None and time.monotonic() >= deadline:
             status = "timeout"
@@ -556,7 +575,7 @@ def alpha_e_exact(
         if dead >> w * i & lane:
             continue
         v = cands[i]
-        grown = try_extend(G, state, v, rows)
+        grown = try_extend(G, state, v, layout)
         if grown is not None:
             q, dead = join(v, members, q, dead)
             stack.append((i + 1, grown, q, dead))

@@ -164,23 +164,26 @@ class TestBounds:
 
 
 def row_map(G):
-    """The plain-distance rows ``alpha_e_exact`` passes to try_extend."""
+    """The plain-distance rows the exact solvers read, one per vertex."""
     return cache(partial(plain_row, G))
 
 
-def start(G, rows):
-    """The empty set's try_extend state on G, as ``alpha_e_exact`` builds
-    it, and a reader of a state's lanes: ``lanes(state)`` maps each member
-    of a state to its lane, and ``lanes(state, x)`` is x's lane."""
-    state = solvers._root_state(G, frozenset(), rows)
-    w = state[0].w
+def start(G):
+    """The lane layout of one solve on G, the empty set's try_extend state
+    in it, as ``alpha_e_exact`` builds them, and a reader of a state's
+    lanes. A state is a triple ``(members, bounds, tops)``;
+    ``lanes(state)`` maps each member of a state to its lane, and
+    ``lanes(state, x)`` is x's lane."""
+    layout = solvers._lanes(G)
+    state = solvers._root_state(G, frozenset(), layout)
+    w = layout.w
 
     def lanes(state, x=None):
         if x is not None:
-            return state[2] >> w * x & (1 << w) - 1
-        return {y: lanes(state, y) for y in sorted(state[1])}
+            return state[1] >> w * x & (1 << w) - 1
+        return {y: lanes(state, y) for y in sorted(state[0])}
 
-    return state, lanes
+    return layout, state, lanes
 
 
 def on_lanes(num, n):
@@ -193,18 +196,17 @@ class TestIncrementalExtension:
         rng = random.Random(71)
         for trial in range(80):
             G = random_subcubic_graph(5 + trial % 10, trial % 3, trial + 1100)
-            rows = row_map(G)
-            state, _ = start(G, rows)
+            layout, state, _ = start(G)
             members = frozenset()
             order = list(range(G.n))
             rng.shuffle(order)
             for v in order:
-                step = try_extend(G, state, v, rows)
+                step = try_extend(G, state, v, layout)
                 full = ei_holds(G, members | {v})
                 assert (step is not None) == full, (trial, sorted(members), v)
                 if step is not None:
-                    assert step[1] == members | {v}
-                    members, state = step[1], step
+                    assert step[0] == members | {v}
+                    members, state = step[0], step
 
     def test_passing_recheck_stores_the_exact_weight(self, monkeypatch):
         # the two re-checks of this search that pass: when 13 joins
@@ -212,7 +214,7 @@ class TestIncrementalExtension:
         # and 12 to 1 or more; each reads 31744 / 2^15 and keeps that
         # exact weight, rounded up onto the lane scale, as its bound
         G = random_subcubic_graph(15, 1, 11)
-        _, lanes = start(G, row_map(G))
+        *_, lanes = start(G)
         passed, grown_maps = [], []
 
         def check(G, members, x):
@@ -221,8 +223,8 @@ class TestIncrementalExtension:
                 passed.append((x, frozenset(members), result[1]))
             return result
 
-        def extend(G, state, v, rows):
-            grown = try_extend(G, state, v, rows)
+        def extend(G, state, v, layout):
+            grown = try_extend(G, state, v, layout)
             if grown is not None:
                 grown_maps.append(lanes(grown))
             return grown
@@ -247,10 +249,9 @@ class TestIncrementalExtension:
         ids=["member-recheck"],
     )
     def test_floor_decided_reject_runs_no_sweep(self, monkeypatch, G, members, v):
-        rows = row_map(G)
-        state, _ = start(G, rows)
+        layout, state, _ = start(G)
         for u in members:
-            state = try_extend(G, state, u, rows)
+            state = try_extend(G, state, u, layout)
         sweeps = []
 
         def influence(G, members, u, cut=0):
@@ -265,12 +266,12 @@ class TestIncrementalExtension:
         # through the member check
         monkeypatch.setattr(solvers, "_influence", influence)
         monkeypatch.setattr(solvers, "_member_check", check)
-        assert try_extend(G, state, v, rows) is None
+        assert try_extend(G, state, v, layout) is None
         assert sweeps == []
         assert not ei_holds(G, set(members) | {v})
         # with a floor of 0 the same reject takes a kernel sweep
         monkeypatch.setattr(solvers, "_weight_floor", lambda *args: 0)
-        assert try_extend(G, state, v, rows) is None
+        assert try_extend(G, state, v, layout) is None
         assert sweeps
 
     # v's plain sum reaches 1 in each case. On the path 0..6, 2 lies between
@@ -293,10 +294,10 @@ class TestIncrementalExtension:
     def test_plain_sum_of_one_takes_one_sweep_from_v(self, monkeypatch, G, members, v):
         """v is decided by exactly one kernel sweep from v, which agrees
         with ``ei_holds``; no floor is read for v."""
-        rows = row_map(G)
-        state, _ = start(G, rows)
+        layout, state, _ = start(G)
+        rows = layout.rows
         for u in members:
-            state = try_extend(G, state, u, rows)
+            state = try_extend(G, state, u, layout)
         assert sum((2 << G.n) >> rows(v)[x] for x in members) >= 1 << G.n
         sweeps, floors = [], []
         weight_floor = solvers._weight_floor
@@ -311,7 +312,7 @@ class TestIncrementalExtension:
 
         monkeypatch.setattr(solvers, "_influence", influence)
         monkeypatch.setattr(solvers, "_weight_floor", floor)
-        grown = try_extend(G, state, v, rows)
+        grown = try_extend(G, state, v, layout)
         assert sweeps == [v]
         assert v not in floors
         assert (grown is not None) == ei_holds(G, set(members) | {v})
@@ -409,18 +410,18 @@ class TestInfluenceBounds:
 
     @given(cyclic_graphs(), st.data())
     def test_carried_bounds_dominate_exact_weights(self, G, data):
-        rows = row_map(G)
+        layout, state, lanes = start(G)
+        rows = layout.rows
         one = 1 << solvers._LANE_BITS
-        state, lanes = start(G, rows)
         members = frozenset()
         for v in data.draw(st.permutations(range(G.n))):
-            step = try_extend(G, state, v, rows)
+            step = try_extend(G, state, v, layout)
             assert (step is not None) == ei_holds(G, members | {v}), (list(G.edges()), sorted(members), v)
             if step is None or not data.draw(st.booleans()):
                 continue
-            assert step[1] == members | {v}
+            assert step[0] == members | {v}
             plain = plain_sum(G, rows(v), members)
-            members, state = step[1], step
+            members, state = step[0], step
             bounds = lanes(state)
             assert bounds[v] == (plain if plain < one else on_lanes(exact_weight(G, members, v), G.n))
             for x in members:
@@ -477,16 +478,20 @@ class TestInfluenceBounds:
     def test_weight_floor_is_exact_when_no_far_member_is_blocked(self, case):
         """When no other member lies on a shortest path from x to any
         member beyond distance 3, the clean terms the floor reads sum to
-        x's exact weight."""
+        x's exact weight, and the floor's verdict is that of their sum
+        rounded down onto the lane scale."""
         G, S = case
+        rows = row_map(G)
+        one = 1 << solvers._LANE_BITS
         for x in spread_points(G, S):
             dx = bfs_distances(G, x)
             reached = sum(dx[y] != INF for y in S - {x})
             clean = clean_distances(G, S, x)
             if len(clean) == reached:
-                assert sum((2 << G.n) >> d for d in clean) == blocked_weight(G, S, x), (
-                    list(G.edges()), sorted(S), x
-                )
+                where = (list(G.edges()), sorted(S), x)
+                assert sum((2 << G.n) >> d for d in clean) == blocked_weight(G, S, x), where
+                rounded = sum((2 * one) >> d for d in clean)
+                assert (solvers._weight_floor(S, x, rows) >= one) == (rounded >= one), where
 
     @given(cyclic_graphs(), st.data())
     def test_relaxation_reject_is_sound(self, G, data):
@@ -525,20 +530,40 @@ class TestFloorOnlySkipsSweeps:
         None, or an equal state with the same members, lanes and top bits.
         Each accepted vertex joins, so the set grows to a maximal one and
         the later calls meet the floors of a large set."""
-        rows = row_map(G)
-        state, _ = start(G, rows)
+        layout, state, _ = start(G)
         for v in data.draw(st.permutations(range(G.n))):
-            step = try_extend(G, state, v, rows)
+            step = try_extend(G, state, v, layout)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(solvers, "_weight_floor", lambda *args: 0)
-                swept = try_extend(G, state, v, rows)
-            where = (list(G.edges()), sorted(state[1]), v)
+                swept = try_extend(G, state, v, layout)
+            where = (list(G.edges()), sorted(state[0]), v)
             if step is None:
                 assert swept is None, where
             else:
                 assert swept is not None, where
                 assert swept == step, where
                 state = step
+
+
+def far_member_tree():
+    """A subcubic tree on 330 vertices, a set of members and a vertex v,
+    0, whose three arms hold members at distance 2, 3 and 4. Members
+    behind those, out of v's reach, lift v's plain sum to exactly 1 plus
+    the term of a member 301 hops down a path off the third arm; v's
+    weight is 7/8 plus that member's 2 ** -300."""
+    edges = []
+
+    def path(start, length):
+        # a path of new vertices hanging off start: each new vertex's id is
+        # the count of edges so far
+        first = len(edges) + 1
+        edges.extend((u - 1 if u > first else start, u) for u in range(first, first + length))
+        return list(range(first, first + length))
+
+    a, b, c = path(0, 6), path(0, 7), path(0, 8)
+    members = [a[1], b[2], c[3], a[5], path(a[3], 2)[1], path(a[4], 2)[1]]
+    members += [b[6], path(b[4], 2)[1], c[7], path(c[5], 2)[1], path(c[0], 300)[-1]]
+    return Graph(len(edges) + 1, edges), members, 0
 
 
 @st.composite
@@ -565,18 +590,18 @@ class TestPlainRowExtension:
 
     @given(extension_graphs(), st.data())
     def test_row_based_extension_matches_ei_holds(self, G, data):
-        rows = row_map(G)
+        layout, state, lanes = start(G)
+        rows = layout.rows
         one = 1 << solvers._LANE_BITS
-        state, lanes = start(G, rows)
         members = frozenset()
         for v in data.draw(st.permutations(range(G.n))):
-            step = try_extend(G, state, v, rows)
+            step = try_extend(G, state, v, layout)
             where = (list(G.edges()), sorted(members), v)
             assert (step is not None) == ei_holds(G, members | {v}), where
             if step is None:
                 continue
             grown = members | {v}
-            assert step[1] == grown
+            assert step[0] == grown
             bounds, lanes_now = lanes(state), lanes(step)
             for x in grown:
                 exact = on_lanes(exact_weight(G, grown, x), G.n)
@@ -605,16 +630,40 @@ class TestPlainRowExtension:
         # so it adds 2 ** (1 - 255), not its exact 2 ** (1 - 299)
         G = gen_path(300)
         two = 2 << G.n
-        rows = row_map(G)
+        layout, state, lanes = start(G)
+        rows = layout.rows
         assert rows(299)[0] == 255
         for x, d in enumerate(bfs_distances(G, 0)):
             assert two >> rows(0)[x] >= two >> d
-        state, lanes = start(G, rows)
-        grown = try_extend(G, try_extend(G, state, 0, rows), 299, rows)
+        grown = try_extend(G, try_extend(G, state, 0, layout), 299, layout)
         # 2 ** (1 - 255) rounded up onto the lane scale
         assert lanes(grown) == {0: plain_term(G, 255), 299: plain_term(G, 255)} == {0: 1, 299: 1}
-        assert exact_weight(G, grown[1], 0) == two >> 299
+        assert exact_weight(G, grown[0], 0) == two >> 299
         assert (two >> 299) << solvers._LANE_BITS < lanes(grown, 0) << G.n
+
+    def test_blocked_distance_past_255_takes_the_capped_term(self):
+        """v's plain sum reaches 1, so one sweep from v runs; it reaches a
+        member at a blocked distance past 255, whose term is one unit on
+        the lane scale, the term of a row's 255. v joins, as ``ei_holds``
+        says, directly and as the one candidate of a search."""
+        G, members, v = far_member_tree()
+        layout, state, lanes = start(G)
+        for u in members:
+            state = try_extend(G, state, u, layout)
+            assert state is not None, u
+        S = state[0]
+        assert lanes(state, v) >= 1 << solvers._LANE_BITS
+        num, reached = _influence(G, S, v)
+        assert num == (7 << G.n - 3) + ((2 << G.n) >> 301)
+        assert max(d for _, d in reached) == 301
+        grown = try_extend(G, state, v, layout)
+        assert ei_holds(G, S | {v}) and grown is not None
+        assert grown[0] == S | {v}
+        assert lanes(grown, v) == on_lanes(num, G.n)
+        for x in grown[0]:
+            assert lanes(grown, x) >= on_lanes(exact_weight(G, grown[0], x), G.n), x
+        rest = set(range(G.n)) - S - {v}
+        assert alpha_e_exact(G, required=S, excluded=rest).witness == tuple(sorted(S | {v}))
 
 
 def rule_marks(G, cands, S):
@@ -658,28 +707,27 @@ class TestDeadMask:
         fails ``ei_holds``, and a mark is never lifted. A few vertices
         stand outside the candidates, as required or excluded ones do, and
         may join as well."""
-        rows = row_map(G)
+        layout, state, _ = start(G)
         perm = data.draw(st.permutations(range(G.n)))
         split = data.draw(st.integers(0, min(3, G.n)))
         cands, others = perm[split:], perm[:split]
-        w, join = solvers._dead_marks(G, cands, others, rows)
+        w, join = solvers._dead_marks(G, cands, others, layout.rows)
         lane = (1 << w) - 1
         q = dead = 0
-        state, _ = start(G, rows)
         marked = set()
         for v in data.draw(st.permutations(range(G.n))):
-            step = try_extend(G, state, v, rows)
+            step = try_extend(G, state, v, layout)
             if step is None or not data.draw(st.booleans()):
                 continue
-            q, dead = join(v, state[1], q, dead)
+            q, dead = join(v, state[0], q, dead)
             state = step
-            S = state[1]
+            S = state[0]
             now = {p for p in range(len(cands)) if dead >> w * p & lane and cands[p] not in S}
             where = (list(G.edges()), sorted(S), cands)
             assert now == rule_marks(G, cands, S), where
             assert marked - now <= {p for p, u in enumerate(cands) if u in S}, where
             for p in now:
-                assert try_extend(G, state, cands[p], rows) is None, where + (cands[p],)
+                assert try_extend(G, state, cands[p], layout) is None, where + (cands[p],)
                 assert not ei_holds(G, S | {cands[p]}), where + (cands[p],)
             marked = now
 
@@ -691,10 +739,10 @@ class TestDeadMask:
         ``alpha_e_bruteforce``."""
         calls = [0]
 
-        def extend(G, state, v, rows):
-            assert state[1].isdisjoint(G.adj[v]), (sorted(state[1]), v)
+        def extend(G, state, v, layout):
+            assert state[0].isdisjoint(G.adj[v]), (sorted(state[0]), v)
             calls[0] += 1
-            return try_extend(G, state, v, rows)
+            return try_extend(G, state, v, layout)
 
         monkeypatch.setattr(solvers, "try_extend", extend)
         G = gen_path(30)
@@ -749,6 +797,20 @@ class TestLaneScale:
                 res, oracle = alpha_e_exact(G), alpha_e_bruteforce(G)
                 assert (res.optimum, res.witness) == (oracle.optimum, oracle.witness), list(G.edges())
 
+    @pytest.mark.parametrize("budget", [0, 100])
+    def test_term_rows_past_their_budget_are_rebuilt(self, monkeypatch, budget):
+        """With room for no term row, or for one or two on these graphs,
+        the search keeps at most that many and rebuilds the others when it
+        reads them again, with the same optima, witnesses and nodes."""
+        graphs, cyclic = identity_graphs()
+        cases = graphs[-20:] + cyclic[:20]
+        want = [alpha_e_exact(G).to_text() for G in cases]
+        monkeypatch.setattr(solvers, "_TERM_ROW_BYTES", budget)
+        for G in cases:
+            layout = solvers._lanes(G)
+            assert layout.terms.cache_info().maxsize == budget // (layout.w // 8 * G.n) < 3
+        assert [alpha_e_exact(G).to_text() for G in cases] == want
+
     @given(extension_graphs(), st.sampled_from([None, 2, 3]), st.data())
     def test_lanes_bound_exact_weights_and_plain_sums(self, G, bits, data):
         """After each join, and at the root of a required set, every
@@ -758,11 +820,10 @@ class TestLaneScale:
         with pytest.MonkeyPatch.context() as patch:
             if bits is not None:
                 patch.setattr(solvers, "_LANE_BITS", bits)
-            rows = row_map(G)
-            state, lanes = start(G, rows)
+            layout, state, lanes = start(G)
 
             def assert_bounds(state):
-                S = state[1]
+                S = state[0]
                 for x in range(G.n):
                     if x in S:
                         want = exact_weight(G, S, x)
@@ -771,11 +832,11 @@ class TestLaneScale:
                     assert lanes(state, x) << G.n >= want << solvers._LANE_BITS, (list(G.edges()), sorted(S), x)
 
             for v in data.draw(st.permutations(range(G.n))):
-                step = try_extend(G, state, v, rows)
+                step = try_extend(G, state, v, layout)
                 if step is not None and data.draw(st.booleans()):
                     state = step
                     assert_bounds(state)
-            assert_bounds(solvers._root_state(G, state[1], rows))
+            assert_bounds(solvers._root_state(G, state[0], layout))
 
 
 class TestSolverByteIdentity:

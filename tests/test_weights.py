@@ -3,7 +3,6 @@ import random
 import re
 import time
 from fractions import Fraction
-from functools import cache, partial
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -14,7 +13,7 @@ from expindep.constructors import (
     packing_separation,
     tree_good_set,
 )
-from expindep.solvers import _root_state, alpha_e_exact, try_extend
+from expindep.solvers import _lanes, _root_state, alpha_e_exact, try_extend
 from expindep.families import (
     canonical_set_tk,
     free_trees,
@@ -36,7 +35,6 @@ from expindep.graphs import (
     bfs_distances,
     induced_subgraph,
     is_tree,
-    plain_row,
 )
 from expindep import weights
 from expindep.weights import (
@@ -272,14 +270,14 @@ class TestKernel:
         except ValueError:
             assume(False)
         assert not is_tree(G)
-        rows = cache(partial(plain_row, G))
-        M, state = frozenset(), _root_state(G, frozenset(), rows)
+        layout = _lanes(G)
+        M, state = frozenset(), _root_state(G, frozenset(), layout)
         for v in data.draw(st.permutations(range(n))):
-            step = try_extend(G, state, v, rows)
-            grown = None if step is None else step[1]
+            step = try_extend(G, state, v, layout)
+            grown = None if step is None else step[0]
             assert grown == (M | {v} if ei_holds(G, M | {v}) else None), (list(G.edges()), sorted(M), v)
             if step is not None and data.draw(st.booleans()):
-                M, state = step[1], step
+                M, state = step[0], step
 
 
 def bfs_ei(G, S):
