@@ -29,19 +29,19 @@ scale 2 ** _LANE_BITS in the solve's layout (``_Lanes``), and an int of
 the member lanes' top bits. A member's lane holds an upper bound on its
 weight, and any other vertex's its plain sum, the total of
 2 ** (1 - dist_G(x, v)) over the members x, an upper bound on its
-weight were it to join and on what it would add to each member. Every term is rounded up onto the scale, so a lane stays an
-upper bound. When v joins, its own bound is one lane read, and usually
-it stays below 1: v is accepted with it as its bound, and the join adds
-v's term row, its plain terms to every lane, built from v's
-plain-distance row (below); no sweep runs. Only when
-v's lane reaches 1 does one kernel sweep from v decide v's own condition
-and find the members v reaches with their blocked distances d; a reached
-member's lane grows by 2 ** (1 - d), and a member v does not reach keeps
-its bound, as a shortest path through v would reach v. The members whose
-grown lane reaches 1 are read off at once, from the lanes' top bits after
-a bias add, and only they are re-checked, by one full sweep of the
-kernel's member check (``_member_check``): it rejects v, or it gives the
-member's exact weight, which, rounded up, becomes its bound.
+weight were it to join and on what it would add to each member. Every
+term is rounded up onto the scale, so a lane stays an upper bound.
+
+One flow joins every vertex, a branched candidate or a required one
+alike, and decides the new member v as it decides every other member.
+v becomes a member, and the join adds v's term row, its plain terms to
+every lane, built from v's plain-distance row (below); v's own lane
+stays its plain sum. No sweep runs for a lane that stays below 1. The
+members whose grown lane reaches 1, v among them when its plain sum
+does, are read off at once, from the lanes' top bits after a bias add,
+and only they are re-checked, by one full sweep of the kernel's member
+check (``_member_check``): it rejects v, or it gives the member's exact
+weight, which, rounded up, becomes its bound.
 
 Most of those re-checks would reject, and two facts let the rows decide
 them first. The blocked distance equals the plain one d when d <= 3,
@@ -51,16 +51,13 @@ z lies on a shortest path between the two, rx[z] + ry[z] == d on their
 rows. Summing the plain terms of such members gives an exact floor on a
 weight (``_weight_floor``), read only at the members' entries of the
 rows, each term rounded down onto the lane scale. The members due for a
-re-check take their floors first, all of them, on the members and v, so
-a floor that rejects v costs no sweep; otherwise the sweeps run as
-above. v itself takes no floor: its plain sum seldom reaches 1, and then
-its one sweep decides it.
+re-check take their floors first, all of them, so a floor that rejects
+v costs no sweep; otherwise the sweeps run as above.
 Every stored value is an upper bound and every reject comes from an
 exact check, so the verdicts, and so the search order and node count,
 are those of re-checking every member with exact weights; rounding can
-only add a sweep or a re-check. The equivalence with full
-re-verification is covered by tests, on the default scale and on one of
-a few bits.
+only add a re-check. The equivalence with full re-verification is
+covered by tests, on the default scale and on one of a few bits.
 
 Many rejects need no call at all, as they hold in every descendant. The
 search carries a dead mask over the candidate positions with each stack
@@ -87,7 +84,8 @@ the full report verifier, timeout witnesses included, and builds the
 Both searches read plain distances off rows built by
 ``graphs.plain_row``, one ``bytes`` row per vertex on its first use
 (``functools.cache``), each distance capped at 255 and 255 for an
-unreachable vertex. A capped distance only raises its term, so every sum
+unreachable vertex. A capped distance only raises its term, and the
+branch and bound reads a 255 as one unit on its scale, so every sum
 read off the rows is still an upper bound. The domination search keeps
 rows per component: a combination under which some vertex x gets a
 plain-distance sum below 1 cannot dominate x and is rejected before
@@ -115,7 +113,6 @@ from typing import Callable, Collection, Iterable, NamedTuple
 
 from .graphs import Graph, ParameterError, connected_components, induced_subgraph, plain_row
 from .weights import (
-    _influence,
     _member_check,
     _member_set,
     ed_holds,
@@ -187,18 +184,17 @@ def _ceil(num: int, n: int) -> int:
 
 
 @cache
-def _term_planes(width: int, bits: int, capped: bool) -> list[bytes]:
-    """The translate tables that take a row of distance bytes to its lanes
-    of plain terms. By a distance byte d, the term 2 ** (1 - d) over 2 **
-    bits, rounded up, is one little-endian lane of ``width`` bytes, and
-    table i holds byte i of every lane. A byte of 0 gives an empty lane,
-    so a vertex's own lane in its term row stays empty. A byte of 255 is a
-    distance of at least 255 when ``capped``, and otherwise an unreachable
-    vertex, whose term is 0."""
+def _term_planes(width: int, bits: int) -> list[bytes]:
+    """The translate tables that take a plain row to its lanes of plain
+    terms. By a distance byte d, the term 2 ** (1 - d) over 2 ** bits,
+    rounded up, is one little-endian lane of ``width`` bytes, and table i
+    holds byte i of every lane. A byte of 0 gives an empty lane, so a
+    vertex's own lane in its term row stays empty. A byte of 255, a
+    distance of at least 255 or an unreachable vertex, gives one unit, the
+    rounded-up term of any distance of 255 or more, at least the term of
+    every vertex it stands for."""
     two = 2 << bits
     terms = [0] + [max(two >> d, 1) for d in range(1, 256)]
-    if not capped:
-        terms[255] = 0
     lanes = [t.to_bytes(width, "little") for t in terms]
     return [bytes(lane[i] for lane in lanes) for i in range(width)]
 
@@ -207,16 +203,14 @@ class _Lanes(NamedTuple):
     """The lane layout of one α_e solve, built by ``_lanes``: ``w``-bit
     lanes, one per vertex, the lane of x at bit ``w * x``; ``one``, 1 on
     the scale; ``bias``, which lifts a lane of at least ``one`` into its
-    top bit, in every lane; ``rows``, a vertex's ``plain_row``; ``spread``,
-    the lanes of a row of distance bytes, each byte's plain term
-    (``_term_planes``); and ``terms``, a vertex's term row, the spread of
-    its plain row."""
+    top bit, in every lane; ``rows``, a vertex's ``plain_row``; and
+    ``terms``, a vertex's term row, the lanes of its plain row's terms
+    (``_term_planes``)."""
 
     w: int
     one: int
     bias: int
     rows: Callable[[int], bytes]
-    spread: Callable[[bytes], int]
     terms: Callable[[int], int]
 
 
@@ -225,66 +219,45 @@ def _lanes(G: Graph) -> _Lanes:
 
     A lane holds a sum of at most n terms of at most 1, so
     ``_LANE_BITS + 2 + n.bit_length()`` bits, rounded up to whole bytes,
-    hold it and the bias without a carry into the next lane. A row's 255
-    can be a real distance only when n > 255. A spread is one C-level
-    translate per byte of a lane: at n = 2 * 10 ** 4 it takes a third of
-    the time of one join of its lanes. Plain rows are kept for the whole
-    solve, and term rows, ``width`` times larger, while they fit in
-    ``_TERM_ROW_BYTES``; past that only the rows used last are kept, as a
-    large solve that seldom backtracks seldom reads a term row twice."""
+    hold it and the bias without a carry into the next lane. A term row is
+    one C-level translate of the plain row per byte of a lane: at
+    n = 2 * 10 ** 4 it takes a third of the time of one join of its lanes.
+    Plain rows are kept for the whole solve, and term rows, ``width``
+    times larger, while they fit in ``_TERM_ROW_BYTES``; past that only
+    the rows used last are kept, as a large solve that seldom backtracks
+    seldom reads a term row twice."""
     n = G.n
     width = (_LANE_BITS + 9 + n.bit_length()) // 8
     w = 8 * width
     one = 1 << _LANE_BITS
-    planes = _term_planes(width, _LANE_BITS, n > 255)
+    planes = _term_planes(width, _LANE_BITS)
     ones = int.from_bytes((b"\1" + bytes(width - 1)) * n, "little")
     rows = cache(partial(plain_row, G))
 
-    def spread(dist: bytes) -> int:
-        lanes = bytearray(width * n)
+    def term_row(v: int) -> int:
+        row, lanes = rows(v), bytearray(width * n)
         for i, plane in enumerate(planes):
-            lanes[i::width] = dist.translate(plane)
+            lanes[i::width] = row.translate(plane)
         return int.from_bytes(lanes, "little")
 
     kept = _TERM_ROW_BYTES // (width * n or 1)
-    terms = lru_cache(None if kept >= n else kept)(lambda v: spread(rows(v)))
-    return _Lanes(w, one, ((1 << w - 1) - one) * ones, rows, spread, terms)
-
-
-def _root_state(G: Graph, req: frozenset, layout: _Lanes) -> tuple[frozenset, int, int]:
-    """The search state of the required set ``req`` on G in the lane
-    layout ``layout``: a triple ``(members, bounds, tops)`` of the members,
-    one int of lanes over 2 ** _LANE_BITS, a member's lane holding an upper
-    bound on its weight and any other vertex's its plain sum from the
-    members, and the top bit of every member's lane. A plain tuple, as
-    every accept builds one: a NamedTuple made the α_e search on the
-    benchmark's random graphs about 8 % slower. A required member's lane
-    holds its exact weight rounded up. Raises InfeasibleError when ``req``
-    is not exponentially independent."""
-    w = layout.w
-    lane = (1 << w) - 1
-    bounds = sum(map(layout.terms, req))
-    for u in sorted(req):
-        good, num, _ = _member_check(G, req, u)
-        if not good:
-            raise InfeasibleError(f"required set is not exponentially independent at vertex {u}")
-        k = w * u
-        bounds += (_ceil(num, G.n) - (bounds >> k & lane)) << k
-    return req, bounds, sum(1 << w * u + w - 1 for u in req)
+    terms = lru_cache(None if kept >= n else kept)(term_row)
+    return _Lanes(w, one, ((1 << w - 1) - one) * ones, rows, terms)
 
 
 def _weight_floor(members: Collection[int], x: int, rows: Callable[[int], bytes]) -> int:
     """A lower bound on x's weight from the members other than x, over
     2 ** _LANE_BITS with every term rounded down, read off the plain rows
     of x and of the members alone. ``rows`` maps a vertex to its
-    ``plain_row``. The members must hold no adjacent pair, as in
-    ``try_extend``, and x may be one of them. A member y at plain distance
-    d adds its plain term 2 ** (1 - d) when its blocked distance is d too:
-    when d <= 3, as every inner vertex of such a path is next to x or y,
-    so no member while x has no member neighbour; or when no other member
-    z lies on a shortest x-y path, ``rx[z] + ry[z] == d``. Any other member
-    adds 0. A member at the capped distance 255 adds 0 and is never on a
-    path.
+    ``plain_row``. The bound holds when the members hold no adjacent pair,
+    and x may be one of them; ``try_extend`` reads it for a set with one
+    only when that set is not independent, where any reject is right. A
+    member y at plain distance d adds its plain term 2 ** (1 - d) when its
+    blocked distance is d too: when d <= 3, as every inner vertex of such
+    a path is next to x or y, so no member while x has no member
+    neighbour; or when no other member z lies on a shortest x-y path,
+    ``rx[z] + ry[z] == d``. Any other member adds 0. A member at the
+    capped distance 255 adds 0 and is never on a path.
 
     Near members are summed first, then the far ones by ascending d. The
     scan stops once the bound reaches 1 or once the far terms not yet read
@@ -322,35 +295,28 @@ def _weight_floor(members: Collection[int], x: int, rows: Callable[[int], bytes]
 def try_extend(G: Graph, state: tuple, v: int, layout: _Lanes) -> tuple | None:
     """Incremental feasibility check for the members of ``state``, an
     exponentially independent set, plus v. ``state`` is a triple
-    ``(members, bounds, tops)`` in the solve's lane layout ``layout``, as
-    ``_root_state`` builds it: ``bounds`` holds one lane per vertex over
-    2 ** _LANE_BITS, a member's an upper bound on its weight and a
-    non-member's its plain sum from the members, and ``tops`` the top bit
-    of each member's lane. Returns the state of the grown set when it
-    stays independent, None otherwise. Ids are not checked here;
+    ``(members, bounds, tops)`` in the solve's lane layout ``layout``: the
+    members, ``bounds`` one lane per vertex over 2 ** _LANE_BITS, a
+    member's an upper bound on its weight and a non-member's its plain sum
+    from the members, and ``tops`` the top bit of each member's lane. The
+    empty set's state is ``(frozenset(), 0, 0)``. A plain tuple, as every
+    accept builds one: a NamedTuple made the α_e search on the benchmark's
+    random graphs about 8 % slower. Returns the state of the grown set
+    when it stays independent, None otherwise. Ids are not checked here;
     ``alpha_e_exact`` raises ParameterError for one outside the graph.
 
-    One flow decides every call:
+    One flow decides every call, and v is decided as every member is:
 
-    1. v's lane is its plain sum, the total of 2 ** (1 - dist_G(x, v))
-       over the members x, each rounded up, at least v's weight. When it
-       reaches 1, one full sweep from v over the members decides v: it
-       rejects v when v's exact weight reaches 1, and otherwise v's lane
-       takes that weight rounded up, and each member x's term becomes
-       2 ** (1 - d) for the blocked distance d the sweep reaches it at,
-       and 0 when it does not. A member neighbour of v adds exactly 1 to
-       both sums, so such a v is rejected here, and the members of step 3
-       hold no adjacent pair.
+    1. v becomes a member: its top bit joins ``tops``.
     2. The grown lanes are ``bounds`` plus v's term row (``_Lanes.terms``):
-       each lane grows by its plain term from v, or a member's by its term
-       of step 1 after a sweep, rounded up as a plain term is; a blocked
-       distance past 255 takes the term of 255, one unit on the scale.
-       Blocking v only lengthens the paths between the old members, so a
-       member's grown lane bounds its weight in the extended set.
+       each lane grows by its plain term from v, rounded up, and v's own
+       lane, empty in its row, stays its plain sum. A plain term bounds
+       the blocked one, and blocking v only lengthens the paths between
+       the old members, so every member's grown lane, v's included,
+       bounds its weight in the extended set.
     3. The hot members, those whose grown lane reaches 1, are the member
        lanes whose top bit fires once ``bias`` is added, read off ``tops``.
-       Each takes a floor, on the members and v, and any floor that
-       reaches 1 rejects v.
+       Each takes a floor, and any floor that reaches 1 rejects v.
     4. Each hot member is then decided by one ``_member_check``, which
        rejects v or stores the member's exact weight rounded up in its
        lane.
@@ -360,33 +326,22 @@ def try_extend(G: Graph, state: tuple, v: int, layout: _Lanes) -> tuple | None:
     most 3, or when no other member lies on a shortest path between the
     two, for then the blocked distance is the plain one. A floor that
     reaches 1 rejects v with no ``_member_check``. Most re-checks reject,
-    and most are decided this way. Every reject comes from an exact
-    check, and a lane only ever rounds up, so the verdict is that of
-    exact weights; rounding can only add a sweep or a re-check.
+    and most are decided this way. A member neighbour of v lifts both
+    their lanes, and both floors, by exactly 1, so such a v is rejected
+    by a floor; the floors assume no adjacent pair, and while v has no
+    member neighbour the members hold none. Every reject comes from an
+    exact check, and a lane only ever rounds up, so the verdict is that of
+    exact weights; rounding can only add a re-check.
 
     ``alpha_e_exact`` calls this only for a candidate its dead mask
     leaves live (``_dead_marks``); a dead one is a reject this flow would
     also return, so the mask saves calls and changes no verdict."""
     members, bounds, tops = state
-    w, one, bias, rows, spread, terms = layout
-    lane = (1 << w) - 1
-    k = w * v
-    row = terms(v)
-    own = bounds >> k & lane
-    if own >= one:
-        num, reached = _influence(G, members, v)
-        if num >= 1 << G.n:
-            return None
-        # the member lanes take the sweep's blocked terms in place of the
-        # plain ones, and v's lane its exact weight
-        dist = bytearray(G.n)
-        for x, d in reached:
-            dist[x] = min(d, 255)
-        member_lanes = (tops << 1) - (tops >> w - 1)
-        row += spread(dist) - (row & member_lanes) + ((_ceil(num, G.n) - own) << k)
-    grown = bounds + row
-    hot = (grown + bias) & tops
+    w, one, bias, rows, terms = layout
     members = members | {v}
+    tops |= 1 << w * v + w - 1
+    grown = bounds + terms(v)
+    hot = (grown + bias) & tops
     if hot:
         found = []
         while hot:
@@ -396,13 +351,14 @@ def try_extend(G: Graph, state: tuple, v: int, layout: _Lanes) -> tuple | None:
         for x in found:
             if _weight_floor(members, x, rows) >= one:
                 return None
+        lane = (1 << w) - 1
         for x in found:
             good, num, _ = _member_check(G, members, x)
             if not good:
                 return None
             k = w * x
             grown += (_ceil(num, G.n) - (grown >> k & lane)) << k
-    return members, grown, tops | 1 << w * v + w - 1
+    return members, grown, tops
 
 
 # A plain term 2 ** (1 - d) in quarters, by a row's distance byte d: 4, 2
@@ -517,12 +473,15 @@ def alpha_e_exact(
     Each stack entry carries the ``try_extend`` state of its members, the
     near-floor vector and the dead mask of ``_dead_marks``, all shared by
     the exclude child; only an include builds new ones. The required
-    members join first, each with its exact weight rounded up as its
-    bound. A node whose candidate is dead is a reject node with no
-    ``try_extend`` call: it is counted, reads the clock, takes the count
-    prune and the leaf test, and pushes its exclude child. The mask holds
-    in every descendant, so the nodes, optimum and witness are those of
-    calling ``try_extend`` at every node."""
+    members join first, in ascending id, each by ``try_extend`` from the
+    empty set's state, as a branched candidate joins; the first reject
+    raises InfeasibleError, which names the least required vertex whose
+    own check fails in the whole required set. A node whose candidate is
+    dead is a reject node with no ``try_extend`` call: it is counted,
+    reads the clock, takes the count prune and the leaf test, and pushes
+    its exclude child. The mask holds in every descendant, so the nodes,
+    optimum and witness are those of calling ``try_extend`` at every
+    node."""
     deadline = _deadline(time_budget)
     req = _member_set(G, required)
     exc = _member_set(G, excluded)
@@ -533,15 +492,19 @@ def alpha_e_exact(
     cands = [v for v in order if v not in req and v not in exc]
     w, join = _dead_marks(G, cands, [*req, *exc], layout.rows)
     lane = (1 << w) - 1
-    state = _root_state(G, req, layout)
+    state = (frozenset(), 0, 0)
     q = dead = 0
-    joined = []
-    for u in sorted(req):
-        q, dead = join(u, joined, q, dead)
-        joined.append(u)
+    best_set = tuple(sorted(req))
+    for u in best_set:
+        grown = try_extend(G, state, u, layout)
+        if grown is None:
+            # name the least member that fails in the whole required set
+            u = next(x for x in best_set if not _member_check(G, req, x)[0])
+            raise InfeasibleError(f"required set is not exponentially independent at vertex {u}")
+        q, dead = join(u, state[0], q, dead)
+        state = grown
 
     best_size = len(req)
-    best_set = tuple(sorted(req))
     nodes = 0
     ncands = len(cands)
 

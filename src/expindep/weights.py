@@ -22,11 +22,11 @@ and every verdict here and in the solvers. It walks out from the source
 level by level, records each member it meets without expanding it, and
 costs only the part of the graph it reaches. On n vertices every reached
 distance is below n, so every weight is an integer over 2**n: the kernel
-returns it, the solvers store it as is, and each verdict compares it with
-1 << n. While it sweeps, the kernel keeps the sum on a local scale, an
-integer over 2**(d - 1) for the last level d that held a member, so a
-level costs d-bit operations at most and the one shift onto 2**n comes
-at the end. Given a cut, it also stops as soon as the verdict is
+returns it, each verdict compares it with 1 << n, and the branch and
+bound rounds it up onto its own scale. While it sweeps, the kernel keeps
+the sum on a local scale, an integer over 2**(d - 1) for the last level
+d that held a member, so a level costs d-bit operations at most and the
+one shift onto 2**n comes at the end. Given a cut, it also stops as soon as the verdict is
 decided: the weight so far has reached the cut, or it stays below the
 cut even if every member not yet met sits one level further out. Both
 are exact integer comparisons, so every verdict is unchanged.
@@ -34,8 +34,9 @@ are exact integer comparisons, so every verdict is unchanged.
 a cycle, where a packing's sweeps would otherwise each cover most of the
 graph; every caller that
 needs the full weight or every reached pair passes none. The branch
-and bound's member re-checks pass none either: each is one
-``_member_check``, as a member that passes keeps its exact weight. Most
+and bound sweeps only in its member re-checks, the new member's own
+included, and they pass none either: each is one ``_member_check``, as
+a member that passes keeps its exact weight. Most
 branch-and-bound nodes run no sweep at all: a plain-distance sum accepts
 most candidates, a dead mask rejects most of the rest with no call, and
 an exact floor read off the same distance rows decides most member
@@ -343,11 +344,10 @@ def _influence(
     sweep, and the verdict is exact. ``ei_holds`` (cut 3, on a graph with
     a cycle) and ``ed_holds`` (cut 1, on every graph) pass a cut; every
     caller that needs the full weight or every pair passes none:
-    ``weight``, ``weight_details``, ``_member_check`` (and so the member
-    re-checks in ``solvers.try_extend``, where a member that passes keeps
-    its exact weight, rounded up onto the solver's lane scale), and
-    ``try_extend``'s sweep from the new member when its plain sum reaches
-    1."""
+    ``weight``, ``weight_details`` and ``_member_check``, and so the
+    member re-checks in ``solvers.try_extend``, the new member's own
+    included, where a member that passes keeps its exact weight, rounded
+    up onto the solver's lane scale."""
     adj = G.adj
     seen = bytearray(G.n)
     seen[u] = 1

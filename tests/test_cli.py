@@ -229,6 +229,19 @@ class TestSolve:
         witness = out.splitlines()[-1].split()[1:]
         assert "3" in witness
 
+    def test_infeasible_required_set_names_its_least_failing_vertex(self, tmp_path):
+        # the join of 1 is the one rejected, but the error names the least
+        # required vertex whose own check fails in the whole required set
+        g = tmp_path / "g.el"
+        g.write_text("5 2\n0 1\n3 4\n")
+        req = tmp_path / "req.txt"
+        req.write_text("0\n1\n")
+        rc, out, err = run("solve", "--param", "alpha-e", "--graph", g,
+                           "--require-set", req)
+        assert rc == 3
+        assert out == ""
+        assert err == "error: required set is not exponentially independent at vertex 0\n"
+
     @pytest.mark.parametrize("bad", ["-1", "3", "9"])
     def test_require_set_outside_the_graph(self, tmp_path, bad):
         # -1 used to wrap an index and print a witness holding -1 with

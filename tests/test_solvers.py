@@ -33,7 +33,7 @@ from expindep.graphs import (
     is_tree,
     plain_row,
 )
-from expindep import solvers
+from expindep import solvers, weights
 from expindep.solvers import (
     InfeasibleError,
     SearchResult,
@@ -175,7 +175,7 @@ def start(G):
     ``lanes(state)`` maps each member of a state to its lane, and
     ``lanes(state, x)`` is x's lane."""
     layout = solvers._lanes(G)
-    state = solvers._root_state(G, frozenset(), layout)
+    state = (frozenset(), 0, 0)
     w = layout.w
 
     def lanes(state, x=None):
@@ -184,6 +184,16 @@ def start(G):
         return {y: lanes(state, y) for y in sorted(state[0])}
 
     return layout, state, lanes
+
+
+def joined(G, layout, members):
+    """The state of ``members``, an exponentially independent set, built as
+    ``alpha_e_exact`` joins a required set: by ``try_extend`` from the
+    empty set's state, in ascending id."""
+    state = (frozenset(), 0, 0)
+    for u in sorted(members):
+        state = try_extend(G, state, u, layout)
+    return state
 
 
 def on_lanes(num, n):
@@ -258,14 +268,9 @@ class TestIncrementalExtension:
             sweeps.append(u)
             return _influence(G, members, u, cut)
 
-        def check(G, members, x):
-            sweeps.append(x)
-            return _member_check(G, members, x)
-
-        # the sweep from v goes through the kernel, a member's re-check
-        # through the member check
-        monkeypatch.setattr(solvers, "_influence", influence)
-        monkeypatch.setattr(solvers, "_member_check", check)
+        # every kernel sweep, a member's re-check included, runs in the
+        # weights module
+        monkeypatch.setattr(weights, "_influence", influence)
         assert try_extend(G, state, v, layout) is None
         assert sweeps == []
         assert not ei_holds(G, set(members) | {v})
@@ -279,8 +284,8 @@ class TestIncrementalExtension:
     # On the spider with centre 0 and legs 0-1, 0-2-{3, 7}, 0-4-{5, 6}, 3
     # reads 7 at 2, 1 at 3, and 5 and 6 at 4, an exact weight of 1. On the
     # 22-vertex graph v's plain sum is exactly 1, but each shortest path to
-    # one member at distance 5 passes another member: the sweep reaches it
-    # at 9, v's weight is 241/256, and v joins.
+    # one member at distance 5 passes another member: v's member check
+    # reaches it at 9, v's weight is 241/256, and v joins.
     @pytest.mark.parametrize(
         "G, members, v",
         [
@@ -291,15 +296,20 @@ class TestIncrementalExtension:
         ],
         ids=["between-members", "member-neighbour", "far-clean-terms", "blocked-far-terms"],
     )
-    def test_plain_sum_of_one_takes_one_sweep_from_v(self, monkeypatch, G, members, v):
-        """v is decided by exactly one kernel sweep from v, which agrees
-        with ``ei_holds``; no floor is read for v."""
+    def test_plain_sum_of_one_is_decided_as_a_hot_member(self, monkeypatch, G, members, v):
+        """v is decided as every hot member is: ``solvers`` runs no kernel
+        sweep of its own, v is hot and its floor is read with the other
+        hot members' floors, in id order and before any member check, up
+        to the first floor that rejects; at most one member check runs
+        from v, every kernel sweep is a member check, and the verdict
+        agrees with ``ei_holds``."""
         layout, state, _ = start(G)
         rows = layout.rows
         for u in members:
             state = try_extend(G, state, u, layout)
         assert sum((2 << G.n) >> rows(v)[x] for x in members) >= 1 << G.n
-        sweeps, floors = [], []
+        assert not hasattr(solvers, "_influence")
+        events, sweeps = [], []
         weight_floor = solvers._weight_floor
 
         def influence(G, members, u, cut=0):
@@ -307,14 +317,27 @@ class TestIncrementalExtension:
             return _influence(G, members, u, cut)
 
         def floor(members, x, rows):
-            floors.append(x)
+            events.append(("floor", x))
             return weight_floor(members, x, rows)
 
-        monkeypatch.setattr(solvers, "_influence", influence)
+        def check(G, members, x):
+            events.append(("check", x))
+            return _member_check(G, members, x)
+
+        monkeypatch.setattr(weights, "_influence", influence)
         monkeypatch.setattr(solvers, "_weight_floor", floor)
+        monkeypatch.setattr(solvers, "_member_check", check)
         grown = try_extend(G, state, v, layout)
-        assert sweeps == [v]
-        assert v not in floors
+        floors = [x for kind, x in events if kind == "floor"]
+        checks = [x for kind, x in events if kind == "check"]
+        total, w = state[1] + layout.terms(v), layout.w
+        hot = [x for x in sorted(state[0] | {v}) if total >> w * x & (1 << w) - 1 >= layout.one]
+        assert v in hot
+        assert floors == hot or (floors == hot[: len(floors)] and grown is None and not checks)
+        assert checks == hot[: len(checks)]
+        assert events == [("floor", x) for x in floors] + [("check", x) for x in checks]
+        assert checks.count(v) <= 1
+        assert sweeps == checks
         assert (grown is not None) == ei_holds(G, set(members) | {v})
 
 
@@ -337,9 +360,9 @@ def exact_weight(G, members, x):
 
 def plain_term(G, d):
     """The plain term 2 ** (1 - d) of a row's distance byte d, rounded up
-    onto the lane scale: 0 for the 255 of an unreachable vertex on fewer
-    than 254 vertices."""
-    return on_lanes((2 << G.n) >> d, G.n)
+    onto the lane scale: one unit for a 255, on every graph, as it stands
+    for an unreachable vertex or a distance of 255 or more."""
+    return on_lanes((2 << G.n) >> d, G.n) if d < 255 else 1
 
 
 def plain_sum(G, row, members):
@@ -585,8 +608,8 @@ def extension_graphs(draw):
 
 
 class TestPlainRowExtension:
-    """try_extend with plain-distance rows: the pre-check accepts with the
-    plain sum as v's bound, and the sweep runs only when that sum reaches 1."""
+    """try_extend with plain-distance rows: v is accepted with its plain sum
+    as its bound, and takes a member check only when that sum reaches 1."""
 
     @given(extension_graphs(), st.data())
     def test_row_based_extension_matches_ei_holds(self, G, data):
@@ -618,10 +641,10 @@ class TestPlainRowExtension:
             else:
                 assert lanes_now[v] == on_lanes(exact_weight(G, grown, v), G.n)
             for x in members:
-                if row[x] == 255:
-                    # unreachable from v: its term is 0 on these graphs,
-                    # and the sweep never reaches it
-                    assert lanes_now[x] == bounds[x], where + (x,)
+                if row[x] == 255 and bounds[x] + 1 < one:
+                    # unreachable from v, on these graphs: its term is one
+                    # unit, and it takes no re-check
+                    assert lanes_now[x] == bounds[x] + 1, where + (x,)
             if data.draw(st.booleans()):
                 members, state = grown, step
 
@@ -642,10 +665,11 @@ class TestPlainRowExtension:
         assert (two >> 299) << solvers._LANE_BITS < lanes(grown, 0) << G.n
 
     def test_blocked_distance_past_255_takes_the_capped_term(self):
-        """v's plain sum reaches 1, so one sweep from v runs; it reaches a
-        member at a blocked distance past 255, whose term is one unit on
-        the lane scale, the term of a row's 255. v joins, as ``ei_holds``
-        says, directly and as the one candidate of a search."""
+        """v's plain sum reaches 1, so v takes its member check; the check
+        reaches a member at a blocked distance past 255, whose term rounds
+        up to one unit on the lane scale, the term of a row's 255. v
+        joins, as ``ei_holds`` says, directly and as the one candidate of a
+        search."""
         G, members, v = far_member_tree()
         layout, state, lanes = start(G)
         for u in members:
@@ -836,7 +860,7 @@ class TestLaneScale:
                 if step is not None and data.draw(st.booleans()):
                     state = step
                     assert_bounds(state)
-            assert_bounds(solvers._root_state(G, state[0], layout))
+            assert_bounds(joined(G, layout, state[0]))
 
 
 class TestSolverByteIdentity:

@@ -13,7 +13,7 @@ from expindep.constructors import (
     packing_separation,
     tree_good_set,
 )
-from expindep.solvers import _lanes, _root_state, alpha_e_exact, try_extend
+from expindep.solvers import _lanes, alpha_e_exact, try_extend
 from expindep.families import (
     canonical_set_tk,
     free_trees,
@@ -263,15 +263,16 @@ class TestKernel:
     @given(st.integers(4, 24), st.integers(1, 4), st.integers(0, 10**6), st.data())
     def test_try_extend_matches_ei_holds(self, n, extra, seed, data):
         """On graphs with a cycle, growing an independent M vertex by
-        vertex with its carried bounds: try_extend gives M | {v} exactly
-        when that set is independent, else None."""
+        vertex with its carried bounds from the empty set's state:
+        try_extend gives M | {v} exactly when that set is independent,
+        else None."""
         try:
             G = random_subcubic_graph(n, extra, seed)
         except ValueError:
             assume(False)
         assert not is_tree(G)
         layout = _lanes(G)
-        M, state = frozenset(), _root_state(G, frozenset(), layout)
+        M, state = frozenset(), (frozenset(), 0, 0)
         for v in data.draw(st.permutations(range(n))):
             step = try_extend(G, state, v, layout)
             grown = None if step is None else step[0]
