@@ -23,8 +23,8 @@ a set that grows by v can only lower the influence between its other
 members.
 
 Feasibility along the branch-and-bound path is checked incrementally.
-Every stack entry carries a state of its members, one int of
-fixed-width lanes, one lane per vertex in id order, all on the fixed
+Every stack entry carries a state: its members, a tuple in join order, one
+int of fixed-width lanes, one lane per vertex in id order, all on the fixed
 scale 2 ** _LANE_BITS in the solve's layout (``_Lanes``), and an int of
 the member lanes' top bits. A member's lane holds an upper bound on its
 weight, and any other vertex's its plain sum, the total of
@@ -40,7 +40,8 @@ stays its plain sum. No sweep runs for a lane that stays below 1. The
 members whose grown lane reaches 1, v among them when its plain sum
 does, are read off at once, from the lanes' top bits after a bias add,
 and only they are re-checked, by one full sweep of the kernel's member
-check (``_member_check``): it rejects v, or it gives the member's exact
+check (``_member_check``) over a frozenset of the members, built once per
+join that has such a member: it rejects v, or it gives the member's exact
 weight, which, rounded up, becomes its bound.
 
 Most of those re-checks would reject, and two facts let the rows decide
@@ -73,8 +74,10 @@ candidate is a reject in the node's whole subtree. A join adds the new
 member's quarter row to the vector and ORs in the rings of the members
 whose floor passed a threshold. A node whose candidate is dead counts as
 a reject node: it reads the clock and takes the count prune and the leaf
-test, and pushes its exclude child alone, with no ``try_extend``. So the
-nodes, and the witness, are those of calling it there.
+test, with no ``try_extend``. Its one child, the exclude child, would be
+the next entry popped, so a run of dead candidates is walked within one
+pop, node by node, with no push. So the nodes, and the witness, are those
+of calling ``try_extend`` there.
 
 Every search, both exact solvers and the brute-force oracle, returns
 through one exit, ``_certified``: it sorts the witness, re-checks it with
@@ -82,11 +85,12 @@ the full report verifier, timeout witnesses included, and builds the
 ``SearchResult``, whose optimum is the witness's size.
 
 Both searches read plain distances off rows built by
-``graphs.plain_row``, one ``bytes`` row per vertex on its first use
-(``functools.cache``), each distance capped at 255 and 255 for an
-unreachable vertex. A capped distance only raises its term, and the
-branch and bound reads a 255 as one unit on its scale, so every sum
-read off the rows is still an upper bound. The domination search keeps
+``graphs.plain_row``, one ``bytes`` row per vertex on its first use, each
+distance capped at 255 and 255 for an unreachable vertex; the branch and
+bound keeps them under the byte budget of its term rows (``_lanes``). A
+capped distance only raises its term, and the branch and bound reads a
+255 as one unit on its scale, so every sum read off the rows is still an
+upper bound. The domination search keeps
 rows per component: a combination under which some vertex x gets a
 plain-distance sum below 1 cannot dominate x and is rejected before
 ``ed_holds`` runs; members never trip this test, since their own term
@@ -172,8 +176,9 @@ def _certified(G: Graph, witness: Iterable[int], nodes: int, status: str, verifi
 # upper bound is rounded up onto it and a floor's terms are rounded down
 _LANE_BITS = 20
 
-# the bytes of term rows one solve keeps; past them only the rows used last
-# are kept, and any other is rebuilt when it is read again
+# the bytes of term rows one solve keeps, and apart from them the bytes of
+# plain rows; past them only the rows used last are kept, and any other is
+# rebuilt when it is read again
 _TERM_ROW_BYTES = 1 << 24
 
 
@@ -222,17 +227,25 @@ def _lanes(G: Graph) -> _Lanes:
     hold it and the bias without a carry into the next lane. A term row is
     one C-level translate of the plain row per byte of a lane: at
     n = 2 * 10 ** 4 it takes a third of the time of one join of its lanes.
-    Plain rows are kept for the whole solve, and term rows, ``width``
-    times larger, while they fit in ``_TERM_ROW_BYTES``; past that only
-    the rows used last are kept, as a large solve that seldom backtracks
-    seldom reads a term row twice."""
+    Plain rows, and term rows, ``width`` times larger, are each kept while
+    they fit in ``_TERM_ROW_BYTES``; past that only the rows used last are
+    kept, as a large solve that seldom backtracks seldom reads a row twice.
+    Kept for the whole solve, the plain rows alone grew by 20 KB for each
+    candidate tried at n = 2 * 10 ** 4."""
     n = G.n
     width = (_LANE_BITS + 9 + n.bit_length()) // 8
     w = 8 * width
     one = 1 << _LANE_BITS
     planes = _term_planes(width, _LANE_BITS)
     ones = int.from_bytes((b"\1" + bytes(width - 1)) * n, "little")
-    rows = cache(partial(plain_row, G))
+
+    def kept(row_bytes: int) -> int | None:
+        # how many rows of row_bytes fit in the budget; None, no bound, when
+        # every vertex's row fits
+        most = _TERM_ROW_BYTES // (row_bytes or 1)
+        return None if most >= n else most
+
+    rows = lru_cache(kept(n))(partial(plain_row, G))
 
     def term_row(v: int) -> int:
         row, lanes = rows(v), bytearray(width * n)
@@ -240,8 +253,7 @@ def _lanes(G: Graph) -> _Lanes:
             lanes[i::width] = row.translate(plane)
         return int.from_bytes(lanes, "little")
 
-    kept = _TERM_ROW_BYTES // (width * n or 1)
-    terms = lru_cache(None if kept >= n else kept)(term_row)
+    terms = lru_cache(kept(width * n))(term_row)
     return _Lanes(w, one, ((1 << w - 1) - one) * ones, rows, terms)
 
 
@@ -299,15 +311,18 @@ def try_extend(G: Graph, state: tuple, v: int, layout: _Lanes) -> tuple | None:
     members, ``bounds`` one lane per vertex over 2 ** _LANE_BITS, a
     member's an upper bound on its weight and a non-member's its plain sum
     from the members, and ``tops`` the top bit of each member's lane. The
-    empty set's state is ``(frozenset(), 0, 0)``. A plain tuple, as every
-    accept builds one: a NamedTuple made the α_e search on the benchmark's
-    random graphs about 8 % slower. Returns the state of the grown set
-    when it stays independent, None otherwise. Ids are not checked here;
-    ``alpha_e_exact`` raises ParameterError for one outside the graph.
+    members are a tuple in join order, so a join appends v rather than
+    building a set; the empty set's state is ``((), 0, 0)``. The state is a
+    plain tuple, as every accept builds one: a NamedTuple made the α_e
+    search on the benchmark's random graphs about 8 % slower. Returns the
+    state of the grown set when it stays independent, None otherwise. Ids
+    are not checked here; ``alpha_e_exact`` raises ParameterError for one
+    outside the graph.
 
     One flow decides every call, and v is decided as every member is:
 
-    1. v becomes a member: its top bit joins ``tops``.
+    1. v becomes a member: it is appended to the members, and its top bit
+       joins ``tops``.
     2. The grown lanes are ``bounds`` plus v's term row (``_Lanes.terms``):
        each lane grows by its plain term from v, rounded up, and v's own
        lane, empty in its row, stays its plain sum. A plain term bounds
@@ -319,7 +334,9 @@ def try_extend(G: Graph, state: tuple, v: int, layout: _Lanes) -> tuple | None:
        Each takes a floor, and any floor that reaches 1 rejects v.
     4. Each hot member is then decided by one ``_member_check``, which
        rejects v or stores the member's exact weight rounded up in its
-       lane.
+       lane. The checks sweep over a frozenset of the members, built once
+       for all of them, since ``in`` on the tuple would cost each reached
+       vertex a scan of the members.
 
     A floor is ``_weight_floor``, an exact lower bound on a weight read off
     the rows: a member's plain term counts when the plain distance is at
@@ -338,7 +355,7 @@ def try_extend(G: Graph, state: tuple, v: int, layout: _Lanes) -> tuple | None:
     also return, so the mask saves calls and changes no verdict."""
     members, bounds, tops = state
     w, one, bias, rows, terms = layout
-    members = members | {v}
+    members += (v,)
     tops |= 1 << w * v + w - 1
     grown = bounds + terms(v)
     hot = (grown + bias) & tops
@@ -352,8 +369,10 @@ def try_extend(G: Graph, state: tuple, v: int, layout: _Lanes) -> tuple | None:
             if _weight_floor(members, x, rows) >= one:
                 return None
         lane = (1 << w) - 1
+        # the sweeps test membership at every vertex they reach
+        swept = frozenset(members)
         for x in found:
-            good, num, _ = _member_check(G, members, x)
+            good, num, _ = _member_check(G, swept, x)
             if not good:
                 return None
             k = w * x
@@ -478,8 +497,10 @@ def alpha_e_exact(
     raises InfeasibleError, which names the least required vertex whose
     own check fails in the whole required set. A node whose candidate is
     dead is a reject node with no ``try_extend`` call: it is counted,
-    reads the clock, takes the count prune and the leaf test, and pushes
-    its exclude child. The mask holds in every descendant, so the nodes,
+    reads the clock, and takes the count prune and the leaf test. Its
+    exclude child, its only one, would be the next entry popped, so a run
+    of dead candidates is walked within one pop, each node in that order
+    and none pushed. The mask holds in every descendant, so the nodes,
     optimum and witness are those of calling ``try_extend`` at every
     node."""
     deadline = _deadline(time_budget)
@@ -492,7 +513,7 @@ def alpha_e_exact(
     cands = [v for v in order if v not in req and v not in exc]
     w, join = _dead_marks(G, cands, [*req, *exc], layout.rows)
     lane = (1 << w) - 1
-    state = (frozenset(), 0, 0)
+    state = ((), 0, 0)
     q = dead = 0
     best_set = tuple(sorted(req))
     for u in best_set:
@@ -510,38 +531,42 @@ def alpha_e_exact(
 
     # depth first on an explicit stack, so no candidate count reaches the
     # recursion limit; pushing the exclude child first explores the
-    # include child first. A dead candidate is a reject read off the
-    # mask: its node pushes the exclude child alone, with no try_extend
+    # include child first. A dead candidate is a reject read off the mask,
+    # whose node would push its exclude child alone, the next entry
+    # popped: the inner loop walks such a run of nodes with no push
     status = "optimal"
     stack = [(0, state, q, dead)]
     while stack:
         i, state, q, dead = stack.pop()
         members = state[0]
-        nodes += 1
-        if deadline is not None and time.monotonic() >= deadline:
-            status = "timeout"
-            # the stopped node's members are exponentially independent too;
-            # the incumbent changes only at a leaf, which a search on a
-            # large graph may never reach within its budget
-            if len(members) > best_size:
-                best_set = tuple(sorted(members))
-            break
-        if len(members) + (ncands - i) < best_size:
-            continue
-        if i == ncands:
-            size = len(members)
-            tup = tuple(sorted(members))
-            if size > best_size or (size == best_size and tup < best_set):
-                best_size, best_set = size, tup
-            continue
-        stack.append((i + 1, state, q, dead))
-        if dead >> w * i & lane:
-            continue
-        v = cands[i]
-        grown = try_extend(G, state, v, layout)
-        if grown is not None:
-            q, dead = join(v, members, q, dead)
-            stack.append((i + 1, grown, q, dead))
+        size = len(members)
+        while True:
+            nodes += 1
+            if deadline is not None and time.monotonic() >= deadline:
+                status = "timeout"
+                # the stopped node's members are exponentially independent
+                # too; the incumbent changes only at a leaf, which a search
+                # on a large graph may never reach within its budget
+                if size > best_size:
+                    best_set = tuple(sorted(members))
+                stack.clear()
+                break
+            if size + (ncands - i) < best_size:
+                break
+            if i == ncands:
+                tup = tuple(sorted(members))
+                if size > best_size or (size == best_size and tup < best_set):
+                    best_size, best_set = size, tup
+                break
+            if not dead >> w * i & lane:
+                stack.append((i + 1, state, q, dead))
+                v = cands[i]
+                grown = try_extend(G, state, v, layout)
+                if grown is not None:
+                    q, dead = join(v, members, q, dead)
+                    stack.append((i + 1, grown, q, dead))
+                break
+            i += 1
 
     return _certified(G, best_set, nodes, status, is_exponentially_independent)
 

@@ -171,11 +171,11 @@ def row_map(G):
 def start(G):
     """The lane layout of one solve on G, the empty set's try_extend state
     in it, as ``alpha_e_exact`` builds them, and a reader of a state's
-    lanes. A state is a triple ``(members, bounds, tops)``;
-    ``lanes(state)`` maps each member of a state to its lane, and
-    ``lanes(state, x)`` is x's lane."""
+    lanes. A state is a triple ``(members, bounds, tops)``, the members a
+    tuple in join order; ``lanes(state)`` maps each member of a state to
+    its lane, and ``lanes(state, x)`` is x's lane."""
     layout = solvers._lanes(G)
-    state = (frozenset(), 0, 0)
+    state = ((), 0, 0)
     w = layout.w
 
     def lanes(state, x=None):
@@ -190,7 +190,7 @@ def joined(G, layout, members):
     """The state of ``members``, an exponentially independent set, built as
     ``alpha_e_exact`` joins a required set: by ``try_extend`` from the
     empty set's state, in ascending id."""
-    state = (frozenset(), 0, 0)
+    state = ((), 0, 0)
     for u in sorted(members):
         state = try_extend(G, state, u, layout)
     return state
@@ -215,8 +215,8 @@ class TestIncrementalExtension:
                 full = ei_holds(G, members | {v})
                 assert (step is not None) == full, (trial, sorted(members), v)
                 if step is not None:
-                    assert step[0] == members | {v}
-                    members, state = step[0], step
+                    assert step[0] == (*state[0], v)
+                    members, state = frozenset(step[0]), step
 
     def test_passing_recheck_stores_the_exact_weight(self, monkeypatch):
         # the two re-checks of this search that pass: when 13 joins
@@ -331,7 +331,7 @@ class TestIncrementalExtension:
         floors = [x for kind, x in events if kind == "floor"]
         checks = [x for kind, x in events if kind == "check"]
         total, w = state[1] + layout.terms(v), layout.w
-        hot = [x for x in sorted(state[0] | {v}) if total >> w * x & (1 << w) - 1 >= layout.one]
+        hot = [x for x in sorted({*state[0], v}) if total >> w * x & (1 << w) - 1 >= layout.one]
         assert v in hot
         assert floors == hot or (floors == hot[: len(floors)] and grown is None and not checks)
         assert checks == hot[: len(checks)]
@@ -339,6 +339,22 @@ class TestIncrementalExtension:
         assert checks.count(v) <= 1
         assert sweeps == checks
         assert (grown is not None) == ei_holds(G, set(members) | {v})
+
+    def test_member_checks_sweep_a_frozenset(self, monkeypatch):
+        """A state holds its members as a tuple, but every member check
+        sweeps over a frozenset, as ``in`` on a tuple would make each
+        sweep slow on a large graph."""
+        kinds = []
+
+        def check(G, members, x):
+            kinds.append(type(members))
+            return _member_check(G, members, x)
+
+        monkeypatch.setattr(solvers, "_member_check", check)
+        graphs, cyclic = identity_graphs()
+        for G in graphs + cyclic:
+            alpha_e_exact(G)
+        assert kinds and set(kinds) == {frozenset}
 
 
 @st.composite
@@ -442,9 +458,9 @@ class TestInfluenceBounds:
             assert (step is not None) == ei_holds(G, members | {v}), (list(G.edges()), sorted(members), v)
             if step is None or not data.draw(st.booleans()):
                 continue
-            assert step[0] == members | {v}
+            assert step[0] == (*state[0], v)
             plain = plain_sum(G, rows(v), members)
-            members, state = step[0], step
+            members, state = frozenset(step[0]), step
             bounds = lanes(state)
             assert bounds[v] == (plain if plain < one else on_lanes(exact_weight(G, members, v), G.n))
             for x in members:
@@ -624,7 +640,7 @@ class TestPlainRowExtension:
             if step is None:
                 continue
             grown = members | {v}
-            assert step[0] == grown
+            assert step[0] == (*state[0], v)
             bounds, lanes_now = lanes(state), lanes(step)
             for x in grown:
                 exact = on_lanes(exact_weight(G, grown, x), G.n)
@@ -675,14 +691,14 @@ class TestPlainRowExtension:
         for u in members:
             state = try_extend(G, state, u, layout)
             assert state is not None, u
-        S = state[0]
+        S = frozenset(state[0])
         assert lanes(state, v) >= 1 << solvers._LANE_BITS
         num, reached = _influence(G, S, v)
         assert num == (7 << G.n - 3) + ((2 << G.n) >> 301)
         assert max(d for _, d in reached) == 301
         grown = try_extend(G, state, v, layout)
         assert ei_holds(G, S | {v}) and grown is not None
-        assert grown[0] == S | {v}
+        assert grown[0] == (*state[0], v)
         assert lanes(grown, v) == on_lanes(num, G.n)
         for x in grown[0]:
             assert lanes(grown, x) >= on_lanes(exact_weight(G, grown[0], x), G.n), x
@@ -745,7 +761,7 @@ class TestDeadMask:
                 continue
             q, dead = join(v, state[0], q, dead)
             state = step
-            S = state[0]
+            S = frozenset(state[0])
             now = {p for p in range(len(cands)) if dead >> w * p & lane and cands[p] not in S}
             where = (list(G.edges()), sorted(S), cands)
             assert now == rule_marks(G, cands, S), where
@@ -764,7 +780,7 @@ class TestDeadMask:
         calls = [0]
 
         def extend(G, state, v, layout):
-            assert state[0].isdisjoint(G.adj[v]), (sorted(state[0]), v)
+            assert frozenset(state[0]).isdisjoint(G.adj[v]), (sorted(state[0]), v)
             calls[0] += 1
             return try_extend(G, state, v, layout)
 
@@ -825,7 +841,8 @@ class TestLaneScale:
     def test_term_rows_past_their_budget_are_rebuilt(self, monkeypatch, budget):
         """With room for no term row, or for one or two on these graphs,
         the search keeps at most that many and rebuilds the others when it
-        reads them again, with the same optima, witnesses and nodes."""
+        reads them again, with the same optima, witnesses and nodes. The
+        plain rows are kept under the same budget, at most a few of them."""
         graphs, cyclic = identity_graphs()
         cases = graphs[-20:] + cyclic[:20]
         want = [alpha_e_exact(G).to_text() for G in cases]
@@ -833,6 +850,7 @@ class TestLaneScale:
         for G in cases:
             layout = solvers._lanes(G)
             assert layout.terms.cache_info().maxsize == budget // (layout.w // 8 * G.n) < 3
+            assert layout.rows.cache_info().maxsize == budget // G.n < 9
         assert [alpha_e_exact(G).to_text() for G in cases] == want
 
     @given(extension_graphs(), st.sampled_from([None, 2, 3]), st.data())
@@ -1065,6 +1083,45 @@ class TestBudgetChecks:
         assert (res.status, res.nodes_explored) == ("timeout", k)
         assert res.optimum == len(res.witness) > 0
         assert ei_holds(G, res.witness)
+
+    def test_stop_inside_a_run_of_dead_candidates(self, monkeypatch):
+        """The nodes of a run of dead candidates are walked within one pop
+        of the stack, and a stop can land on any of them: a stop at node k
+        inside a run has read the clock k + 1 times, and returns that
+        node's members. The nodes before the 30-path's first leaf come from
+        a plain include-first search that tests each include with
+        ``ei_holds``; a node is dead when ``rule_marks`` marks its
+        position, and inside a run when the node before it is its parent
+        and dead too."""
+        G = gen_path(30)
+        cands = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
+        nodes, stack = [], [(0, ())]
+        while len(nodes) < G.n:
+            i, S = stack.pop()
+            nodes.append((i, S))
+            stack.append((i + 1, S))
+            if ei_holds(G, (*S, cands[i])):
+                stack.append((i + 1, (*S, cands[i])))
+        dead = [i in rule_marks(G, cands, set(S)) for i, S in nodes]
+        inside = [
+            k
+            for k in range(2, len(nodes) + 1)
+            if dead[k - 1] and dead[k - 2] and nodes[k - 2] == (nodes[k - 1][0] - 1, nodes[k - 1][1])
+        ]
+        assert len(inside) >= 3
+        for k in inside:
+            reads = []
+
+            def clock():
+                reads.append(len(reads))
+                return 0.0 if len(reads) <= k else 10.0
+
+            monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=clock))
+            res = alpha_e_exact(G, time_budget=1.0)
+            members = nodes[k - 1][1]
+            assert (res.status, res.nodes_explored, len(reads)) == ("timeout", k, k + 1)
+            assert members and res.witness == tuple(sorted(members)), k
+            assert ei_holds(G, res.witness)
 
     @pytest.mark.parametrize("solve", [alpha_e_exact, gamma_e_exact])
     def test_no_budget_never_reads_the_clock(self, monkeypatch, solve):

@@ -264,21 +264,21 @@ class TestKernel:
     def test_try_extend_matches_ei_holds(self, n, extra, seed, data):
         """On graphs with a cycle, growing an independent M vertex by
         vertex with its carried bounds from the empty set's state:
-        try_extend gives M | {v} exactly when that set is independent,
-        else None."""
+        try_extend gives M's members in join order followed by v exactly
+        when M | {v} is independent, else None."""
         try:
             G = random_subcubic_graph(n, extra, seed)
         except ValueError:
             assume(False)
         assert not is_tree(G)
         layout = _lanes(G)
-        M, state = frozenset(), (frozenset(), 0, 0)
+        M, state = frozenset(), ((), 0, 0)
         for v in data.draw(st.permutations(range(n))):
             step = try_extend(G, state, v, layout)
             grown = None if step is None else step[0]
-            assert grown == (M | {v} if ei_holds(G, M | {v}) else None), (list(G.edges()), sorted(M), v)
+            assert grown == ((*state[0], v) if ei_holds(G, M | {v}) else None), (list(G.edges()), sorted(M), v)
             if step is not None and data.draw(st.booleans()):
-                M, state = step[0], step
+                M, state = frozenset(step[0]), step
 
 
 def bfs_ei(G, S):
