@@ -61,23 +61,23 @@ only add a re-check. The equivalence with full re-verification is
 covered by tests, on the default scale and on one of a few bits.
 
 Many rejects need no call at all, as they hold in every descendant. The
-search carries a dead mask over the candidate positions with each stack
-entry (``_dead_marks``), beside a vector of near floors: each vertex's
-plain terms from the members at distance 3 or less, counted in quarters,
-which are exact blocked terms while no two members are adjacent. A
-candidate is dead when it neighbours a member or its own floor reaches 1,
-or when it lies at distance 2 of a member whose floor is at least 1/2, or
-at distance 3 of one whose floor is at least 3/4: that member's weight
-would reach 1. Near floors never shrink as members join, and every
-subset of an exponentially independent set is independent, so a dead
-candidate is a reject in the node's whole subtree. A join adds the new
-member's quarter row to the vector and ORs in the rings of the members
-whose floor passed a threshold. A node whose candidate is dead counts as
-a reject node: it reads the clock and takes the count prune and the leaf
-test, with no ``try_extend``. Its one child, the exclude child, would be
-the next entry popped, so a run of dead candidates is walked within one
-pop, node by node, with no push. So the nodes, and the witness, are those
-of calling ``try_extend`` there.
+search carries a dead mask, one lane per vertex in id order, with each
+stack entry (``_dead_marks``), beside a vector of near floors in the same
+lanes: each vertex's plain terms from the members at distance 3 or less,
+counted in quarters, which are exact blocked terms while no two members
+are adjacent. A candidate is dead when it neighbours a member or its own
+floor reaches 1, or when it lies at distance 2 of a member whose floor is
+at least 1/2, or at distance 3 of one whose floor is at least 3/4: that
+member's weight would reach 1. Near floors never shrink as members join,
+and every subset of an exponentially independent set is independent, so a
+dead candidate is a reject in the node's whole subtree. A join adds the
+new member's quarter row to the vector and ORs in the rings of the
+members whose floor passed a threshold. A node whose candidate is dead
+counts as a reject node: it reads the clock and takes the count prune and
+the leaf test, with no ``try_extend``. Its one child, the exclude child,
+would be the next entry popped, so a run of dead candidates is walked
+within one pop, node by node, with no push. So the nodes, and the
+witness, are those of calling ``try_extend`` there.
 
 Every search, both exact solvers and the brute-force oracle, returns
 through one exit, ``_certified``: it sorts the witness, re-checks it with
@@ -86,24 +86,26 @@ the full report verifier, timeout witnesses included, and builds the
 
 Both searches read plain distances off rows built by
 ``graphs.plain_row``, one ``bytes`` row per vertex on its first use, each
-distance capped at 255 and 255 for an unreachable vertex; the branch and
-bound keeps them under the byte budget of its term rows (``_lanes``). A
-capped distance only raises its term, and the branch and bound reads a
-255 as one unit on its scale, so every sum read off the rows is still an
-upper bound. The domination search keeps
-rows per component: a combination under which some vertex x gets a
-plain-distance sum below 1 cannot dominate x and is rejected before
-``ed_holds`` runs; members never trip this test, since their own term
-is 2. It walks each size's combinations depth first and holds the plain
-sums of each prefix of picks, one list per depth, integers over one
-table scale, 2 ** min(n, 256): a row's capped distances keep every term
-on it exact. A combination is first tested in O(1), at the vertex that
-rejected the last one, and then at every vertex by one C-level pass over
-its prefix's sums; every combination is still counted.
+distance capped at 255 and 255 for an unreachable vertex, and both keep
+their sums in the one lane layout of ``_lanes``: a row's plain terms,
+rounded up onto the scale 2 ** _LANE_BITS, are spread into a term row
+by the helper that also spreads the dead mask's quarter and ring rows
+(``_spread``), and rows are kept under a byte budget. A capped distance
+only raises its term, and a 255 reads as one unit on the scale, so every
+sum read off the rows is still an upper bound. The domination search
+keeps one layout per component: a combination under which some vertex x
+gets a plain-distance sum below 1 cannot dominate x and is rejected
+before ``ed_holds`` runs; a member never trips this test, since its own
+term is 2. It walks each size's combinations depth first and holds the
+plain sums of each prefix of picks as one lane int per depth, so a
+combination is tested at every vertex by one add of its last pick's term
+row and one mask of the lanes' top bits; every combination is still
+counted.
 
 With a time budget, both searches read the clock once per node or
-combination, so a budget is overrun by at most one node's cost; with no
-budget they never read it.
+combination, and the branch and bound once per required join too, so a
+budget is overrun by at most one node's or join's cost; with no budget
+they never read it.
 """
 
 from __future__ import annotations
@@ -112,7 +114,6 @@ import time
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import combinations
-from operator import add, itemgetter
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from .graphs import Graph, ParameterError, connected_components, induced_subgraph, plain_row
@@ -191,36 +192,48 @@ def _ceil(num: int, n: int) -> int:
 @cache
 def _term_planes(width: int, bits: int) -> list[bytes]:
     """The translate tables that take a plain row to its lanes of plain
-    terms. By a distance byte d, the term 2 ** (1 - d) over 2 ** bits,
-    rounded up, is one little-endian lane of ``width`` bytes, and table i
-    holds byte i of every lane. A byte of 0 gives an empty lane, so a
-    vertex's own lane in its term row stays empty. A byte of 255, a
-    distance of at least 255 or an unreachable vertex, gives one unit, the
-    rounded-up term of any distance of 255 or more, at least the term of
-    every vertex it stands for."""
+    terms (``_spread``). By a distance byte d, the term 2 ** (1 - d) over
+    2 ** bits, rounded up, is one lane of ``width`` bytes. A byte of 0
+    gives an empty lane, so a vertex's own lane in its term row stays
+    empty. A byte of 255, a distance of at least 255 or an unreachable
+    vertex, gives one unit, the rounded-up term of any distance of 255 or
+    more, at least the term of every vertex it stands for."""
     two = 2 << bits
     terms = [0] + [max(two >> d, 1) for d in range(1, 256)]
     lanes = [t.to_bytes(width, "little") for t in terms]
     return [bytes(lane[i] for lane in lanes) for i in range(width)]
 
 
+def _spread(row: bytes, planes: list[bytes]) -> int:
+    """The lanes of a plain row as one int, by one C-level translate of
+    the row per byte of a lane: lane x, at bit ``8 * len(planes) * x``, is
+    the little-endian number whose byte i is ``planes[i][row[x]]``."""
+    width = len(planes)
+    lanes = bytearray(width * len(row))
+    for i, plane in enumerate(planes):
+        lanes[i::width] = row.translate(plane)
+    return int.from_bytes(lanes, "little")
+
+
 class _Lanes(NamedTuple):
-    """The lane layout of one α_e solve, built by ``_lanes``: ``w``-bit
-    lanes, one per vertex, the lane of x at bit ``w * x``; ``one``, 1 on
-    the scale; ``bias``, which lifts a lane of at least ``one`` into its
-    top bit, in every lane; ``rows``, a vertex's ``plain_row``; and
-    ``terms``, a vertex's term row, the lanes of its plain row's terms
-    (``_term_planes``)."""
+    """The lane layout of one solve, built by ``_lanes``: ``w``-bit lanes,
+    one per vertex, the lane of x at bit ``w * x``; ``one``, 1 on the
+    scale; ``bias``, which lifts a lane of at least ``one`` into its top
+    bit, in every lane; ``tops``, the top bit of every lane; ``rows``, a
+    vertex's ``plain_row``; and ``terms``, a vertex's term row, the lanes
+    of its plain row's terms (``_term_planes``)."""
 
     w: int
     one: int
     bias: int
+    tops: int
     rows: Callable[[int], bytes]
     terms: Callable[[int], int]
 
 
 def _lanes(G: Graph) -> _Lanes:
-    """The lane layout of one α_e solve on G.
+    """The lane layout of one α_e solve on G, or of one γ_e search on a
+    component.
 
     A lane holds a sum of at most n terms of at most 1, so
     ``_LANE_BITS + 2 + n.bit_length()`` bits, rounded up to whole bytes,
@@ -246,15 +259,8 @@ def _lanes(G: Graph) -> _Lanes:
         return None if most >= n else most
 
     rows = lru_cache(kept(n))(partial(plain_row, G))
-
-    def term_row(v: int) -> int:
-        row, lanes = rows(v), bytearray(width * n)
-        for i, plane in enumerate(planes):
-            lanes[i::width] = row.translate(plane)
-        return int.from_bytes(lanes, "little")
-
-    terms = lru_cache(kept(width * n))(term_row)
-    return _Lanes(w, one, ((1 << w - 1) - one) * ones, rows, terms)
+    terms = lru_cache(kept(width * n))(lambda v: _spread(rows(v), planes))
+    return _Lanes(w, one, ((1 << w - 1) - one) * ones, ones << w - 1, rows, terms)
 
 
 def _weight_floor(members: Collection[int], x: int, rows: Callable[[int], bytes]) -> int:
@@ -354,7 +360,7 @@ def try_extend(G: Graph, state: tuple, v: int, layout: _Lanes) -> tuple | None:
     leaves live (``_dead_marks``); a dead one is a reject this flow would
     also return, so the mask saves calls and changes no verdict."""
     members, bounds, tops = state
-    w, one, bias, rows, terms = layout
+    w, one, bias, _, rows, terms = layout
     members += (v,)
     tops |= 1 << w * v + w - 1
     grown = bounds + terms(v)
@@ -389,21 +395,20 @@ _RING3 = bytes((0, 0, 0, 1)).ljust(256, b"\0")
 
 
 def _dead_marks(
-    G: Graph, cands: list[int], others: Iterable[int], rows: Callable[[int], bytes]
+    G: Graph, rows: Callable[[int], bytes]
 ) -> tuple[int, Callable[[int, Iterable[int], int, int], tuple[int, int]]]:
-    """The include step of ``alpha_e_exact``'s dead mask over the candidate
-    positions, for the candidates ``cands`` in branching order and the
-    other vertices ``others``; ``rows`` maps a vertex to its ``plain_row``.
+    """The include step of ``alpha_e_exact``'s dead mask; ``rows`` maps a
+    vertex to its ``plain_row``.
 
     The state is a pair of ints ``(q, dead)`` in lanes of w bits, one lane
-    per vertex, candidate position p at bit w * p and ``others`` above
-    them. A lane of ``q`` holds the vertex's near floor, its plain terms
-    from the members at distance 3 or less counted in quarters, and a
-    nonzero lane of ``dead`` marks its candidate as dead. Returns
-    ``(w, join)``: the empty set's state is ``(0, 0)``, and ``join(v,
-    members, q, dead)`` gives the state once v joins ``members``, an
-    exponentially independent set that v keeps independent. A candidate u
-    is dead when
+    per vertex in id order, the lane of x at bit ``w * x``. A lane of
+    ``q`` holds the vertex's near floor, its plain terms from the members
+    at distance 3 or less counted in quarters, and a nonzero lane of
+    ``dead`` marks the vertex as dead, which the search reads only at its
+    candidates. Returns ``(w, join)``: the empty set's state is ``(0, 0)``,
+    and ``join(v, members, q, dead)`` gives the state once v joins
+    ``members``, an exponentially independent set that v keeps
+    independent. A vertex u is dead when
 
     - its own floor reaches 4 quarters, which a member neighbour does, or
     - some member x at distance 2 has a floor of at least 2 quarters, or
@@ -419,7 +424,8 @@ def _dead_marks(
     enough that no sum carries out of its lane: with degree at most D a
     floor is at most 4D + 2D(D - 1) + D(D - 1) ** 2 quarters (36 on a
     subcubic graph). Each vertex's quarter row and ring masks are built on
-    its first join only, by C-level passes over its plain row."""
+    its first join only, each spread from its plain row as a term row is
+    (``_spread``)."""
     n = G.n
     top = max(map(len, G.adj)) if n else 0
     most = 4 * top + 2 * top * (top - 1) + top * (top - 1) ** 2
@@ -428,40 +434,33 @@ def _dead_marks(
         width += 1
     w = 8 * width
     lane = (1 << w) - 1
-    ones = int.from_bytes((bytes(width - 1) + b"\1") * n, "big")  # 1 in every lane
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * n, "little")  # 1 in every lane
     bias = ((1 << w - 1) - 4) * ones  # a floor of 4 carries into the top bit
     tops = ones << w - 1
-    # the vertices in the byte order of the lane ints; a lane's upper bytes,
-    # and one leading byte that keeps the pick a tuple, read index n, past
-    # the end of a row, where the row is padded with 0
-    order = [*others, *reversed(cands)]
-    pick = itemgetter(n, *[y for x in order for y in (*[n] * (width - 1), x)])
+    # every value fits in a lane's low byte
+    planes = [[table, *[bytes(256)] * (width - 1)] for table in (_QUARTERS, _RING2, _RING3)]
     memo = {}
 
-    def near(x: int) -> tuple[int, int, int, int]:
-        # the bit offset of x's lane, and x's quarter row and its rings at
-        # distance 2 and 3 as lane ints; every member has been v once
-        r = bytes(pick(rows(x) + b"\0"))
-        got = memo[x] = (
-            w * (n - 1 - order.index(x)),
-            int.from_bytes(r.translate(_QUARTERS), "big"),
-            int.from_bytes(r.translate(_RING2), "big"),
-            int.from_bytes(r.translate(_RING3), "big"),
-        )
+    def near(x: int) -> list[int]:
+        # x's quarter row and its rings at distance 2 and 3 as lane ints;
+        # every member has been v once
+        row = rows(x)
+        got = memo[x] = [_spread(row, p) for p in planes]
         return got
 
     def join(v: int, members: Iterable[int], q: int, dead: int) -> tuple[int, int]:
-        k, quarters, ring2, ring3 = memo.get(v) or near(v)
+        quarters, ring2, ring3 = memo.get(v) or near(v)
         grown = q + quarters
         dead |= (grown + bias) & tops
-        floor = q >> k & lane
+        floor = q >> w * v & lane
         if floor:  # some member at distance 2 or 3
             if floor >= 2:
                 dead |= ring2 if floor == 2 else ring2 | ring3
             rv = rows(v)
             for x in members:
                 if rv[x] < 4:  # x's floor rose, below 4
-                    k, _, ring2, ring3 = memo[x]
+                    _, ring2, ring3 = memo[x]
+                    k = w * x
                     floor = grown >> k & lane
                     if floor >= 2:
                         if q >> k & lane < 2:
@@ -495,14 +494,18 @@ def alpha_e_exact(
     members join first, in ascending id, each by ``try_extend`` from the
     empty set's state, as a branched candidate joins; the first reject
     raises InfeasibleError, which names the least required vertex whose
-    own check fails in the whole required set. A node whose candidate is
-    dead is a reject node with no ``try_extend`` call: it is counted,
-    reads the clock, and takes the count prune and the leaf test. Its
-    exclude child, its only one, would be the next entry popped, so a run
-    of dead candidates is walked within one pop, each node in that order
-    and none pushed. The mask holds in every descendant, so the nodes,
-    optimum and witness are those of calling ``try_extend`` at every
-    node."""
+    own check fails in the whole required set. Under a budget each join
+    first reads the clock; a stop there decides the required set with
+    ``ei_holds``, raises the same InfeasibleError when it fails, and
+    otherwise returns it with status "timeout" and one node, as a stop at
+    the first node would. A node whose candidate is dead, its lane set
+    in the mask, is a reject node with no ``try_extend`` call: it is
+    counted, reads the clock, and takes the count prune and the leaf
+    test. Its exclude child, its only one, would be the next entry popped,
+    so a run of dead candidates is walked within one pop, each node in
+    that order and none pushed. The mask holds in every descendant, so the
+    nodes, optimum and witness are those of calling ``try_extend`` at
+    every node."""
     deadline = _deadline(time_budget)
     req = _member_set(G, required)
     exc = _member_set(G, excluded)
@@ -511,13 +514,20 @@ def alpha_e_exact(
     order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
     layout = _lanes(G)
     cands = [v for v in order if v not in req and v not in exc]
-    w, join = _dead_marks(G, cands, [*req, *exc], layout.rows)
+    w, join = _dead_marks(G, layout.rows)
     lane = (1 << w) - 1
     state = ((), 0, 0)
     q = dead = 0
     best_set = tuple(sorted(req))
     for u in best_set:
-        grown = try_extend(G, state, u, layout)
+        if deadline is not None and time.monotonic() >= deadline:
+            # the joins stop at the budget: the set is decided at once, and
+            # is the incumbent of a search that stops at its first node
+            if ei_holds(G, req):
+                return _certified(G, best_set, 1, "timeout", is_exponentially_independent)
+            grown = None
+        else:
+            grown = try_extend(G, state, u, layout)
         if grown is None:
             # name the least member that fails in the whole required set
             u = next(x for x in best_set if not _member_check(G, req, x)[0])
@@ -558,7 +568,7 @@ def alpha_e_exact(
                 if size > best_size or (size == best_size and tup < best_set):
                     best_size, best_set = size, tup
                 break
-            if not dead >> w * i & lane:
+            if not dead >> w * cands[i] & lane:
                 stack.append((i + 1, state, q, dead))
                 v = cands[i]
                 grown = try_extend(G, state, v, layout)
@@ -586,19 +596,6 @@ def alpha_e_bruteforce(G: Graph) -> SearchResult:
     return _certified(G, (), nodes, "optimal", is_exponentially_independent)
 
 
-def _plain_scale(n: int) -> tuple[int, list[int]]:
-    """The domination relaxation's scale for a graph on n vertices:
-    ``(one, table)`` with one = 2 ** min(n, 256) and ``table[d]`` the plain
-    term 2 ** (1 - d) over it, for every distance d a ``plain_row`` holds.
-    A row caps its distances at 255, and in a connected graph every
-    distance is below n, so each term a row of one component reads off the
-    table is an exact integer, and a sum compares with ``one`` as the
-    rational sum compares with 1."""
-    scale = min(n, 256)
-    two = 2 << scale
-    return 1 << scale, [two >> d for d in range(256)]
-
-
 def _least_dominating(G: Graph, deadline: float | None) -> tuple[tuple[int, ...] | None, int]:
     """The first exponentially dominating combination of the connected
     graph G, by size and then in lexicographic order, and the number of
@@ -607,39 +604,31 @@ def _least_dominating(G: Graph, deadline: float | None) -> tuple[tuple[int, ...]
     dominates, so the stream always ends in a return.
 
     Each size's combinations are walked depth first, as a prefix of picks
-    and a last pick ``a``. ``sums[j]`` holds the plain sums of the first j
-    picks on every vertex, rebuilt with one C-level pass per depth only
-    when the prefix changes. A combination is rejected in O(1) when
-    ``last``, the vertex that rejected the last combination, gets a sum
-    below ``one`` from the prefix and ``a``. Otherwise one C-level pass
-    gives every vertex's sum; a minimum below ``one`` rejects the
-    combination and names the next ``last``, and only a combination it
-    keeps runs ``ed_holds``."""
+    and a last pick ``a``, in the lane layout of ``_lanes``. ``sums[j]``
+    holds the first j picks' term rows, each pick's own lane lifted by
+    ``one``, plus ``bias``, as one lane int, built with one add per depth
+    only when the prefix changes. A pick's own lane is empty in its term
+    row, and its self term is 2, so a pick is always dominated. A
+    combination is rejected when any lane of its prefix's sums plus the
+    term row of ``a``, and ``one`` in a's lane, stays below ``one``: that
+    vertex's plain sum, rounded up, is below 1. Only a combination every
+    lane keeps runs ``ed_holds``."""
     n = G.n
-    one, table = _plain_scale(n)
-    term = table.__getitem__
-    row = cache(partial(plain_row, G))
+    w, one, bias, tops, _, terms = _lanes(G)
     tried = 0
-    last = 0
     for size in range(1, n + 1):
         picks = list(range(size - 1))  # every pick but the last
-        sums = [[0] * n]
-        for v in picks:
-            sums.append(list(map(add, sums[-1], map(term, row(v)))))
+        sums = [bias]
         while True:
+            for v in picks[len(sums) - 1 :]:
+                sums.append(sums[-1] + terms(v) + (one << w * v))
             prefix = sums[-1]
             for a in range(picks[-1] + 1 if picks else 0, n):
                 tried += 1
                 if deadline is not None and time.monotonic() >= deadline:
                     return None, tried
-                r = row(a)
-                if prefix[last] + table[r[last]] < one:
-                    continue
-                total = list(map(add, prefix, map(term, r)))
-                low = min(total)
-                if low < one:
-                    last = total.index(low)
-                elif ed_holds(G, (*picks, a)):
+                total = prefix + terms(a) + (one << w * a)
+                if total & tops == tops and ed_holds(G, (*picks, a)):
                     return (*picks, a), tried
             # the next prefix: advance the rightmost pick with room after it
             j = size - 2
@@ -649,8 +638,6 @@ def _least_dominating(G: Graph, deadline: float | None) -> tuple[tuple[int, ...]
                 break
             del sums[j + 1 :]
             picks[j:] = range(picks[j] + 1, picks[j] + size - j)
-            for v in picks[j:]:
-                sums.append(list(map(add, sums[-1], map(term, row(v)))))
     raise AssertionError("unreachable: the whole vertex set dominates")
 
 
@@ -664,14 +651,17 @@ def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
     Within a component (``_least_dominating``) the combinations come in
     the order of a plain enumeration, by size and then lexicographically,
     and each one is counted. A combination under which some vertex gets a
-    plain sum below 1, read off the prefix sums the walk holds, is
-    rejected before ``ed_holds`` runs. The relaxation is sound (blocked
-    distances are never shorter), so the combinations tried, their count
-    and the witness are those of the plain enumeration. Distance rows are built on first use, under the deadline
-    check. On timeout the witness is the whole vertex set, the trivial
-    upper bound n (every member's self term is 2, so it always dominates),
-    with status "timeout". Like the exact optimum, it is re-checked by the
-    full verifier first. A NaN or negative budget raises ParameterError."""
+    plain sum below 1, read off the lane sums of the component's term rows
+    (``_lanes``) that the walk holds per prefix, is rejected before
+    ``ed_holds`` runs. The relaxation is sound (blocked distances are never
+    shorter, and each term is rounded up), so the combinations tried,
+    their count and the witness are those of the plain enumeration.
+    Distance rows are built on first use, under the deadline check, and
+    kept under the byte budget of the term rows. On timeout the witness is
+    the whole vertex set, the trivial upper bound n (every member's self
+    term is 2, so it always dominates), with status "timeout". Like the
+    exact optimum, it is re-checked by the full verifier first. A NaN or
+    negative budget raises ParameterError."""
     deadline = _deadline(time_budget)
     nodes = 0
     witness: list[int] = []

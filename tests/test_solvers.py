@@ -1,10 +1,8 @@
 import hashlib
 import random
 import time
-from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, combinations
-from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -433,14 +431,21 @@ def spread_points(G, S):
 
 
 def relaxation_sums(G, combo):
-    """Every vertex's plain sum from ``combo``, over the domination
-    relaxation's scale, built as ``gamma_e_exact`` builds a prefix's sums:
-    one pass per pick over the term table and the pick's row."""
-    _, table = solvers._plain_scale(G.n)
-    total = [0] * G.n
-    for v in combo:
-        total = list(map(add, total, map(table.__getitem__, plain_row(G, v))))
-    return total
+    """Every vertex's plain sum from ``combo`` on the lane scale, read off
+    the sum of the picks' term rows, as ``gamma_e_exact`` sums a prefix of
+    picks; a pick's own lane holds the other picks' terms only."""
+    layout = solvers._lanes(G)
+    total = sum(map(layout.terms, combo))
+    return [total >> layout.w * x & (1 << layout.w) - 1 for x in range(G.n)]
+
+
+def rounded_sums(G, combo):
+    """The same sums from ``bfs_distances``: each pick's term on every
+    other vertex, its distance capped at 255, rounded up onto the lane
+    scale."""
+    two = 2 << solvers._LANE_BITS
+    dists = [bfs_distances(G, v) for v in combo]
+    return [sum(max(two >> min(d[x], 255), 1) for d in dists if d[x]) for x in range(G.n)]
 
 
 class TestInfluenceBounds:
@@ -534,31 +539,29 @@ class TestInfluenceBounds:
 
     @given(cyclic_graphs(), st.data())
     def test_relaxation_reject_is_sound(self, G, data):
-        """A combination the plain-distance test rejects at x leaves x
-        undominated; the test never names a member."""
+        """The lane sums the domination search reads are the rounded-up
+        plain sums, and a vertex outside the combination whose sum stays
+        below 1 is left undominated."""
         combo = sorted(data.draw(st.sets(st.integers(0, G.n - 1), min_size=1)))
-        one, _ = solvers._plain_scale(G.n)
+        one = 1 << solvers._LANE_BITS
         total = relaxation_sums(G, combo)
-        low = min(total)
-        if low < one:
-            x = total.index(low)
-            assert x not in combo
-            num, _ = _influence(G, frozenset(combo), x)
-            assert num < 1 << G.n
-            assert not ed_holds(G, combo)
+        assert total == rounded_sums(G, combo), (list(G.edges()), combo)
+        for x, low in enumerate(total):
+            if low < one and x not in combo:
+                num, _ = _influence(G, frozenset(combo), x)
+                assert num < 1 << G.n
+                assert not ed_holds(G, combo)
 
     def test_capped_scale_sums_are_exact(self):
-        # past 256 vertices the scale is 2 ** 256, and every row distance
-        # is capped at 255, so each term is still an exact integer
+        # past 255 every row distance is capped at 255, whose term is one
+        # unit on the lane scale, so each lane sum still equals the sum of
+        # the capped terms, each rounded up
         G = gen_path(300)
-        one, table = solvers._plain_scale(G.n)
-        assert one == 1 << 256 and len(table) == 256
         combo = [0, 40, 150, 299]
-        dists = [bfs_distances(G, v) for v in combo]
         total = relaxation_sums(G, combo)
-        for x in range(G.n):
-            want = sum(Fraction(2) ** (1 - min(d[x], 255)) for d in dists)
-            assert Fraction(total[x], one) == want, x
+        assert total == rounded_sums(G, combo)
+        # picks 0, 40 and 150 are all too far for a term above one unit
+        assert total[299] == 3
 
 
 class TestFloorOnlySkipsSweeps:
@@ -706,12 +709,12 @@ class TestPlainRowExtension:
         assert alpha_e_exact(G, required=S, excluded=rest).witness == tuple(sorted(S | {v}))
 
 
-def rule_marks(G, cands, S):
-    """The candidate positions the dead mask's three rules mark for the
-    set S, from BFS distances alone: a candidate u outside S whose near
-    floor reaches 1, or which lies at distance 2 or 3 of a member whose
-    near floor leaves no room for u's term. A near floor is the plain
-    terms from the members at distance 3 or less, in quarters."""
+def rule_marks(G, S):
+    """The vertices the dead mask's three rules mark for the set S, from
+    BFS distances alone: a vertex u outside S whose near floor reaches 1,
+    or which lies at distance 2 or 3 of a member whose near floor leaves
+    no room for u's term. A near floor is the plain terms from the members
+    at distance 3 or less, in quarters."""
     dist = {x: bfs_distances(G, x) for x in S}
     quarter = {1: 4, 2: 2, 3: 1}
 
@@ -719,8 +722,8 @@ def rule_marks(G, cands, S):
         return sum(quarter.get(dist[x][u], 0) for x in S if x != u)
 
     return {
-        p
-        for p, u in enumerate(cands)
+        u
+        for u in range(G.n)
         if u not in S
         and (floor(u) >= 4 or any(dist[x][u] in (2, 3) and quarter[dist[x][u]] + floor(x) >= 4 for x in S))
     }
@@ -742,16 +745,12 @@ class TestDeadMask:
 
     @given(st.one_of(extension_graphs(), dense_graphs()), st.data())
     def test_marked_candidates_are_rejects(self, G, data):
-        """After each join the marked candidates are those of the rules,
-        from BFS distances; each one is rejected by ``try_extend`` and
-        fails ``ei_holds``, and a mark is never lifted. A few vertices
-        stand outside the candidates, as required or excluded ones do, and
-        may join as well."""
+        """After each join the marked vertices outside the set are those of
+        the rules, from BFS distances, each lane at its vertex id; each one
+        is rejected by ``try_extend`` and fails ``ei_holds``, and a mark is
+        lifted only when its vertex joins."""
         layout, state, _ = start(G)
-        perm = data.draw(st.permutations(range(G.n)))
-        split = data.draw(st.integers(0, min(3, G.n)))
-        cands, others = perm[split:], perm[:split]
-        w, join = solvers._dead_marks(G, cands, others, layout.rows)
+        w, join = solvers._dead_marks(G, layout.rows)
         lane = (1 << w) - 1
         q = dead = 0
         marked = set()
@@ -762,13 +761,13 @@ class TestDeadMask:
             q, dead = join(v, state[0], q, dead)
             state = step
             S = frozenset(state[0])
-            now = {p for p in range(len(cands)) if dead >> w * p & lane and cands[p] not in S}
-            where = (list(G.edges()), sorted(S), cands)
-            assert now == rule_marks(G, cands, S), where
-            assert marked - now <= {p for p, u in enumerate(cands) if u in S}, where
-            for p in now:
-                assert try_extend(G, state, cands[p], layout) is None, where + (cands[p],)
-                assert not ei_holds(G, S | {cands[p]}), where + (cands[p],)
+            now = {u for u in range(G.n) if dead >> w * u & lane and u not in S}
+            where = (list(G.edges()), sorted(S))
+            assert now == rule_marks(G, S), where
+            assert marked - now <= S, where
+            for u in now:
+                assert try_extend(G, state, u, layout) is None, where + (u,)
+                assert not ei_holds(G, S | {u}), where + (u,)
             marked = now
 
     def test_member_neighbours_take_no_try_extend(self, monkeypatch):
@@ -801,7 +800,7 @@ class TestDeadMask:
         """Degree 11 needs two bytes a lane: near floors of up to 1030
         quarters must not carry into the next lane."""
         G = Graph(12, [(a, b) for a in range(12) for b in range(a + 1, 12) if (a * b + a + b) % 5])
-        w, _ = solvers._dead_marks(G, list(range(12)), [], row_map(G))
+        w, _ = solvers._dead_marks(G, row_map(G))
         assert w == 16
         oracle = alpha_e_bruteforce(G)
         res = alpha_e_exact(G)
@@ -842,16 +841,18 @@ class TestLaneScale:
         """With room for no term row, or for one or two on these graphs,
         the search keeps at most that many and rebuilds the others when it
         reads them again, with the same optima, witnesses and nodes. The
-        plain rows are kept under the same budget, at most a few of them."""
+        plain rows are kept under the same budget, at most a few of them.
+        The domination search reads the same rows, with the same optima,
+        witnesses and combinations tried."""
         graphs, cyclic = identity_graphs()
         cases = graphs[-20:] + cyclic[:20]
-        want = [alpha_e_exact(G).to_text() for G in cases]
+        want = [(alpha_e_exact(G).to_text(), gamma_e_exact(G).to_text()) for G in cases]
         monkeypatch.setattr(solvers, "_TERM_ROW_BYTES", budget)
         for G in cases:
             layout = solvers._lanes(G)
             assert layout.terms.cache_info().maxsize == budget // (layout.w // 8 * G.n) < 3
             assert layout.rows.cache_info().maxsize == budget // G.n < 9
-        assert [alpha_e_exact(G).to_text() for G in cases] == want
+        assert [(alpha_e_exact(G).to_text(), gamma_e_exact(G).to_text()) for G in cases] == want
 
     @given(extension_graphs(), st.sampled_from([None, 2, 3]), st.data())
     def test_lanes_bound_exact_weights_and_plain_sums(self, G, bits, data):
@@ -1091,7 +1092,7 @@ class TestBudgetChecks:
         node's members. The nodes before the 30-path's first leaf come from
         a plain include-first search that tests each include with
         ``ei_holds``; a node is dead when ``rule_marks`` marks its
-        position, and inside a run when the node before it is its parent
+        candidate, and inside a run when the node before it is its parent
         and dead too."""
         G = gen_path(30)
         cands = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
@@ -1102,7 +1103,7 @@ class TestBudgetChecks:
             stack.append((i + 1, S))
             if ei_holds(G, (*S, cands[i])):
                 stack.append((i + 1, (*S, cands[i])))
-        dead = [i in rule_marks(G, cands, set(S)) for i, S in nodes]
+        dead = [cands[i] in rule_marks(G, set(S)) for i, S in nodes]
         inside = [
             k
             for k in range(2, len(nodes) + 1)
@@ -1122,6 +1123,53 @@ class TestBudgetChecks:
             assert (res.status, res.nodes_explored, len(reads)) == ("timeout", k, k + 1)
             assert members and res.witness == tuple(sorted(members)), k
             assert ei_holds(G, res.witness)
+
+    @pytest.mark.parametrize("k", [1, 2, 30])
+    def test_required_joins_stop_at_the_deadline(self, monkeypatch, k):
+        """Under a budget each required member's join first reads the
+        clock, and a stop there runs no further join: a stop at the k-th
+        join has run k - 1 joins and returns the required set with one
+        node, as a stop at the first node of the search does."""
+        T = random_subcubic_tree(200, 5)
+        ends = [v for v in range(T.n) if T.degree(v) == 1]
+        assert len(ends) > 30
+        joins, reads = [], []
+
+        def extend(G, state, v, layout):
+            joins.append(v)
+            return try_extend(G, state, v, layout)
+
+        def clock():
+            reads.append(len(reads))
+            return 0.0 if len(reads) <= k else 10.0
+
+        monkeypatch.setattr(solvers, "try_extend", extend)
+        monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=clock))
+        res = alpha_e_exact(T, required=ends, time_budget=1.0)
+        assert res == SearchResult(len(ends), tuple(ends), 1, "timeout")
+        assert (len(reads), joins) == (k + 1, ends[: k - 1])
+
+    def test_stopped_joins_name_the_same_infeasible_vertex(self, monkeypatch):
+        """A required set that is not independent raises the error of an
+        unbudgeted solve wherever the deadline stops its joins: before
+        the join that rejects, or after it."""
+        G = gen_path(8)
+        required = (0, 3, 4, 7)
+        with pytest.raises(InfeasibleError) as unbudgeted:
+            alpha_e_exact(G, required)
+        assert str(unbudgeted.value).endswith("at vertex 3")
+        for k in range(1, len(required) + 2):
+            reads = []
+
+            def clock():
+                reads.append(len(reads))
+                return 0.0 if len(reads) <= k else 10.0
+
+            monkeypatch.setattr(solvers, "time", SimpleNamespace(monotonic=clock))
+            with pytest.raises(InfeasibleError) as stopped:
+                alpha_e_exact(G, required, time_budget=1.0)
+            assert str(stopped.value) == str(unbudgeted.value), k
+            assert len(reads) == min(k + 1, 4), k
 
     @pytest.mark.parametrize("solve", [alpha_e_exact, gamma_e_exact])
     def test_no_budget_never_reads_the_clock(self, monkeypatch, solve):
