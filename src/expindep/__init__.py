@@ -10,7 +10,6 @@ from .graphs import (
     EdgeListError,
     parse_edge_list,
     write_edge_list,
-    bfs_distances,
     absorbing_bfs,
     longest_path,
     is_connected,
@@ -25,7 +24,6 @@ from .graphs import (
 from .weights import (
     Dyadic,
     WeightReport,
-    blocked_distance,
     weight,
     weight_details,
     is_exponentially_independent,
@@ -41,14 +39,12 @@ from .families import (
     gen_tprime,
     tprime_dense_set,
     gen_tdelta,
-    grandchild_set,
     gen_perfect_binary,
     leaf_set,
     gen_path,
     gen_cycle,
     random_subcubic_tree,
     random_subcubic_graph,
-    enumerate_trees,
     free_trees,
     tree_code,
 )
@@ -58,9 +54,6 @@ from .constructors import (
     InvariantViolation,
     packing_separation,
     greedy_packing,
-    expansion_condition_holds,
-    expansion_separation,
-    expansion_margin_holds,
     tree_good_set,
     good_set_audit,
 )
@@ -68,7 +61,6 @@ from .solvers import (
     SearchResult,
     InfeasibleError,
     alpha_e_exact,
-    alpha_e_bruteforce,
     gamma_e_exact,
     find_maximal_ei_not_ed,
 )

@@ -1,6 +1,6 @@
 """Constructive procedures that produce verified exponentially independent
-sets: far-apart packings, their expansion-restricted variant, and the
-recursive good-set algorithm for subcubic trees.
+sets: far-apart packings and the recursive good-set algorithm for
+subcubic trees.
 
 A *good set* of a subcubic tree T on n vertices is an exponentially
 independent set that contains every endvertex of T and has at least
@@ -85,13 +85,11 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
 
 from .graphs import (
     Graph,
     ParameterError,
-    bfs_levels,
     degree2_vertices,
     diametral_path,
     endvertices,
@@ -171,88 +169,6 @@ def greedy_packing(G: Graph, dstar: int) -> frozenset:
                 break
             frontier = nxt
     return frozenset(chosen)
-
-
-def expansion_condition_holds(G: Graph, d: int) -> bool:
-    """True iff every vertex has at most 3 * 2**(d-1) - 1 vertices at
-    distance exactly d (one below the subcubic ceiling)."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    cap = 3 * (1 << (d - 1)) - 1
-    seen = bytearray(G.n)  # shared by every ball, cleared over each one
-    for u in range(G.n):
-        levels = bfs_levels(G.adj, u, seen, d)
-        if d < len(levels) and len(levels[d]) > cap:
-            return False
-        for level in levels:
-            for v in level:
-                seen[v] = 0
-    return True
-
-
-def _nth_root_floor(x: int, k: int) -> int:
-    """Integer floor of x ** (1/k) for x >= 0, k >= 1 (Newton iteration)."""
-    if x < 0 or k < 1:
-        raise ValueError("need x >= 0 and k >= 1")
-    if x in (0, 1) or k == 1:
-        return x
-    r = 1 << ((x.bit_length() + k - 1) // k)  # upper start
-    while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
-            break
-        r = nr
-    while r ** k > x:
-        r -= 1
-    return r
-
-
-def _margin_compare(d: int, dstar: int, precision: int) -> int | None:
-    """Sign of eps * (2 - eps)**dstar - 3 * 2**(2d+1) where
-    (2 - eps)**(2d) = 2**(2d) - 1, decided via rational bounds on the root
-    at the given bit precision; None when the interval still straddles."""
-    two_d = 2 * d
-    m = (1 << two_d) - 1
-    rhs = 3 * (1 << (two_d + 1))
-    root_lo_num = _nth_root_floor(m << (two_d * precision), two_d)
-    scale = 1 << precision
-    beta_lo = Fraction(root_lo_num, scale)
-    beta_hi = Fraction(root_lo_num + 1, scale)
-    lhs_lo = (2 - beta_hi) * beta_lo ** dstar
-    lhs_hi = (2 - beta_lo) * beta_hi ** dstar
-    if lhs_lo > rhs:
-        return 1
-    if lhs_hi <= rhs:
-        return -1
-    return None
-
-
-def expansion_margin_holds(d: int, dstar: int) -> bool:
-    """Exact decision of the separation inequality for the restricted
-    expansion regime; precision widens until the comparison resolves (the
-    two sides can never be equal: one is irrational)."""
-    if d < 1 or dstar < 1:
-        raise ValueError("d and dstar must be at least 1")
-    precision = 32
-    while True:
-        sign = _margin_compare(d, dstar, precision)
-        if sign is not None:
-            return sign > 0
-        precision *= 2
-        if precision > 1 << 16:
-            raise RuntimeError("comparison did not resolve at huge precision")
-
-
-def expansion_separation(d: int) -> int:
-    """Least separation parameter whose inequality holds for the given
-    expansion depth d; always terminates since the left side grows
-    geometrically."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    dstar = 1
-    while not expansion_margin_holds(d, dstar):
-        dstar += 1
-    return dstar
 
 
 @dataclass(frozen=True)

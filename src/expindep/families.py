@@ -1,5 +1,6 @@
 """Deterministic generators for the graph families used throughout, with
-role-labeled vertices, plus random and exhaustive tree generation.
+role-labeled vertices, plus random trees and graphs and one tree per
+isomorphism class.
 
 Two families carry the extremal structure this library is about:
 
@@ -18,18 +19,17 @@ Two families carry the extremal structure this library is about:
 
 Random tree growth attaches leaves to uniformly chosen degree-<3 vertices,
 which is reproducible given the seed but not uniform over unlabeled trees;
-fine for property testing, documented here. ``enumerate_trees`` streams
-labeled trees from their degree-bounded sequence encoding; ``free_trees``
-produces one representative per isomorphism class by leaf augmentation,
-which is what the exhaustive scans want (the labeled stream would visit
-n**(n-2) sequences).
+fine for property testing, documented here. ``free_trees`` produces one
+representative per isomorphism class by leaf augmentation, which is what
+the exhaustive scans want: a stream of labeled trees would visit
+n**(n-2) of them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .graphs import Graph, endvertices
 from .weights import Dyadic, weight
@@ -199,20 +199,6 @@ def gen_tdelta(delta: int, depth: int) -> LabeledGraph:
     return _leveled_tree(depth, delta, delta - 1)
 
 
-def grandchild_set(d: int) -> frozenset:
-    """On gen_tdelta(4, d + 2): the lexicographically first grandchild
-    (first child's first child) of every vertex at depth d. Size 4 * 3**(d-1)."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    lg = gen_tdelta(4, d + 2)
-    G = lg.graph
-    out = set()
-    for v in lg.labels[f"depth_{d}"]:
-        first_child = min(w for w in G.adj[v] if w > v)
-        out.add(min(w for w in G.adj[first_child] if w > first_child))
-    return frozenset(out)
-
-
 def gen_perfect_binary(depth: int) -> LabeledGraph:
     """Perfect binary tree: root with two children, every internal vertex
     with two children, all leaves at ``depth``. Order 2**(depth+1) - 1."""
@@ -342,33 +328,6 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def _tree_from_code_sequence(n: int, seq: tuple[int, ...]) -> Graph:
-    """Labeled tree on 0..n-1 from its length n-2 encoding over vertex ids
-    (each internal vertex appears degree-1 times)."""
-    deg = [1] * n
-    for v in seq:
-        deg[v] += 1
-    edges = []
-    # smallest-leaf elimination with a pointer sweep
-    ptr = 0
-    leaf = -1
-    for v in seq:
-        if leaf < 0:
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-        edges.append((leaf, v))
-        deg[leaf] -= 1
-        deg[v] -= 1
-        if deg[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            leaf = -1
-    last = [v for v in range(n) if deg[v] == 1]
-    edges.append((last[0], last[1]))
-    return Graph(n, edges)
-
-
 def _rooted_code(G: Graph, root: int) -> str:
     """Canonical rooted-tree string: children codes sorted at every level.
     Built bottom up over a BFS order, so no depth reaches the recursion
@@ -413,59 +372,11 @@ def tree_code(G: Graph) -> str:
     return min(_rooted_code(G, c) for c in centers)
 
 
-def _bounded_sequences(n: int, max_count: int) -> Iterator[tuple[int, ...]]:
-    """All length n-2 sequences over 0..n-1 (n >= 3) in lexicographic
-    order with no symbol repeated more than max_count times. An odometer:
-    each position advances to its next allowed symbol, -1 meaning none
-    chosen yet, so no depth reaches the recursion limit."""
-    last = n - 3
-    seq = [-1] * (n - 2)
-    counts = [0] * n
-    pos = 0
-    while pos >= 0:
-        v = seq[pos]
-        if v >= 0:
-            counts[v] -= 1
-        v += 1
-        while v < n and counts[v] == max_count:
-            v += 1
-        if v == n:
-            seq[pos] = -1
-            pos -= 1
-            continue
-        counts[v] += 1
-        seq[pos] = v
-        if pos == last:
-            yield tuple(seq)
-        else:
-            pos += 1
-
-
-def enumerate_trees(n: int, max_degree: int | None = None) -> Iterator[Graph]:
-    """Stream of labeled trees on n vertices via their sequence encoding
-    (lexicographic order), filtered to the degree bound before any tree is
-    built. Without a bound the stream has n**(n-2) trees; ``free_trees``
-    gives one per isomorphism class."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n == 1:
-        yield Graph(1, [])
-        return
-    if n == 2:
-        yield Graph(2, [(0, 1)])
-        return
-    max_count = n if max_degree is None else max_degree - 1
-    if max_count < 1:
-        return
-    for seq in _bounded_sequences(n, max_count):
-        yield _tree_from_code_sequence(n, seq)
-
-
 def free_trees(n: int, max_degree: int | None = None) -> list[Graph]:
     """One representative per isomorphism class of trees on n vertices,
     grown by leaf augmentation with canonical-code dedupe. Much cheaper
-    than deduping the labeled stream for n around 8 or 9; the two agree on
-    small n (tested). With ``max_degree``, a leaf is never attached to a
+    than deduping all n**(n-2) labeled trees for n around 8 or 9; the
+    tests check that the two agree on small n. With ``max_degree``, a leaf is never attached to a
     vertex already at the bound, so no tree exceeds it."""
     if n < 1:
         raise ValueError("n must be at least 1")

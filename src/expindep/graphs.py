@@ -18,8 +18,7 @@ loop:
   unvisited, so the row is filled in the same pass that visits it.
 - ``absorbing_bfs``: it records each vertex's distance, and its sinks are
   entered but never expanded. It is the independent reference the tests
-  compare the other searches against, and ``bfs_distances`` is it with no
-  sinks.
+  compare the other searches against.
 - ``constructors.greedy_packing``'s sweep: its marks are the radius an
   earlier ball still has at a vertex, so a pick stops where an earlier
   ball reaches at least as far rather than re-walking it.
@@ -262,12 +261,6 @@ def write_edge_list(G: Graph) -> str:
     out = [f"{G.n} {G.m}"]
     out.extend(f"{u} {v}" for u, v in G.edges())
     return "\n".join(out) + "\n"
-
-
-def bfs_distances(G: Graph, u: int) -> list:
-    """Hop distances from u; INF for unreachable vertices:
-    ``absorbing_bfs`` with no sinks."""
-    return absorbing_bfs(G, u, ())
 
 
 def absorbing_bfs(G: Graph, u: int, sinks: Iterable[int]) -> list:

@@ -79,8 +79,7 @@ would be the next entry popped, so a run of dead candidates is walked
 within one pop, node by node, with no push. So the nodes, and the
 witness, are those of calling ``try_extend`` there.
 
-Every search, both exact solvers and the brute-force oracle, returns
-through one exit, ``_certified``: it sorts the witness, re-checks it with
+Both exact solvers return through one exit, ``_certified``: it sorts the witness, re-checks it with
 the full report verifier, timeout witnesses included, and builds the
 ``SearchResult``, whose optimum is the witness's size.
 
@@ -113,7 +112,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from itertools import combinations
 from typing import Callable, Collection, Iterable, NamedTuple
 
 from .graphs import Graph, ParameterError, connected_components, induced_subgraph, plain_row
@@ -579,21 +577,6 @@ def alpha_e_exact(
             i += 1
 
     return _certified(G, best_set, nodes, status, is_exponentially_independent)
-
-
-def alpha_e_bruteforce(G: Graph) -> SearchResult:
-    """Ground-truth oracle by descending-size exhaustive enumeration;
-    the first feasible combination at the optimum size is automatically
-    the lexicographically smallest witness. Guarded to n <= 20."""
-    if G.n > 20:
-        raise ValueError("graph too large for exhaustive enumeration")
-    nodes = 0
-    for s in range(G.n, 0, -1):
-        for combo in combinations(range(G.n), s):
-            nodes += 1
-            if ei_holds(G, combo):
-                return _certified(G, combo, nodes, "optimal", is_exponentially_independent)
-    return _certified(G, (), nodes, "optimal", is_exponentially_independent)
 
 
 def _least_dominating(G: Graph, deadline: float | None) -> tuple[tuple[int, ...] | None, int]:

@@ -62,9 +62,8 @@ same canonical value.
 ``Dyadic`` values are built only for returned weights and each report
 vertex's head line, and a report renders each term's value and decimal
 once per distinct distance.
-``graphs.absorbing_bfs`` gives the same distances as a dense list;
-``blocked_distance`` uses it, and the tests use it as the kernel's
-oracle.
+``graphs.absorbing_bfs`` gives the same distances as a dense list,
+and the tests use it as the kernel's oracle.
 
 On a tree, ``ei_holds`` skips the per-member sweeps, and the good-set
 builder's audit (``constructors._Tree.audit``) reads the same pass. A
@@ -107,7 +106,7 @@ from decimal import Decimal
 from functools import cached_property, total_ordering
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .graphs import Graph, ParameterError, absorbing_bfs, dead_marks, is_tree
+from .graphs import Graph, ParameterError, dead_marks, is_tree
 
 
 @total_ordering
@@ -306,12 +305,6 @@ def _member_set(G: Graph, S: Iterable[int], *vertices: int) -> frozenset:
         outside = [v for v in ids if not 0 <= v < G.n]
         raise ParameterError(f"vertex ids outside the graph: {outside}")
     return members
-
-
-def blocked_distance(G: Graph, S: Iterable[int], u: int, v: int):
-    """Distance between u and v with every member of S other than u and v
-    deleted; INF when they become disconnected, 0 only for u == v."""
-    return absorbing_bfs(G, u, _member_set(G, S, u, v))[v]
 
 
 def _influence(
@@ -558,9 +551,8 @@ def ei_holds(G: Graph, S: Iterable[int]) -> bool:
     """Boolean form of the independence verifier. Two adjacent members
     reject S first, on every graph: each receives exactly 1 from the
     other, and the scan costs less than ``is_tree``. The exhaustive
-    subset scans (``alpha_e_bruteforce``, ``find_maximal_ei_not_ed``) pass
-    such sets; random-ei trials never do, as each stops at its first
-    adjacent pick. Otherwise a tree takes the tree pass, every member u
+    subset scan of ``find_maximal_ei_not_ed`` passes such sets; random-ei
+    trials never do, as each stops at its first adjacent pick. Otherwise a tree takes the tree pass, every member u
     needing W[u] below one. Any other graph sweeps from each member with
     the kernel's cut at 3 (u's own term 2 plus the others' 1), stopped at
     the first violation, with no report built. On a packing each sweep

@@ -1,0 +1,230 @@
+"""Test oracles: independent references the tests compare the program
+against, kept beside the tests because no runtime path calls them.
+
+- ``bfs_distances`` and ``blocked_distance``: plain and blocked hop
+  distances, each from one ``absorbing_bfs``; the reference distances of
+  the graph, weight and solver tests.
+- ``alpha_e_bruteforce``: a maximum exponentially independent set by
+  exhaustive enumeration, the reference for ``alpha_e_exact``.
+- ``enumerate_trees``: every labeled tree on n vertices, the reference
+  for ``free_trees``' one tree per isomorphism class.
+- ``grandchild_set``: the grandchild selections on
+  ``gen_tdelta(4, d + 2)``, whose members each receive less than 1/2.
+- ``expansion_condition_holds``, ``expansion_margin_holds`` and
+  ``expansion_separation``: the far-apart packing's restricted-expansion
+  variant, whose separation is decided exactly. On ``gen_cycle(10**5)``
+  it gives separation 9 at d = 1 and the plain ``packing_separation`` 7,
+  so the plain greedy packing is the larger set (6666 against 5263).
+
+The tests import this module as ``oracles``: pytest puts ``tests/`` on
+``sys.path``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+from typing import Iterator
+
+from expindep.families import gen_tdelta
+from expindep.graphs import Graph, absorbing_bfs, bfs_levels
+from expindep.solvers import SearchResult, _certified
+from expindep.weights import _member_set, ei_holds, is_exponentially_independent
+
+
+def bfs_distances(G: Graph, u: int) -> list:
+    """Hop distances from u; INF for unreachable vertices:
+    ``absorbing_bfs`` with no sinks."""
+    return absorbing_bfs(G, u, ())
+
+
+def blocked_distance(G: Graph, S: Iterable[int], u: int, v: int):
+    """Distance between u and v with every member of S other than u and v
+    deleted; INF when they become disconnected, 0 only for u == v."""
+    return absorbing_bfs(G, u, _member_set(G, S, u, v))[v]
+
+
+def alpha_e_bruteforce(G: Graph) -> SearchResult:
+    """Ground-truth oracle by descending-size exhaustive enumeration;
+    the first feasible combination at the optimum size is automatically
+    the lexicographically smallest witness. Guarded to n <= 20."""
+    if G.n > 20:
+        raise ValueError("graph too large for exhaustive enumeration")
+    nodes = 0
+    for s in range(G.n, 0, -1):
+        for combo in combinations(range(G.n), s):
+            nodes += 1
+            if ei_holds(G, combo):
+                return _certified(G, combo, nodes, "optimal", is_exponentially_independent)
+    return _certified(G, (), nodes, "optimal", is_exponentially_independent)
+
+
+def grandchild_set(d: int) -> frozenset:
+    """On gen_tdelta(4, d + 2): the lexicographically first grandchild
+    (first child's first child) of every vertex at depth d. Size 4 * 3**(d-1)."""
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    lg = gen_tdelta(4, d + 2)
+    G = lg.graph
+    out = set()
+    for v in lg.labels[f"depth_{d}"]:
+        first_child = min(w for w in G.adj[v] if w > v)
+        out.add(min(w for w in G.adj[first_child] if w > first_child))
+    return frozenset(out)
+
+
+def _tree_from_code_sequence(n: int, seq: tuple[int, ...]) -> Graph:
+    """Labeled tree on 0..n-1 from its length n-2 encoding over vertex ids
+    (each internal vertex appears degree-1 times)."""
+    deg = [1] * n
+    for v in seq:
+        deg[v] += 1
+    edges = []
+    # smallest-leaf elimination with a pointer sweep
+    ptr = 0
+    leaf = -1
+    for v in seq:
+        if leaf < 0:
+            while deg[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+        edges.append((leaf, v))
+        deg[leaf] -= 1
+        deg[v] -= 1
+        if deg[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            leaf = -1
+    last = [v for v in range(n) if deg[v] == 1]
+    edges.append((last[0], last[1]))
+    return Graph(n, edges)
+
+
+def _bounded_sequences(n: int, max_count: int) -> Iterator[tuple[int, ...]]:
+    """All length n-2 sequences over 0..n-1 (n >= 3) in lexicographic
+    order with no symbol repeated more than max_count times. An odometer:
+    each position advances to its next allowed symbol, -1 meaning none
+    chosen yet, so no depth reaches the recursion limit."""
+    last = n - 3
+    seq = [-1] * (n - 2)
+    counts = [0] * n
+    pos = 0
+    while pos >= 0:
+        v = seq[pos]
+        if v >= 0:
+            counts[v] -= 1
+        v += 1
+        while v < n and counts[v] == max_count:
+            v += 1
+        if v == n:
+            seq[pos] = -1
+            pos -= 1
+            continue
+        counts[v] += 1
+        seq[pos] = v
+        if pos == last:
+            yield tuple(seq)
+        else:
+            pos += 1
+
+
+def enumerate_trees(n: int, max_degree: int | None = None) -> Iterator[Graph]:
+    """Stream of labeled trees on n vertices via their sequence encoding
+    (lexicographic order), filtered to the degree bound before any tree is
+    built. Without a bound the stream has n**(n-2) trees; ``free_trees``
+    gives one per isomorphism class."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n == 1:
+        yield Graph(1, [])
+        return
+    if n == 2:
+        yield Graph(2, [(0, 1)])
+        return
+    max_count = n if max_degree is None else max_degree - 1
+    if max_count < 1:
+        return
+    for seq in _bounded_sequences(n, max_count):
+        yield _tree_from_code_sequence(n, seq)
+
+
+def expansion_condition_holds(G: Graph, d: int) -> bool:
+    """True iff every vertex has at most 3 * 2**(d-1) - 1 vertices at
+    distance exactly d (one below the subcubic ceiling)."""
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    cap = 3 * (1 << (d - 1)) - 1
+    seen = bytearray(G.n)  # shared by every ball, cleared over each one
+    for u in range(G.n):
+        levels = bfs_levels(G.adj, u, seen, d)
+        if d < len(levels) and len(levels[d]) > cap:
+            return False
+        for level in levels:
+            for v in level:
+                seen[v] = 0
+    return True
+
+
+def _nth_root_floor(x: int, k: int) -> int:
+    """Integer floor of x ** (1/k) for x >= 0, k >= 1 (Newton iteration)."""
+    if x < 0 or k < 1:
+        raise ValueError("need x >= 0 and k >= 1")
+    if x in (0, 1) or k == 1:
+        return x
+    r = 1 << ((x.bit_length() + k - 1) // k)  # upper start
+    while True:
+        nr = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nr >= r:
+            break
+        r = nr
+    while r ** k > x:
+        r -= 1
+    return r
+
+
+def _margin_compare(d: int, dstar: int, precision: int) -> int | None:
+    """Sign of eps * (2 - eps)**dstar - 3 * 2**(2d+1) where
+    (2 - eps)**(2d) = 2**(2d) - 1, decided via rational bounds on the root
+    at the given bit precision; None when the interval still straddles."""
+    two_d = 2 * d
+    m = (1 << two_d) - 1
+    rhs = 3 * (1 << (two_d + 1))
+    root_lo_num = _nth_root_floor(m << (two_d * precision), two_d)
+    scale = 1 << precision
+    beta_lo = Fraction(root_lo_num, scale)
+    beta_hi = Fraction(root_lo_num + 1, scale)
+    lhs_lo = (2 - beta_hi) * beta_lo ** dstar
+    lhs_hi = (2 - beta_lo) * beta_hi ** dstar
+    if lhs_lo > rhs:
+        return 1
+    if lhs_hi <= rhs:
+        return -1
+    return None
+
+
+def expansion_margin_holds(d: int, dstar: int) -> bool:
+    """Exact decision of the separation inequality for the restricted
+    expansion regime; precision widens until the comparison resolves (the
+    two sides can never be equal: one is irrational)."""
+    if d < 1 or dstar < 1:
+        raise ValueError("d and dstar must be at least 1")
+    precision = 32
+    while True:
+        sign = _margin_compare(d, dstar, precision)
+        if sign is not None:
+            return sign > 0
+        precision *= 2
+        if precision > 1 << 16:
+            raise RuntimeError("comparison did not resolve at huge precision")
+
+
+def expansion_separation(d: int) -> int:
+    """Least separation parameter whose inequality holds for the given
+    expansion depth d; always terminates since the left side grows
+    geometrically."""
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    dstar = 1
+    while not expansion_margin_holds(d, dstar):
+        dstar += 1
+    return dstar

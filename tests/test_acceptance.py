@@ -8,9 +8,6 @@ import math
 import random
 
 from expindep.constructors import (
-    expansion_condition_holds,
-    expansion_margin_holds,
-    expansion_separation,
     good_set_audit,
     greedy_packing,
     packing_separation,
@@ -29,14 +26,12 @@ from expindep.families import (
     gen_tdelta,
     gen_tk,
     gen_tprime,
-    grandchild_set,
     leaf_set,
     random_subcubic_graph,
     random_subcubic_tree,
 )
 from expindep.graphs import degree2_vertices, endvertices, parse_edge_list, write_edge_list
 from expindep.solvers import (
-    alpha_e_bruteforce,
     alpha_e_exact,
     find_maximal_ei_not_ed,
     gamma_e_exact,
@@ -48,6 +43,13 @@ from expindep.weights import (
     is_exponentially_dominating,
     is_exponentially_independent,
     weight,
+)
+from oracles import (
+    alpha_e_bruteforce,
+    expansion_condition_holds,
+    expansion_margin_holds,
+    expansion_separation,
+    grandchild_set,
 )
 
 

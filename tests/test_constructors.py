@@ -10,9 +10,6 @@ import expindep.constructors as cons
 from expindep.constructors import (
     GoodSetTrace,
     InvariantViolation,
-    expansion_condition_holds,
-    expansion_margin_holds,
-    expansion_separation,
     good_set_audit,
     greedy_packing,
     packing_separation,
@@ -32,7 +29,6 @@ from expindep.families import (
 from expindep.graphs import (
     Graph,
     bfs_ball,
-    bfs_distances,
     bfs_levels,
     dead_marks,
     degree2_vertices,
@@ -50,6 +46,12 @@ from expindep.weights import (
     ei_holds,
     is_exponentially_independent,
     weight,
+)
+from oracles import (
+    bfs_distances,
+    expansion_condition_holds,
+    expansion_margin_holds,
+    expansion_separation,
 )
 
 

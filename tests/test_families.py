@@ -8,7 +8,6 @@ import pytest
 from expindep.families import (
     LabeledGraph,
     canonical_set_tk,
-    enumerate_trees,
     free_trees,
     gen_cycle,
     gen_path,
@@ -16,7 +15,6 @@ from expindep.families import (
     gen_tdelta,
     gen_tk,
     gen_tprime,
-    grandchild_set,
     leaf_set,
     random_subcubic_graph,
     random_subcubic_tree,
@@ -25,6 +23,7 @@ from expindep.families import (
 )
 from expindep.graphs import Graph, endvertices, is_subcubic, is_tree, longest_path, max_degree
 from expindep.weights import Dyadic, ei_holds, is_exponentially_independent, weight
+from oracles import enumerate_trees, grandchild_set
 
 # shape counts for tree isomorphism classes, orders 1..9
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47]

@@ -22,7 +22,6 @@ from expindep.graphs import (
     _bulk_adjacency,
     absorbing_bfs,
     bfs_ball,
-    bfs_distances,
     bfs_levels,
     connected_components,
     degree2_vertices,
@@ -38,6 +37,7 @@ from expindep.graphs import (
     plain_row,
     write_edge_list,
 )
+from oracles import bfs_distances
 
 
 def brute_distance(G, u, v):

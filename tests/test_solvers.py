@@ -22,7 +22,6 @@ from expindep.graphs import (
     INF,
     Graph,
     ParameterError,
-    bfs_distances,
     connected_components,
     degree2_vertices,
     induced_subgraph,
@@ -35,7 +34,6 @@ from expindep import solvers, weights
 from expindep.solvers import (
     InfeasibleError,
     SearchResult,
-    alpha_e_bruteforce,
     alpha_e_exact,
     find_maximal_ei_not_ed,
     gamma_e_exact,
@@ -44,12 +42,12 @@ from expindep.solvers import (
 from expindep.weights import (
     _influence,
     _member_check,
-    blocked_distance,
     ed_holds,
     ei_holds,
     is_exponentially_dominating,
     is_exponentially_independent,
 )
+from oracles import alpha_e_bruteforce, bfs_distances, blocked_distance
 
 
 class TestAlphaExamples:

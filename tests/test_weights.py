@@ -32,7 +32,6 @@ from expindep.graphs import (
     Graph,
     ParameterError,
     absorbing_bfs,
-    bfs_distances,
     induced_subgraph,
     is_tree,
 )
@@ -44,7 +43,6 @@ from expindep.weights import (
     _member_check,
     _sweep_rows,
     _tree_influence,
-    blocked_distance,
     ed_holds,
     ei_holds,
     is_exponentially_dominating,
@@ -52,6 +50,7 @@ from expindep.weights import (
     weight,
     weight_details,
 )
+from oracles import bfs_distances, blocked_distance
 
 
 def chunked_digits(x: int) -> str:
