@@ -3,10 +3,11 @@
 Exit codes: 0 success (and "verdict true" for verify), 1 verdict false
 (verify only), 2 usage error (a missing flag, or a flag value a library
 function rejects with ``ParameterError`` before any work), 3 runtime error
-or timeout. Every subcommand is deterministic given its flags and seed.
-``gen --family`` and ``construct --method family-canonical`` take their
-family names and required flags from ``families.FAMILIES``, the table the
-corpus parser reads too.
+(running out of memory included) or timeout. Every subcommand is
+deterministic given its flags and seed. ``gen --family`` and
+``construct --method family-canonical`` take their family names and
+required flags from ``families.FAMILIES``, the table the corpus parser
+reads too.
 """
 
 from __future__ import annotations
@@ -284,6 +285,10 @@ def main(argv=None) -> int:
     # covers InvariantViolation, failed re-verifications and RecursionError
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    # exit 1 would read as "verdict false"; a MemoryError has no message
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
 
 

@@ -17,8 +17,9 @@ loop:
   capped distances themselves, one byte per vertex with 255 for
   unvisited, so the row is filled in the same pass that visits it.
 - ``absorbing_bfs``: it records each vertex's distance, and its sinks are
-  entered but never expanded. It is the independent reference the tests
-  compare the other searches against.
+  entered but never expanded. ``weights.weight_details`` reads its pairs
+  off it, and it is the independent reference the tests compare the
+  other searches against.
 - ``constructors.greedy_packing``'s sweep: its marks are the radius an
   earlier ball still has at a vertex, so a pick stops where an earlier
   ball reaches at least as far rather than re-walking it.
@@ -32,7 +33,7 @@ loop:
   rooted index of the alive tree: the index's BFS records each vertex's
   parent and depth as it goes, and the other two walk up parent links
   rather than out by levels, so a step costs the tree's depth and not n.
-- ``weights._influence``, the weight kernel: it records each member it
+- ``weights._influence``, the weight kernel: it counts each member it
   meets without expanding it, sums a level's members on a local scale
   and stops at a cut, all in the one pass.
 - ``weights._sweep_rows``, the rows of both reports: one absorbing sweep

@@ -39,26 +39,16 @@ every lane, built from v's plain-distance row (below); v's own lane
 stays its plain sum. No sweep runs for a lane that stays below 1. The
 members whose grown lane reaches 1, v among them when its plain sum
 does, are read off at once, from the lanes' top bits after a bias add,
-and only they are re-checked, by one full sweep of the kernel's member
-check (``_member_check``) over a frozenset of the members, built once per
-join that has such a member: it rejects v, or it gives the member's exact
-weight, which, rounded up, becomes its bound.
-
-Most of those re-checks would reject, and two facts let the rows decide
-them first. The blocked distance equals the plain one d when d <= 3,
-since every inner vertex of such a path is next to an end, and a set with
-an adjacent pair is never independent; and it does when no other member
-z lies on a shortest path between the two, rx[z] + ry[z] == d on their
-rows. Summing the plain terms of such members gives an exact floor on a
-weight (``_weight_floor``), read only at the members' entries of the
-rows, each term rounded down onto the lane scale. The members due for a
-re-check take their floors first, all of them, so a floor that rejects
-v costs no sweep; otherwise the sweeps run as above.
-Every stored value is an upper bound and every reject comes from an
-exact check, so the verdicts, and so the search order and node count,
-are those of re-checking every member with exact weights; rounding can
-only add a re-check. The equivalence with full re-verification is
-covered by tests, on the default scale and on one of a few bits.
+and each of them, in id order, is decided by one kernel sweep with its
+cut (``weights._member_check``) over a frozenset of the members, built
+once per join that has such a member. The first that fails rejects v;
+each that passes stores the sweep's value, an upper bound on its weight
+below 1, rounded up onto the scale. Every stored value is an upper bound
+and every reject comes from an exact verdict, so the verdicts, and so
+the search order and node count, are those of re-checking every member
+with exact weights; a looser bound or the rounding can only add a
+re-check. The equivalence with full re-verification is covered by
+tests, on the default scale and on one of a few bits.
 
 Many rejects need no call at all, as they hold in every descendant. The
 search carries a dead mask, one lane per vertex in id order, with each
@@ -112,7 +102,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from typing import Callable, Collection, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph, ParameterError, connected_components, induced_subgraph, plain_row
 from .weights import (
@@ -171,8 +161,9 @@ def _certified(G: Graph, witness: Iterable[int], nodes: int, status: str, verifi
     return SearchResult(len(witness), witness, nodes, status)
 
 
-# the α_e branch and bound keeps its weight bounds over 2 ** _LANE_BITS: an
-# upper bound is rounded up onto it and a floor's terms are rounded down
+# both exact solvers keep their lane sums over 2 ** _LANE_BITS, each plain
+# term and each checked weight rounded up onto it, so a lane stays an
+# upper bound
 _LANE_BITS = 20
 
 # the bytes of term rows one solve keeps, and apart from them the bytes of
@@ -261,53 +252,6 @@ def _lanes(G: Graph) -> _Lanes:
     return _Lanes(w, one, ((1 << w - 1) - one) * ones, ones << w - 1, rows, terms)
 
 
-def _weight_floor(members: Collection[int], x: int, rows: Callable[[int], bytes]) -> int:
-    """A lower bound on x's weight from the members other than x, over
-    2 ** _LANE_BITS with every term rounded down, read off the plain rows
-    of x and of the members alone. ``rows`` maps a vertex to its
-    ``plain_row``. The bound holds when the members hold no adjacent pair,
-    and x may be one of them; ``try_extend`` reads it for a set with one
-    only when that set is not independent, where any reject is right. A
-    member y at plain distance d adds its plain term 2 ** (1 - d) when its
-    blocked distance is d too: when d <= 3, as every inner vertex of such
-    a path is next to x or y, so no member while x has no member
-    neighbour; or when no other member z lies on a shortest x-y path,
-    ``rx[z] + ry[z] == d``. Any other member adds 0. A member at the
-    capped distance 255 adds 0 and is never on a path.
-
-    Near members are summed first, then the far ones by ascending d. The
-    scan stops once the bound reaches 1 or once the far terms not yet read
-    cannot lift it there, so the verdict ``floor >= 1 << _LANE_BITS`` is
-    that of every member read."""
-    one = 1 << _LANE_BITS
-    two = one << 1
-    rx = rows(x)
-    floor = 0
-    far = []
-    for y in members:
-        d = rx[y]
-        if d > 3:
-            if d < 255:
-                far.append((d, y))
-        elif d:
-            floor += two >> d
-    if floor >= one:
-        return floor
-    rest = sum(two >> d for d, _ in far)
-    far.sort()
-    for d, y in far:
-        if floor + rest < one:
-            break
-        term = two >> d
-        rest -= term
-        ry = rows(y)
-        if all(rx[z] + ry[z] != d for z in members if 0 < rx[z] < d):
-            floor += term
-            if floor >= one:
-                break
-    return floor
-
-
 def try_extend(G: Graph, state: tuple, v: int, layout: _Lanes) -> tuple | None:
     """Incremental feasibility check for the members of ``state``, an
     exponentially independent set, plus v. ``state`` is a triple
@@ -335,51 +279,39 @@ def try_extend(G: Graph, state: tuple, v: int, layout: _Lanes) -> tuple | None:
        bounds its weight in the extended set.
     3. The hot members, those whose grown lane reaches 1, are the member
        lanes whose top bit fires once ``bias`` is added, read off ``tops``.
-       Each takes a floor, and any floor that reaches 1 rejects v.
-    4. Each hot member is then decided by one ``_member_check``, which
-       rejects v or stores the member's exact weight rounded up in its
-       lane. The checks sweep over a frozenset of the members, built once
-       for all of them, since ``in`` on the tuple would cost each reached
-       vertex a scan of the members.
+    4. Each hot member, in id order, is decided by one ``_member_check``,
+       the kernel's sweep with its cut: the first that fails rejects v,
+       and each that passes stores the check's value rounded up onto the
+       lane scale, an upper bound on its weight below 1 (or 1 itself,
+       once rounded). The checks sweep over a frozenset of the members,
+       built once for all of them, since ``in`` on the tuple would cost
+       each reached vertex a scan of the members.
 
-    A floor is ``_weight_floor``, an exact lower bound on a weight read off
-    the rows: a member's plain term counts when the plain distance is at
-    most 3, or when no other member lies on a shortest path between the
-    two, for then the blocked distance is the plain one. A floor that
-    reaches 1 rejects v with no ``_member_check``. Most re-checks reject,
-    and most are decided this way. A member neighbour of v lifts both
-    their lanes, and both floors, by exactly 1, so such a v is rejected
-    by a floor; the floors assume no adjacent pair, and while v has no
-    member neighbour the members hold none. Every reject comes from an
-    exact check, and a lane only ever rounds up, so the verdict is that of
-    exact weights; rounding can only add a re-check.
+    Every reject comes from an exact verdict, and every stored lane is an
+    upper bound, so the verdict is that of re-checking every member with
+    exact weights; a looser bound or the rounding can only add a re-check
+    at a later join.
 
     ``alpha_e_exact`` calls this only for a candidate its dead mask
     leaves live (``_dead_marks``); a dead one is a reject this flow would
     also return, so the mask saves calls and changes no verdict."""
     members, bounds, tops = state
-    w, one, bias, _, rows, terms = layout
+    w, _, bias, _, _, terms = layout
     members += (v,)
     tops |= 1 << w * v + w - 1
     grown = bounds + terms(v)
     hot = (grown + bias) & tops
     if hot:
-        found = []
-        while hot:
-            low = hot & -hot
-            found.append(low.bit_length() // w - 1)
-            hot ^= low
-        for x in found:
-            if _weight_floor(members, x, rows) >= one:
-                return None
         lane = (1 << w) - 1
         # the sweeps test membership at every vertex they reach
         swept = frozenset(members)
-        for x in found:
-            good, num, _ = _member_check(G, swept, x)
+        while hot:
+            low = hot & -hot
+            hot ^= low
+            k = low.bit_length() - w  # the lowest hot member's lane
+            good, num = _member_check(G, swept, k // w)
             if not good:
                 return None
-            k = w * x
             grown += (_ceil(num, G.n) - (grown >> k & lane)) << k
     return members, grown, tops
 

@@ -19,33 +19,20 @@ integer comparisons. Floating point appears only in display strings.
 
 One kernel, ``_influence``, runs the absorbing sweep behind every weight
 and every verdict here and in the solvers. It walks out from the source
-level by level, records each member it meets without expanding it, and
+level by level, counts each member it meets without expanding it, and
 costs only the part of the graph it reaches. On n vertices every reached
-distance is below n, so every weight is an integer over 2**n: the kernel
-returns it, each verdict compares it with 1 << n, and the branch and
-bound rounds it up onto its own scale. While it sweeps, the kernel keeps
-the sum on a local scale, an integer over 2**(d - 1) for the last level
-d that held a member, so a level costs d-bit operations at most and the
-one shift onto 2**n comes at the end. Given a cut, it also stops as soon as the verdict is
-decided: the weight so far has reached the cut, or it stays below the
-cut even if every member not yet met sits one level further out. Both
-are exact integer comparisons, so every verdict is unchanged.
-``ed_holds`` uses the cut on every graph and ``ei_holds`` on graphs with
-a cycle, where a packing's sweeps would otherwise each cover most of the
-graph; every caller that
-needs the full weight or every reached pair passes none. The branch
-and bound sweeps only in its member re-checks, the new member's own
-included, and they pass none either: each is one ``_member_check``, as
-a member that passes keeps its exact weight. Most
-branch-and-bound nodes run no sweep at all: a plain-distance sum accepts
-most candidates, a dead mask rejects most of the rest with no call, and
-an exact floor read off the same distance rows decides most member
-re-checks (``solvers``).
-A member's own condition is decided from one sweep over the set itself
-rather than over the set without that member, in two places:
-``_member_check``, with no cut, and ``ei_holds``' branch for graphs with
-a cycle, with the kernel's cut of 3 (the member's own term 2 plus the
-others' 1).
+distance is below n, so it returns one integer over 2**n. With no cut
+that is the exact weight. Given a cut, a whole weight, it stops once the
+verdict against the cut is decided, and the value is exact in that
+verdict: at or above the cut it is the weight so far, at most the exact
+weight; below it, it is the weight so far plus the most the members not
+yet met could add, an upper bound on the exact weight. ``weight`` and
+``weight_details`` pass no cut; ``ed_holds`` passes 1 on every graph,
+and ``ei_holds``, on graphs with a cycle, and ``_member_check`` pass 3,
+a member's own term 2 plus the others' 1, so a member's condition comes
+from one sweep over the set itself rather than over the set without it.
+The branch and bound sweeps only in its member checks, and stores the
+upper bound of each member that passes (``solvers``).
 The two report verifiers are the one exception. A report's rows, the
 (member, distance) pairs of each vertex it examines, are the transpose
 of one absorbing sweep per member, as the blocked distance is symmetric;
@@ -62,8 +49,9 @@ same canonical value.
 ``Dyadic`` values are built only for returned weights and each report
 vertex's head line, and a report renders each term's value and decimal
 once per distinct distance.
-``graphs.absorbing_bfs`` gives the same distances as a dense list,
-and the tests use it as the kernel's oracle.
+``weight_details`` reads its (member, distance) pairs off
+``graphs.absorbing_bfs``, which gives the kernel's distances as a dense
+list.
 
 On a tree, ``ei_holds`` skips the per-member sweeps, and the good-set
 builder's audit (``constructors._Tree.audit``) reads the same pass. A
@@ -106,7 +94,7 @@ from decimal import Decimal
 from functools import cached_property, total_ordering
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .graphs import Graph, ParameterError, dead_marks, is_tree
+from .graphs import INF, Graph, ParameterError, absorbing_bfs, dead_marks, is_tree
 
 
 @total_ordering
@@ -202,7 +190,7 @@ class Dyadic:
 
 @dataclass(frozen=True)
 class VertexCheck:
-    """One examined vertex: its exact weight, the kernel's (source,
+    """One examined vertex of a report: its exact weight, one (source,
     blocked distance) pair for each member it reaches, sorted by source,
     and its verdict. A pair (v, d) contributes ``Dyadic.influence(d)``."""
 
@@ -307,45 +295,34 @@ def _member_set(G: Graph, S: Iterable[int], *vertices: int) -> frozenset:
     return members
 
 
-def _influence(
-    G: Graph, members: Collection[int], u: int, cut: int = 0
-) -> tuple[int, list[tuple[int, int]]]:
+def _influence(G: Graph, members: Collection[int], u: int, cut: int = 0) -> int:
     """The weight kernel: one absorbing sweep from u over ``members``, any
     collection that answers ``in`` (the solvers pass a frozenset).
 
-    Returns ``(num, reached)``: ``reached`` lists the members u reaches as
-    (source, blocked distance) pairs in BFS order, u itself at distance 0
-    when it is a member, and num / 2**G.n is their exact total influence
-    on u, a member at distance d adding 2**(G.n + 1 - d). So the member
-    test is ``num < 1 << G.n`` and the domination test is
-    ``num >= 1 << G.n``.
+    Returns an int over 2**G.n. With no ``cut`` it is u's exact weight,
+    each member at blocked distance d adding 2**(G.n + 1 - d), u itself
+    adding 2**(G.n + 1) when it is a member. With a nonzero ``cut``, a
+    whole weight, it is exact in its verdict against ``cut << G.n``:
 
-    The sweep goes level by level: a member it meets is recorded and never
+    - once the weight so far reaches ``cut``, it is that sum, at least the
+      cut and at most the exact weight;
+    - once, at level d, the sum can no longer reach ``cut`` even if every
+      member not yet met sits at distance d + 1 and adds its most, 2**-d,
+      it is the sum so far plus 2**-d for each such member: an upper bound
+      on the exact weight, below the cut;
+    - a sweep that runs out first gives the exact weight.
+
+    The sweep goes level by level: a member it meets is counted and never
     expanded, the source always is, so a call costs the part of G it
     reaches and one ``bytearray`` of visited marks. The sum is kept on the
     local scale of the last level that held a member: ``acc`` /
     2**(last - 1) is the weight so far, such a level shifts it by the
-    levels since and adds its members, and the one shift onto 2**G.n
-    happens on return.
-
-    A nonzero ``cut``, a whole weight, stops the sweep as soon as the
-    verdict ``num >= cut << G.n`` is decided: once the weight so far
-    reaches ``cut``, or once it stays below ``cut`` even if each of the
-    members not yet reached sits at the next distance, d + 1, and adds its
-    most, 2**-d. Both tests compare d-bit integers. num and ``reached`` are
-    then the sum and pairs of the levels swept, a prefix of the full
-    sweep, and the verdict is exact. ``ei_holds`` (cut 3, on a graph with
-    a cycle) and ``ed_holds`` (cut 1, on every graph) pass a cut; every
-    caller that needs the full weight or every pair passes none:
-    ``weight``, ``weight_details`` and ``_member_check``, and so the
-    member re-checks in ``solvers.try_extend``, the new member's own
-    included, where a member that passes keeps its exact weight, rounded
-    up onto the solver's lane scale."""
+    levels since and adds its members, each stop test compares d-bit
+    integers, and the one shift onto 2**G.n happens on return."""
     adj = G.adj
     seen = bytearray(G.n)
     seen[u] = 1
-    reached = [(u, 0)] if u in members else []
-    acc = len(reached)
+    met = acc = 1 if u in members else 0
     last = d = 0
     frontier = [u]
     while frontier:
@@ -357,46 +334,57 @@ def _influence(
                 if not seen[y]:
                     seen[y] = 1
                     if y in members:
-                        reached.append((y, d))
                         hits += 1
                     else:
                         nxt.append(y)
         if hits:
             acc = (acc << (d - last)) + hits
             last = d
+            met += hits
         if cut:
             top = cut << d
             twice = acc << (d + 1 - last)
-            if twice >= top or twice + len(members) - len(reached) < top:
+            if twice >= top:
                 break
+            bound = twice + len(members) - met
+            if bound < top:
+                return bound << (G.n - d)
         frontier = nxt
-    return acc << (G.n + 1 - last), reached
+    return acc << (G.n + 1 - last)
 
 
 def weight(G: Graph, S: Iterable[int], u: int) -> Dyadic:
     """Total influence that S exerts on u, as an exact dyadic. A member at
     blocked distance d contributes (1/2)**(d-1); unreachable members
     contribute nothing; u itself, when in S, contributes 2."""
-    return Dyadic(_influence(G, _member_set(G, S, u), u)[0], G.n)
+    return Dyadic(_influence(G, _member_set(G, S, u), u), G.n)
 
 
 def weight_details(G: Graph, S: Iterable[int], u: int) -> tuple[Dyadic, tuple[tuple[int, int], ...]]:
     """Like ``weight`` but also returns the decomposition: one (source,
-    blocked distance) pair per reachable member, sorted by source id; a
-    pair (v, d) contributes ``Dyadic.influence(d)``."""
-    num, reached = _influence(G, _member_set(G, S, u), u)
-    return Dyadic(num, G.n), tuple(sorted(reached))
+    blocked distance) pair per member u reaches, u itself at distance 0
+    when it is a member, sorted by source id; a pair (v, d) contributes
+    ``Dyadic.influence(d)``. The weight is the kernel's, the pairs are
+    read off ``graphs.absorbing_bfs``, which gives the same distances."""
+    members = _member_set(G, S, u)
+    dist = absorbing_bfs(G, u, members)
+    pairs = tuple((v, dist[v]) for v in sorted(members) if dist[v] != INF)
+    return Dyadic(_influence(G, members, u), G.n), pairs
 
 
-def _member_check(G: Graph, members: Collection[int], u: int) -> tuple:
+def _member_check(G: Graph, members: Collection[int], u: int) -> tuple[bool, int]:
     """The member u against the influence of the other members, from one
-    sweep over ``members`` itself, so no set without u is built. The
-    source is always expanded, so the sweep is the one over the others
-    plus u's own term 2, and the others' influence stays below 1 iff the
-    sweep's total stays below 3. Returns ``(verdict, num, reached)`` for
-    the other members alone, num over 2**G.n."""
-    num, reached = _influence(G, members, u)
-    return num < 3 << G.n, num - (2 << G.n), reached[1:]
+    sweep over ``members`` itself with the kernel's cut of 3, so no set
+    without u is built. The source is always expanded, so the sweep is the
+    one over the others plus u's own term 2, and the others' influence
+    stays below 1 iff the sweep's total stays below 3.
+
+    Returns ``(verdict, num)``, num over 2**G.n for the other members
+    alone: for a member that passes, an upper bound on their influence,
+    below 1 (exact when the sweep runs out before its cut); for one that
+    fails, at least 1."""
+    num = _influence(G, members, u, 3) - (2 << G.n)
+    return num < 1 << G.n, num
 
 
 def _sweep_rows(G: Graph, members: frozenset, ed: bool) -> tuple[int, list[int], list]:
@@ -564,7 +552,7 @@ def ei_holds(G: Graph, S: Iterable[int]) -> bool:
         return False
     if not is_tree(G):
         three = 3 << G.n
-        return all(_influence(G, members, u, 3)[0] < three for u in members)
+        return all(_influence(G, members, u, 3) < three for u in members)
     W, one = _tree_influence(G, members)
     return all(W[u] < one for u in members)
 
@@ -576,4 +564,4 @@ def ed_holds(G: Graph, S: Iterable[int]) -> bool:
     the members it has not met can no longer lift it to 1."""
     members = _member_set(G, S)
     one = 1 << G.n
-    return all(_influence(G, members, u, 1)[0] >= one for u in range(G.n) if u not in members)
+    return all(_influence(G, members, u, 1) >= one for u in range(G.n) if u not in members)

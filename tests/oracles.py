@@ -4,6 +4,9 @@ against, kept beside the tests because no runtime path calls them.
 - ``bfs_distances`` and ``blocked_distance``: plain and blocked hop
   distances, each from one ``absorbing_bfs``; the reference distances of
   the graph, weight and solver tests.
+- ``kernel_reference``: a vertex's exact weight and its (member, blocked
+  distance) pairs from one ``absorbing_bfs``; the reference for the weight
+  kernel's uncut value and for the reports' rows.
 - ``alpha_e_bruteforce``: a maximum exponentially independent set by
   exhaustive enumeration, the reference for ``alpha_e_exact``.
 - ``enumerate_trees``: every labeled tree on n vertices, the reference
@@ -27,7 +30,7 @@ from itertools import combinations
 from typing import Iterator
 
 from expindep.families import gen_tdelta
-from expindep.graphs import Graph, absorbing_bfs, bfs_levels
+from expindep.graphs import INF, Graph, absorbing_bfs, bfs_levels
 from expindep.solvers import SearchResult, _certified
 from expindep.weights import _member_set, ei_holds, is_exponentially_independent
 
@@ -36,6 +39,16 @@ def bfs_distances(G: Graph, u: int) -> list:
     """Hop distances from u; INF for unreachable vertices:
     ``absorbing_bfs`` with no sinks."""
     return absorbing_bfs(G, u, ())
+
+
+def kernel_reference(G: Graph, S: Iterable[int], u: int) -> tuple[int, list[tuple[int, int]]]:
+    """u's exact weight from S over 2 ** G.n, u's own term included when
+    u is in S, and the (member, blocked distance) pair of each member u
+    reaches, sorted by member, rebuilt from ``absorbing_bfs``'s dense
+    distance list."""
+    dist = absorbing_bfs(G, u, S)
+    reached = sorted((v, dist[v]) for v in S if dist[v] != INF)
+    return sum(1 << (G.n + 1 - d) for _, d in reached), reached
 
 
 def blocked_distance(G: Graph, S: Iterable[int], u: int, v: int):

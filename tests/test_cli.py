@@ -73,6 +73,18 @@ class TestGen:
             assert rc == 0
         assert a.read_text() == b.read_text()
 
+    def test_out_of_memory_is_a_runtime_error(self, monkeypatch):
+        # exit 1 means "verdict false", so a MemoryError must not escape
+        # as a traceback with exit 1
+        def exhausted(G):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "write_edge_list", exhausted)
+        rc, out, err = run("gen", "--family", "path", "--n", 5)
+        assert (rc, out) == (3, "")
+        assert err.startswith("error:")
+        assert err == "error: out of memory\n"
+
 
 class TestVerify:
     @pytest.fixture()

@@ -16,6 +16,7 @@ MODULES = ("graphs", "weights", "families", "constructors", "solvers", "experime
 ORACLES = (
     "bfs_distances",
     "blocked_distance",
+    "kernel_reference",
     "alpha_e_bruteforce",
     "enumerate_trees",
     "grandchild_set",

@@ -47,7 +47,7 @@ from expindep.weights import (
     is_exponentially_dominating,
     is_exponentially_independent,
 )
-from oracles import alpha_e_bruteforce, bfs_distances, blocked_distance
+from oracles import alpha_e_bruteforce, bfs_distances, blocked_distance, kernel_reference
 
 
 class TestAlphaExamples:
@@ -214,11 +214,12 @@ class TestIncrementalExtension:
                     assert step[0] == (*state[0], v)
                     members, state = frozenset(step[0]), step
 
-    def test_passing_recheck_stores_the_exact_weight(self, monkeypatch):
+    def test_passing_recheck_stores_its_checked_value(self, monkeypatch):
         # the two re-checks of this search that pass: when 13 joins
         # {0, 4, 5, 9, 12}, the plain terms lift the bounds of members 9
-        # and 12 to 1 or more; each reads 31744 / 2^15 and keeps that
-        # exact weight, rounded up onto the lane scale, as its bound
+        # and 12 to 1 or more; each check sweeps to the end, reads the
+        # exact weight 31744 / 2^15 and keeps it, rounded up onto the lane
+        # scale, as its bound
         G = random_subcubic_graph(15, 1, 11)
         *_, lanes = start(G)
         passed, grown_maps = [], []
@@ -241,47 +242,20 @@ class TestIncrementalExtension:
         members = frozenset({0, 4, 5, 9, 12, 13})
         assert passed == [(9, members, 31744), (12, members, 31744)]
         for x in (9, 12):
-            assert exact_weight(G, members, x) == 31744
+            assert checked(G, members, x) == exact_weight(G, members, x) == 31744
             assert [grown[x] for grown in grown_maps if grown.keys() == members] == [on_lanes(31744, G.n)]
         oracle = alpha_e_bruteforce(G)
         assert (result.optimum, result.witness) == (oracle.optimum, oracle.witness)
         assert result.optimum == 6
-
-    # On the path 0..6, 4 joining {0, 2} lifts member 2's bound to 1, the
-    # case that re-checks 2, and 2's floor reads 0 and 4 at distance 2.
-    @pytest.mark.parametrize(
-        "G, members, v",
-        [(gen_path(7), (0, 2), 4)],
-        ids=["member-recheck"],
-    )
-    def test_floor_decided_reject_runs_no_sweep(self, monkeypatch, G, members, v):
-        layout, state, _ = start(G)
-        for u in members:
-            state = try_extend(G, state, u, layout)
-        sweeps = []
-
-        def influence(G, members, u, cut=0):
-            sweeps.append(u)
-            return _influence(G, members, u, cut)
-
-        # every kernel sweep, a member's re-check included, runs in the
-        # weights module
-        monkeypatch.setattr(weights, "_influence", influence)
-        assert try_extend(G, state, v, layout) is None
-        assert sweeps == []
-        assert not ei_holds(G, set(members) | {v})
-        # with a floor of 0 the same reject takes a kernel sweep
-        monkeypatch.setattr(solvers, "_weight_floor", lambda *args: 0)
-        assert try_extend(G, state, v, layout) is None
-        assert sweeps
 
     # v's plain sum reaches 1 in each case. On the path 0..6, 2 lies between
     # the members 0 and 4, both at distance 2, and 3 next to the member 4.
     # On the spider with centre 0 and legs 0-1, 0-2-{3, 7}, 0-4-{5, 6}, 3
     # reads 7 at 2, 1 at 3, and 5 and 6 at 4, an exact weight of 1. On the
     # 22-vertex graph v's plain sum is exactly 1, but each shortest path to
-    # one member at distance 5 passes another member: v's member check
-    # reaches it at 9, v's weight is 241/256, and v joins.
+    # one member at distance 5 passes another member, so it sits at
+    # blocked distance 9: v's weight is 241/256, its member check stops
+    # below the cut with the bound 31/32, and v joins.
     @pytest.mark.parametrize(
         "G, members, v",
         [
@@ -294,47 +268,99 @@ class TestIncrementalExtension:
     )
     def test_plain_sum_of_one_is_decided_as_a_hot_member(self, monkeypatch, G, members, v):
         """v is decided as every hot member is: ``solvers`` runs no kernel
-        sweep of its own, v is hot and its floor is read with the other
-        hot members' floors, in id order and before any member check, up
-        to the first floor that rejects; at most one member check runs
-        from v, every kernel sweep is a member check, and the verdict
-        agrees with ``ei_holds``."""
+        sweep of its own, v is hot, the member checks run over the hot
+        members in id order up to the first that fails, every kernel sweep
+        is a member check, and the verdict agrees with ``ei_holds``."""
         layout, state, _ = start(G)
         rows = layout.rows
         for u in members:
             state = try_extend(G, state, u, layout)
         assert sum((2 << G.n) >> rows(v)[x] for x in members) >= 1 << G.n
         assert not hasattr(solvers, "_influence")
-        events, sweeps = [], []
-        weight_floor = solvers._weight_floor
+        checks, verdicts, sweeps = [], [], []
 
         def influence(G, members, u, cut=0):
             sweeps.append(u)
             return _influence(G, members, u, cut)
 
-        def floor(members, x, rows):
-            events.append(("floor", x))
-            return weight_floor(members, x, rows)
-
         def check(G, members, x):
-            events.append(("check", x))
-            return _member_check(G, members, x)
+            checks.append(x)
+            result = _member_check(G, members, x)
+            verdicts.append(result[0])
+            return result
 
         monkeypatch.setattr(weights, "_influence", influence)
-        monkeypatch.setattr(solvers, "_weight_floor", floor)
         monkeypatch.setattr(solvers, "_member_check", check)
         grown = try_extend(G, state, v, layout)
-        floors = [x for kind, x in events if kind == "floor"]
-        checks = [x for kind, x in events if kind == "check"]
         total, w = state[1] + layout.terms(v), layout.w
         hot = [x for x in sorted({*state[0], v}) if total >> w * x & (1 << w) - 1 >= layout.one]
         assert v in hot
-        assert floors == hot or (floors == hot[: len(floors)] and grown is None and not checks)
-        assert checks == hot[: len(checks)]
-        assert events == [("floor", x) for x in floors] + [("check", x) for x in checks]
-        assert checks.count(v) <= 1
+        if grown is None:
+            assert checks == hot[: len(checks)]
+            assert verdicts == [True] * (len(checks) - 1) + [False]
+        else:
+            assert checks == hot and all(verdicts)
         assert sweeps == checks
         assert (grown is not None) == ei_holds(G, set(members) | {v})
+
+    def test_a_join_reads_no_plain_row(self):
+        """A join reads v's term row and decides its hot members by kernel
+        sweeps alone: with a layout whose plain rows raise, every
+        try_extend call gives the state the real layout gives, over the
+        identity graphs in id order and over a greedy pass in ascending
+        (degree, id) order on a 300-vertex graph with cycles."""
+
+        def no_rows(v):
+            raise AssertionError(f"a join read the plain row of {v}")
+
+        graphs, cyclic = identity_graphs()
+        G = random_subcubic_graph(300, 37, 1)
+        walks = [(H, range(H.n)) for H in graphs + cyclic]
+        walks.append((G, sorted(range(G.n), key=lambda v: (G.degree(v), v))))
+        for H, order in walks:
+            layout = solvers._lanes(H)
+            rowless = layout._replace(rows=no_rows)
+            state = ((), 0, 0)
+            for v in order:
+                step = try_extend(H, state, v, layout)
+                assert try_extend(H, state, v, rowless) == step, (list(H.edges()), state[0], v)
+                if step is not None:
+                    state = step
+        assert ei_holds(G, state[0]) and len(state[0]) == 85
+
+    # On the path 0..6, 4 joining {0, 2} lifts member 2's bound to 1, the
+    # case that re-checks 2, and 2 reads 0 and 4 at distance 2, a weight of
+    # 1. On the tree 0-1-{2, 3}, 2-5, 3-4, 5 joining {0, 2, 4} lifts member
+    # 0's bound to 1, but 5 lies behind the member 2, so 0 passes at 3/4;
+    # then the member 2, next to 5, fails.
+    @pytest.mark.parametrize(
+        "G, members, v, swept",
+        [
+            (gen_path(7), (0, 2), 4, [2]),
+            (Graph(6, [(0, 1), (1, 2), (1, 3), (2, 5), (3, 4)]), (0, 2, 4), 5, [0, 2]),
+        ],
+        ids=["member-recheck", "pass-then-reject"],
+    )
+    def test_reject_runs_one_sweep_per_checked_member(self, monkeypatch, G, members, v, swept):
+        """A reject takes one kernel sweep, with the member check's cut of
+        3, for each hot member up to the one that fails, and no other."""
+        layout, state, _ = start(G)
+        for u in members:
+            state = try_extend(G, state, u, layout)
+        grown = frozenset({*members, v})
+        assert [_member_check(G, grown, x)[0] for x in swept] == [True] * (len(swept) - 1) + [False]
+        sweeps = []
+
+        def influence(G, members, u, cut=0):
+            sweeps.append((u, cut))
+            return _influence(G, members, u, cut)
+
+        # every kernel sweep, a member's re-check included, runs in the
+        # weights module
+        monkeypatch.setattr(weights, "_influence", influence)
+        assert try_extend(G, state, v, layout) is None
+        assert sweeps == [(x, 3) for x in swept]
+        assert not ei_holds(G, grown)
 
     def test_member_checks_sweep_a_frozenset(self, monkeypatch):
         """A state holds its members as a tuple, but every member check
@@ -366,8 +392,18 @@ def cyclic_graphs(draw):
 
 
 def exact_weight(G, members, x):
-    """The member x's exact weight from the other members, over 2 ** G.n."""
-    return _member_check(G, members, x)[1]
+    """The member x's exact weight from the other members, over 2 ** G.n,
+    from ``kernel_reference``."""
+    return kernel_reference(G, frozenset(members) - {x}, x)[0]
+
+
+def checked(G, members, x):
+    """The member check's value for the member x, over 2 ** G.n: what a
+    passing x stores, rounded up onto the lane scale. It is asserted to be
+    at least x's exact weight."""
+    num = _member_check(G, frozenset(members), x)[1]
+    assert num >= exact_weight(G, members, x), (list(G.edges()), sorted(members), x)
+    return num
 
 
 def plain_term(G, d):
@@ -386,8 +422,8 @@ def plain_sum(G, row, members):
 @st.composite
 def graphs_with_a_spread_set(draw):
     """A random subcubic graph on 4..24 vertices with 1..n/2 extra edges,
-    and a random set with no adjacent pair, the precondition of
-    ``solvers._weight_floor``."""
+    and a random set with no adjacent pair, under which a near member's
+    plain distance is its blocked one (the dead mask's near floors)."""
     n = draw(st.integers(4, 24))
     try:
         G = random_subcubic_graph(n, draw(st.integers(1, n // 2)), draw(st.integers(0, 10**6)))
@@ -400,31 +436,9 @@ def graphs_with_a_spread_set(draw):
     return G, frozenset(S)
 
 
-def blocked_weight(G, S, x):
-    """x's weight from the members of S other than x, over 2 ** G.n, from
-    ``blocked_distance`` alone, not from the kernel."""
-    dists = (blocked_distance(G, S, x, y) for y in S if y != x)
-    return sum((2 << G.n) >> d for d in dists if d != INF)
-
-
-def clean_distances(G, S, x):
-    """The plain distances from x of the members of S whose terms the
-    floor counts, from BFS distances: each member other than x in reach
-    at distance 3 or less, or with no other member on a shortest path."""
-    dx = bfs_distances(G, x)
-    clean = []
-    for y in S - {x}:
-        d = dx[y]
-        if d != INF:
-            dy = bfs_distances(G, y)
-            if d <= 3 or all(dx[z] + dy[z] != d for z in S - {x, y}):
-                clean.append(d)
-    return clean
-
-
 def spread_points(G, S):
     """The vertices with no member neighbour: the members, and every
-    candidate ``try_extend`` reads a floor for."""
+    candidate that no member neighbour already rules out."""
     return [x for x in range(G.n) if S.isdisjoint(G.adj[x])]
 
 
@@ -465,12 +479,12 @@ class TestInfluenceBounds:
             plain = plain_sum(G, rows(v), members)
             members, state = frozenset(step[0]), step
             bounds = lanes(state)
-            assert bounds[v] == (plain if plain < one else on_lanes(exact_weight(G, members, v), G.n))
+            assert bounds[v] == (plain if plain < one else on_lanes(checked(G, members, v), G.n))
             for x in members:
                 exact = on_lanes(exact_weight(G, members, x), G.n)
                 assert bounds[x] >= exact, (list(G.edges()), sorted(members), x)
-                # below 1, or an exact weight below 1 rounded up to 1
-                assert bounds[x] < one or bounds[x] == exact
+                # below 1, or a checked value below 1 rounded up to 1
+                assert bounds[x] < one or bounds[x] == on_lanes(checked(G, members, x), G.n)
 
     @given(cyclic_graphs(), st.data())
     def test_every_subset_of_an_independent_set_is_independent(self, G, data):
@@ -487,7 +501,7 @@ class TestInfluenceBounds:
     def test_kernel_is_at_most_the_plain_distance_sum(self, G, data):
         u = data.draw(st.integers(0, G.n - 1))
         S = frozenset(data.draw(st.sets(st.integers(0, G.n - 1))))
-        num, _ = _influence(G, S, u)
+        num = _influence(G, S, u)
         plain = sum(1 << (G.n + 1 - d) for v, d in enumerate(bfs_distances(G, u)) if v in S and d < G.n)
         assert num <= plain
 
@@ -503,38 +517,6 @@ class TestInfluenceBounds:
                 if 0 < row[y] <= 3:
                     assert blocked_distance(G, S, x, y) == row[y], (list(G.edges()), sorted(S), x, y)
 
-    @given(graphs_with_a_spread_set())
-    def test_weight_floor_never_exceeds_the_weight(self, case):
-        G, S = case
-        rows = row_map(G)
-        bits = solvers._LANE_BITS
-        for x in spread_points(G, S):
-            floor = solvers._weight_floor(S, x, rows)
-            assert floor << G.n <= blocked_weight(G, S, x) << bits, (list(G.edges()), sorted(S), x)
-            # the early stop decides the verdict of every clean term read,
-            # each rounded down onto the lane scale
-            full = sum((2 << bits) >> d for d in clean_distances(G, S, x))
-            assert (floor >= 1 << bits) == (full >= 1 << bits), (list(G.edges()), sorted(S), x)
-
-    @given(graphs_with_a_spread_set())
-    def test_weight_floor_is_exact_when_no_far_member_is_blocked(self, case):
-        """When no other member lies on a shortest path from x to any
-        member beyond distance 3, the clean terms the floor reads sum to
-        x's exact weight, and the floor's verdict is that of their sum
-        rounded down onto the lane scale."""
-        G, S = case
-        rows = row_map(G)
-        one = 1 << solvers._LANE_BITS
-        for x in spread_points(G, S):
-            dx = bfs_distances(G, x)
-            reached = sum(dx[y] != INF for y in S - {x})
-            clean = clean_distances(G, S, x)
-            if len(clean) == reached:
-                where = (list(G.edges()), sorted(S), x)
-                assert sum((2 << G.n) >> d for d in clean) == blocked_weight(G, S, x), where
-                rounded = sum((2 * one) >> d for d in clean)
-                assert (solvers._weight_floor(S, x, rows) >= one) == (rounded >= one), where
-
     @given(cyclic_graphs(), st.data())
     def test_relaxation_reject_is_sound(self, G, data):
         """The lane sums the domination search reads are the rounded-up
@@ -546,7 +528,7 @@ class TestInfluenceBounds:
         assert total == rounded_sums(G, combo), (list(G.edges()), combo)
         for x, low in enumerate(total):
             if low < one and x not in combo:
-                num, _ = _influence(G, frozenset(combo), x)
+                num = _influence(G, frozenset(combo), x)
                 assert num < 1 << G.n
                 assert not ed_holds(G, combo)
 
@@ -562,27 +544,51 @@ class TestInfluenceBounds:
         assert total[299] == 3
 
 
-class TestFloorOnlySkipsSweeps:
+class TestOneDecisionPerHotMember:
     @given(cyclic_graphs(), st.data())
-    def test_floor_of_zero_gives_the_same_maps(self, G, data):
-        """With ``_weight_floor`` patched to 0 every decision takes a kernel
-        sweep, and every try_extend call returns what the real floor gives:
-        None, or an equal state with the same members, lanes and top bits.
-        Each accepted vertex joins, so the set grows to a maximal one and
-        the later calls meet the floors of a large set."""
-        layout, state, _ = start(G)
+    def test_hot_members_are_decided_in_id_order(self, G, data):
+        """Every try_extend call runs one member check for each hot member,
+        in id order, up to the first that fails, and no other kernel
+        sweep. It returns None exactly when a check fails; otherwise each
+        checked member's lane holds its check's value rounded up onto the
+        lane scale, and every other lane its grown lane. Each accepted
+        vertex joins, so the set grows to a maximal one and the later calls
+        meet the hot members of a large set."""
+        layout, state, lanes = start(G)
+        w, one = layout.w, layout.one
         for v in data.draw(st.permutations(range(G.n))):
-            step = try_extend(G, state, v, layout)
+            checks, sweeps = [], []
+
+            def influence(G, members, u, cut=0):
+                sweeps.append(u)
+                return _influence(G, members, u, cut)
+
+            def check(G, members, x):
+                result = _member_check(G, members, x)
+                checks.append((x, *result))
+                return result
+
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(solvers, "_weight_floor", lambda *args: 0)
-                swept = try_extend(G, state, v, layout)
+                patch.setattr(weights, "_influence", influence)
+                patch.setattr(solvers, "_member_check", check)
+                step = try_extend(G, state, v, layout)
             where = (list(G.edges()), sorted(state[0]), v)
+            grown = state[1] + layout.terms(v)
+            hot = [x for x in sorted({*state[0], v}) if grown >> w * x & (1 << w) - 1 >= one]
+            assert [x for x, *_ in checks] == hot[: len(checks)], where
+            assert sweeps == [x for x, *_ in checks], where
+            verdicts = [good for _, good, _ in checks]
+            assert (verdicts == [True] * len(checks)) if step else (verdicts[-1:] == [False]), where
+            assert all(verdicts[:-1]), where
+            assert (step is not None) == ei_holds(G, {*state[0], v}), where
             if step is None:
-                assert swept is None, where
-            else:
-                assert swept is not None, where
-                assert swept == step, where
-                state = step
+                continue
+            assert step[0] == (*state[0], v) and len(checks) == len(hot), where
+            values = {x: on_lanes(num, G.n) for x, _, num in checks}
+            for x in step[0]:
+                want = values.get(x, grown >> w * x & (1 << w) - 1)
+                assert lanes(step, x) == want, (*where, x)
+            state = step
 
 
 def far_member_tree():
@@ -645,18 +651,19 @@ class TestPlainRowExtension:
             bounds, lanes_now = lanes(state), lanes(step)
             for x in grown:
                 exact = on_lanes(exact_weight(G, grown, x), G.n)
-                # below 1, or an exact weight below 1 rounded up to 1
-                assert exact <= lanes_now[x] and (lanes_now[x] < one or lanes_now[x] == exact), where + (x,)
+                # below 1, or a checked value below 1 rounded up to 1
+                assert exact <= lanes_now[x], where + (x,)
+                assert lanes_now[x] < one or lanes_now[x] == on_lanes(checked(G, grown, x), G.n), where + (x,)
             row = rows(v)
             plain = plain_sum(G, row, members)
             if plain < one:
                 assert lanes_now[v] == plain
                 for x in members:
                     carried = bounds[x] + plain_term(G, row[x])
-                    want = carried if carried < one else on_lanes(exact_weight(G, grown, x), G.n)
+                    want = carried if carried < one else on_lanes(checked(G, grown, x), G.n)
                     assert lanes_now[x] == want, where + (x,)
             else:
-                assert lanes_now[v] == on_lanes(exact_weight(G, grown, v), G.n)
+                assert lanes_now[v] == on_lanes(checked(G, grown, v), G.n)
             for x in members:
                 if row[x] == 255 and bounds[x] + 1 < one:
                     # unreachable from v, on these graphs: its term is one
@@ -682,11 +689,12 @@ class TestPlainRowExtension:
         assert (two >> 299) << solvers._LANE_BITS < lanes(grown, 0) << G.n
 
     def test_blocked_distance_past_255_takes_the_capped_term(self):
-        """v's plain sum reaches 1, so v takes its member check; the check
-        reaches a member at a blocked distance past 255, whose term rounds
-        up to one unit on the lane scale, the term of a row's 255. v
-        joins, as ``ei_holds`` says, directly and as the one candidate of a
-        search."""
+        """v's plain sum reaches 1, so v takes its member check. v reaches
+        a member at a blocked distance past 255, whose plain term, from a
+        row's 255, is one unit on the lane scale; the check's cut stops
+        its sweep long before that member, with an upper bound below 1
+        that v keeps. v joins, as ``ei_holds`` says, directly and as the
+        one candidate of a search."""
         G, members, v = far_member_tree()
         layout, state, lanes = start(G)
         for u in members:
@@ -694,13 +702,13 @@ class TestPlainRowExtension:
             assert state is not None, u
         S = frozenset(state[0])
         assert lanes(state, v) >= 1 << solvers._LANE_BITS
-        num, reached = _influence(G, S, v)
+        num, reached = kernel_reference(G, S, v)
         assert num == (7 << G.n - 3) + ((2 << G.n) >> 301)
         assert max(d for _, d in reached) == 301
         grown = try_extend(G, state, v, layout)
         assert ei_holds(G, S | {v}) and grown is not None
         assert grown[0] == (*state[0], v)
-        assert lanes(grown, v) == on_lanes(num, G.n)
+        assert lanes(grown, v) == on_lanes(checked(G, grown[0], v), G.n)
         for x in grown[0]:
             assert lanes(grown, x) >= on_lanes(exact_weight(G, grown[0], x), G.n), x
         rest = set(range(G.n)) - S - {v}
