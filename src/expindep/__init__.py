@@ -10,8 +10,6 @@ from .graphs import (
     EdgeListError,
     parse_edge_list,
     write_edge_list,
-    absorbing_bfs,
-    longest_path,
     is_connected,
     is_tree,
     is_subcubic,
@@ -19,7 +17,6 @@ from .graphs import (
     degree2_vertices,
     induced_subgraph,
     connected_components,
-    INF,
 )
 from .weights import (
     Dyadic,

@@ -502,9 +502,9 @@ def _hanging_levels(tree: _Tree, w4: int, w3p: int) -> list[list[int]]:
     components of up to three vertices, or of depth exactly 3 from w4,
     from the rest. In a tree a vertex is reached only from its neighbour
     on the level before, which the walk lists beside it, so a step skips
-    that neighbour alone and needs no visited marks: the levels are those
-    of ``bfs_levels`` over the alive vertices but w4, at the cost of the
-    levels read rather than a copy of the n alive marks."""
+    that neighbour alone and needs no visited marks: the levels are the
+    first four of ``bfs_levels`` over the alive vertices but w4, at the
+    cost of the levels read rather than a copy of the n alive marks."""
     adj, alive = tree.adj, tree.alive
     levels = [[(w3p, w4)]]  # each vertex with the one it was reached from
     while len(levels) < 4 and levels[-1]:

@@ -7,19 +7,19 @@ hop counts, with ``math.inf`` standing in for "unreachable" so ordinary
 comparisons order every finite distance below infinity.
 
 ``bfs_levels`` is the shared search: level-synchronous, over the
-vertices not marked in a caller's bytearray, optionally cut at a radius.
-Balls, connectivity, components and diametral paths all run on it, and
-each restricts it only through the marks. A walk that needs more than a
-yes/no mark per vertex, or that must cost less than n, keeps its own
-loop:
+vertices not marked in a caller's bytearray, to the last level it
+reaches. Connectivity, components and diametral paths all run on it,
+and each restricts it only through the marks. A walk that needs more
+than a yes/no mark per vertex, or that must cost less than n, keeps its
+own loop:
 
 - ``plain_row``, the exact solvers' plain-distance rows: its marks are the
   capped distances themselves, one byte per vertex with 255 for
   unvisited, so the row is filled in the same pass that visits it.
 - ``absorbing_bfs``: it records each vertex's distance, and its sinks are
   entered but never expanded. ``weights.weight_details`` reads its pairs
-  off it, and it is the independent reference the tests compare the
-  other searches against.
+  and its weight off it, and it is the independent reference the tests
+  compare the other searches and the weight kernel against.
 - ``constructors.greedy_packing``'s sweep: its marks are the radius an
   earlier ball still has at a vertex, so a pick stops where an earlier
   ball reaches at least as far rather than re-walking it.
@@ -288,35 +288,33 @@ def absorbing_bfs(G: Graph, u: int, sinks: Iterable[int]) -> list:
     return [d if d >= 0 else INF for d in dist]
 
 
-def bfs_levels(adj, src: int, seen: bytearray, radius: int | None = None) -> list[list[int]]:
+def bfs_levels(adj, src: int, seen: bytearray) -> list[list[int]]:
     """The one level-synchronous search: ``levels[d]`` lists, in the order
     reached, the vertices at hop distance d from src over the vertices not
     marked in ``seen``, and the list ends at the last non-empty level. It
     marks src and everything it visits, so a caller restricts a search by
     marking vertices beforehand and can share one array across searches.
-    With a radius, it stops after that many levels beyond src."""
+    The loop walks ``levels`` while it appends to it, and stops once a
+    level reaches nothing new."""
     seen[src] = 1
-    frontier = [src]
-    levels = [frontier]
-    for _ in range(len(adj) if radius is None else radius):
+    levels = [[src]]
+    for frontier in levels:
         nxt = []
         for x in frontier:
             for y in adj[x]:
                 if not seen[y]:
                     seen[y] = 1
                     nxt.append(y)
-        if not nxt:
-            break
-        levels.append(nxt)
-        frontier = nxt
+        if nxt:
+            levels.append(nxt)
     return levels
 
 
 def bfs_ball(G: Graph, u: int, radius: int) -> list[list[int]]:
-    """Distance-capped BFS from u: ``levels[d]`` lists the vertices at hop
-    distance d, for d up to the radius, and the list ends at the last
-    non-empty level."""
-    return bfs_levels(G.adj, u, bytearray(G.n), radius)
+    """The levels of ``bfs_levels`` from u up to hop distance ``radius``;
+    the list ends at the last non-empty level, and a radius of 0 or less
+    gives the source alone. The search itself is not capped."""
+    return bfs_levels(G.adj, u, bytearray(G.n))[: max(radius, 0) + 1]
 
 
 def plain_row(G: Graph, u: int) -> bytes:

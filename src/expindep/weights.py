@@ -17,7 +17,7 @@ covers both leaves with exactly 1), so all arithmetic here is exact: every
 term is a dyadic rational p / 2**e and comparisons against 1 reduce to
 integer comparisons. Floating point appears only in display strings.
 
-One kernel, ``_influence``, runs the absorbing sweep behind every weight
+One kernel, ``_influence``, runs the absorbing sweep behind ``weight``
 and every verdict here and in the solvers. It walks out from the source
 level by level, counts each member it meets without expanding it, and
 costs only the part of the graph it reaches. On n vertices every reached
@@ -26,11 +26,11 @@ that is the exact weight. Given a cut, a whole weight, it stops once the
 verdict against the cut is decided, and the value is exact in that
 verdict: at or above the cut it is the weight so far, at most the exact
 weight; below it, it is the weight so far plus the most the members not
-yet met could add, an upper bound on the exact weight. ``weight`` and
-``weight_details`` pass no cut; ``ed_holds`` passes 1 on every graph,
-and ``ei_holds``, on graphs with a cycle, and ``_member_check`` pass 3,
-a member's own term 2 plus the others' 1, so a member's condition comes
-from one sweep over the set itself rather than over the set without it.
+yet met could add, an upper bound on the exact weight. ``weight`` passes
+no cut; ``ed_holds`` passes 1 on every graph, and ``ei_holds``, on
+graphs with a cycle, and ``_member_check`` pass 3, a member's own term 2
+plus the others' 1, so a member's condition comes from one sweep over
+the set itself rather than over the set without it.
 The branch and bound sweeps only in its member checks, and stores the
 upper bound of each member that passes (``solvers``).
 The two report verifiers are the one exception. A report's rows, the
@@ -48,10 +48,12 @@ of the sweeps rather than in n, and ``Dyadic`` brings each one to the
 same canonical value.
 ``Dyadic`` values are built only for returned weights and each report
 vertex's head line, and a report renders each term's value and decimal
-once per distinct distance.
-``weight_details`` reads its (member, distance) pairs off
-``graphs.absorbing_bfs``, which gives the kernel's distances as a dense
-list.
+once per distinct distance. A report's text is its interface: no
+structured view of the rows is kept or parsed back.
+``weight_details`` does not call the kernel. It reads its (member,
+distance) pairs off ``graphs.absorbing_bfs``, which gives the blocked
+distances as a dense list, and sums their exact terms, so it is the
+public reference the kernel's weight is checked against.
 
 On a tree, ``ei_holds`` skips the per-member sweeps, and the good-set
 builder's audit (``constructors._Tree.audit``) reads the same pass. A
@@ -83,15 +85,14 @@ as the audit needs. ``ed_holds`` decides with the kernel's cut on every
 graph, trees included: a non-member's sweep stops as soon as its
 verdict is decided, where the pass would weigh every vertex at the width
 of the tallest component. The report verifiers (member sweeps),
-``weight`` and ``weight_details`` (kernel sweeps) stay on the sweeps,
-which the tests use as the oracle for the tree pass.
+``weight`` (kernel sweeps) and ``weight_details`` (``absorbing_bfs``)
+stay on the sweeps, which the tests use as the oracle for the tree pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .graphs import INF, Graph, ParameterError, absorbing_bfs, dead_marks, is_tree
@@ -188,32 +189,22 @@ class Dyadic:
         return f"{whole}.{frac}"
 
 
-@dataclass(frozen=True)
-class VertexCheck:
-    """One examined vertex of a report: its exact weight, one (source,
-    blocked distance) pair for each member it reaches, sorted by source,
-    and its verdict. A pair (v, d) contributes ``Dyadic.influence(d)``."""
-
-    vertex: int
-    weight: Dyadic
-    contributions: tuple[tuple[int, int], ...]
-    ok: bool
-
-
 _CHUNK_CHARS = 1 << 22  # row characters per piece of a streamed report
 
 
 class WeightReport:
-    """Full diagnostic output of a verifier run, over the examined vertices
-    in ascending id: the members in mode "ei", every vertex in mode "ed".
-    Each one holds its exact weight, an integer over 2**scale for the
-    report scale ``_sweep_rows`` returns, and its rows, the rendered line
-    of each (source, blocked distance) pair it sums, sorted by source. A
-    line is rendered once per sweep level and shared by every vertex the
-    level reaches (``_sweep_rows``), so ``to_text`` joins the rows as they
-    are and formats only each vertex's head line. ``chunks`` yields that
-    text in pieces, and ``to_text`` is their join.
-    ``checks`` reads the pairs back from the lines, on first access only."""
+    """Full diagnostic output of a verifier run: ``mode``, ``ok``,
+    ``first_violation`` and the text, whose grammar README's "verifier
+    report" format states. The text is the report's only view of its
+    examined vertices, in ascending id (the members in mode "ei", every
+    vertex in mode "ed"): each one's exact weight and verdict, then one row
+    per (source, blocked distance) pair it sums, sorted by source. For one
+    vertex's pairs as values, call ``weight_details``.
+    A weight is held as an integer over 2**scale, the report scale
+    ``_sweep_rows`` returns, and a row as its rendered line, shared by
+    every vertex its sweep level reaches, so ``to_text`` joins the rows as
+    they are and formats only each vertex's head line. ``chunks`` yields
+    that text in pieces, and ``to_text`` is their join."""
 
     def __init__(self, mode: str, vertices: Sequence[int], scale: int, nums: list[int], rows: list):
         self.mode = mode  # "ei" or "ed"
@@ -229,15 +220,6 @@ class WeightReport:
         # the others' influence on a member stays below 1; a vertex is
         # dominated from 1 on
         return num < self._one if self.mode == "ei" else num >= self._one
-
-    @cached_property
-    def checks(self) -> tuple[VertexCheck, ...]:
-        """One check per examined vertex, sorted by id."""
-        checks = []
-        for u in self._vertices:
-            num = self._nums[u]
-            checks.append(VertexCheck(u, Dyadic(num, self._scale), tuple(map(_pair, self._rows[u])), self._good(num)))
-        return tuple(checks)
 
     def chunks(self) -> Iterator[str]:
         """The report's text in pieces of about ``_CHUNK_CHARS`` characters
@@ -274,12 +256,6 @@ class WeightReport:
 
     def to_text(self) -> str:
         return "".join(self.chunks())
-
-
-def _pair(line: str) -> tuple[int, int]:
-    """The (source, distance) pair of a row line ``  v={v} d={d} c=...``."""
-    v, d = line[: line.index(" c=")].split()
-    return int(v[2:]), int(d[2:])
 
 
 def _member_set(G: Graph, S: Iterable[int], *vertices: int) -> frozenset:
@@ -364,12 +340,14 @@ def weight_details(G: Graph, S: Iterable[int], u: int) -> tuple[Dyadic, tuple[tu
     """Like ``weight`` but also returns the decomposition: one (source,
     blocked distance) pair per member u reaches, u itself at distance 0
     when it is a member, sorted by source id; a pair (v, d) contributes
-    ``Dyadic.influence(d)``. The weight is the kernel's, the pairs are
-    read off ``graphs.absorbing_bfs``, which gives the same distances."""
+    ``Dyadic.influence(d)``. Both come from one ``graphs.absorbing_bfs``,
+    not from the kernel: the weight is the exact sum of the pairs' terms,
+    so it cannot disagree with them, and it is a reference for ``weight``
+    that shares none of the kernel's code."""
     members = _member_set(G, S, u)
     dist = absorbing_bfs(G, u, members)
     pairs = tuple((v, dist[v]) for v in sorted(members) if dist[v] != INF)
-    return Dyadic(_influence(G, members, u), G.n), pairs
+    return Dyadic(sum(2 << (G.n - d) for _, d in pairs), G.n), pairs
 
 
 def _member_check(G: Graph, members: Collection[int], u: int) -> tuple[bool, int]:

@@ -7,6 +7,9 @@ against, kept beside the tests because no runtime path calls them.
 - ``kernel_reference``: a vertex's exact weight and its (member, blocked
   distance) pairs from one ``absorbing_bfs``; the reference for the weight
   kernel's uncut value and for the reports' rows.
+- ``report_checks`` and ``row_pair``: a verifier report's examined
+  vertices, and one row's (member, blocked distance) pair, parsed back
+  from the report's text, which is the only view a report gives.
 - ``alpha_e_bruteforce``: a maximum exponentially independent set by
   exhaustive enumeration, the reference for ``alpha_e_exact``.
 - ``enumerate_trees``: every labeled tree on n vertices, the reference
@@ -25,14 +28,15 @@ The tests import this module as ``oracles``: pytest puts ``tests/`` on
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from expindep.families import gen_tdelta
-from expindep.graphs import INF, Graph, absorbing_bfs, bfs_levels
+from expindep.graphs import INF, Graph, absorbing_bfs
 from expindep.solvers import SearchResult, _certified
-from expindep.weights import _member_set, ei_holds, is_exponentially_independent
+from expindep.weights import Dyadic, WeightReport, _member_set, ei_holds, is_exponentially_independent
 
 
 def bfs_distances(G: Graph, u: int) -> list:
@@ -55,6 +59,40 @@ def blocked_distance(G: Graph, S: Iterable[int], u: int, v: int):
     """Distance between u and v with every member of S other than u and v
     deleted; INF when they become disconnected, 0 only for u == v."""
     return absorbing_bfs(G, u, _member_set(G, S, u, v))[v]
+
+
+class ReportCheck(NamedTuple):
+    """One examined vertex of a report: its exact weight, one (source,
+    blocked distance) pair for each member it reaches, sorted by source,
+    and its verdict. A pair (v, d) contributes ``Dyadic.influence(d)``."""
+
+    vertex: int
+    weight: Dyadic
+    contributions: tuple[tuple[int, int], ...]
+    ok: bool
+
+
+def row_pair(line: str) -> tuple[int, int]:
+    """The (source, distance) pair of a report row ``  v=<v> d=<d> c=...``."""
+    v, d = line.split(maxsplit=2)[:2]
+    return int(v[2:]), int(d[2:])
+
+
+def report_checks(report: WeightReport) -> tuple[ReportCheck, ...]:
+    """One check per examined vertex, in the order of ``report.to_text()``,
+    parsed from the text between its head and version lines: a vertex line
+    ``<u> w=<p>/2^<e> (<decimal>) ok|VIOLATION`` and then its rows. The
+    numerator is read with ``int(Decimal(p))``, because ``int(p)`` raises
+    past Python's 4300-digit cap on str-to-int conversion."""
+    checks = []
+    for line in report.to_text().splitlines()[1:-1]:
+        if line.startswith("  v="):
+            checks[-1][2].append(row_pair(line))
+        else:
+            u, w, _, verdict = line.split()
+            p, e = w[2:].split("/2^")
+            checks.append((int(u), Dyadic(int(Decimal(p)), int(e)), [], verdict == "ok"))
+    return tuple(ReportCheck(u, w, tuple(pairs), ok) for u, w, pairs, ok in checks)
 
 
 def alpha_e_bruteforce(G: Graph) -> SearchResult:
@@ -167,14 +205,25 @@ def expansion_condition_holds(G: Graph, d: int) -> bool:
     if d < 1:
         raise ValueError("d must be at least 1")
     cap = 3 * (1 << (d - 1)) - 1
+    adj = G.adj
     seen = bytearray(G.n)  # shared by every ball, cleared over each one
     for u in range(G.n):
-        levels = bfs_levels(G.adj, u, seen, d)
-        if d < len(levels) and len(levels[d]) > cap:
+        seen[u] = 1
+        ball = [u]
+        frontier = [u]
+        for _ in range(d):  # the search stops at the ball's radius
+            nxt = []
+            for x in frontier:
+                for y in adj[x]:
+                    if not seen[y]:
+                        seen[y] = 1
+                        nxt.append(y)
+            ball += nxt
+            frontier = nxt
+        if len(frontier) > cap:
             return False
-        for level in levels:
-            for v in level:
-                seen[v] = 0
+        for v in ball:
+            seen[v] = 0
     return True
 
 

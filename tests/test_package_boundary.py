@@ -5,6 +5,7 @@ looks it up."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import expindep
@@ -17,6 +18,8 @@ ORACLES = (
     "bfs_distances",
     "blocked_distance",
     "kernel_reference",
+    "report_checks",
+    "row_pair",
     "alpha_e_bruteforce",
     "enumerate_trees",
     "grandchild_set",
@@ -57,3 +60,19 @@ def test_runtime_package_holds_only_what_runs():
     pinned = [*job_spans.values(), *(("families", name) for name in generators)]
     pinned += [("weights", name) for name in verifiers]
     assert [f"{mod}.{name}" for mod, name in pinned if not hasattr(modules[mod], name)] == []
+
+
+def test_package_boundary():
+    """A report's interface is its text, so its parse-back view is gone;
+    the graph primitives that only the tests and the traced benchmark use
+    are no package exports, and ``bfs_levels`` has no radius. The names
+    ``perfbench/layers.py`` wraps stay in their modules."""
+    from expindep import families, graphs, weights
+
+    assert [name for name in ("VertexCheck", "_pair") if hasattr(weights, name)] == []
+    assert not hasattr(weights.WeightReport, "checks")
+    assert [name for name in ("absorbing_bfs", "longest_path", "INF") if hasattr(expindep, name)] == []
+    assert "radius" not in inspect.signature(graphs.bfs_levels).parameters
+    pinned = [(graphs, "absorbing_bfs"), (graphs, "bfs_ball"), (graphs, "longest_path"), (graphs, "INF")]
+    pinned += [(weights, "weight_details"), (families, "leaf_set")]
+    assert [name for mod, name in pinned if not hasattr(mod, name)] == []
