@@ -1,9 +1,10 @@
 """Command line entry point.
 
 Exit codes: 0 success (and "verdict true" for verify), 1 verdict false
-(verify only), 2 usage error (a missing flag, or a flag value a library
-function rejects with ``ParameterError`` before any work), 3 runtime error
-(running out of memory included) or timeout. Every subcommand is
+(verify only), 2 usage error (a missing flag, or a flag value that the
+library function owning its range rejects with ``ParameterError``; this
+module re-labels that error and repeats none of those checks), 3 runtime
+error (running out of memory included) or timeout. Every subcommand is
 deterministic given its flags and seed. ``gen --family`` and
 ``construct --method family-canonical`` take their family names and
 required flags from ``families.FAMILIES``, the table the corpus parser
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import Iterable
 
 from . import __version__
@@ -25,7 +25,7 @@ from .constructors import (
     tree_good_set,
 )
 from .families import FAMILIES
-from .graphs import Graph, ParameterError, _decimal, endvertices, parse_edge_list, write_edge_list
+from .graphs import Graph, ParameterError, endvertices, parse_edge_list, parse_vertex_set, write_edge_list
 from .solvers import alpha_e_exact, gamma_e_exact
 from .weights import ei_holds, is_exponentially_dominating, is_exponentially_independent
 from .experiments import (
@@ -53,17 +53,8 @@ def _read_graph(path: str) -> Graph:
 
 
 def _read_set(path: str) -> frozenset:
-    out = set()
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.add(_decimal(line))
-            except ValueError:
-                raise ParameterError(f"set file line {line_no}: expected a vertex id, got {line!r}") from None
-    return frozenset(out)
+        return parse_vertex_set(fh.read())
 
 
 def _set_text(S) -> str:
@@ -83,11 +74,7 @@ def _family_params(name: str, args) -> list[int]:
 
 
 def _cmd_gen(args) -> int:
-    params = _family_params(args.family, args)
-    try:
-        lg = FAMILIES[args.family].build(*params)
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
+    lg = FAMILIES[args.family].build(*_family_params(args.family, args))
     _write(args.out, write_edge_list(lg.graph))
     if args.labels_out:
         lines = [f"# expindep {__version__}"]
@@ -132,10 +119,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.method == "packing":
+    if args.method != "family-canonical":
         if not args.graph:
-            raise ParameterError("--graph is required for packing")
+            raise ParameterError(f"--graph is required for {args.method}")
         G = _read_graph(args.graph)
+    if args.method == "packing":
         dstar = args.dstar
         if dstar is None:
             if G.n < 4:
@@ -146,9 +134,6 @@ def _cmd_construct(args) -> int:
             raise RuntimeError("packing failed re-verification")
         sys.stdout.write(f"method packing\ndstar {dstar}\nsize {len(S)}\nset " + " ".join(map(str, sorted(S))) + "\n")
     elif args.method == "tree-good":
-        if not args.graph:
-            raise ParameterError("--graph is required for tree-good")
-        G = _read_graph(args.graph)
         S, trace = tree_good_set(G)
         ok, why = good_set_audit(G, S)
         if args.trace_out:
@@ -157,17 +142,10 @@ def _cmd_construct(args) -> int:
     else:  # family-canonical
         if args.family is None:
             raise ParameterError("family-canonical supports --family " + " or ".join(_CANONICAL))
-        # tk has one canonical set and ignores the phase, so it is checked
-        # here for every family
-        if args.phase not in (0, 1, 2):
-            raise ParameterError("phase must be 0, 1 or 2")
         fam = FAMILIES[args.family]
         params = _family_params(args.family, args)
-        try:
-            S = fam.canonical(*params, phase=args.phase)
-            G = fam.build(*params).graph
-        except ValueError as exc:
-            raise ParameterError(str(exc)) from exc
+        S = fam.canonical(*params, phase=args.phase)
+        G = fam.build(*params).graph
         if not ei_holds(G, S):
             raise RuntimeError("canonical set failed re-verification")
         sys.stdout.write(f"method family-canonical\nsize {len(S)}\nset " + " ".join(map(str, sorted(S))) + "\n")
@@ -184,12 +162,8 @@ def _cmd_experiment(args) -> int:
             raise ParameterError("--corpus is required for bound-table")
         _write(args.out, bound_table(args.corpus).to_text())
     elif args.name == "random-ei":
-        try:
-            p = Fraction(args.p)
-        except (ValueError, ZeroDivisionError):
-            raise ParameterError(f"cannot parse probability {args.p!r}") from None
         table = random_ei_probability(
-            range(args.kmin, args.kmax + 1), p, args.trials, args.seed
+            range(args.kmin, args.kmax + 1), args.p, args.trials, args.seed
         )
         _write(args.out, table.to_text())
     elif args.name == "conjecture-scan":
@@ -276,8 +250,9 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    # a ParameterError is raised before any work, so it names a missing
-    # flag or a bad flag value, CorpusError included
+    # a ParameterError names a missing flag or a flag value out of the
+    # range its owning function accepts, CorpusError included; any other
+    # ValueError from a build or a check is a fault, not a usage error
     except ParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

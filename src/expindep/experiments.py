@@ -96,7 +96,7 @@ def _corpus_instance(token: str) -> list[tuple[str, Graph]]:
         raise CorpusError(f"unknown corpus entry {token!r}")
     try:
         return [(token, fam.build(*args).graph)]
-    except ValueError as exc:
+    except ParameterError as exc:
         raise CorpusError(f"bad parameters in corpus entry {token!r}: {exc}") from exc
 
 
@@ -219,7 +219,7 @@ def bound_table(corpus: str) -> CsvTable:
 
 def random_ei_probability(
     k_range: Iterable[int],
-    p: Fraction | float,
+    p: Fraction | float | str,
     trials: int,
     seed: int,
 ) -> CsvTable:
@@ -231,7 +231,12 @@ def random_ei_probability(
     the first pick with an earlier-picked neighbor and draws no further:
     its own generator feeds no other trial, and every draw before the stop
     is the one the full sample makes. A trial with no adjacent picks is
-    decided by ``ei_holds``."""
+    decided by ``ei_holds``. ``p`` is anything ``Fraction`` reads, such
+    as "1/2"; one it cannot read raises ParameterError."""
+    try:
+        p = Fraction(p)
+    except (ValueError, ZeroDivisionError):
+        raise ParameterError(f"cannot parse probability {p!r}") from None
     depths = sorted(set(k_range))
     if not depths:
         raise ParameterError("empty depth range")
@@ -239,7 +244,6 @@ def random_ei_probability(
         raise ParameterError("depth must be nonnegative")
     if trials <= 0:
         raise ParameterError("trials must be positive")
-    p = Fraction(p)
     if not (0 < p <= 1):
         raise ParameterError("p must lie in (0, 1]")
     p_float = float(p)

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .graphs import Graph, endvertices
+from .graphs import Graph, ParameterError, endvertices
 from .weights import Dyadic, weight
 
 
@@ -67,7 +67,7 @@ class LabeledGraph:
 def gen_tk(k: int) -> LabeledGraph:
     """Spine-with-pendants tree of order 3k + 4; see the module docstring."""
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise ParameterError("k must be at least 1")
     edges = []
     labels: dict[str, int | tuple[int, ...]] = {}
     for i in range(1, k + 1):
@@ -85,9 +85,17 @@ def gen_tk(k: int) -> LabeledGraph:
     return LabeledGraph(Graph(3 * k + 4, edges), labels)
 
 
-def canonical_set_tk(k: int) -> frozenset:
-    """All k + 2 endvertices of gen_tk(k)."""
+def canonical_set_tk(k: int, phase: int = 0) -> frozenset:
+    """All k + 2 endvertices of gen_tk(k). The family has one canonical
+    set, so ``phase`` is only range-checked, as ``tprime_dense_set``
+    checks it."""
+    _check_phase(phase)
     return endvertices(gen_tk(k).graph)
+
+
+def _check_phase(phase: int):
+    if phase not in (0, 1, 2):
+        raise ParameterError("phase must be 0, 1 or 2")
 
 
 _TPRIME_FINGERPRINT = Dyadic(11, 5)
@@ -100,7 +108,7 @@ def gen_tprime(k: int) -> LabeledGraph:
     self-check, which pins the topology rather than trusting the builder.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise ParameterError("k must be at least 1")
     edges = []
     labels: dict[str, int | tuple[int, ...]] = {}
     # block-local offsets
@@ -152,8 +160,7 @@ def tprime_dense_set(k: int, phase: int = 0) -> frozenset:
     x_i can shield its arm), and additionally c_i in every block with
     i % 3 == phase. Which phases verify is established empirically by the
     calibration tests; all three do."""
-    if phase not in (0, 1, 2):
-        raise ValueError("phase must be 0, 1 or 2")
+    _check_phase(phase)
     lg = gen_tprime(k)
     out: set[int] = set()
     for i in range(1, k + 1):
@@ -171,7 +178,7 @@ def _leveled_tree(depth: int, root_kids: int, kids: int) -> LabeledGraph:
     consecutive; labeled ``root`` and ``depth_j`` for each level j. depth
     0 is the single vertex."""
     if depth < 0:
-        raise ValueError("depth must be nonnegative")
+        raise ParameterError("depth must be nonnegative")
     edges = []
     levels: list[list[int]] = [[0]]
     next_id = 1
@@ -195,7 +202,7 @@ def gen_tdelta(delta: int, depth: int) -> LabeledGraph:
     leaf sits at depth ``depth``: the root gets delta children, every other
     internal vertex delta - 1."""
     if delta < 3:
-        raise ValueError("delta must be at least 3")
+        raise ParameterError("delta must be at least 3")
     return _leveled_tree(depth, delta, delta - 1)
 
 
@@ -214,13 +221,13 @@ def leaf_set(lg: LabeledGraph) -> frozenset:
 
 def gen_path(n: int) -> Graph:
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise ParameterError("n must be at least 1")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def gen_cycle(n: int) -> Graph:
     if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
+        raise ParameterError("a cycle needs at least 3 vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -248,20 +255,22 @@ def random_subcubic_tree(n: int, seed: int) -> Graph:
     vertex of degree < 3. Reproducible given the seed; the attachment
     process is biased over unlabeled shapes, which is acceptable here."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise ParameterError("n must be at least 1")
     _, edges = _grow_subcubic_tree(n, random.Random(seed))
     return Graph(n, edges)
 
 
 def random_subcubic_graph(n: int, extra_edges: int, seed: int) -> Graph:
     """Random subcubic tree plus ``extra_edges`` additional edges between
-    currently non-adjacent degree-<3 pairs. Raises ValueError when no
-    eligible pair remains. Pairs are drawn by rejection with a full-scan
-    fallback near saturation, so infeasibility is always detected."""
+    currently non-adjacent degree-<3 pairs. Raises ParameterError when no
+    eligible pair remains: ``extra_edges`` is out of range for n and the
+    seed, which shows only once the tree is grown. Pairs are drawn by
+    rejection with a full-scan fallback near saturation, so infeasibility
+    is always detected."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise ParameterError("n must be at least 1")
     if extra_edges < 0:
-        raise ValueError("extra_edges must be nonnegative")
+        raise ParameterError("extra_edges must be nonnegative")
     rng = random.Random(seed)
     deg, edges = _grow_subcubic_tree(n, rng)
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -295,7 +304,7 @@ def random_subcubic_graph(n: int, extra_edges: int, seed: int) -> Graph:
                 if deg[v] < 3 and v not in adj[u]
             ]
             if not pairs:
-                raise ValueError("no room for another edge without exceeding degree 3")
+                raise ParameterError("no room for another edge without exceeding degree 3")
             connect(*rng.choice(pairs))
     return Graph(n, edges)
 
@@ -314,7 +323,7 @@ class Family(NamedTuple):
 # The one table behind ``gen --family``, corpus tokens ``name:p1:p2...``
 # and ``construct --method family-canonical``.
 FAMILIES: dict[str, Family] = {
-    "tk": Family(("k",), gen_tk, lambda k, phase: canonical_set_tk(k)),
+    "tk": Family(("k",), gen_tk, canonical_set_tk),
     "tprime": Family(("k",), gen_tprime, tprime_dense_set),
     "tdelta": Family(("delta", "depth"), gen_tdelta),
     "pbt": Family(("depth",), gen_perfect_binary),
@@ -379,7 +388,7 @@ def free_trees(n: int, max_degree: int | None = None) -> list[Graph]:
     tests check that the two agree on small n. With ``max_degree``, a leaf is never attached to a
     vertex already at the bound, so no tree exceeds it."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise ParameterError("n must be at least 1")
     reps = [Graph(1, [])]
     for size in range(2, n + 1):
         seen: set[str] = set()

@@ -82,8 +82,11 @@ class EdgeListError(ValueError):
 
 
 class ParameterError(ValueError):
-    """A caller's parameter lies outside its range; raised before any work
-    is done, so the command line reports it as a usage error."""
+    """A caller's parameter lies outside its range, raised by the function
+    that owns the range, so the command line reports it as a usage error.
+    Almost every one is raised before any work; ``random_subcubic_graph``
+    finds that ``extra_edges`` leaves no room only after growing its
+    tree."""
 
 
 class Graph:
@@ -229,6 +232,23 @@ def _decimal(token: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal: {token!r}")
     return int(token)
+
+
+def parse_vertex_set(text: str) -> frozenset:
+    """The ids of a vertex-set file, one per line in ``_decimal``'s syntax,
+    blank lines skipped. A line that spells no id raises ParameterError
+    naming it, since a set file is a caller's parameter; whether the ids
+    lie in a graph is for the function that takes the set to check."""
+    out = set()
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.add(_decimal(line))
+        except ValueError:
+            raise ParameterError(f"set file line {line_no}: expected a vertex id, got {line!r}") from None
+    return frozenset(out)
 
 
 def _parse_lines(n: int, lines: list[str]) -> Graph:

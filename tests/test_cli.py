@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from expindep import cli, families, weights
+from expindep import cli, experiments, families, weights
 from expindep.cli import main
 from expindep.constructors import packing_separation
 from expindep.experiments import parse_corpus
-from expindep.families import FAMILIES, canonical_set_tk, tprime_dense_set
+from expindep.families import FAMILIES, LabeledGraph, canonical_set_tk, gen_path, tprime_dense_set
 from expindep.graphs import write_edge_list
 from expindep.weights import ei_holds
 
@@ -451,6 +451,73 @@ class TestFlagValues:
         g.write_text(write_edge_list(families.gen_path(6)))
         rc, out, err = run(*(g if a == "GRAPH" else a for a in argv))
         assert (rc, out, err) == (2, "", f"usage error: {message}\n")
+
+
+def _unverified_canonical_set(monkeypatch):
+    monkeypatch.setitem(FAMILIES, "tk", FAMILIES["tk"]._replace(canonical=lambda k, phase: frozenset({0, 1})))
+
+
+def _unverified_packing(monkeypatch):
+    monkeypatch.setattr(experiments, "greedy_packing", lambda G, dstar: frozenset({0, 1}))
+
+
+class TestExitCodeContract:
+    """The documented failures that no other test reaches, one exit code
+    per test, each with its exact (exit code, stdout, stderr)."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("solve", "--param", "gamma-e", "--graph", "GRAPH", "--require-endvertices"),
+         "--require-* flags apply to alpha-e only"),
+        (("construct", "--method", "tree-good"), "--graph is required for tree-good"),
+        (("experiment", "--name", "bound-table"), "--corpus is required for bound-table"),
+        (("experiment", "--name", "random-ei", "--p", "x"), "cannot parse probability 'x'"),
+        (("gen", "--family", "tprime", "--k", 0), "k must be at least 1"),
+        (("gen", "--family", "path", "--n", 0), "n must be at least 1"),
+        (("gen", "--family", "random-tree", "--n", 0), "n must be at least 1"),
+        (("gen", "--family", "random-graph", "--n", 0, "--extra-edges", 0), "n must be at least 1"),
+        (("gen", "--family", "random-graph", "--n", 5, "--extra-edges", -1), "extra_edges must be nonnegative"),
+    ])
+    def test_exit_2(self, tmp_path, argv, message):
+        g = tmp_path / "p3.el"
+        g.write_text(write_edge_list(gen_path(3)))
+        rc, out, err = run(*(g if a == "GRAPH" else a for a in argv))
+        assert (rc, out, err) == (2, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("graph, patch, argv, message", [
+        ("", None, ("solve", "--param", "alpha-e", "--graph", "GRAPH"), "line 1: missing header line"),
+        ("3 -1\n", None, ("solve", "--param", "alpha-e", "--graph", "GRAPH"), "line 1: negative counts in header"),
+        (None, _unverified_canonical_set, ("construct", "--method", "family-canonical", "--family", "tk", "--k", 3),
+         "canonical set failed re-verification"),
+        (None, _unverified_packing, ("experiment", "--name", "bound-table", "--corpus", "cycle:21"),
+         "packing witness failed re-verification"),
+    ])
+    def test_exit_3(self, tmp_path, monkeypatch, graph, patch, argv, message):
+        g = tmp_path / "g.el"
+        if graph is not None:
+            g.write_text(graph)
+        if patch is not None:
+            patch(monkeypatch)
+        rc, out, err = run(*(g if a == "GRAPH" else a for a in argv))
+        assert (rc, out, err) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("name, argv", [
+        ("path", ("gen", "--family", "path", "--n", 5)),
+        ("tk", ("construct", "--method", "family-canonical", "--family", "tk", "--k", 2)),
+        ("path", ("experiment", "--name", "bound-table", "--corpus", "path:5")),
+    ])
+    def test_a_family_fault_is_not_a_usage_error(self, monkeypatch, name, argv):
+        # a label past the graph is a fault of the family's code, not of
+        # the flag values it was given: the generators own their ranges,
+        # so only a ParameterError is a usage error
+        build = FAMILIES[name].build
+
+        def faulty(*params):
+            G = build(*params).graph
+            return LabeledGraph(G, {"end": G.n})
+
+        monkeypatch.setitem(FAMILIES, name, FAMILIES[name]._replace(build=faulty))
+        rc, out, err = run(*argv)
+        assert (rc, out, err) == (3, "", "error: label 'end' points outside the graph\n")
 
 
 class TestParserBasics:

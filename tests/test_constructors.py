@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import random
@@ -10,6 +11,7 @@ import expindep.constructors as cons
 from expindep.constructors import (
     GoodSetTrace,
     InvariantViolation,
+    TraceStep,
     good_set_audit,
     greedy_packing,
     packing_separation,
@@ -903,3 +905,113 @@ class TestLocalLiftCheck:
         for u, b in tree.bound.items():
             w = weight(T, S - {u}, u)
             assert w <= Dyadic(b, 64) < w + Dyadic(1, 64), u
+
+
+class TestGoodSetFaultPaths:
+    """The good-set construction's answers to states that an honest build never reaches:
+    the lift check's "cannot decide", and the structural guards, each of
+    which carries the steps taken until the fault."""
+
+    @pytest.mark.parametrize("n, dead, step, S", [
+        # a target of the pendant is not alive
+        (8, (0, 1), TraceStep("R2", (0, 1), 2, (0,)), {2, 5}),
+        # the pendant is the whole tree: no edge leaves it
+        (3, (), TraceStep("R2", (0, 1), 2, (0,)), {2}),
+        # the lift sends more influence out of the pendant than before
+        (8, (), TraceStep("R2", (0, 1), 2, (0, 3)), {2, 6}),
+        # no old member of the pendant has an open path out of it
+        (6, (), TraceStep("R2", (1,), 0, ()), {0, 4}),
+    ])
+    def test_lift_check_cannot_decide(self, n, dead, step, S):
+        tree = cons._Tree(gen_path(n))
+        tree.remove(dead)
+        tree.bound = {u: 1 << 63 for u in S}
+        assert cons._lift_holds(tree, set(S), step) is False
+        assert tree.bound == {u: 1 << 63 for u in S}
+
+    @pytest.mark.parametrize("n, seed", [(40, 1), (120, 2), (300, 3)])
+    def test_full_audit_fallback_builds_the_same_set(self, monkeypatch, n, seed):
+        T = random_subcubic_tree(n, seed)
+        want = tree_good_set(T)
+        monkeypatch.setattr(cons, "_lift_holds", lambda tree, S, step: False)
+        assert tree_good_set(T) == want
+
+    @pytest.mark.parametrize("hang, message", [
+        ([(2, 11), (11, 12), (11, 13), (12, 14)], "third neighbor 11 of the first branch vertex has degree > 2"),
+        ([(2, 11), (11, 12), (12, 13)], "expected an endvertex beyond 11, found degree 2"),
+    ])
+    def test_r3_guards_carry_the_steps_taken(self, monkeypatch, hang, message):
+        # the path 0..8 with two leaves at 8, which R1 takes first, and a
+        # hang at 2 that R3 cannot reduce; R3 is then fed the path 0..3
+        T = Graph(11 + len(hang), [(i, i + 1) for i in range(8)] + [(8, 9), (8, 10)] + hang)
+        orig = cons._choose_reduction
+        calls = []
+
+        def choose(tree):
+            calls.append(tree)
+            return orig(tree) if len(calls) == 1 else cons._reduction_r3(tree, [0, 1, 2, 3])
+
+        monkeypatch.setattr(cons, "_choose_reduction", choose)
+        with pytest.raises(InvariantViolation) as exc:
+            tree_good_set(T)
+        assert str(exc.value) == message
+        assert exc.value.trace == GoodSetTrace((TraceStep("R1", (9, 10), 8, (9, 10)),), "unfinished", ())
+
+    def test_all_but_one_endvertices_failure(self, monkeypatch):
+        monkeypatch.setattr(cons, "ei_holds", lambda G, S: False)
+        with pytest.raises(InvariantViolation) as exc:
+            tree_good_set(Graph(4, [(0, 1), (0, 2), (0, 3)]))
+        assert str(exc.value) == "all-but-one-endvertices set failed verification"
+        assert exc.value.trace == GoodSetTrace((), "all-but-one-endvertices", (1, 2))
+
+    def test_reduction_that_splits_the_tree(self, monkeypatch):
+        # the second reduction removes a branch vertex alone
+        T = random_subcubic_tree(80, seed=3)
+        _, honest = tree_good_set(T)
+        orig = cons._choose_reduction
+        calls = []
+
+        def choose(tree):
+            rule, removed, swapped, added = orig(tree)
+            calls.append(rule)
+            if len(calls) == 2:
+                removed = (min(v for v in tree.vertices() if tree.deg[v] == 3),)
+            return rule, removed, swapped, added
+
+        monkeypatch.setattr(cons, "_choose_reduction", choose)
+        with pytest.raises(InvariantViolation) as exc:
+            tree_good_set(T)
+        assert str(exc.value) == "reduced graph is not a tree"
+        first, second = exc.value.trace.steps
+        assert first == honest.steps[0] and len(second.removed) == 1
+        assert exc.value.trace.base_rule == "unfinished"
+
+    def test_reduction_that_leaves_no_degree2_vertex(self, monkeypatch):
+        # the perfect binary tree of depth 3 has one degree-2 vertex, its
+        # root; cutting off the root's right subtree leaves it a leaf
+        step = ("R2", (2, 5, 6, 11, 12, 13, 14), 0, ())
+        monkeypatch.setattr(cons, "_choose_reduction", lambda tree: step)
+        with pytest.raises(InvariantViolation) as exc:
+            tree_good_set(gen_perfect_binary(3).graph)
+        assert str(exc.value) == "reduced tree lost its last degree-2 vertex"
+        assert exc.value.trace == GoodSetTrace((TraceStep(*step),), "unfinished", ())
+
+    def test_lift_whose_swapped_vertex_left_the_set(self, monkeypatch):
+        # the first step names a removed vertex as its swapped one, which
+        # no reduced solution holds; the later, honest steps lift first
+        T = random_subcubic_tree(80, seed=3)
+        _, honest = tree_good_set(T)
+        orig = cons._choose_reduction
+        calls = []
+
+        def choose(tree):
+            rule, removed, swapped, added = orig(tree)
+            calls.append(rule)
+            return rule, removed, min(removed) if len(calls) == 1 else swapped, added
+
+        monkeypatch.setattr(cons, "_choose_reduction", choose)
+        with pytest.raises(InvariantViolation) as exc:
+            tree_good_set(T)
+        bad = dataclasses.replace(honest.steps[0], swapped=honest.steps[0].removed[0])
+        assert str(exc.value) == f"lift expected vertex {bad.swapped} in the reduced solution"
+        assert exc.value.trace == GoodSetTrace((bad,) + honest.steps[1:], honest.base_rule, honest.base_set)

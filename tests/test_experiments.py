@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from expindep import experiments
+from expindep import __version__, experiments
 from expindep.experiments import (
     CorpusError,
     CsvTable,
@@ -237,6 +237,30 @@ class TestConjectureScan:
         assert "FINDINGS:" in text
         assert "gamma_exceeds_alpha_count=0" in text
         assert "maximal_independent_not_dominating" in text
+
+    def test_a_violation_is_reported_as_a_finding(self, monkeypatch):
+        # no tree is known with gamma_e above alpha_e, so the 4-path's
+        # domination value is raised to alpha_e + 1 to stand in for one
+        real = experiments.gamma_e_exact
+
+        def inflated(T, **kwargs):
+            result = real(T, **kwargs)
+            if T.n == 4 and max(map(T.degree, range(4))) == 2:
+                return dataclasses.replace(result, optimum=experiments.alpha_e_exact(T).optimum + 1)
+            return result
+
+        monkeypatch.setattr(experiments, "gamma_e_exact", inflated)
+        report = conjecture_scan(4)
+        assert report.violations == ["tree:4:1 gamma=3 alpha=2 edges=0-1;0-2;1-3"]
+        lines = report.to_text().splitlines()
+        assert "tree:4:1,4,3,2,False" in lines
+        assert lines[lines.index("FINDINGS:"):] == [
+            "FINDINGS:",
+            "gamma_exceeds_alpha_count=1",
+            "violation tree:4:1 gamma=3 alpha=2 edges=0-1;0-2;1-3",
+            "maximal_independent_not_dominating none",
+            f"# expindep {__version__}",
+        ]
 
     def test_nmax_guard(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from expindep.families import (
     tprime_dense_set,
     tree_code,
 )
-from expindep.graphs import Graph, endvertices, is_subcubic, is_tree, longest_path, max_degree
+from expindep.graphs import Graph, ParameterError, endvertices, is_subcubic, is_tree, longest_path, max_degree
 from expindep.weights import Dyadic, ei_holds, is_exponentially_independent, weight
 from oracles import enumerate_trees, grandchild_set, report_checks
 
@@ -346,3 +346,32 @@ class TestLabeledGraph:
     def test_rejects_out_of_range_label(self):
         with pytest.raises(ValueError):
             LabeledGraph(Graph(2, [(0, 1)]), {"x": 5})
+
+
+class TestRangeErrors:
+    """Each generator owns the ranges of its parameters: a value outside one
+    raises ParameterError, which the command line reports as a usage error
+    with this message and checks nowhere else."""
+
+    @pytest.mark.parametrize("build, args, message", [
+        (gen_tk, (0,), "k must be at least 1"),
+        (canonical_set_tk, (0,), "k must be at least 1"),
+        (canonical_set_tk, (2, 3), "phase must be 0, 1 or 2"),
+        (gen_tprime, (0,), "k must be at least 1"),
+        (tprime_dense_set, (0, 0), "k must be at least 1"),
+        (tprime_dense_set, (2, 5), "phase must be 0, 1 or 2"),
+        (gen_tdelta, (2, 1), "delta must be at least 3"),
+        (gen_tdelta, (4, -1), "depth must be nonnegative"),
+        (gen_perfect_binary, (-1,), "depth must be nonnegative"),
+        (gen_path, (0,), "n must be at least 1"),
+        (gen_cycle, (2,), "a cycle needs at least 3 vertices"),
+        (random_subcubic_tree, (0, 1), "n must be at least 1"),
+        (random_subcubic_graph, (0, 0, 1), "n must be at least 1"),
+        (random_subcubic_graph, (5, -1, 1), "extra_edges must be nonnegative"),
+        (random_subcubic_graph, (3, 5, 0), "no room for another edge without exceeding degree 3"),
+        (free_trees, (0,), "n must be at least 1"),
+    ])
+    def test_out_of_range_raises_parameter_error(self, build, args, message):
+        with pytest.raises(ParameterError) as exc:
+            build(*args)
+        assert str(exc.value) == message
