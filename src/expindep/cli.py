@@ -3,8 +3,10 @@
 Exit codes: 0 success (and "verdict true" for verify), 1 verdict false
 (verify only), 2 usage error (a missing flag, or a flag value that the
 library function owning its range rejects with ``ParameterError``; this
-module re-labels that error and repeats none of those checks), 3 runtime
-error (running out of memory included) or timeout. Every subcommand is
+module re-labels that error and repeats one of those checks only:
+``construct --method packing`` rejects an order below 4 with no
+``--dstar`` itself before ``packing_separation`` would), 3 runtime error
+(running out of memory included) or timeout. Every subcommand is
 deterministic given its flags and seed. ``gen --family`` and
 ``construct --method family-canonical`` take their family names and
 required flags from ``families.FAMILIES``, the table the corpus parser
@@ -25,7 +27,7 @@ from .constructors import (
     tree_good_set,
 )
 from .families import FAMILIES
-from .graphs import Graph, ParameterError, endvertices, parse_edge_list, parse_vertex_set, write_edge_list
+from .graphs import Graph, ParameterError, endvertices, parse_edge_list, parse_vertex_set, write_edge_list, write_vertex_set
 from .solvers import alpha_e_exact, gamma_e_exact
 from .weights import ei_holds, is_exponentially_dominating, is_exponentially_independent
 from .experiments import (
@@ -55,10 +57,6 @@ def _read_graph(path: str) -> Graph:
 def _read_set(path: str) -> frozenset:
     with open(path, encoding="utf-8") as fh:
         return parse_vertex_set(fh.read())
-
-
-def _set_text(S) -> str:
-    return "".join(f"{v}\n" for v in sorted(S))
 
 
 def _family_params(name: str, args) -> list[int]:
@@ -114,7 +112,7 @@ def _cmd_solve(args) -> int:
             sys.stderr.write("note: gamma-e timed out; the witness is the whole vertex set, the trivial upper bound\n")
     sys.stdout.write(f"param {args.param}\n" + result.to_text())
     if args.witness_out:
-        _write(args.witness_out, _set_text(result.witness))
+        _write(args.witness_out, write_vertex_set(result.witness))
     return 3 if result.status == "timeout" else 0
 
 
@@ -150,7 +148,7 @@ def _cmd_construct(args) -> int:
             raise RuntimeError("canonical set failed re-verification")
         sys.stdout.write(f"method family-canonical\nsize {len(S)}\nset " + " ".join(map(str, sorted(S))) + "\n")
     if args.set_out:
-        _write(args.set_out, _set_text(S))
+        _write(args.set_out, write_vertex_set(S))
     return 0
 
 

@@ -83,19 +83,19 @@ def _corpus_instance(token: str) -> list[tuple[str, Graph]]:
         args = [int(p) for p in parts]
     except ValueError:
         raise CorpusError(f"non-integer parameter in corpus entry {token!r}") from None
-    if kind == "trees" and len(args) == 1:
-        if args[0] < 1:
-            raise CorpusError(f"bad parameters in corpus entry {token!r}: n must be at least 1")
-        return [
-            (f"tree:{n}:{idx}", T)
-            for n in range(1, args[0] + 1)
-            for idx, T in enumerate(free_trees(n, max_degree=3))
-        ]
+    trees = kind == "trees" and len(args) == 1
     fam = FAMILIES.get(kind)
-    if fam is None or len(args) != len(fam.params):
+    if not trees and (fam is None or len(args) != len(fam.params)):
         raise CorpusError(f"unknown corpus entry {token!r}")
     try:
-        return [(token, fam.build(*args).graph)]
+        if not trees:
+            return [(token, fam.build(*args).graph)]
+        # an order below 1 is passed to free_trees, which owns that range
+        return [
+            (f"tree:{n}:{idx}", T)
+            for n in range(min(args[0], 1), args[0] + 1)
+            for idx, T in enumerate(free_trees(n, max_degree=3))
+        ]
     except ParameterError as exc:
         raise CorpusError(f"bad parameters in corpus entry {token!r}: {exc}") from exc
 

@@ -85,17 +85,21 @@ def gen_tk(k: int) -> LabeledGraph:
     return LabeledGraph(Graph(3 * k + 4, edges), labels)
 
 
-def canonical_set_tk(k: int, phase: int = 0) -> frozenset:
-    """All k + 2 endvertices of gen_tk(k). The family has one canonical
-    set, so ``phase`` is only range-checked, as ``tprime_dense_set``
-    checks it."""
-    _check_phase(phase)
+def canonical_set_tk(k: int) -> frozenset:
+    """All k + 2 endvertices of gen_tk(k)."""
     return endvertices(gen_tk(k).graph)
 
 
 def _check_phase(phase: int):
     if phase not in (0, 1, 2):
         raise ParameterError("phase must be 0, 1 or 2")
+
+
+def _canonical_tk(k: int, phase: int) -> frozenset:
+    """The registry's tk entry: one canonical set, so ``phase`` is only
+    range-checked, as ``tprime_dense_set`` checks it."""
+    _check_phase(phase)
+    return canonical_set_tk(k)
 
 
 _TPRIME_FINGERPRINT = Dyadic(11, 5)
@@ -323,7 +327,7 @@ class Family(NamedTuple):
 # The one table behind ``gen --family``, corpus tokens ``name:p1:p2...``
 # and ``construct --method family-canonical``.
 FAMILIES: dict[str, Family] = {
-    "tk": Family(("k",), gen_tk, canonical_set_tk),
+    "tk": Family(("k",), gen_tk, _canonical_tk),
     "tprime": Family(("k",), gen_tprime, tprime_dense_set),
     "tdelta": Family(("delta", "depth"), gen_tdelta),
     "pbt": Family(("depth",), gen_perfect_binary),

@@ -240,8 +240,7 @@ def parse_vertex_set(text: str) -> frozenset:
     naming it, since a set file is a caller's parameter; whether the ids
     lie in a graph is for the function that takes the set to check."""
     out = set()
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
+    for line_no, line in enumerate(map(str.strip, text.split("\n")), start=1):
         if not line:
             continue
         try:
@@ -249,6 +248,11 @@ def parse_vertex_set(text: str) -> frozenset:
         except ValueError:
             raise ParameterError(f"set file line {line_no}: expected a vertex id, got {line!r}") from None
     return frozenset(out)
+
+
+def write_vertex_set(S) -> str:
+    """Inverse of parse_vertex_set: one id per line, ascending."""
+    return "".join(f"{v}\n" for v in sorted(S))
 
 
 def _parse_lines(n: int, lines: list[str]) -> Graph:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from expindep.families import (
+    FAMILIES,
     LabeledGraph,
     canonical_set_tk,
     free_trees,
@@ -356,7 +357,7 @@ class TestRangeErrors:
     @pytest.mark.parametrize("build, args, message", [
         (gen_tk, (0,), "k must be at least 1"),
         (canonical_set_tk, (0,), "k must be at least 1"),
-        (canonical_set_tk, (2, 3), "phase must be 0, 1 or 2"),
+        (FAMILIES["tk"].canonical, (2, 3), "phase must be 0, 1 or 2"),
         (gen_tprime, (0,), "k must be at least 1"),
         (tprime_dense_set, (0, 0), "k must be at least 1"),
         (tprime_dense_set, (2, 5), "phase must be 0, 1 or 2"),
