@@ -3,10 +3,8 @@
 Exit codes: 0 success (and "verdict true" for verify), 1 verdict false
 (verify only), 2 usage error (a missing flag, or a flag value that the
 library function owning its range rejects with ``ParameterError``; this
-module re-labels that error and repeats one of those checks only:
-``construct --method packing`` rejects an order below 4 with no
-``--dstar`` itself before ``packing_separation`` would), 3 runtime error
-(running out of memory included) or timeout. Every subcommand is
+module re-labels that error and repeats none of those checks), 3 runtime
+error (running out of memory included) or timeout. Every subcommand is
 deterministic given its flags and seed. ``gen --family`` and
 ``construct --method family-canonical`` take their family names and
 required flags from ``families.FAMILIES``, the table the corpus parser
@@ -122,11 +120,7 @@ def _cmd_construct(args) -> int:
             raise ParameterError(f"--graph is required for {args.method}")
         G = _read_graph(args.graph)
     if args.method == "packing":
-        dstar = args.dstar
-        if dstar is None:
-            if G.n < 4:
-                raise ParameterError(f"graph has order {G.n}; a packing below order 4 needs --dstar")
-            dstar = packing_separation(G.n)
+        dstar = packing_separation(G.n) if args.dstar is None else args.dstar
         S = greedy_packing(G, dstar)
         if not ei_holds(G, S):
             raise RuntimeError("packing failed re-verification")

@@ -118,7 +118,7 @@ def packing_separation(n: int) -> int:
     ceiling is the least t with n <= 2**(2**t). No floating point. An n
     below 4 raises ParameterError."""
     if n < 4:
-        raise ParameterError("n must be at least 4")
+        raise ParameterError(f"a packing separation needs order at least 4, got order {n}")
     t = 0
     while (1 << (1 << t)) < n:
         t += 1

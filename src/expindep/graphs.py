@@ -365,7 +365,7 @@ def plain_row(G: Graph, u: int) -> bytes:
 
 
 def max_degree(G: Graph) -> int:
-    return max((G.degree(u) for u in range(G.n)), default=0)
+    return len(max(G.adj, key=len, default=()))
 
 
 def is_connected(G: Graph) -> bool:

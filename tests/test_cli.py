@@ -352,9 +352,9 @@ class TestConstruct:
         assert rc == 2
 
     @pytest.mark.parametrize("text, argv, message", [
-        ("3 2\n0 1\n1 2\n", (), "graph has order 3; a packing below order 4 needs --dstar"),
-        ("1 0\n", (), "graph has order 1; a packing below order 4 needs --dstar"),
-        ("0 0\n", (), "graph has order 0; a packing below order 4 needs --dstar"),
+        ("3 2\n0 1\n1 2\n", (), "a packing separation needs order at least 4, got order 3"),
+        ("1 0\n", (), "a packing separation needs order at least 4, got order 1"),
+        ("0 0\n", (), "a packing separation needs order at least 4, got order 0"),
         ("0 0\n", ("--dstar", 1), "graph is empty"),
     ])
     def test_packing_bad_input_is_usage_error(self, tmp_path, text, argv, message):

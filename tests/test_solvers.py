@@ -279,9 +279,9 @@ class TestIncrementalExtension:
         assert not hasattr(solvers, "_influence")
         checks, verdicts, sweeps = [], [], []
 
-        def influence(G, members, u, cut=0):
+        def influence(G, members, u, cut=0, subcubic=False):
             sweeps.append(u)
-            return _influence(G, members, u, cut)
+            return _influence(G, members, u, cut, subcubic)
 
         def check(G, members, x):
             checks.append(x)
@@ -351,9 +351,9 @@ class TestIncrementalExtension:
         assert [_member_check(G, grown, x)[0] for x in swept] == [True] * (len(swept) - 1) + [False]
         sweeps = []
 
-        def influence(G, members, u, cut=0):
+        def influence(G, members, u, cut=0, subcubic=False):
             sweeps.append((u, cut))
-            return _influence(G, members, u, cut)
+            return _influence(G, members, u, cut, subcubic)
 
         # every kernel sweep, a member's re-check included, runs in the
         # weights module

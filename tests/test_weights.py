@@ -34,6 +34,7 @@ from expindep.graphs import (
     absorbing_bfs,
     induced_subgraph,
     is_tree,
+    max_degree,
 )
 from expindep import weights
 from expindep.weights import (
@@ -288,19 +289,24 @@ def bfs_ed(G, S):
 
 @st.composite
 def graphs_with_sets(draw):
-    """A random subcubic graph with a cycle and a set on it: a dense
-    random set, or a greedy packing at a small separation. Both put
-    vertices on exactly 1 in each mode often enough to test the exits'
-    boundaries."""
-    n = draw(st.integers(4, 25))
-    try:
-        G = random_subcubic_graph(n, draw(st.integers(1, 5)), draw(st.integers(0, 10**6)))
-    except ValueError:
-        assume(False)
+    """A random subcubic graph, a tree or one with a cycle, and a set on
+    it: a dense random set, or a greedy packing at a separation of 1 to 6,
+    sparse enough at the larger ones for the frontier bound to stop most
+    sweeps. Both put vertices on exactly 1 in each mode often enough to
+    test the exits' boundaries."""
+    n = draw(st.integers(4, 60))
+    seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        G = random_subcubic_tree(n, seed)
+    else:
+        try:
+            G = random_subcubic_graph(n, draw(st.integers(1, 5)), seed)
+        except ValueError:
+            assume(False)
     if draw(st.booleans()):
         S = frozenset(draw(st.sets(st.integers(0, n - 1), min_size=n // 3)))
     else:
-        S = greedy_packing(G, draw(st.integers(1, 4)))
+        S = greedy_packing(G, draw(st.integers(1, 6)))
     return G, S
 
 
@@ -441,28 +447,29 @@ class TestReportScale:
 
 
 class TestKernelCut:
-    """The kernel's early exit against its full sweep, on graphs with a
-    cycle, where both boolean verifiers use it (``ed_holds`` uses it on
-    trees too, ``TestDominationOnTrees``)."""
+    """The kernel's early exit against its full sweep, with the count
+    bound alone and with the frontier bound, on subcubic trees and graphs
+    with a cycle, where both boolean verifiers use it."""
 
     @given(graphs_with_sets())
     def test_exits_match_the_full_sweeps(self, case):
-        """Each vertex's verdict with a cut equals the full sweep's (the
-        verifiers' per-vertex loops). A stop below the cut returns at
-        least the uncut weight, and a stop at the cut a value between the
-        cut and the uncut weight."""
+        """Each vertex's verdict with a cut, with or without the frontier
+        bound, equals the full sweep's (the verifiers' per-vertex loops).
+        A stop below the cut returns at least the uncut weight, and a stop
+        at the cut a value between the cut and the uncut weight."""
         G, S = case
-        assert not is_tree(G)
+        assert max_degree(G) <= 3
         for u in range(G.n):
             full = _influence(G, S, u)
             cut = 3 if u in S else 1
-            num = _influence(G, S, u, cut)
-            where = (list(G.edges()), sorted(S), u)
-            assert (num >= cut << G.n) == (full >= cut << G.n), where
-            if num < cut << G.n:
-                assert num >= full, where
-            else:
-                assert cut << G.n <= num <= full, where
+            for subcubic in (False, True):
+                num = _influence(G, S, u, cut, subcubic)
+                where = (list(G.edges()), sorted(S), u, subcubic)
+                assert (num >= cut << G.n) == (full >= cut << G.n), where
+                if num < cut << G.n:
+                    assert num >= full, where
+                else:
+                    assert cut << G.n <= num <= full, where
         assert ei_holds(G, S) == bfs_ei(G, S), (list(G.edges()), sorted(S))
         assert ed_holds(G, S) == bfs_ed(G, S), (list(G.edges()), sorted(S))
 
@@ -472,7 +479,16 @@ class TestKernelCut:
         members not yet met after level 1 could just reach the cut, so the
         sweep must go on to level 2. On the 6-cycle, vertex 0 reaches 1 at
         level 1 from its neighbor 1, and the sweep stops there, before the
-        member 4 at distance 2, which lifts the full weight to 3/2."""
+        member 4 at distance 2, which lifts the full weight to 3/2.
+
+        The frontier bound meets the cut the same way: two members behind
+        one frontier vertex at depth d add at most 2**(1 - d), exactly what
+        two leaves of that vertex add. On the star with center 1, the leaf
+        0 receives exactly 1 from the leaves 2 and 3, so after level 1 the
+        bound only reaches the cut and the sweep must go on; with 3 a
+        non-member it still only reaches the cut there, and the exact
+        weight is 1/2. The isolated members 4 and 5 keep the count bound
+        above the frontier bound."""
         assert _influence(gen_cycle(6), {1, 4}, 0, 1) == 1 << 6
         assert _influence(gen_cycle(6), {1, 4}, 0) == 3 << 5
         C8 = gen_cycle(8)
@@ -480,28 +496,83 @@ class TestKernelCut:
         assert _influence(C8, {0, 4}, 2, 1) == 1 << 8
         assert not ei_holds(C8, {0, 2, 6}) and not bfs_ei(C8, {0, 2, 6})
         assert _influence(C8, {0, 2, 6}, 0, 3) == 3 << 8
+        star = Graph(6, [(0, 1), (1, 2), (1, 3)])
+        assert _influence(star, {2, 3, 4, 5}, 0, 1, True) == 1 << 6
+        assert ed_holds(star, {2, 3, 4, 5}) and bfs_ed(star, {2, 3, 4, 5})
+        assert _influence(star, {0, 2, 3, 4, 5}, 0, 3, True) == 3 << 6
+        assert not ei_holds(star, {0, 2, 3, 4, 5}) and not bfs_ei(star, {0, 2, 3, 4, 5})
+        assert _influence(star, {2, 4, 5}, 0, 1, True) == 1 << 5
+
+    def test_frontier_bound_needs_maximum_degree_3(self):
+        """Past degree 3 a frontier vertex can have three children. Here
+        the two of degree 4, 4 and 5, each hold three members, so with the
+        member 6 at distance 3 vertex 0 receives exactly 1; after level 3
+        the frontier bound would give it at most 3/4. ``ed_holds`` reads
+        the degree and keeps the count bound."""
+        G = Graph(13, [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 6)]
+                  + [(4, v) for v in (7, 8, 9)] + [(5, v) for v in (10, 11, 12)])
+        S = frozenset(range(6, 13))
+        assert max_degree(G) == 4
+        assert _influence(G, S, 0, 1) == _influence(G, S, 0) == 1 << 13
+        assert _influence(G, S, 0, 1, True) == 3 << 11
+        assert ed_holds(G, S) and bfs_ed(G, S)
+
+    def test_verifiers_read_the_degree(self, monkeypatch):
+        """Both boolean verifiers pass the frontier bound to every sweep on
+        a subcubic graph and to none on a graph of maximum degree 4, where
+        the kernel gives the count bound's values."""
+        flags = []
+
+        def spy(G, members, u, cut=0, subcubic=False):
+            flags.append(subcubic)
+            return _influence(G, members, u, cut, subcubic)
+
+        monkeypatch.setattr(weights, "_influence", spy)
+        legs = [(0, 1), (0, 5), (0, 9), (0, 13)] + [(v, v + 1) for v in range(1, 17) if v % 4]
+        spider = Graph(17, legs + [(3, 7)])  # the cycle sends ei_holds to the sweeps
+        assert max_degree(spider) == 4
+        for G, want in ((gen_cycle(40), True), (spider, False)):
+            S = frozenset({4, 8, 16})
+            flags.clear()
+            assert ei_holds(G, S) == bfs_ei(G, S) and ed_holds(G, S) == bfs_ed(G, S)
+            assert flags and set(flags) == {want}, (G, flags)
 
     def test_paper_scale_packing_sweeps_stop_early(self):
         """On the greedy packing of a 20 000-vertex graph, every member's
-        cut sweep stops before it meets another member: the others lie
-        beyond 2 * dstar = 12, and with |S| = 235 the others' bound falls
-        below 1 at level 8, the first d with 2**d > |S| - 1. Each sweep
-        returns u's own 2 plus 2**-8 for each of the 234 others, an upper
-        bound below the cut."""
+        cut sweep stops before it meets another member, as the others lie
+        beyond 2 * dstar = 12. With the count bound alone, and |S| = 235,
+        the others' bound falls below 1 at level 8, the first d with
+        2**d > |S| - 1, and each sweep returns u's own 2 plus 2**-8 for
+        each of the 234 others. With the frontier bound, a sweep stops at
+        the first level d that leaves fewer than 2**(d - 1) vertices at
+        distance d (their bound, 2**(1 - d) each, then stays below 1), or
+        at level 8, and returns 2 plus the smaller bound: here, a plain
+        breadth-first count of the vertices at each distance."""
         G = random_subcubic_graph(20000, 2500, 1)
         dstar = packing_separation(G.n)
         S = greedy_packing(G, dstar)
         assert ei_holds(G, S)
         assert (dstar, len(S)) == (6, 235)
+        changed = 0
         for u in S:
             num = _influence(G, S, u, 3)
-            assert 2 << G.n <= num < 3 << G.n
             assert num == ((2 << 8) + len(S) - 1) << (G.n - 8)
+            seen, level = {u}, [u]
+            for d in range(1, 9):
+                level = [y for x in level for y in G.adj[x] if y not in seen and not seen.add(y)]
+                if 2 * len(level) < 1 << d:
+                    break
+            want = ((2 << d) + min(len(S) - 1, 2 * len(level))) << (G.n - d)
+            frontier_num = _influence(G, S, u, 3, True)
+            assert 2 << G.n <= frontier_num == want < 3 << G.n
+            changed += frontier_num != num
+        assert changed == 229
 
 
 class TestTreePass:
-    """On trees ei_holds takes the rerooting pass and ed_holds the kernel's
-    cut sweeps; the report sweeps' verdicts are the oracle for both."""
+    """On trees ei_holds takes the rerooting pass for all but sparse sets
+    (``TestIndependencePathOnTrees``) and ed_holds the kernel's cut
+    sweeps; the report sweeps' verdicts are the oracle for both."""
 
     def test_every_subset_of_small_subcubic_trees(self):
         checked = 0
@@ -606,6 +677,53 @@ class TestDominationOnTrees:
         assert verdicts == {True, False}
         assert [ed_holds(P, S) for S in long_sets] == oracle
         assert ed_holds(P, long_sets[0]) == bfs_ed(P, long_sets[0])
+
+
+class TestIndependencePathOnTrees:
+    """ei_holds sends a set with at most one member per 16 vertices on a
+    subcubic graph to the kernel's sweeps, before any tree test, and runs
+    the tree pass on a tree for a denser set, or on a tree of maximum
+    degree 4 or more."""
+
+    def test_sparse_sets_sweep_and_dense_sets_take_the_tree_pass(self, monkeypatch):
+        trees = [random_subcubic_tree(n, seed) for n, seed in ((1000, 1), (2400, 2), (300, 3))]
+        sparse = [(T, greedy_packing(T, d)) for T in trees for d in (4, 5, packing_separation(T.n))]
+        # a path of 32 vertices holds a sparse pair, one of 31 a dense one
+        sparse.append((gen_path(32), frozenset({0, 16})))
+        # 0 receives 3/2 from the three members at distance 2; the tail
+        # 7..63 makes the four members sparse
+        tail = [(v, v + 1) for v in range(6, 63)]
+        sparse.append((Graph(64, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)] + tail), frozenset({0, 4, 5, 6})))
+        dense = [(gen_path(31), frozenset({0, 15}))]
+        dense += [(T, tree_good_set(T)[0]) for T in trees]
+        for k in (4, 6, 8):
+            lg = gen_perfect_binary(k)
+            leaves = leaf_set(lg)
+            # the root receives 2 from the leaves, so that set fails
+            dense += [(lg.graph, leaves), (lg.graph, leaves | {0})]
+        legs = [(0, 1), (0, 21), (0, 41), (0, 61)] + [(v, v + 1) for v in range(1, 80) if v % 20]
+        dense.append((Graph(81, legs), frozenset({20, 80})))  # sparse on a tree of degree 4
+        real = weights._tree_influence
+        passes = []
+
+        def tree_pass(T, *args):
+            passes.append(T)
+            return real(T, *args)
+
+        def no_tree_test(*args):
+            raise AssertionError("ei_holds ran the tree test on a sparse set")
+
+        monkeypatch.setattr(weights, "_tree_influence", tree_pass)
+        verdicts = set()
+        for (G, S), tree_test in [(case, False) for case in sparse] + [(case, True) for case in dense]:
+            assert is_tree(G) and (16 * len(S) > G.n or max_degree(G) > 3) == tree_test, (G, sorted(S))
+            passes.clear()
+            monkeypatch.setattr(weights, "is_tree", is_tree if tree_test else no_tree_test)
+            verdict = ei_holds(G, S)
+            assert verdict == bfs_ei(G, S), (G, sorted(S))
+            assert passes == ([G] if tree_test else []), (G, sorted(S))
+            verdicts.add((tree_test, verdict))
+        assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
 
 
 def random_alive_subtree(T, peel: int, rng) -> bytearray:
@@ -722,8 +840,8 @@ INTAKE_CALLS = {
 
 class TestMemberSetIntake:
     """Ids outside ``range(G.n)`` are a ParameterError at every entry
-    point, on a tree (where ``ei_holds`` takes the tree pass) and on a
-    cycle (the sweeps everywhere). Before
+    point, on a tree (where ``ei_holds`` takes the tree pass for a set as
+    dense as these) and on a cycle (the sweeps everywhere). Before
     the one intake, -1 indexed the kernel's arrays from the end and n
     raised IndexError or went unchecked."""
 
