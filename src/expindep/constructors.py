@@ -98,7 +98,7 @@ from .graphs import (
     is_tree,
 )
 from .solvers import InfeasibleError, alpha_e_exact
-from .weights import _member_set, _tree_influence, ei_holds
+from .weights import _member_set, _rounded_up, _tree_influence, ei_holds
 
 # stored weight bounds are integers over 2**_BOUND_BITS
 _BOUND_BITS = 64
@@ -211,11 +211,10 @@ class GoodSetTrace:
 def good_set_audit(G: Graph, S: frozenset) -> tuple[bool, str]:
     """Three-part goodness check of S on the tree G: independent, all
     endvertices present, at least (n + 3) / 4 elements. Raises
-    ParameterError for an id outside the graph, and ValueError when G is
-    not a tree."""
+    ParameterError for an id outside the graph or when G is not a tree."""
     members = _member_set(G, S)
     if not is_tree(G):
-        raise ValueError("input is not a connected tree")
+        raise ParameterError("input is not a connected tree")
     return _Tree(G).audit(members)
 
 
@@ -455,10 +454,10 @@ class _Tree:
         """The three-part check of ``good_set_audit`` on the alive subtree,
         S in input ids. It resets ``bound`` to the weight of every member
         over 2**_BOUND_BITS, rounded up: exact while the tree pass's unit
-        2**k, k = 2H + 1, is at most 2**_BOUND_BITS."""
-        W, one = _tree_influence(self.graph, S, self.alive)
-        k = one.bit_length() - 1
-        self.bound = {u: -(-W[u] << _BOUND_BITS >> k) for u in S}
+        2**exp, exp = 2H + 1, is at most 2**_BOUND_BITS."""
+        W, exp = _tree_influence(self.graph, S, self.alive)
+        self.bound = {u: _rounded_up(W[u], exp, _BOUND_BITS) for u in S}
+        one = 1 << exp
         if not all(W[u] < one for u in S):
             return False, "set is not exponentially independent"
         alive, deg = self.alive, self.deg
@@ -742,16 +741,16 @@ def _unfinished(steps: list[TraceStep]) -> GoodSetTrace:
 def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
     """Good set of a subcubic tree with at least one degree-2 vertex (see
     the module docstring); trees without one get all but one endvertex
-    instead. Raises ValueError for non-trees, non-subcubic input or fewer
-    than 2 vertices, and InvariantViolation when a lift or side condition
-    fails. The full audit runs on the base set, on every lift the pendant
-    check cannot decide, and on the returned set."""
+    instead. Raises ParameterError for non-trees, non-subcubic input or
+    fewer than 2 vertices, and InvariantViolation when a lift or side
+    condition fails. The full audit runs on the base set, on every lift
+    the pendant check cannot decide, and on the returned set."""
     if not is_tree(T):
-        raise ValueError("input is not a connected tree")
+        raise ParameterError("input is not a connected tree")
     if not is_subcubic(T):
-        raise ValueError("input is not subcubic")
+        raise ParameterError("input is not subcubic")
     if T.n < 2:
-        raise ValueError("need at least two vertices")
+        raise ParameterError("need at least two vertices")
 
     if not degree2_vertices(T):
         keep = sorted(endvertices(T))[:-1]

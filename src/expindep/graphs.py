@@ -6,6 +6,12 @@ immutable after construction and all queries are read-only. Distances are
 hop counts, with ``math.inf`` standing in for "unreachable" so ordinary
 comparisons order every finite distance below infinity.
 
+A Graph records its maximum degree, ``max_degree``, once where it is
+built: in ``Graph`` from the edge lists it fills, and in
+``parse_edge_list``'s bulk path from the adjacency it builds. So
+``is_subcubic`` reads one attribute, and so does the weight kernel when
+it picks its bound, rather than scanning every degree per call.
+
 ``bfs_levels`` is the shared search: level-synchronous, over the
 vertices not marked in a caller's bytearray, to the last level it
 reaches. Connectivity, components and diametral paths all run on it,
@@ -90,9 +96,11 @@ class ParameterError(ValueError):
 
 
 class Graph:
-    """Immutable undirected simple graph with vertex ids 0..n-1."""
+    """Immutable undirected simple graph with vertex ids 0..n-1, with its
+    maximum degree ``max_degree`` (0 with no edge), recorded once where it
+    is built."""
 
-    __slots__ = ("n", "m", "adj")
+    __slots__ = ("n", "m", "adj", "max_degree")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -115,6 +123,7 @@ class Graph:
         self.n = n
         self.m = m
         self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.max_degree = max(map(len, adj), default=0)
 
     def degree(self, u: int) -> int:
         return len(self.adj[u])
@@ -173,7 +182,7 @@ def parse_edge_list(text: str) -> Graph:
         return _parse_lines(n, lines)
     # the passes have done every check Graph makes, so skip its edge loop
     G = object.__new__(Graph)
-    G.n, G.m, G.adj = n, m, adj
+    G.n, G.m, G.adj, G.max_degree = n, m, adj, max(map(len, adj), default=0)
     return G
 
 
@@ -364,10 +373,6 @@ def plain_row(G: Graph, u: int) -> bytes:
     return bytes(row)
 
 
-def max_degree(G: Graph) -> int:
-    return len(max(G.adj, key=len, default=()))
-
-
 def is_connected(G: Graph) -> bool:
     """One search from vertex 0 that counts what it reaches."""
     if G.n <= 1:
@@ -380,7 +385,7 @@ def is_tree(G: Graph) -> bool:
 
 
 def is_subcubic(G: Graph) -> bool:
-    return max_degree(G) <= 3
+    return G.max_degree <= 3
 
 
 def endvertices(G: Graph) -> frozenset:

@@ -108,6 +108,7 @@ from .graphs import Graph, ParameterError, connected_components, induced_subgrap
 from .weights import (
     _member_check,
     _member_set,
+    _rounded_up,
     ed_holds,
     ei_holds,
     is_exponentially_dominating,
@@ -170,12 +171,6 @@ _LANE_BITS = 20
 # plain rows; past them only the rows used last are kept, and any other is
 # rebuilt when it is read again
 _TERM_ROW_BYTES = 1 << 24
-
-
-def _ceil(num: int, n: int) -> int:
-    """num / 2 ** n rounded up onto the lane scale."""
-    shift = n - _LANE_BITS
-    return -(-num >> shift) if shift > 0 else num << -shift
 
 
 @cache
@@ -309,10 +304,10 @@ def try_extend(G: Graph, state: tuple, v: int, layout: _Lanes) -> tuple | None:
             low = hot & -hot
             hot ^= low
             k = low.bit_length() - w  # the lowest hot member's lane
-            good, num = _member_check(G, swept, k // w)
+            good, num, exp = _member_check(G, swept, k // w)
             if not good:
                 return None
-            grown += (_ceil(num, G.n) - (grown >> k & lane)) << k
+            grown += (_rounded_up(num, exp, _LANE_BITS) - (grown >> k & lane)) << k
     return members, grown, tops
 
 
@@ -357,7 +352,7 @@ def _dead_marks(
     its first join only, each spread from its plain row as a term row is
     (``_spread``)."""
     n = G.n
-    top = max(map(len, G.adj)) if n else 0
+    top = G.max_degree
     most = 4 * top + 2 * top * (top - 1) + top * (top - 1) ** 2
     width = 1  # bytes per lane: a floor plus the carry bias stays below 2 ** w
     while most >= (1 << 8 * width - 1) + 4:

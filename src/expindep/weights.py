@@ -20,17 +20,22 @@ integer comparisons. Floating point appears only in display strings.
 One kernel, ``_influence``, runs the absorbing sweep behind ``weight``
 and every verdict here and in the solvers. It walks out from the source
 level by level, counts each member it meets without expanding it, and
-costs only the part of the graph it reaches. On n vertices every reached
-distance is below n, so it returns one integer over 2**n. With no cut
-that is the exact weight. Given a cut, a whole weight, it stops once the
-verdict against the cut is decided, and the value is exact in that
-verdict: at or above the cut it is the weight so far, at most the exact
-weight; below it, it is the weight so far plus the most the members not
-yet met could add, an upper bound on the exact weight. ``weight`` passes
-no cut; ``ed_holds`` passes 1 on every graph, and ``ei_holds``, whenever
-it sweeps, and ``_member_check`` pass 3, a member's own term 2 plus the
-others' 1, so a member's condition comes from one sweep over the set
-itself rather than over the set without it.
+costs only the part of the graph it reaches. It answers on its own
+scale, a pair (num, exp) for num / 2**exp, exp the last level that held
+a member or the level it stopped at, so its integers grow with the
+depth it reaches and not with n; ``_rounded_up`` is the one conversion
+of such a pair onto a fixed scale, the solvers' lanes or the good-set
+builder's bounds. With no cut the pair is the exact weight. Given a cut,
+a whole weight, it stops once the verdict against the cut is decided,
+and the value is exact in that verdict: at or above the cut it is the
+weight so far, at most the exact weight; below it, it is the weight so
+far plus the most the members not yet met could add, an upper bound on
+the exact weight. ``weight`` passes no cut and ``ed_holds`` passes 1.
+A member's condition has one verdict, ``_member_check``, which passes 3,
+a member's own term 2 plus the others' 1, so it comes from one sweep
+over the set itself rather than over the set without it; ``ei_holds``,
+whenever it sweeps, and the solvers' joins and required-set error all
+read it.
 The most the members not yet met at level d could add is at first the
 count bound, 2**-d for each, as if all sat at distance d + 1. On a graph
 of maximum degree at most 3 it is also the frontier bound: in the sweep's
@@ -42,10 +47,11 @@ weight so far plus 2**(1 - d) per frontier vertex stays below the cut,
 and returns the smaller of the two bounds. Where the frontier grows
 more slowly than 2**(d - 1), as on random subcubic graphs, a sweep from a
 packing's member stops after a few levels rather than at the first d with
-2**d above |S|. A vertex of degree 4 or more
-can have three children, each with its full 2**-d, so ``ed_holds`` and
-``ei_holds`` read the maximum degree once per call and pass the frontier
-bound only at most 3. ``_member_check`` keeps the count bound alone.
+2**d above |S|. A vertex of degree 4 or more can have three children,
+each with its full 2**-d, so the kernel reads the degree the graph
+recorded when it was built (``Graph.max_degree``): while it is at most 3
+every cut sweep takes the frontier bound, and past 3 the count bound
+alone. No caller chooses the bound, and no verifier scans the degrees.
 The branch and bound sweeps only in its member checks, and stores the
 upper bound of each member that passes (``solvers``).
 The two report verifiers are the one exception. A report's rows, the
@@ -56,19 +62,19 @@ one kernel call per examined vertex, and the independence rows are the
 domination rows of the members, less each one's own pair. A sweep level
 renders its line once and hands that one string to every vertex it
 reaches, adding its term to each one's weight; a report holds the lines,
-not the pairs. A report's weights are not over 2**n but on its own
-scale, 2**s: s starts at 64 and doubles whenever a sweep level goes past
-it, shifting every held weight once, so a weight costs bits in the depth
-of the sweeps rather than in n, and ``Dyadic`` brings each one to the
-same canonical value.
+not the pairs. A report's weights, like the kernel's, are on its own
+scale and not over 2**n, one scale 2**s for all of them: s starts at 64
+and doubles whenever a sweep level goes past it, shifting every held
+weight once, so a weight costs bits in the depth of the sweeps rather
+than in n, and ``Dyadic`` brings each one to the same canonical value.
 ``Dyadic`` values are built only for returned weights and each report
 vertex's head line, and a report renders each term's value and decimal
 once per distinct distance. A report's text is its interface: no
 structured view of the rows is kept or parsed back.
 ``weight_details`` does not call the kernel. It reads its (member,
 distance) pairs off ``graphs.absorbing_bfs``, which gives the blocked
-distances as a dense list, and sums their exact terms, so it is the
-public reference the kernel's weight is checked against.
+distances as a dense list, and sums their exact terms over 2**n, so it
+is the public reference the kernel's weight is checked against.
 
 On a tree, ``ei_holds`` skips the per-member sweeps unless the set is
 sparse (its docstring gives the measured crossover), and the good-set
@@ -90,9 +96,10 @@ weight of every vertex. The pass keeps every weight as an integer over
 one scale per call, 2 ** (2H + 1), H the largest BFS height of a
 component: every distance inside a component is at most 2H, so every
 term, and every sum the reroot or a member halves, is an even integer.
-Each member verdict is then one comparison with that scale, as with the
-sweeps; the price is that one tall component sets the width for every
-vertex.
+The pass returns that exponent, 2H + 1, with the weights, as the kernel
+returns its own. Each member verdict is then one comparison with that
+scale, as with the sweeps; the price is that one tall component sets the
+width for every vertex.
 The member verdict costs O(n) integer operations in place of one O(n)
 sweep per member, and the pass uses no recursion. Two adjacent members
 stay ``ei_holds``' early exit, as it costs less than the tree test.
@@ -111,7 +118,7 @@ from decimal import Decimal
 from functools import total_ordering
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .graphs import INF, Graph, ParameterError, absorbing_bfs, dead_marks, is_subcubic, is_tree
+from .graphs import INF, Graph, ParameterError, absorbing_bfs, dead_marks, is_tree
 
 
 @total_ordering
@@ -287,14 +294,16 @@ def _member_set(G: Graph, S: Iterable[int], *vertices: int) -> frozenset:
     return members
 
 
-def _influence(G: Graph, members: Collection[int], u: int, cut: int = 0, subcubic: bool = False) -> int:
+def _influence(G: Graph, members: Collection[int], u: int, cut: int = 0) -> tuple[int, int]:
     """The weight kernel: one absorbing sweep from u over ``members``, any
     collection that answers ``in`` (the solvers pass a frozenset).
 
-    Returns an int over 2**G.n. With no ``cut`` it is u's exact weight,
-    each member at blocked distance d adding 2**(G.n + 1 - d), u itself
-    adding 2**(G.n + 1) when it is a member. With a nonzero ``cut``, a
-    whole weight, it is exact in its verdict against ``cut << G.n``:
+    Returns ``(num, exp)``, the value num / 2**exp on the sweep's own
+    scale: exp is the last level that held a member, or the level the
+    sweep stopped at. With no ``cut`` it is u's exact weight, each member
+    at blocked distance d adding 2**(1 - d), u itself adding 2 when it is
+    a member. With a nonzero ``cut``, a whole weight, it is exact in its
+    verdict against ``cut``:
 
     - once the weight so far reaches ``cut``, it is that sum, at least the
       cut and at most the exact weight;
@@ -303,25 +312,26 @@ def _influence(G: Graph, members: Collection[int], u: int, cut: int = 0, subcubi
       most: an upper bound on the exact weight, below the cut;
     - a sweep that runs out first gives the exact weight.
 
-    That most is the count bound, 2**-d for each member not yet met. With
-    ``subcubic``, which a caller may pass only when G has maximum degree
-    at most 3, it is the smaller of that and the frontier bound, 2**(1 - d)
-    for each vertex the level leaves on the frontier; the module docstring
-    says why the frontier bound holds there and fails past degree 3.
+    That most is the count bound, 2**-d for each member not yet met, and
+    on a graph of maximum degree at most 3 (``G.max_degree``) the smaller
+    of that and the frontier bound, 2**(1 - d) for each vertex the level
+    leaves on the frontier; the module docstring says why the frontier
+    bound holds there and fails past degree 3.
 
     The sweep goes level by level: a member it meets is counted and never
     expanded, the source always is, so a call costs the part of G it
     reaches and one ``bytearray`` of visited marks. The sum is kept on the
     local scale of the last level that held a member: ``acc`` /
     2**(last - 1) is the weight so far, such a level shifts it by the
-    levels since and adds its members, each stop test compares d-bit
-    integers, and the one shift onto 2**G.n happens on return."""
+    levels since and adds its members, and each stop test compares d-bit
+    integers, so no integer grows with G.n."""
     adj = G.adj
     seen = bytearray(G.n)
     seen[u] = 1
     met = acc = 1 if u in members else 0
     last = d = 0
     frontier = [u]
+    kraft = G.max_degree <= 3
     while frontier:
         d += 1
         nxt = []
@@ -344,19 +354,19 @@ def _influence(G: Graph, members: Collection[int], u: int, cut: int = 0, subcubi
             if twice >= top:
                 break
             bound = twice + len(members) - met
-            if subcubic and twice + 2 * len(nxt) < bound:
+            if kraft and twice + 2 * len(nxt) < bound:
                 bound = twice + 2 * len(nxt)
             if bound < top:
-                return bound << (G.n - d)
+                return bound, d
         frontier = nxt
-    return acc << (G.n + 1 - last)
+    return acc << 1, last
 
 
 def weight(G: Graph, S: Iterable[int], u: int) -> Dyadic:
     """Total influence that S exerts on u, as an exact dyadic. A member at
     blocked distance d contributes (1/2)**(d-1); unreachable members
     contribute nothing; u itself, when in S, contributes 2."""
-    return Dyadic(_influence(G, _member_set(G, S, u), u), G.n)
+    return Dyadic(*_influence(G, _member_set(G, S, u), u))
 
 
 def weight_details(G: Graph, S: Iterable[int], u: int) -> tuple[Dyadic, tuple[tuple[int, int], ...]]:
@@ -373,19 +383,27 @@ def weight_details(G: Graph, S: Iterable[int], u: int) -> tuple[Dyadic, tuple[tu
     return Dyadic(sum(2 << (G.n - d) for _, d in pairs), G.n), pairs
 
 
-def _member_check(G: Graph, members: Collection[int], u: int) -> tuple[bool, int]:
-    """The member u against the influence of the other members, from one
-    sweep over ``members`` itself with the kernel's cut of 3, so no set
-    without u is built. The source is always expanded, so the sweep is the
-    one over the others plus u's own term 2, and the others' influence
-    stays below 1 iff the sweep's total stays below 3.
+def _member_check(G: Graph, members: Collection[int], u: int) -> tuple[bool, int, int]:
+    """The one member verdict: the member u against the influence of the
+    other members, from one sweep over ``members`` itself with the
+    kernel's cut of 3, so no set without u is built. The source is always
+    expanded, so the sweep is the one over the others plus u's own term 2,
+    and the others' influence stays below 1 iff the sweep's total stays
+    below 3.
 
-    Returns ``(verdict, num)``, num over 2**G.n for the other members
-    alone: for a member that passes, an upper bound on their influence,
-    below 1 (exact when the sweep runs out before its cut); for one that
-    fails, at least 1."""
-    num = _influence(G, members, u, 3) - (2 << G.n)
-    return num < 1 << G.n, num
+    Returns ``(verdict, num, exp)``, num / 2**exp for the other members
+    alone on the kernel's scale: for a member that passes, an upper bound
+    on their influence, below 1 (exact when the sweep runs out before its
+    cut); for one that fails, at least 1."""
+    num, exp = _influence(G, members, u, 3)
+    num -= 2 << exp
+    return num < 1 << exp, num, exp
+
+
+def _rounded_up(num: int, exp: int, bits: int) -> int:
+    """num / 2**exp rounded up onto the fixed scale 2**bits: the least
+    integer at or above num * 2**(bits - exp)."""
+    return -(-num >> exp - bits) if exp > bits else num << bits - exp
 
 
 def _sweep_rows(G: Graph, members: frozenset, ed: bool) -> tuple[int, list[int], list]:
@@ -482,10 +500,10 @@ def _tree_influence(
 ) -> tuple[list[int], int]:
     """The tree pass of the module docstring.
 
-    Returns ``(W, one)`` with W[x] / one the exact weight of every vertex
-    the pass reaches: F(x) for a non-member x, and for a member u the sum
-    of (F(a) - 1) / 2 over its non-member neighbors a plus 1 for each
-    member neighbor. ``one`` is 2**(2H + 1), H the largest BFS height of a
+    Returns ``(W, exp)`` with W[x] / 2**exp the exact weight of every
+    vertex the pass reaches: F(x) for a non-member x, and for a member u
+    the sum of (F(a) - 1) / 2 over its non-member neighbors a plus 1 for
+    each member neighbor. ``exp`` is 2H + 1, H the largest BFS height of a
     component of T - S. With an ``alive`` mask the pass runs on the
     subtree of the vertices v with ``alive[v]`` set, members among them:
     dead vertices start out seen, so they are never roots and never
@@ -533,7 +551,7 @@ def _tree_influence(
         for y in adj[u]:
             if y in members:
                 W[u] += one
-    return W, one
+    return W, 2 * height + 1
 
 
 def ei_holds(G: Graph, S: Iterable[int]) -> bool:
@@ -543,13 +561,14 @@ def ei_holds(G: Graph, S: Iterable[int]) -> bool:
     subset scan of ``find_maximal_ei_not_ed`` passes such sets; random-ei
     trials never do, as each stops at its first adjacent pick.
 
-    Otherwise S is decided by one of two paths. The sweeps run from each
-    member with the kernel's cut at 3 (u's own term 2 plus the others' 1),
-    stopped at the first violation, with no report built; on a packing
-    each stops after a few levels rather than covering most of G. The tree
-    pass weighs every vertex of a tree at once, every member u needing
-    W[u] below one. A sparse set, at most one member per 16 vertices, on
-    a graph of maximum degree at most 3 takes the sweeps, with the
+    Otherwise S is decided by one of two paths. The sweeps are the member
+    checks (``_member_check``, the one member verdict, the kernel's cut at
+    3: u's own term 2 plus the others' 1), stopped at the first violation,
+    with no report built; on a packing each stops after a few levels rather
+    than covering most of G. The tree pass weighs every vertex of a tree at
+    once, every member u needing W[u] below 2**exp. A sparse set, at most
+    one member per 16 vertices, on a graph of maximum degree at most 3
+    (read off ``G.max_degree``, no scan) takes the sweeps, with the
     frontier bound and before any ``is_tree`` search; a denser set on a
     tree takes the tree pass, and every other set the sweeps. On random
     subcubic trees of 3500 vertices, the sweeps' time over that of
@@ -567,11 +586,10 @@ def ei_holds(G: Graph, S: Iterable[int]) -> bool:
     adj = G.adj
     if not all(members.isdisjoint(adj[u]) for u in members):
         return False
-    subcubic = is_subcubic(G)
-    if subcubic and 16 * len(members) <= G.n or not is_tree(G):
-        three = 3 << G.n
-        return all(_influence(G, members, u, 3, subcubic) < three for u in members)
-    W, one = _tree_influence(G, members)
+    if 16 * len(members) <= G.n and G.max_degree <= 3 or not is_tree(G):
+        return all(_member_check(G, members, u)[0] for u in members)
+    W, exp = _tree_influence(G, members)
+    one = 1 << exp
     return all(W[u] < one for u in members)
 
 
@@ -582,6 +600,5 @@ def ed_holds(G: Graph, S: Iterable[int]) -> bool:
     the members it has not met can no longer lift it to 1 (with the
     frontier bound on a subcubic graph)."""
     members = _member_set(G, S)
-    one = 1 << G.n
-    subcubic = is_subcubic(G)
-    return all(_influence(G, members, u, 1, subcubic) >= one for u in range(G.n) if u not in members)
+    sweeps = (_influence(G, members, u, 1) for u in range(G.n) if u not in members)
+    return all(num >= 1 << exp for num, exp in sweeps)

@@ -7,6 +7,10 @@ against, kept beside the tests because no runtime path calls them.
 - ``kernel_reference``: a vertex's exact weight and its (member, blocked
   distance) pairs from one ``absorbing_bfs``; the reference for the weight
   kernel's uncut value and for the reports' rows.
+- ``cut_sweep_reference``: the value a cut sweep returns, level by level
+  from the same ``absorbing_bfs`` distances, with the count bound alone
+  or with the frontier bound too; the reference for the kernel's value
+  at its early exits.
 - ``report_checks`` and ``row_pair``: a verifier report's examined
   vertices, and one row's (member, blocked distance) pair, parsed back
   from the report's text, which is the only view a report gives.
@@ -53,6 +57,37 @@ def kernel_reference(G: Graph, S: Iterable[int], u: int) -> tuple[int, list[tupl
     dist = absorbing_bfs(G, u, S)
     reached = sorted((v, dist[v]) for v in S if dist[v] != INF)
     return sum(1 << (G.n + 1 - d) for _, d in reached), reached
+
+
+def cut_sweep_reference(G: Graph, S: Iterable[int], u: int, cut: int, frontier: bool) -> Fraction:
+    """The value of the sweep from u over S with the positive whole ``cut``,
+    as its contract states it: at each level d the sweep reaches, the
+    weight so far, once it reaches the cut; else the weight so far plus
+    the most the members not yet met could add, once that stays below the
+    cut; else, past the last level, the exact weight. That most is 2**-d
+    per member not yet met, and with ``frontier`` the smaller of that and
+    2**(1 - d) per non-member at distance d. A level d runs while level
+    d - 1 holds a non-member (the source at d = 1), as a sweep expands
+    only those."""
+    S = frozenset(S)
+    dist = absorbing_bfs(G, u, S)
+    total = Fraction(2 if u in S else 0)
+    unmet = len(S) - (u in S)
+    d = 0
+    while d == 0 or any(dist[v] == d and v not in S for v in range(G.n)):
+        d += 1
+        level = [v for v in range(G.n) if dist[v] == d]
+        hits = sum(v in S for v in level)
+        total += Fraction(hits, 2 ** (d - 1))
+        unmet -= hits
+        if total >= cut:
+            return total
+        most = Fraction(unmet, 2**d)
+        if frontier:
+            most = min(most, Fraction(len(level) - hits, 2 ** (d - 1)))
+        if total + most < cut:
+            return total + most
+    return total
 
 
 def blocked_distance(G: Graph, S: Iterable[int], u: int, v: int):

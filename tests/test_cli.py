@@ -363,6 +363,19 @@ class TestConstruct:
         rc, out, err = run("construct", "--method", "packing", "--graph", g, *argv)
         assert (rc, out, err) == (2, "", f"usage error: {message}\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("4 4\n0 1\n1 2\n2 3\n0 3\n", "input is not a connected tree"),
+        ("5 4\n0 1\n0 2\n0 3\n0 4\n", "input is not subcubic"),
+        ("1 0\n", "need at least two vertices"),
+    ])
+    def test_tree_good_bad_input_is_usage_error(self, tmp_path, text, message):
+        # a 4-cycle, a star with four leaves and one vertex: tree_good_set
+        # owns the range and raises ParameterError, so each exits 2
+        g = tmp_path / "g.el"
+        g.write_text(text)
+        rc, out, err = run("construct", "--method", "tree-good", "--graph", g)
+        assert (rc, out, err) == (2, "", f"usage error: {message}\n")
+
     @pytest.mark.parametrize("argv, message", [
         (("--family", "tprime", "--k", 3, "--phase", 5), "phase must be 0, 1 or 2"),
         (("--family", "tk", "--k", 3, "--phase", 5), "phase must be 0, 1 or 2"),

@@ -22,7 +22,7 @@ from expindep.families import (
     tprime_dense_set,
     tree_code,
 )
-from expindep.graphs import Graph, ParameterError, endvertices, is_subcubic, is_tree, longest_path, max_degree
+from expindep.graphs import Graph, ParameterError, endvertices, is_subcubic, is_tree, longest_path
 from expindep.weights import Dyadic, ei_holds, is_exponentially_independent, weight
 from oracles import enumerate_trees, grandchild_set, report_checks
 
@@ -278,7 +278,7 @@ class TestEnumeration:
     def test_all_are_trees(self):
         for T in enumerate_trees(6, max_degree=3):
             assert is_tree(T)
-            assert max_degree(T) <= 3
+            assert T.max_degree <= 3
 
     def test_labeled_order_pinned(self):
         """sha256 over the edge lists of two labeled streams, recorded
@@ -290,7 +290,7 @@ class TestEnumeration:
 
     def test_large_order_has_no_recursion_limit(self):
         T = next(enumerate_trees(1200, max_degree=3))
-        assert T.n == 1200 and is_tree(T) and max_degree(T) <= 3
+        assert T.n == 1200 and is_tree(T) and T.max_degree <= 3
 
     def test_free_trees_counts(self):
         for n, count in enumerate(FREE_TREE_COUNTS, start=1):
@@ -305,7 +305,7 @@ class TestEnumeration:
     def test_free_trees_degree_bound(self):
         subcubic = free_trees(7, max_degree=3)
         assert len(subcubic) == 6
-        assert all(max_degree(T) <= 3 for T in subcubic)
+        assert all(T.max_degree <= 3 for T in subcubic)
 
     def test_tree_code_invariance(self):
         # relabeling a path does not change its code

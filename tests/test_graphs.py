@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expindep.families import (
+    FAMILIES,
     free_trees,
     gen_cycle,
     gen_path,
@@ -32,7 +33,6 @@ from expindep.graphs import (
     is_subcubic,
     is_tree,
     longest_path,
-    max_degree,
     parse_edge_list,
     plain_row,
     write_edge_list,
@@ -552,7 +552,7 @@ class TestStructuralQueries:
     def test_star6_not_subcubic(self):
         G = Graph(7, [(0, i) for i in range(1, 7)])
         assert not is_subcubic(G)
-        assert max_degree(G) == 6
+        assert G.max_degree == 6
 
     def test_tk_endvertex_count(self):
         for k in range(1, 8):
@@ -596,3 +596,67 @@ class TestInducedSubgraph:
         assert old == [0, 1, 3, 4]
         assert sub.n == 4 and sub.m == 2
         assert set(sub.edges()) == {(0, 1), (2, 3)}
+
+
+def scanned_degree(G):
+    """The maximum degree by a scan of every adjacency list."""
+    return max(map(len, G.adj), default=0)
+
+
+@st.composite
+def simple_graphs(draw):
+    """Any simple graph on up to 12 vertices, with no degree cap."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return Graph(n)
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+# parameters for every FAMILIES builder, small and large orders alike
+FAMILY_SAMPLES = {
+    "tk": [(1,), (4,)],
+    "tprime": [(1,), (3,)],
+    "tdelta": [(3, 0), (3, 2), (4, 2), (5, 1)],
+    "pbt": [(0,), (3,)],
+    "path": [(1,), (2,), (7,)],
+    "cycle": [(3,), (8,)],
+    "random-tree": [(1, 0), (2, 0), (40, 3)],
+    "random-graph": [(15, 2, 1), (40, 5, 2)],
+}
+
+
+class TestMaximumDegree:
+    """Every way a Graph is built records its maximum degree, the value a
+    scan of every adjacency list gives: ``Graph``, both ``parse_edge_list``
+    paths, ``induced_subgraph`` and every ``FAMILIES`` builder."""
+
+    def test_hand_cases(self):
+        assert Graph(0).max_degree == 0
+        assert Graph(3).max_degree == 0
+        assert Graph(2, [(0, 1)]).max_degree == 1
+        assert Graph(7, [(0, i) for i in range(1, 7)]).max_degree == 6
+        assert parse_edge_list("0 0\n").max_degree == 0
+        assert parse_edge_list("5 4\n0 1\n0 2\n0 3\n0 4\n").max_degree == 4
+
+    @given(simple_graphs(), st.data())
+    def test_every_build_path(self, G, data):
+        assert G.max_degree == scanned_degree(G)
+        text = write_edge_list(G)
+        lines = text.splitlines()
+        # the order write_edge_list writes takes the bulk path; each line
+        # flipped to "v u" takes the line loop
+        assert _bulk_adjacency(G.n, G.m, lines[1:]) is not None
+        flipped = [lines[0]] + [" ".join(line.split()[::-1]) for line in lines[1:]]
+        assert G.m == 0 or _bulk_adjacency(G.n, G.m, flipped[1:]) is None
+        for parsed in (parse_edge_list(text), parse_edge_list("\n".join(flipped) + "\n")):
+            assert parsed == G and parsed.max_degree == G.max_degree
+        sub, _ = induced_subgraph(G, data.draw(st.sets(st.integers(0, max(G.n - 1, 0)))) if G.n else ())
+        assert sub.max_degree == scanned_degree(sub)
+
+    def test_every_family_builder(self):
+        assert set(FAMILY_SAMPLES) == set(FAMILIES)
+        for name, fam in FAMILIES.items():
+            for params in FAMILY_SAMPLES[name]:
+                G = fam.build(*params).graph
+                assert G.max_degree == scanned_degree(G), (name, params)

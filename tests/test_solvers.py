@@ -192,9 +192,9 @@ def joined(G, layout, members):
     return state
 
 
-def on_lanes(num, n):
-    """num / 2 ** n rounded up onto the lane scale, from the definition."""
-    return -(-(num << solvers._LANE_BITS) >> n)
+def on_lanes(num, exp):
+    """num / 2 ** exp rounded up onto the lane scale, from the definition."""
+    return -(-(num << solvers._LANE_BITS) >> exp)
 
 
 class TestIncrementalExtension:
@@ -218,8 +218,9 @@ class TestIncrementalExtension:
         # the two re-checks of this search that pass: when 13 joins
         # {0, 4, 5, 9, 12}, the plain terms lift the bounds of members 9
         # and 12 to 1 or more; each check sweeps to the end, reads the
-        # exact weight 31744 / 2^15 and keeps it, rounded up onto the lane
-        # scale, as its bound
+        # exact weight 31 / 2^5, on the scale of the last level that held
+        # a member, and keeps it, rounded up onto the lane scale, as its
+        # bound
         G = random_subcubic_graph(15, 1, 11)
         *_, lanes = start(G)
         passed, grown_maps = [], []
@@ -227,7 +228,7 @@ class TestIncrementalExtension:
         def check(G, members, x):
             result = _member_check(G, members, x)
             if result[0]:
-                passed.append((x, frozenset(members), result[1]))
+                passed.append((x, frozenset(members), result[1:]))
             return result
 
         def extend(G, state, v, layout):
@@ -240,10 +241,11 @@ class TestIncrementalExtension:
         monkeypatch.setattr(solvers, "try_extend", extend)
         result = alpha_e_exact(G)
         members = frozenset({0, 4, 5, 9, 12, 13})
-        assert passed == [(9, members, 31744), (12, members, 31744)]
+        assert passed == [(9, members, (31, 5)), (12, members, (31, 5))]
         for x in (9, 12):
-            assert checked(G, members, x) == exact_weight(G, members, x) == 31744
-            assert [grown[x] for grown in grown_maps if grown.keys() == members] == [on_lanes(31744, G.n)]
+            assert checked(G, members, x) == (31, 5)
+            assert exact_weight(G, members, x) == 31 << G.n - 5
+            assert [grown[x] for grown in grown_maps if grown.keys() == members] == [on_lanes(31, 5)]
         oracle = alpha_e_bruteforce(G)
         assert (result.optimum, result.witness) == (oracle.optimum, oracle.witness)
         assert result.optimum == 6
@@ -279,9 +281,9 @@ class TestIncrementalExtension:
         assert not hasattr(solvers, "_influence")
         checks, verdicts, sweeps = [], [], []
 
-        def influence(G, members, u, cut=0, subcubic=False):
+        def influence(G, members, u, cut=0):
             sweeps.append(u)
-            return _influence(G, members, u, cut, subcubic)
+            return _influence(G, members, u, cut)
 
         def check(G, members, x):
             checks.append(x)
@@ -351,9 +353,9 @@ class TestIncrementalExtension:
         assert [_member_check(G, grown, x)[0] for x in swept] == [True] * (len(swept) - 1) + [False]
         sweeps = []
 
-        def influence(G, members, u, cut=0, subcubic=False):
+        def influence(G, members, u, cut=0):
             sweeps.append((u, cut))
-            return _influence(G, members, u, cut, subcubic)
+            return _influence(G, members, u, cut)
 
         # every kernel sweep, a member's re-check included, runs in the
         # weights module
@@ -398,12 +400,12 @@ def exact_weight(G, members, x):
 
 
 def checked(G, members, x):
-    """The member check's value for the member x, over 2 ** G.n: what a
-    passing x stores, rounded up onto the lane scale. It is asserted to be
-    at least x's exact weight."""
-    num = _member_check(G, frozenset(members), x)[1]
-    assert num >= exact_weight(G, members, x), (list(G.edges()), sorted(members), x)
-    return num
+    """The member check's value for the member x, a pair (num, exp) for
+    num / 2 ** exp: what a passing x stores, rounded up onto the lane
+    scale. It is asserted to be at least x's exact weight."""
+    num, exp = _member_check(G, frozenset(members), x)[1:]
+    assert num << G.n >= exact_weight(G, members, x) << exp, (list(G.edges()), sorted(members), x)
+    return num, exp
 
 
 def plain_term(G, d):
@@ -479,12 +481,12 @@ class TestInfluenceBounds:
             plain = plain_sum(G, rows(v), members)
             members, state = frozenset(step[0]), step
             bounds = lanes(state)
-            assert bounds[v] == (plain if plain < one else on_lanes(checked(G, members, v), G.n))
+            assert bounds[v] == (plain if plain < one else on_lanes(*checked(G, members, v)))
             for x in members:
                 exact = on_lanes(exact_weight(G, members, x), G.n)
                 assert bounds[x] >= exact, (list(G.edges()), sorted(members), x)
                 # below 1, or a checked value below 1 rounded up to 1
-                assert bounds[x] < one or bounds[x] == on_lanes(checked(G, members, x), G.n)
+                assert bounds[x] < one or bounds[x] == on_lanes(*checked(G, members, x))
 
     @given(cyclic_graphs(), st.data())
     def test_every_subset_of_an_independent_set_is_independent(self, G, data):
@@ -501,9 +503,9 @@ class TestInfluenceBounds:
     def test_kernel_is_at_most_the_plain_distance_sum(self, G, data):
         u = data.draw(st.integers(0, G.n - 1))
         S = frozenset(data.draw(st.sets(st.integers(0, G.n - 1))))
-        num = _influence(G, S, u)
+        num, exp = _influence(G, S, u)
         plain = sum(1 << (G.n + 1 - d) for v, d in enumerate(bfs_distances(G, u)) if v in S and d < G.n)
-        assert num <= plain
+        assert num << G.n <= plain << exp
 
     @given(graphs_with_a_spread_set())
     def test_near_members_are_at_their_plain_distance(self, case):
@@ -528,8 +530,8 @@ class TestInfluenceBounds:
         assert total == rounded_sums(G, combo), (list(G.edges()), combo)
         for x, low in enumerate(total):
             if low < one and x not in combo:
-                num = _influence(G, frozenset(combo), x)
-                assert num < 1 << G.n
+                num, exp = _influence(G, frozenset(combo), x)
+                assert num < 1 << exp
                 assert not ed_holds(G, combo)
 
     def test_capped_scale_sums_are_exact(self):
@@ -577,14 +579,14 @@ class TestOneDecisionPerHotMember:
             hot = [x for x in sorted({*state[0], v}) if grown >> w * x & (1 << w) - 1 >= one]
             assert [x for x, *_ in checks] == hot[: len(checks)], where
             assert sweeps == [x for x, *_ in checks], where
-            verdicts = [good for _, good, _ in checks]
+            verdicts = [good for _, good, *_ in checks]
             assert (verdicts == [True] * len(checks)) if step else (verdicts[-1:] == [False]), where
             assert all(verdicts[:-1]), where
             assert (step is not None) == ei_holds(G, {*state[0], v}), where
             if step is None:
                 continue
             assert step[0] == (*state[0], v) and len(checks) == len(hot), where
-            values = {x: on_lanes(num, G.n) for x, _, num in checks}
+            values = {x: on_lanes(num, exp) for x, _, num, exp in checks}
             for x in step[0]:
                 want = values.get(x, grown >> w * x & (1 << w) - 1)
                 assert lanes(step, x) == want, (*where, x)
@@ -653,17 +655,17 @@ class TestPlainRowExtension:
                 exact = on_lanes(exact_weight(G, grown, x), G.n)
                 # below 1, or a checked value below 1 rounded up to 1
                 assert exact <= lanes_now[x], where + (x,)
-                assert lanes_now[x] < one or lanes_now[x] == on_lanes(checked(G, grown, x), G.n), where + (x,)
+                assert lanes_now[x] < one or lanes_now[x] == on_lanes(*checked(G, grown, x)), where + (x,)
             row = rows(v)
             plain = plain_sum(G, row, members)
             if plain < one:
                 assert lanes_now[v] == plain
                 for x in members:
                     carried = bounds[x] + plain_term(G, row[x])
-                    want = carried if carried < one else on_lanes(checked(G, grown, x), G.n)
+                    want = carried if carried < one else on_lanes(*checked(G, grown, x))
                     assert lanes_now[x] == want, where + (x,)
             else:
-                assert lanes_now[v] == on_lanes(checked(G, grown, v), G.n)
+                assert lanes_now[v] == on_lanes(*checked(G, grown, v))
             for x in members:
                 if row[x] == 255 and bounds[x] + 1 < one:
                     # unreachable from v, on these graphs: its term is one
@@ -708,7 +710,7 @@ class TestPlainRowExtension:
         grown = try_extend(G, state, v, layout)
         assert ei_holds(G, S | {v}) and grown is not None
         assert grown[0] == (*state[0], v)
-        assert lanes(grown, v) == on_lanes(checked(G, grown[0], v), G.n)
+        assert lanes(grown, v) == on_lanes(*checked(G, grown[0], v))
         for x in grown[0]:
             assert lanes(grown, x) >= on_lanes(exact_weight(G, grown[0], x), G.n), x
         rest = set(range(G.n)) - S - {v}

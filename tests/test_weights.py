@@ -20,6 +20,7 @@ from expindep.families import (
     gen_cycle,
     gen_path,
     gen_perfect_binary,
+    gen_tdelta,
     gen_tk,
     gen_tprime,
     leaf_set,
@@ -34,9 +35,8 @@ from expindep.graphs import (
     absorbing_bfs,
     induced_subgraph,
     is_tree,
-    max_degree,
 )
-from expindep import weights
+from expindep import graphs, weights
 from expindep.weights import (
     Dyadic,
     _influence,
@@ -50,7 +50,15 @@ from expindep.weights import (
     weight,
     weight_details,
 )
-from oracles import ReportCheck, bfs_distances, blocked_distance, kernel_reference, report_checks, row_pair
+from oracles import (
+    ReportCheck,
+    bfs_distances,
+    blocked_distance,
+    cut_sweep_reference,
+    kernel_reference,
+    report_checks,
+    row_pair,
+)
 
 
 def chunked_digits(x: int) -> str:
@@ -147,6 +155,65 @@ class TestDyadic:
         assert sum([Dyadic(1, 1), Dyadic(1, 1)]) == Dyadic(1, 0)
 
 
+def value(pair) -> Fraction:
+    """A kernel pair (num, exp) as the exact rational num / 2**exp."""
+    num, exp = pair
+    return Fraction(num, 1 << exp)
+
+
+def degree4_spider(cycle: bool = False) -> Graph:
+    """Four legs of four vertices on the centre 0, its one vertex of
+    degree 4; with ``cycle`` the edge (3, 7) joins two legs."""
+    legs = [(0, 1), (0, 5), (0, 9), (0, 13)] + [(v, v + 1) for v in range(1, 17) if v % 4]
+    return Graph(17, legs + [(3, 7)] * cycle)
+
+
+def with_hub(G: Graph, ends) -> Graph:
+    """G plus one new vertex joined to each vertex of ``ends``."""
+    return Graph(G.n + 1, list(G.edges()) + [(G.n, v) for v in ends])
+
+
+def with_star(G: Graph) -> Graph:
+    """G plus a disjoint star with four leaves: maximum degree 4, so the
+    kernel takes the count bound alone, on sweeps from G's vertices that
+    are G's own, as the star lies out of their reach."""
+    return Graph(G.n + 5, list(G.edges()) + [(G.n, G.n + i) for i in range(1, 5)])
+
+
+def wide_pool() -> list:
+    """Graphs of maximum degree 4 or more on at most 17 vertices, where the
+    kernel takes the count bound alone: T(4, 1), T(4, 2), T(5, 1), the
+    degree-4 spider with and without a cycle, and random subcubic graphs
+    with a hub joined to 4 or 5 of their vertices."""
+    pool = [gen_tdelta(4, 1).graph, gen_tdelta(4, 2).graph, gen_tdelta(5, 1).graph]
+    pool += [degree4_spider(), degree4_spider(cycle=True)]
+    rng = random.Random(67)
+    for i in range(20):
+        G = random_subcubic_graph(5 + i % 8, i % 2, 7600 + i)
+        pool.append(with_hub(G, rng.sample(range(G.n), 4 + i % 2)))
+    assert all(G.max_degree >= 4 for G in pool)
+    return pool
+
+
+@st.composite
+def wide_graphs(draw):
+    """A graph of maximum degree 4 or more: T(4, d) or T(5, d), the
+    degree-4 spider with or without a cycle, or a random subcubic graph
+    with a hub joined to 4 or 5 of its vertices."""
+    kind = draw(st.sampled_from(["tdelta", "spider", "hub"]))
+    if kind == "tdelta":
+        return gen_tdelta(draw(st.integers(4, 5)), draw(st.integers(1, 2))).graph
+    if kind == "spider":
+        return degree4_spider(draw(st.booleans()))
+    n = draw(st.integers(5, 40))
+    seed = draw(st.integers(0, 10**6))
+    try:
+        G = random_subcubic_graph(n, draw(st.integers(0, 4)), seed)
+    except ValueError:
+        G = random_subcubic_graph(n, 0, seed)
+    return with_hub(G, draw(st.sets(st.integers(0, n - 1), min_size=4, max_size=5)))
+
+
 def naive_weight(G, S, u):
     """Definition-level oracle: one vertex-deleted BFS per member."""
     total = Fraction(0)
@@ -162,7 +229,7 @@ def naive_weight(G, S, u):
 
 class TestBooleanVerifiersAgainstOracle:
     """ei_holds and ed_holds against per-pair deletion, on every graph of
-    the pool. Besides random sets, each graph gets sets that sit exactly
+    the pool and of ``wide_pool``. Besides random sets, each graph gets sets that sit exactly
     on the threshold: an adjacent pair (each member receives exactly 1, so
     not independent), a singleton whose neighbors receive exactly 1, and
     all vertices but one endvertex (which receives exactly 1)."""
@@ -170,7 +237,7 @@ class TestBooleanVerifiersAgainstOracle:
     def test_matches_per_pair_deletion(self, random_graph_pool):
         rng = random.Random(61)
         boundary = {"ei": 0, "ed": 0}
-        for G in random_graph_pool:
+        for G in random_graph_pool + wide_pool():
             verts = list(range(G.n))
             sets = [set(rng.sample(verts, rng.randint(1, G.n))) for _ in range(3)]
             sets.append(set(next(G.edges())))
@@ -202,9 +269,13 @@ class TestBooleanVerifiersAgainstOracle:
 
 @st.composite
 def kernel_graphs(draw):
-    """Cycles, and random subcubic trees with up to four extra edges."""
-    if draw(st.booleans()):
+    """Cycles, random subcubic trees with up to four extra edges, and
+    graphs of maximum degree 4 or more (``wide_graphs``)."""
+    kind = draw(st.sampled_from(["cycle", "subcubic", "wide"]))
+    if kind == "cycle":
         return gen_cycle(draw(st.integers(3, 30)))
+    if kind == "wide":
+        return draw(wide_graphs())
     n = draw(st.integers(1, 30))
     seed = draw(st.integers(0, 10**6))
     try:
@@ -215,14 +286,16 @@ def kernel_graphs(draw):
 
 class TestKernel:
     """``_influence``'s level-by-level sweep against the dense
-    ``absorbing_bfs`` list and, on small graphs, per-pair deletion."""
+    ``absorbing_bfs`` list and, on small graphs, per-pair deletion. The
+    kernel answers on its own scale, so its pair is compared as the exact
+    rational."""
 
     @staticmethod
     def check(G, S, u):
-        num = _influence(G, S, u)
-        assert num == kernel_reference(G, S, u)[0], (list(G.edges()), sorted(S), u)
+        got = value(_influence(G, S, u))
+        assert got == Fraction(kernel_reference(G, S, u)[0], 1 << G.n), (list(G.edges()), sorted(S), u)
         if G.n <= 12:
-            assert Fraction(num, 2**G.n) == naive_weight(G, S, u), (list(G.edges()), sorted(S), u)
+            assert got == naive_weight(G, S, u), (list(G.edges()), sorted(S), u)
 
     @given(kernel_graphs(), st.data())
     def test_matches_absorbing_bfs(self, G, data):
@@ -232,10 +305,10 @@ class TestKernel:
         self.check(G, S, u)
 
     def test_every_source_on_the_pool(self, random_graph_pool):
-        """Every u of every pool graph, with S empty, a random S holding u
-        and the same S without u."""
+        """Every u of every pool graph and of ``wide_pool``, with S empty, a
+        random S holding u and the same S without u."""
         rng = random.Random(83)
-        for G in random_graph_pool[::4]:
+        for G in random_graph_pool[::4] + wide_pool():
             S = frozenset(rng.sample(range(G.n), rng.randint(1, G.n)))
             for u in range(G.n):
                 for T in (frozenset(), S | {u}, S - {u}):
@@ -248,11 +321,11 @@ class TestKernel:
         1, at least the exact weight; at 1 or more, at most it."""
         u = data.draw(st.integers(0, G.n - 1))
         S = frozenset(data.draw(st.sets(st.integers(0, G.n - 1)))) | {u}
-        ok, num = _member_check(G, S, u)
-        want = kernel_reference(G, S - {u}, u)[0]
-        one = 1 << G.n
-        assert ok == (want < one)
-        assert want <= num < one if ok else one <= num <= want, (list(G.edges()), sorted(S), u)
+        ok, num, exp = _member_check(G, S, u)
+        got = Fraction(num, 1 << exp)
+        want = Fraction(kernel_reference(G, S - {u}, u)[0], 1 << G.n)
+        assert ok == (want < 1)
+        assert want <= got < 1 if ok else 1 <= got <= want, (list(G.edges()), sorted(S), u)
 
     @given(st.integers(4, 24), st.integers(1, 4), st.integers(0, 10**6), st.data())
     def test_try_extend_matches_ei_holds(self, n, extra, seed, data):
@@ -289,15 +362,20 @@ def bfs_ed(G, S):
 
 @st.composite
 def graphs_with_sets(draw):
-    """A random subcubic graph, a tree or one with a cycle, and a set on
-    it: a dense random set, or a greedy packing at a separation of 1 to 6,
-    sparse enough at the larger ones for the frontier bound to stop most
-    sweeps. Both put vertices on exactly 1 in each mode often enough to
-    test the exits' boundaries."""
+    """A random subcubic graph, a tree or one with a cycle, or a graph of
+    maximum degree 4 or more (``wide_graphs``), and a set on it: a dense
+    random set, or a greedy packing at a separation of 1 to 6, sparse
+    enough at the larger ones for the frontier bound to stop most sweeps.
+    Both put vertices on exactly 1 in each mode often enough to test the
+    exits' boundaries."""
     n = draw(st.integers(4, 60))
     seed = draw(st.integers(0, 10**6))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["tree", "cycle", "wide"]))
+    if kind == "tree":
         G = random_subcubic_tree(n, seed)
+    elif kind == "wide":
+        G = draw(wide_graphs())
+        n = G.n
     else:
         try:
             G = random_subcubic_graph(n, draw(st.integers(1, 5)), seed)
@@ -447,29 +525,35 @@ class TestReportScale:
 
 
 class TestKernelCut:
-    """The kernel's early exit against its full sweep, with the count
-    bound alone and with the frontier bound, on subcubic trees and graphs
-    with a cycle, where both boolean verifiers use it."""
+    """The kernel's early exit against its full sweep, and its value
+    against ``cut_sweep_reference``: with the frontier bound on subcubic
+    trees and graphs with a cycle, and with the count bound alone on
+    graphs of maximum degree 4 or more, where both boolean verifiers use
+    it."""
 
     @given(graphs_with_sets())
     def test_exits_match_the_full_sweeps(self, case):
-        """Each vertex's verdict with a cut, with or without the frontier
-        bound, equals the full sweep's (the verifiers' per-vertex loops).
-        A stop below the cut returns at least the uncut weight, and a stop
-        at the cut a value between the cut and the uncut weight."""
+        """Each vertex's verdict with a cut equals the full sweep's (the
+        verifiers' per-vertex loops), and its value is the reference's,
+        with the frontier bound exactly when the maximum degree is at most
+        3. A stop below the cut returns at least the uncut weight, and a
+        stop at the cut a value between the cut and the uncut weight. A
+        subcubic graph is also swept beside a disjoint star
+        (``with_star``), so the count bound alone is checked on it too."""
         G, S = case
-        assert max_degree(G) <= 3
-        for u in range(G.n):
-            full = _influence(G, S, u)
-            cut = 3 if u in S else 1
-            for subcubic in (False, True):
-                num = _influence(G, S, u, cut, subcubic)
-                where = (list(G.edges()), sorted(S), u, subcubic)
-                assert (num >= cut << G.n) == (full >= cut << G.n), where
-                if num < cut << G.n:
-                    assert num >= full, where
+        for H in [G] if G.max_degree > 3 else [G, with_star(G)]:
+            frontier = H.max_degree <= 3
+            for u in range(G.n):
+                full = value(_influence(H, S, u))
+                cut = 3 if u in S else 1
+                got = value(_influence(H, S, u, cut))
+                where = (list(H.edges()), sorted(S), u)
+                assert got == cut_sweep_reference(H, S, u, cut, frontier), where
+                assert (got >= cut) == (full >= cut), where
+                if got < cut:
+                    assert got >= full, where
                 else:
-                    assert cut << G.n <= num <= full, where
+                    assert cut <= got <= full, where
         assert ei_holds(G, S) == bfs_ei(G, S), (list(G.edges()), sorted(S))
         assert ed_holds(G, S) == bfs_ed(G, S), (list(G.edges()), sorted(S))
 
@@ -488,85 +572,153 @@ class TestKernelCut:
         bound only reaches the cut and the sweep must go on; with 3 a
         non-member it still only reaches the cut there, and the exact
         weight is 1/2. The isolated members 4 and 5 keep the count bound
-        above the frontier bound."""
-        assert _influence(gen_cycle(6), {1, 4}, 0, 1) == 1 << 6
-        assert _influence(gen_cycle(6), {1, 4}, 0) == 3 << 5
+        above the frontier bound.
+
+        Each pair is on the kernel's own scale: the last level that held a
+        member, or the level the sweep stopped at."""
+        assert _influence(gen_cycle(6), {1, 4}, 0, 1) == (2, 1)
+        assert _influence(gen_cycle(6), {1, 4}, 0) == (6, 2)
         C8 = gen_cycle(8)
         assert ed_holds(C8, {0, 4}) and bfs_ed(C8, {0, 4})
-        assert _influence(C8, {0, 4}, 2, 1) == 1 << 8
+        assert _influence(C8, {0, 4}, 2, 1) == (4, 2)
         assert not ei_holds(C8, {0, 2, 6}) and not bfs_ei(C8, {0, 2, 6})
-        assert _influence(C8, {0, 2, 6}, 0, 3) == 3 << 8
+        assert _influence(C8, {0, 2, 6}, 0, 3) == (12, 2)
         star = Graph(6, [(0, 1), (1, 2), (1, 3)])
-        assert _influence(star, {2, 3, 4, 5}, 0, 1, True) == 1 << 6
+        assert _influence(star, {2, 3, 4, 5}, 0, 1) == (4, 2)
         assert ed_holds(star, {2, 3, 4, 5}) and bfs_ed(star, {2, 3, 4, 5})
-        assert _influence(star, {0, 2, 3, 4, 5}, 0, 3, True) == 3 << 6
+        assert _influence(star, {0, 2, 3, 4, 5}, 0, 3) == (12, 2)
         assert not ei_holds(star, {0, 2, 3, 4, 5}) and not bfs_ei(star, {0, 2, 3, 4, 5})
-        assert _influence(star, {2, 4, 5}, 0, 1, True) == 1 << 5
+        assert _influence(star, {2, 4, 5}, 0, 1) == (4, 3)
 
     def test_frontier_bound_needs_maximum_degree_3(self):
         """Past degree 3 a frontier vertex can have three children. Here
         the two of degree 4, 4 and 5, each hold three members, so with the
         member 6 at distance 3 vertex 0 receives exactly 1; after level 3
-        the frontier bound would give it at most 3/4. ``ed_holds`` reads
-        the degree and keeps the count bound."""
+        the frontier bound would give it at most 3/4. The kernel reads the
+        degree the graph recorded and keeps the count bound."""
         G = Graph(13, [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 6)]
                   + [(4, v) for v in (7, 8, 9)] + [(5, v) for v in (10, 11, 12)])
         S = frozenset(range(6, 13))
-        assert max_degree(G) == 4
-        assert _influence(G, S, 0, 1) == _influence(G, S, 0) == 1 << 13
-        assert _influence(G, S, 0, 1, True) == 3 << 11
+        assert G.max_degree == 4
+        assert value(_influence(G, S, 0, 1)) == value(_influence(G, S, 0)) == 1
+        assert cut_sweep_reference(G, S, 0, 1, frontier=True) == Fraction(3, 4)
         assert ed_holds(G, S) and bfs_ed(G, S)
 
-    def test_verifiers_read_the_degree(self, monkeypatch):
-        """Both boolean verifiers pass the frontier bound to every sweep on
-        a subcubic graph and to none on a graph of maximum degree 4, where
-        the kernel gives the count bound's values."""
-        flags = []
+    def test_spider_keeps_the_count_bound(self):
+        """On the degree-4 spider every cut sweep takes the count bound
+        alone. From the end 4 of the first leg, over the ends 8, 12 and 16
+        of the other three legs, each at distance 7, the count bound after
+        level 2 is 3/4, below the cut 1, and the sweep returns it; the
+        frontier bound, the one vertex 2 left on the frontier, would give
+        1/2 there. Every sweep's value, from every source over a few sets
+        and at both cuts, is the count bound's."""
+        G = degree4_spider()
+        assert G.max_degree == 4
+        S = frozenset({8, 12, 16})
+        assert value(_influence(G, S, 4, 1)) == Fraction(3, 4)
+        assert cut_sweep_reference(G, S, 4, 1, frontier=True) == Fraction(1, 2)
+        assert value(_influence(G, S, 4)) == Fraction(3, 128)
+        for S in (S, frozenset({4, 8, 12, 16}), frozenset({2, 8, 12, 16}), frozenset({1, 6, 10, 14})):
+            for u in range(G.n):
+                for cut in (1, 3):
+                    got = value(_influence(G, S, u, cut))
+                    assert got == cut_sweep_reference(G, S, u, cut, frontier=False), (sorted(S), u, cut)
 
-        def spy(G, members, u, cut=0, subcubic=False):
-            flags.append(subcubic)
-            return _influence(G, members, u, cut, subcubic)
+    def test_verifiers_read_the_degree(self, monkeypatch):
+        """Every sweep of both boolean verifiers returns the value of the
+        frontier bound on a subcubic graph and of the count bound alone on
+        a graph of maximum degree 4, as ``cut_sweep_reference`` gives
+        them."""
+        calls = []
+
+        def spy(G, members, u, cut=0):
+            got = _influence(G, members, u, cut)
+            calls.append((members, u, cut, value(got)))
+            return got
 
         monkeypatch.setattr(weights, "_influence", spy)
-        legs = [(0, 1), (0, 5), (0, 9), (0, 13)] + [(v, v + 1) for v in range(1, 17) if v % 4]
-        spider = Graph(17, legs + [(3, 7)])  # the cycle sends ei_holds to the sweeps
-        assert max_degree(spider) == 4
-        for G, want in ((gen_cycle(40), True), (spider, False)):
+        spider = degree4_spider(cycle=True)  # the cycle sends ei_holds to the sweeps
+        assert spider.max_degree == 4
+        for G, frontier in ((gen_cycle(40), True), (spider, False)):
             S = frozenset({4, 8, 16})
-            flags.clear()
+            calls.clear()
             assert ei_holds(G, S) == bfs_ei(G, S) and ed_holds(G, S) == bfs_ed(G, S)
-            assert flags and set(flags) == {want}, (G, flags)
+            assert calls, G
+            for members, u, cut, got in calls:
+                assert got == cut_sweep_reference(G, members, u, cut, frontier), (G, u, cut)
 
     def test_paper_scale_packing_sweeps_stop_early(self):
         """On the greedy packing of a 20 000-vertex graph, every member's
         cut sweep stops before it meets another member, as the others lie
-        beyond 2 * dstar = 12. With the count bound alone, and |S| = 235,
+        beyond 2 * dstar = 12. With the count bound alone, which the
+        kernel takes beside a disjoint star (``with_star``), and |S| = 235,
         the others' bound falls below 1 at level 8, the first d with
         2**d > |S| - 1, and each sweep returns u's own 2 plus 2**-8 for
-        each of the 234 others. With the frontier bound, a sweep stops at
-        the first level d that leaves fewer than 2**(d - 1) vertices at
-        distance d (their bound, 2**(1 - d) each, then stays below 1), or
-        at level 8, and returns 2 plus the smaller bound: here, a plain
-        breadth-first count of the vertices at each distance."""
+        each of the 234 others. With the frontier bound, on the graph
+        itself, a sweep stops at the first level d that leaves fewer than
+        2**(d - 1) vertices at distance d (their bound, 2**(1 - d) each,
+        then stays below 1), or at level 8, and returns 2 plus the smaller
+        bound: here, a plain breadth-first count of the vertices at each
+        distance. Both pairs are on the scale of the level the sweep
+        stopped at."""
         G = random_subcubic_graph(20000, 2500, 1)
         dstar = packing_separation(G.n)
         S = greedy_packing(G, dstar)
         assert ei_holds(G, S)
         assert (dstar, len(S)) == (6, 235)
+        wide = with_star(G)
         changed = 0
         for u in S:
-            num = _influence(G, S, u, 3)
-            assert num == ((2 << 8) + len(S) - 1) << (G.n - 8)
+            count = _influence(wide, S, u, 3)
+            assert count == ((2 << 8) + len(S) - 1, 8)
             seen, level = {u}, [u]
             for d in range(1, 9):
                 level = [y for x in level for y in G.adj[x] if y not in seen and not seen.add(y)]
                 if 2 * len(level) < 1 << d:
                     break
-            want = ((2 << d) + min(len(S) - 1, 2 * len(level))) << (G.n - d)
-            frontier_num = _influence(G, S, u, 3, True)
-            assert 2 << G.n <= frontier_num == want < 3 << G.n
-            changed += frontier_num != num
+            frontier = _influence(G, S, u, 3)
+            assert frontier == ((2 << d) + min(len(S) - 1, 2 * len(level)), d)
+            assert 2 <= value(frontier) < 3
+            changed += value(frontier) != value(count)
         assert changed == 229
+
+
+class Unscannable(tuple):
+    """An adjacency that indexes as the graph's own but cannot be iterated
+    as a whole, so any pass over every adjacency list raises."""
+
+    def __iter__(self):
+        raise AssertionError("a verifier scanned every adjacency list")
+
+
+class TestNoDegreeScan:
+    """The boolean verifiers read the degree the graph recorded and scan
+    none: with ``is_subcubic`` made to raise and an adjacency that cannot
+    be iterated as a whole, both give the verdicts they give on the graph
+    itself, on the sweeps, with and without the frontier bound, and on the
+    tree pass."""
+
+    def test_verifiers_give_the_same_verdicts(self, monkeypatch):
+        T = random_subcubic_tree(300, seed=4)
+        G = random_subcubic_graph(300, 30, 4)
+        lg = gen_perfect_binary(6)
+        cases = [(T, greedy_packing(T, 3)), (G, greedy_packing(G, 3)), (T, tree_good_set(T)[0])]
+        cases += [(lg.graph, leaf_set(lg)), (lg.graph, leaf_set(lg) | {0}), (G, frozenset(range(0, 300, 7)))]
+        cases += [(H, frozenset(range(0, H.n, 3))) for H in wide_pool()]
+        want = [(ei_holds(H, S), ed_holds(H, S)) for H, S in cases]
+        assert {ei for ei, _ in want} == {ed for _, ed in want} == {True, False}
+
+        def no_scan(*args):
+            raise AssertionError("a verifier called is_subcubic")
+
+        monkeypatch.setattr(graphs, "is_subcubic", no_scan)
+        monkeypatch.setattr(weights, "is_subcubic", no_scan, raising=False)
+        for (H, S), verdicts in zip(cases, want):
+            blind = Graph(H.n, H.edges())
+            blind.adj = Unscannable(blind.adj)
+            with pytest.raises(AssertionError, match="scanned"):
+                max(map(len, blind.adj))
+            assert (ei_holds(blind, S), ed_holds(blind, S)) == verdicts, (H, sorted(S))
 
 
 class TestTreePass:
@@ -660,8 +812,8 @@ class TestDominationOnTrees:
         # own domination verdict is the oracle, read before it is patched
         oracle = []
         for S in long_sets:
-            W, one = _tree_influence(P, S)
-            oracle.append(all(W[x] >= one for x in range(n) if x not in S))
+            W, exp = _tree_influence(P, S)
+            oracle.append(all(W[x] >= 1 << exp for x in range(n) if x not in S))
         assert oracle == [True, False, False]
 
         def tree_pass(*args):
@@ -716,7 +868,7 @@ class TestIndependencePathOnTrees:
         monkeypatch.setattr(weights, "_tree_influence", tree_pass)
         verdicts = set()
         for (G, S), tree_test in [(case, False) for case in sparse] + [(case, True) for case in dense]:
-            assert is_tree(G) and (16 * len(S) > G.n or max_degree(G) > 3) == tree_test, (G, sorted(S))
+            assert is_tree(G) and (16 * len(S) > G.n or G.max_degree > 3) == tree_test, (G, sorted(S))
             passes.clear()
             monkeypatch.setattr(weights, "is_tree", is_tree if tree_test else no_tree_test)
             verdict = ei_holds(G, S)
@@ -750,11 +902,11 @@ class TestTreePassOnAliveSubtree:
         sub, old_ids = induced_subgraph(T, [v for v in range(n) if alive[v]])
         S_sub = frozenset(data.draw(st.sets(st.integers(0, sub.n - 1))))
         S = frozenset(old_ids[v] for v in S_sub)
-        W, one = _tree_influence(T, S, alive)
-        W_sub, one_sub = _tree_influence(sub, S_sub)
-        assert [W[v] for v in old_ids] == W_sub and one == one_sub
+        W, exp = _tree_influence(T, S, alive)
+        W_sub, exp_sub = _tree_influence(sub, S_sub)
+        assert [W[v] for v in old_ids] == W_sub and exp == exp_sub
         assert not any(W[v] for v in range(n) if not alive[v])
-        assert all(W[u] < one for u in S) == ei_holds(sub, S_sub) == bfs_ei(sub, S_sub)
+        assert all(W[u] < 1 << exp for u in S) == ei_holds(sub, S_sub) == bfs_ei(sub, S_sub)
 
     def test_good_sets_and_toggles(self):
         rng = random.Random(5)
@@ -766,8 +918,8 @@ class TestTreePassOnAliveSubtree:
             good = tree_good_set(sub)[0]
             for S_sub in [good] + [good ^ {v} for v in range(sub.n)]:
                 S = frozenset(old_ids[v] for v in S_sub)
-                W, one = _tree_influence(T, S, alive)
-                verdict = all(W[u] < one for u in S)
+                W, exp = _tree_influence(T, S, alive)
+                verdict = all(W[u] < 1 << exp for u in S)
                 assert verdict == bfs_ei(sub, S_sub), (i, sorted(S))
                 verdicts.add(verdict)
         assert verdicts == {True, False}
@@ -775,14 +927,12 @@ class TestTreePassOnAliveSubtree:
 
 def tree_pass_weights(T, S, alive=None) -> dict:
     """Every alive vertex's weight from the tree pass, as a Dyadic."""
-    W, one = _tree_influence(T, S, alive)
-    exp = one.bit_length() - 1
-    assert one == 1 << exp
+    W, exp = _tree_influence(T, S, alive)
     return {v: Dyadic(W[v], exp) for v in range(T.n) if alive is None or alive[v]}
 
 
 class TestTreePassWeights:
-    """W[x] / one is the weight itself, not only its side of 1: the
+    """W[x] / 2**exp is the weight itself, not only its side of 1: the
     sweeps' ``weight`` is the oracle, over S for a non-member and over
     S - {u} for a member u."""
 
