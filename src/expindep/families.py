@@ -401,7 +401,9 @@ def free_trees(n: int, max_degree: int | None = None) -> list[Graph]:
             for v in range(T.n):
                 if max_degree is not None and T.degree(v) >= max_degree:
                     continue
-                grown = Graph(size, list(T.edges()) + [(v, size - 1)])
+                # the new leaf has the largest id, so every list stays sorted
+                adj = T.adj[:v] + (T.adj[v] + (size - 1,),) + T.adj[v + 1 :] + ((v,),)
+                grown = Graph._of_adjacency(adj, size - 1)
                 code = tree_code(grown)
                 if code not in seen:
                     seen.add(code)

@@ -8,9 +8,11 @@ comparisons order every finite distance below infinity.
 
 A Graph records its maximum degree, ``max_degree``, once where it is
 built: in ``Graph`` from the edge lists it fills, and in
-``parse_edge_list``'s bulk path from the adjacency it builds. So
-``is_subcubic`` reads one attribute, and so does the weight kernel when
-it picks its bound, rather than scanning every degree per call.
+``Graph._of_adjacency``, the one constructor for an adjacency already
+known to be valid, which ``parse_edge_list``'s bulk path and
+``families.free_trees`` use. So ``is_subcubic`` reads one attribute, and
+so does the weight kernel when it picks its bound, rather than scanning
+every degree per call.
 
 ``bfs_levels`` is the shared search: level-synchronous, over the
 vertices not marked in a caller's bytearray, to the last level it
@@ -125,6 +127,17 @@ class Graph:
         self.adj = tuple(tuple(sorted(a)) for a in adj)
         self.max_degree = max(map(len, adj), default=0)
 
+    @classmethod
+    def _of_adjacency(cls, adj: tuple, m: int) -> "Graph":
+        """The graph whose adjacency is ``adj``, a tuple of sorted tuples
+        already known to be a simple graph on ``range(len(adj))`` with m
+        edges, built with none of ``__init__``'s checks; it records
+        ``max_degree`` off the lists."""
+        G = object.__new__(cls)
+        G.n, G.m, G.adj = len(adj), m, adj
+        G.max_degree = max(map(len, adj), default=0)
+        return G
+
     def degree(self, u: int) -> int:
         return len(self.adj[u])
 
@@ -181,9 +194,7 @@ def parse_edge_list(text: str) -> Graph:
     if adj is None:
         return _parse_lines(n, lines)
     # the passes have done every check Graph makes, so skip its edge loop
-    G = object.__new__(Graph)
-    G.n, G.m, G.adj, G.max_degree = n, m, adj, max(map(len, adj), default=0)
-    return G
+    return Graph._of_adjacency(adj, m)
 
 
 def _bulk_adjacency(n: int, m: int, body: list[str]) -> tuple | None:

@@ -85,15 +85,20 @@ sum read off the rows is still an upper bound. The domination search
 keeps one layout per component: a combination under which some vertex x
 gets a plain-distance sum below 1 cannot dominate x and is rejected
 before ``ed_holds`` runs; a member never trips this test, since its own
-term is 2. It walks each size's combinations depth first and holds the
-plain sums of each prefix of picks as one lane int per depth, so a
-combination is tested at every vertex by one add of its last pick's term
-row and one mask of the lanes' top bits; every combination is still
-counted.
+term is 2. It takes each size's prefixes of picks from
+``itertools.combinations``, in lexicographic order, and sums a prefix's
+term rows into one lane int once, on entry, so each combination with that
+prefix is tested at every vertex by one add of its last pick's term row
+and one mask of the lanes' top bits; every combination is still counted.
 
-With a time budget, both searches read the clock once per node or
-combination, and the branch and bound once per required join too, so a
-budget is overrun by at most one node's or join's cost; with no budget
+The branch and bound decides its required set once, before any join: the
+least member, in ascending id, whose ``_member_check`` over the whole set
+fails raises InfeasibleError. Every subset of an exponentially
+independent set is independent, so once the set passes, no join of a
+required member can reject. With a time budget, both searches read the
+clock once per node or combination, and the branch and bound once per
+required join too, so a budget is overrun by at most one node's or
+join's cost, past the one decision of the required set; with no budget
 they never read it.
 """
 
@@ -102,6 +107,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
+from itertools import combinations
 from typing import Callable, Iterable, NamedTuple
 
 from .graphs import Graph, ParameterError, connected_components, induced_subgraph, plain_row
@@ -224,9 +230,10 @@ def _lanes(G: Graph) -> _Lanes:
     hold it and the bias without a carry into the next lane. A term row is
     one C-level translate of the plain row per byte of a lane: at
     n = 2 * 10 ** 4 it takes a third of the time of one join of its lanes.
-    Plain rows, and term rows, ``width`` times larger, are each kept while
-    they fit in ``_TERM_ROW_BYTES``; past that only the rows used last are
-    kept, as a large solve that seldom backtracks seldom reads a row twice.
+    Plain rows, and term rows, ``width`` times larger, each sit in one LRU
+    cache of as many rows as fit in ``_TERM_ROW_BYTES``: while every row
+    fits it never evicts, and past that only the rows used last are kept,
+    as a large solve that seldom backtracks seldom reads a row twice.
     Kept for the whole solve, the plain rows alone grew by 20 KB for each
     candidate tried at n = 2 * 10 ** 4."""
     n = G.n
@@ -236,14 +243,9 @@ def _lanes(G: Graph) -> _Lanes:
     planes = _term_planes(width, _LANE_BITS)
     ones = int.from_bytes((b"\1" + bytes(width - 1)) * n, "little")
 
-    def kept(row_bytes: int) -> int | None:
-        # how many rows of row_bytes fit in the budget; None, no bound, when
-        # every vertex's row fits
-        most = _TERM_ROW_BYTES // (row_bytes or 1)
-        return None if most >= n else most
-
-    rows = lru_cache(kept(n))(partial(plain_row, G))
-    terms = lru_cache(kept(width * n))(lambda v: _spread(rows(v), planes))
+    most = _TERM_ROW_BYTES // max(n, 1)  # the plain rows that fit
+    rows = lru_cache(most)(partial(plain_row, G))
+    terms = lru_cache(most // width)(lambda v: _spread(rows(v), planes))
     return _Lanes(w, one, ((1 << w - 1) - one) * ones, ones << w - 1, rows, terms)
 
 
@@ -364,17 +366,13 @@ def _dead_marks(
     tops = ones << w - 1
     # every value fits in a lane's low byte
     planes = [[table, *[bytes(256)] * (width - 1)] for table in (_QUARTERS, _RING2, _RING3)]
-    memo = {}
-
+    @cache
     def near(x: int) -> list[int]:
-        # x's quarter row and its rings at distance 2 and 3 as lane ints;
-        # every member has been v once
-        row = rows(x)
-        got = memo[x] = [_spread(row, p) for p in planes]
-        return got
+        # x's quarter row and its rings at distance 2 and 3 as lane ints
+        return [_spread(rows(x), p) for p in planes]
 
     def join(v: int, members: Iterable[int], q: int, dead: int) -> tuple[int, int]:
-        quarters, ring2, ring3 = memo.get(v) or near(v)
+        quarters, ring2, ring3 = near(v)
         grown = q + quarters
         dead |= (grown + bias) & tops
         floor = q >> w * v & lane
@@ -384,7 +382,7 @@ def _dead_marks(
             rv = rows(v)
             for x in members:
                 if rv[x] < 4:  # x's floor rose, below 4
-                    _, ring2, ring3 = memo[x]
+                    _, ring2, ring3 = near(x)
                     k = w * x
                     floor = grown >> k & lane
                     if floor >= 2:
@@ -415,15 +413,16 @@ def alpha_e_exact(
 
     Each stack entry carries the ``try_extend`` state of its members, the
     near-floor vector and the dead mask of ``_dead_marks``, all shared by
-    the exclude child; only an include builds new ones. The required
-    members join first, in ascending id, each by ``try_extend`` from the
-    empty set's state, as a branched candidate joins; the first reject
-    raises InfeasibleError, which names the least required vertex whose
-    own check fails in the whole required set. Under a budget each join
-    first reads the clock; a stop there decides the required set with
-    ``ei_holds``, raises the same InfeasibleError when it fails, and
-    otherwise returns it with status "timeout" and one node, as a stop at
-    the first node would. A node whose candidate is dead, its lane set
+    the exclude child; only an include builds new ones. The required set
+    is decided once, before any join and any clock read past the
+    deadline's own: the least required vertex whose ``_member_check``
+    over the whole set fails raises InfeasibleError. The required members
+    then join in ascending id, each by ``try_extend`` from the empty
+    set's state, as a branched candidate joins; none can be rejected,
+    since every prefix of an independent set is independent. Under a
+    budget each join first reads the clock, and a stop there returns the
+    decided set with status "timeout" and one node, as a stop at the
+    first node would. A node whose candidate is dead, its lane set
     in the mask, is a reject node with no ``try_extend`` call: it is
     counted, reads the clock, and takes the count prune and the leaf
     test. Its exclude child, its only one, would be the next entry popped,
@@ -436,6 +435,10 @@ def alpha_e_exact(
     exc = _member_set(G, excluded)
     if req & exc:
         raise ValueError("required and excluded sets overlap")
+    best_set = tuple(sorted(req))
+    for u in best_set:
+        if not _member_check(G, req, u)[0]:
+            raise InfeasibleError(f"required set is not exponentially independent at vertex {u}")
     order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
     layout = _lanes(G)
     cands = [v for v in order if v not in req and v not in exc]
@@ -443,22 +446,13 @@ def alpha_e_exact(
     lane = (1 << w) - 1
     state = ((), 0, 0)
     q = dead = 0
-    best_set = tuple(sorted(req))
+    # every prefix of an independent set is independent, so no join rejects
     for u in best_set:
         if deadline is not None and time.monotonic() >= deadline:
-            # the joins stop at the budget: the set is decided at once, and
-            # is the incumbent of a search that stops at its first node
-            if ei_holds(G, req):
-                return _certified(G, best_set, 1, "timeout", is_exponentially_independent)
-            grown = None
-        else:
-            grown = try_extend(G, state, u, layout)
-        if grown is None:
-            # name the least member that fails in the whole required set
-            u = next(x for x in best_set if not _member_check(G, req, x)[0])
-            raise InfeasibleError(f"required set is not exponentially independent at vertex {u}")
+            # the incumbent of a search that stops at its first node
+            return _certified(G, best_set, 1, "timeout", is_exponentially_independent)
         q, dead = join(u, state[0], q, dead)
-        state = grown
+        state = try_extend(G, state, u, layout)
 
     best_size = len(req)
     nodes = 0
@@ -513,26 +507,26 @@ def _least_dominating(G: Graph, deadline: float | None) -> tuple[tuple[int, ...]
     combination when the deadline stops the stream. The whole vertex set
     dominates, so the stream always ends in a return.
 
-    Each size's combinations are walked depth first, as a prefix of picks
-    and a last pick ``a``, in the lane layout of ``_lanes``. ``sums[j]``
-    holds the first j picks' term rows, each pick's own lane lifted by
-    ``one``, plus ``bias``, as one lane int, built with one add per depth
-    only when the prefix changes. A pick's own lane is empty in its term
-    row, and its self term is 2, so a pick is always dominated. A
-    combination is rejected when any lane of its prefix's sums plus the
-    term row of ``a``, and ``one`` in a's lane, stays below ``one``: that
-    vertex's plain sum, rounded up, is below 1. Only a combination every
-    lane keeps runs ``ed_holds``."""
+    Each combination is a prefix of picks and a last pick ``a``, in the
+    lane layout of ``_lanes``. A size's prefixes come from
+    ``itertools.combinations`` of ``range(n - 1)``, in lexicographic
+    order, which yields exactly the prefixes that leave room for a last
+    pick. On entry to a prefix, ``prefix`` is summed once: its picks' term
+    rows, each pick's own lane lifted by ``one``, plus ``bias``, as one
+    lane int. A pick's own lane is empty in its term row, and its self
+    term is 2, so a pick is always dominated. A combination is rejected
+    when any lane of ``prefix`` plus the term row of ``a``, and ``one``
+    in a's lane, stays below ``one``: that vertex's plain sum, rounded up,
+    is below 1. Only a combination every lane keeps runs ``ed_holds``."""
     n = G.n
     w, one, bias, tops, _, terms = _lanes(G)
     tried = 0
     for size in range(1, n + 1):
-        picks = list(range(size - 1))  # every pick but the last
-        sums = [bias]
-        while True:
-            for v in picks[len(sums) - 1 :]:
-                sums.append(sums[-1] + terms(v) + (one << w * v))
-            prefix = sums[-1]
+        # every pick but the last, leaving room for a last pick after them
+        for picks in combinations(range(n - 1), size - 1):
+            prefix = bias
+            for v in picks:
+                prefix += terms(v) + (one << w * v)
             for a in range(picks[-1] + 1 if picks else 0, n):
                 tried += 1
                 if deadline is not None and time.monotonic() >= deadline:
@@ -540,14 +534,6 @@ def _least_dominating(G: Graph, deadline: float | None) -> tuple[tuple[int, ...]
                 total = prefix + terms(a) + (one << w * a)
                 if total & tops == tops and ed_holds(G, (*picks, a)):
                     return (*picks, a), tried
-            # the next prefix: advance the rightmost pick with room after it
-            j = size - 2
-            while j >= 0 and picks[j] == n - size + j:
-                j -= 1
-            if j < 0:
-                break
-            del sums[j + 1 :]
-            picks[j:] = range(picks[j] + 1, picks[j] + size - j)
     raise AssertionError("unreachable: the whole vertex set dominates")
 
 
@@ -562,7 +548,8 @@ def gamma_e_exact(G: Graph, time_budget: float | None = None) -> SearchResult:
     the order of a plain enumeration, by size and then lexicographically,
     and each one is counted. A combination under which some vertex gets a
     plain sum below 1, read off the lane sums of the component's term rows
-    (``_lanes``) that the walk holds per prefix, is rejected before
+    (``_lanes``), summed once per prefix of picks that
+    ``itertools.combinations`` yields, is rejected before
     ``ed_holds`` runs. The relaxation is sound (blocked distances are never
     shorter, and each term is rounded up), so the combinations tried,
     their count and the witness are those of the plain enumeration.

@@ -660,3 +660,26 @@ class TestMaximumDegree:
             for params in FAMILY_SAMPLES[name]:
                 G = fam.build(*params).graph
                 assert G.max_degree == scanned_degree(G), (name, params)
+
+
+class TestOfAdjacency:
+    """``Graph._of_adjacency``, the constructor of an adjacency known to be
+    valid, records every field ``Graph`` itself records from the edges."""
+
+    @staticmethod
+    def assert_rebuilt(G):
+        H = Graph(G.n, G.edges())
+        assert (G.n, G.m, G.adj, G.max_degree) == (H.n, H.m, H.adj, H.max_degree), G
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_free_trees(self, n):
+        for T in free_trees(n) + free_trees(n, max_degree=3):
+            self.assert_rebuilt(T)
+
+    def test_bulk_parser(self):
+        G = random_subcubic_graph(300, 40, 3)
+        text = write_edge_list(G)
+        assert _bulk_adjacency(G.n, G.m, text.splitlines()[1:]) is not None
+        parsed = parse_edge_list(text)
+        self.assert_rebuilt(parsed)
+        assert parsed.m == G.m > 0 and parsed.max_degree == 3

@@ -1159,13 +1159,16 @@ class TestBudgetChecks:
 
     def test_stopped_joins_name_the_same_infeasible_vertex(self, monkeypatch):
         """A required set that is not independent raises the error of an
-        unbudgeted solve wherever the deadline stops its joins: before
-        the join that rejects, or after it."""
+        unbudgeted solve wherever the deadline falls: the set is decided
+        before any join, so the budget's one clock read is the only one,
+        and no member joins."""
         G = gen_path(8)
         required = (0, 3, 4, 7)
         with pytest.raises(InfeasibleError) as unbudgeted:
             alpha_e_exact(G, required)
         assert str(unbudgeted.value).endswith("at vertex 3")
+        joins = []
+        monkeypatch.setattr(solvers, "try_extend", lambda *args: joins.append(args))
         for k in range(1, len(required) + 2):
             reads = []
 
@@ -1177,7 +1180,8 @@ class TestBudgetChecks:
             with pytest.raises(InfeasibleError) as stopped:
                 alpha_e_exact(G, required, time_budget=1.0)
             assert str(stopped.value) == str(unbudgeted.value), k
-            assert len(reads) == min(k + 1, 4), k
+            assert len(reads) == 1, k
+            assert joins == [], k
 
     @pytest.mark.parametrize("solve", [alpha_e_exact, gamma_e_exact])
     def test_no_budget_never_reads_the_clock(self, monkeypatch, solve):
