@@ -128,6 +128,8 @@ def _cmd_construct(args) -> int:
     elif args.method == "tree-good":
         S, trace = tree_good_set(G)
         ok, why = good_set_audit(G, S)
+        if not ok:
+            raise RuntimeError(f"good set failed re-verification: {why}")
         if args.trace_out:
             _write(args.trace_out, trace.to_text())
         sys.stdout.write(f"method tree-good\nsize {len(S)}\naudit {why}\nset " + " ".join(map(str, sorted(S))) + "\n")

@@ -41,12 +41,15 @@ Reduction rules, applied to the first match:
        R3 applies to the diametral path z1 z2 w3' w4 ... through it.
 
 The whole reduction and lift run on one mutable tree in the input's
-vertex ids (``_Tree``): a step marks its removed set dead and the lift
-brings it back, so no subgraph is built per step. Degrees and the count
-of degree-2 vertices change by delta next to the removed set, and R1's
-vertex is read off the degrees: a min-heap holds every vertex with two
-endvertex neighbours, pushed when it could start to have them, and a
-stale top is dropped when R1 is asked for. Whether the reduced graph is
+vertex ids (``_Tree``), in two phases: every reduction step runs before
+the first lift, and none runs after it. A step marks its removed set
+dead and its lift brings back what lifts and audits read, the alive
+marks, the degrees and the alive count, so no subgraph is built per
+step. While reducing, degrees and the count of degree-2 vertices change
+by delta next to the removed set, and R1's vertex is read off the
+degrees: a min-heap holds every vertex with two endvertex neighbours,
+pushed when it could start to have them, and a stale top is dropped
+when R1 is asked for. Whether the reduced graph is
 still a tree is decided in O(|R|) by counting the edges that leave the
 removed set R, the path test reads the degree-2 count, and only the
 exact-search base builds one Graph, of at most 8 vertices. The diametral
@@ -223,18 +226,20 @@ class _Tree:
     the ids of the input tree T, whose adjacency is never copied or changed.
 
     The alive vertices always span a tree: ``remove`` runs only after
-    ``remains_tree_without`` holds, and ``restore`` undoes the latest
-    ``remove`` exactly. The state is the ``alive`` marks, the degree of
-    every alive vertex in that tree, the alive count ``size``, the number
-    ``deg2`` of alive degree-2 vertices, and ``r1``, a min-heap of vertex
-    ids that holds every alive vertex with two alive endvertex neighbours
-    (R1's candidates), and stale ids besides. A step changes a degree only
-    next to the set it removes or restores; the degree of a dead vertex
-    keeps its value until it is restored. A vertex starts to be an R1
-    candidate only when it is restored, when a neighbour is restored as an
-    endvertex, or when a neighbour's degree drops to 1, and only then is
-    it pushed; ``r1_vertex`` drops stale tops, so the top it returns is the
-    smallest candidate.
+    ``remains_tree_without`` holds. It is used in two phases, reduction
+    then lift, and no ``remove`` follows a ``restore``. Both read the
+    ``alive`` marks, the degree of every alive vertex in that tree and
+    the alive count ``size``; ``restore`` undoes the latest ``remove`` on
+    these three. A step changes a degree only next to the set it removes or
+    restores; the degree of a dead vertex keeps its value until it is
+    restored. Only the reduction phase reads the rest, which ``restore``
+    leaves stale: the number ``deg2`` of alive degree-2 vertices, the
+    path index below, and ``r1``, a min-heap of vertex ids that holds
+    every alive vertex with two alive endvertex neighbours (R1's
+    candidates), and stale ids besides. It starts with every candidate; a
+    vertex becomes one later only when a neighbour's degree drops to 1,
+    and only then is it pushed. ``r1_vertex`` drops stale tops, so the top
+    it returns is the smallest candidate.
 
     ``diametral_path`` reads a rooted index of the alive tree: ``root``, the
     middle vertex of one double BFS, and for every alive v its ``parent``
@@ -243,7 +248,7 @@ class _Tree:
     whose alive tree stays a tree cuts whole subtrees off and changes no
     distance between alive vertices, so only ``best`` on the ancestors of
     each cut changes. The index is rebuilt on the next path asked for after
-    its root dies or after a ``restore``; ``root`` is -1 until then.
+    its root dies; ``root`` is -1 until then.
 
     ``bound`` maps each member of the set last proved good to an upper
     bound on its weight, an integer over the fixed 2**_BOUND_BITS: every
@@ -270,31 +275,26 @@ class _Tree:
         self.depth = [0] * n
         self.best = [0] * n
 
-    def _shift(self, R, step: int) -> None:
-        """With R dead: the alive neighbours of R change degree by step. A
-        neighbour whose degree reaches 1 may give each of its own alive
-        neighbours a second endvertex neighbour, so they go on the heap."""
+    def remove(self, R) -> None:
+        """Mark R dead, in the reduction phase, keeping every field current:
+        the alive neighbours of R lose a degree each, and a neighbour whose
+        degree drops to 1 may give each of its own alive neighbours a
+        second endvertex neighbour, so they go on the heap."""
         adj, alive, deg, r1 = self.adj, self.alive, self.deg, self.r1
-        d2 = 0
+        for v in R:
+            alive[v] = 0
+        d2 = -sum(1 for v in R if deg[v] == 2)
         for v in R:
             for w in adj[v]:
                 if alive[w]:
-                    old = deg[w]
-                    new = deg[w] = old + step
-                    d2 += (new == 2) - (old == 2)
-                    if new == 1:
+                    d = deg[w] = deg[w] - 1
+                    d2 += (d == 2) - (d == 1)
+                    if d == 1:
                         for x in adj[w]:
                             if alive[x]:
                                 heappush(r1, x)
         self.deg2 += d2
-
-    def remove(self, R) -> None:
-        alive, deg = self.alive, self.deg
-        for v in R:
-            alive[v] = 0
-        self.deg2 -= sum(1 for v in R if deg[v] == 2)
         self.size -= len(R)
-        self._shift(R, -1)
         if self.root < 0:
             return
         if not alive[self.root]:
@@ -306,21 +306,18 @@ class _Tree:
                 self._settle(parent[v])
 
     def restore(self, R) -> None:
-        """Undo ``remove(R)``; the degrees of R were kept while it was
-        dead. R and the alive neighbours of its endvertices go on the
-        heap: only they can have gained a second endvertex neighbour."""
-        self._shift(R, 1)
-        adj, alive, deg, r1 = self.adj, self.alive, self.deg, self.r1
-        for v in R:  # a neighbour in R not yet alive goes on by itself
+        """Bring back what the lift phase reads after ``remove(R)``: the
+        alive marks, the degrees next to R (R's own were kept while it was
+        dead) and ``size``. The heap, ``deg2`` and the index are left as
+        they are: no reduction follows a restore."""
+        adj, alive, deg = self.adj, self.alive, self.deg
+        for v in R:
+            for w in adj[v]:
+                if alive[w]:
+                    deg[w] += 1
+        for v in R:
             alive[v] = 1
-            heappush(r1, v)
-            if deg[v] == 1:
-                for w in adj[v]:
-                    if alive[w]:
-                        heappush(r1, w)
-        self.deg2 += sum(1 for v in R if deg[v] == 2)
         self.size += len(R)
-        self.root = -1
 
     def r1_vertex(self) -> int | None:
         """R1's vertex: the smallest alive vertex with two alive endvertex
@@ -416,9 +413,6 @@ class _Tree:
         """The smallest alive neighbour of v outside ``skip``."""
         alive = self.alive
         return next(w for w in self.adj[v] if alive[w] and w not in skip)
-
-    def is_path(self) -> bool:
-        return self.size <= 2 or self.deg2 == self.size - 2
 
     def vertices(self) -> list[int]:
         return [v for v in range(self.n) if self.alive[v]]
@@ -734,10 +728,6 @@ def _base_exact(tree: _Tree) -> frozenset:
     return frozenset(old_ids[v] for v in result.witness)
 
 
-def _unfinished(steps: list[TraceStep]) -> GoodSetTrace:
-    return GoodSetTrace(tuple(steps), "unfinished", ())
-
-
 def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
     """Good set of a subcubic tree with at least one degree-2 vertex (see
     the module docstring); trees without one get all but one endvertex
@@ -764,9 +754,9 @@ def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
 
     steps: list[TraceStep] = []
     tree = _Tree(T)
-    while True:
-        try:
-            if tree.is_path() and tree.size >= 8:
+    try:
+        while True:
+            if tree.size >= 8 and tree.deg2 == tree.size - 2:
                 base_rule = "path-schedule"
                 S = _path_schedule(tree)
                 break
@@ -775,17 +765,15 @@ def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
                 S = _base_exact(tree)
                 break
             rule, removed, swapped, added = _choose_reduction(tree)
-        except InvariantViolation as exc:  # raised without the steps taken so far
-            exc.trace = _unfinished(steps)
-            raise
-        steps.append(TraceStep(rule, tuple(sorted(removed)), swapped, tuple(sorted(added))))
-        if not tree.remains_tree_without(removed):
-            raise InvariantViolation("reduced graph is not a tree", _unfinished(steps))
-        tree.remove(removed)
-        if not tree.deg2:
-            raise InvariantViolation(
-                "reduced tree lost its last degree-2 vertex", _unfinished(steps)
-            )
+            steps.append(TraceStep(rule, tuple(sorted(removed)), swapped, tuple(sorted(added))))
+            if not tree.remains_tree_without(removed):
+                raise InvariantViolation("reduced graph is not a tree")
+            tree.remove(removed)
+            if not tree.deg2:
+                raise InvariantViolation("reduced tree lost its last degree-2 vertex")
+    except InvariantViolation as exc:  # raised here without a trace
+        exc.trace = GoodSetTrace(tuple(steps), "unfinished", ())
+        raise
 
     trace = GoodSetTrace(tuple(steps), base_rule, tuple(sorted(S)))
     _verify_good(tree, S, trace, f"base ({base_rule})")

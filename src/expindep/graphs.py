@@ -9,10 +9,10 @@ comparisons order every finite distance below infinity.
 A Graph records its maximum degree, ``max_degree``, once where it is
 built: in ``Graph`` from the edge lists it fills, and in
 ``Graph._of_adjacency``, the one constructor for an adjacency already
-known to be valid, which ``parse_edge_list``'s bulk path and
-``families.free_trees`` use. So ``is_subcubic`` reads one attribute, and
-so does the weight kernel when it picks its bound, rather than scanning
-every degree per call.
+known to be valid, which ``parse_edge_list``'s bulk path,
+``families.free_trees`` and ``induced_subgraph`` use. So
+``is_subcubic`` reads one attribute, and so does the weight kernel when
+it picks its bound, rather than scanning every degree per call.
 
 ``bfs_levels`` is the shared search: level-synchronous, over the
 vertices not marked in a caller's bytearray, to the last level it
@@ -455,15 +455,15 @@ def longest_path(T: Graph) -> list[int]:
 
 def induced_subgraph(G: Graph, keep: Iterable[int]) -> tuple[Graph, list[int]]:
     """Induced subgraph on ``keep``; returns (subgraph, old_ids) where
-    new id i corresponds to old_ids[i] (old ids in ascending order)."""
+    new id i corresponds to old_ids[i] (old ids in ascending order). An id
+    outside ``range(G.n)`` raises ParameterError."""
     old_ids = sorted(set(keep))
+    if old_ids and (old_ids[0] < 0 or old_ids[-1] >= G.n):
+        raise ParameterError(f"vertex ids outside the graph: {[v for v in old_ids if not 0 <= v < G.n]}")
     index = {old: new for new, old in enumerate(old_ids)}
-    edges = []
-    for new_u, old_u in enumerate(old_ids):
-        for old_v in G.adj[old_u]:
-            if old_v in index and old_v > old_u:
-                edges.append((new_u, index[old_v]))
-    return Graph(len(old_ids), edges), old_ids
+    # old ids ascend, so each new list comes out sorted
+    adj = tuple(tuple(index[w] for w in G.adj[u] if w in index) for u in old_ids)
+    return Graph._of_adjacency(adj, sum(map(len, adj)) // 2), old_ids
 
 
 def connected_components(G: Graph) -> list[list[int]]:

@@ -345,6 +345,17 @@ class TestConstruct:
         assert out == ""
         assert err == "error: packing failed re-verification\n"
 
+    def test_failed_good_set_reaudit_exits_3(self, tmp_path, monkeypatch):
+        g = tmp_path / "t2.el"
+        run("gen", "--family", "tk", "--k", 2, "--out", g)
+        s, tr = tmp_path / "s.txt", tmp_path / "trace.txt"
+        monkeypatch.setattr(cli, "good_set_audit", lambda G, S: (False, "set too small: 1 < (10 + 3) / 4"))
+        rc, out, err = run("construct", "--method", "tree-good", "--graph", g,
+                           "--set-out", s, "--trace-out", tr)
+        assert (rc, out) == (3, "")
+        assert err == "error: good set failed re-verification: set too small: 1 < (10 + 3) / 4\n"
+        assert not s.exists() and not tr.exists()
+
     def test_usage_errors(self):
         rc, _, _ = run("construct", "--method", "packing")
         assert rc == 2

@@ -661,9 +661,8 @@ class TestMutableTree:
         verdict = tree.remains_tree_without(R)
         assert verdict == is_tree(sub)
         if verdict:
-            def state():
-                return (bytes(tree.alive), list(tree.deg), tree.size, tree.deg2,
-                        tree.r1_vertex())
+            def state():  # what the lift phase reads
+                return bytes(tree.alive), list(tree.deg), tree.size
 
             before = state()
             tree.remove(R)
@@ -675,25 +674,43 @@ class TestMutableTree:
     @given(st.integers(1, 80), st.integers(0, 10**6), st.data())
     def test_path_index_matches_double_bfs(self, n, seed, data):
         """Removals of up to four vertices, the index's root among them
-        where that keeps a tree, restores, and removals after a restore:
-        after each, the indexed path is the double BFS's path."""
+        where that keeps a tree: after each, the indexed path is the
+        double BFS's path."""
         T = random_subcubic_tree(n, seed)
         tree = cons._Tree(T)
-        done = []
         for _ in range(data.draw(st.integers(1, 25))):
             assert tree.diametral_path() == diametral_path(T, tree.alive)
             assert_state_fresh(tree)
-            if done and data.draw(st.integers(0, 3)) == 0:
-                tree.restore(done.pop())
-                continue
             if tree.size == 1:
                 break
             R = removable_near_root(tree, data)
             assert tree.remains_tree_without(R)
             tree.remove(R)
-            done.append(R)
         assert tree.diametral_path() == diametral_path(T, tree.alive)
         assert_state_fresh(tree)
+
+    @pytest.mark.parametrize("T", [gen_path(11)] + [random_subcubic_tree(20 + 7 * i, seed=9300 + i) for i in range(20)])
+    def test_no_reduction_follows_a_restore(self, monkeypatch, T):
+        """The builder's two phases: every remove, R1 query and path query
+        comes before the first restore, which leaves the heap, ``deg2`` and
+        the index stale; the last lift leaves the marks, degrees and size of
+        the whole tree."""
+        calls, trees = [], set()
+        for name in ("restore", "remove", "r1_vertex", "diametral_path"):
+            def spy(tree, *args, _name=name, _orig=getattr(cons._Tree, name)):
+                calls.append(_name)
+                trees.add(tree)
+                return _orig(tree, *args)
+
+            monkeypatch.setattr(cons._Tree, name, spy)
+        _, trace = tree_good_set(T)
+        first = calls.index("restore") if "restore" in calls else len(calls)
+        assert set(calls[first:]) <= {"restore"}
+        assert calls.count("restore") == len(trace.steps)
+        (tree,) = trees
+        assert tree.alive == b"\x01" * T.n
+        assert tree.deg == [len(a) for a in T.adj]
+        assert tree.size == T.n
 
     def test_diametral_path_matches_longest_path(self):
         rng = random.Random(11)

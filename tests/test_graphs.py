@@ -20,6 +20,7 @@ from expindep.graphs import (
     INF,
     EdgeListError,
     Graph,
+    ParameterError,
     _bulk_adjacency,
     absorbing_bfs,
     bfs_ball,
@@ -683,3 +684,19 @@ class TestOfAdjacency:
         parsed = parse_edge_list(text)
         self.assert_rebuilt(parsed)
         assert parsed.m == G.m > 0 and parsed.max_degree == 3
+
+    @given(simple_graphs(), st.data())
+    def test_induced_subgraph(self, G, data):
+        keep = data.draw(st.sets(st.sampled_from(range(G.n)))) if G.n else set()
+        sub, old_ids = induced_subgraph(G, keep)
+        self.assert_rebuilt(sub)
+        assert old_ids == sorted(keep)
+        assert {(old_ids[u], old_ids[v]) for u, v in sub.edges()} == {
+            (u, v) for u, v in G.edges() if u in keep and v in keep
+        }
+
+    @pytest.mark.parametrize("keep, outside", [({-1, 1}, [-1]), ({0, 3, 4}, [3, 4])])
+    def test_induced_subgraph_rejects_outside_ids(self, keep, outside):
+        # an id outside the graph would index a wrong or missing list
+        with pytest.raises(ParameterError, match=re.escape(f"vertex ids outside the graph: {outside}")):
+            induced_subgraph(Graph(3, [(0, 1), (1, 2)]), keep)
