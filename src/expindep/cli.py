@@ -25,7 +25,7 @@ from .constructors import (
     tree_good_set,
 )
 from .families import FAMILIES
-from .graphs import Graph, ParameterError, endvertices, parse_edge_list, parse_vertex_set, write_edge_list, write_vertex_set
+from .graphs import Graph, ParameterError, degree2_vertices, endvertices, parse_edge_list, parse_vertex_set, write_edge_list, write_vertex_set
 from .solvers import alpha_e_exact, gamma_e_exact
 from .weights import ei_holds, is_exponentially_dominating, is_exponentially_independent
 from .experiments import (
@@ -128,8 +128,13 @@ def _cmd_construct(args) -> int:
     elif args.method == "tree-good":
         S, trace = tree_good_set(G)
         ok, why = good_set_audit(G, S)
-        if not ok:
-            raise RuntimeError(f"good set failed re-verification: {why}")
+        # a tree with no degree-2 vertex gets all endvertices but one, which
+        # is promised independent only; its audit line says what it misses
+        if degree2_vertices(G):
+            if not ok:
+                raise RuntimeError(f"good set failed re-verification: {why}")
+        elif not ei_holds(G, S):
+            raise RuntimeError("all-but-one-endvertices set failed re-verification")
         if args.trace_out:
             _write(args.trace_out, trace.to_text())
         sys.stdout.write(f"method tree-good\nsize {len(S)}\naudit {why}\nset " + " ".join(map(str, sorted(S))) + "\n")

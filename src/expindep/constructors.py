@@ -68,17 +68,20 @@ trace, it is never silently accepted. The full audit, the linear-time
 tree pass of ``weights`` on the alive vertices, runs on the base set and
 on the final set, and it resets an upper bound on each member's weight,
 held over the fixed 2**64 and rounded up. A lift is first checked on its
-restored pendant alone, the few vertices between the restored set and
-the swapped vertex, which must meet the rest of the tree in one edge
-(``_lift_holds``): the influence the pendant sends across that edge must
-not grow, and the stored bounds give each member of the pendant an upper
-bound below 1. A lift this check cannot decide falls back to the full
-audit, with its message, so every verdict is the full audit's. A lift
-then costs O(1) steps, on integers of about 64 bits, instead of a pass
-over the tree, and a reduction step O(depth + |R|), the depth of the
-rooted alive tree, which grows like log n on the trees
-``random_subcubic_tree`` grows (diameter 70 at n = 10**5) and like n only
-on long thin trees such as caterpillars.
+restored pendant P alone, the smallest subtree holding the restored set
+R and the swapped vertex, which must meet the rest of the tree in one
+edge (``_lift_holds``): the influence P sends across that edge must not
+grow, and the stored bounds give each member of P an upper bound below
+1. The rule that removed R names P, as R and the start of the path it
+read: R and v for R1, R and w1 w2 w3 for R3, R and w1 w2 w3 w4 for R2 and
+R4. One exit edge makes a set of alive vertices a subtree, so a wrongly
+named P fails the check rather than passing it. A lift this check cannot
+decide falls back to the full audit, with its message, so every verdict
+is the full audit's. A lift then costs O(1) steps, on integers of about
+64 bits, instead of a pass over the tree, and a reduction step
+O(depth + |R|), the depth of the rooted alive tree, which grows like
+log n on the trees ``random_subcubic_tree`` grows (diameter 70 at
+n = 10**5) and like n only on long thin trees such as caterpillars.
 The same policy covers the structural side conditions the recursion
 relies on (the reduced graph is a tree and keeps a degree-2 vertex,
 hanging components are short paths): they are asserted at runtime, not
@@ -514,13 +517,13 @@ def _reduction_r3(tree: _Tree, path: list[int]) -> tuple:
             f"third neighbor {w2p} of the first branch vertex has degree > 2"
         )
     if deg[w2p] == 1:
-        return ("R3", (w1, w2, w2p), w3, (w1, w2p))
+        return ("R3", (w1, w2, w2p), w3, (w1, w2p), path[:3])
     w1p = tree.other_neighbor(w2p, (w3,))
     if deg[w1p] != 1:
         raise InvariantViolation(
             f"expected an endvertex beyond {w2p}, found degree {deg[w1p]}"
         )
-    return ("R3", (w1, w1p, w2p), w2, (w1, w1p))
+    return ("R3", (w1, w1p, w2p), w2, (w1, w1p), path[:3])
 
 
 def _reduction_r4(tree: _Tree, path: list[int], comp: list[int]) -> tuple:
@@ -529,26 +532,27 @@ def _reduction_r4(tree: _Tree, path: list[int], comp: list[int]) -> tuple:
     tree, and of three a star would mean that R1 missed w3'."""
     w1, w2, w3, w4 = path[0], path[1], path[2], path[3]
     if len(comp) == 1:
-        return ("R4", (w1, w2, w3, comp[0]), w4, (w1, comp[0]))
+        return ("R4", (w1, w2, w3, comp[0]), w4, (w1, comp[0]), path[:4])
     if len(comp) == 2:
         w3p, w2p = comp
-        return ("R4", (w1, w2, w2p, w3p), w3, (w1, w2p))
+        return ("R4", (w1, w2, w2p, w3p), w3, (w1, w2p), path[:4])
     w3p, w2p, w1p = comp
     if not (tree.deg[w2p] == 2 and tree.deg[w1p] == 1 and w1p in tree.adj[w2p]):
         raise InvariantViolation(f"three-vertex hanging component at {w4} is not a path")
-    return ("R4", (w1, w1p, w2p, w3p), w2, (w1, w1p))
+    return ("R4", (w1, w1p, w2p, w3p), w2, (w1, w1p), path[:4])
 
 
 def _choose_reduction(tree: _Tree) -> tuple:
-    """Pick the reduction of the module docstring; raises
-    InvariantViolation when the tree breaks a structural condition the
-    analysis guarantees."""
+    """Pick the reduction of the module docstring, as (rule, removed,
+    swapped, added, span): the lift's pendant is removed plus span, the
+    start of the path the rule read. Raises InvariantViolation when the
+    tree breaks a structural condition the analysis guarantees."""
     # R1: a vertex with two endvertex neighbors
     v = tree.r1_vertex()
     if v is not None:
         alive, deg = tree.alive, tree.deg
         u1, u2 = [w for w in tree.adj[v] if alive[w] and deg[w] == 1][:2]
-        return ("R1", (u1, u2), v, (u1, u2))
+        return ("R1", (u1, u2), v, (u1, u2), (v,))
     base_path = tree.diametral_path()
     orientations = [base_path, list(reversed(base_path))]
     for path in orientations:
@@ -559,7 +563,7 @@ def _choose_reduction(tree: _Tree) -> tuple:
             )
         if k >= 5:
             w1, w2, w3, w4 = path[0], path[1], path[2], path[3]
-            return ("R2", (w1, w2, w3), w4, (w1, w3))
+            return ("R2", (w1, w2, w3), w4, (w1, w3), path[:4])
         if k == 3:
             return _reduction_r3(tree, path)
     # k = 4 both ways: one search of each hanging component
@@ -586,73 +590,51 @@ def _verify_good(tree: _Tree, S: set | frozenset, trace: GoodSetTrace, where: st
         raise InvariantViolation(f"{where}: {why}", trace)
 
 
-def _pendant(tree: _Tree, s: int, targets: set) -> set[int] | None:
-    """The vertices of the smallest alive subtree holding s and
-    ``targets``: a BFS from s that stops once every target is found, then
-    the walk back to s from each target. None when some target is not
-    alive."""
-    adj, alive = tree.adj, tree.alive
-    parent = {s: s}
-    todo = targets - {s}
-    frontier = [s]
-    while todo and frontier:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if alive[y] and y not in parent:
-                    parent[y] = x
-                    nxt.append(y)
-        todo.difference_update(nxt)
-        frontier = nxt
-    if todo:
-        return None
-    P = {s}
-    for v in targets:
-        while v not in P:
-            P.add(v)
-            v = parent[v]
-    return P
-
-
-def _sweep(adj, region: set, members, src: int) -> tuple[int, dict[int, int]]:
-    """Absorbing BFS from src through ``region``, which src need not lie
-    in: the members it reaches at distances d >= 1, as ``{member: d}``,
-    and their influence on src over 2**_BOUND_BITS, the sum of
-    2**(_BOUND_BITS + 1 - d). A distance beyond _BOUND_BITS + 1 raises on
-    the negative shift; it is never rounded."""
+def _sweep(adj, region: set, members, src: int, hp: int) -> tuple[int, int]:
+    """Absorbing BFS from src through ``region``, with ``hp`` outside it
+    as one more sink: the influence on src over 2**_BOUND_BITS, the sum of
+    2**(_BOUND_BITS + 1 - d) over the members it reaches at distances
+    d >= 1, and d(src, hp), or 0 when the sweep does not reach hp. The
+    blocked distance is symmetric, so that is also the distance at which
+    a sweep from hp would reach src. A distance beyond _BOUND_BITS + 1
+    raises on the negative shift; it is never rounded."""
     seen = {src}
-    reached = {}
-    total = d = 0
+    total = d = to_hp = 0
     frontier = [src]
     while frontier:
         d += 1
         nxt = []
         for x in frontier:
             for y in adj[x]:
-                if y in region and y not in seen:
+                if y == hp:
+                    to_hp = d
+                elif y in region and y not in seen:
                     seen.add(y)
                     if y in members:
-                        reached[y] = d
                         total += 1 << (_BOUND_BITS + 1 - d)
                     else:
                         nxt.append(y)
         frontier = nxt
-    return total, reached
+    return total, to_hp
 
 
-def _lift_holds(tree: _Tree, S: set, step: TraceStep) -> bool:
+def _lift_holds(tree: _Tree, S: set, step: TraceStep, P: set) -> bool:
     """True only if the lift of S by ``step``, S_new = S - {s} plus the
     added vertices, is good on the alive tree, decided from the restored
-    pendant alone; False when that cannot be decided, and the caller then
+    pendant P alone; False when that cannot be decided, and the caller then
     runs the full audit. S itself is left as it is.
 
     The state before the lift: S is good on the tree without
     ``step.removed`` (R), and ``tree.bound`` maps each member of S to an
-    upper bound on its weight, over 2**_BOUND_BITS. P is the smallest
-    subtree holding R, the added vertices and s = ``step.swapped``; S_new
-    differs from S only inside P. The check needs exactly one alive edge (h, h') leaving
-    P, so every path from P to the rest runs through h and then h', and
-    the old tree holds P - R, which contains h.
+    upper bound on its weight, over 2**_BOUND_BITS. The rule that removed
+    R names P, R and the path prefix it read, the smallest subtree holding
+    R, the added vertices and s = ``step.swapped``. The check needs P to
+    hold all of these, every vertex of P alive, and exactly one alive edge
+    (h, h') leaving P; a disconnected P would have an edge leaving each
+    part of it towards the rest, so one exit edge makes P a subtree, and a
+    wrongly named P can only cause a fallback. Then S_new differs from S
+    only inside P, every path from P to the rest runs through h and then
+    h', and the old tree holds P - R, which contains h.
 
     A member y outside P gains 2**-d(y, h') * (I_new - I_old), or nothing
     when its path to h' is blocked, where I is the influence that P sends
@@ -662,8 +644,10 @@ def _lift_holds(tree: _Tree, S: set, step: TraceStep) -> bool:
     the lift does not change: 2 when h' is a member, else at most
     (bound(t) - inside_old(t)) * 2**d(t, h') for every old member t of P
     whose path to h' is open. Those sums, rounded up, must stay below 1,
-    and become the new bounds of P. Only P changes degree, so only P can
-    hold a new endvertex outside the set.
+    and become the new bounds of P. One sweep from each old and each new
+    member gives its weight inside P and its open distance to h', so I_old
+    and I_new are the sums of the open members' terms. Only P changes
+    degree, so only P can hold a new endvertex outside the set.
 
     P holds at most 7 vertices, so every distance swept is at most 8 and
     every term above is an exact integer over 2**_BOUND_BITS. Only a
@@ -671,10 +655,9 @@ def _lift_holds(tree: _Tree, S: set, step: TraceStep) -> bool:
     into a fallback to the full audit, never cause a wrong accept."""
     s = step.swapped
     removed = set(step.removed)
-    P = _pendant(tree, s, removed.union(step.added))
-    if P is None:
-        return False
     adj, alive = tree.adj, tree.alive
+    if not removed.union(step.added, (s,)) <= P or not all(alive[v] for v in P):
+        return False
     exits = [w for v in P for w in adj[v] if alive[w] and w not in P]
     if len(exits) != 1:
         return False
@@ -683,26 +666,26 @@ def _lift_holds(tree: _Tree, S: set, step: TraceStep) -> bool:
     old = P.intersection(S)  # the members of P before and after the lift
     new = old - {s}
     new.update(step.added)
-    I_new, open_new = _sweep(adj, P, new, hp)
-    I_old, open_old = _sweep(adj, old_P, old, hp)
-    if I_new > I_old:
+    swept_old = {t: _sweep(adj, old_P, old, t, hp) for t in old}
+    swept_new = {u: _sweep(adj, P, new, u, hp) for u in new}
+
+    def out(swept) -> int:  # the influence the members send to h'
+        return sum(1 << (_BOUND_BITS + 1 - d) for _, d in swept.values() if d)
+
+    if out(swept_new) > out(swept_old):
         return False
     bound = tree.bound
     if hp in S:
         J = 2 << _BOUND_BITS
-    elif open_old:
-        J = min(
-            (bound[t] - _sweep(adj, old_P, old, t)[0]) << d
-            for t, d in open_old.items()
-        )
     else:
-        return False
+        J = min(((bound[t] - w) << d for t, (w, d) in swept_old.items() if d), default=None)
+        if J is None:
+            return False
     one = 1 << _BOUND_BITS
     lifted = {}
-    for u in new:
-        b = _sweep(adj, P, new, u)[0]
-        if u in open_new:
-            b += -(-J >> open_new[u])  # rounded up
+    for u, (b, d) in swept_new.items():
+        if d:
+            b += -(-J >> d)  # rounded up
         if b >= one:
             return False
         lifted[u] = b
@@ -753,6 +736,7 @@ def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
         return S, trace
 
     steps: list[TraceStep] = []
+    pendants: list[set[int]] = []  # the lift's pendant P of each step
     tree = _Tree(T)
     try:
         while True:
@@ -764,8 +748,9 @@ def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
                 base_rule = "exact-search"
                 S = _base_exact(tree)
                 break
-            rule, removed, swapped, added = _choose_reduction(tree)
+            rule, removed, swapped, added, span = _choose_reduction(tree)
             steps.append(TraceStep(rule, tuple(sorted(removed)), swapped, tuple(sorted(added))))
+            pendants.append(set(removed).union(span))
             if not tree.remains_tree_without(removed):
                 raise InvariantViolation("reduced graph is not a tree")
             tree.remove(removed)
@@ -779,13 +764,13 @@ def tree_good_set(T: Graph) -> tuple[frozenset, GoodSetTrace]:
     _verify_good(tree, S, trace, f"base ({base_rule})")
     S = set(S)  # lifted in place: a lift touches O(1) members
     accepted = False
-    for step in reversed(steps):
+    for step, P in zip(reversed(steps), reversed(pendants)):
         tree.restore(step.removed)
         if step.swapped not in S:
             raise InvariantViolation(
                 f"lift expected vertex {step.swapped} in the reduced solution", trace
             )
-        accepted = _lift_holds(tree, S, step)
+        accepted = _lift_holds(tree, S, step, P)
         S.discard(step.swapped)
         S.update(step.added)
         if not accepted:

@@ -31,9 +31,9 @@ own loop:
 - ``constructors.greedy_packing``'s sweep: its marks are the radius an
   earlier ball still has at a vertex, so a pick stops where an earlier
   ball reaches at least as far rather than re-walking it.
-- ``constructors._pendant`` and ``constructors._sweep``, a good-set
-  lift's walks over its restored pendant: they mark with a dict or a set,
-  not a bytearray of n, so a lift costs its pendant and not n.
+- ``constructors._sweep``, a good-set lift's walk over its restored
+  pendant: it marks with a set, not a bytearray of n, so a lift costs its
+  pendant and not n.
 - ``constructors._hanging_levels``, the good-set builder's hanging
   components: in a tree each step skips only the vertex it came from, so
   it needs no marks and costs the at most four levels it reads, not n.

@@ -14,6 +14,9 @@ against, kept beside the tests because no runtime path calls them.
 - ``report_checks`` and ``row_pair``: a verifier report's examined
   vertices, and one row's (member, blocked distance) pair, parsed back
   from the report's text, which is the only view a report gives.
+- ``pendant``: the smallest alive subtree of a good-set builder's tree
+  that holds a vertex and a set of targets, by a BFS and the walks back;
+  the reference for the pendant each reduction rule names for its lift.
 - ``alpha_e_bruteforce``: a maximum exponentially independent set by
   exhaustive enumeration, the reference for ``alpha_e_exact``.
 - ``enumerate_trees``: every labeled tree on n vertices, the reference
@@ -128,6 +131,34 @@ def report_checks(report: WeightReport) -> tuple[ReportCheck, ...]:
             p, e = w[2:].split("/2^")
             checks.append((int(u), Dyadic(int(Decimal(p)), int(e)), [], verdict == "ok"))
     return tuple(ReportCheck(u, w, tuple(pairs), ok) for u, w, pairs, ok in checks)
+
+
+def pendant(tree, s: int, targets: set) -> set[int] | None:
+    """The vertices of the smallest alive subtree of ``tree`` (a
+    ``constructors._Tree``) holding s and ``targets``: a BFS from s that
+    stops once every target is found, then the walk back to s from each
+    target. None when some target is not alive."""
+    adj, alive = tree.adj, tree.alive
+    parent = {s: s}
+    todo = targets - {s}
+    frontier = [s]
+    while todo and frontier:
+        nxt = []
+        for x in frontier:
+            for y in adj[x]:
+                if alive[y] and y not in parent:
+                    parent[y] = x
+                    nxt.append(y)
+        todo.difference_update(nxt)
+        frontier = nxt
+    if todo:
+        return None
+    P = {s}
+    for v in targets:
+        while v not in P:
+            P.add(v)
+            v = parent[v]
+    return P
 
 
 def alpha_e_bruteforce(G: Graph) -> SearchResult:

@@ -356,6 +356,30 @@ class TestConstruct:
         assert err == "error: good set failed re-verification: set too small: 1 < (10 + 3) / 4\n"
         assert not s.exists() and not tr.exists()
 
+    @pytest.mark.parametrize("family, out", [
+        (("path", "--n", 2), "size 1\naudit endvertices missing from the set: [1]\nset 0\n"),
+        (("tdelta", "--delta", 3, "--depth", 1), "size 2\naudit endvertices missing from the set: [3]\nset 1 2\n"),
+        (("tdelta", "--delta", 3, "--depth", 3),
+         "size 11\naudit endvertices missing from the set: [21]\nset 10 11 12 13 14 15 16 17 18 19 20\n"),
+    ])
+    def test_tree_good_without_degree2_vertex(self, tmp_path, family, out):
+        # such a tree gets all endvertices but one, promised independent
+        # only: the audit line names the endvertex left out, and it exits 0
+        g = tmp_path / "g.el"
+        run("gen", "--family", *family, "--out", g)
+        assert run("construct", "--method", "tree-good", "--graph", g) == (0, "method tree-good\n" + out, "")
+
+    def test_tree_good_without_degree2_vertex_reverifies(self, tmp_path, monkeypatch):
+        g = tmp_path / "p2.el"
+        run("gen", "--family", "path", "--n", 2, "--out", g)
+        s, tr = tmp_path / "s.txt", tmp_path / "trace.txt"
+        monkeypatch.setattr(cli, "ei_holds", lambda G, S: False)
+        rc, out, err = run("construct", "--method", "tree-good", "--graph", g,
+                           "--set-out", s, "--trace-out", tr)
+        assert (rc, out) == (3, "")
+        assert err == "error: all-but-one-endvertices set failed re-verification\n"
+        assert not s.exists() and not tr.exists()
+
     def test_usage_errors(self):
         rc, _, _ = run("construct", "--method", "packing")
         assert rc == 2

@@ -55,6 +55,7 @@ from oracles import (
     expansion_condition_holds,
     expansion_margin_holds,
     expansion_separation,
+    pendant,
 )
 
 
@@ -761,11 +762,11 @@ class TestMutableTree:
         calls = []
 
         def bad_lift(tree):
-            rule, removed, swapped, added = orig(tree)
+            rule, removed, swapped, added, span = orig(tree)
             calls.append(rule)
             if len(calls) == 2:
                 added = added + (swapped,)
-            return rule, removed, swapped, added
+            return rule, removed, swapped, added, span
 
         monkeypatch.setattr(cons, "_choose_reduction", bad_lift)
         T = random_subcubic_tree(80, seed=3)
@@ -782,7 +783,7 @@ def corrupt_lifts(choose, seed: int, rate: float):
     rng = random.Random(seed)
 
     def corrupted(tree):
-        rule, removed, swapped, added = choose(tree)
+        rule, removed, swapped, added, span = choose(tree)
         if rng.random() < rate:
             spare = [v for v in removed if v not in added]
             kind = rng.choice(("keep", "drop", "add") if spare else ("keep", "drop"))
@@ -793,7 +794,7 @@ def corrupt_lifts(choose, seed: int, rate: float):
                 added = tuple(v for v in added if v != gone)
             else:
                 added = added + (rng.choice(spare),)
-        return rule, removed, swapped, added
+        return rule, removed, swapped, added, span
 
     return corrupted
 
@@ -826,9 +827,9 @@ class TestLocalLiftCheck:
         orig = cons._lift_holds
         verdicts = []
 
-        def oracle(tree, S, step):
+        def oracle(tree, S, step, P):
             S_new = (S - {step.swapped}) | set(step.added)
-            accepted = orig(tree, S, step)
+            accepted = orig(tree, S, step, P)
             if accepted:  # the stored bounds stay upper bounds, too
                 bound = tree.bound
                 assert tree.audit(S_new) == (True, "ok"), step
@@ -854,11 +855,11 @@ class TestLocalLiftCheck:
         calls = []
 
         def drop_first(tree):
-            rule, removed, swapped, added = orig(tree)
+            rule, removed, swapped, added, span = orig(tree)
             calls.append(rule)
             if len(calls) == 3:
                 added = added[1:]
-            return rule, removed, swapped, added
+            return rule, removed, swapped, added, span
 
         T = random_subcubic_tree(80, seed=3)
         outcome = build_outcome(T, drop_first, False)
@@ -874,8 +875,8 @@ class TestLocalLiftCheck:
         orig = cons._choose_reduction
 
         def drop_inner(tree):
-            rule, removed, swapped, added = orig(tree)
-            return rule, removed, swapped, tuple(v for v in added if tree.deg[v] == 1)
+            rule, removed, swapped, added, span = orig(tree)
+            return rule, removed, swapped, tuple(v for v in added if tree.deg[v] == 1), span
 
         legs = [[0] + list(range(1 + 20 * i, 21 + 20 * i)) for i in range(3)]
         T = Graph(61, [(a, b) for leg in legs for a, b in zip(leg, leg[1:])])
@@ -894,9 +895,9 @@ class TestLocalLiftCheck:
         orig_check, orig_audit = cons._lift_holds, cons._Tree.audit
         verdicts, audits = [], []
 
-        def loose(tree, S, step):
+        def loose(tree, S, step, P):
             tree.bound[step.swapped] = (1 << 64) - 1
-            verdicts.append(orig_check(tree, S, step))
+            verdicts.append(orig_check(tree, S, step, P))
             return verdicts[-1]
 
         def counted(tree, S):
@@ -926,33 +927,80 @@ class TestLocalLiftCheck:
             assert w <= Dyadic(b, 64) < w + Dyadic(1, 64), u
 
 
+def named_pendant_rules(T) -> set[str]:
+    """Build T's good set with the pendant each step names, its removed
+    set plus the span it returns, checked against ``pendant`` on the tree
+    the step reduces; the rules of the steps."""
+    orig = cons._choose_reduction
+    rules = set()
+
+    def checked(tree):
+        rule, removed, swapped, added, span = orig(tree)
+        want = pendant(tree, swapped, set(removed).union(added))
+        assert set(removed).union(span) == want, (rule, removed, swapped, added, span)
+        rules.add(rule)
+        return rule, removed, swapped, added, span
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cons, "_choose_reduction", checked)
+        tree_good_set(T)
+    return rules
+
+
+class TestNamedPendant:
+    """Each reduction rule names the pendant its lift checks: the smallest
+    alive subtree holding the removed set, the added vertices and the
+    swapped vertex, which the BFS oracle ``pendant`` finds."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(9, 300), st.integers(0, 10**6))
+    def test_random_trees(self, n, seed):
+        T = random_subcubic_tree(n, seed)
+        if degree2_vertices(T):
+            named_pendant_rules(T)
+
+    def test_every_rule_and_tk(self):
+        seen = set()
+        for k in (3, 10, 60):
+            assert named_pendant_rules(gen_tk(k).graph) == {"R3"}
+        # the last three take the rerouted R3
+        sizes = [(12 + (11 * i) % 150, 7000 + i) for i in range(60)]
+        for n, seed in sizes + [(84, 900312), (46, 900354), (42, 900670)]:
+            T = random_subcubic_tree(n, seed)
+            if degree2_vertices(T):
+                seen |= named_pendant_rules(T)
+        assert seen == {"R1", "R2", "R3", "R4"}, seen
+
+
 class TestGoodSetFaultPaths:
     """The good-set construction's answers to states that an honest build never reaches:
     the lift check's "cannot decide", and the structural guards, each of
     which carries the steps taken until the fault."""
 
-    @pytest.mark.parametrize("n, dead, step, S", [
-        # a target of the pendant is not alive
-        (8, (0, 1), TraceStep("R2", (0, 1), 2, (0,)), {2, 5}),
+    @pytest.mark.parametrize("n, dead, step, S, P", [
+        # the named pendant holds a dead vertex
+        (8, (5, 6, 7), TraceStep("R2", (0, 1), 2, (0,)), {2, 4}, {0, 1, 2, 6}),
+        # the named pendant misses an added vertex
+        (8, (), TraceStep("R2", (0, 1), 2, (0, 7)), {2, 5}, {0, 1, 2}),
         # the pendant is the whole tree: no edge leaves it
-        (3, (), TraceStep("R2", (0, 1), 2, (0,)), {2}),
+        (3, (), TraceStep("R2", (0, 1), 2, (0,)), {2}, {0, 1, 2}),
         # the lift sends more influence out of the pendant than before
-        (8, (), TraceStep("R2", (0, 1), 2, (0, 3)), {2, 6}),
+        (8, (), TraceStep("R2", (0, 1), 2, (0, 3)), {2, 6}, {0, 1, 2, 3}),
         # no old member of the pendant has an open path out of it
-        (6, (), TraceStep("R2", (1,), 0, ()), {0, 4}),
+        (6, (), TraceStep("R2", (1,), 0, ()), {0, 4}, {0, 1}),
     ])
-    def test_lift_check_cannot_decide(self, n, dead, step, S):
+    def test_lift_check_cannot_decide(self, n, dead, step, S, P):
         tree = cons._Tree(gen_path(n))
         tree.remove(dead)
         tree.bound = {u: 1 << 63 for u in S}
-        assert cons._lift_holds(tree, set(S), step) is False
+        assert cons._lift_holds(tree, set(S), step, P) is False
         assert tree.bound == {u: 1 << 63 for u in S}
 
     @pytest.mark.parametrize("n, seed", [(40, 1), (120, 2), (300, 3)])
     def test_full_audit_fallback_builds_the_same_set(self, monkeypatch, n, seed):
         T = random_subcubic_tree(n, seed)
         want = tree_good_set(T)
-        monkeypatch.setattr(cons, "_lift_holds", lambda tree, S, step: False)
+        monkeypatch.setattr(cons, "_lift_holds", lambda tree, S, step, P: False)
         assert tree_good_set(T) == want
 
     @pytest.mark.parametrize("hang, message", [
@@ -991,11 +1039,11 @@ class TestGoodSetFaultPaths:
         calls = []
 
         def choose(tree):
-            rule, removed, swapped, added = orig(tree)
+            rule, removed, swapped, added, span = orig(tree)
             calls.append(rule)
             if len(calls) == 2:
                 removed = (min(v for v in tree.vertices() if tree.deg[v] == 3),)
-            return rule, removed, swapped, added
+            return rule, removed, swapped, added, span
 
         monkeypatch.setattr(cons, "_choose_reduction", choose)
         with pytest.raises(InvariantViolation) as exc:
@@ -1008,12 +1056,12 @@ class TestGoodSetFaultPaths:
     def test_reduction_that_leaves_no_degree2_vertex(self, monkeypatch):
         # the perfect binary tree of depth 3 has one degree-2 vertex, its
         # root; cutting off the root's right subtree leaves it a leaf
-        step = ("R2", (2, 5, 6, 11, 12, 13, 14), 0, ())
+        step = ("R2", (2, 5, 6, 11, 12, 13, 14), 0, (), (0,))
         monkeypatch.setattr(cons, "_choose_reduction", lambda tree: step)
         with pytest.raises(InvariantViolation) as exc:
             tree_good_set(gen_perfect_binary(3).graph)
         assert str(exc.value) == "reduced tree lost its last degree-2 vertex"
-        assert exc.value.trace == GoodSetTrace((TraceStep(*step),), "unfinished", ())
+        assert exc.value.trace == GoodSetTrace((TraceStep(*step[:4]),), "unfinished", ())
 
     def test_lift_whose_swapped_vertex_left_the_set(self, monkeypatch):
         # the first step names a removed vertex as its swapped one, which
@@ -1024,9 +1072,9 @@ class TestGoodSetFaultPaths:
         calls = []
 
         def choose(tree):
-            rule, removed, swapped, added = orig(tree)
+            rule, removed, swapped, added, span = orig(tree)
             calls.append(rule)
-            return rule, removed, min(removed) if len(calls) == 1 else swapped, added
+            return rule, removed, min(removed) if len(calls) == 1 else swapped, added, span
 
         monkeypatch.setattr(cons, "_choose_reduction", choose)
         with pytest.raises(InvariantViolation) as exc:

@@ -20,6 +20,7 @@ ORACLES = (
     "kernel_reference",
     "report_checks",
     "row_pair",
+    "pendant",
     "alpha_e_bruteforce",
     "enumerate_trees",
     "grandchild_set",
