@@ -19,7 +19,13 @@ Two families carry the extremal structure this library is about:
 
 Random tree growth attaches leaves to uniformly chosen degree-<3 vertices,
 which is reproducible given the seed but not uniform over unlabeled trees;
-fine for property testing, documented here. ``free_trees`` produces one
+fine for property testing, documented here. The random generators, paths
+and cycles build their adjacency lists directly and hand them to
+``Graph._of_adjacency``. The growth's lists come out sorted, since each
+new vertex is the largest so far, and its attachment draw is the one
+``rng.randrange`` makes, so every seed gives the graph it always gave.
+``Graph(n, edges)`` keeps all its checks for edges from outside these
+generators. ``free_trees`` produces one
 representative per isomorphism class by leaf augmentation, which is what
 the exhaustive scans want: a stream of labeled trees would visit
 n**(n-2) of them.
@@ -226,32 +232,52 @@ def leaf_set(lg: LabeledGraph) -> frozenset:
 def gen_path(n: int) -> Graph:
     if n < 1:
         raise ParameterError("n must be at least 1")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    adj = [(v - 1, v + 1) for v in range(n)]
+    adj[0] = adj[0][1:]
+    # on n = 1 this empties the one list
+    adj[-1] = adj[-1][:-1]
+    return Graph._of_adjacency(tuple(adj), n - 1)
 
 
 def gen_cycle(n: int) -> Graph:
     if n < 3:
         raise ParameterError("a cycle needs at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    adj = [(v - 1, v + 1) for v in range(n)]
+    adj[0] = (1, n - 1)
+    adj[-1] = (0, n - 2)
+    return Graph._of_adjacency(tuple(adj), n)
 
 
-def _grow_subcubic_tree(n: int, rng: random.Random):
+def _grow_subcubic_tree(n: int, rng: random.Random) -> list[list[int]]:
     """Attachment growth shared by the random generators: each new leaf
-    joins a uniformly chosen vertex of residual degree < 3."""
-    deg = [0] * n
-    edges = []
+    joins a uniformly chosen vertex of residual degree < 3. Returns the
+    adjacency lists, sorted as they come: each new vertex is the largest
+    so far, so appending it keeps its parent's list sorted, and its own
+    list starts with that parent, the one smaller neighbour it gets. So
+    the lists go to ``Graph._of_adjacency`` with none of ``Graph``'s edge
+    checks, which stay for edges from outside the generators.
+
+    The attachment index is drawn as ``rng.randrange(len(avail))`` draws
+    it, so every seed grows the tree it always grew."""
+    adj: list[list[int]] = [[] for _ in range(n)]
     avail = [0]
+    getrandbits = rng.getrandbits
     for v in range(1, n):
-        i = rng.randrange(len(avail))
+        # Random._randbelow on CPython 3.10-3.13, which randrange(k) calls
+        k = len(avail)
+        bits = k.bit_length()
+        i = getrandbits(bits)
+        while i >= k:
+            i = getrandbits(bits)
         u = avail[i]
-        edges.append((u, v))
-        deg[u] += 1
-        deg[v] += 1
-        if deg[u] == 3:
+        nbrs = adj[u]
+        nbrs.append(v)
+        adj[v].append(u)
+        if len(nbrs) == 3:
             avail[i] = avail[-1]
             avail.pop()
         avail.append(v)
-    return deg, edges
+    return adj
 
 
 def random_subcubic_tree(n: int, seed: int) -> Graph:
@@ -260,8 +286,8 @@ def random_subcubic_tree(n: int, seed: int) -> Graph:
     process is biased over unlabeled shapes, which is acceptable here."""
     if n < 1:
         raise ParameterError("n must be at least 1")
-    _, edges = _grow_subcubic_tree(n, random.Random(seed))
-    return Graph(n, edges)
+    adj = _grow_subcubic_tree(n, random.Random(seed))
+    return Graph._of_adjacency(tuple(map(tuple, adj)), n - 1)
 
 
 def random_subcubic_graph(n: int, extra_edges: int, seed: int) -> Graph:
@@ -276,41 +302,28 @@ def random_subcubic_graph(n: int, extra_edges: int, seed: int) -> Graph:
     if extra_edges < 0:
         raise ParameterError("extra_edges must be nonnegative")
     rng = random.Random(seed)
-    deg, edges = _grow_subcubic_tree(n, rng)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-
-    def connect(u, v):
-        edges.append((u, v))
-        adj[u].add(v)
-        adj[v].add(u)
-        deg[u] += 1
-        deg[v] += 1
-
+    adj = _grow_subcubic_tree(n, rng)
     for _ in range(extra_edges):
-        placed = False
         for _attempt in range(200):
             u = rng.randrange(n)
             v = rng.randrange(n)
-            if u == v or deg[u] >= 3 or deg[v] >= 3 or v in adj[u]:
-                continue
-            connect(u, v)
-            placed = True
-            break
-        if not placed:
+            # a list of at most 3 neighbours answers ``in`` as fast as a set
+            if u != v and len(adj[u]) < 3 and len(adj[v]) < 3 and v not in adj[u]:
+                break
+        else:
             pairs = [
                 (u, v)
                 for u in range(n)
-                if deg[u] < 3
+                if len(adj[u]) < 3
                 for v in range(u + 1, n)
-                if deg[v] < 3 and v not in adj[u]
+                if len(adj[v]) < 3 and v not in adj[u]
             ]
             if not pairs:
                 raise ParameterError("no room for another edge without exceeding degree 3")
-            connect(*rng.choice(pairs))
-    return Graph(n, edges)
+            u, v = rng.choice(pairs)
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph._of_adjacency(tuple(tuple(sorted(a)) for a in adj), n - 1 + extra_edges)
 
 
 class Family(NamedTuple):

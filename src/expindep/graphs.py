@@ -10,7 +10,10 @@ A Graph records its maximum degree, ``max_degree``, once where it is
 built: in ``Graph`` from the edge lists it fills, and in
 ``Graph._of_adjacency``, the one constructor for an adjacency already
 known to be valid, which ``parse_edge_list``'s bulk path,
-``families.free_trees`` and ``induced_subgraph`` use. So
+``induced_subgraph`` and the generators ``families.free_trees``,
+``random_subcubic_tree``, ``random_subcubic_graph``, ``gen_path`` and
+``gen_cycle`` use. ``Graph`` keeps every check for edges from anywhere
+else: the line-by-line parser, the other family builders and callers. So
 ``is_subcubic`` reads one attribute, and so does the weight kernel when
 it picks its bound, rather than scanning every degree per call.
 
@@ -132,7 +135,9 @@ class Graph:
         """The graph whose adjacency is ``adj``, a tuple of sorted tuples
         already known to be a simple graph on ``range(len(adj))`` with m
         edges, built with none of ``__init__``'s checks; it records
-        ``max_degree`` off the lists."""
+        ``max_degree`` off the lists. The bulk parser, ``induced_subgraph``
+        and the generators that grow their own lists (``free_trees``, the
+        random trees and graphs, paths and cycles) build through it."""
         G = object.__new__(cls)
         G.n, G.m, G.adj = len(adj), m, adj
         G.max_degree = max(map(len, adj), default=0)

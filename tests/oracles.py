@@ -21,6 +21,11 @@ against, kept beside the tests because no runtime path calls them.
   exhaustive enumeration, the reference for ``alpha_e_exact``.
 - ``enumerate_trees``: every labeled tree on n vertices, the reference
   for ``free_trees``' one tree per isomorphism class.
+- ``random_graph_reference``: the random subcubic graph of a seed built
+  by ``rng.randrange``, an edge list, per-vertex sets and ``Graph(n,
+  edges)`` with all its checks; the reference for the random generators,
+  which draw the same numbers and build the adjacency directly. With no
+  extra edge it is ``random_subcubic_tree``'s tree.
 - ``grandchild_set``: the grandchild selections on
   ``gen_tdelta(4, d + 2)``, whose members each receive less than 1/2.
 - ``expansion_condition_holds``, ``expansion_margin_holds`` and
@@ -35,13 +40,14 @@ The tests import this module as ``oracles``: pytest puts ``tests/`` on
 
 from __future__ import annotations
 
+import random
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from expindep.families import gen_tdelta
-from expindep.graphs import INF, Graph, absorbing_bfs
+from expindep.graphs import INF, Graph, ParameterError, absorbing_bfs
 from expindep.solvers import SearchResult, _certified
 from expindep.weights import Dyadic, WeightReport, _member_set, ei_holds, is_exponentially_independent
 
@@ -263,6 +269,61 @@ def enumerate_trees(n: int, max_degree: int | None = None) -> Iterator[Graph]:
         return
     for seq in _bounded_sequences(n, max_count):
         yield _tree_from_code_sequence(n, seq)
+
+
+def random_graph_reference(n: int, extra_edges: int, seed: int) -> Graph:
+    """``random_subcubic_graph(n, extra_edges, seed)`` by its first
+    construction: attachment growth by ``rng.randrange`` into an edge
+    list and degree counts, extra edges placed against per-vertex sets,
+    and ``Graph(n, edges)``, which checks every edge."""
+    rng = random.Random(seed)
+    deg = [0] * n
+    edges = []
+    avail = [0]
+    for v in range(1, n):
+        i = rng.randrange(len(avail))
+        u = avail[i]
+        edges.append((u, v))
+        deg[u] += 1
+        deg[v] += 1
+        if deg[u] == 3:
+            avail[i] = avail[-1]
+            avail.pop()
+        avail.append(v)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def connect(u, v):
+        edges.append((u, v))
+        adj[u].add(v)
+        adj[v].add(u)
+        deg[u] += 1
+        deg[v] += 1
+
+    for _ in range(extra_edges):
+        placed = False
+        for _attempt in range(200):
+            u = rng.randrange(n)
+            v = rng.randrange(n)
+            if u == v or deg[u] >= 3 or deg[v] >= 3 or v in adj[u]:
+                continue
+            connect(u, v)
+            placed = True
+            break
+        if not placed:
+            pairs = [
+                (u, v)
+                for u in range(n)
+                if deg[u] < 3
+                for v in range(u + 1, n)
+                if deg[v] < 3 and v not in adj[u]
+            ]
+            if not pairs:
+                raise ParameterError("no room for another edge without exceeding degree 3")
+            connect(*rng.choice(pairs))
+    return Graph(n, edges)
 
 
 def expansion_condition_holds(G: Graph, d: int) -> bool:

@@ -22,9 +22,9 @@ from expindep.families import (
     tprime_dense_set,
     tree_code,
 )
-from expindep.graphs import Graph, ParameterError, endvertices, is_subcubic, is_tree, longest_path
+from expindep.graphs import Graph, ParameterError, endvertices, is_subcubic, is_tree, longest_path, write_edge_list
 from expindep.weights import Dyadic, ei_holds, is_exponentially_independent, weight
-from oracles import enumerate_trees, grandchild_set, report_checks
+from oracles import enumerate_trees, grandchild_set, random_graph_reference, report_checks
 
 # shape counts for tree isomorphism classes, orders 1..9
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47]
@@ -259,6 +259,73 @@ class TestRandomGeneration:
         assert gen_cycle(5).m == 5
         with pytest.raises(ValueError):
             gen_cycle(2)
+
+
+class TestGeneratorsMatchReference:
+    """The generators build their adjacency lists directly; the reference
+    draws the same numbers by ``rng.randrange`` and builds the graph from
+    an edge list through ``Graph(n, edges)``'s checks."""
+
+    ORDERS = (1, 2, 3, 4, 5, 7, 10, 16, 33, 100, 257, 1000, 5000)
+
+    @staticmethod
+    def shape(G):
+        return G.adj, G.m, G.max_degree, write_edge_list(G)
+
+    def test_random_graphs(self):
+        for n in self.ORDERS:
+            extras = [n // 8]
+            if 3 <= n <= 1000:
+                # one short of saturation: a tree on n vertices has n + 2
+                # free degree slots, so room for (n + 2) // 2 more edges
+                extras.append((n + 2) // 2 - 1)
+            for extra in extras:
+                for seed in (0, 1, 7):
+                    want = self.shape(random_graph_reference(n, extra, seed))
+                    assert self.shape(random_subcubic_graph(n, extra, seed)) == want, (n, extra, seed)
+            for seed in (0, 1, 7):
+                assert self.shape(random_subcubic_tree(n, seed)) == self.shape(random_graph_reference(n, 0, seed))
+
+    def test_full_scan_fallback(self, monkeypatch):
+        import expindep.families as fam
+
+        scans = []
+
+        class Recording(random.Random):
+            def choice(self, seq):  # only the full scan draws by choice
+                scans.append(len(seq))
+                return super().choice(seq)
+
+        monkeypatch.setattr(fam, "random", SimpleNamespace(Random=Recording))
+        for n, extra, seed in ((16, 9, 1), (20, 11, 0)):
+            scans.clear()
+            got = self.shape(random_subcubic_graph(n, extra, seed))
+            assert scans, (n, extra, seed)
+            assert got == self.shape(random_graph_reference(n, extra, seed))
+        with pytest.raises(ParameterError) as want:
+            random_graph_reference(16, 10, 1)
+        with pytest.raises(ParameterError) as got:
+            random_subcubic_graph(16, 10, 1)
+        assert str(got.value) == str(want.value)
+
+    def test_cycles_and_paths(self):
+        for n in self.ORDERS:
+            path = [(v, v + 1) for v in range(n - 1)]
+            assert self.shape(gen_path(n)) == self.shape(Graph(n, path))
+            if n >= 3:
+                assert self.shape(gen_cycle(n)) == self.shape(Graph(n, path + [(n - 1, 0)]))
+
+    def test_pinned_digests(self):
+        # recorded from the edge-list construction, so an edit that moves
+        # both the generators and the reference still fails here
+        digests = [
+            hashlib.sha256(write_edge_list(G).encode()).hexdigest()
+            for G in (random_subcubic_graph(5000, 625, 7), random_subcubic_tree(5000, 7))
+        ]
+        assert digests == [
+            "36331eca99103c3542c0f861e279725254f0def0a4a8bdc95d68350f72b735f7",
+            "d94e0573afa2d29accdd800150a8ddf556ba993c971555d12439607b16d7132b",
+        ]
 
 
 class TestEnumeration:

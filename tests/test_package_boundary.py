@@ -18,11 +18,13 @@ ORACLES = (
     "bfs_distances",
     "blocked_distance",
     "kernel_reference",
+    "cut_sweep_reference",
     "report_checks",
     "row_pair",
     "pendant",
     "alpha_e_bruteforce",
     "enumerate_trees",
+    "random_graph_reference",
     "grandchild_set",
     "expansion_condition_holds",
     "expansion_margin_holds",
