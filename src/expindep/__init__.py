@@ -43,7 +43,6 @@ from .families import (
     random_subcubic_tree,
     random_subcubic_graph,
     free_trees,
-    tree_code,
 )
 from .constructors import (
     GoodSetTrace,

@@ -25,7 +25,7 @@ from .constructors import (
     tree_good_set,
 )
 from .families import FAMILIES
-from .graphs import Graph, ParameterError, degree2_vertices, endvertices, parse_edge_list, parse_vertex_set, write_edge_list, write_vertex_set
+from .graphs import Graph, ParameterError, degree2_vertices, edge_list_chunks, endvertices, parse_edge_list, parse_vertex_set, write_vertex_set
 from .solvers import alpha_e_exact, gamma_e_exact
 from .weights import ei_holds, is_exponentially_dominating, is_exponentially_independent
 from .experiments import (
@@ -71,7 +71,7 @@ def _family_params(name: str, args) -> list[int]:
 
 def _cmd_gen(args) -> int:
     lg = FAMILIES[args.family].build(*_family_params(args.family, args))
-    _write(args.out, write_edge_list(lg.graph))
+    _write(args.out, edge_list_chunks(lg.graph))
     if args.labels_out:
         lines = [f"# expindep {__version__}"]
         for name in sorted(lg.labels):

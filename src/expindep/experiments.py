@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .constructors import greedy_packing, packing_separation, tree_good_set
-from .families import FAMILIES, free_trees, gen_perfect_binary, gen_tprime, tprime_dense_set
+from .families import FAMILIES, _tree_orders, gen_perfect_binary, gen_tprime, tprime_dense_set
 from .graphs import (
     Graph,
     ParameterError,
@@ -90,11 +90,11 @@ def _corpus_instance(token: str) -> list[tuple[str, Graph]]:
     try:
         if not trees:
             return [(token, fam.build(*args).graph)]
-        # an order below 1 is passed to free_trees, which owns that range
+        # an order below 1 goes to _tree_orders, which owns that range
         return [
             (f"tree:{n}:{idx}", T)
-            for n in range(min(args[0], 1), args[0] + 1)
-            for idx, T in enumerate(free_trees(n, max_degree=3))
+            for n, reps in enumerate(_tree_orders(args[0], 3), start=1)
+            for idx, T in enumerate(reps)
         ]
     except ParameterError as exc:
         raise CorpusError(f"bad parameters in corpus entry {token!r}: {exc}") from exc
@@ -323,8 +323,8 @@ def conjecture_scan(n_max: int) -> ScanReport:
     if not (1 <= n_max <= 10):
         raise ParameterError("n_max must be between 1 and 10")
     report = ScanReport(n_max)
-    for n in range(1, n_max + 1):
-        for idx, T in enumerate(free_trees(n)):
+    for n, reps in enumerate(_tree_orders(n_max, None), start=1):
+        for idx, T in enumerate(reps):
             label = f"tree:{n}:{idx}"
             a = alpha_e_exact(T)
             g = gamma_e_exact(T)

@@ -25,17 +25,30 @@ and cycles build their adjacency lists directly and hand them to
 new vertex is the largest so far, and its attachment draw is the one
 ``rng.randrange`` makes, so every seed gives the graph it always gave.
 ``Graph(n, edges)`` keeps all its checks for edges from outside these
-generators. ``free_trees`` produces one
-representative per isomorphism class by leaf augmentation, which is what
-the exhaustive scans want: a stream of labeled trees would visit
-n**(n-2) of them.
+generators.
+
+``free_trees`` produces one representative per isomorphism class by leaf
+augmentation, which is what the exhaustive scans want: a stream of labeled
+trees would visit n**(n-2) of them. Each order grows from the one before,
+and a grown tree is kept when its shape key is new. The key comes from the
+parent's rooted codes: the parent is rooted once at its centre (or at both
+ends of its central edge), each vertex gets an AHU code, an int interned
+from the sorted tuple of its children's codes, and a new leaf at v
+recomputes only the codes on v's path to the root. With h the height and d
+the depth of v, the key is the centre's new code (one centre, d < h), the
+sorted pair of the two halves' codes (two centres, d < h), or, where the
+leaf moves the centre (d = h), the code or pair of the new centre: the
+branch top and the old centre without that branch become the central edge,
+or v's half root becomes the one centre. So a candidate costs the depth of
+v, not the order of the tree. ``_tree_orders`` yields every order of one
+growth, for the scans that read them all.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .graphs import Graph, ParameterError, endvertices
 from .weights import Dyadic, weight
@@ -354,72 +367,144 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def _rooted_code(G: Graph, root: int) -> str:
-    """Canonical rooted-tree string: children codes sorted at every level.
-    Built bottom up over a BFS order, so no depth reaches the recursion
-    limit; each child code is dropped once its parent's code is built."""
-    adj = G.adj
-    parent = [-1] * G.n
-    order = [root]
-    for v in order:
-        p = parent[v]
-        for w in adj[v]:
-            if w != p:
-                parent[w] = v
-                order.append(w)
-    kids: list = [[] for _ in range(G.n)]
-    for v in reversed(order):
-        code = "(" + "".join(sorted(kids[v])) + ")"
-        kids[v] = None
-        if v != root:
-            kids[parent[v]].append(code)
-    return code
-
-
-def tree_code(G: Graph) -> str:
-    """Canonical form of a free tree: the smaller rooted code over its one
-    or two centers. Equal codes mean isomorphic trees."""
-    n = G.n
-    if n == 1:
-        return "()"
-    deg = [G.degree(v) for v in range(n)]
+def _rooted_codes(T: Graph, codes: dict[tuple, int]) -> tuple:
+    """T rooted at its centre, or at both ends of its central edge: the
+    roots, each vertex's parent (-1 at a root) and depth, the height, and
+    each vertex's sorted tuple of its children's codes and its own code.
+    Apart from ``_leaf_keys`` so that its loops read locals, not the cells
+    its closure shares."""
+    n, adj = T.n, T.adj
+    deg = list(map(len, adj))
     layer = [v for v in range(n) if deg[v] <= 1]
     removed = len(layer)
     while removed < n:
         nxt = []
         for v in layer:
-            for w in G.adj[v]:
+            for w in adj[v]:
                 deg[w] -= 1
                 if deg[w] == 1:
                     nxt.append(w)
         removed += len(nxt)
         layer = nxt
-    centers = layer if layer else [v for v in range(n) if G.degree(v) <= 1]
-    return min(_rooted_code(G, c) for c in centers)
+    roots = layer
+    parent = [-1] * n
+    depth = [0] * n
+    if len(roots) == 2:
+        # each end of the central edge roots the half on its side
+        parent[roots[0]], parent[roots[1]] = roots[1], roots[0]
+    order = list(roots)
+    for v in order:
+        p, d = parent[v], depth[v] + 1
+        for w in adj[v]:
+            if w != p:
+                parent[w] = v
+                depth[w] = d
+                order.append(w)
+    for r in roots:
+        parent[r] = -1
+    height = depth[order[-1]]
+    kids: list = [[] for _ in range(n)]
+    code = [0] * n
+    for v in reversed(order):
+        t = kids[v] = tuple(sorted(kids[v]))
+        c = code[v] = codes.setdefault(t, len(codes))
+        if parent[v] >= 0:
+            kids[parent[v]].append(c)
+    return roots, parent, depth, height, kids, code
+
+
+def _leaf_keys(T: Graph, codes: dict[tuple, int]) -> Callable[[int], int | tuple[int, int]]:
+    """The shape key of T plus one new leaf, as a function of the vertex v
+    the leaf joins: the same key exactly when the grown trees are
+    isomorphic.
+
+    T is rooted once at its centre, or at both ends of its central edge,
+    and each vertex gets its AHU code: the id ``codes`` gives the sorted
+    tuple of its children's codes, shared by every tree that uses the same
+    dict. A key recomputes only the codes on v's path to its root: v's
+    with one more leaf code, then each ancestor's with one child code
+    swapped. With h the height and d the depth of v:
+
+    * one centre, d < h: the centre stays; the key is its new code;
+    * one centre, d = h: the new leaf lengthens one branch, whose top
+      vertex (or the leaf, on the one-vertex tree) and the centre without
+      that branch become the central edge; the key is their sorted pair;
+    * two centres, d < h: the sorted pair of the two halves' codes;
+    * two centres, d = h: v's half root becomes the one centre, with the
+      other half as one more child; the key is its code.
+
+    One-centre keys are ints and two-centre keys are pairs, so the two
+    kinds never meet. A key costs the depth of v, not the order of T."""
+    roots, parent, depth, height, kids, code = _rooted_codes(T, codes)
+    bicentral = len(roots) == 2
+
+    def key(v: int) -> int | tuple[int, int]:
+        # the leaf's code is 0, below every other, so (0,) + t stays sorted
+        t = (0,) + kids[v]
+        old, new, u = code[v], codes.setdefault(t, len(codes)), v
+        shift = depth[v] == height
+        while parent[u] >= 0:
+            u = parent[u]
+            rest = list(kids[u])
+            if shift and parent[u] < 0 and not bicentral:
+                rest.remove(old)
+                without = codes.setdefault(tuple(rest), len(codes))
+                return (new, without) if new <= without else (without, new)
+            rest[rest.index(old)] = new
+            rest.sort()
+            t = tuple(rest)
+            old, new = code[u], codes.setdefault(t, len(codes))
+        if not bicentral:
+            # v is the root of the one-vertex tree, which grows into an edge
+            return (0, 0) if shift else new
+        other = code[roots[0] if u == roots[1] else roots[1]]
+        if shift:
+            return codes.setdefault(tuple(sorted(t + (other,))), len(codes))
+        return (new, other) if new <= other else (other, new)
+
+    return key
+
+
+def _tree_orders(n: int, max_degree: int | None) -> Iterator[list[Graph]]:
+    """``free_trees(k, max_degree)`` for k = 1, 2, ..., n, in that order,
+    from one growth: each order is grown from the one before."""
+    if n < 1:
+        raise ParameterError("n must be at least 1")
+    codes: dict[tuple, int] = {(): 0}
+    reps = [Graph(1, [])]
+    yield reps
+    for size in range(2, n + 1):
+        seen: set = set()
+        nxt: list[Graph] = []
+        for T in reps:
+            adj = T.adj
+            key = _leaf_keys(T, codes)
+            for v in range(T.n):
+                if max_degree is not None and len(adj[v]) >= max_degree:
+                    continue
+                k = key(v)
+                if k not in seen:
+                    seen.add(k)
+                    # the new leaf has the largest id, so every list stays sorted
+                    grown = adj[:v] + (adj[v] + (size - 1,),) + adj[v + 1 :] + ((v,),)
+                    nxt.append(Graph._of_adjacency(grown, size - 1))
+        reps = nxt
+        yield reps
 
 
 def free_trees(n: int, max_degree: int | None = None) -> list[Graph]:
     """One representative per isomorphism class of trees on n vertices,
-    grown by leaf augmentation with canonical-code dedupe. Much cheaper
-    than deduping all n**(n-2) labeled trees for n around 8 or 9; the
-    tests check that the two agree on small n. With ``max_degree``, a leaf is never attached to a
-    vertex already at the bound, so no tree exceeds it."""
-    if n < 1:
-        raise ParameterError("n must be at least 1")
-    reps = [Graph(1, [])]
-    for size in range(2, n + 1):
-        seen: set[str] = set()
-        nxt: list[Graph] = []
-        for T in reps:
-            for v in range(T.n):
-                if max_degree is not None and T.degree(v) >= max_degree:
-                    continue
-                # the new leaf has the largest id, so every list stays sorted
-                adj = T.adj[:v] + (T.adj[v] + (size - 1,),) + T.adj[v + 1 :] + ((v,),)
-                grown = Graph._of_adjacency(adj, size - 1)
-                code = tree_code(grown)
-                if code not in seen:
-                    seen.add(code)
-                    nxt.append(grown)
-        reps = nxt
+    grown by leaf augmentation: each representative of order k - 1 gets a
+    leaf at each vertex in turn, and the grown tree is kept when its shape
+    key is new, so the first tree of each shape is the one kept. The key
+    is the new tree's centre code, an int, or with two centres the sorted
+    pair of its halves' codes; ``_leaf_keys`` derives it from the parent's
+    rooted codes in four cases, at a cost of the depth of the new leaf's
+    vertex, not of n. Much cheaper than deduping all n**(n-2) labeled
+    trees; the tests check the two agree on small n, and that the key splits
+    trees as a whole canonical string does. With ``max_degree``, a leaf is
+    never attached to a vertex already at the bound, so no tree exceeds
+    it."""
+    for reps in _tree_orders(n, max_degree):
+        pass
     return reps

@@ -306,11 +306,24 @@ def _parse_lines(n: int, lines: list[str]) -> Graph:
         raise EdgeListError(line_no, str(exc)) from None
 
 
+_CHUNK_VERTICES = 1 << 14  # vertices whose edge lines make one piece
+
+
+def edge_list_chunks(G: Graph) -> Iterator[str]:
+    """``write_edge_list``'s text in pieces: the header line, then the
+    lines of the edges from each run of ``_CHUNK_VERTICES`` vertices to
+    larger ids, each line ending in a newline (a run with no such edge
+    gives an empty piece). ``gen`` writes them as they come, so the whole
+    text is never held at once."""
+    n, adj = G.n, G.adj
+    yield f"{n} {G.m}\n"
+    for start in range(0, n, _CHUNK_VERTICES):
+        yield "".join([f"{u} {v}\n" for u in range(start, min(start + _CHUNK_VERTICES, n)) for v in adj[u] if v > u])
+
+
 def write_edge_list(G: Graph) -> str:
     """Inverse of parse_edge_list up to edge order; edges come out sorted."""
-    out = [f"{G.n} {G.m}"]
-    out.extend(f"{u} {v}" for u, v in G.edges())
-    return "\n".join(out) + "\n"
+    return "".join(edge_list_chunks(G))
 
 
 def absorbing_bfs(G: Graph, u: int, sinks: Iterable[int]) -> list:

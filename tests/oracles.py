@@ -21,6 +21,9 @@ against, kept beside the tests because no runtime path calls them.
   exhaustive enumeration, the reference for ``alpha_e_exact``.
 - ``enumerate_trees``: every labeled tree on n vertices, the reference
   for ``free_trees``' one tree per isomorphism class.
+- ``tree_code``: a free tree's canonical string, the smaller rooted code
+  over its one or two centres, built whole; the reference for the shape
+  key ``free_trees`` derives from the parent tree's rooted codes.
 - ``random_graph_reference``: the random subcubic graph of a seed built
   by ``rng.randrange``, an edge list, per-vertex sets and ``Graph(n,
   edges)`` with all its checks; the reference for the random generators,
@@ -269,6 +272,50 @@ def enumerate_trees(n: int, max_degree: int | None = None) -> Iterator[Graph]:
         return
     for seq in _bounded_sequences(n, max_count):
         yield _tree_from_code_sequence(n, seq)
+
+
+def _rooted_code(G: Graph, root: int) -> str:
+    """Canonical rooted-tree string: children codes sorted at every level.
+    Built bottom up over a BFS order, so no depth reaches the recursion
+    limit; each child code is dropped once its parent's code is built."""
+    adj = G.adj
+    parent = [-1] * G.n
+    order = [root]
+    for v in order:
+        p = parent[v]
+        for w in adj[v]:
+            if w != p:
+                parent[w] = v
+                order.append(w)
+    kids: list = [[] for _ in range(G.n)]
+    for v in reversed(order):
+        code = "(" + "".join(sorted(kids[v])) + ")"
+        kids[v] = None
+        if v != root:
+            kids[parent[v]].append(code)
+    return code
+
+
+def tree_code(G: Graph) -> str:
+    """Canonical form of a free tree: the smaller rooted code over its one
+    or two centers. Equal codes mean isomorphic trees."""
+    n = G.n
+    if n == 1:
+        return "()"
+    deg = [G.degree(v) for v in range(n)]
+    layer = [v for v in range(n) if deg[v] <= 1]
+    removed = len(layer)
+    while removed < n:
+        nxt = []
+        for v in layer:
+            for w in G.adj[v]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    nxt.append(w)
+        removed += len(nxt)
+        layer = nxt
+    centers = layer if layer else [v for v in range(n) if G.degree(v) <= 1]
+    return min(_rooted_code(G, c) for c in centers)
 
 
 def random_graph_reference(n: int, extra_edges: int, seed: int) -> Graph:

@@ -79,7 +79,7 @@ class TestGen:
         def exhausted(G):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "write_edge_list", exhausted)
+        monkeypatch.setattr(cli, "edge_list_chunks", exhausted)
         rc, out, err = run("gen", "--family", "path", "--n", 5)
         assert (rc, out) == (3, "")
         assert err.startswith("error:")

@@ -4,9 +4,12 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expindep.families import (
     FAMILIES,
+    _leaf_keys,
+    _tree_orders,
     LabeledGraph,
     canonical_set_tk,
     free_trees,
@@ -20,11 +23,19 @@ from expindep.families import (
     random_subcubic_graph,
     random_subcubic_tree,
     tprime_dense_set,
-    tree_code,
 )
-from expindep.graphs import Graph, ParameterError, endvertices, is_subcubic, is_tree, longest_path, write_edge_list
+from expindep.graphs import (
+    Graph,
+    ParameterError,
+    endvertices,
+    induced_subgraph,
+    is_subcubic,
+    is_tree,
+    longest_path,
+    write_edge_list,
+)
 from expindep.weights import Dyadic, ei_holds, is_exponentially_independent, weight
-from oracles import enumerate_trees, grandchild_set, random_graph_reference, report_checks
+from oracles import enumerate_trees, grandchild_set, random_graph_reference, report_checks, tree_code
 
 # shape counts for tree isomorphism classes, orders 1..9
 FREE_TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47]
@@ -401,6 +412,79 @@ class TestEnumeration:
                 # a tree has two centres exactly when its diameter is odd
                 two_centres += len(longest_path(T)) % 2 == 0
         assert two_centres > 0
+
+
+class TestShapeKey:
+    """``free_trees`` keys each grown tree from its parent's rooted codes;
+    ``tree_code`` builds a whole canonical string. The two must split trees
+    into the same classes, and the lists the key picks stay the ones the
+    whole string picked."""
+
+    # subcubic tree shapes, orders 1..20 (OEIS A000672)
+    SUBCUBIC_COUNTS = [1, 1, 1, 2, 2, 4, 6, 11, 18, 37, 66, 135, 265, 552, 1132, 2410, 5098, 11020, 23846, 52233]
+
+    @staticmethod
+    def grown_key(U, leaf, codes):
+        """U's key as its parent, U without ``leaf``, plus a leaf at the
+        one neighbour of ``leaf``."""
+        T, old_ids = induced_subgraph(U, [w for w in range(U.n) if w != leaf])
+        return _leaf_keys(T, codes)(old_ids.index(U.adj[leaf][0]))
+
+    def test_keys_split_as_tree_codes(self):
+        # every labeled tree on up to 7 vertices, grown from each of its
+        # leaves: a key names one tree code, and a tree code one key
+        codes = {(): 0}
+        for n in range(2, 8):
+            pairs = {
+                (tree_code(U), self.grown_key(U, leaf, codes))
+                for U in enumerate_trees(n)
+                for leaf in range(n)
+                if U.degree(leaf) == 1
+            }
+            assert len({c for c, _ in pairs}) == len({k for _, k in pairs}) == len(pairs), n
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 60), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_random_trees_relabeled(self, n, seed_a, seed_b):
+        """Deeper trees than the exhaustive test reaches: two random trees
+        get equal keys iff their codes are equal, and a relabeling of one,
+        grown from another leaf, gets its key."""
+        codes = {(): 0}
+        rng = random.Random(seed_a ^ seed_b)
+        keys = []
+        for U in (random_subcubic_tree(n, seed_a), random_subcubic_tree(n, seed_b)):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            V = Graph(n, [(perm[u], perm[v]) for u, v in U.edges()])
+            leaves = [v for v in range(n) if U.degree(v) == 1]
+            key = self.grown_key(U, rng.choice(leaves), codes)
+            assert self.grown_key(V, perm[rng.choice(leaves)], codes) == key
+            keys.append((tree_code(U), key))
+        (code_a, key_a), (code_b, key_b) = keys
+        assert (key_a == key_b) == (code_a == code_b)
+
+    def test_pinned_lists(self):
+        """sha256 over every representative's adjacency, in order, as the
+        whole canonical string picked them: the same graphs, ids and order."""
+        digests = {}
+        for max_degree, top in ((3, 14), (None, 12), (2, 11), (4, 11)):
+            h = hashlib.sha256()
+            for n in range(1, top + 1):
+                for T in free_trees(n, max_degree=max_degree):
+                    h.update(repr(T.adj).encode())
+            digests[max_degree] = h.hexdigest()
+        assert digests == {
+            3: "baf15b95ed3e5911c37d504d2296fed165d258b98ebe36fc386d702f61b605dc",
+            None: "e2b31ebddcb5fb8646441ef3e56a0a7e09a8650739005327ff15e07cc7714c89",
+            2: "68b93be6560221cb96e9320326c116903bda3ebfa51a9dc0ba701e35e6925a5f",
+            4: "fabfb9901abb3a31324dbb7f98ab31c256295edc44e121f335b542ddb505f4d6",
+        }
+
+    def test_one_growth_gives_every_order(self):
+        orders = list(_tree_orders(16, 3))
+        assert [len(reps) for reps in orders] == self.SUBCUBIC_COUNTS[:16]
+        assert orders[:9] == [free_trees(n, max_degree=3) for n in range(1, 10)]
+        assert list(_tree_orders(9, None)) == [free_trees(n) for n in range(1, 10)]
 
 
 class TestLabeledGraph:

@@ -17,6 +17,7 @@ from expindep.families import (
     random_subcubic_tree,
 )
 from expindep.graphs import (
+    _CHUNK_VERTICES,
     INF,
     EdgeListError,
     Graph,
@@ -28,6 +29,7 @@ from expindep.graphs import (
     connected_components,
     degree2_vertices,
     diametral_path,
+    edge_list_chunks,
     endvertices,
     induced_subgraph,
     is_connected,
@@ -130,6 +132,18 @@ class TestParsing:
 
     def test_write_k1(self):
         assert write_edge_list(Graph(1)) == "1 0\n"
+
+    def test_written_in_pieces(self):
+        """``gen`` writes the pieces as they come: a header piece, then one
+        per run of ``_CHUNK_VERTICES`` vertices, which join to one line per
+        edge in ``edges()`` order."""
+        n = 2 * _CHUNK_VERTICES + 5
+        G = random_subcubic_graph(n, n // 8, 3)
+        pieces = list(edge_list_chunks(G))
+        assert len(pieces) == 4 and all(p.endswith("\n") for p in pieces if p)
+        assert pieces[0] == f"{n} {G.m}\n"
+        lines = [f"{G.n} {G.m}", *(f"{u} {v}" for u, v in G.edges())]
+        assert "".join(pieces) == write_edge_list(G) == "\n".join(lines) + "\n"
 
 
 @st.composite

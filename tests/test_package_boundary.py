@@ -24,13 +24,14 @@ ORACLES = (
     "pendant",
     "alpha_e_bruteforce",
     "enumerate_trees",
+    "tree_code",
     "random_graph_reference",
     "grandchild_set",
     "expansion_condition_holds",
     "expansion_margin_holds",
     "expansion_separation",
 )
-ORACLE_HELPERS = ("_bounded_sequences", "_tree_from_code_sequence", "_nth_root_floor", "_margin_compare")
+ORACLE_HELPERS = ("_bounded_sequences", "_tree_from_code_sequence", "_rooted_code", "_nth_root_floor", "_margin_compare")
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
